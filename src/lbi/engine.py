@@ -29,6 +29,12 @@ nothing.  For the finetuning weights both blocks contribute:
     dL_val/db_i = -gamma ( xi_W < g_i(W)|enc, g_val(W')|enc >
                          + xi_H < g_i(W)|head, g_val(H')|head > ).
 
+Neither hypergradient forms the per-example gradients g_i: each inner
+product is contracted straight from the softmax residual of the forward
+pass that the gradient step already made (see ``model.encoder_dots``).  An
+iteration runs one forward pass per (model, split) pair and shares it among
+the gradient step, the hypergradient and the trace loss.
+
 Raw scores map to effective weights in one of two modes.  ``clamp`` uses
 identity with clipping into [0, 1] (updates are projected steps, and the
 hypergradient is used as-is).  ``sigmoid`` squashes raw scores through the
@@ -41,7 +47,7 @@ bundle and config produce bit-identical trajectories.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 from scipy.special import expit
@@ -285,7 +291,6 @@ class LbiState:
     ignore_pretrain: IgnoreSet
     ignore_finetune: IgnoreSet | None
     iteration: int = 0
-    trace: list[TraceRow] = field(default_factory=list)
 
     def copy(self) -> "LbiState":
         return LbiState(
@@ -294,7 +299,6 @@ class LbiState:
             self.ignore_pretrain.copy(),
             self.ignore_finetune.copy() if self.ignore_finetune is not None else None,
             self.iteration,
-            list(self.trace),
         )
 
 
@@ -393,16 +397,25 @@ def _sgd_update(params: ModelParams, g: GradBlock, lr_encoder: float,
     )
 
 
-def _pretrain_update(params: ModelParams, X, y, weights, rates: Rates,
-                     weight_decay: float, iteration: int | None) -> ModelParams:
-    if X.shape[0] == 0:
+def _pretrain_update(params: ModelParams, fwd: model.Forward | None, weights,
+                     rates: Rates, weight_decay: float,
+                     iteration: int | None) -> ModelParams:
+    """Step from ``fwd``, the pretraining model's forward on its batch (None
+    for an empty batch, which leaves the parameters unchanged)."""
+    if fwd is None:
         return params.copy()
-    g = model.grad_arrays(params, X, y, weights)
+    g = model.weighted_grad(fwd, weights)
     out = _sgd_update(g=g, params=params, lr_encoder=rates.pretrain_encoder,
                       lr_head=rates.pretrain_head, weight_decay=weight_decay)
     _check_finite(out.encoder, "pretraining encoder update", iteration)
     _check_finite(out.head, "pretraining head update", iteration)
     return out
+
+
+def _forward_or_none(params: ModelParams, split: SplitArrays):
+    if split.n == 0:
+        return None
+    return model._softmax_residual(params, split.X, split.y)
 
 
 def pretrain_step(state: LbiState, bundle, cfg: LbiConfig,
@@ -414,23 +427,31 @@ def pretrain_step(state: LbiState, bundle, cfg: LbiConfig,
     """
     arrays = ensure_arrays(bundle)
     rates = rates or cfg.rates_at(state.iteration)
-    a = state.ignore_pretrain.effective()
     return _pretrain_update(
-        state.pretrain_model, arrays.pretrain.X, arrays.pretrain.y, a,
+        state.pretrain_model,
+        _forward_or_none(state.pretrain_model, arrays.pretrain),
+        state.ignore_pretrain.effective(),
         rates, cfg.weight_decay, state.iteration,
     )
 
 
+def _mixes_source(cfg: LbiConfig) -> bool:
+    """Whether the finetuning objective includes the b-weighted pretraining
+    loss (and so whether the finetuning ignore scores have a hypergradient)."""
+    return cfg.mode == "extended" and cfg.gamma != 0.0
+
+
 def _finetune_update(params: ModelParams, pretrained_next: ModelParams,
-                     train_X, train_y, source_X, source_y, source_w,
-                     cfg: LbiConfig, rates: Rates,
+                     train_fwd: model.Forward, source_fwd: model.Forward | None,
+                     source_w, cfg: LbiConfig, rates: Rates,
                      iteration: int | None) -> ModelParams:
-    g = model.grad_arrays(params, train_X, train_y,
-                          np.ones(train_X.shape[0]))
+    """Step from the finetuned model's forwards on the train batch and, when
+    the objective mixes it in, on the pretraining batch (else None)."""
+    g = model.weighted_grad(train_fwd, np.ones(train_fwd.n))
     d_enc = g.d_encoder
     d_head = g.d_head
-    if cfg.mode == "extended" and cfg.gamma != 0.0 and source_X.shape[0] > 0:
-        gs = model.grad_arrays(params, source_X, source_y, source_w)
+    if source_fwd is not None:
+        gs = model.weighted_grad(source_fwd, source_w)
         d_enc = d_enc + cfg.gamma * gs.d_encoder
         d_head = d_head + cfg.gamma * gs.d_head
     if cfg.lam != 0.0:
@@ -458,22 +479,39 @@ def finetune_step(state: LbiState, pretrained_next: ModelParams, bundle,
     """
     arrays = ensure_arrays(bundle)
     rates = rates or cfg.rates_at(state.iteration)
-    if cfg.mode == "extended":
+    params = state.finetune_model
+    source_fwd, b = None, None
+    if _mixes_source(cfg):
+        source_fwd = _forward_or_none(params, arrays.pretrain)
         b = state.ignore_finetune.effective()
-    else:
-        b = np.zeros(arrays.pretrain.n)
     return _finetune_update(
-        state.finetune_model, pretrained_next,
-        arrays.train.X, arrays.train.y,
-        arrays.pretrain.X, arrays.pretrain.y, b,
-        cfg, rates, state.iteration,
+        params, pretrained_next,
+        model._softmax_residual(params, arrays.train.X, arrays.train.y),
+        source_fwd, b, cfg, rates, state.iteration,
     )
 
 
 def _val_grad(finetuned_next: ModelParams, arrays: BundleArrays) -> GradBlock:
-    return model.grad_arrays(
-        finetuned_next, arrays.val.X, arrays.val.y, np.ones(arrays.val.n)
-    )
+    fwd = model._softmax_residual(finetuned_next, arrays.val.X, arrays.val.y)
+    return model.weighted_grad(fwd, np.ones(fwd.n))
+
+
+def _hypergrad_pretrain(fwd: model.Forward, val_grad: GradBlock, chain,
+                        cfg: LbiConfig, rates: Rates) -> np.ndarray:
+    """-2 xi_V xi_W lam <g_i(V)|enc, g_val(W')|enc> times the score chain
+    factor, for the examples of ``fwd`` (the pretraining model's forward)."""
+    scale = -2.0 * rates.pretrain_encoder * rates.finetune_encoder * cfg.lam
+    return scale * model.encoder_dots(fwd, val_grad) * chain
+
+
+def _hypergrad_finetune(fwd: model.Forward, val_grad: GradBlock, chain,
+                        cfg: LbiConfig, rates: Rates) -> np.ndarray:
+    """-gamma (xi_W <g_i(W)|enc, g_val|enc> + xi_H <g_i(W)|head, g_val|head>)
+    times the score chain factor, for the examples of ``fwd`` (the finetuned
+    model's forward on the pretraining batch)."""
+    comp = rates.finetune_encoder * model.encoder_dots(fwd, val_grad)
+    comp += rates.finetune_head * model.head_dots(fwd, val_grad)
+    return -cfg.gamma * comp * chain
 
 
 def hypergrad_ignore_pretrain(state: LbiState, finetuned_next: ModelParams,
@@ -496,12 +534,12 @@ def hypergrad_ignore_pretrain(state: LbiState, finetuned_next: ModelParams,
     rates = rates or cfg.rates_at(state.iteration)
     if cfg.lam == 0.0 or arrays.pretrain.n == 0:
         return np.zeros(arrays.pretrain.n)
-    g_enc, _ = model.per_example_grad_arrays(
+    fwd = model._softmax_residual(
         state.pretrain_model, arrays.pretrain.X, arrays.pretrain.y
     )
     gv = val_grad or _val_grad(finetuned_next, arrays)
-    scale = -2.0 * rates.pretrain_encoder * rates.finetune_encoder * cfg.lam
-    return scale * (g_enc @ gv.d_encoder) * state.ignore_pretrain.grad_chain()
+    return _hypergrad_pretrain(fwd, gv, state.ignore_pretrain.grad_chain(),
+                               cfg, rates)
 
 
 def hypergrad_ignore_finetune(state: LbiState, finetuned_next: ModelParams,
@@ -523,13 +561,12 @@ def hypergrad_ignore_finetune(state: LbiState, finetuned_next: ModelParams,
     rates = rates or cfg.rates_at(state.iteration)
     if cfg.gamma == 0.0 or arrays.pretrain.n == 0:
         return np.zeros(arrays.pretrain.n)
-    g_enc, g_head = model.per_example_grad_arrays(
+    fwd = model._softmax_residual(
         state.finetune_model, arrays.pretrain.X, arrays.pretrain.y
     )
     gv = val_grad or _val_grad(finetuned_next, arrays)
-    comp = rates.finetune_encoder * (g_enc @ gv.d_encoder)
-    comp += rates.finetune_head * (g_head @ gv.d_head)
-    return -cfg.gamma * comp * state.ignore_finetune.grad_chain()
+    return _hypergrad_finetune(fwd, gv, state.ignore_finetune.grad_chain(),
+                               cfg, rates)
 
 
 def apply_ignore_update(ignore: IgnoreSet, g: np.ndarray, rate: float) -> IgnoreSet:
@@ -563,14 +600,21 @@ def _batch_indices(cfg: LbiConfig, iteration: int, sizes: tuple[int, int, int]):
     return tuple(out)
 
 
-def lbi_iteration(state: LbiState, bundle, cfg: LbiConfig) -> LbiState:
-    """Advance one full iteration; returns the updated state.
+def lbi_iteration(state: LbiState, bundle,
+                  cfg: LbiConfig) -> tuple[LbiState, TraceRow]:
+    """Advance one full iteration; returns the updated state and its trace row.
 
     Order inside the iteration: pretraining step, finetuning step against
     the stepped pretraining encoder, both hypergradients at the incoming
     models, then the ignoring-score updates.  Hypergradients are always
     computed (they feed the trace) but frozen score sets skip their update,
     keeping raw scores bit-identical.
+
+    Each (model, split) pair gets one forward pass, shared by its gradient
+    step, its hypergradient and its trace loss: the pretraining model on the
+    pretraining batch, the finetuned model on the pretraining batch (only
+    when gamma mixes that loss in), the finetuned model on the train batch,
+    and the looked-ahead model on the val batch.
     """
     arrays = ensure_arrays(bundle)
     rates = cfg.rates_at(state.iteration)
@@ -580,7 +624,6 @@ def lbi_iteration(state: LbiState, bundle, cfg: LbiConfig) -> LbiState:
     )
 
     sub = arrays
-    a_full = state.ignore_pretrain.effective()
     if cfg.batch_size is not None:
         def take(split, idx):
             if idx is None:
@@ -593,30 +636,8 @@ def lbi_iteration(state: LbiState, bundle, cfg: LbiConfig) -> LbiState:
             arrays.classes, arrays.corrupted,
         )
 
-    # Stage 1: pretraining step on the (sub)batch.
-    a_batch = a_full if idx_pre is None else a_full[idx_pre]
-    pretrained_next = _pretrain_update(
-        state.pretrain_model, sub.pretrain.X, sub.pretrain.y, a_batch,
-        rates, cfg.weight_decay, it,
-    )
-
-    # Stage 2: finetuning step.
-    if cfg.mode == "extended":
-        b_full = state.ignore_finetune.effective()
-        b_batch = b_full if idx_pre is None else b_full[idx_pre]
-    else:
-        b_batch = np.zeros(sub.pretrain.n)
-    finetuned_next = _finetune_update(
-        state.finetune_model, pretrained_next,
-        sub.train.X, sub.train.y, sub.pretrain.X, sub.pretrain.y, b_batch,
-        cfg, rates, it,
-    )
-
-    # Stage 3: hypergradients on the same (sub)batch, scattered back to full
-    # index space so per-example bookkeeping survives minibatching.
-    gv = None
-    if sub.val.n > 0:
-        gv = _val_grad(finetuned_next, sub)
+    def batch(per_example):
+        return per_example if idx_pre is None else per_example[idx_pre]
 
     def scatter(partial):
         if idx_pre is None:
@@ -625,27 +646,40 @@ def lbi_iteration(state: LbiState, bundle, cfg: LbiConfig) -> LbiState:
         full[idx_pre] = partial
         return full
 
-    if cfg.lam != 0.0 and sub.pretrain.n > 0 and gv is not None:
-        g_enc, _ = model.per_example_grad_arrays(
-            state.pretrain_model, sub.pretrain.X, sub.pretrain.y
-        )
-        scale = -2.0 * rates.pretrain_encoder * rates.finetune_encoder * cfg.lam
-        chain = state.ignore_pretrain.grad_chain()
-        chain = chain if idx_pre is None else chain[idx_pre]
-        hg_pre = scatter(scale * (g_enc @ gv.d_encoder) * chain)
+    # Stage 1: pretraining step on the (sub)batch.
+    pre_fwd = _forward_or_none(state.pretrain_model, sub.pretrain)
+    a_batch = batch(state.ignore_pretrain.effective())
+    pretrained_next = _pretrain_update(
+        state.pretrain_model, pre_fwd, a_batch, rates, cfg.weight_decay, it,
+    )
+
+    # Stage 2: finetuning step.
+    train_fwd = model._softmax_residual(state.finetune_model,
+                                        sub.train.X, sub.train.y)
+    source_fwd, b_batch = None, None
+    if _mixes_source(cfg):
+        source_fwd = _forward_or_none(state.finetune_model, sub.pretrain)
+        b_batch = batch(state.ignore_finetune.effective())
+    finetuned_next = _finetune_update(
+        state.finetune_model, pretrained_next, train_fwd, source_fwd, b_batch,
+        cfg, rates, it,
+    )
+
+    # Stage 3: hypergradients on the same (sub)batch, scattered back to full
+    # index space so per-example bookkeeping survives minibatching.
+    val_fwd = _forward_or_none(finetuned_next, sub.val)
+    gv = None
+    if val_fwd is not None:
+        gv = model.weighted_grad(val_fwd, np.ones(val_fwd.n))
+
+    if cfg.lam != 0.0 and pre_fwd is not None and gv is not None:
+        hg_pre = scatter(_hypergrad_pretrain(
+            pre_fwd, gv, batch(state.ignore_pretrain.grad_chain()), cfg, rates))
     else:
         hg_pre = np.zeros(arrays.pretrain.n)
-
-    if (cfg.mode == "extended" and cfg.gamma != 0.0
-            and sub.pretrain.n > 0 and gv is not None):
-        g_enc, g_head = model.per_example_grad_arrays(
-            state.finetune_model, sub.pretrain.X, sub.pretrain.y
-        )
-        comp = rates.finetune_encoder * (g_enc @ gv.d_encoder)
-        comp += rates.finetune_head * (g_head @ gv.d_head)
-        chain = state.ignore_finetune.grad_chain()
-        chain = chain if idx_pre is None else chain[idx_pre]
-        hg_fin = scatter(-cfg.gamma * comp * chain)
+    if source_fwd is not None and gv is not None:
+        hg_fin = scatter(_hypergrad_finetune(
+            source_fwd, gv, batch(state.ignore_finetune.grad_chain()), cfg, rates))
     else:
         hg_fin = np.zeros(arrays.pretrain.n)
 
@@ -670,44 +704,30 @@ def lbi_iteration(state: LbiState, bundle, cfg: LbiConfig) -> LbiState:
 
     row = TraceRow(
         iteration=it,
-        pretrain_loss=(
-            model.weighted_loss_arrays(
-                state.pretrain_model, sub.pretrain.X, sub.pretrain.y, a_batch
-            )
-            if sub.pretrain.n else 0.0
-        ),
-        train_loss=model.weighted_loss_arrays(
-            state.finetune_model, sub.train.X, sub.train.y,
-            np.ones(sub.train.n),
-        ),
-        val_loss=(
-            model.weighted_loss_arrays(
-                finetuned_next, sub.val.X, sub.val.y, np.ones(sub.val.n)
-            )
-            if sub.val.n else 0.0
-        ),
+        pretrain_loss=(model.weighted_loss(pre_fwd, a_batch)
+                       if pre_fwd is not None else 0.0),
+        train_loss=model.weighted_loss(train_fwd, np.ones(train_fwd.n)),
+        val_loss=(model.weighted_loss(val_fwd, np.ones(val_fwd.n))
+                  if val_fwd is not None else 0.0),
         ignore_grad_pretrain_norm=float(np.linalg.norm(hg_pre)),
         ignore_grad_finetune_norm=float(np.linalg.norm(hg_fin)),
     )
-
-    return LbiState(
-        pretrained_next,
-        finetuned_next,
-        ignore_pretrain,
-        ignore_finetune,
-        it + 1,
-        state.trace + [row],
-    )
+    nxt = LbiState(pretrained_next, finetuned_next, ignore_pretrain,
+                   ignore_finetune, it + 1)
+    return nxt, row
 
 
 def run(bundle, cfg: LbiConfig, initial_state: LbiState | None = None,
         trace_hook=None) -> tuple[LbiState, list[TraceRow]]:
     """Run cfg.iterations iterations (resuming from initial_state if given).
 
+    Returns the final state and the trace rows of the iterations run here.
     ``trace_hook``, when given, is called with each TraceRow as it is
     produced, which lets callers stream the trace to disk.  On numeric
     failure the raised error carries the iteration index and the partial
-    trace.
+    trace.  A resumed state must match the config's architecture and
+    modes; a mismatch raises ConfigError instead of silently training the
+    state's setup.
     """
     cfg.validate()
     arrays = ensure_arrays(bundle)
@@ -718,26 +738,33 @@ def run(bundle, cfg: LbiConfig, initial_state: LbiState | None = None,
             f"state architecture ({arch.dim} dims, {arch.classes} classes) does "
             f"not match data ({arrays.dim} dims, {arrays.classes} classes)"
         )
-    if cfg.mode == "extended" and state.ignore_finetune is None:
-        raise ConfigError(
-            "state lacks finetuning ignore scores required by extended mode"
-        )
+    state_mode = "basic" if state.ignore_finetune is None else "extended"
+    for name, have, want in (("hidden", arch.hidden, cfg.hidden),
+                             ("ignore_mode", state.ignore_pretrain.mode,
+                              cfg.ignore_mode),
+                             ("mode", state_mode, cfg.mode)):
+        if have != want:
+            raise ConfigError(
+                f"state has {name}={have!r} but the config has {name}={want!r}"
+            )
     if state.ignore_pretrain.raw.shape[0] != arrays.pretrain.n:
         raise ConfigError(
             f"state has {state.ignore_pretrain.raw.shape[0]} pretraining ignore "
             f"scores, data has {arrays.pretrain.n} pretraining examples"
         )
+    trace: list[TraceRow] = []
     while state.iteration < cfg.iterations:
         try:
-            state = lbi_iteration(state, arrays, cfg)
+            state, row = lbi_iteration(state, arrays, cfg)
         except NumericError as e:
             if e.iteration is None:
                 e.iteration = state.iteration
-            e.partial_trace = list(state.trace)
+            e.partial_trace = trace
             raise
+        trace.append(row)
         if trace_hook is not None:
-            trace_hook(state.trace[-1])
-    return state, list(state.trace)
+            trace_hook(row)
+    return state, trace
 
 
 def to_state_dict(state: LbiState) -> dict:

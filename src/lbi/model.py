@@ -20,9 +20,24 @@ test suite exercise real formulas.
 
 Batch operations accept plain arrays: features X with one row per example
 and integer labels y.  Weighted sums are plain sums, not means, so gradients
-are additive across examples; the per-example decomposition identity
-(weighted gradient == sum of weight * per-example gradient) is load-bearing
-for the hypergradient formulas.
+are additive across examples: example i's gradient is built from row i of
+the softmax residual G = softmax(z) - onehot(y) (and, for the MLP, of the
+hidden residual dA = (G U) * (1 - T^2), T the hidden activations).
+
+Every loss and gradient comes from one ``Forward`` record (z, G, T, dA) made
+by ``_softmax_residual``, so a caller that needs the loss, the weighted
+gradient and per-example gradient products of one model on one batch pays
+for one forward pass.  The hypergradients need only inner products
+<g_i, v> between each example's gradient and a fixed vector v, and those
+are contracted straight from the record without forming g_i
+(``encoder_dots``, ``head_dots``):
+
+    linear   encoder  rowsum(G * (X E_v^T))       head  G b_v
+    MLP      encoder  rowsum(dA * (X W_v^T + b1_v))
+             head     rowsum(G * (T U_v^T + b2_v))
+
+``per_example_grad_arrays`` materializes the n x P rows explicitly; it is
+the reference the contractions are tested against.
 """
 
 from __future__ import annotations
@@ -130,15 +145,31 @@ def _check_features(params: ModelParams, X: np.ndarray) -> np.ndarray:
     return X
 
 
-def logits(params: ModelParams, X: np.ndarray) -> np.ndarray:
-    """Raw class scores, one row per example."""
-    X = _check_features(params, X)
+# The n x hidden arrays are large enough that each fresh one costs page
+# faults, so the kernels below update in place where the values come out the
+# same as the plain expression written beside them.
+
+def _affine(X: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """X @ W.T + b."""
+    out = X @ W.T
+    out += b
+    return out
+
+
+def _scores(params: ModelParams, X: np.ndarray):
+    """(logits, hidden activations or None) for checked features X."""
     if params.arch.hidden == 0:
         E, b = _linear_views(params)
-        return X @ E.T + b
+        return _affine(X, E, b), None
     W1, b1, U, b2 = _mlp_views(params)
-    T = np.tanh(X @ W1.T + b1)
-    return T @ U.T + b2
+    T = _affine(X, W1, b1)
+    np.tanh(T, out=T)
+    return _affine(T, U, b2), T
+
+
+def logits(params: ModelParams, X: np.ndarray) -> np.ndarray:
+    """Raw class scores, one row per example."""
+    return _scores(params, _check_features(params, X))[0]
 
 
 def predict(params: ModelParams, X: np.ndarray) -> np.ndarray:
@@ -146,75 +177,146 @@ def predict(params: ModelParams, X: np.ndarray) -> np.ndarray:
     return np.argmax(logits(params, X), axis=1)
 
 
-def batch_losses(params: ModelParams, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Per-example cross-entropy, computed through logsumexp for stability."""
-    y = np.asarray(y)
-    z = logits(params, X)
-    if y.shape != (z.shape[0],):
-        raise ValueError(f"labels have shape {y.shape}, expected ({z.shape[0]},)")
-    m = z.max(axis=1)
-    lse = m + np.log(np.exp(z - m[:, None]).sum(axis=1))
-    return lse - z[np.arange(z.shape[0]), y]
+class Forward:
+    """One model's forward pass over one labelled batch.
+
+    ``T`` holds the hidden activations (None for the linear model); ``m`` is
+    each row's max logit, ``ez`` = exp(z - m) and ``s`` its row sums.  The
+    residual ``G``, the ``losses`` and ``dA`` are derived on first use, so a
+    caller that needs only losses or only a gradient pays for nothing else.
+    Consumers read the arrays and never write them.
+    """
+
+    __slots__ = ("params", "X", "y", "n", "z", "T", "m", "ez", "s",
+                 "_G", "_losses", "_dA")
+
+    def __init__(self, params: ModelParams, X: np.ndarray, y: np.ndarray,
+                 z: np.ndarray, T: np.ndarray | None, m: np.ndarray,
+                 ez: np.ndarray, s: np.ndarray):
+        self.params, self.X, self.y, self.n = params, X, y, X.shape[0]
+        self.z, self.T, self.m, self.ez, self.s = z, T, m, ez, s
+        self._G = self._losses = self._dA = None
+
+    @property
+    def G(self) -> np.ndarray:
+        """Softmax residual softmax(z) - onehot(y)."""
+        if self._G is None:
+            G = self.ez / self.s
+            G[np.arange(self.n), self.y] -= 1.0
+            self._G = G
+        return self._G
+
+    @property
+    def losses(self) -> np.ndarray:
+        """Per-example cross-entropy, through logsumexp for stability."""
+        if self._losses is None:
+            lse = (self.m + np.log(self.s))[:, 0]
+            self._losses = lse - self.z[np.arange(self.n), self.y]
+        return self._losses
+
+    @property
+    def dA(self) -> np.ndarray:
+        """Residual at the hidden pre-activations: (G U) * (1 - T^2)."""
+        if self._dA is None:
+            _, _, U, _ = _mlp_views(self.params)
+            dA = self.G @ U
+            slope = self.T * self.T
+            np.subtract(1.0, slope, out=slope)
+            dA *= slope
+            self._dA = dA
+        return self._dA
 
 
-def weighted_loss_arrays(
-    params: ModelParams, X: np.ndarray, y: np.ndarray, weights: np.ndarray
-) -> float:
-    """Weighted sum (not mean) of per-example cross-entropies."""
-    losses = batch_losses(params, X, y)
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != losses.shape:
-        raise ValueError(
-            f"weights have shape {weights.shape}, expected {losses.shape}"
-        )
-    return float(weights @ losses)
-
-
-def _softmax_residual(params: ModelParams, X: np.ndarray, y: np.ndarray):
-    """Returns (G, hidden activations or None) where G = softmax(z) - onehot(y)."""
-    if params.arch.hidden == 0:
-        z = logits(params, X)
-        T = None
-    else:
-        W1, b1, _, _ = _mlp_views(params)
-        T = np.tanh(X @ W1.T + b1)
-        _, _, U, b2 = _mlp_views(params)
-        z = T @ U.T + b2
-    m = z.max(axis=1, keepdims=True)
-    ez = np.exp(z - m)
-    P = ez / ez.sum(axis=1, keepdims=True)
-    G = P
-    G[np.arange(z.shape[0]), y] -= 1.0
-    return G, T
-
-
-def grad_arrays(
-    params: ModelParams, X: np.ndarray, y: np.ndarray, weights: np.ndarray
-) -> GradBlock:
-    """Gradient of the weighted loss sum with respect to both blocks."""
+def _softmax_residual(params: ModelParams, X: np.ndarray, y: np.ndarray) -> Forward:
+    """The forward pass behind every loss and gradient of a labelled batch."""
     X = _check_features(params, X)
     y = np.asarray(y)
+    if y.shape != (X.shape[0],):
+        raise ValueError(f"labels have shape {y.shape}, expected ({X.shape[0]},)")
+    z, T = _scores(params, X)
+    m = z.max(axis=1, keepdims=True)
+    ez = z - m
+    np.exp(ez, out=ez)
+    return Forward(params, X, y, z, T, m, ez, ez.sum(axis=1, keepdims=True))
+
+
+def _check_weights(fwd: Forward, weights) -> np.ndarray:
     weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != (X.shape[0],) or y.shape != (X.shape[0],):
-        raise ValueError("weights and labels must be 1-D with one entry per example")
-    G, T = _softmax_residual(params, X, y)
-    if params.arch.hidden == 0:
-        WG = weights[:, None] * G
-        d_enc = (WG.T @ X).ravel()
-        d_head = WG.sum(axis=0)
-        return GradBlock(d_enc, d_head)
-    _, _, U, _ = _mlp_views(params)
+    if weights.shape != (fwd.n,):
+        raise ValueError(
+            f"weights have shape {weights.shape}, expected ({fwd.n},)"
+        )
+    return weights
+
+
+def weighted_loss(fwd: Forward, weights) -> float:
+    """Weighted sum (not mean) of the batch's per-example cross-entropies."""
+    return float(_check_weights(fwd, weights) @ fwd.losses)
+
+
+def weighted_grad(fwd: Forward, weights) -> GradBlock:
+    """Gradient of the weighted loss sum with respect to both blocks."""
+    weights = _check_weights(fwd, weights)
+    X, G = fwd.X, fwd.G
     WG = weights[:, None] * G
-    dU = WG.T @ T
+    if fwd.params.arch.hidden == 0:
+        return GradBlock((WG.T @ X).ravel(), WG.sum(axis=0))
+    dU = WG.T @ fwd.T
     db2 = WG.sum(axis=0)
-    dA = (G @ U) * (1.0 - T * T)
-    WdA = weights[:, None] * dA
+    WdA = weights[:, None] * fwd.dA
     dW1 = WdA.T @ X
     db1 = WdA.sum(axis=0)
     return GradBlock(
         np.concatenate([dW1.ravel(), db1]),
         np.concatenate([dU.ravel(), db2]),
     )
+
+
+def _rowdot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", A, B)
+
+
+def encoder_dots(fwd: Forward, v: GradBlock) -> np.ndarray:
+    """<g_i|encoder, v.d_encoder> for every example i of the batch.
+
+    Equals per_example_grad_arrays(...)[0] @ v.d_encoder, contracted from
+    the residuals in O(n (classes + hidden) dim) without forming g_i.
+    """
+    V = ModelParams(fwd.params.arch, v.d_encoder, v.d_head)
+    if V.arch.hidden == 0:
+        E_v, _ = _linear_views(V)
+        return _rowdot(fwd.G, fwd.X @ E_v.T)
+    W_v, b1_v, _, _ = _mlp_views(V)
+    return _rowdot(fwd.dA, _affine(fwd.X, W_v, b1_v))
+
+
+def head_dots(fwd: Forward, v: GradBlock) -> np.ndarray:
+    """<g_i|head, v.d_head> for every example i of the batch."""
+    V = ModelParams(fwd.params.arch, v.d_encoder, v.d_head)
+    if V.arch.hidden == 0:
+        _, b_v = _linear_views(V)
+        return fwd.G @ b_v
+    _, _, U_v, b2_v = _mlp_views(V)
+    return _rowdot(fwd.G, _affine(fwd.T, U_v, b2_v))
+
+
+def batch_losses(params: ModelParams, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-example cross-entropy, computed through logsumexp for stability."""
+    return _softmax_residual(params, X, y).losses
+
+
+def weighted_loss_arrays(
+    params: ModelParams, X: np.ndarray, y: np.ndarray, weights: np.ndarray
+) -> float:
+    """Weighted sum (not mean) of per-example cross-entropies."""
+    return weighted_loss(_softmax_residual(params, X, y), weights)
+
+
+def grad_arrays(
+    params: ModelParams, X: np.ndarray, y: np.ndarray, weights: np.ndarray
+) -> GradBlock:
+    """Gradient of the weighted loss sum with respect to both blocks."""
+    return weighted_grad(_softmax_residual(params, X, y), weights)
 
 
 def per_example_grad_arrays(
@@ -224,22 +326,24 @@ def per_example_grad_arrays(
 
     Returns (n x encoder_size, n x head_size).  Row i is the gradient of
     example i's loss alone; any weighted total gradient is a weighted sum of
-    these rows, which is exactly the structure the ignoring-weight
-    hypergradients contract against.
+    these rows.  The engine never builds this matrix (it contracts through
+    ``encoder_dots`` and ``head_dots``); it is the tests' reference.
     """
-    X = _check_features(params, X)
-    y = np.asarray(y)
-    n = X.shape[0]
-    G, T = _softmax_residual(params, X, y)
-    if params.arch.hidden == 0:
-        Genc = (G[:, :, None] * X[:, None, :]).reshape(n, -1)
+    fwd = _softmax_residual(params, X, y)
+    X, G, n = fwd.X, fwd.G, fwd.n
+    a = params.arch
+    if a.hidden == 0:
+        Genc = (G[:, :, None] * X[:, None, :]).reshape(n, a.encoder_size)
         return Genc, G.copy()
-    _, _, U, _ = _mlp_views(params)
-    dA = (G @ U) * (1.0 - T * T)
+    dA, T = fwd.dA, fwd.T
     Genc = np.concatenate(
-        [(dA[:, :, None] * X[:, None, :]).reshape(n, -1), dA], axis=1
+        [(dA[:, :, None] * X[:, None, :]).reshape(n, a.hidden * a.dim), dA],
+        axis=1,
     )
-    Ghead = np.concatenate([(G[:, :, None] * T[:, None, :]).reshape(n, -1), G], axis=1)
+    Ghead = np.concatenate(
+        [(G[:, :, None] * T[:, None, :]).reshape(n, a.classes * a.hidden), G],
+        axis=1,
+    )
     return Genc, Ghead
 
 

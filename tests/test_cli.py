@@ -154,6 +154,19 @@ class TestRun:
         lines = read(out2 / "trace.csv").strip().splitlines()
         assert len(lines) == 4  # header + iterations 5..7
 
+    @pytest.mark.parametrize("setting", [
+        "ignore_mode=sigmoid", "mode=basic", "hidden=8",
+    ])
+    def test_resume_with_other_modes_exits_2(self, tmp_path, capsys, setting):
+        out1 = tmp_path / "first"
+        assert cli.main(run_args(out1)) == 0
+        code = cli.main(run_args(tmp_path / "second", [
+            "--set", "iterations=8", "--set", setting,
+            "--set", f"run.resume={out1 / 'state.json'}",
+        ]))
+        assert code == 2
+        assert setting.split("=")[0] in capsys.readouterr().err
+
     def test_summary_reports_recovery_auc(self, tmp_path):
         out = tmp_path / "out"
         assert cli.main(run_args(out)) == 0

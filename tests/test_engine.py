@@ -456,7 +456,7 @@ class TestIteration:
         state.ignore_pretrain.raw[:] = np.linspace(0.3, 0.7, 6)
         state.ignore_finetune.raw[:] = np.linspace(0.6, 0.4, 6)
 
-        nxt = engine.lbi_iteration(state, bundle, cfg)
+        nxt, row = engine.lbi_iteration(state, bundle, cfg)
 
         pre_next = engine.pretrain_step(state, bundle, cfg)
         fin_next = engine.finetune_step(state, pre_next, bundle, cfg)
@@ -473,7 +473,6 @@ class TestIteration:
         assert nxt.iteration == 1
 
         arrays = engine.ensure_arrays(bundle)
-        row = nxt.trace[-1]
         assert row.iteration == 0
         np.testing.assert_allclose(
             row.pretrain_loss,
@@ -492,6 +491,38 @@ class TestIteration:
         np.testing.assert_allclose(row.ignore_grad_finetune_norm,
                                    np.linalg.norm(hg_b))
 
+    @pytest.mark.parametrize("hidden", [0, 3])
+    @pytest.mark.parametrize("ignore_mode", ["clamp", "sigmoid"])
+    def test_hypergradients_equal_public_functions_bitwise(
+            self, hidden, ignore_mode, monkeypatch):
+        bundle = tiny_bundle(n_pre=9, n_train=5, n_val=4)
+        cfg = LbiConfig(lam=0.3, gamma=0.7, hidden=hidden,
+                        ignore_mode=ignore_mode)
+        state = engine.init_state(bundle, cfg)
+        rng = np.random.default_rng(hidden)
+        for params in (state.pretrain_model, state.finetune_model):
+            params.encoder[:] = rng.uniform(-0.6, 0.6, params.encoder.size)
+            params.head[:] = rng.uniform(-0.6, 0.6, params.head.size)
+        lo, hi = (0.2, 0.8) if ignore_mode == "clamp" else (-1.0, 1.0)
+        state.ignore_pretrain.raw[:] = rng.uniform(lo, hi, 9)
+        state.ignore_finetune.raw[:] = rng.uniform(lo, hi, 9)
+
+        seen = []
+        apply = engine.apply_ignore_update
+        monkeypatch.setattr(engine, "apply_ignore_update",
+                            lambda s, g, r: seen.append(g) or apply(s, g, r))
+        engine.lbi_iteration(state, bundle, cfg)
+        monkeypatch.undo()
+
+        fin_next = engine.finetune_step(
+            state, engine.pretrain_step(state, bundle, cfg), bundle, cfg)
+        hg_a = engine.hypergrad_ignore_pretrain(state, fin_next, bundle, cfg)
+        hg_b = engine.hypergrad_ignore_finetune(state, fin_next, bundle, cfg)
+        assert len(seen) == 2
+        assert seen[0].tobytes() == hg_a.tobytes()
+        assert seen[1].tobytes() == hg_b.tobytes()
+        assert np.abs(hg_a).max() > 0 and np.abs(hg_b).max() > 0
+
     def test_frozen_scores_stay_bit_identical(self):
         bundle = tiny_bundle()
         cfg = LbiConfig(lam=0.2, gamma=0.8, freeze_ignore_pretrain=True,
@@ -499,12 +530,14 @@ class TestIteration:
         state = engine.init_state(bundle, cfg)
         raw_a = state.ignore_pretrain.raw.tobytes()
         raw_b = state.ignore_finetune.raw.tobytes()
+        rows = []
         for _ in range(5):
-            state = engine.lbi_iteration(state, bundle, cfg)
+            state, row = engine.lbi_iteration(state, bundle, cfg)
+            rows.append(row)
         assert state.ignore_pretrain.raw.tobytes() == raw_a
         assert state.ignore_finetune.raw.tobytes() == raw_b
         # hypergradients still flow into the trace
-        assert any(r.ignore_grad_pretrain_norm > 0 for r in state.trace)
+        assert any(r.ignore_grad_pretrain_norm > 0 for r in rows)
 
     def test_effective_scores_stay_in_range(self):
         bundle = tiny_bundle()
@@ -513,7 +546,7 @@ class TestIteration:
                             lr_ignore_finetune=50.0, ignore_mode=ignore_mode)
             state = engine.init_state(bundle, cfg)
             for _ in range(20):
-                state = engine.lbi_iteration(state, bundle, cfg)
+                state, _ = engine.lbi_iteration(state, bundle, cfg)
                 for scores in (state.ignore_pretrain, state.ignore_finetune):
                     eff = scores.effective()
                     assert (eff >= 0.0).all() and (eff <= 1.0).all()
@@ -525,7 +558,7 @@ class TestIteration:
         state = engine.init_state(bundle, cfg)
         start = state.ignore_pretrain.raw.copy()
         for _ in range(10):
-            state = engine.lbi_iteration(state, bundle, cfg)
+            state, _ = engine.lbi_iteration(state, bundle, cfg)
         assert not np.array_equal(state.ignore_pretrain.raw, start)
 
 
@@ -600,12 +633,14 @@ class TestRunLoop:
     def test_resume_matches_single_run(self):
         bundle = tiny_bundle()
         cfg = LbiConfig(iterations=10, lam=0.1, gamma=0.9)
-        full_state, _ = engine.run(bundle, cfg)
+        full_state, full_trace = engine.run(bundle, cfg)
 
         half_cfg = engine.config_with(cfg, iterations=5)
         half_state, _ = engine.run(bundle, half_cfg)
-        resumed, _ = engine.run(bundle, cfg, initial_state=half_state)
+        resumed, resumed_trace = engine.run(bundle, cfg,
+                                            initial_state=half_state)
         assert resumed.iteration == 10
+        assert resumed_trace == full_trace[5:]
         assert (resumed.finetune_model.encoder.tobytes()
                 == full_state.finetune_model.encoder.tobytes())
         np.testing.assert_array_equal(resumed.ignore_pretrain.raw,
@@ -617,6 +652,18 @@ class TestRunLoop:
         other = tiny_bundle(dim=4)
         with pytest.raises(ConfigError):
             engine.run(other, LbiConfig(iterations=2), initial_state=state)
+
+    @pytest.mark.parametrize("saved, resumed", [
+        ({"ignore_mode": "clamp"}, {"ignore_mode": "sigmoid"}),
+        ({"mode": "extended"}, {"mode": "basic"}),
+        ({"hidden": 8}, {"hidden": 0}),
+    ])
+    def test_config_mismatch_rejected(self, saved, resumed):
+        bundle = tiny_bundle()
+        state, _ = engine.run(bundle, LbiConfig(iterations=1, **saved))
+        with pytest.raises(ConfigError, match=next(iter(resumed))):
+            engine.run(bundle, LbiConfig(iterations=2, **resumed),
+                       initial_state=state)
 
     def test_score_count_mismatch_rejected(self):
         bundle = tiny_bundle(n_pre=6)
@@ -638,13 +685,21 @@ class TestMinibatch:
 
     def test_batch_covering_everything_equals_full_batch(self):
         bundle = tiny_bundle(n_pre=6, n_train=4, n_val=3)
-        full = LbiConfig(iterations=7, lam=0.2, gamma=0.8)
-        batched = engine.config_with(full, batch_size=64)
-        s1, t1 = engine.run(bundle, full)
-        s2, t2 = engine.run(bundle, batched)
-        assert t1 == t2
-        assert (s1.finetune_model.encoder.tobytes()
-                == s2.finetune_model.encoder.tobytes())
+
+        def blocks(s):
+            return [s.pretrain_model.encoder, s.pretrain_model.head,
+                    s.finetune_model.encoder, s.finetune_model.head,
+                    s.ignore_pretrain.raw, s.ignore_finetune.raw]
+
+        for hidden in (0, 3):
+            full = LbiConfig(iterations=7, lam=0.2, gamma=0.8, hidden=hidden)
+            s1, t1 = engine.run(bundle, full)
+            for batch_size in (6, 64):
+                batched = engine.config_with(full, batch_size=batch_size)
+                s2, t2 = engine.run(bundle, batched)
+                assert t1 == t2
+                for a, b in zip(blocks(s1), blocks(s2)):
+                    assert a.tobytes() == b.tobytes()
 
     def test_unsampled_scores_unchanged_each_iteration(self):
         """Per-example bookkeeping: examples outside the batch receive a
@@ -662,7 +717,7 @@ class TestMinibatch:
                 (arrays.pretrain.n, arrays.train.n, arrays.val.n),
             )
             before = state.ignore_pretrain.raw.copy()
-            state = engine.lbi_iteration(state, bundle, cfg)
+            state, _ = engine.lbi_iteration(state, bundle, cfg)
             outside = np.setdiff1d(np.arange(10), idx_pre)
             np.testing.assert_array_equal(
                 state.ignore_pretrain.raw[outside], before[outside]

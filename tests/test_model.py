@@ -233,6 +233,86 @@ class TestPerExampleGrads:
             np.testing.assert_array_equal(blk.d_encoder, genc[i])
 
 
+class TestContraction:
+    """encoder_dots / head_dots against the materialized per-example rows."""
+
+    @staticmethod
+    def assert_rel_close(got, want, rel=1e-12):
+        assert got.shape == want.shape
+        scale = np.abs(want).max(initial=0.0)
+        assert np.abs(got - want).max(initial=0.0) <= rel * scale
+
+    @pytest.mark.parametrize("hidden", [0, 4])
+    @pytest.mark.parametrize("n", [0, 1, 37])
+    def test_matches_per_example_rows(self, hidden, n):
+        rng = np.random.default_rng(100 + 7 * hidden + n)
+        arch = Arch(dim=5, hidden=hidden, classes=3)
+        for _ in range(5):
+            params = random_params(arch, rng, scale=0.8)
+            X, y = random_batch(arch, rng, n)
+            v = model.GradBlock(rng.normal(size=arch.encoder_size),
+                                rng.normal(size=arch.head_size))
+            genc, ghead = model.per_example_grad_arrays(params, X, y)
+            fwd = model._softmax_residual(params, X, y)
+            enc = model.encoder_dots(fwd, v)
+            # encoder-only vector
+            self.assert_rel_close(enc, genc @ v.d_encoder)
+            # encoder + head vector
+            self.assert_rel_close(
+                enc + model.head_dots(fwd, v),
+                np.concatenate([genc, ghead], axis=1)
+                @ np.concatenate([v.d_encoder, v.d_head]),
+            )
+
+
+class TestKernelBytes:
+    """The forward record reuses buffers in place; values must stay those
+    of the plain expressions, bit for bit."""
+
+    @staticmethod
+    def reference(params, X, y, w):
+        a = params.arch
+        if a.hidden == 0:
+            E = params.encoder.reshape(a.classes, a.dim)
+            z = X @ E.T + params.head
+            T = None
+        else:
+            W1 = params.encoder[: a.hidden * a.dim].reshape(a.hidden, a.dim)
+            b1 = params.encoder[a.hidden * a.dim:]
+            U = params.head[: a.classes * a.hidden].reshape(a.classes, a.hidden)
+            b2 = params.head[a.classes * a.hidden:]
+            T = np.tanh(X @ W1.T + b1)
+            z = T @ U.T + b2
+        m = z.max(axis=1)
+        losses = (m + np.log(np.exp(z - m[:, None]).sum(axis=1))
+                  - z[np.arange(len(y)), y])
+        ez = np.exp(z - m[:, None])
+        G = ez / ez.sum(axis=1, keepdims=True)
+        G[np.arange(len(y)), y] -= 1.0
+        WG = w[:, None] * G
+        if a.hidden == 0:
+            return losses, (WG.T @ X).ravel(), WG.sum(axis=0)
+        dA = (G @ U) * (1.0 - T * T)
+        WdA = w[:, None] * dA
+        d_enc = np.concatenate([(WdA.T @ X).ravel(), WdA.sum(axis=0)])
+        d_head = np.concatenate([(WG.T @ T).ravel(), WG.sum(axis=0)])
+        return losses, d_enc, d_head
+
+    @pytest.mark.parametrize("hidden", [0, 6])
+    def test_losses_and_gradients_bitwise(self, hidden):
+        rng = np.random.default_rng(29 + hidden)
+        arch = Arch(dim=7, hidden=hidden, classes=4)
+        for n in (1, 5, 300):
+            params = random_params(arch, rng, scale=1.5)
+            X, y = random_batch(arch, rng, n)
+            w = rng.uniform(0, 1, n)
+            losses, d_enc, d_head = self.reference(params, X, y, w)
+            assert model.batch_losses(params, X, y).tobytes() == losses.tobytes()
+            g = model.grad_arrays(params, X, y, w)
+            assert g.d_encoder.tobytes() == d_enc.tobytes()
+            assert g.d_head.tobytes() == d_head.tobytes()
+
+
 class TestProximityGrad:
     def test_equal_blocks_zero(self):
         v = np.arange(6.0)
