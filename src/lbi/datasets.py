@@ -367,12 +367,26 @@ class CsvSchema:
     classes: int | None = None
 
 
+def _read_sidecar(side: str) -> dict:
+    try:
+        with open(side) as fh:
+            manifest = json.load(fh)
+    except json.JSONDecodeError as e:
+        raise ParseError(f"{side}: not valid JSON: {e}") from None
+    if not isinstance(manifest, dict):
+        raise ParseError(f"{side}: expected a JSON object")
+    return manifest
+
+
 def load_csv(path: str, schema: CsvSchema | None = None) -> DatasetBundle:
     """Read a bundle written by save_csv.
 
     The sidecar manifest, when present next to the CSV, restores the
-    corruption flags; without it all flags are False.  Malformed rows raise
-    ParseError naming the line.
+    corruption flags and the class count; without it all flags are False
+    and the class count is one past the largest label.  A sidecar whose
+    feature count, split sizes or class count disagrees with the CSV raises
+    ParseError, because its corruption indices would then point at the
+    wrong examples.  Malformed rows raise ParseError naming the line.
     """
     schema = schema or CsvSchema()
     splits: dict[str, list[Example]] = {name: [] for name in SPLITS}
@@ -418,23 +432,40 @@ def load_csv(path: str, schema: CsvSchema | None = None) -> DatasetBundle:
     labels = [ex.label for exs in splits.values() for ex in exs]
     if not labels:
         raise ParseError(f"{path}: no data rows")
-    classes = schema.classes if schema.classes is not None else max(labels) + 1
+    classes = schema.classes
+
+    side = sidecar_path(path)
+    manifest = _read_sidecar(side) if os.path.exists(side) else {}
+    if "dim" in manifest and manifest["dim"] != dim:
+        raise ParseError(
+            f"{side}: sidecar has {manifest['dim']} features, the CSV has {dim}"
+        )
+    for name, size in manifest.get("split_sizes", {}).items():
+        if name not in splits or size != len(splits[name]):
+            raise ParseError(
+                f"{side}: sidecar has {size} {name} rows, the CSV has "
+                f"{len(splits.get(name, []))}"
+            )
+    if "classes" in manifest:
+        if classes is not None and manifest["classes"] != classes:
+            raise ParseError(
+                f"{side}: sidecar has {manifest['classes']} classes, schema "
+                f"expects {classes}"
+            )
+        classes = manifest["classes"]
+    if classes is None:
+        classes = max(labels) + 1
     if max(labels) >= classes or min(labels) < 0:
         raise ParseError(
             f"{path}: label outside 0..{classes - 1} "
             f"(found {min(labels)}..{max(labels)})"
         )
-
-    side = sidecar_path(path)
-    if os.path.exists(side):
-        with open(side) as fh:
-            manifest = json.load(fh)
-        for i in manifest.get("corrupted_pretrain_indices", []):
-            if not 0 <= i < len(splits["pretrain"]):
-                raise ParseError(
-                    f"{side}: corrupted index {i} outside pretrain split"
-                )
-            splits["pretrain"][i].corrupted = True
+    for i in manifest.get("corrupted_pretrain_indices", []):
+        if not 0 <= i < len(splits["pretrain"]):
+            raise ParseError(
+                f"{side}: corrupted index {i} outside pretrain split"
+            )
+        splits["pretrain"][i].corrupted = True
 
     bundle = DatasetBundle(
         splits["pretrain"], splits["train"], splits["val"], splits["test"],

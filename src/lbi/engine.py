@@ -47,6 +47,7 @@ bundle and config produce bit-identical trajectories.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -94,16 +95,27 @@ class IgnoreSet:
             raise ValueError(f"unknown ignore mode {self.mode!r}")
 
     @classmethod
+    def _of(cls, raw: np.ndarray, mode: str) -> "IgnoreSet":
+        """Wrap a float64 vector without checking it again (the engine's own
+        results)."""
+        scores = object.__new__(cls)
+        scores.raw, scores.mode = raw, mode
+        return scores
+
+    @classmethod
     def all_on(cls, n: int, mode: str) -> "IgnoreSet":
         if mode == "clamp":
             return cls(np.ones(n), mode)
         return cls(np.full(n, SIGMOID_ON_RAW), mode)
 
-    def effective(self) -> np.ndarray:
-        """Weights actually applied to losses; always within [0, 1]."""
+    def effective(self, idx: np.ndarray | None = None) -> np.ndarray:
+        """Weights actually applied to losses; always within [0, 1].  With
+        ``idx``, only those entries (elementwise, so the values are those of
+        ``effective()[idx]``)."""
+        raw = self.raw if idx is None else self.raw[idx]
         if self.mode == "clamp":
-            return np.clip(self.raw, 0.0, 1.0)
-        return expit(self.raw)
+            return raw.clip(0.0, 1.0)
+        return expit(raw)
 
     def grad_chain(self) -> np.ndarray:
         """d(effective)/d(raw) as used by the hypergradient.
@@ -111,13 +123,19 @@ class IgnoreSet:
         Clamp mode treats the update as a projected step, so the chain factor
         is 1 everywhere; sigmoid mode contributes the logistic derivative.
         """
-        if self.mode == "clamp":
-            return np.ones_like(self.raw)
-        s = expit(self.raw)
-        return s * (1.0 - s)
+        chain = _chain_factor(self.mode, self.effective())
+        return np.ones_like(self.raw) if chain is None else chain
 
     def copy(self) -> "IgnoreSet":
-        return IgnoreSet(self.raw.copy(), self.mode)
+        return IgnoreSet._of(self.raw.copy(), self.mode)
+
+
+def _chain_factor(mode: str, effective: np.ndarray) -> np.ndarray | None:
+    """d(effective)/d(raw) from the effective weights, or None for clamp
+    mode's factor of 1, which the hypergradients then skip multiplying by."""
+    if mode == "clamp":
+        return None
+    return effective * (1.0 - effective)
 
 
 @dataclass(frozen=True)
@@ -222,12 +240,18 @@ class LbiConfig:
             # gamma is silently unused in basic mode; flag likely mistakes.
             raise ConfigError("gamma has no effect in basic mode; set mode=extended")
 
+    def decay_start(self) -> int | None:
+        """First iteration of the decayed rates, or None without step decay."""
+        if self.step_decay and self.iterations > 0:
+            return int(STEP_DECAY_AT * self.iterations)
+        return None
+
     def rates_at(self, iteration: int) -> Rates:
         """Effective rates at a given iteration (applies step decay)."""
+        start = self.decay_start()
         f = 1.0
-        if self.step_decay and self.iterations > 0:
-            if iteration >= int(STEP_DECAY_AT * self.iterations):
-                f = STEP_DECAY_FACTOR
+        if start is not None and iteration >= start:
+            f = STEP_DECAY_FACTOR
         return Rates(
             self.lr_pretrain_encoder * f,
             self.lr_pretrain_head * f,
@@ -379,7 +403,8 @@ def init_state(bundle, cfg: LbiConfig) -> LbiState:
 
 
 def _check_finite(block: np.ndarray, what: str, iteration: int | None):
-    if not np.isfinite(block).all():
+    # np.logical_and.reduce is ndarray.all without its Python layer.
+    if not np.logical_and.reduce(np.isfinite(block)):
         raise NumericError(f"non-finite {what}", iteration)
 
 
@@ -390,7 +415,7 @@ def _sgd_update(params: ModelParams, g: GradBlock, lr_encoder: float,
     if weight_decay != 0.0:
         d_enc = d_enc + weight_decay * params.encoder
         d_head = d_head + weight_decay * params.head
-    return ModelParams(
+    return ModelParams._of(
         params.arch,
         params.encoder - lr_encoder * d_enc,
         params.head - lr_head * d_head,
@@ -405,17 +430,25 @@ def _pretrain_update(params: ModelParams, fwd: model.Forward | None, weights,
     if fwd is None:
         return params.copy()
     g = model.weighted_grad(fwd, weights)
-    out = _sgd_update(g=g, params=params, lr_encoder=rates.pretrain_encoder,
-                      lr_head=rates.pretrain_head, weight_decay=weight_decay)
+    out = _sgd_update(params, g, rates.pretrain_encoder, rates.pretrain_head,
+                      weight_decay)
     _check_finite(out.encoder, "pretraining encoder update", iteration)
     _check_finite(out.head, "pretraining head update", iteration)
     return out
 
 
-def _forward_or_none(params: ModelParams, split: SplitArrays):
-    if split.n == 0:
+def _forward_or_none(params: ModelParams, X: np.ndarray, y: np.ndarray):
+    if X.shape[0] == 0:
         return None
-    return model._softmax_residual(params, split.X, split.y)
+    return model._softmax_residual(params, X, y)
+
+
+def _check_scores(scores: IgnoreSet, n: int, what: str):
+    if scores.raw.shape != (n,):
+        raise ConfigError(
+            f"state has {scores.raw.shape[0]} {what} ignore scores, data has "
+            f"{n} pretraining examples"
+        )
 
 
 def pretrain_step(state: LbiState, bundle, cfg: LbiConfig,
@@ -426,10 +459,12 @@ def pretrain_step(state: LbiState, bundle, cfg: LbiConfig,
     zero the parameters come back unchanged.
     """
     arrays = ensure_arrays(bundle)
+    _check_scores(state.ignore_pretrain, arrays.pretrain.n, "pretraining")
     rates = rates or cfg.rates_at(state.iteration)
     return _pretrain_update(
         state.pretrain_model,
-        _forward_or_none(state.pretrain_model, arrays.pretrain),
+        _forward_or_none(state.pretrain_model, arrays.pretrain.X,
+                         arrays.pretrain.y),
         state.ignore_pretrain.effective(),
         rates, cfg.weight_decay, state.iteration,
     )
@@ -447,7 +482,7 @@ def _finetune_update(params: ModelParams, pretrained_next: ModelParams,
                      iteration: int | None) -> ModelParams:
     """Step from the finetuned model's forwards on the train batch and, when
     the objective mixes it in, on the pretraining batch (else None)."""
-    g = model.weighted_grad(train_fwd, np.ones(train_fwd.n))
+    g = model.weighted_grad(train_fwd)
     d_enc = g.d_encoder
     d_head = g.d_head
     if source_fwd is not None:
@@ -482,7 +517,9 @@ def finetune_step(state: LbiState, pretrained_next: ModelParams, bundle,
     params = state.finetune_model
     source_fwd, b = None, None
     if _mixes_source(cfg):
-        source_fwd = _forward_or_none(params, arrays.pretrain)
+        _check_scores(state.ignore_finetune, arrays.pretrain.n, "finetuning")
+        source_fwd = _forward_or_none(params, arrays.pretrain.X,
+                                      arrays.pretrain.y)
         b = state.ignore_finetune.effective()
     return _finetune_update(
         params, pretrained_next,
@@ -492,26 +529,33 @@ def finetune_step(state: LbiState, pretrained_next: ModelParams, bundle,
 
 
 def _val_grad(finetuned_next: ModelParams, arrays: BundleArrays) -> GradBlock:
-    fwd = model._softmax_residual(finetuned_next, arrays.val.X, arrays.val.y)
-    return model.weighted_grad(fwd, np.ones(fwd.n))
+    return model.weighted_grad(
+        model._softmax_residual(finetuned_next, arrays.val.X, arrays.val.y))
 
 
 def _hypergrad_pretrain(fwd: model.Forward, val_grad: GradBlock, chain,
-                        cfg: LbiConfig, rates: Rates) -> np.ndarray:
+                        cfg: LbiConfig, rates: Rates,
+                        projection: np.ndarray | None = None) -> np.ndarray:
     """-2 xi_V xi_W lam <g_i(V)|enc, g_val(W')|enc> times the score chain
-    factor, for the examples of ``fwd`` (the pretraining model's forward)."""
+    factor (None: 1), for the examples of ``fwd`` (the pretraining model's
+    forward).  ``projection`` is ``model.encoder_projection`` of that batch
+    and ``val_grad``, when the caller has it."""
     scale = -2.0 * rates.pretrain_encoder * rates.finetune_encoder * cfg.lam
-    return scale * model.encoder_dots(fwd, val_grad) * chain
+    hg = scale * model.encoder_dots(fwd, val_grad, projection)
+    return hg if chain is None else hg * chain
 
 
 def _hypergrad_finetune(fwd: model.Forward, val_grad: GradBlock, chain,
-                        cfg: LbiConfig, rates: Rates) -> np.ndarray:
+                        cfg: LbiConfig, rates: Rates,
+                        projection: np.ndarray | None = None) -> np.ndarray:
     """-gamma (xi_W <g_i(W)|enc, g_val|enc> + xi_H <g_i(W)|head, g_val|head>)
-    times the score chain factor, for the examples of ``fwd`` (the finetuned
-    model's forward on the pretraining batch)."""
-    comp = rates.finetune_encoder * model.encoder_dots(fwd, val_grad)
+    times the score chain factor (None: 1), for the examples of ``fwd`` (the
+    finetuned model's forward on the pretraining batch)."""
+    comp = rates.finetune_encoder * model.encoder_dots(fwd, val_grad,
+                                                       projection)
     comp += rates.finetune_head * model.head_dots(fwd, val_grad)
-    return -cfg.gamma * comp * chain
+    hg = -cfg.gamma * comp
+    return hg if chain is None else hg * chain
 
 
 def hypergrad_ignore_pretrain(state: LbiState, finetuned_next: ModelParams,
@@ -534,12 +578,14 @@ def hypergrad_ignore_pretrain(state: LbiState, finetuned_next: ModelParams,
     rates = rates or cfg.rates_at(state.iteration)
     if cfg.lam == 0.0 or arrays.pretrain.n == 0:
         return np.zeros(arrays.pretrain.n)
+    _check_scores(state.ignore_pretrain, arrays.pretrain.n, "pretraining")
     fwd = model._softmax_residual(
         state.pretrain_model, arrays.pretrain.X, arrays.pretrain.y
     )
     gv = val_grad or _val_grad(finetuned_next, arrays)
-    return _hypergrad_pretrain(fwd, gv, state.ignore_pretrain.grad_chain(),
-                               cfg, rates)
+    scores = state.ignore_pretrain
+    return _hypergrad_pretrain(
+        fwd, gv, _chain_factor(scores.mode, scores.effective()), cfg, rates)
 
 
 def hypergrad_ignore_finetune(state: LbiState, finetuned_next: ModelParams,
@@ -561,25 +607,42 @@ def hypergrad_ignore_finetune(state: LbiState, finetuned_next: ModelParams,
     rates = rates or cfg.rates_at(state.iteration)
     if cfg.gamma == 0.0 or arrays.pretrain.n == 0:
         return np.zeros(arrays.pretrain.n)
+    _check_scores(state.ignore_finetune, arrays.pretrain.n, "finetuning")
     fwd = model._softmax_residual(
         state.finetune_model, arrays.pretrain.X, arrays.pretrain.y
     )
     gv = val_grad or _val_grad(finetuned_next, arrays)
-    return _hypergrad_finetune(fwd, gv, state.ignore_finetune.grad_chain(),
-                               cfg, rates)
+    scores = state.ignore_finetune
+    return _hypergrad_finetune(
+        fwd, gv, _chain_factor(scores.mode, scores.effective()), cfg, rates)
 
 
-def apply_ignore_update(ignore: IgnoreSet, g: np.ndarray, rate: float) -> IgnoreSet:
-    """Step raw scores along -g.  Clamp mode projects back into [0, 1]."""
+def apply_ignore_update(ignore: IgnoreSet, g: np.ndarray, rate: float,
+                        idx: np.ndarray | None = None) -> IgnoreSet:
+    """Step raw scores along -g.  Clamp mode projects back into [0, 1].
+
+    With ``idx``, g holds the gradient of the entries ``raw[idx]`` only and
+    every other entry keeps its value.  That is the full step with a zero
+    gradient outside ``idx`` for scores in the range the engine keeps them
+    in (clamp mode projects out-of-range entries only when stepping them).
+    """
     g = np.asarray(g, dtype=np.float64)
-    if g.shape != ignore.raw.shape:
-        raise ValueError(f"gradient shape {g.shape} != scores {ignore.raw.shape}")
-    if not np.isfinite(g).all():
+    want = ignore.raw.shape if idx is None else np.shape(idx)
+    if g.shape != want:
+        raise ValueError(f"gradient shape {g.shape} != scores {want}")
+    if not np.logical_and.reduce(np.isfinite(g)):
         raise NumericError("non-finite ignoring-score gradient")
-    raw = ignore.raw - rate * g
+    if idx is None:
+        raw = ignore.raw - rate * g
+        if ignore.mode == "clamp":
+            raw.clip(0.0, 1.0, out=raw)
+        return IgnoreSet._of(raw, ignore.mode)
+    step = ignore.raw[idx] - rate * g
     if ignore.mode == "clamp":
-        raw = np.clip(raw, 0.0, 1.0)
-    return IgnoreSet(raw, ignore.mode)
+        step.clip(0.0, 1.0, out=step)
+    raw = ignore.raw.copy()
+    raw[idx] = step
+    return IgnoreSet._of(raw, ignore.mode)
 
 
 def _batch_indices(cfg: LbiConfig, iteration: int, sizes: tuple[int, int, int]):
@@ -600,8 +663,41 @@ def _batch_indices(cfg: LbiConfig, iteration: int, sizes: tuple[int, int, int]):
     return tuple(out)
 
 
-def lbi_iteration(state: LbiState, bundle,
-                  cfg: LbiConfig) -> tuple[LbiState, TraceRow]:
+def _rows(split: SplitArrays, idx: np.ndarray | None):
+    """(X, y) of the batch ``idx`` of a split; None is the whole split (also
+    in minibatch mode, where it stands for an empty split)."""
+    if idx is None:
+        return split.X, split.y
+    return split.X[idx], split.y[idx]
+
+
+def _grad_norm(hg: np.ndarray | None, idx: np.ndarray | None, n: int) -> float:
+    """Euclidean norm of a raw-score hypergradient over all n scores, given
+    its batch entries (None: all zero)."""
+    if hg is None:
+        return 0.0
+    if idx is not None:
+        # Zero-padded to n as the trace has always measured it: the dot of
+        # the batch entries alone may round differently.
+        full = np.zeros(n)
+        full[idx] = hg
+        hg = full
+    return math.sqrt(hg @ hg)
+
+
+def _step_scores(scores: IgnoreSet, hg: np.ndarray, rate: float,
+                 idx: np.ndarray | None, iteration: int) -> IgnoreSet:
+    try:
+        if idx is None:
+            return apply_ignore_update(scores, hg, rate)
+        return apply_ignore_update(scores, hg, rate, idx)
+    except NumericError as e:
+        e.iteration = iteration
+        raise
+
+
+def lbi_iteration(state: LbiState, bundle, cfg: LbiConfig,
+                  rates: Rates | None = None) -> tuple[LbiState, TraceRow]:
     """Advance one full iteration; returns the updated state and its trace row.
 
     Order inside the iteration: pretraining step, finetuning step against
@@ -614,103 +710,77 @@ def lbi_iteration(state: LbiState, bundle,
     step, its hypergradient and its trace loss: the pretraining model on the
     pretraining batch, the finetuned model on the pretraining batch (only
     when gamma mixes that loss in), the finetuned model on the train batch,
-    and the looked-ahead model on the val batch.
+    and the looked-ahead model on the val batch.  The two hypergradients
+    share the projection of the pretraining batch on the validation
+    gradient.  Minibatch score bookkeeping touches only the batch's entries.
+
+    The state is trusted to fit the data and the config (``run`` checks
+    that, including clamp-mode scores within [0, 1]).  ``rates`` defaults to
+    ``cfg.rates_at(state.iteration)``.
     """
     arrays = ensure_arrays(bundle)
-    rates = cfg.rates_at(state.iteration)
     it = state.iteration
+    rates = rates or cfg.rates_at(it)
+    n_pre = arrays.pretrain.n
     idx_pre, idx_tr, idx_val = _batch_indices(
-        cfg, it, (arrays.pretrain.n, arrays.train.n, arrays.val.n)
+        cfg, it, (n_pre, arrays.train.n, arrays.val.n)
     )
-
-    sub = arrays
-    if cfg.batch_size is not None:
-        def take(split, idx):
-            if idx is None:
-                return SplitArrays(split.X[:0], split.y[:0])
-            return SplitArrays(split.X[idx], split.y[idx])
-
-        sub = BundleArrays(
-            take(arrays.pretrain, idx_pre), take(arrays.train, idx_tr),
-            take(arrays.val, idx_val), arrays.test, arrays.dim,
-            arrays.classes, arrays.corrupted,
-        )
-
-    def batch(per_example):
-        return per_example if idx_pre is None else per_example[idx_pre]
-
-    def scatter(partial):
-        if idx_pre is None:
-            return partial
-        full = np.zeros(arrays.pretrain.n)
-        full[idx_pre] = partial
-        return full
+    X_pre, y_pre = _rows(arrays.pretrain, idx_pre)
+    mode = state.ignore_pretrain.mode
 
     # Stage 1: pretraining step on the (sub)batch.
-    pre_fwd = _forward_or_none(state.pretrain_model, sub.pretrain)
-    a_batch = batch(state.ignore_pretrain.effective())
+    pre_fwd = _forward_or_none(state.pretrain_model, X_pre, y_pre)
+    a = state.ignore_pretrain.effective(idx_pre)
     pretrained_next = _pretrain_update(
-        state.pretrain_model, pre_fwd, a_batch, rates, cfg.weight_decay, it,
+        state.pretrain_model, pre_fwd, a, rates, cfg.weight_decay, it,
     )
 
     # Stage 2: finetuning step.
     train_fwd = model._softmax_residual(state.finetune_model,
-                                        sub.train.X, sub.train.y)
-    source_fwd, b_batch = None, None
+                                        *_rows(arrays.train, idx_tr))
+    source_fwd, b = None, None
     if _mixes_source(cfg):
-        source_fwd = _forward_or_none(state.finetune_model, sub.pretrain)
-        b_batch = batch(state.ignore_finetune.effective())
+        source_fwd = _forward_or_none(state.finetune_model, X_pre, y_pre)
+        b = state.ignore_finetune.effective(idx_pre)
     finetuned_next = _finetune_update(
-        state.finetune_model, pretrained_next, train_fwd, source_fwd, b_batch,
+        state.finetune_model, pretrained_next, train_fwd, source_fwd, b,
         cfg, rates, it,
     )
 
-    # Stage 3: hypergradients on the same (sub)batch, scattered back to full
-    # index space so per-example bookkeeping survives minibatching.
-    val_fwd = _forward_or_none(finetuned_next, sub.val)
-    gv = None
+    # Stage 3: hypergradients over the batch's scores (None: all zero).
+    val_fwd = _forward_or_none(finetuned_next, *_rows(arrays.val, idx_val))
+    hg_a = hg_b = None
     if val_fwd is not None:
-        gv = model.weighted_grad(val_fwd, np.ones(val_fwd.n))
+        gv = model.weighted_grad(val_fwd)
+        learn_a = cfg.lam != 0.0 and pre_fwd is not None
+        if learn_a or source_fwd is not None:
+            proj = model.encoder_projection(pretrained_next.arch, X_pre, gv)
+        if learn_a:
+            hg_a = _hypergrad_pretrain(pre_fwd, gv, _chain_factor(mode, a),
+                                       cfg, rates, proj)
+        if source_fwd is not None:
+            hg_b = _hypergrad_finetune(source_fwd, gv, _chain_factor(mode, b),
+                                       cfg, rates, proj)
 
-    if cfg.lam != 0.0 and pre_fwd is not None and gv is not None:
-        hg_pre = scatter(_hypergrad_pretrain(
-            pre_fwd, gv, batch(state.ignore_pretrain.grad_chain()), cfg, rates))
-    else:
-        hg_pre = np.zeros(arrays.pretrain.n)
-    if source_fwd is not None and gv is not None:
-        hg_fin = scatter(_hypergrad_finetune(
-            source_fwd, gv, batch(state.ignore_finetune.grad_chain()), cfg, rates))
-    else:
-        hg_fin = np.zeros(arrays.pretrain.n)
-
+    # An all-zero hypergradient (None) would leave every score as it is.
     ignore_pretrain = state.ignore_pretrain
-    if not cfg.freeze_ignore_pretrain:
-        try:
-            ignore_pretrain = apply_ignore_update(
-                ignore_pretrain, hg_pre, rates.ignore_pretrain
-            )
-        except NumericError as e:
-            e.iteration = it
-            raise
+    if hg_a is not None and not cfg.freeze_ignore_pretrain:
+        ignore_pretrain = _step_scores(ignore_pretrain, hg_a,
+                                       rates.ignore_pretrain, idx_pre, it)
     ignore_finetune = state.ignore_finetune
-    if cfg.mode == "extended" and not cfg.freeze_ignore_finetune:
-        try:
-            ignore_finetune = apply_ignore_update(
-                ignore_finetune, hg_fin, rates.ignore_finetune
-            )
-        except NumericError as e:
-            e.iteration = it
-            raise
+    if hg_b is not None and not cfg.freeze_ignore_finetune:
+        ignore_finetune = _step_scores(ignore_finetune, hg_b,
+                                       rates.ignore_finetune, idx_pre, it)
 
     row = TraceRow(
         iteration=it,
-        pretrain_loss=(model.weighted_loss(pre_fwd, a_batch)
+        pretrain_loss=(model.weighted_loss(pre_fwd, a)
                        if pre_fwd is not None else 0.0),
-        train_loss=model.weighted_loss(train_fwd, np.ones(train_fwd.n)),
-        val_loss=(model.weighted_loss(val_fwd, np.ones(val_fwd.n))
+        train_loss=model.weighted_loss(train_fwd),
+        val_loss=(model.weighted_loss(val_fwd)
                   if val_fwd is not None else 0.0),
-        ignore_grad_pretrain_norm=float(np.linalg.norm(hg_pre)),
-        ignore_grad_finetune_norm=float(np.linalg.norm(hg_fin)),
+        ignore_grad_pretrain_norm=_grad_norm(hg_a, idx_pre, n_pre),
+        ignore_grad_finetune_norm=_grad_norm(hg_b, idx_pre, n_pre),
     )
     nxt = LbiState(pretrained_next, finetuned_next, ignore_pretrain,
                    ignore_finetune, it + 1)
@@ -726,8 +796,9 @@ def run(bundle, cfg: LbiConfig, initial_state: LbiState | None = None,
     produced, which lets callers stream the trace to disk.  On numeric
     failure the raised error carries the iteration index and the partial
     trace.  A resumed state must match the config's architecture and
-    modes; a mismatch raises ConfigError instead of silently training the
-    state's setup.
+    modes, have one score per pretraining example in each score set, and
+    (clamp mode) keep its scores within [0, 1]; a mismatch raises
+    ConfigError instead of silently training the state's setup.
     """
     cfg.validate()
     arrays = ensure_arrays(bundle)
@@ -747,15 +818,24 @@ def run(bundle, cfg: LbiConfig, initial_state: LbiState | None = None,
             raise ConfigError(
                 f"state has {name}={have!r} but the config has {name}={want!r}"
             )
-    if state.ignore_pretrain.raw.shape[0] != arrays.pretrain.n:
-        raise ConfigError(
-            f"state has {state.ignore_pretrain.raw.shape[0]} pretraining ignore "
-            f"scores, data has {arrays.pretrain.n} pretraining examples"
-        )
+    for scores, what in ((state.ignore_pretrain, "pretraining"),
+                         (state.ignore_finetune, "finetuning")):
+        if scores is None:
+            continue
+        _check_scores(scores, arrays.pretrain.n, what)
+        raw = scores.raw
+        if scores.mode == "clamp" and not ((raw >= 0.0) & (raw <= 1.0)).all():
+            raise ConfigError(
+                f"state has clamp-mode {what} ignore scores outside [0, 1]"
+            )
     trace: list[TraceRow] = []
+    decay_start = cfg.decay_start()
+    rates = cfg.rates_at(state.iteration)
     while state.iteration < cfg.iterations:
+        if state.iteration == decay_start:
+            rates = cfg.rates_at(state.iteration)
         try:
-            state, row = lbi_iteration(state, arrays, cfg)
+            state, row = lbi_iteration(state, arrays, cfg, rates)
         except NumericError as e:
             if e.iteration is None:
                 e.iteration = state.iteration

@@ -43,6 +43,7 @@ the reference the contractions are tested against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -97,8 +98,17 @@ class ModelParams:
                 f"expected ({self.arch.head_size},)"
             )
 
+    @classmethod
+    def _of(cls, arch: Arch, encoder: np.ndarray,
+            head: np.ndarray) -> "ModelParams":
+        """Wrap float64 blocks already known to have ``arch``'s sizes, without
+        checking them again (the engine's own results)."""
+        params = object.__new__(cls)
+        params.arch, params.encoder, params.head = arch, encoder, head
+        return params
+
     def copy(self) -> "ModelParams":
-        return ModelParams(self.arch, self.encoder.copy(), self.head.copy())
+        return ModelParams._of(self.arch, self.encoder.copy(), self.head.copy())
 
 
 @dataclass
@@ -177,32 +187,63 @@ def predict(params: ModelParams, X: np.ndarray) -> np.ndarray:
     return np.argmax(logits(params, X), axis=1)
 
 
+# Read-only constants per batch size, so the per-call kernels do not build
+# them again; a run uses a handful of distinct sizes.
+@lru_cache(maxsize=32)
+def _row_index(n: int) -> np.ndarray:
+    rows = np.arange(n)
+    rows.flags.writeable = False
+    return rows
+
+
+@lru_cache(maxsize=32)
+def _unit_weights(n: int) -> np.ndarray:
+    ones = np.ones(n)
+    ones.flags.writeable = False
+    return ones
+
+
 class Forward:
     """One model's forward pass over one labelled batch.
 
     ``T`` holds the hidden activations (None for the linear model); ``m`` is
     each row's max logit, ``ez`` = exp(z - m) and ``s`` its row sums.  The
     residual ``G``, the ``losses`` and ``dA`` are derived on first use, so a
-    caller that needs only losses or only a gradient pays for nothing else.
-    Consumers read the arrays and never write them.
+    caller that needs only losses or only a gradient pays for nothing else;
+    ``G`` takes over the ``ez`` buffer.  Consumers read the arrays and never
+    write them.
     """
 
     __slots__ = ("params", "X", "y", "n", "z", "T", "m", "ez", "s",
-                 "_G", "_losses", "_dA")
+                 "_label_index", "_G", "_losses", "_dA")
 
     def __init__(self, params: ModelParams, X: np.ndarray, y: np.ndarray,
                  z: np.ndarray, T: np.ndarray | None, m: np.ndarray,
                  ez: np.ndarray, s: np.ndarray):
         self.params, self.X, self.y, self.n = params, X, y, X.shape[0]
         self.z, self.T, self.m, self.ez, self.s = z, T, m, ez, s
-        self._G = self._losses = self._dA = None
+        self._label_index = self._G = self._losses = self._dA = None
+
+    @property
+    def label_index(self) -> np.ndarray:
+        """Flat position of each example's label entry in an (n, classes)
+        array; a label outside 0..classes-1 raises ValueError."""
+        if self._label_index is None:
+            try:
+                self._label_index = np.ravel_multi_index(
+                    (_row_index(self.n), self.y), self.z.shape)
+            except ValueError:
+                raise ValueError(
+                    f"labels must lie in 0..{self.z.shape[1] - 1}") from None
+        return self._label_index
 
     @property
     def G(self) -> np.ndarray:
         """Softmax residual softmax(z) - onehot(y)."""
         if self._G is None:
-            G = self.ez / self.s
-            G[np.arange(self.n), self.y] -= 1.0
+            G = np.divide(self.ez, self.s, out=self.ez)
+            self.ez = None
+            G.reshape(-1)[self.label_index] -= 1.0
             self._G = G
         return self._G
 
@@ -211,7 +252,7 @@ class Forward:
         """Per-example cross-entropy, through logsumexp for stability."""
         if self._losses is None:
             lse = (self.m + np.log(self.s))[:, 0]
-            self._losses = lse - self.z[np.arange(self.n), self.y]
+            self._losses = lse - self.z.take(self.label_index)
         return self._losses
 
     @property
@@ -234,38 +275,48 @@ def _softmax_residual(params: ModelParams, X: np.ndarray, y: np.ndarray) -> Forw
     if y.shape != (X.shape[0],):
         raise ValueError(f"labels have shape {y.shape}, expected ({X.shape[0]},)")
     z, T = _scores(params, X)
-    m = z.max(axis=1, keepdims=True)
+    # Row maxima from a (classes, n) copy, whose reduction runs elementwise
+    # down the rows; reducing the short axis of z costs a loop call per
+    # example.  A maximum does not depend on the order it is taken in.
+    m = np.maximum.reduce(z.T.copy(), axis=0)[:, None]
     ez = z - m
     np.exp(ez, out=ez)
-    return Forward(params, X, y, z, T, m, ez, ez.sum(axis=1, keepdims=True))
+    return Forward(params, X, y, z, T, m, ez,
+                   np.add.reduce(ez, axis=1, keepdims=True))
 
 
-def _check_weights(fwd: Forward, weights) -> np.ndarray:
+def _check_weights(weights, n: int) -> np.ndarray:
+    """Per-example weights as a float64 vector of length n, or ValueError."""
     weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != (fwd.n,):
-        raise ValueError(
-            f"weights have shape {weights.shape}, expected ({fwd.n},)"
-        )
+    if weights.shape != (n,):
+        raise ValueError(f"weights have shape {weights.shape}, expected ({n},)")
     return weights
 
 
-def weighted_loss(fwd: Forward, weights) -> float:
+# The kernels below trust their arguments: weights come checked from the
+# public functions (_check_weights) and None stands for unit weights, which
+# skip the multiply because 1.0 * x == x.  Sums call np.add.reduce, the
+# ufunc behind ndarray.sum, without the Python layer in between.
+
+def weighted_loss(fwd: Forward, weights: np.ndarray | None = None) -> float:
     """Weighted sum (not mean) of the batch's per-example cross-entropies."""
-    return float(_check_weights(fwd, weights) @ fwd.losses)
+    if weights is None:
+        # A dot with ones, not losses.sum(): the two sum in different orders.
+        weights = _unit_weights(fwd.n)
+    return float(weights @ fwd.losses)
 
 
-def weighted_grad(fwd: Forward, weights) -> GradBlock:
+def weighted_grad(fwd: Forward, weights: np.ndarray | None = None) -> GradBlock:
     """Gradient of the weighted loss sum with respect to both blocks."""
-    weights = _check_weights(fwd, weights)
     X, G = fwd.X, fwd.G
-    WG = weights[:, None] * G
+    WG = G if weights is None else weights[:, None] * G
     if fwd.params.arch.hidden == 0:
-        return GradBlock((WG.T @ X).ravel(), WG.sum(axis=0))
+        return GradBlock((WG.T @ X).ravel(), np.add.reduce(WG, axis=0))
     dU = WG.T @ fwd.T
-    db2 = WG.sum(axis=0)
-    WdA = weights[:, None] * fwd.dA
+    db2 = np.add.reduce(WG, axis=0)
+    WdA = fwd.dA if weights is None else weights[:, None] * fwd.dA
     dW1 = WdA.T @ X
-    db1 = WdA.sum(axis=0)
+    db1 = np.add.reduce(WdA, axis=0)
     return GradBlock(
         np.concatenate([dW1.ravel(), db1]),
         np.concatenate([dU.ravel(), db2]),
@@ -276,23 +327,36 @@ def _rowdot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", A, B)
 
 
-def encoder_dots(fwd: Forward, v: GradBlock) -> np.ndarray:
+def encoder_projection(arch: Arch, X: np.ndarray, v: GradBlock) -> np.ndarray:
+    """X E_v^T (linear) or X W_v^T + b1_v (MLP): the batch projected on v's
+    encoder block.  It depends on the batch and v only, so forwards of
+    different models on one batch can share it (``encoder_dots``)."""
+    V = ModelParams._of(arch, v.d_encoder, v.d_head)
+    if arch.hidden == 0:
+        E_v, _ = _linear_views(V)
+        return X @ E_v.T
+    W_v, b1_v, _, _ = _mlp_views(V)
+    return _affine(X, W_v, b1_v)
+
+
+def encoder_dots(fwd: Forward, v: GradBlock,
+                 projection: np.ndarray | None = None) -> np.ndarray:
     """<g_i|encoder, v.d_encoder> for every example i of the batch.
 
     Equals per_example_grad_arrays(...)[0] @ v.d_encoder, contracted from
     the residuals in O(n (classes + hidden) dim) without forming g_i.
+    ``projection``, when given, is ``encoder_projection`` of this batch and v.
     """
-    V = ModelParams(fwd.params.arch, v.d_encoder, v.d_head)
-    if V.arch.hidden == 0:
-        E_v, _ = _linear_views(V)
-        return _rowdot(fwd.G, fwd.X @ E_v.T)
-    W_v, b1_v, _, _ = _mlp_views(V)
-    return _rowdot(fwd.dA, _affine(fwd.X, W_v, b1_v))
+    if projection is None:
+        projection = encoder_projection(fwd.params.arch, fwd.X, v)
+    if fwd.params.arch.hidden == 0:
+        return _rowdot(fwd.G, projection)
+    return _rowdot(fwd.dA, projection)
 
 
 def head_dots(fwd: Forward, v: GradBlock) -> np.ndarray:
     """<g_i|head, v.d_head> for every example i of the batch."""
-    V = ModelParams(fwd.params.arch, v.d_encoder, v.d_head)
+    V = ModelParams._of(fwd.params.arch, v.d_encoder, v.d_head)
     if V.arch.hidden == 0:
         _, b_v = _linear_views(V)
         return fwd.G @ b_v
@@ -309,14 +373,16 @@ def weighted_loss_arrays(
     params: ModelParams, X: np.ndarray, y: np.ndarray, weights: np.ndarray
 ) -> float:
     """Weighted sum (not mean) of per-example cross-entropies."""
-    return weighted_loss(_softmax_residual(params, X, y), weights)
+    fwd = _softmax_residual(params, X, y)
+    return weighted_loss(fwd, _check_weights(weights, fwd.n))
 
 
 def grad_arrays(
     params: ModelParams, X: np.ndarray, y: np.ndarray, weights: np.ndarray
 ) -> GradBlock:
     """Gradient of the weighted loss sum with respect to both blocks."""
-    return weighted_grad(_softmax_residual(params, X, y), weights)
+    fwd = _softmax_residual(params, X, y)
+    return weighted_grad(fwd, _check_weights(weights, fwd.n))
 
 
 def per_example_grad_arrays(

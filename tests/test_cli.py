@@ -167,6 +167,21 @@ class TestRun:
         assert code == 2
         assert setting.split("=")[0] in capsys.readouterr().err
 
+    def test_resume_with_short_finetune_scores_exits_2(self, tmp_path, capsys):
+        out1 = tmp_path / "first"
+        assert cli.main(run_args(out1)) == 0
+        state = read_json(out1 / "state.json")
+        state["ignore_finetune_raw"] = state["ignore_finetune_raw"][:7]
+        with open(out1 / "state.json", "w") as fh:
+            json.dump(state, fh)
+        for extra in ([], ["--set", "batch_size=4"]):
+            code = cli.main(run_args(tmp_path / "second", [
+                "--set", "iterations=8", *extra,
+                "--set", f"run.resume={out1 / 'state.json'}",
+            ]))
+            assert code == 2
+            assert "finetuning ignore scores" in capsys.readouterr().err
+
     def test_summary_reports_recovery_auc(self, tmp_path):
         out = tmp_path / "out"
         assert cli.main(run_args(out)) == 0

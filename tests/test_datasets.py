@@ -5,6 +5,8 @@ error computed from the known class-conditional Gaussians, independent of
 any model code.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -310,6 +312,58 @@ class TestCsvRoundTrip:
         loaded = datasets.load_csv(path)
         for a, b in zip(loaded.pretrain, bundle.pretrain):
             assert a.features.tobytes() == b.features.tobytes()
+
+
+class TestCsvSidecar:
+    """A sidecar must describe the CSV next to it: its corruption indices
+    count rows, so a dropped row would shift every later flag."""
+
+    @staticmethod
+    def save(tmp_path, bundle):
+        path = tmp_path / "data.csv"
+        datasets.save_csv(bundle, path)
+        return path
+
+    @staticmethod
+    def edit_sidecar(path, **changes):
+        side = datasets.sidecar_path(path)
+        with open(side) as fh:
+            manifest = json.load(fh)
+        manifest.update(changes)
+        with open(side, "w") as fh:
+            json.dump(manifest, fh)
+
+    def test_matching_round_trip_keeps_absent_class(self, tmp_path):
+        bundle = datasets.generate(small_spec())
+        bundle.classes = 3  # no example carries label 2
+        path = self.save(tmp_path, bundle)
+        loaded = datasets.load_csv(path)
+        assert loaded == bundle
+        assert loaded.classes == 3
+
+    def test_dropped_row_rejected(self, tmp_path):
+        bundle = datasets.generate(small_spec())
+        path = self.save(tmp_path, bundle)
+        lines = path.read_text().splitlines(keepends=True)
+        assert lines[3].startswith("pretrain,")
+        path.write_text("".join(lines[:3] + lines[4:]))
+        with pytest.raises(ParseError, match="39"):
+            datasets.load_csv(path)
+
+    def test_dim_mismatch_rejected(self, tmp_path):
+        path = self.save(tmp_path, datasets.generate(small_spec()))
+        self.edit_sidecar(path, dim=4)
+        with pytest.raises(ParseError, match="features"):
+            datasets.load_csv(path)
+
+    def test_class_count_mismatch_rejected(self, tmp_path):
+        path = self.save(tmp_path, datasets.generate(small_spec(classes=3)))
+        self.edit_sidecar(path, classes=2)
+        with pytest.raises(ParseError, match="label outside 0..1"):
+            datasets.load_csv(path)
+        self.edit_sidecar(path, classes=3)
+        with pytest.raises(ParseError, match="classes"):
+            datasets.load_csv(path, schema=CsvSchema(classes=4))
 
 
 class TestSpecDict:

@@ -443,6 +443,29 @@ class TestApplyIgnoreUpdate:
         s = IgnoreSet(np.array([0.5]), "clamp")
         with pytest.raises(ValueError):
             engine.apply_ignore_update(s, np.zeros(2), 0.1)
+        with pytest.raises(ValueError):
+            engine.apply_ignore_update(s, np.zeros(2), 0.1, np.array([0]))
+
+    @pytest.mark.parametrize("mode", ["clamp", "sigmoid"])
+    def test_batch_step_equals_dense_step(self, mode):
+        """Stepping only raw[idx] equals the full step with the gradient
+        zero-padded outside idx."""
+        rng = np.random.default_rng(17)
+        n = 30
+        lo, hi = (0.0, 1.0) if mode == "clamp" else (-3.0, 3.0)
+        raw = rng.uniform(lo, hi, n)
+        raw[:3] = [0.0, 1.0, 0.5]
+        s = IgnoreSet(raw, mode)
+        before = raw.tobytes()
+        for idx in (np.array([0, 1, 4, 9, 29]), np.arange(n),
+                    np.array([], dtype=np.int64)):
+            g = rng.normal(scale=5.0, size=idx.size)
+            padded = np.zeros(n)
+            padded[idx] = g
+            dense = engine.apply_ignore_update(s, padded, 0.3)
+            sparse = engine.apply_ignore_update(s, g, 0.3, idx)
+            assert sparse.raw.tobytes() == dense.raw.tobytes()
+            assert s.raw.tobytes() == before
 
 
 class TestIteration:
@@ -522,6 +545,89 @@ class TestIteration:
         assert seen[0].tobytes() == hg_a.tobytes()
         assert seen[1].tobytes() == hg_b.tobytes()
         assert np.abs(hg_a).max() > 0 and np.abs(hg_b).max() > 0
+
+    @pytest.mark.parametrize("frozen", [False, True])
+    @pytest.mark.parametrize("batch_size", [None, 4])
+    @pytest.mark.parametrize("hidden", [0, 3])
+    @pytest.mark.parametrize("ignore_mode", ["clamp", "sigmoid"])
+    def test_matches_public_steps_on_the_batch(self, ignore_mode, hidden,
+                                              batch_size, frozen):
+        """Each iteration, bit for bit, against the public step functions
+        run on the iteration's batch, with the scores stepped densely along
+        the zero-padded hypergradients; across the step-decay boundary
+        (iteration 4 of 5), and ``run`` (rates once per phase) agrees."""
+        bundle = tiny_bundle(n_pre=9, n_train=6, n_val=5)
+        arrays = engine.ensure_arrays(bundle)
+        cfg = LbiConfig(lam=0.3, gamma=0.7, hidden=hidden,
+                        ignore_mode=ignore_mode, iterations=5,
+                        step_decay=True, batch_size=batch_size,
+                        lr_ignore_pretrain=2.0, lr_ignore_finetune=1.0,
+                        freeze_ignore_pretrain=frozen,
+                        freeze_ignore_finetune=frozen)
+        state = engine.init_state(bundle, cfg)
+        start = state.copy()
+        n = arrays.pretrain.n
+        rows = []
+        for it in range(cfg.iterations):
+            rates = cfg.rates_at(it)
+            idx = engine._batch_indices(
+                cfg, it, (n, arrays.train.n, arrays.val.n))
+            take = [slice(None) if i is None else i for i in idx]
+            sub = engine.BundleArrays(
+                *(engine.SplitArrays(split.X[k], split.y[k]) for split, k in
+                  zip((arrays.pretrain, arrays.train, arrays.val), take)),
+                arrays.test, arrays.dim, arrays.classes, arrays.corrupted)
+            sub_state = LbiState(
+                state.pretrain_model, state.finetune_model,
+                IgnoreSet(state.ignore_pretrain.raw[take[0]], ignore_mode),
+                IgnoreSet(state.ignore_finetune.raw[take[0]], ignore_mode), it)
+            pre_next = engine.pretrain_step(sub_state, sub, cfg, rates)
+            fin_next = engine.finetune_step(sub_state, pre_next, sub, cfg,
+                                            rates)
+            padded = []
+            for hg in (engine.hypergrad_ignore_pretrain(
+                           sub_state, fin_next, sub, cfg, rates),
+                       engine.hypergrad_ignore_finetune(
+                           sub_state, fin_next, sub, cfg, rates)):
+                full = np.zeros(n)
+                full[take[0]] = hg
+                padded.append(full)
+            want_a, want_b = state.ignore_pretrain, state.ignore_finetune
+            if not frozen:
+                want_a = engine.apply_ignore_update(want_a, padded[0],
+                                                    rates.ignore_pretrain)
+                want_b = engine.apply_ignore_update(want_b, padded[1],
+                                                    rates.ignore_finetune)
+            a = sub_state.ignore_pretrain.effective()
+            want_row = engine.TraceRow(
+                it,
+                model.weighted_loss_arrays(state.pretrain_model, sub.pretrain.X,
+                                           sub.pretrain.y, a),
+                model.weighted_loss_arrays(state.finetune_model, sub.train.X,
+                                           sub.train.y, np.ones(sub.train.n)),
+                model.weighted_loss_arrays(fin_next, sub.val.X, sub.val.y,
+                                           np.ones(sub.val.n)),
+                float(np.linalg.norm(padded[0])),
+                float(np.linalg.norm(padded[1])),
+            )
+
+            state, row = engine.lbi_iteration(state, bundle, cfg)
+            rows.append(row)
+            for got, want in ((state.pretrain_model, pre_next),
+                              (state.finetune_model, fin_next)):
+                assert got.encoder.tobytes() == want.encoder.tobytes()
+                assert got.head.tobytes() == want.head.tobytes()
+            assert state.ignore_pretrain.raw.tobytes() == want_a.raw.tobytes()
+            assert state.ignore_finetune.raw.tobytes() == want_b.raw.tobytes()
+            assert row == want_row
+            assert row.ignore_grad_pretrain_norm > 0
+
+        final, trace = engine.run(bundle, cfg, initial_state=start)
+        assert trace == rows
+        for got, want in ((final.ignore_pretrain.raw, state.ignore_pretrain.raw),
+                          (final.finetune_model.encoder,
+                           state.finetune_model.encoder)):
+            assert got.tobytes() == want.tobytes()
 
     def test_frozen_scores_stay_bit_identical(self):
         bundle = tiny_bundle()
@@ -671,6 +777,23 @@ class TestRunLoop:
         other = tiny_bundle(n_pre=8)
         with pytest.raises(ConfigError):
             engine.run(other, LbiConfig(iterations=2), initial_state=state)
+
+    @pytest.mark.parametrize("batch_size", [None, 4])
+    def test_finetune_score_count_mismatch_rejected(self, batch_size):
+        bundle = tiny_bundle(n_pre=10)
+        cfg = LbiConfig(iterations=2, batch_size=batch_size)
+        state, _ = engine.run(bundle, engine.config_with(cfg, iterations=1))
+        state.ignore_finetune = IgnoreSet(state.ignore_finetune.raw[:7], "clamp")
+        with pytest.raises(ConfigError, match="finetuning"):
+            engine.run(bundle, cfg, initial_state=state)
+
+    @pytest.mark.parametrize("bad", [-0.25, 1.5, np.nan])
+    def test_clamp_scores_outside_unit_interval_rejected(self, bad):
+        bundle = tiny_bundle()
+        state, _ = engine.run(bundle, LbiConfig(iterations=1))
+        state.ignore_pretrain.raw[2] = bad
+        with pytest.raises(ConfigError, match=r"\[0, 1\]"):
+            engine.run(bundle, LbiConfig(iterations=2), initial_state=state)
 
 
 class TestMinibatch:

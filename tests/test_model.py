@@ -312,6 +312,34 @@ class TestKernelBytes:
             assert g.d_encoder.tobytes() == d_enc.tobytes()
             assert g.d_head.tobytes() == d_head.tobytes()
 
+    @pytest.mark.parametrize("hidden", [0, 6])
+    def test_no_weights_equal_unit_weights(self, hidden):
+        rng = np.random.default_rng(41 + hidden)
+        arch = Arch(dim=7, hidden=hidden, classes=4)
+        for n in (1, 5, 300):
+            params = random_params(arch, rng, scale=1.5)
+            X, y = random_batch(arch, rng, n)
+            fwd = model._softmax_residual(params, X, y)
+            ones = np.ones(n)
+            assert (np.float64(model.weighted_loss(fwd)).tobytes()
+                    == np.float64(model.weighted_loss(fwd, ones)).tobytes())
+            bare, unit = model.weighted_grad(fwd), model.weighted_grad(fwd, ones)
+            assert bare.d_encoder.tobytes() == unit.d_encoder.tobytes()
+            assert bare.d_head.tobytes() == unit.d_head.tobytes()
+
+    @pytest.mark.parametrize("hidden", [0, 4])
+    def test_shared_projection_equals_separate_dots(self, hidden):
+        rng = np.random.default_rng(53 + hidden)
+        arch = Arch(dim=5, hidden=hidden, classes=3)
+        X, y = random_batch(arch, rng, 40)
+        v = model.GradBlock(rng.normal(size=arch.encoder_size),
+                            rng.normal(size=arch.head_size))
+        proj = model.encoder_projection(arch, X, v)
+        for _ in range(2):  # two models' forwards on one batch
+            fwd = model._softmax_residual(random_params(arch, rng), X, y)
+            assert (model.encoder_dots(fwd, v, proj).tobytes()
+                    == model.encoder_dots(fwd, v).tobytes())
+
 
 class TestProximityGrad:
     def test_equal_blocks_zero(self):
