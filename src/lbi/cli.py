@@ -288,8 +288,13 @@ def cmd_run(args, config: dict) -> int:
 def cmd_verify(args, config: dict) -> int:
     section = dict(config.get("verify") or {})
     lbi_section = dict(config.get("lbi") or {})
-    step = float(section.get("step", 1e-4))
-    threshold = float(section.get("threshold", 1e-4))
+    try:
+        step = gradcheck.check_positive("verify.step",
+                                        section.get("step", 1e-4))
+        threshold = gradcheck.check_positive("verify.threshold",
+                                             section.get("threshold", 1e-4))
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
     seeds = section.get("seeds", [args.seed if args.seed is not None else 0])
     if not isinstance(seeds, list):
         seeds = [seeds]

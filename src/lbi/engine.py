@@ -117,22 +117,16 @@ class IgnoreSet:
             return raw.clip(0.0, 1.0)
         return expit(raw)
 
-    def grad_chain(self) -> np.ndarray:
-        """d(effective)/d(raw) as used by the hypergradient.
-
-        Clamp mode treats the update as a projected step, so the chain factor
-        is 1 everywhere; sigmoid mode contributes the logistic derivative.
-        """
-        chain = _chain_factor(self.mode, self.effective())
-        return np.ones_like(self.raw) if chain is None else chain
-
     def copy(self) -> "IgnoreSet":
         return IgnoreSet._of(self.raw.copy(), self.mode)
 
 
 def _chain_factor(mode: str, effective: np.ndarray) -> np.ndarray | None:
     """d(effective)/d(raw) from the effective weights, or None for clamp
-    mode's factor of 1, which the hypergradients then skip multiplying by."""
+    mode's factor of 1, which the hypergradients then skip multiplying by.
+
+    Clamp mode treats the score update as a projected step, so its factor is
+    1 everywhere; sigmoid mode contributes the logistic derivative."""
     if mode == "clamp":
         return None
     return effective * (1.0 - effective)

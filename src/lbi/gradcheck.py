@@ -5,10 +5,19 @@ The engine's hypergradients are closed-form derivatives of the composed map
     raw scores -> (pretraining step) -> (finetuning step) -> validation loss
 
 so they can be checked against central differences on that exact map: nudge
-one raw score, rerun the two forward steps through the engine's own step
-functions, and difference the validation loss.  The numeric side never calls
-the closed-form hypergradient code, so the two routes share nothing except
-the forward model; an error in either surfaces as disagreement.
+one raw score, rerun the two updates that ``engine.lbi_iteration`` runs, and
+difference the validation loss at the looked-ahead model.
+
+Three forwards are shared by every probe of an instance and made once: the
+pretraining model on the pretraining split, and the finetuned model on the
+train split and (when gamma mixes it in) on the pretraining split.  They are
+taken at the incoming models, which no score moves; a score only weights its
+example's residual inside an update.  So sharing them changes no probe's
+value by a bit, and each probe makes one forward, on the val split.  The
+numeric side still differentiates nothing and never calls the closed-form
+code (the ``_hypergrad_*`` functions, ``encoder_dots``, ``head_dots`` or
+``encoder_projection``): the two routes share only the forward model and
+the step arithmetic, so an error in either surfaces as disagreement.
 
 Two details matter for a trustworthy comparison.  First, clamp mode is
 non-differentiable exactly at raw scores 0 and 1, so check instances draw
@@ -20,6 +29,7 @@ near-zero components do not explode the ratio.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -105,46 +115,101 @@ class FdReport:
         }
 
 
-def _lookahead_val_loss(state: LbiState, arrays: BundleArrays,
-                        cfg: LbiConfig) -> float:
-    """Validation loss after one pretraining step and one finetuning step."""
-    rates = cfg.rates_at(state.iteration)
-    pretrained_next = engine.pretrain_step(state, arrays, cfg, rates)
-    finetuned_next = engine.finetune_step(state, pretrained_next, arrays, cfg, rates)
-    return model.weighted_loss_arrays(
-        finetuned_next, arrays.val.X, arrays.val.y, np.ones(arrays.val.n)
-    )
+def check_positive(name: str, value) -> float:
+    """``value`` as a float, or ValueError unless it is a finite number > 0
+    (a finite-difference step or an error threshold)."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        out = float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a number, got {value!r}") from None
+    if not (math.isfinite(out) and out > 0.0):
+        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+    return out
+
+
+class _Lookahead:
+    """Validation loss after one pretraining step and one finetuning step,
+    as a function of one instance's raw ignoring scores.
+
+    Holds the forwards no score reaches (see the module docstring); a probe
+    reads them, never writes them, and makes only the val forward itself.
+    """
+
+    def __init__(self, state: LbiState, arrays: BundleArrays, cfg: LbiConfig):
+        pre = arrays.pretrain
+        engine._check_scores(state.ignore_pretrain, pre.n, "pretraining")
+        self.state, self.arrays, self.cfg = state, arrays, cfg
+        self.rates = cfg.rates_at(state.iteration)
+        self.pre_fwd = engine._forward_or_none(state.pretrain_model, pre.X,
+                                               pre.y)
+        self.train_fwd = model._softmax_residual(
+            state.finetune_model, arrays.train.X, arrays.train.y)
+        self.source_fwd = None
+        if engine._mixes_source(cfg):
+            engine._check_scores(state.ignore_finetune, pre.n, "finetuning")
+            self.source_fwd = engine._forward_or_none(state.finetune_model,
+                                                      pre.X, pre.y)
+        self.a = state.ignore_pretrain.effective()
+        self.b = (None if state.ignore_finetune is None
+                  else state.ignore_finetune.effective())
+
+    def val_loss(self, which: str, index: int, delta: float) -> float:
+        """The loss with raw score ``index`` of ``which`` moved by ``delta``."""
+        state, cfg, rates = self.state, self.cfg, self.rates
+        probe = (state.ignore_pretrain if which == "pretrain"
+                 else state.ignore_finetune).copy()
+        probe.raw[index] += delta
+        a, b = self.a, self.b
+        if which == "pretrain":
+            a = probe.effective()
+        else:
+            b = probe.effective()
+        # Looked up at call time, so a patched engine is what gets differenced.
+        pretrained_next = engine._pretrain_update(
+            state.pretrain_model, self.pre_fwd, a, rates, cfg.weight_decay,
+            state.iteration)
+        finetuned_next = engine._finetune_update(
+            state.finetune_model, pretrained_next, self.train_fwd,
+            self.source_fwd, b, cfg, rates, state.iteration)
+        val = self.arrays.val
+        return model.weighted_loss(
+            model._softmax_residual(finetuned_next, val.X, val.y))
 
 
 def fd_val_loss_wrt_ignore(state: LbiState, bundle, cfg: LbiConfig,
-                           which: str, index: int, step: float = 1e-4) -> float:
+                           which: str, index: int, step: float = 1e-4, *,
+                           lookahead: _Lookahead | None = None) -> float:
     """Central difference of the lookahead validation loss in one raw score.
 
-    Pure: works on copies, never mutates the given state, and never calls
-    the closed-form hypergradient functions.
+    Pure: never mutates the given state, and never calls the closed-form
+    hypergradient functions.  ``lookahead`` is the instance's shared
+    forwards, built here when not given.
     """
     if which not in ("pretrain", "finetune"):
         raise ValueError(f"which must be 'pretrain' or 'finetune', got {which!r}")
+    step = check_positive("step", step)
     arrays = engine.ensure_arrays(bundle)
     n = arrays.pretrain.n
     if not 0 <= index < n:
         raise IndexError(f"ignore index {index} outside 0..{n - 1}")
-    vals = []
-    for sign in (1.0, -1.0):
-        probe = state.copy()
-        target = (probe.ignore_pretrain if which == "pretrain"
-                  else probe.ignore_finetune)
-        if target is None:
-            raise ValueError("state has no finetuning ignore scores")
-        target.raw[index] += sign * step
-        vals.append(_lookahead_val_loss(probe, arrays, cfg))
+    if which == "finetune" and state.ignore_finetune is None:
+        raise ValueError("state has no finetuning ignore scores")
+    if lookahead is None:
+        lookahead = _Lookahead(state, arrays, cfg)
+    vals = [lookahead.val_loss(which, index, sign * step)
+            for sign in (1.0, -1.0)]
     return (vals[0] - vals[1]) / (2.0 * step)
 
 
 def verify_hypergrads(state: LbiState, bundle, cfg: LbiConfig,
                       step: float = 1e-4, threshold: float = 1e-4) -> FdReport:
     """Compare both closed-form hypergradients against central differences,
-    one component per pretraining example."""
+    one component per pretraining example.  ``step`` and ``threshold`` must
+    be finite and > 0 (else ValueError)."""
+    step = check_positive("step", step)
+    threshold = check_positive("threshold", threshold)
     arrays = engine.ensure_arrays(bundle)
     rates = cfg.rates_at(state.iteration)
     pretrained_next = engine.pretrain_step(state, arrays, cfg, rates)
@@ -158,9 +223,11 @@ def verify_hypergrads(state: LbiState, bundle, cfg: LbiConfig,
         sections.append(("finetune",
                          engine.hypergrad_ignore_finetune(
                              state, finetuned_next, arrays, cfg, rates)))
+    lookahead = _Lookahead(state, arrays, cfg)
     for which, analytic in sections:
         for i in range(arrays.pretrain.n):
-            numeric = fd_val_loss_wrt_ignore(state, arrays, cfg, which, i, step)
+            numeric = fd_val_loss_wrt_ignore(state, arrays, cfg, which, i, step,
+                                             lookahead=lookahead)
             report.entries.append(
                 FdEntry(which, i, float(analytic[i]), float(numeric))
             )

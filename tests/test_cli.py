@@ -218,6 +218,16 @@ class TestVerify:
                          "--set", "verify.threshold=1e-18"])
         assert code == 1
 
+    @pytest.mark.parametrize("setting", [
+        "verify.step=0", "verify.step=-1e-4", "verify.step=.nan",
+        "verify.threshold=abc", "verify.threshold=0",
+    ])
+    def test_bad_step_or_threshold_exits_2(self, setting, capsys):
+        code = cli.main(["verify", "--seed", "0", "--set", setting])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert setting.partition("=")[0] in err
+
     def test_report_written_with_out(self, tmp_path):
         out = tmp_path / "v"
         assert cli.main(["verify", "--seed", "0", "--out", str(out)]) == 0

@@ -60,12 +60,15 @@ class TestIgnoreSet:
                                    rtol=1e-12)
 
     def test_grad_chain(self):
+        """d(effective)/d(raw): clamp mode's factor of 1 is None (skipped),
+        sigmoid mode's is e (1 - e)."""
         raw = np.array([-1.0, 0.5])
-        np.testing.assert_array_equal(IgnoreSet(raw, "clamp").grad_chain(),
-                                      np.ones(2))
+        clamp = IgnoreSet(raw, "clamp")
+        assert engine._chain_factor(clamp.mode, clamp.effective()) is None
         sig = IgnoreSet(raw, "sigmoid")
         e = sig.effective()
-        np.testing.assert_allclose(sig.grad_chain(), e * (1 - e), rtol=1e-12)
+        np.testing.assert_allclose(engine._chain_factor(sig.mode, e),
+                                   e * (1 - e), rtol=1e-12)
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
