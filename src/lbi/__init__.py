@@ -8,7 +8,7 @@ __version__ = "0.1.0"
 from .datasets import (  # noqa: F401
     CsvSchema,
     DatasetBundle,
-    Example,
+    Split,
     SynthSpec,
     generate,
     load_csv,

@@ -49,9 +49,10 @@ _SECTIONS = ("data", "lbi", "run", "verify", "ablate", "sweep", "eval")
 
 
 def _fmt(x) -> str:
+    """A CSV field: floats at 17 significant digits, None as empty."""
     if isinstance(x, float):
         return format(x, ".17g")
-    return str(x)
+    return "" if x is None else str(x)
 
 
 def _atomic_write_text(path: str, text: str):
@@ -132,6 +133,26 @@ def build_lbi_config(config: dict, seed_flag: int | None) -> LbiConfig:
     if "batch_size" in section and section["batch_size"] in ("none", "None"):
         section["batch_size"] = None
     return LbiConfig.from_dict(section)
+
+
+def _as_list(value) -> list:
+    """A config or flag value as a list: a string split on commas, a scalar
+    as its own one-item list."""
+    if isinstance(value, str):
+        return value.split(",")
+    return value if isinstance(value, list) else [value]
+
+
+def parse_seeds(value, what: str) -> list[int]:
+    """Seeds from a flag or a config key: an int, a list of ints, or a
+    comma-separated string of them, each an integer >= 0 (else ConfigError)."""
+    seeds = [int(s) if isinstance(s, str) and s.strip().isdigit() else s
+             for s in _as_list(value)]
+    if not seeds or any(isinstance(s, bool) or not isinstance(s, int) or s < 0
+                        for s in seeds):
+        raise ConfigError(
+            f"{what} must be one or more integers >= 0, got {value!r}")
+    return seeds
 
 
 def resolve_data(config: dict):
@@ -231,7 +252,6 @@ def cmd_run(args, config: dict) -> int:
     kind, spec_or_path, bundle = resolve_data(config)
     out_dir = resolve_out_dir(args, config, "run",
                               [cfg.to_dict(), _data_manifest_entry(kind, spec_or_path)])
-    arrays = engine.ensure_arrays(bundle)
 
     initial = None
     resume = (config.get("run") or {}).get("resume")
@@ -245,7 +265,7 @@ def cmd_run(args, config: dict) -> int:
         fh.write(TRACE_HEADER + "\n")
         try:
             state, _ = engine.run(
-                arrays, cfg, initial_state=initial,
+                bundle, cfg, initial_state=initial,
                 trace_hook=lambda row: fh.write(_trace_line(row) + "\n"),
             )
         except NumericError as e:
@@ -261,21 +281,21 @@ def cmd_run(args, config: dict) -> int:
 
     engine.save_state(state, os.path.join(out_dir, "state.json"))
     test_acc = experiments.accuracy(state.finetune_model,
-                                    arrays.test.X, arrays.test.y)
+                                    bundle.test.X, bundle.test.y)
     val_acc = experiments.accuracy(state.finetune_model,
-                                   arrays.val.X, arrays.val.y)
+                                   bundle.val.X, bundle.val.y)
     summary = {
         "iterations": state.iteration,
         "test_accuracy": test_acc,
         "val_accuracy": val_acc,
         "final_ignore_pretrain_mean": float(np.mean(
-            state.ignore_pretrain.effective())) if arrays.pretrain.n else None,
+            state.ignore_pretrain.effective())) if bundle.pretrain.n else None,
         "final_ignore_finetune_mean": float(np.mean(
             state.ignore_finetune.effective()))
-        if state.ignore_finetune is not None and arrays.pretrain.n else None,
+        if state.ignore_finetune is not None and bundle.pretrain.n else None,
     }
     auc = experiments.corrupted_recovery_auc(
-        state.ignore_pretrain.effective(), arrays.corrupted)
+        state.ignore_pretrain.effective(), bundle.corrupted)
     if auc is not None:
         summary["recovery_auc_pretrain"] = auc
     _write_json(os.path.join(out_dir, "summary.json"), summary)
@@ -295,9 +315,8 @@ def cmd_verify(args, config: dict) -> int:
                                              section.get("threshold", 1e-4))
     except ValueError as e:
         raise ConfigError(str(e)) from None
-    seeds = section.get("seeds", [args.seed if args.seed is not None else 0])
-    if not isinstance(seeds, list):
-        seeds = [seeds]
+    seeds = (parse_seeds(section["seeds"], "verify.seeds") if "seeds" in section
+             else parse_seeds(0 if args.seed is None else args.seed, "--seed"))
     instance_keys = {}
     for key in ("hidden", "ignore_mode", "mode"):
         if key in lbi_section:
@@ -312,7 +331,7 @@ def cmd_verify(args, config: dict) -> int:
     all_passed = True
     reports = []
     for seed in seeds:
-        inst = gradcheck.make_check_instance(int(seed), **instance_keys)
+        inst = gradcheck.make_check_instance(seed, **instance_keys)
         report = gradcheck.verify_hypergrads(
             inst.state, inst.arrays, inst.cfg, step=step, threshold=threshold)
         reports.append((seed, report))
@@ -323,45 +342,36 @@ def cmd_verify(args, config: dict) -> int:
         os.makedirs(args.out, exist_ok=True)
         _write_json(os.path.join(args.out, "verify.json"), {
             "reports": [
-                {"seed": int(s), **r.to_dict()} for s, r in reports
+                {"seed": s, **r.to_dict()} for s, r in reports
             ],
             "passed": all_passed,
         })
         write_manifest(args.out, "verify", None, None,
                        extra={"verify": {"step": step, "threshold": threshold,
-                                         "seeds": [int(s) for s in seeds],
+                                         "seeds": seeds,
                                          **instance_keys}})
     return EXIT_OK if all_passed else EXIT_VERIFY_FAILED
 
 
 def _matrix_rows(result: experiments.MatrixResult) -> list[list]:
-    rows = []
-    for r in result.results:
-        rows.append([
-            r.ablation, r.seed,
-            "" if r.test_accuracy is None else r.test_accuracy,
-            "" if r.val_accuracy is None else r.val_accuracy,
-            "" if r.recovery_auc_pretrain is None else r.recovery_auc_pretrain,
-            "" if r.recovery_auc_finetune is None else r.recovery_auc_finetune,
-            r.error or "",
-        ])
-    return rows
+    return [[r.ablation, r.seed, r.test_accuracy, r.val_accuracy,
+             r.recovery_auc_pretrain, r.recovery_auc_finetune, r.error]
+            for r in result.results]
 
 
 def cmd_ablate(args, config: dict) -> int:
     section = dict(config.get("ablate") or {})
-    ids = args.ids.split(",") if args.ids else section.get(
-        "ids", list(experiments.ABLATION_IDS))
-    seeds = ([int(s) for s in args.seeds.split(",")] if args.seeds
-             else section.get("seeds", [0, 1, 2, 3, 4]))
+    ids = _as_list(args.ids
+                   or section.get("ids", list(experiments.ABLATION_IDS)))
+    seeds = (parse_seeds(args.seeds, "--seeds") if args.seeds else
+             parse_seeds(section.get("seeds", [0, 1, 2, 3, 4]), "ablate.seeds"))
     cfg = build_lbi_config(config, args.seed)
     kind, spec_or_path, bundle = resolve_data(config)
     out_dir = resolve_out_dir(
         args, config, "ablate",
         [cfg.to_dict(), ids, seeds, _data_manifest_entry(kind, spec_or_path)])
 
-    result = experiments.run_matrix(bundle, ids, seeds, cfg,
-                                    threads=args.threads)
+    result = experiments.run_matrix(bundle, ids, seeds, cfg)
     _write_csv(
         os.path.join(out_dir, "results.csv"),
         ["ablation", "seed", "test_accuracy", "val_accuracy",
@@ -370,13 +380,12 @@ def cmd_ablate(args, config: dict) -> int:
     )
     _write_json(os.path.join(out_dir, "summary.json"), {
         "aggregates": [asdict(a) for a in result.aggregates],
-        "ids": list(ids), "seeds": [int(s) for s in seeds],
+        "ids": list(ids), "seeds": seeds,
         "any_failed": result.any_failed,
     })
     write_manifest(out_dir, "ablate", cfg,
                    _data_manifest_entry(kind, spec_or_path),
-                   extra={"ablate": {"ids": list(ids),
-                                     "seeds": [int(s) for s in seeds]}})
+                   extra={"ablate": {"ids": list(ids), "seeds": seeds}})
 
     print(f"{'id':<6} {'n':>2} {'test_acc':>10} {'std':>8} {'auc':>8}")
     for a in result.aggregates:
@@ -393,14 +402,15 @@ def cmd_sweep(args, config: dict) -> int:
     param = args.param or section.get("param")
     if not param:
         raise ConfigError("sweep requires --param or sweep.param")
-    if args.grid:
-        grid = [float(v) for v in args.grid.split(",")]
-    else:
-        grid = section.get("grid")
+    grid = args.grid or section.get("grid")
     if not grid:
         raise ConfigError("sweep requires --grid or sweep.grid")
-    seeds = ([int(s) for s in args.seeds.split(",")] if args.seeds
-             else section.get("seeds", [0, 1, 2, 3, 4]))
+    try:
+        grid = [float(v) for v in _as_list(grid)]
+    except (TypeError, ValueError):
+        raise ConfigError(f"sweep grid values must be numbers, got {grid!r}") from None
+    seeds = (parse_seeds(args.seeds, "--seeds") if args.seeds else
+             parse_seeds(section.get("seeds", [0, 1, 2, 3, 4]), "sweep.seeds"))
     cfg = build_lbi_config(config, args.seed)
     kind, spec_or_path, bundle = resolve_data(config)
     out_dir = resolve_out_dir(
@@ -408,20 +418,10 @@ def cmd_sweep(args, config: dict) -> int:
         [cfg.to_dict(), param, grid, seeds,
          _data_manifest_entry(kind, spec_or_path)])
 
-    result = experiments.sweep(param, grid, bundle, seeds, cfg,
-                               threads=args.threads)
-    rows = []
-    for point in result.points:
-        # Per-seed rows: seeds that failed carry an error message instead.
-        ok_iter = iter(zip(point.val_accuracies, point.test_accuracies))
-        for seed in seeds:
-            err_prefix = f"seed {seed}:"
-            err = next((e for e in point.errors if e.startswith(err_prefix)), None)
-            if err is not None:
-                rows.append([param, point.value, seed, "", "", err])
-            else:
-                v, t = next(ok_iter)
-                rows.append([param, point.value, seed, v, t, ""])
+    result = experiments.sweep(param, grid, bundle, seeds, cfg)
+    # One row per seed; a failed seed carries its error message instead.
+    rows = [[param, point.value, o.seed, o.val_accuracy, o.test_accuracy,
+             o.error] for point in result.points for o in point.outcomes]
     _write_csv(
         os.path.join(out_dir, "sweep.csv"),
         ["param", "value", "seed", "val_accuracy", "test_accuracy", "error"],
@@ -429,7 +429,7 @@ def cmd_sweep(args, config: dict) -> int:
     )
     summary = {
         "param": param,
-        "grid": [float(v) for v in grid],
+        "grid": grid,
         "points": [
             {"value": p.value,
              "val_accuracy_mean": p.val_accuracy_mean,
@@ -448,9 +448,8 @@ def cmd_sweep(args, config: dict) -> int:
     _write_json(os.path.join(out_dir, "summary.json"), summary)
     write_manifest(out_dir, "sweep", cfg,
                    _data_manifest_entry(kind, spec_or_path),
-                   extra={"sweep": {"param": param,
-                                    "grid": [float(v) for v in grid],
-                                    "seeds": [int(s) for s in seeds]}})
+                   extra={"sweep": {"param": param, "grid": grid,
+                                    "seeds": seeds}})
     for p in result.points:
         mean = ("-" if p.val_accuracy_mean is None
                 else f"{p.val_accuracy_mean:.4f}")
@@ -473,7 +472,7 @@ def cmd_gen_data(args, config: dict) -> int:
     datasets.save_csv(bundle, path, spec=spec_or_path)
     write_manifest(out_dir, "gen-data", None,
                    _data_manifest_entry(kind, spec_or_path))
-    sizes = {name: len(split) for name, split in bundle.splits().items()}
+    sizes = {name: split.n for name, split in bundle.splits().items()}
     print(f"wrote {path} ({sizes})")
     return EXIT_OK
 
@@ -485,17 +484,16 @@ def cmd_eval(args, config: dict) -> int:
         raise ConfigError("eval requires --state or eval.state")
     state = engine.load_state(state_path)
     kind, spec_or_path, bundle = resolve_data(config)
-    arrays = engine.ensure_arrays(bundle)
     report = {
         "state": str(state_path),
         "iteration": state.iteration,
         "test_accuracy": experiments.accuracy(
-            state.finetune_model, arrays.test.X, arrays.test.y),
+            state.finetune_model, bundle.test.X, bundle.test.y),
         "val_accuracy": experiments.accuracy(
-            state.finetune_model, arrays.val.X, arrays.val.y),
+            state.finetune_model, bundle.val.X, bundle.val.y),
     }
     auc = experiments.corrupted_recovery_auc(
-        state.ignore_pretrain.effective(), arrays.corrupted)
+        state.ignore_pretrain.effective(), bundle.corrupted)
     if auc is not None:
         report["recovery_auc_pretrain"] = auc
     print(f"test accuracy {report['test_accuracy']:.4f}, "
@@ -527,8 +525,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override a config value (bare keys mean lbi.KEY)")
         p.add_argument("--out", help="output directory")
         p.add_argument("--seed", type=int, help="override lbi.seed")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for matrix/sweep cells")
 
     p = sub.add_parser("run", help="one full training run")
     add_common(p)

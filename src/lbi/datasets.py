@@ -9,6 +9,11 @@ fraction of pretraining examples only, and each corrupted example is
 flagged, which is what lets the experiment layer score how well the learned
 ignoring weights recover the corrupted subset.
 
+A bundle is arrays, the one form every stage reads: each split is a
+``Split`` of features ``X`` (float64, n x dim) and labels ``y`` (int64, n),
+and ``corrupted`` is a bool vector over the pretrain rows.  The domain of a
+row follows from its split.
+
 Generation is pure: the same spec always yields the same bundle, with
 independent child seeds per split so changing one split size does not
 perturb the others.
@@ -20,13 +25,13 @@ import csv
 import json
 import math
 import os
+from array import array
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import ConfigError, ParseError
 
-DOMAINS = ("source", "target")
 SPLITS = ("pretrain", "train", "val", "test")
 CORRUPT_KINDS = ("label_flip", "feature_shift")
 
@@ -34,65 +39,67 @@ CORRUPT_KINDS = ("label_flip", "feature_shift")
 FEATURE_SHIFT_SIGMAS = 4.0
 
 
-@dataclass
-class Example:
-    features: np.ndarray
-    label: int
-    domain: str
-    corrupted: bool = False
+@dataclass(eq=False)
+class Split:
+    """One split: features ``X`` (float64, n x dim) and labels ``y`` (int64, n)."""
 
-    def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
-        if self.features.ndim != 1:
-            raise ValueError("features must be a 1-D vector")
-        if self.domain not in DOMAINS:
-            raise ValueError(f"unknown domain {self.domain!r}")
+    X: np.ndarray
+    y: np.ndarray
 
-    def __eq__(self, other):
-        if not isinstance(other, Example):
-            return NotImplemented
-        return (
-            self.label == other.label
-            and self.domain == other.domain
-            and self.corrupted == other.corrupted
-            and np.array_equal(self.features, other.features)
-        )
+    @property
+    def n(self) -> int:
+        return self.X.shape[0]
 
 
-@dataclass
+@dataclass(eq=False)
 class DatasetBundle:
-    pretrain: list[Example]
-    train: list[Example]
-    val: list[Example]
-    test: list[Example]
+    pretrain: Split
+    train: Split
+    val: Split
+    test: Split
     dim: int
     classes: int
+    corrupted: np.ndarray  # bool flags over the pretrain rows
 
-    def splits(self) -> dict[str, list[Example]]:
-        return {
-            "pretrain": self.pretrain,
-            "train": self.train,
-            "val": self.val,
-            "test": self.test,
-        }
+    def splits(self) -> dict[str, Split]:
+        return {name: getattr(self, name) for name in SPLITS}
 
     def validate(self):
-        """Check structural invariants; raises ValueError on violation."""
-        for name, examples in self.splits().items():
-            for i, ex in enumerate(examples):
-                if ex.features.shape != (self.dim,):
-                    raise ValueError(
-                        f"{name}[{i}] has {ex.features.shape[0]} features, "
-                        f"expected {self.dim}"
-                    )
-                if not np.isfinite(ex.features).all():
-                    raise ValueError(f"{name}[{i}] has non-finite features")
-                if not 0 <= ex.label < self.classes:
-                    raise ValueError(
-                        f"{name}[{i}] label {ex.label} outside 0..{self.classes - 1}"
-                    )
-                if name != "pretrain" and ex.corrupted:
-                    raise ValueError(f"corrupted example outside pretrain: {name}[{i}]")
+        """Check structural invariants; raises ValueError naming the split
+        and its first bad row."""
+        for name, split in self.splits().items():
+            X, y = split.X, split.y
+            if (X.dtype != np.float64 or X.ndim != 2 or y.dtype != np.int64
+                    or y.shape != X.shape[:1]):
+                raise ValueError(f"{name} needs float64 X (n, dim) and int64 "
+                                 f"y (n,), got {X.shape} and {y.shape}")
+            if X.shape[1] != self.dim:
+                raise ValueError(
+                    f"{name}[0] has {X.shape[1]} features, expected {self.dim}"
+                )
+            bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
+            if bad.size:
+                raise ValueError(f"{name}[{bad[0]}] has non-finite features")
+            bad = np.flatnonzero((y < 0) | (y >= self.classes))
+            if bad.size:
+                i = bad[0]
+                raise ValueError(
+                    f"{name}[{i}] label {y[i]} outside 0..{self.classes - 1}"
+                )
+        flags, n = self.corrupted, self.pretrain.n
+        if flags.dtype != np.bool_ or flags.ndim != 1:
+            raise ValueError("corrupted must be a 1-D bool array")
+        if flags[n:].any():
+            i = n + int(flags[n:].argmax())
+            raise ValueError(
+                f"corrupted example outside pretrain: flag {i} is set, "
+                f"pretrain has {n} rows"
+            )
+        k = flags.shape[0]
+        if k != n:
+            raise ValueError(f"corrupted has {k} flags, pretrain has {n} rows: "
+                             + (f"pretrain[{k}] has no flag" if k < n
+                                else f"flag {n} has no pretrain row"))
 
     def __eq__(self, other):
         if not isinstance(other, DatasetBundle):
@@ -100,10 +107,18 @@ class DatasetBundle:
         return (
             self.dim == other.dim
             and self.classes == other.classes
+            and _same(self.corrupted, other.corrupted)
             and all(
-                self.splits()[name] == other.splits()[name] for name in SPLITS
+                _same(a.X, b.X) and _same(a.y, b.y)
+                for a, b in zip(self.splits().values(),
+                                other.splits().values())
             )
         )
+
+
+def _same(a: np.ndarray, b: np.ndarray) -> bool:
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and a.tobytes() == b.tobytes())
 
 
 def _default_class_means(dim: int, classes: int) -> np.ndarray:
@@ -214,12 +229,12 @@ class SynthSpec:
 
 
 def _draw_split(rng: np.random.Generator, means: np.ndarray, n: int,
-                sigma: float, domain: str) -> list[Example]:
+                sigma: float) -> Split:
     classes, dim = means.shape
     # Balanced labels: cycle through classes, then shuffle the assignment.
-    labels = rng.permutation(np.arange(n) % classes)
+    labels = rng.permutation(np.arange(n, dtype=np.int64) % classes)
     X = means[labels] + sigma * rng.standard_normal((n, dim))
-    return [Example(X[i], int(labels[i]), domain) for i in range(n)]
+    return Split(X, labels)
 
 
 def generate(spec: SynthSpec) -> DatasetBundle:
@@ -230,39 +245,38 @@ def generate(spec: SynthSpec) -> DatasetBundle:
     src = spec.resolved_source_means()
     tgt = spec.target_means()
     pretrain = _draw_split(np.random.default_rng(seeds[0]), src,
-                           spec.n_pretrain, spec.noise_sigma, "source")
-    train = _draw_split(np.random.default_rng(seeds[1]), tgt,
-                        spec.n_train, spec.noise_sigma, "target")
-    val = _draw_split(np.random.default_rng(seeds[2]), tgt,
-                      spec.n_val, spec.noise_sigma, "target")
-    test = _draw_split(np.random.default_rng(seeds[3]), tgt,
-                       spec.n_test, spec.noise_sigma, "target")
+                           spec.n_pretrain, spec.noise_sigma)
+    train, val, test = (
+        _draw_split(np.random.default_rng(seed), tgt, n, spec.noise_sigma)
+        for seed, n in zip(seeds[1:4], (spec.n_train, spec.n_val, spec.n_test))
+    )
 
+    corrupted = np.zeros(spec.n_pretrain, dtype=bool)
     n_corrupt = int(round(spec.corrupt_frac * spec.n_pretrain))
     if n_corrupt > 0:
         crng = np.random.default_rng(seeds[4])
         picked = np.sort(crng.choice(spec.n_pretrain, size=n_corrupt, replace=False))
-        axis = _shift_axis(spec.dim)
-        for i in picked:
-            ex = pretrain[i]
-            if spec.corrupt_kind == "label_flip":
-                # Uniform over the other classes; for two classes this is
-                # deterministic given the pick.
-                offset = 1 + int(crng.integers(spec.classes - 1))
-                ex.label = (ex.label + offset) % spec.classes
-            else:
-                ex.features = ex.features - FEATURE_SHIFT_SIGMAS * spec.noise_sigma * axis
-            ex.corrupted = True
+        corrupted[picked] = True
+        if spec.corrupt_kind == "label_flip":
+            # Uniform over the other classes; for two classes this is
+            # deterministic given the pick.
+            offset = 1 + crng.integers(spec.classes - 1, size=n_corrupt)
+            pretrain.y[picked] = (pretrain.y[picked] + offset) % spec.classes
+        else:
+            axis = _shift_axis(spec.dim)
+            pretrain.X[picked] -= FEATURE_SHIFT_SIGMAS * spec.noise_sigma * axis
 
-    bundle = DatasetBundle(pretrain, train, val, test, spec.dim, spec.classes)
+    bundle = DatasetBundle(pretrain, train, val, test, spec.dim, spec.classes,
+                           corrupted)
     bundle.validate()
     return bundle
 
 
-def split_ratio(pool: list[Example], ratios: tuple[float, float, float],
-                seed: int) -> DatasetBundle:
-    """Split a mixed pool: source examples become pretrain, target examples
-    are shuffled and divided into train/val/test by the three ratios.
+def split_ratio(X: np.ndarray, y: np.ndarray, is_source: np.ndarray,
+                ratios: tuple[float, float, float], seed: int) -> DatasetBundle:
+    """Split a mixed pool of rows ``X``/``y``: rows flagged ``is_source``
+    become pretrain (in pool order), the others are shuffled and divided into
+    train/val/test by the three ratios.
 
     Ratios must sum to 1 (tolerance 1e-9).  Counts use floor plus
     largest-remainder so they add up exactly.  An empty train, val, or test
@@ -274,21 +288,22 @@ def split_ratio(pool: list[Example], ratios: tuple[float, float, float],
         raise ConfigError(f"ratios must be nonnegative, got {ratios}")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ConfigError(f"ratios must sum to 1, got sum={sum(ratios)!r}")
-    if not pool:
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    is_source = np.asarray(is_source, dtype=bool)
+    if X.ndim != 2 or y.shape != (X.shape[0],) or is_source.shape != y.shape:
+        raise ConfigError(
+            f"pool needs X (n, dim) with n labels and n source flags, got "
+            f"{X.shape}, {y.shape} and {is_source.shape}"
+        )
+    if X.shape[0] == 0:
         raise ConfigError("empty example pool")
-
-    dims = {ex.features.shape[0] for ex in pool}
-    if len(dims) != 1:
-        raise ConfigError(f"pool mixes feature dims: {sorted(dims)}")
-    dim = dims.pop()
-    classes = max(ex.label for ex in pool) + 1
+    classes = int(y.max()) + 1
     if classes < 2:
         raise ConfigError("pool must contain at least two classes")
 
-    pretrain = [ex for ex in pool if ex.domain == "source"]
-    target = [ex for ex in pool if ex.domain == "target"]
-    n = len(target)
-
+    target = ~is_source
+    n = int(target.sum())
     exact = [r * n for r in ratios]
     counts = [int(math.floor(e)) for e in exact]
     remainder = n - sum(counts)
@@ -302,12 +317,14 @@ def split_ratio(pool: list[Example], ratios: tuple[float, float, float],
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     order = rng.permutation(n)
-    shuffled = [target[i] for i in order]
-    train = shuffled[: counts[0]]
-    val = shuffled[counts[0] : counts[0] + counts[1]]
-    test = shuffled[counts[0] + counts[1] :]
+    Xt, yt = X[target][order], y[target][order]
+    cuts = np.cumsum(counts)[:2]
+    train, val, test = (Split(Xs, ys) for Xs, ys in
+                        zip(np.split(Xt, cuts), np.split(yt, cuts)))
 
-    bundle = DatasetBundle(pretrain, train, val, test, dim, classes)
+    pretrain = Split(X[is_source], y[is_source])
+    bundle = DatasetBundle(pretrain, train, val, test, X.shape[1], classes,
+                           np.zeros(pretrain.n, dtype=bool))
     bundle.validate()
     return bundle
 
@@ -335,19 +352,18 @@ def save_csv(bundle: DatasetBundle, path: str, spec: SynthSpec | None = None):
     with open(tmp, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for name in SPLITS:
-            for ex in bundle.splits()[name]:
-                writer.writerow([name, ex.label] + [_fmt(v) for v in ex.features])
+        for name, split in bundle.splits().items():
+            # Row by row, so no list holds every value as a Python float.
+            for label, row in zip(split.y.tolist(), split.X):
+                writer.writerow([name, label, *map(_fmt, row.tolist())])
     os.replace(tmp, path)
 
     manifest = {
         "format_version": 1,
         "dim": bundle.dim,
         "classes": bundle.classes,
-        "split_sizes": {name: len(bundle.splits()[name]) for name in SPLITS},
-        "corrupted_pretrain_indices": [
-            i for i, ex in enumerate(bundle.pretrain) if ex.corrupted
-        ],
+        "split_sizes": {name: split.n for name, split in bundle.splits().items()},
+        "corrupted_pretrain_indices": np.flatnonzero(bundle.corrupted).tolist(),
     }
     if spec is not None:
         manifest["spec"] = spec.to_dict()
@@ -389,7 +405,9 @@ def load_csv(path: str, schema: CsvSchema | None = None) -> DatasetBundle:
     wrong examples.  Malformed rows raise ParseError naming the line.
     """
     schema = schema or CsvSchema()
-    splits: dict[str, list[Example]] = {name: [] for name in SPLITS}
+    # Per split: features packed as doubles (Python floats would take four
+    # times the memory) and labels, made arrays after the loop.
+    rows = {name: (array("d"), []) for name in SPLITS}
     dim = schema.dim
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -413,9 +431,9 @@ def load_csv(path: str, schema: CsvSchema | None = None) -> DatasetBundle:
                 raise ParseError(
                     f"{path} line {lineno}: expected {dim + 2} fields, got {len(row)}"
                 )
-            split = row[0]
-            if split not in SPLITS:
-                raise ParseError(f"{path} line {lineno}: unknown split {split!r}")
+            split = rows.get(row[0])
+            if split is None:
+                raise ParseError(f"{path} line {lineno}: unknown split {row[0]!r}")
             try:
                 label = int(row[1])
             except ValueError:
@@ -423,15 +441,15 @@ def load_csv(path: str, schema: CsvSchema | None = None) -> DatasetBundle:
                     f"{path} line {lineno}: bad label {row[1]!r}"
                 ) from None
             try:
-                feats = np.array([float(v) for v in row[2:]], dtype=np.float64)
+                split[0].extend(map(float, row[2:]))
             except ValueError:
                 raise ParseError(f"{path} line {lineno}: bad feature value") from None
-            domain = "source" if split == "pretrain" else "target"
-            splits[split].append(Example(feats, label, domain))
+            split[1].append(label)
 
-    labels = [ex.label for exs in splits.values() for ex in exs]
+    labels = [label for _, ys in rows.values() for label in ys]
     if not labels:
         raise ParseError(f"{path}: no data rows")
+    sizes = {name: len(ys) for name, (_, ys) in rows.items()}
     classes = schema.classes
 
     side = sidecar_path(path)
@@ -441,10 +459,10 @@ def load_csv(path: str, schema: CsvSchema | None = None) -> DatasetBundle:
             f"{side}: sidecar has {manifest['dim']} features, the CSV has {dim}"
         )
     for name, size in manifest.get("split_sizes", {}).items():
-        if name not in splits or size != len(splits[name]):
+        if name not in sizes or size != sizes[name]:
             raise ParseError(
                 f"{side}: sidecar has {size} {name} rows, the CSV has "
-                f"{len(splits.get(name, []))}"
+                f"{sizes.get(name, 0)}"
             )
     if "classes" in manifest:
         if classes is not None and manifest["classes"] != classes:
@@ -460,17 +478,20 @@ def load_csv(path: str, schema: CsvSchema | None = None) -> DatasetBundle:
             f"{path}: label outside 0..{classes - 1} "
             f"(found {min(labels)}..{max(labels)})"
         )
+    corrupted = np.zeros(sizes["pretrain"], dtype=bool)
     for i in manifest.get("corrupted_pretrain_indices", []):
-        if not 0 <= i < len(splits["pretrain"]):
+        if not 0 <= i < sizes["pretrain"]:
             raise ParseError(
                 f"{side}: corrupted index {i} outside pretrain split"
             )
-        splits["pretrain"][i].corrupted = True
+        corrupted[i] = True
 
-    bundle = DatasetBundle(
-        splits["pretrain"], splits["train"], splits["val"], splits["test"],
-        dim, classes,
-    )
+    splits = [
+        Split(np.frombuffer(xs, dtype=np.float64).reshape(len(ys), dim),
+              np.array(ys, dtype=np.int64))
+        for xs, ys in rows.values()
+    ]
+    bundle = DatasetBundle(*splits, dim, classes, corrupted)
     bundle.validate()
     return bundle
 

@@ -54,7 +54,7 @@ import numpy as np
 from scipy.special import expit
 
 from . import model
-from .datasets import DatasetBundle
+from .datasets import DatasetBundle, Split
 from .errors import ConfigError, NumericError
 from .model import Arch, GradBlock, ModelParams
 
@@ -228,6 +228,10 @@ class LbiConfig:
             raise ConfigError(f"iterations must be >= 0, got {self.iterations}")
         if self.hidden < 0:
             raise ConfigError(f"hidden must be >= 0, got {self.hidden}")
+        if (isinstance(self.seed, bool)
+                or not isinstance(self.seed, (int, np.integer))
+                or self.seed < 0):
+            raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
         if self.batch_size is not None and self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.mode == "basic" and self.gamma != 0.0 and self.gamma != 1.0:
@@ -320,66 +324,24 @@ class LbiState:
         )
 
 
-@dataclass
-class SplitArrays:
-    X: np.ndarray
-    y: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.X.shape[0]
+def ensure_arrays(bundle) -> DatasetBundle:
+    """The bundle itself, checked to be one.  The package passes bundles
+    around directly; this stays only for external callers."""
+    if not isinstance(bundle, DatasetBundle):
+        raise ConfigError(f"expected a DatasetBundle, got {type(bundle).__name__}")
+    return bundle
 
 
-@dataclass
-class BundleArrays:
-    """Bundle splits cached as arrays; built once per run."""
-
-    pretrain: SplitArrays
-    train: SplitArrays
-    val: SplitArrays
-    test: SplitArrays
-    dim: int
-    classes: int
-    corrupted: np.ndarray  # bool flags over pretrain examples
-
-    @classmethod
-    def from_bundle(cls, bundle: DatasetBundle) -> "BundleArrays":
-        def arrays(examples):
-            if not examples:
-                return SplitArrays(
-                    np.zeros((0, bundle.dim)), np.zeros(0, dtype=np.int64)
-                )
-            X, y = model.examples_to_arrays(examples)
-            return SplitArrays(X, y)
-
-        return cls(
-            arrays(bundle.pretrain),
-            arrays(bundle.train),
-            arrays(bundle.val),
-            arrays(bundle.test),
-            bundle.dim,
-            bundle.classes,
-            np.array([ex.corrupted for ex in bundle.pretrain], dtype=bool),
-        )
-
-
-def ensure_arrays(bundle) -> BundleArrays:
-    if isinstance(bundle, BundleArrays):
-        return bundle
-    return BundleArrays.from_bundle(bundle)
-
-
-def init_state(bundle, cfg: LbiConfig) -> LbiState:
+def init_state(bundle: DatasetBundle, cfg: LbiConfig) -> LbiState:
     """Fresh state: both models drawn from the config seed, all weights on.
 
     Draw order from one seeded generator: pretraining encoder, pretraining
     head, finetuned encoder, finetuned head.
     """
     cfg.validate()
-    arrays = ensure_arrays(bundle)
-    if arrays.train.n == 0 or arrays.val.n == 0:
+    if bundle.train.n == 0 or bundle.val.n == 0:
         raise ConfigError("train and val splits must be nonempty")
-    arch = Arch(arrays.dim, cfg.hidden, arrays.classes)
+    arch = Arch(bundle.dim, cfg.hidden, bundle.classes)
     rng = np.random.default_rng(
         np.random.SeedSequence(cfg.seed, spawn_key=(_SEED_DOMAIN_INIT,))
     )
@@ -387,11 +349,11 @@ def init_state(bundle, cfg: LbiConfig) -> LbiState:
     finetune_model = model.init_params(arch, rng)
     ignore_finetune = None
     if cfg.mode == "extended":
-        ignore_finetune = IgnoreSet.all_on(arrays.pretrain.n, cfg.ignore_mode)
+        ignore_finetune = IgnoreSet.all_on(bundle.pretrain.n, cfg.ignore_mode)
     return LbiState(
         pretrain_model,
         finetune_model,
-        IgnoreSet.all_on(arrays.pretrain.n, cfg.ignore_mode),
+        IgnoreSet.all_on(bundle.pretrain.n, cfg.ignore_mode),
         ignore_finetune,
     )
 
@@ -445,20 +407,19 @@ def _check_scores(scores: IgnoreSet, n: int, what: str):
         )
 
 
-def pretrain_step(state: LbiState, bundle, cfg: LbiConfig,
+def pretrain_step(state: LbiState, bundle: DatasetBundle, cfg: LbiConfig,
                   rates: Rates | None = None) -> ModelParams:
     """One weighted gradient step of the pretraining model.
 
     Returns the stepped model; does not touch the state.  With all weights
     zero the parameters come back unchanged.
     """
-    arrays = ensure_arrays(bundle)
-    _check_scores(state.ignore_pretrain, arrays.pretrain.n, "pretraining")
+    _check_scores(state.ignore_pretrain, bundle.pretrain.n, "pretraining")
     rates = rates or cfg.rates_at(state.iteration)
     return _pretrain_update(
         state.pretrain_model,
-        _forward_or_none(state.pretrain_model, arrays.pretrain.X,
-                         arrays.pretrain.y),
+        _forward_or_none(state.pretrain_model, bundle.pretrain.X,
+                         bundle.pretrain.y),
         state.ignore_pretrain.effective(),
         rates, cfg.weight_decay, state.iteration,
     )
@@ -496,8 +457,9 @@ def _finetune_update(params: ModelParams, pretrained_next: ModelParams,
     return out
 
 
-def finetune_step(state: LbiState, pretrained_next: ModelParams, bundle,
-                  cfg: LbiConfig, rates: Rates | None = None) -> ModelParams:
+def finetune_step(state: LbiState, pretrained_next: ModelParams,
+                  bundle: DatasetBundle, cfg: LbiConfig,
+                  rates: Rates | None = None) -> ModelParams:
     """One gradient step of the finetuned model against the stepped
     pretraining encoder.
 
@@ -506,25 +468,24 @@ def finetune_step(state: LbiState, pretrained_next: ModelParams, bundle,
     and (in extended mode) gamma = 0 this is exactly a plain training step;
     the zero branches are skipped outright so the reduction is bit-exact.
     """
-    arrays = ensure_arrays(bundle)
     rates = rates or cfg.rates_at(state.iteration)
     params = state.finetune_model
     source_fwd, b = None, None
     if _mixes_source(cfg):
-        _check_scores(state.ignore_finetune, arrays.pretrain.n, "finetuning")
-        source_fwd = _forward_or_none(params, arrays.pretrain.X,
-                                      arrays.pretrain.y)
+        _check_scores(state.ignore_finetune, bundle.pretrain.n, "finetuning")
+        source_fwd = _forward_or_none(params, bundle.pretrain.X,
+                                      bundle.pretrain.y)
         b = state.ignore_finetune.effective()
     return _finetune_update(
         params, pretrained_next,
-        model._softmax_residual(params, arrays.train.X, arrays.train.y),
+        model._softmax_residual(params, bundle.train.X, bundle.train.y),
         source_fwd, b, cfg, rates, state.iteration,
     )
 
 
-def _val_grad(finetuned_next: ModelParams, arrays: BundleArrays) -> GradBlock:
+def _val_grad(finetuned_next: ModelParams, bundle: DatasetBundle) -> GradBlock:
     return model.weighted_grad(
-        model._softmax_residual(finetuned_next, arrays.val.X, arrays.val.y))
+        model._softmax_residual(finetuned_next, bundle.val.X, bundle.val.y))
 
 
 def _hypergrad_pretrain(fwd: model.Forward, val_grad: GradBlock, chain,
@@ -553,7 +514,7 @@ def _hypergrad_finetune(fwd: model.Forward, val_grad: GradBlock, chain,
 
 
 def hypergrad_ignore_pretrain(state: LbiState, finetuned_next: ModelParams,
-                              bundle, cfg: LbiConfig,
+                              bundle: DatasetBundle, cfg: LbiConfig,
                               rates: Rates | None = None,
                               val_grad: GradBlock | None = None) -> np.ndarray:
     """Exact gradient of the validation loss with respect to the raw
@@ -568,22 +529,21 @@ def hypergrad_ignore_pretrain(state: LbiState, finetuned_next: ModelParams,
     pretrained head influences nothing downstream, so it never appears.  With
     lam = 0 all components are exactly zero.
     """
-    arrays = ensure_arrays(bundle)
     rates = rates or cfg.rates_at(state.iteration)
-    if cfg.lam == 0.0 or arrays.pretrain.n == 0:
-        return np.zeros(arrays.pretrain.n)
-    _check_scores(state.ignore_pretrain, arrays.pretrain.n, "pretraining")
+    if cfg.lam == 0.0 or bundle.pretrain.n == 0:
+        return np.zeros(bundle.pretrain.n)
+    _check_scores(state.ignore_pretrain, bundle.pretrain.n, "pretraining")
     fwd = model._softmax_residual(
-        state.pretrain_model, arrays.pretrain.X, arrays.pretrain.y
+        state.pretrain_model, bundle.pretrain.X, bundle.pretrain.y
     )
-    gv = val_grad or _val_grad(finetuned_next, arrays)
+    gv = val_grad or _val_grad(finetuned_next, bundle)
     scores = state.ignore_pretrain
     return _hypergrad_pretrain(
         fwd, gv, _chain_factor(scores.mode, scores.effective()), cfg, rates)
 
 
 def hypergrad_ignore_finetune(state: LbiState, finetuned_next: ModelParams,
-                              bundle, cfg: LbiConfig,
+                              bundle: DatasetBundle, cfg: LbiConfig,
                               rates: Rates | None = None,
                               val_grad: GradBlock | None = None) -> np.ndarray:
     """Exact gradient of the validation loss with respect to the raw
@@ -597,15 +557,14 @@ def hypergrad_ignore_finetune(state: LbiState, finetuned_next: ModelParams,
     """
     if cfg.mode != "extended":
         raise ValueError("finetuning ignore weights exist only in extended mode")
-    arrays = ensure_arrays(bundle)
     rates = rates or cfg.rates_at(state.iteration)
-    if cfg.gamma == 0.0 or arrays.pretrain.n == 0:
-        return np.zeros(arrays.pretrain.n)
-    _check_scores(state.ignore_finetune, arrays.pretrain.n, "finetuning")
+    if cfg.gamma == 0.0 or bundle.pretrain.n == 0:
+        return np.zeros(bundle.pretrain.n)
+    _check_scores(state.ignore_finetune, bundle.pretrain.n, "finetuning")
     fwd = model._softmax_residual(
-        state.finetune_model, arrays.pretrain.X, arrays.pretrain.y
+        state.finetune_model, bundle.pretrain.X, bundle.pretrain.y
     )
-    gv = val_grad or _val_grad(finetuned_next, arrays)
+    gv = val_grad or _val_grad(finetuned_next, bundle)
     scores = state.ignore_finetune
     return _hypergrad_finetune(
         fwd, gv, _chain_factor(scores.mode, scores.effective()), cfg, rates)
@@ -657,7 +616,7 @@ def _batch_indices(cfg: LbiConfig, iteration: int, sizes: tuple[int, int, int]):
     return tuple(out)
 
 
-def _rows(split: SplitArrays, idx: np.ndarray | None):
+def _rows(split: Split, idx: np.ndarray | None):
     """(X, y) of the batch ``idx`` of a split; None is the whole split (also
     in minibatch mode, where it stands for an empty split)."""
     if idx is None:
@@ -690,7 +649,7 @@ def _step_scores(scores: IgnoreSet, hg: np.ndarray, rate: float,
         raise
 
 
-def lbi_iteration(state: LbiState, bundle, cfg: LbiConfig,
+def lbi_iteration(state: LbiState, bundle: DatasetBundle, cfg: LbiConfig,
                   rates: Rates | None = None) -> tuple[LbiState, TraceRow]:
     """Advance one full iteration; returns the updated state and its trace row.
 
@@ -712,14 +671,13 @@ def lbi_iteration(state: LbiState, bundle, cfg: LbiConfig,
     that, including clamp-mode scores within [0, 1]).  ``rates`` defaults to
     ``cfg.rates_at(state.iteration)``.
     """
-    arrays = ensure_arrays(bundle)
     it = state.iteration
     rates = rates or cfg.rates_at(it)
-    n_pre = arrays.pretrain.n
+    n_pre = bundle.pretrain.n
     idx_pre, idx_tr, idx_val = _batch_indices(
-        cfg, it, (n_pre, arrays.train.n, arrays.val.n)
+        cfg, it, (n_pre, bundle.train.n, bundle.val.n)
     )
-    X_pre, y_pre = _rows(arrays.pretrain, idx_pre)
+    X_pre, y_pre = _rows(bundle.pretrain, idx_pre)
     mode = state.ignore_pretrain.mode
 
     # Stage 1: pretraining step on the (sub)batch.
@@ -731,7 +689,7 @@ def lbi_iteration(state: LbiState, bundle, cfg: LbiConfig,
 
     # Stage 2: finetuning step.
     train_fwd = model._softmax_residual(state.finetune_model,
-                                        *_rows(arrays.train, idx_tr))
+                                        *_rows(bundle.train, idx_tr))
     source_fwd, b = None, None
     if _mixes_source(cfg):
         source_fwd = _forward_or_none(state.finetune_model, X_pre, y_pre)
@@ -742,7 +700,7 @@ def lbi_iteration(state: LbiState, bundle, cfg: LbiConfig,
     )
 
     # Stage 3: hypergradients over the batch's scores (None: all zero).
-    val_fwd = _forward_or_none(finetuned_next, *_rows(arrays.val, idx_val))
+    val_fwd = _forward_or_none(finetuned_next, *_rows(bundle.val, idx_val))
     hg_a = hg_b = None
     if val_fwd is not None:
         gv = model.weighted_grad(val_fwd)
@@ -781,8 +739,8 @@ def lbi_iteration(state: LbiState, bundle, cfg: LbiConfig,
     return nxt, row
 
 
-def run(bundle, cfg: LbiConfig, initial_state: LbiState | None = None,
-        trace_hook=None) -> tuple[LbiState, list[TraceRow]]:
+def run(bundle: DatasetBundle, cfg: LbiConfig,
+        initial_state: LbiState | None = None, trace_hook=None) -> tuple[LbiState, list[TraceRow]]:
     """Run cfg.iterations iterations (resuming from initial_state if given).
 
     Returns the final state and the trace rows of the iterations run here.
@@ -795,13 +753,12 @@ def run(bundle, cfg: LbiConfig, initial_state: LbiState | None = None,
     ConfigError instead of silently training the state's setup.
     """
     cfg.validate()
-    arrays = ensure_arrays(bundle)
-    state = initial_state if initial_state is not None else init_state(arrays, cfg)
+    state = initial_state if initial_state is not None else init_state(bundle, cfg)
     arch = state.pretrain_model.arch
-    if arch.dim != arrays.dim or arch.classes != arrays.classes:
+    if arch.dim != bundle.dim or arch.classes != bundle.classes:
         raise ConfigError(
             f"state architecture ({arch.dim} dims, {arch.classes} classes) does "
-            f"not match data ({arrays.dim} dims, {arrays.classes} classes)"
+            f"not match data ({bundle.dim} dims, {bundle.classes} classes)"
         )
     state_mode = "basic" if state.ignore_finetune is None else "extended"
     for name, have, want in (("hidden", arch.hidden, cfg.hidden),
@@ -816,7 +773,7 @@ def run(bundle, cfg: LbiConfig, initial_state: LbiState | None = None,
                          (state.ignore_finetune, "finetuning")):
         if scores is None:
             continue
-        _check_scores(scores, arrays.pretrain.n, what)
+        _check_scores(scores, bundle.pretrain.n, what)
         raw = scores.raw
         if scores.mode == "clamp" and not ((raw >= 0.0) & (raw <= 1.0)).all():
             raise ConfigError(
@@ -829,7 +786,7 @@ def run(bundle, cfg: LbiConfig, initial_state: LbiState | None = None,
         if state.iteration == decay_start:
             rates = cfg.rates_at(state.iteration)
         try:
-            state, row = lbi_iteration(state, arrays, cfg, rates)
+            state, row = lbi_iteration(state, bundle, cfg, rates)
         except NumericError as e:
             if e.iteration is None:
                 e.iteration = state.iteration

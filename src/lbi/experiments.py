@@ -28,7 +28,6 @@ above.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -36,7 +35,7 @@ from scipy.stats import rankdata
 
 from . import engine, model
 from .datasets import DatasetBundle, SynthSpec, generate
-from .engine import BundleArrays, LbiConfig
+from .engine import LbiConfig
 from .errors import ConfigError, NumericError
 
 ABLATION_IDS = ("A1", "A2", "A3", "A4", "A5", "A6", "A7", "A8", "FULL")
@@ -110,13 +109,11 @@ def corrupted_recovery_auc(effective_weights: np.ndarray,
     Area under the ROC curve for "corrupted" scored by descending weight
     rank: 1.0 means every corrupted example got a lower weight than every
     clean one, 0.5 is chance.  Ties share rank credit.  ``corrupted`` is a
-    boolean flag array over the pretraining split, or a bundle to take the
-    flags from.  Returns None when either class is empty (the statistic is
-    undefined).
+    boolean flag array over the pretraining split (a bundle's
+    ``corrupted``).  Returns None when either class is empty (the statistic
+    is undefined).
     """
     w = np.asarray(effective_weights, dtype=np.float64)
-    if isinstance(corrupted, DatasetBundle):
-        corrupted = [ex.corrupted for ex in corrupted.pretrain]
     flags = np.asarray(corrupted, dtype=bool)
     if w.shape != flags.shape or w.ndim != 1:
         raise ValueError("weights and corruption flags must be matching 1-D arrays")
@@ -179,15 +176,12 @@ class MatrixResult:
         raise KeyError(ablation_id)
 
 
-def _resolve_bundle(data) -> BundleArrays:
-    if isinstance(data, SynthSpec):
-        return engine.ensure_arrays(generate(data))
-    if isinstance(data, (DatasetBundle, BundleArrays)):
-        return engine.ensure_arrays(data)
-    raise ConfigError(f"cannot run on data of type {type(data).__name__}")
+def _resolve_bundle(data) -> DatasetBundle:
+    """A bundle as given, or generated from a SynthSpec."""
+    return generate(data) if isinstance(data, SynthSpec) else data
 
 
-def run_cell(arrays: BundleArrays, cfg: LbiConfig, ablation_id: str,
+def run_cell(arrays: DatasetBundle, cfg: LbiConfig, ablation_id: str,
              seed: int) -> RunResult:
     """One training run; numeric failures are recorded, not raised."""
     cell_cfg = ablation_config(ablation_id, engine.config_with(cfg, seed=seed))
@@ -219,8 +213,7 @@ def _mean_std(values: list[float]) -> tuple[float | None, float | None]:
     return mean, std
 
 
-def run_matrix(data, ids, seeds, base_cfg: LbiConfig,
-               threads: int = 1) -> MatrixResult:
+def run_matrix(data, ids, seeds, base_cfg: LbiConfig) -> MatrixResult:
     """Run every (ablation, seed) cell on one shared bundle.
 
     The bundle is generated once; seeds vary only the parameter
@@ -235,14 +228,8 @@ def run_matrix(data, ids, seeds, base_cfg: LbiConfig,
     for ablation_id in ids:
         ablation_switches(ablation_id)
     arrays = _resolve_bundle(data)
-    cells = [(ablation_id, seed) for ablation_id in ids for seed in seeds]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(
-                lambda c: run_cell(arrays, base_cfg, c[0], c[1]), cells
-            ))
-    else:
-        results = [run_cell(arrays, base_cfg, a, s) for a, s in cells]
+    results = [run_cell(arrays, base_cfg, ablation_id, seed)
+               for ablation_id in ids for seed in seeds]
 
     aggregates = []
     for ablation_id in ids:
@@ -259,27 +246,44 @@ def run_matrix(data, ids, seeds, base_cfg: LbiConfig,
 
 
 @dataclass
+class SeedOutcome:
+    """One seed's run at one sweep point: its accuracies, or the error that
+    stopped it (a message naming the seed)."""
+
+    seed: int
+    val_accuracy: float | None = None
+    test_accuracy: float | None = None
+    error: str | None = None
+
+
+@dataclass
 class SweepPoint:
     value: float
-    val_accuracies: list[float]
-    test_accuracies: list[float]
-    errors: list[str]
+    outcomes: list[SeedOutcome]  # one per seed, in seed order
+
+    @property
+    def val_accuracies(self) -> list[float]:
+        return [o.val_accuracy for o in self.outcomes if o.error is None]
+
+    @property
+    def test_accuracies(self) -> list[float]:
+        return [o.test_accuracy for o in self.outcomes if o.error is None]
+
+    @property
+    def errors(self) -> list[str]:
+        return [o.error for o in self.outcomes if o.error is not None]
 
     @property
     def val_accuracy_mean(self) -> float | None:
-        return float(np.mean(self.val_accuracies)) if self.val_accuracies else None
+        return _mean_std(self.val_accuracies)[0]
 
     @property
     def val_accuracy_std(self) -> float | None:
-        if not self.val_accuracies:
-            return None
-        if len(self.val_accuracies) == 1:
-            return 0.0
-        return float(np.std(self.val_accuracies, ddof=1))
+        return _mean_std(self.val_accuracies)[1]
 
     @property
     def test_accuracy_mean(self) -> float | None:
-        return float(np.mean(self.test_accuracies)) if self.test_accuracies else None
+        return _mean_std(self.test_accuracies)[0]
 
 
 @dataclass
@@ -313,8 +317,7 @@ class SweepResult:
         return values[0] < best < values[-1]
 
 
-def sweep(param: str, grid, data, seeds, base_cfg: LbiConfig,
-          threads: int = 1) -> SweepResult:
+def sweep(param: str, grid, data, seeds, base_cfg: LbiConfig) -> SweepResult:
     """Mean validation accuracy of the full method across one regularizer
     grid, holding everything else at the base config.
 
@@ -324,7 +327,10 @@ def sweep(param: str, grid, data, seeds, base_cfg: LbiConfig,
     """
     if param not in SWEEP_PARAMS:
         raise ConfigError(f"sweep param must be one of {SWEEP_PARAMS}, got {param!r}")
-    grid = [float(v) for v in grid]
+    try:
+        grid = [float(v) for v in grid]
+    except (TypeError, ValueError):
+        raise ConfigError(f"sweep grid values must be numbers, got {grid!r}") from None
     if len(set(grid)) < 3:
         raise ConfigError(f"sweep grid needs at least 3 distinct values, got {grid}")
     if any(v < 0 or not math.isfinite(v) for v in grid):
@@ -335,28 +341,20 @@ def sweep(param: str, grid, data, seeds, base_cfg: LbiConfig,
     arrays = _resolve_bundle(data)
     field = "lam" if param == "lambda" else "gamma"
 
-    def run_point(value: float) -> SweepPoint:
-        point = SweepPoint(value, [], [], [])
-        for seed in seeds:
-            cfg = engine.config_with(base_cfg, seed=seed, **{field: value})
-            try:
-                state, _ = engine.run(arrays, cfg)
-            except NumericError as e:
-                point.errors.append(
-                    f"seed {seed}: numeric failure at iteration {e.iteration}: {e}"
-                )
-                continue
-            point.val_accuracies.append(
-                accuracy(state.finetune_model, arrays.val.X, arrays.val.y)
-            )
-            point.test_accuracies.append(
-                accuracy(state.finetune_model, arrays.test.X, arrays.test.y)
-            )
-        return point
+    def run_seed(value: float, seed: int) -> SeedOutcome:
+        cfg = engine.config_with(base_cfg, seed=seed, **{field: value})
+        try:
+            state, _ = engine.run(arrays, cfg)
+        except NumericError as e:
+            return SeedOutcome(seed, error=f"seed {seed}: numeric failure at "
+                                           f"iteration {e.iteration}: {e}")
+        return SeedOutcome(
+            seed,
+            accuracy(state.finetune_model, arrays.val.X, arrays.val.y),
+            accuracy(state.finetune_model, arrays.test.X, arrays.test.y),
+        )
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            points = list(pool.map(run_point, grid))
-    else:
-        points = [run_point(v) for v in grid]
-    return SweepResult(param, points)
+    return SweepResult(param, [
+        SweepPoint(value, [run_seed(value, seed) for seed in seeds])
+        for value in grid
+    ])

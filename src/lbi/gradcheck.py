@@ -35,7 +35,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import datasets, engine, model
-from .engine import BundleArrays, LbiConfig, LbiState
+from .datasets import DatasetBundle
+from .engine import LbiConfig, LbiState
 
 REL_ERR_FLOOR = 1e-12
 
@@ -137,15 +138,15 @@ class _Lookahead:
     reads them, never writes them, and makes only the val forward itself.
     """
 
-    def __init__(self, state: LbiState, arrays: BundleArrays, cfg: LbiConfig):
-        pre = arrays.pretrain
+    def __init__(self, state: LbiState, bundle: DatasetBundle, cfg: LbiConfig):
+        pre = bundle.pretrain
         engine._check_scores(state.ignore_pretrain, pre.n, "pretraining")
-        self.state, self.arrays, self.cfg = state, arrays, cfg
+        self.state, self.bundle, self.cfg = state, bundle, cfg
         self.rates = cfg.rates_at(state.iteration)
         self.pre_fwd = engine._forward_or_none(state.pretrain_model, pre.X,
                                                pre.y)
         self.train_fwd = model._softmax_residual(
-            state.finetune_model, arrays.train.X, arrays.train.y)
+            state.finetune_model, bundle.train.X, bundle.train.y)
         self.source_fwd = None
         if engine._mixes_source(cfg):
             engine._check_scores(state.ignore_finetune, pre.n, "finetuning")
@@ -173,13 +174,14 @@ class _Lookahead:
         finetuned_next = engine._finetune_update(
             state.finetune_model, pretrained_next, self.train_fwd,
             self.source_fwd, b, cfg, rates, state.iteration)
-        val = self.arrays.val
+        val = self.bundle.val
         return model.weighted_loss(
             model._softmax_residual(finetuned_next, val.X, val.y))
 
 
-def fd_val_loss_wrt_ignore(state: LbiState, bundle, cfg: LbiConfig,
-                           which: str, index: int, step: float = 1e-4, *,
+def fd_val_loss_wrt_ignore(state: LbiState, bundle: DatasetBundle,
+                           cfg: LbiConfig, which: str, index: int,
+                           step: float = 1e-4, *,
                            lookahead: _Lookahead | None = None) -> float:
     """Central difference of the lookahead validation loss in one raw score.
 
@@ -190,43 +192,42 @@ def fd_val_loss_wrt_ignore(state: LbiState, bundle, cfg: LbiConfig,
     if which not in ("pretrain", "finetune"):
         raise ValueError(f"which must be 'pretrain' or 'finetune', got {which!r}")
     step = check_positive("step", step)
-    arrays = engine.ensure_arrays(bundle)
-    n = arrays.pretrain.n
+    n = bundle.pretrain.n
     if not 0 <= index < n:
         raise IndexError(f"ignore index {index} outside 0..{n - 1}")
     if which == "finetune" and state.ignore_finetune is None:
         raise ValueError("state has no finetuning ignore scores")
     if lookahead is None:
-        lookahead = _Lookahead(state, arrays, cfg)
+        lookahead = _Lookahead(state, bundle, cfg)
     vals = [lookahead.val_loss(which, index, sign * step)
             for sign in (1.0, -1.0)]
     return (vals[0] - vals[1]) / (2.0 * step)
 
 
-def verify_hypergrads(state: LbiState, bundle, cfg: LbiConfig,
+def verify_hypergrads(state: LbiState, bundle: DatasetBundle, cfg: LbiConfig,
                       step: float = 1e-4, threshold: float = 1e-4) -> FdReport:
     """Compare both closed-form hypergradients against central differences,
     one component per pretraining example.  ``step`` and ``threshold`` must
     be finite and > 0 (else ValueError)."""
     step = check_positive("step", step)
     threshold = check_positive("threshold", threshold)
-    arrays = engine.ensure_arrays(bundle)
     rates = cfg.rates_at(state.iteration)
-    pretrained_next = engine.pretrain_step(state, arrays, cfg, rates)
-    finetuned_next = engine.finetune_step(state, pretrained_next, arrays, cfg, rates)
+    pretrained_next = engine.pretrain_step(state, bundle, cfg, rates)
+    finetuned_next = engine.finetune_step(state, pretrained_next, bundle, cfg,
+                                          rates)
 
     report = FdReport(step=step, threshold=threshold)
     sections = [("pretrain",
                  engine.hypergrad_ignore_pretrain(
-                     state, finetuned_next, arrays, cfg, rates))]
+                     state, finetuned_next, bundle, cfg, rates))]
     if cfg.mode == "extended":
         sections.append(("finetune",
                          engine.hypergrad_ignore_finetune(
-                             state, finetuned_next, arrays, cfg, rates)))
-    lookahead = _Lookahead(state, arrays, cfg)
+                             state, finetuned_next, bundle, cfg, rates)))
+    lookahead = _Lookahead(state, bundle, cfg)
     for which, analytic in sections:
-        for i in range(arrays.pretrain.n):
-            numeric = fd_val_loss_wrt_ignore(state, arrays, cfg, which, i, step,
+        for i in range(bundle.pretrain.n):
+            numeric = fd_val_loss_wrt_ignore(state, bundle, cfg, which, i, step,
                                              lookahead=lookahead)
             report.entries.append(
                 FdEntry(which, i, float(analytic[i]), float(numeric))
@@ -239,7 +240,7 @@ class CheckInstance:
     """A randomized small problem for hypergradient verification."""
 
     state: LbiState
-    arrays: BundleArrays
+    arrays: DatasetBundle
     cfg: LbiConfig
 
 
@@ -272,7 +273,7 @@ def make_check_instance(seed: int, hidden: int = 0, ignore_mode: str = "clamp",
         corrupt_frac=0.3, corrupt_kind="label_flip",
         seed=int(rng.integers(0, 2**31)),
     )
-    arrays = engine.ensure_arrays(datasets.generate(spec))
+    arrays = datasets.generate(spec)
 
     cfg = LbiConfig(
         lam=float(rng.uniform(0.1, 0.8)) if lam is None else lam,

@@ -423,36 +423,3 @@ def proximity_grad(w_encoder: np.ndarray, v_encoder: np.ndarray, lam: float) -> 
         )
     return 2.0 * lam * (w_encoder - v_encoder)
 
-
-# Example-level wrappers.  The engine works on cached arrays; these exist for
-# direct use with dataset Example objects and for the tests that exercise the
-# documented per-example contracts.
-
-def examples_to_arrays(examples) -> tuple[np.ndarray, np.ndarray]:
-    """Stack Example features/labels into (X, y) arrays."""
-    if len(examples) == 0:
-        raise ValueError("need at least one example")
-    X = np.stack([np.asarray(ex.features, dtype=np.float64) for ex in examples])
-    y = np.array([ex.label for ex in examples], dtype=np.int64)
-    return X, y
-
-
-def loss(params: ModelParams, example) -> float:
-    X, y = examples_to_arrays([example])
-    return float(batch_losses(params, X, y)[0])
-
-
-def weighted_batch_loss(params: ModelParams, examples, weights) -> float:
-    X, y = examples_to_arrays(examples)
-    return weighted_loss_arrays(params, X, y, np.asarray(weights, dtype=np.float64))
-
-
-def grad(params: ModelParams, examples, weights) -> GradBlock:
-    X, y = examples_to_arrays(examples)
-    return grad_arrays(params, X, y, np.asarray(weights, dtype=np.float64))
-
-
-def per_example_grads(params: ModelParams, examples) -> list[GradBlock]:
-    X, y = examples_to_arrays(examples)
-    Genc, Ghead = per_example_grad_arrays(params, X, y)
-    return [GradBlock(Genc[i].copy(), Ghead[i].copy()) for i in range(len(examples))]

@@ -80,16 +80,16 @@ class TestCriterion2:
         spec = SynthSpec(dim=4, classes=2, n_pretrain=30, n_train=20,
                          n_val=10, n_test=10, shift=0.5, noise_sigma=1.0,
                          corrupt_frac=0.3, corrupt_kind="label_flip", seed=2)
-        arrays = engine.ensure_arrays(datasets.generate(spec))
+        bundle = datasets.generate(spec)
 
         # (a) lam = gamma = 0 against an independently written plain loop.
         cfg = LbiConfig(lam=0.0, gamma=0.0, iterations=50,
                         lr_finetune_encoder=0.02, lr_finetune_head=0.01)
-        state, _ = engine.run(arrays, cfg)
-        params = engine.init_state(arrays, cfg).finetune_model
-        ones = np.ones(arrays.train.n)
+        state, _ = engine.run(bundle, cfg)
+        params = engine.init_state(bundle, cfg).finetune_model
+        ones = np.ones(bundle.train.n)
         for _ in range(50):
-            g = model.grad_arrays(params, arrays.train.X, arrays.train.y, ones)
+            g = model.grad_arrays(params, bundle.train.X, bundle.train.y, ones)
             params = model.ModelParams(
                 params.arch,
                 params.encoder - 0.02 * g.d_encoder,
@@ -104,7 +104,7 @@ class TestCriterion2:
                          lr_ignore_pretrain=2.0, lr_ignore_finetune=0.5)
 
         def trajectory(cfg):
-            st, trace = engine.run(arrays, cfg)
+            st, trace = engine.run(bundle, cfg)
             return (st.finetune_model.encoder.tobytes(),
                     st.finetune_model.head.tobytes(),
                     st.ignore_pretrain.raw.tobytes(),
@@ -133,14 +133,14 @@ class TestCriterion3:
         learned pretraining weights at least 0.90 in 4 of 5 seeds, for both
         default proximity strengths."""
         start = time.perf_counter()
-        arrays = engine.ensure_arrays(datasets.generate(RECOVERY_BUNDLE))
+        bundle = datasets.generate(RECOVERY_BUNDLE)
         details = []
         all_ok = True
         for lam in (3e-3, 7e-3):
             cfg = LbiConfig(lam=lam, gamma=1.0, iterations=300)
             aucs = []
             for seed in SEEDS:
-                result = experiments.run_cell(arrays, cfg, "FULL", seed)
+                result = experiments.run_cell(bundle, cfg, "FULL", seed)
                 assert result.ok, result.error
                 aucs.append(result.recovery_auc_pretrain)
             hits = sum(a >= 0.90 for a in aucs)

@@ -272,15 +272,6 @@ class TestAblate:
                          "--ids", "A9", "--seeds", "0"])
         assert code == 2
 
-    def test_threads_flag_same_results(self, tmp_path):
-        args = [*TINY_DATA, "--set", "iterations=3",
-                "--ids", "A1,FULL", "--seeds", "0,1"]
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        assert cli.main(["ablate", "--out", str(out1), *args]) == 0
-        assert cli.main(["ablate", "--out", str(out2), *args,
-                         "--threads", "4"]) == 0
-        assert read(out1 / "results.csv") == read(out2 / "results.csv")
-
 
 class TestSweep:
     def test_curve_and_argmax_written(self, tmp_path, capsys):
@@ -337,8 +328,8 @@ class TestGenDataAndEval:
                          "--set", "data.seed=9"])
         assert code == 0
         bundle = datasets.load_csv(out / "data.csv")
-        assert len(bundle.pretrain) == 10
-        assert sum(ex.corrupted for ex in bundle.pretrain) == 3
+        assert bundle.pretrain.n == 10
+        assert bundle.corrupted.sum() == 3
         manifest = read_json(out / "manifest.json")
         assert manifest["data"]["spec"]["seed"] == 9
 
@@ -409,3 +400,64 @@ class TestOverrideParsing:
         code = cli.main(run_args(out, ["--set", "step_decay=true"]))
         assert code == 0
         assert read_json(out / "manifest.json")["config"]["step_decay"] is True
+
+
+class TestSeedsGridIds:
+    """Seeds, grids and ids read from a flag or a config key: a bad value is
+    a configuration error (exit 2), never a traceback."""
+
+    def test_ablate_single_int_seed(self, tmp_path):
+        out = tmp_path / "out"
+        code = cli.main(["ablate", "--out", str(out), *TINY_DATA,
+                         "--set", "iterations=2", "--ids", "A1",
+                         "--set", "ablate.seeds=3"])
+        assert code == 0
+        assert read_json(out / "summary.json")["seeds"] == [3]
+
+    def test_ablate_ids_string_split_on_commas(self, tmp_path):
+        out = tmp_path / "out"
+        code = cli.main(["ablate", "--out", str(out), *TINY_DATA,
+                         "--set", "iterations=2", "--seeds", "0",
+                         "--set", "ablate.ids=FULL"])
+        assert code == 0
+        assert read_json(out / "summary.json")["ids"] == ["FULL"]
+        code = cli.main(["ablate", "--out", str(out), *TINY_DATA,
+                         "--set", "iterations=2", "--seeds", "0",
+                         "--set", "ablate.ids=A1,FULL"])
+        assert code == 0
+        assert read_json(out / "summary.json")["ids"] == ["A1", "FULL"]
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--set", "verify.seeds=abc"],
+        ["verify", "--set", "verify.seeds=[-3]"],
+        ["verify", "--set", "verify.seeds=1.5"],
+        ["verify", "--seed", "-1"],
+        ["ablate", "--set", "ablate.seeds=[0, x]", "--ids", "A1"],
+        ["ablate", "--seeds", "0,-2", "--ids", "A1"],
+        ["sweep", "--set", "sweep.seeds=true", "--param", "lambda",
+         "--grid", "0,1,2"],
+        ["run", "--seed", "-1"],
+        ["run", "--set", "seed=0.5"],
+    ])
+    def test_bad_seeds_exit_2(self, argv, tmp_path, capsys):
+        code = cli.main([argv[0], "--out", str(tmp_path / "x"), *TINY_DATA,
+                         "--set", "iterations=2", *argv[1:]])
+        assert code == 2
+        assert "seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid", [["--set", "sweep.grid=abc"],
+                                      ["--grid", "0,abc,1"],
+                                      ["--set", "sweep.grid=[0, {}, 1]"]])
+    def test_non_numeric_grid_exits_2(self, grid, tmp_path, capsys):
+        code = cli.main(["sweep", "--out", str(tmp_path / "x"), *TINY_DATA,
+                         "--param", "lambda", "--seeds", "0", *grid])
+        assert code == 2
+        assert "grid" in capsys.readouterr().err
+
+    def test_grid_string_from_config(self, tmp_path):
+        out = tmp_path / "out"
+        code = cli.main(["sweep", "--out", str(out), *TINY_DATA,
+                         "--set", "iterations=2", "--param", "lambda",
+                         "--seeds", "0", "--set", "sweep.grid=0,0.01,0.1"])
+        assert code == 0
+        assert read_json(out / "summary.json")["grid"] == [0.0, 0.01, 0.1]

@@ -6,12 +6,18 @@ any model code.
 """
 
 import json
+import os
+import tempfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from lbi import datasets
-from lbi.datasets import CsvSchema, SynthSpec
+from lbi.datasets import CsvSchema, DatasetBundle, Split, SynthSpec
 from lbi.errors import ConfigError, ParseError
 
 
@@ -29,10 +35,10 @@ class TestGenerate:
         b1 = datasets.generate(spec)
         b2 = datasets.generate(spec)
         assert b1 == b2
-        assert len(b1.pretrain) == 40
-        assert len(b1.train) == 20
-        assert len(b1.val) == 10
-        assert len(b1.test) == 30
+        assert b1.pretrain.n == 40
+        assert b1.train.n == 20
+        assert b1.val.n == 10
+        assert b1.test.n == 30
         b1.validate()
 
     def test_different_seed_different_data(self):
@@ -41,18 +47,27 @@ class TestGenerate:
         assert b1 != b2
 
     def test_domain_tags_and_corruption_confined_to_pretrain(self):
-        bundle = datasets.generate(small_spec())
-        assert all(ex.domain == "source" for ex in bundle.pretrain)
-        for split in (bundle.train, bundle.val, bundle.test):
-            assert all(ex.domain == "target" for ex in split)
-            assert not any(ex.corrupted for ex in split)
+        """The domain of a row is its split's, and the corruption flags
+        cover exactly the pretrain rows."""
+        spec = small_spec()
+        bundle = datasets.generate(spec)
+        assert bundle.corrupted.dtype == bool
+        assert bundle.corrupted.shape == (bundle.pretrain.n,)
+        assert bundle.corrupted.any()
+        # Source rows sit at the source means, target rows at the shifted ones.
+        clean = datasets.generate(small_spec(corrupt_frac=0.0, n_pretrain=4000,
+                                             n_test=4000))
+        for split, means in ((clean.pretrain, spec.resolved_source_means()),
+                             (clean.test, spec.target_means())):
+            got = np.stack([split.X[split.y == c].mean(axis=0)
+                            for c in range(2)])
+            assert np.abs(got - means).max() < 0.12
 
     def test_corrupt_count_rounds(self):
         for frac, n in ((0.25, 40), (0.3, 41), (0.0, 40)):
             bundle = datasets.generate(small_spec(corrupt_frac=frac,
                                                   n_pretrain=n))
-            flagged = sum(ex.corrupted for ex in bundle.pretrain)
-            assert flagged == int(round(frac * n))
+            assert bundle.corrupted.sum() == int(round(frac * n))
 
     def test_no_shift_no_corruption_means_match(self):
         """shift=0 and corrupt_frac=0 leave source and target with the
@@ -62,9 +77,8 @@ class TestGenerate:
         bundle = datasets.generate(spec)
 
         def class_means(split):
-            X = np.stack([ex.features for ex in split])
-            y = np.array([ex.label for ex in split])
-            return np.stack([X[y == c].mean(axis=0) for c in range(2)])
+            return np.stack([split.X[split.y == c].mean(axis=0)
+                             for c in range(2)])
 
         mu_src = class_means(bundle.pretrain)
         mu_tgt = class_means(bundle.test)
@@ -75,49 +89,42 @@ class TestGenerate:
         spec = small_spec(corrupt_frac=1.0, n_pretrain=50)
         bundle = datasets.generate(spec)
         clean = datasets.generate(small_spec(corrupt_frac=0.0, n_pretrain=50))
-        assert all(ex.corrupted for ex in bundle.pretrain)
-        for noisy, orig in zip(bundle.pretrain, clean.pretrain):
-            assert noisy.label != orig.label
-            np.testing.assert_array_equal(noisy.features, orig.features)
+        assert bundle.corrupted.all()
+        assert (bundle.pretrain.y != clean.pretrain.y).all()
+        np.testing.assert_array_equal(bundle.pretrain.X, clean.pretrain.X)
 
     def test_label_flip_keeps_features_and_changes_picked_labels_only(self):
         spec = small_spec()
         noisy = datasets.generate(spec)
         clean = datasets.generate(small_spec(corrupt_frac=0.0))
-        for n_ex, c_ex in zip(noisy.pretrain, clean.pretrain):
-            np.testing.assert_array_equal(n_ex.features, c_ex.features)
-            if n_ex.corrupted:
-                assert n_ex.label != c_ex.label
-            else:
-                assert n_ex.label == c_ex.label
+        flags = noisy.corrupted
+        np.testing.assert_array_equal(noisy.pretrain.X, clean.pretrain.X)
+        assert (noisy.pretrain.y[flags] != clean.pretrain.y[flags]).all()
+        assert (noisy.pretrain.y[~flags] == clean.pretrain.y[~flags]).all()
 
     def test_feature_shift_keeps_labels_and_moves_features(self):
         spec = small_spec(corrupt_kind="feature_shift")
         noisy = datasets.generate(spec)
         clean = datasets.generate(small_spec(corrupt_frac=0.0))
-        moved = 0
-        for n_ex, c_ex in zip(noisy.pretrain, clean.pretrain):
-            assert n_ex.label == c_ex.label
-            if n_ex.corrupted:
-                moved += 1
-                delta = n_ex.features - c_ex.features
-                assert np.linalg.norm(delta) > 1.0
-            else:
-                np.testing.assert_array_equal(n_ex.features, c_ex.features)
-        assert moved == 10
+        flags = noisy.corrupted
+        np.testing.assert_array_equal(noisy.pretrain.y, clean.pretrain.y)
+        delta = noisy.pretrain.X[flags] - clean.pretrain.X[flags]
+        assert (np.linalg.norm(delta, axis=1) > 1.0).all()
+        np.testing.assert_array_equal(noisy.pretrain.X[~flags],
+                                      clean.pretrain.X[~flags])
+        assert flags.sum() == 10
 
     def test_mean_shift_between_domains(self):
         spec = small_spec(shift=2.0, corrupt_frac=0.0, n_pretrain=2000,
                           n_test=2000)
         bundle = datasets.generate(spec)
-        src = np.stack([ex.features for ex in bundle.pretrain]).mean(axis=0)
-        tgt = np.stack([ex.features for ex in bundle.test]).mean(axis=0)
+        src = bundle.pretrain.X.mean(axis=0)
+        tgt = bundle.test.X.mean(axis=0)
         np.testing.assert_allclose(np.linalg.norm(tgt - src), 2.0, atol=0.15)
 
     def test_labels_balanced(self):
         bundle = datasets.generate(small_spec(corrupt_frac=0.0))
-        labels = [ex.label for ex in bundle.pretrain]
-        assert labels.count(0) == 20 and labels.count(1) == 20
+        assert np.bincount(bundle.pretrain.y).tolist() == [20, 20]
 
     def test_bad_spec_rejected(self):
         with pytest.raises(ConfigError):
@@ -138,7 +145,6 @@ class TestBayesBound:
         optimal rule for the generating mixture.  The optimal rate is
         estimated by Monte Carlo with the true Gaussian densities."""
         from lbi import engine, experiments
-        from lbi import model as model_mod
 
         spec = SynthSpec(dim=2, classes=2, n_pretrain=50, n_train=400,
                          n_val=100, n_test=4000, shift=1.5, noise_sigma=1.0,
@@ -159,8 +165,8 @@ class TestBayesBound:
         cfg = engine.LbiConfig(lam=0.0, gamma=0.0, iterations=400,
                                lr_finetune_encoder=0.01, seed=0)
         state, _ = engine.run(bundle, cfg)
-        Xt, yt = model_mod.examples_to_arrays(bundle.test)
-        acc = experiments.accuracy(state.finetune_model, Xt, yt)
+        acc = experiments.accuracy(state.finetune_model, bundle.test.X,
+                                   bundle.test.y)
         # three-sigma slack for the finite test split
         slack = 3 * np.sqrt(bayes_acc * (1 - bayes_acc) / spec.n_test)
         assert acc <= bayes_acc + slack
@@ -168,53 +174,62 @@ class TestBayesBound:
 
 
 class TestSplitRatio:
-    def make_pool(self, n, dim=3, domain="target"):
+    @staticmethod
+    def make_pool(n_target, n_source=0, dim=3):
+        """Pool rows (X, y, is_source): the source rows first, then the
+        target rows, labels alternating."""
         rng = np.random.default_rng(0)
-        return [datasets.Example(rng.normal(size=dim), i % 2, domain)
-                for i in range(n)]
+        n = n_source + n_target
+        X = np.concatenate([rng.normal(size=(n_source, dim)),
+                            rng.normal(size=(n_target, dim))])
+        y = np.concatenate([np.arange(n_source) % 2, np.arange(n_target) % 2])
+        return X, y, np.arange(n) < n_source
 
     def test_six_two_two(self):
-        pool = self.make_pool(4, domain="source") + self.make_pool(10)
-        bundle = datasets.split_ratio(pool, (0.6, 0.2, 0.2), seed=3)
-        assert len(bundle.pretrain) == 4
-        assert (len(bundle.train), len(bundle.val), len(bundle.test)) == (6, 2, 2)
+        pool = self.make_pool(10, n_source=4)
+        bundle = datasets.split_ratio(*pool, (0.6, 0.2, 0.2), seed=3)
+        assert bundle.pretrain.n == 4
+        assert (bundle.train.n, bundle.val.n, bundle.test.n) == (6, 2, 2)
         bundle.validate()
 
     def test_partition_is_exact(self):
         """Every target example lands in exactly one split."""
-        target = self.make_pool(23)
-        bundle = datasets.split_ratio(target, (0.5, 0.3, 0.2), seed=1)
-        got = bundle.train + bundle.val + bundle.test
-        assert len(got) == 23
+        X, y, is_source = self.make_pool(23)
+        bundle = datasets.split_ratio(X, y, is_source, (0.5, 0.3, 0.2), seed=1)
+        got = [bundle.train, bundle.val, bundle.test]
+        assert sum(split.n for split in got) == 23
 
-        def key(ex):
-            return (ex.features.tobytes(), ex.label)
+        def keys(X, y):
+            return sorted((x.tobytes(), int(label)) for x, label in zip(X, y))
 
-        assert sorted(map(key, got)) == sorted(map(key, target))
+        assert keys(np.concatenate([s.X for s in got]),
+                    np.concatenate([s.y for s in got])) == keys(X, y)
 
     def test_rounding_preserves_total(self):
         for n in (7, 11, 13, 29):
-            target = self.make_pool(n)
-            bundle = datasets.split_ratio(target, (0.34, 0.33, 0.33), seed=2)
-            assert len(bundle.train) + len(bundle.val) + len(bundle.test) == n
+            pool = self.make_pool(n)
+            bundle = datasets.split_ratio(*pool, (0.34, 0.33, 0.33), seed=2)
+            assert bundle.train.n + bundle.val.n + bundle.test.n == n
 
     def test_deterministic(self):
-        target = self.make_pool(12)
-        b1 = datasets.split_ratio(target, (0.5, 0.25, 0.25), seed=9)
-        b2 = datasets.split_ratio(target, (0.5, 0.25, 0.25), seed=9)
+        pool = self.make_pool(12)
+        b1 = datasets.split_ratio(*pool, (0.5, 0.25, 0.25), seed=9)
+        b2 = datasets.split_ratio(*pool, (0.5, 0.25, 0.25), seed=9)
         assert b1 == b2
 
     def test_empty_split_rejected(self):
-        target = self.make_pool(10)
+        pool = self.make_pool(10)
         with pytest.raises(ConfigError):
-            datasets.split_ratio(target, (1.0, 0.0, 0.0), seed=0)
+            datasets.split_ratio(*pool, (1.0, 0.0, 0.0), seed=0)
         with pytest.raises(ConfigError):
-            datasets.split_ratio(target, (0.5, 0.5, 0.2), seed=0)
+            datasets.split_ratio(*pool, (0.5, 0.5, 0.2), seed=0)
 
     def test_empty_pretrain_allowed(self):
-        target = self.make_pool(10)
-        bundle = datasets.split_ratio(target, (0.6, 0.2, 0.2), seed=0)
-        assert bundle.pretrain == []
+        pool = self.make_pool(10)
+        bundle = datasets.split_ratio(*pool, (0.6, 0.2, 0.2), seed=0)
+        assert bundle.pretrain.n == 0
+        assert bundle.pretrain.X.shape == (0, 3)
+        assert bundle.corrupted.shape == (0,)
 
 
 class TestCsvRoundTrip:
@@ -236,9 +251,8 @@ class TestCsvRoundTrip:
         path = tmp_path / "data.csv"
         datasets.save_csv(bundle, path)
         loaded = datasets.load_csv(path)
-        flags = [ex.corrupted for ex in loaded.pretrain]
-        assert flags == [ex.corrupted for ex in bundle.pretrain]
-        assert any(flags)
+        np.testing.assert_array_equal(loaded.corrupted, bundle.corrupted)
+        assert loaded.corrupted.any()
 
     def test_minimal_four_row_file(self, tmp_path):
         path = tmp_path / "tiny.csv"
@@ -251,10 +265,11 @@ class TestCsvRoundTrip:
         )
         bundle = datasets.load_csv(path)
         for split in bundle.splits().values():
-            assert len(split) == 1
-        assert bundle.pretrain[0].domain == "source"
-        assert bundle.train[0].domain == "target"
-        np.testing.assert_array_equal(bundle.test[0].features, [-3.0, 0.25])
+            assert split.n == 1
+        assert bundle.pretrain.y.tolist() == [0]
+        assert bundle.train.y.tolist() == [1]
+        np.testing.assert_array_equal(bundle.test.X, [[-3.0, 0.25]])
+        assert bundle.corrupted.tolist() == [False]
 
     def test_schema_fixes_class_count(self, tmp_path):
         path = tmp_path / "two.csv"
@@ -310,8 +325,8 @@ class TestCsvRoundTrip:
         path = tmp_path / "data.csv"
         datasets.save_csv(bundle, path)
         loaded = datasets.load_csv(path)
-        for a, b in zip(loaded.pretrain, bundle.pretrain):
-            assert a.features.tobytes() == b.features.tobytes()
+        for name, split in bundle.splits().items():
+            assert loaded.splits()[name].X.tobytes() == split.X.tobytes()
 
 
 class TestCsvSidecar:
@@ -382,3 +397,83 @@ class TestSpecDict:
         spec = small_spec(seed=1)
         assert datasets.with_seed(spec, 42).seed == 42
         assert spec.seed == 1
+
+
+@st.composite
+def bundles(draw):
+    """Valid array bundles: dim 1-6, classes 2-5, split sizes 1-20 (pretrain
+    0-20), any finite features and random corruption flags."""
+    dim = draw(st.integers(1, 6))
+    classes = draw(st.integers(2, 5))
+    sizes = [draw(st.integers(0, 20))] + [draw(st.integers(1, 20))
+                                          for _ in range(3)]
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    splits = [Split(draw(hnp.arrays(np.float64, (n, dim), elements=finite)),
+                    draw(hnp.arrays(np.int64, n,
+                                    elements=st.integers(0, classes - 1))))
+              for n in sizes]
+    corrupted = draw(hnp.arrays(np.bool_, sizes[0]))
+    return DatasetBundle(*splits, dim, classes, corrupted)
+
+
+def with_split(bundle, name, X=None, y=None):
+    """A copy of ``bundle`` with one split's X or y replaced."""
+    split = bundle.splits()[name]
+    return replace(bundle, **{name: Split(split.X if X is None else X,
+                                          split.y if y is None else y)})
+
+
+class TestOneRepresentation:
+    """Every bundle is arrays: CSV round trips keep them byte for byte, and
+    validate() names the split and row of the first defect."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(bundles())
+    def test_csv_round_trip_is_byte_exact(self, bundle):
+        bundle.validate()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "data.csv")
+            datasets.save_csv(bundle, path)
+            loaded = datasets.load_csv(path)
+        assert loaded == bundle
+        for name, split in bundle.splits().items():
+            got = loaded.splits()[name]
+            assert got.X.dtype == np.float64 and got.y.dtype == np.int64
+            assert got.X.shape == split.X.shape
+            assert got.X.tobytes() == split.X.tobytes()
+            assert got.y.tobytes() == split.y.tobytes()
+        assert loaded.corrupted.tobytes() == bundle.corrupted.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(bundles(), st.data())
+    def test_validate_names_split_and_row(self, bundle, data):
+        name = data.draw(st.sampled_from(
+            [n for n, s in bundle.splits().items() if s.n]))
+        split = bundle.splits()[name]
+        i = data.draw(st.integers(0, split.n - 1))
+
+        # Row i and every later row are bad; the message names row i.
+        X = split.X.copy()
+        X[i:, data.draw(st.integers(0, bundle.dim - 1))] = np.nan
+        with pytest.raises(ValueError, match=rf"^{name}\[{i}\] has non-finite"):
+            with_split(bundle, name, X=X).validate()
+
+        y = split.y.copy()
+        y[i:] = bundle.classes + data.draw(st.integers(0, 3))
+        with pytest.raises(ValueError, match=rf"^{name}\[{i}\] label {y[i]} "):
+            with_split(bundle, name, y=y).validate()
+
+        n = bundle.pretrain.n
+        k = data.draw(st.integers(0, 25).filter(lambda k: k != n))
+        short = replace(bundle, corrupted=np.zeros(k, dtype=bool))
+        unmatched = (rf"pretrain\[{k}\] has no flag" if k < n
+                     else rf"flag {n} has no pretrain row")
+        with pytest.raises(ValueError, match=rf"{k} flags, pretrain has {n} "
+                                             rf"rows: {unmatched}"):
+            short.validate()
+
+        j = data.draw(st.integers(0, 5))
+        flags = np.concatenate([bundle.corrupted, np.zeros(j + 1, dtype=bool)])
+        flags[n + j] = True
+        with pytest.raises(ValueError, match=rf"outside pretrain: flag {n + j} "):
+            replace(bundle, corrupted=flags).validate()

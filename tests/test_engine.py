@@ -5,11 +5,13 @@ kernel's public gradient functions, and the zero-regularizer reduction is
 checked bitwise against an independently written plain finetuning loop.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from lbi import datasets, engine, model
-from lbi.datasets import DatasetBundle, Example, SynthSpec
+from lbi.datasets import DatasetBundle, Split, SynthSpec
 from lbi.engine import IgnoreSet, LbiConfig, LbiState
 from lbi.errors import ConfigError, NumericError
 
@@ -24,13 +26,11 @@ def tiny_bundle(seed=3, n_pre=6, n_train=4, n_val=3, n_test=4, dim=3):
 def symmetric_pair_bundle(dim=3):
     """Every split holds one feature vector twice with both labels, so a
     zero-parameter model sits at a stationary point of every loss."""
-    x = np.full(dim, 0.7)
+    def pair():
+        return Split(np.full((2, dim), 0.7), np.array([0, 1]))
 
-    def pair(domain):
-        return [Example(x.copy(), 0, domain), Example(x.copy(), 1, domain)]
-
-    return DatasetBundle(pair("source"), pair("target"), pair("target"),
-                         pair("target"), dim, 2)
+    return DatasetBundle(pair(), pair(), pair(), pair(), dim, 2,
+                         np.zeros(2, dtype=bool))
 
 
 def zero_state(bundle, cfg):
@@ -95,6 +95,13 @@ class TestConfig:
     def test_negative_lam_rejected(self):
         with pytest.raises(ConfigError):
             LbiConfig(lam=-1e-3).validate()
+
+    @pytest.mark.parametrize("seed", [-1, 0.5, "3", True, None])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(ConfigError, match="seed"):
+            LbiConfig(seed=seed).validate()
+        with pytest.raises(ConfigError, match="seed"):
+            engine.config_with(LbiConfig(), seed=seed)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ConfigError):
@@ -172,10 +179,16 @@ class TestInitState:
                                   LbiConfig(mode="basic", gamma=0.0))
         assert state.ignore_finetune is None
 
+    def test_ensure_arrays_passes_bundles_only(self):
+        bundle = tiny_bundle()
+        assert engine.ensure_arrays(bundle) is bundle
+        with pytest.raises(ConfigError, match="DatasetBundle"):
+            engine.ensure_arrays([bundle.pretrain])
+
     def test_empty_train_rejected(self):
         bundle = tiny_bundle()
-        broken = DatasetBundle(bundle.pretrain, [], bundle.val, bundle.test,
-                               bundle.dim, bundle.classes)
+        broken = replace(bundle, train=Split(np.zeros((0, bundle.dim)),
+                                             np.zeros(0, dtype=np.int64)))
         with pytest.raises(ConfigError):
             engine.init_state(broken, LbiConfig())
 
@@ -205,9 +218,8 @@ class TestPretrainStep:
         cfg = LbiConfig(lr_pretrain_encoder=0.07, lr_pretrain_head=0.02)
         state = engine.init_state(bundle, cfg)
         state.ignore_pretrain.raw[:] = np.linspace(0.1, 0.9, 6)
-        arrays = engine.ensure_arrays(bundle)
-        g = model.grad_arrays(state.pretrain_model, arrays.pretrain.X,
-                              arrays.pretrain.y,
+        g = model.grad_arrays(state.pretrain_model, bundle.pretrain.X,
+                              bundle.pretrain.y,
                               state.ignore_pretrain.effective())
         stepped = engine.pretrain_step(state, bundle, cfg)
         np.testing.assert_array_equal(
@@ -249,9 +261,8 @@ class TestFinetuneStep:
                         lr_finetune_encoder=0.04, lr_finetune_head=0.01)
         state = engine.init_state(bundle, cfg)
         pre_next = engine.pretrain_step(state, bundle, cfg)
-        arrays = engine.ensure_arrays(bundle)
-        g = model.grad_arrays(state.finetune_model, arrays.train.X,
-                              arrays.train.y, np.ones(arrays.train.n))
+        g = model.grad_arrays(state.finetune_model, bundle.train.X,
+                              bundle.train.y, np.ones(bundle.train.n))
         stepped = engine.finetune_step(state, pre_next, bundle, cfg)
         np.testing.assert_array_equal(
             stepped.encoder, state.finetune_model.encoder - 0.04 * g.d_encoder
@@ -284,12 +295,11 @@ class TestFinetuneStep:
                         lr_finetune_encoder=xi, lr_finetune_head=xi)
         state = engine.init_state(bundle, cfg)
         pre_next = engine.pretrain_step(state, bundle, cfg)
-        arrays = engine.ensure_arrays(bundle)
         W = state.finetune_model
 
         def objective(params):
             train = model.weighted_loss_arrays(
-                params, arrays.train.X, arrays.train.y, np.ones(arrays.train.n)
+                params, bundle.train.X, bundle.train.y, np.ones(bundle.train.n)
             )
             return train + lam * float(
                 np.sum((params.encoder - pre_next.encoder) ** 2)
@@ -340,9 +350,8 @@ class TestFinetuneStep:
         pre_next = engine.pretrain_step(state, bundle, cfg)
         stepped = engine.finetune_step(state, pre_next, bundle, cfg)
 
-        arrays = engine.ensure_arrays(bundle)
-        X = np.vstack([arrays.train.X, arrays.pretrain.X])
-        y = np.concatenate([arrays.train.y, arrays.pretrain.y])
+        X = np.vstack([bundle.train.X, bundle.pretrain.X])
+        y = np.concatenate([bundle.train.y, bundle.pretrain.y])
         g = model.grad_arrays(state.finetune_model, X, y, np.ones(len(y)))
         d_enc = g.d_encoder + model.proximity_grad(
             state.finetune_model.encoder, pre_next.encoder, 0.3
@@ -393,12 +402,12 @@ class TestHypergrads:
         np.testing.assert_allclose(gb, 0.0, atol=1e-15)
 
     def test_duplicated_example_equal_components(self):
-        x = np.array([0.4, -1.1])
-        pretrain = [Example(x.copy(), 1, "source") for _ in range(3)]
+        pretrain = Split(np.tile([0.4, -1.1], (3, 1)), np.ones(3, dtype=np.int64))
         rng = np.random.default_rng(8)
-        train = [Example(rng.normal(size=2), i % 2, "target") for i in range(4)]
-        val = [Example(rng.normal(size=2), i % 2, "target") for i in range(3)]
-        bundle = DatasetBundle(pretrain, train, val, list(val), 2, 2)
+        train = Split(rng.normal(size=(4, 2)), np.arange(4) % 2)
+        val = Split(rng.normal(size=(3, 2)), np.arange(3) % 2)
+        bundle = DatasetBundle(pretrain, train, val, val, 2, 2,
+                               np.zeros(3, dtype=bool))
         cfg = LbiConfig(lam=0.2, gamma=0.9)
         state = engine.init_state(bundle, cfg)
         pre_next = engine.pretrain_step(state, bundle, cfg)
@@ -498,19 +507,18 @@ class TestIteration:
         np.testing.assert_array_equal(nxt.ignore_finetune.raw, upd_b.raw)
         assert nxt.iteration == 1
 
-        arrays = engine.ensure_arrays(bundle)
         assert row.iteration == 0
         np.testing.assert_allclose(
             row.pretrain_loss,
             model.weighted_loss_arrays(
-                state.pretrain_model, arrays.pretrain.X, arrays.pretrain.y,
+                state.pretrain_model, bundle.pretrain.X, bundle.pretrain.y,
                 state.ignore_pretrain.effective(),
             ),
         )
         np.testing.assert_allclose(
             row.val_loss,
-            model.weighted_loss_arrays(fin_next, arrays.val.X, arrays.val.y,
-                                       np.ones(arrays.val.n)),
+            model.weighted_loss_arrays(fin_next, bundle.val.X, bundle.val.y,
+                                       np.ones(bundle.val.n)),
         )
         np.testing.assert_allclose(row.ignore_grad_pretrain_norm,
                                    np.linalg.norm(hg_a))
@@ -560,7 +568,6 @@ class TestIteration:
         the zero-padded hypergradients; across the step-decay boundary
         (iteration 4 of 5), and ``run`` (rates once per phase) agrees."""
         bundle = tiny_bundle(n_pre=9, n_train=6, n_val=5)
-        arrays = engine.ensure_arrays(bundle)
         cfg = LbiConfig(lam=0.3, gamma=0.7, hidden=hidden,
                         ignore_mode=ignore_mode, iterations=5,
                         step_decay=True, batch_size=batch_size,
@@ -569,17 +576,18 @@ class TestIteration:
                         freeze_ignore_finetune=frozen)
         state = engine.init_state(bundle, cfg)
         start = state.copy()
-        n = arrays.pretrain.n
+        n = bundle.pretrain.n
         rows = []
         for it in range(cfg.iterations):
             rates = cfg.rates_at(it)
             idx = engine._batch_indices(
-                cfg, it, (n, arrays.train.n, arrays.val.n))
+                cfg, it, (n, bundle.train.n, bundle.val.n))
             take = [slice(None) if i is None else i for i in idx]
-            sub = engine.BundleArrays(
-                *(engine.SplitArrays(split.X[k], split.y[k]) for split, k in
-                  zip((arrays.pretrain, arrays.train, arrays.val), take)),
-                arrays.test, arrays.dim, arrays.classes, arrays.corrupted)
+            sub = DatasetBundle(
+                *(Split(split.X[k], split.y[k]) for split, k in
+                  zip((bundle.pretrain, bundle.train, bundle.val), take)),
+                bundle.test, bundle.dim, bundle.classes,
+                bundle.corrupted[take[0]])
             sub_state = LbiState(
                 state.pretrain_model, state.finetune_model,
                 IgnoreSet(state.ignore_pretrain.raw[take[0]], ignore_mode),
@@ -706,11 +714,10 @@ class TestRunLoop:
                             lr_finetune_encoder=0.03, lr_finetune_head=0.01)
             state, _ = engine.run(bundle, cfg)
 
-            arrays = engine.ensure_arrays(bundle)
             params = engine.init_state(bundle, cfg).finetune_model
-            ones = np.ones(arrays.train.n)
+            ones = np.ones(bundle.train.n)
             for _ in range(12):
-                g = model.grad_arrays(params, arrays.train.X, arrays.train.y,
+                g = model.grad_arrays(params, bundle.train.X, bundle.train.y,
                                       ones)
                 params = model.ModelParams(
                     params.arch,
@@ -837,10 +844,9 @@ class TestMinibatch:
         state.ignore_pretrain.raw[:] = 0.5
         state.ignore_finetune.raw[:] = 0.5
         for it in range(6):
-            arrays = engine.ensure_arrays(bundle)
             idx_pre, _, _ = engine._batch_indices(
                 cfg, state.iteration,
-                (arrays.pretrain.n, arrays.train.n, arrays.val.n),
+                (bundle.pretrain.n, bundle.train.n, bundle.val.n),
             )
             before = state.ignore_pretrain.raw.copy()
             state, _ = engine.lbi_iteration(state, bundle, cfg)

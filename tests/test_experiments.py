@@ -38,6 +38,12 @@ def pairwise_auc_oracle(weights, flags):
     return score / (len(clean) * len(bad))
 
 
+def sweep_point(value, val_accuracy):
+    """A one-seed sweep point with equal val and test accuracy."""
+    return experiments.SweepPoint(value, [experiments.SeedOutcome(
+        0, val_accuracy, val_accuracy)])
+
+
 class TestAblationConfig:
     def test_switch_table(self):
         base = LbiConfig(lam=0.3, gamma=0.7)
@@ -110,9 +116,8 @@ class TestRecoveryAuc:
 
     def test_accepts_bundle_for_flags(self):
         bundle = datasets.generate(BUNDLE_SPEC)
-        flags = np.array([ex.corrupted for ex in bundle.pretrain])
-        w = np.where(flags, 0.0, 1.0)
-        assert experiments.corrupted_recovery_auc(w, bundle) == 1.0
+        w = np.where(bundle.corrupted, 0.0, 1.0)
+        assert experiments.corrupted_recovery_auc(w, bundle.corrupted) == 1.0
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -149,14 +154,6 @@ class TestRunMatrix:
             np.testing.assert_array_equal(a.final_ignore_pretrain,
                                           b.final_ignore_pretrain)
 
-    def test_threaded_matches_serial(self):
-        serial = experiments.run_matrix(BUNDLE_SPEC, ["A1", "A5"], [0, 1], FAST)
-        threaded = experiments.run_matrix(BUNDLE_SPEC, ["A1", "A5"], [0, 1],
-                                          FAST, threads=4)
-        for a, b in zip(serial.results, threaded.results):
-            assert (a.ablation, a.seed) == (b.ablation, b.seed)
-            assert a.test_accuracy == b.test_accuracy
-
     def test_frozen_cells_keep_scores_fully_on(self):
         result = experiments.run_matrix(BUNDLE_SPEC, ["A5"], [0], FAST)
         row = result.results[0]
@@ -172,10 +169,10 @@ class TestRunMatrix:
         """A3 is FULL with the proximity term cut; the engine must reach
         bit-identical scores (the frozen pretraining weights of A3 receive an
         exactly zero hypergradient once lam is zero)."""
-        arrays = engine.ensure_arrays(datasets.generate(BUNDLE_SPEC))
-        a3 = experiments.run_cell(arrays, FAST, "A3", 0)
+        bundle = datasets.generate(BUNDLE_SPEC)
+        a3 = experiments.run_cell(bundle, FAST, "A3", 0)
         forced = engine.config_with(FAST, lam=0.0)
-        full = experiments.run_cell(arrays, forced, "FULL", 0)
+        full = experiments.run_cell(bundle, forced, "FULL", 0)
         assert a3.test_accuracy == full.test_accuracy
         np.testing.assert_array_equal(a3.final_ignore_finetune,
                                       full.final_ignore_finetune)
@@ -184,10 +181,10 @@ class TestRunMatrix:
 
     def test_gamma_zero_cells_match_full_with_gamma_zero(self):
         """Same reduction on the other switch: A7 is FULL at gamma = 0."""
-        arrays = engine.ensure_arrays(datasets.generate(BUNDLE_SPEC))
-        a7 = experiments.run_cell(arrays, FAST, "A7", 0)
+        bundle = datasets.generate(BUNDLE_SPEC)
+        a7 = experiments.run_cell(bundle, FAST, "A7", 0)
         forced = engine.config_with(FAST, gamma=0.0)
-        full = experiments.run_cell(arrays, forced, "FULL", 0)
+        full = experiments.run_cell(bundle, forced, "FULL", 0)
         assert a7.test_accuracy == full.test_accuracy
         np.testing.assert_array_equal(a7.final_ignore_pretrain,
                                       full.final_ignore_pretrain)
@@ -224,6 +221,35 @@ class TestSweep:
             experiments.sweep("lambda", [-0.1, 0.2, 0.3], BUNDLE_SPEC, [0], FAST)
         with pytest.raises(ConfigError):
             experiments.sweep("mu", [0.1, 0.2, 0.3], BUNDLE_SPEC, [0], FAST)
+        for grid in ("abc", [0.1, "x", 0.3], [0.1, None, 0.3]):
+            with pytest.raises(ConfigError, match="numbers"):
+                experiments.sweep("lambda", grid, BUNDLE_SPEC, [0], FAST)
+
+    def test_outcomes_per_seed_in_seed_order(self):
+        """Each point records every seed in the order given: accuracies for
+        a finished run, an error naming the seed for a failed one."""
+        huge = engine.config_with(FAST, lr_pretrain_encoder=1e100,
+                                  lr_pretrain_head=1e100,
+                                  lr_finetune_encoder=1e100,
+                                  lr_finetune_head=1e100)
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = experiments.sweep("lambda", [0.0, 0.01, 1.0], BUNDLE_SPEC,
+                                       [2, 0], huge)
+        assert result.any_failed
+        for point in result.points:
+            assert [o.seed for o in point.outcomes] == [2, 0]
+            for o in point.outcomes:
+                if o.error is None:
+                    assert 0.0 <= o.val_accuracy <= 1.0
+                    assert 0.0 <= o.test_accuracy <= 1.0
+                else:
+                    assert o.error.startswith(f"seed {o.seed}: numeric failure")
+                    assert o.val_accuracy is None and o.test_accuracy is None
+            assert point.errors == [o.error for o in point.outcomes if o.error]
+            assert point.val_accuracies == [o.val_accuracy for o in point.outcomes
+                                            if o.error is None]
+        assert not result.points[0].errors
+        assert len(result.points[2].errors) == 2
 
     def test_point_per_grid_value_in_order(self):
         grid = [0.0, 0.05, 0.2]
@@ -246,10 +272,10 @@ class TestSweep:
         """The lam = 0 grid point runs the same computation as ablation A3
         except nothing is frozen; with lam = 0 the pretraining hypergradient
         vanishes anyway, so accuracies coincide exactly."""
-        arrays = engine.ensure_arrays(datasets.generate(BUNDLE_SPEC))
-        result = experiments.sweep("lambda", [0.0, 0.05, 0.2], arrays, [0],
+        bundle = datasets.generate(BUNDLE_SPEC)
+        result = experiments.sweep("lambda", [0.0, 0.05, 0.2], bundle, [0],
                                    FAST)
-        a3 = experiments.run_cell(arrays, FAST, "A3", 0)
+        a3 = experiments.run_cell(bundle, FAST, "A3", 0)
         assert result.points[0].val_accuracies[0] == a3.val_accuracy
         assert result.points[0].test_accuracies[0] == a3.test_accuracy
 
@@ -261,28 +287,16 @@ class TestSweep:
 
     def test_argmax_interior_flag(self):
         result = experiments.SweepResult("lambda", [
-            experiments.SweepPoint(0.1, [0.5], [0.5], []),
-            experiments.SweepPoint(0.2, [0.9], [0.9], []),
-            experiments.SweepPoint(0.3, [0.7], [0.7], []),
+            sweep_point(0.1, 0.5), sweep_point(0.2, 0.9), sweep_point(0.3, 0.7),
         ])
         assert result.argmax_value == 0.2
         assert result.argmax_interior
-        result.points[0].val_accuracies = [0.95]
+        result.points[0].outcomes[0].val_accuracy = 0.95
         assert result.argmax_value == 0.1
         assert not result.argmax_interior
 
     def test_argmax_first_on_ties(self):
         result = experiments.SweepResult("gamma", [
-            experiments.SweepPoint(0.1, [0.8], [0.8], []),
-            experiments.SweepPoint(0.2, [0.8], [0.8], []),
-            experiments.SweepPoint(0.3, [0.5], [0.5], []),
+            sweep_point(0.1, 0.8), sweep_point(0.2, 0.8), sweep_point(0.3, 0.5),
         ])
         assert result.argmax_value == 0.1
-
-    def test_threaded_matches_serial(self):
-        grid = [0.0, 0.05, 0.2]
-        serial = experiments.sweep("lambda", grid, BUNDLE_SPEC, [0], FAST)
-        threaded = experiments.sweep("lambda", grid, BUNDLE_SPEC, [0], FAST,
-                                     threads=3)
-        for a, b in zip(serial.points, threaded.points):
-            assert a.val_accuracies == b.val_accuracies

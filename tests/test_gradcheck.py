@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from lbi import engine, gradcheck, model
+from lbi.datasets import DatasetBundle, Split
 from lbi.engine import IgnoreSet, LbiState
 
 # Every instance kind the benchmark and criterion 1 check: linear or hidden 4,
@@ -206,10 +207,10 @@ class TestExecutedPath:
             (arrays.pretrain.n, arrays.train.n, arrays.val.n))
         idx_pre = idx[0]
         assert len(idx_pre) == 4
-        sub = engine.BundleArrays(
-            *(engine.SplitArrays(split.X[k], split.y[k]) for split, k in
+        sub = DatasetBundle(
+            *(Split(split.X[k], split.y[k]) for split, k in
               zip((arrays.pretrain, arrays.train, arrays.val), idx)),
-            arrays.test, arrays.dim, arrays.classes, arrays.corrupted)
+            arrays.test, arrays.dim, arrays.classes, arrays.corrupted[idx_pre])
         sub_state = LbiState(
             state.pretrain_model, state.finetune_model,
             IgnoreSet(state.ignore_pretrain.raw[idx_pre], "sigmoid"),

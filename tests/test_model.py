@@ -211,27 +211,6 @@ class TestPerExampleGrads:
         np.testing.assert_array_equal(genc[0], genc[1])
         np.testing.assert_array_equal(ghead[0], ghead[1])
 
-    def test_example_object_wrappers_agree_with_array_path(self):
-        from lbi.datasets import Example
-
-        rng = np.random.default_rng(23)
-        arch = Arch(dim=3, hidden=0, classes=2)
-        params = random_params(arch, rng)
-        X, y = random_batch(arch, rng, 4)
-        examples = [Example(X[i], int(y[i]), "source") for i in range(4)]
-        w = rng.uniform(0, 1, 4)
-        np.testing.assert_allclose(
-            model.weighted_batch_loss(params, examples, w),
-            model.weighted_loss_arrays(params, X, y, w), rtol=1e-15,
-        )
-        g1 = model.grad(params, examples, w)
-        g2 = model.grad_arrays(params, X, y, w)
-        np.testing.assert_array_equal(g1.d_encoder, g2.d_encoder)
-        blocks = model.per_example_grads(params, examples)
-        genc, _ = model.per_example_grad_arrays(params, X, y)
-        for i, blk in enumerate(blocks):
-            np.testing.assert_array_equal(blk.d_encoder, genc[i])
-
 
 class TestContraction:
     """encoder_dots / head_dots against the materialized per-example rows."""
