@@ -23,6 +23,7 @@ from .engine import (  # noqa: F401
     init_state,
     lbi_iteration,
     run,
+    run_stack,
 )
 from .errors import ConfigError, LbiError, NumericError, ParseError  # noqa: F401
 from .experiments import (  # noqa: F401

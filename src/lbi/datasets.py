@@ -133,6 +133,29 @@ def _shift_axis(dim: int) -> np.ndarray:
     return np.ones(dim) / math.sqrt(dim)
 
 
+_SPEC_INT_FIELDS = ("dim", "classes", "n_pretrain", "n_train", "n_val",
+                    "n_test", "seed")
+_SPEC_FLOAT_FIELDS = ("shift", "noise_sigma", "corrupt_frac")
+
+
+def _spec_value(name: str, value):
+    """A config value for SynthSpec field ``name`` as the field's type:
+    integers also from integral floats or integer text, numbers also from
+    numeric text (YAML leaves 7e-3 as text).  Else ConfigError."""
+    kind = "an integer" if name in _SPEC_INT_FIELDS else "a number"
+    try:
+        if isinstance(value, bool):
+            raise ValueError("boolean")
+        if name in _SPEC_FLOAT_FIELDS:
+            return float(value)
+        out = int(value) if not isinstance(value, str) else int(value.strip())
+        if out != float(value):
+            raise ValueError("not an integer")
+        return out
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"data.{name} must be {kind}, got {value!r}") from None
+
+
 @dataclass
 class SynthSpec:
     """Recipe for one synthetic bundle."""
@@ -159,6 +182,18 @@ class SynthSpec:
             )
 
     def validate(self):
+        for name in _SPEC_INT_FIELDS:
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise ConfigError(f"data.{name} must be an integer, got {v!r}")
+        for name in _SPEC_FLOAT_FIELDS:
+            v = getattr(self, name)
+            if (isinstance(v, bool) or not isinstance(v, (int, float, np.number))
+                    or not math.isfinite(v)):
+                raise ConfigError(
+                    f"data.{name} must be a finite number, got {v!r}")
+        if self.seed < 0:
+            raise ConfigError(f"data.seed must be >= 0, got {self.seed}")
         if self.dim < 1:
             raise ConfigError(f"dim must be >= 1, got {self.dim}")
         if self.classes < 2:
@@ -220,9 +255,15 @@ class SynthSpec:
         unknown = set(d) - known
         if unknown:
             raise ConfigError(f"unknown data keys: {sorted(unknown)}")
-        kwargs = dict(d)
-        if "source_means" in kwargs and kwargs["source_means"] is not None:
-            kwargs["source_means"] = np.asarray(kwargs["source_means"], dtype=np.float64)
+        kwargs = {name: value if name in ("corrupt_kind", "source_means")
+                  else _spec_value(name, value) for name, value in d.items()}
+        if kwargs.get("source_means") is not None:
+            try:
+                kwargs["source_means"] = np.asarray(kwargs["source_means"],
+                                                    dtype=np.float64)
+            except (TypeError, ValueError):
+                raise ConfigError("data.source_means must be a classes x dim "
+                                  "table of numbers") from None
         spec = cls(**kwargs)
         spec.validate()
         return spec
@@ -402,7 +443,8 @@ def load_csv(path: str, schema: CsvSchema | None = None) -> DatasetBundle:
     and the class count is one past the largest label.  A sidecar whose
     feature count, split sizes or class count disagrees with the CSV raises
     ParseError, because its corruption indices would then point at the
-    wrong examples.  Malformed rows raise ParseError naming the line.
+    wrong examples.  Malformed rows, including feature text that parses to
+    nan or inf, raise ParseError naming the line.
     """
     schema = schema or CsvSchema()
     # Per split: features packed as doubles (Python floats would take four
@@ -492,8 +534,27 @@ def load_csv(path: str, schema: CsvSchema | None = None) -> DatasetBundle:
         for xs, ys in rows.values()
     ]
     bundle = DatasetBundle(*splits, dim, classes, corrupted)
-    bundle.validate()
+    try:
+        bundle.validate()
+    except ValueError:
+        # float() reads "nan" and "inf"; name the first such line.
+        lineno = _first_non_finite_line(path)
+        if lineno is None:
+            raise
+        raise ParseError(f"{path} line {lineno}: non-finite feature value") from None
     return bundle
+
+
+def _first_non_finite_line(path: str) -> int | None:
+    """Line number of the first data row of a parsed CSV with a non-finite
+    feature, or None."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for lineno, row in enumerate(reader, start=2):
+            if row and not all(math.isfinite(float(v)) for v in row[2:]):
+                return lineno
+    return None
 
 
 def with_seed(spec: SynthSpec, seed: int) -> SynthSpec:

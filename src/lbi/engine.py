@@ -42,12 +42,25 @@ logistic function, whose derivative multiplies the hypergradient.
 
 Everything is deterministic given the config seed; two runs with the same
 bundle and config produce bit-identical trajectories.
+
+Stacks.  ``run_stack`` steps K cells (say, the ablation matrix) as one: the
+state's blocks and scores gain a leading K axis and each kernel call serves
+every cell, which saves numpy's per-call cost K - 1 times over.  Cells share
+every config field except seed, lam, gamma and the two freeze flags, so the
+rates stay scalars while lam and gamma become (K, 1) columns, the freeze
+flags length-K masks and the minibatches per-cell index arrays.  The zero
+skips of a single run become masks: a cell with lam = 0 or gamma = 0 takes
+the step without that term, and frozen scores, or scores with an all-zero
+hypergradient, keep their bits.  Each cell's trajectory is bit for bit its
+one-cell run; ``run`` and ``lbi_iteration`` are the one-cell case of the
+same code, in which the state keeps no cell axis.  A cell that fails a
+finite check leaves the stack with its own run's error while the others go
+on.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -110,9 +123,9 @@ class IgnoreSet:
 
     def effective(self, idx: np.ndarray | None = None) -> np.ndarray:
         """Weights actually applied to losses; always within [0, 1].  With
-        ``idx``, only those entries (elementwise, so the values are those of
-        ``effective()[idx]``)."""
-        raw = self.raw if idx is None else self.raw[idx]
+        ``idx``, only the entries at those flat positions (elementwise, so
+        the values are those of ``effective().reshape(-1)[idx]``)."""
+        raw = self.raw if idx is None else self.raw.reshape(-1)[idx]
         if self.mode == "clamp":
             return raw.clip(0.0, 1.0)
         return expit(raw)
@@ -358,10 +371,19 @@ def init_state(bundle: DatasetBundle, cfg: LbiConfig) -> LbiState:
     )
 
 
-def _check_finite(block: np.ndarray, what: str, iteration: int | None):
+def _nonfinite(block: np.ndarray) -> np.ndarray:
+    """Whether any entry of each model's block is not finite: one flag per
+    cell of a stack, a 0-d array for one model."""
     # np.logical_and.reduce is ndarray.all without its Python layer.
-    if not np.logical_and.reduce(np.isfinite(block)):
-        raise NumericError(f"non-finite {what}", iteration)
+    return ~np.logical_and.reduce(np.isfinite(block), axis=-1)
+
+
+def _check_update(params: ModelParams, what: str, iteration: int | None):
+    """NumericError unless one model's stepped blocks are finite, encoder
+    first; ``what`` names the model ("pretraining" or "finetuned")."""
+    for part, block in (("encoder", params.encoder), ("head", params.head)):
+        if not np.logical_and.reduce(np.isfinite(block), axis=None):
+            raise NumericError(f"non-finite {what} {part} update", iteration)
 
 
 def _sgd_update(params: ModelParams, g: GradBlock, lr_encoder: float,
@@ -379,22 +401,18 @@ def _sgd_update(params: ModelParams, g: GradBlock, lr_encoder: float,
 
 
 def _pretrain_update(params: ModelParams, fwd: model.Forward | None, weights,
-                     rates: Rates, weight_decay: float,
-                     iteration: int | None) -> ModelParams:
+                     rates: Rates, weight_decay: float) -> ModelParams:
     """Step from ``fwd``, the pretraining model's forward on its batch (None
     for an empty batch, which leaves the parameters unchanged)."""
     if fwd is None:
         return params.copy()
-    g = model.weighted_grad(fwd, weights)
-    out = _sgd_update(params, g, rates.pretrain_encoder, rates.pretrain_head,
-                      weight_decay)
-    _check_finite(out.encoder, "pretraining encoder update", iteration)
-    _check_finite(out.head, "pretraining head update", iteration)
-    return out
+    return _sgd_update(params, model.weighted_grad(fwd, weights),
+                       rates.pretrain_encoder, rates.pretrain_head,
+                       weight_decay)
 
 
 def _forward_or_none(params: ModelParams, X: np.ndarray, y: np.ndarray):
-    if X.shape[0] == 0:
+    if X.shape[-2] == 0:
         return None
     return model._softmax_residual(params, X, y)
 
@@ -416,13 +434,14 @@ def pretrain_step(state: LbiState, bundle: DatasetBundle, cfg: LbiConfig,
     """
     _check_scores(state.ignore_pretrain, bundle.pretrain.n, "pretraining")
     rates = rates or cfg.rates_at(state.iteration)
-    return _pretrain_update(
-        state.pretrain_model,
-        _forward_or_none(state.pretrain_model, bundle.pretrain.X,
-                         bundle.pretrain.y),
-        state.ignore_pretrain.effective(),
-        rates, cfg.weight_decay, state.iteration,
-    )
+    fwd = _forward_or_none(state.pretrain_model, bundle.pretrain.X,
+                           bundle.pretrain.y)
+    out = _pretrain_update(state.pretrain_model, fwd,
+                           state.ignore_pretrain.effective(), rates,
+                           cfg.weight_decay)
+    if fwd is not None:
+        _check_update(out, "pretraining", state.iteration)
+    return out
 
 
 def _mixes_source(cfg: LbiConfig) -> bool:
@@ -431,30 +450,49 @@ def _mixes_source(cfg: LbiConfig) -> bool:
     return cfg.mode == "extended" and cfg.gamma != 0.0
 
 
+def _all(flags) -> bool:
+    """Whether every flag holds: a bool for one model, an array of them for
+    a stack.  The ufunc reduce is np.all without its Python layer."""
+    return flags is True or bool(np.logical_and.reduce(flags, axis=None))
+
+
+def _any(flags) -> bool:
+    return flags is True or bool(np.logical_or.reduce(flags, axis=None))
+
+
+def _select(keep, new: np.ndarray, old) -> np.ndarray:
+    """``new`` in the cells where ``keep`` holds and ``old`` elsewhere;
+    ``new`` itself where ``keep`` holds everywhere (always for one model)."""
+    return new if _all(keep) else np.where(keep, new, old)
+
+
 def _finetune_update(params: ModelParams, pretrained_next: ModelParams,
-                     train_fwd: model.Forward, source_fwd: model.Forward | None,
-                     source_w, cfg: LbiConfig, rates: Rates,
-                     iteration: int | None) -> ModelParams:
-    """Step from the finetuned model's forwards on the train batch and, when
-    the objective mixes it in, on the pretraining batch (else None)."""
-    g = model.weighted_grad(train_fwd)
-    d_enc = g.d_encoder
-    d_head = g.d_head
+                     train_grad: GradBlock, source_fwd: model.Forward | None,
+                     source_w, lam, gamma, rates: Rates,
+                     weight_decay: float) -> ModelParams:
+    """Step from ``train_grad``, the finetuned model's gradient on the train
+    batch, and, when the objective mixes it in, its forward on the
+    pretraining batch (else None).
+
+    ``lam`` and ``gamma`` are floats for one model and (K, 1) columns for a
+    stack.  A cell whose lam (gamma) is zero takes the step without that
+    term, not with an added zero, so its bits are those of the plain step.
+    """
+    d_enc = train_grad.d_encoder
+    d_head = train_grad.d_head
     if source_fwd is not None:
         gs = model.weighted_grad(source_fwd, source_w)
-        d_enc = d_enc + cfg.gamma * gs.d_encoder
-        d_head = d_head + cfg.gamma * gs.d_head
-    if cfg.lam != 0.0:
-        d_enc = d_enc + model.proximity_grad(
-            params.encoder, pretrained_next.encoder, cfg.lam
-        )
-    out = _sgd_update(
+        mixes = gamma != 0.0
+        d_enc = _select(mixes, d_enc + gamma * gs.d_encoder, d_enc)
+        d_head = _select(mixes, d_head + gamma * gs.d_head, d_head)
+    near = lam != 0.0
+    if _any(near):
+        d_enc = _select(near, d_enc + model.proximity_grad(
+            params.encoder, pretrained_next.encoder, lam), d_enc)
+    return _sgd_update(
         params, GradBlock(d_enc, d_head),
-        rates.finetune_encoder, rates.finetune_head, cfg.weight_decay,
+        rates.finetune_encoder, rates.finetune_head, weight_decay,
     )
-    _check_finite(out.encoder, "finetuned encoder update", iteration)
-    _check_finite(out.head, "finetuned head update", iteration)
-    return out
 
 
 def finetune_step(state: LbiState, pretrained_next: ModelParams,
@@ -476,11 +514,12 @@ def finetune_step(state: LbiState, pretrained_next: ModelParams,
         source_fwd = _forward_or_none(params, bundle.pretrain.X,
                                       bundle.pretrain.y)
         b = state.ignore_finetune.effective()
-    return _finetune_update(
-        params, pretrained_next,
-        model._softmax_residual(params, bundle.train.X, bundle.train.y),
-        source_fwd, b, cfg, rates, state.iteration,
-    )
+    train_grad = model.weighted_grad(
+        model._softmax_residual(params, bundle.train.X, bundle.train.y))
+    out = _finetune_update(params, pretrained_next, train_grad, source_fwd, b,
+                           cfg.lam, cfg.gamma, rates, cfg.weight_decay)
+    _check_update(out, "finetuned", state.iteration)
+    return out
 
 
 def _val_grad(finetuned_next: ModelParams, bundle: DatasetBundle) -> GradBlock:
@@ -489,27 +528,29 @@ def _val_grad(finetuned_next: ModelParams, bundle: DatasetBundle) -> GradBlock:
 
 
 def _hypergrad_pretrain(fwd: model.Forward, val_grad: GradBlock, chain,
-                        cfg: LbiConfig, rates: Rates,
+                        lam, rates: Rates,
                         projection: np.ndarray | None = None) -> np.ndarray:
     """-2 xi_V xi_W lam <g_i(V)|enc, g_val(W')|enc> times the score chain
     factor (None: 1), for the examples of ``fwd`` (the pretraining model's
     forward).  ``projection`` is ``model.encoder_projection`` of that batch
-    and ``val_grad``, when the caller has it."""
-    scale = -2.0 * rates.pretrain_encoder * rates.finetune_encoder * cfg.lam
+    and ``val_grad``, when the caller has it.  ``lam`` is a float, or a
+    (K, 1) column for a stack."""
+    scale = -2.0 * rates.pretrain_encoder * rates.finetune_encoder * lam
     hg = scale * model.encoder_dots(fwd, val_grad, projection)
     return hg if chain is None else hg * chain
 
 
 def _hypergrad_finetune(fwd: model.Forward, val_grad: GradBlock, chain,
-                        cfg: LbiConfig, rates: Rates,
+                        gamma, rates: Rates,
                         projection: np.ndarray | None = None) -> np.ndarray:
     """-gamma (xi_W <g_i(W)|enc, g_val|enc> + xi_H <g_i(W)|head, g_val|head>)
     times the score chain factor (None: 1), for the examples of ``fwd`` (the
-    finetuned model's forward on the pretraining batch)."""
+    finetuned model's forward on the pretraining batch).  ``gamma`` is a
+    float, or a (K, 1) column for a stack."""
     comp = rates.finetune_encoder * model.encoder_dots(fwd, val_grad,
                                                        projection)
     comp += rates.finetune_head * model.head_dots(fwd, val_grad)
-    hg = -cfg.gamma * comp
+    hg = -gamma * comp
     return hg if chain is None else hg * chain
 
 
@@ -539,7 +580,8 @@ def hypergrad_ignore_pretrain(state: LbiState, finetuned_next: ModelParams,
     gv = val_grad or _val_grad(finetuned_next, bundle)
     scores = state.ignore_pretrain
     return _hypergrad_pretrain(
-        fwd, gv, _chain_factor(scores.mode, scores.effective()), cfg, rates)
+        fwd, gv, _chain_factor(scores.mode, scores.effective()), cfg.lam,
+        rates)
 
 
 def hypergrad_ignore_finetune(state: LbiState, finetuned_next: ModelParams,
@@ -567,35 +609,51 @@ def hypergrad_ignore_finetune(state: LbiState, finetuned_next: ModelParams,
     gv = val_grad or _val_grad(finetuned_next, bundle)
     scores = state.ignore_finetune
     return _hypergrad_finetune(
-        fwd, gv, _chain_factor(scores.mode, scores.effective()), cfg, rates)
+        fwd, gv, _chain_factor(scores.mode, scores.effective()), cfg.gamma,
+        rates)
 
 
 def apply_ignore_update(ignore: IgnoreSet, g: np.ndarray, rate: float,
                         idx: np.ndarray | None = None) -> IgnoreSet:
     """Step raw scores along -g.  Clamp mode projects back into [0, 1].
 
-    With ``idx``, g holds the gradient of the entries ``raw[idx]`` only and
-    every other entry keeps its value.  That is the full step with a zero
-    gradient outside ``idx`` for scores in the range the engine keeps them
-    in (clamp mode projects out-of-range entries only when stepping them).
+    With ``idx``, g holds the gradient of the entries at the flat positions
+    ``idx`` only (``raw[idx]`` for one score vector; in a stack's (K, n)
+    scores, cell k's example i sits at k * n + i), and every other entry
+    keeps its value.  That is the full step with a zero gradient outside
+    ``idx`` for scores in the range the engine keeps them in (clamp mode
+    projects out-of-range entries only when stepping them).
     """
     g = np.asarray(g, dtype=np.float64)
     want = ignore.raw.shape if idx is None else np.shape(idx)
     if g.shape != want:
         raise ValueError(f"gradient shape {g.shape} != scores {want}")
-    if not np.logical_and.reduce(np.isfinite(g)):
+    if not np.logical_and.reduce(np.isfinite(g), axis=None):
         raise NumericError("non-finite ignoring-score gradient")
     if idx is None:
         raw = ignore.raw - rate * g
         if ignore.mode == "clamp":
             raw.clip(0.0, 1.0, out=raw)
         return IgnoreSet._of(raw, ignore.mode)
-    step = ignore.raw[idx] - rate * g
+    raw = ignore.raw.copy()
+    flat = raw.reshape(-1)
+    step = flat[idx] - rate * g
     if ignore.mode == "clamp":
         step.clip(0.0, 1.0, out=step)
-    raw = ignore.raw.copy()
-    raw[idx] = step
+    flat[idx] = step
     return IgnoreSet._of(raw, ignore.mode)
+
+
+def _draw_batches(seed: int, batch_size: int, iteration: int,
+                  sizes: tuple[int, int, int]):
+    rng = np.random.default_rng(
+        np.random.SeedSequence(seed, spawn_key=(_SEED_DOMAIN_BATCH, iteration))
+    )
+    out = []
+    for n in sizes:
+        k = min(batch_size, n)
+        out.append(np.sort(rng.choice(n, size=k, replace=False)) if n else None)
+    return tuple(out)
 
 
 def _batch_indices(cfg: LbiConfig, iteration: int, sizes: tuple[int, int, int]):
@@ -606,14 +664,21 @@ def _batch_indices(cfg: LbiConfig, iteration: int, sizes: tuple[int, int, int]):
     """
     if cfg.batch_size is None:
         return None, None, None
-    rng = np.random.default_rng(
-        np.random.SeedSequence(cfg.seed, spawn_key=(_SEED_DOMAIN_BATCH, iteration))
-    )
-    out = []
-    for n in sizes:
-        k = min(cfg.batch_size, n)
-        out.append(np.sort(rng.choice(n, size=k, replace=False)) if n else None)
-    return tuple(out)
+    return _draw_batches(cfg.seed, cfg.batch_size, iteration, sizes)
+
+
+def _cell_batch_indices(cells: "_Cells", batch_size: int | None,
+                        iteration: int, sizes: tuple[int, int, int]):
+    """Each cell's ``_batch_indices`` (from its own seed), stacked into one
+    (K, batch) array per split for a stack, or Nones."""
+    if batch_size is None:
+        return None, None, None
+    per_cell = [_draw_batches(seed, batch_size, iteration, sizes)
+                for seed in cells.seeds]
+    if not cells.stacked:
+        return per_cell[0]
+    return tuple(None if split[0] is None else np.array(split)
+                 for split in zip(*per_cell))
 
 
 def _rows(split: Split, idx: np.ndarray | None):
@@ -624,29 +689,239 @@ def _rows(split: Split, idx: np.ndarray | None):
     return split.X[idx], split.y[idx]
 
 
-def _grad_norm(hg: np.ndarray | None, idx: np.ndarray | None, n: int) -> float:
-    """Euclidean norm of a raw-score hypergradient over all n scores, given
-    its batch entries (None: all zero)."""
+def _grad_norms(hg: np.ndarray | None, has: np.ndarray, at: np.ndarray | None,
+                n: int) -> np.ndarray:
+    """Each cell's Euclidean norm of its raw-score hypergradient over all n
+    scores, given the batch entries ``hg`` at flat positions ``at`` (None:
+    all n); 0 where ``has`` is false (an all-zero hypergradient)."""
     if hg is None:
-        return 0.0
-    if idx is not None:
+        return np.zeros(np.shape(has))
+    if at is not None:
         # Zero-padded to n as the trace has always measured it: the dot of
         # the batch entries alone may round differently.
-        full = np.zeros(n)
-        full[idx] = hg
+        full = np.zeros(hg.shape[:-1] + (n,))
+        full.reshape(-1)[at] = hg
         hg = full
-    return math.sqrt(hg @ hg)
+    return _select(has, np.sqrt(model._vecdot(hg, hg)), 0.0)
 
 
-def _step_scores(scores: IgnoreSet, hg: np.ndarray, rate: float,
-                 idx: np.ndarray | None, iteration: int) -> IgnoreSet:
-    try:
-        if idx is None:
-            return apply_ignore_update(scores, hg, rate)
-        return apply_ignore_update(scores, hg, rate, idx)
-    except NumericError as e:
-        e.iteration = iteration
-        raise
+def _step_cells(scores: IgnoreSet | None, hg: np.ndarray | None, rate: float,
+                at: np.ndarray | None, cells: np.ndarray) -> IgnoreSet | None:
+    """The scores stepped along ``hg`` in the selected cells only."""
+    if hg is None or not _any(cells):
+        return scores
+    if not _all(cells):
+        # A zero step leaves every score the engine keeps exactly as it is.
+        hg = np.where(cells[:, None], hg, 0.0)
+    if at is None:
+        return apply_ignore_update(scores, hg, rate)
+    return apply_ignore_update(scores, hg, rate, at)
+
+
+# The config fields in which the cells of one stack may differ.
+_PER_CELL_FIELDS = ("seed", "lam", "gamma", "freeze_ignore_pretrain",
+                    "freeze_ignore_finetune")
+
+
+@dataclass(frozen=True)
+class _Cells:
+    """The per-cell switches of the cells of a state: lam and gamma, whether
+    each cell has the proximity term, whether its finetuning objective mixes
+    in the source term (extended mode, gamma not zero) and whether it learns
+    (does not freeze) each score set.
+
+    For a stack of K cells, in stack order: lam and gamma as (K, 1) columns
+    that broadcast against (K, ·) blocks and the flags as length-K masks.
+    One cell's state keeps no cell axis (its blocks are the plain one-model
+    arrays, on numpy's faster 2-D paths), and its switches are a float and
+    bools.
+    """
+
+    seeds: tuple
+    lam: np.ndarray | float
+    gamma: np.ndarray | float
+    prox: np.ndarray | bool
+    mixes: np.ndarray | bool
+    learn_a: np.ndarray | bool
+    learn_b: np.ndarray | bool
+
+    @property
+    def stacked(self) -> bool:
+        return isinstance(self.prox, np.ndarray)
+
+    @classmethod
+    def of(cls, cfgs: list[LbiConfig]) -> "_Cells":
+        if len(cfgs) == 1:
+            (c,) = cfgs
+            return cls((c.seed,), c.lam, c.gamma, c.lam != 0.0,
+                       _mixes_source(c), not c.freeze_ignore_pretrain,
+                       not c.freeze_ignore_finetune)
+        lam = np.array([[c.lam] for c in cfgs], dtype=np.float64)
+        gamma = np.array([[c.gamma] for c in cfgs], dtype=np.float64)
+        return cls(
+            tuple(c.seed for c in cfgs), lam, gamma, lam[:, 0] != 0.0,
+            (gamma[:, 0] != 0.0) & (cfgs[0].mode == "extended"),
+            np.array([not c.freeze_ignore_pretrain for c in cfgs]),
+            np.array([not c.freeze_ignore_finetune for c in cfgs]),
+        )
+
+    def take(self, keep: np.ndarray) -> "_Cells":
+        return _Cells(tuple(s for s, k in zip(self.seeds, keep) if k),
+                      *(getattr(self, f.name)[keep]
+                        for f in fields(self) if f.name != "seeds"))
+
+
+def _blocks(state: LbiState) -> list[np.ndarray]:
+    """The state's arrays: both models' blocks, then its score sets."""
+    blocks = [state.pretrain_model.encoder, state.pretrain_model.head,
+              state.finetune_model.encoder, state.finetune_model.head,
+              state.ignore_pretrain.raw]
+    if state.ignore_finetune is not None:
+        blocks.append(state.ignore_finetune.raw)
+    return blocks
+
+
+def _with_blocks(like: LbiState, blocks: list[np.ndarray]) -> LbiState:
+    """A state with ``like``'s architecture, score mode and iteration that
+    holds ``blocks`` (in ``_blocks`` order)."""
+    arch, mode = like.pretrain_model.arch, like.ignore_pretrain.mode
+    return LbiState(
+        ModelParams._of(arch, blocks[0], blocks[1]),
+        ModelParams._of(arch, blocks[2], blocks[3]),
+        IgnoreSet._of(blocks[4], mode),
+        IgnoreSet._of(blocks[5], mode) if len(blocks) > 5 else None,
+        like.iteration,
+    )
+
+
+def _stack(states: list[LbiState]) -> LbiState:
+    """One state whose arrays stack the cells' arrays on a leading axis."""
+    return _with_blocks(states[0], [np.stack(cell_blocks) for cell_blocks
+                                    in zip(*map(_blocks, states))])
+
+
+def _cell(stacked: LbiState, k) -> LbiState:
+    """Cell ``k`` of a stacked state (an index: that cell's state; a mask:
+    a smaller stack)."""
+    return _with_blocks(stacked, [b[k] for b in _blocks(stacked)])
+
+
+def _first_failures(checks, iteration: int) -> dict[int, NumericError]:
+    """{cell: the NumericError of its first failed check}, given (what,
+    block, mask of the cells it is checked in or None for all) in the order
+    a one-cell run makes the checks."""
+    # Usually everything is finite: one test over all blocks at once.
+    joined = np.concatenate([block for _, block, _ in checks], axis=-1)
+    if np.logical_and.reduce(np.isfinite(joined), axis=None):
+        return {}
+    failed = {}
+    for what, block, cells in checks:
+        bad = _nonfinite(block) if cells is None else _nonfinite(block) & cells
+        for k in np.flatnonzero(bad):
+            failed.setdefault(int(k), NumericError(f"non-finite {what}",
+                                                   iteration))
+    return failed
+
+
+def _iterate(state: LbiState, bundle: DatasetBundle, cfg: LbiConfig,
+             cells: _Cells, rates: Rates):
+    """Advance every cell of a state, one cell or a stack, by one iteration.
+
+    ``cfg`` supplies the fields the cells share and ``cells`` the rest.
+    Returns the next state, the five trace values of ``TraceRow`` after its
+    iteration (one length-K vector each for a stack), and {cell position:
+    NumericError} for the cells that failed a finite check; their entries in
+    the next state are not meaningful.
+
+    Each cell's values are the bits of a one-cell iteration: the kernels
+    keep every model's sums in the same order (see ``model``), and a cell
+    whose lam or gamma is zero, or whose scores are frozen, gets its plain
+    values through ``_select``, never an added zero.
+    """
+    it = state.iteration
+    K = len(cells.seeds)
+    n_pre = bundle.pretrain.n
+    mode = state.ignore_pretrain.mode
+    idx_pre, idx_tr, idx_val = _cell_batch_indices(
+        cells, cfg.batch_size, it, (n_pre, bundle.train.n, bundle.val.n)
+    )
+    # Positions of the pretraining batch in the flat (K * n) score array.
+    at = idx_pre
+    if idx_pre is not None and cells.stacked:
+        at = idx_pre + n_pre * np.arange(K)[:, None]
+    X_pre, y_pre = _rows(bundle.pretrain, idx_pre)
+
+    # Stage 1: pretraining step on the (sub)batch.
+    pre_fwd = _forward_or_none(state.pretrain_model, X_pre, y_pre)
+    a = state.ignore_pretrain.effective(at)
+    pretrained_next = _pretrain_update(state.pretrain_model, pre_fwd, a,
+                                       rates, cfg.weight_decay)
+
+    # Stage 2: finetuning step.
+    train_fwd = model._softmax_residual(state.finetune_model,
+                                        *_rows(bundle.train, idx_tr))
+    source_fwd, b = None, None
+    if _any(cells.mixes):
+        source_fwd = _forward_or_none(state.finetune_model, X_pre, y_pre)
+        b = state.ignore_finetune.effective(at)
+    finetuned_next = _finetune_update(
+        state.finetune_model, pretrained_next, model.weighted_grad(train_fwd),
+        source_fwd, b, cells.lam, cells.gamma, rates, cfg.weight_decay,
+    )
+
+    # Stage 3: hypergradients over the batch's scores, for the cells whose
+    # hypergradient is not identically zero (has_a, has_b).
+    val_fwd = _forward_or_none(finetuned_next, *_rows(bundle.val, idx_val))
+    learns = pre_fwd is not None and val_fwd is not None
+    has_a, has_b = cells.prox & learns, cells.mixes & learns
+    any_a, any_b = _any(has_a), _any(has_b)
+    hg_a = hg_b = None
+    if any_a or any_b:
+        gv = model.weighted_grad(val_fwd)
+        proj = model.encoder_projection(pretrained_next.arch, X_pre, gv)
+        if any_a:
+            hg_a = _hypergrad_pretrain(pre_fwd, gv, _chain_factor(mode, a),
+                                       cells.lam, rates, proj)
+        if any_b:
+            hg_b = _hypergrad_finetune(source_fwd, gv, _chain_factor(mode, b),
+                                       cells.gamma, rates, proj)
+
+    # Finite checks, per cell, in the order a one-cell iteration makes them;
+    # a score gradient counts only where it is applied.
+    step_a = has_a & cells.learn_a
+    step_b = has_b & cells.learn_b
+    checks = []
+    if pre_fwd is not None:
+        checks += [("pretraining encoder update", pretrained_next.encoder, None),
+                   ("pretraining head update", pretrained_next.head, None)]
+    checks += [("finetuned encoder update", finetuned_next.encoder, None),
+               ("finetuned head update", finetuned_next.head, None)]
+    for hg, step in ((hg_a, step_a), (hg_b, step_b)):
+        if hg is not None:
+            checks.append(("ignoring-score gradient", hg, step))
+    failed = _first_failures(checks, it)
+    if failed:
+        ok = np.array([k not in failed for k in range(K)])
+        step_a &= ok if cells.stacked else False
+        step_b &= ok if cells.stacked else False
+
+    nxt = LbiState(
+        pretrained_next, finetuned_next,
+        _step_cells(state.ignore_pretrain, hg_a, rates.ignore_pretrain, at,
+                    step_a),
+        _step_cells(state.ignore_finetune, hg_b, rates.ignore_finetune, at,
+                    step_b),
+        it + 1,
+    )
+    zeros = np.zeros(K) if cells.stacked else 0.0
+    trace = (
+        model.weighted_losses(pre_fwd, a) if pre_fwd is not None else zeros,
+        model.weighted_losses(train_fwd),
+        model.weighted_losses(val_fwd) if val_fwd is not None else zeros,
+        _grad_norms(hg_a, has_a, at, n_pre),
+        _grad_norms(hg_b, has_b, at, n_pre),
+    )
+    return nxt, trace, failed
 
 
 def lbi_iteration(state: LbiState, bundle: DatasetBundle, cfg: LbiConfig,
@@ -667,93 +942,20 @@ def lbi_iteration(state: LbiState, bundle: DatasetBundle, cfg: LbiConfig,
     share the projection of the pretraining batch on the validation
     gradient.  Minibatch score bookkeeping touches only the batch's entries.
 
-    The state is trusted to fit the data and the config (``run`` checks
-    that, including clamp-mode scores within [0, 1]).  ``rates`` defaults to
+    This is the stacks' iteration ``_iterate`` on one cell.  The state is
+    trusted to fit the data and the config (``run`` checks that, including
+    clamp-mode scores within [0, 1]).  ``rates`` defaults to
     ``cfg.rates_at(state.iteration)``.
     """
-    it = state.iteration
-    rates = rates or cfg.rates_at(it)
-    n_pre = bundle.pretrain.n
-    idx_pre, idx_tr, idx_val = _batch_indices(
-        cfg, it, (n_pre, bundle.train.n, bundle.val.n)
-    )
-    X_pre, y_pre = _rows(bundle.pretrain, idx_pre)
-    mode = state.ignore_pretrain.mode
-
-    # Stage 1: pretraining step on the (sub)batch.
-    pre_fwd = _forward_or_none(state.pretrain_model, X_pre, y_pre)
-    a = state.ignore_pretrain.effective(idx_pre)
-    pretrained_next = _pretrain_update(
-        state.pretrain_model, pre_fwd, a, rates, cfg.weight_decay, it,
-    )
-
-    # Stage 2: finetuning step.
-    train_fwd = model._softmax_residual(state.finetune_model,
-                                        *_rows(bundle.train, idx_tr))
-    source_fwd, b = None, None
-    if _mixes_source(cfg):
-        source_fwd = _forward_or_none(state.finetune_model, X_pre, y_pre)
-        b = state.ignore_finetune.effective(idx_pre)
-    finetuned_next = _finetune_update(
-        state.finetune_model, pretrained_next, train_fwd, source_fwd, b,
-        cfg, rates, it,
-    )
-
-    # Stage 3: hypergradients over the batch's scores (None: all zero).
-    val_fwd = _forward_or_none(finetuned_next, *_rows(bundle.val, idx_val))
-    hg_a = hg_b = None
-    if val_fwd is not None:
-        gv = model.weighted_grad(val_fwd)
-        learn_a = cfg.lam != 0.0 and pre_fwd is not None
-        if learn_a or source_fwd is not None:
-            proj = model.encoder_projection(pretrained_next.arch, X_pre, gv)
-        if learn_a:
-            hg_a = _hypergrad_pretrain(pre_fwd, gv, _chain_factor(mode, a),
-                                       cfg, rates, proj)
-        if source_fwd is not None:
-            hg_b = _hypergrad_finetune(source_fwd, gv, _chain_factor(mode, b),
-                                       cfg, rates, proj)
-
-    # An all-zero hypergradient (None) would leave every score as it is.
-    ignore_pretrain = state.ignore_pretrain
-    if hg_a is not None and not cfg.freeze_ignore_pretrain:
-        ignore_pretrain = _step_scores(ignore_pretrain, hg_a,
-                                       rates.ignore_pretrain, idx_pre, it)
-    ignore_finetune = state.ignore_finetune
-    if hg_b is not None and not cfg.freeze_ignore_finetune:
-        ignore_finetune = _step_scores(ignore_finetune, hg_b,
-                                       rates.ignore_finetune, idx_pre, it)
-
-    row = TraceRow(
-        iteration=it,
-        pretrain_loss=(model.weighted_loss(pre_fwd, a)
-                       if pre_fwd is not None else 0.0),
-        train_loss=model.weighted_loss(train_fwd),
-        val_loss=(model.weighted_loss(val_fwd)
-                  if val_fwd is not None else 0.0),
-        ignore_grad_pretrain_norm=_grad_norm(hg_a, idx_pre, n_pre),
-        ignore_grad_finetune_norm=_grad_norm(hg_b, idx_pre, n_pre),
-    )
-    nxt = LbiState(pretrained_next, finetuned_next, ignore_pretrain,
-                   ignore_finetune, it + 1)
-    return nxt, row
+    rates = rates or cfg.rates_at(state.iteration)
+    nxt, trace, failed = _iterate(state, bundle, cfg, _Cells.of([cfg]), rates)
+    if failed:
+        raise failed[0]
+    return nxt, TraceRow(state.iteration, *map(float, trace))
 
 
-def run(bundle: DatasetBundle, cfg: LbiConfig,
-        initial_state: LbiState | None = None, trace_hook=None) -> tuple[LbiState, list[TraceRow]]:
-    """Run cfg.iterations iterations (resuming from initial_state if given).
-
-    Returns the final state and the trace rows of the iterations run here.
-    ``trace_hook``, when given, is called with each TraceRow as it is
-    produced, which lets callers stream the trace to disk.  On numeric
-    failure the raised error carries the iteration index and the partial
-    trace.  A resumed state must match the config's architecture and
-    modes, have one score per pretraining example in each score set, and
-    (clamp mode) keep its scores within [0, 1]; a mismatch raises
-    ConfigError instead of silently training the state's setup.
-    """
-    cfg.validate()
-    state = initial_state if initial_state is not None else init_state(bundle, cfg)
+def _check_state(state: LbiState, bundle: DatasetBundle, cfg: LbiConfig):
+    """ConfigError unless a (resumed) state fits the data and the config."""
     arch = state.pretrain_model.arch
     if arch.dim != bundle.dim or arch.classes != bundle.classes:
         raise ConfigError(
@@ -779,23 +981,95 @@ def run(bundle: DatasetBundle, cfg: LbiConfig,
             raise ConfigError(
                 f"state has clamp-mode {what} ignore scores outside [0, 1]"
             )
-    trace: list[TraceRow] = []
+
+
+def run_stack(bundle: DatasetBundle, cfgs: list[LbiConfig],
+              initial_states: list[LbiState] | None = None,
+              on_row=None) -> list[LbiState | NumericError]:
+    """Run several cells on one bundle as one stack: each iteration steps
+    every cell at once, along a leading cell axis of the state.
+
+    The cells' configs may differ only in seed, lam, gamma and the two
+    freeze flags (else ConfigError); fresh cells start from their own
+    ``init_state``, resumed ones (``initial_states``, checked as ``run``
+    checks them) at one shared iteration.  Each cell's final state and trace
+    rows are bit for bit those of its own ``run``.  A cell that fails a
+    finite check leaves the stack with the NumericError, message and
+    iteration included, that its own run raises; the others go on.
+    ``on_row(k, row)``, when given, receives cell k's trace rows as they are
+    made.  Returns each cell's final state or NumericError, in order.
+    """
+    if not cfgs:
+        raise ConfigError("need at least one cell")
+    for c in cfgs:
+        c.validate()
+    cfg = cfgs[0]
+    same = {name: getattr(cfg, name) for name in _PER_CELL_FIELDS}
+    if any(replace(c, **same) != cfg for c in cfgs):
+        raise ConfigError(
+            "stacked cells may differ only in " + ", ".join(_PER_CELL_FIELDS))
+    if initial_states is None:
+        initial_states = [init_state(bundle, c) for c in cfgs]
+    for s in initial_states:
+        _check_state(s, bundle, cfg)
+    if len({s.iteration for s in initial_states}) > 1:
+        raise ConfigError("stacked cells must start at the same iteration")
+    cells = _Cells.of(cfgs)
+    state = _stack(initial_states) if cells.stacked else initial_states[0]
+    alive = list(range(len(cfgs)))  # stack position -> cell
+    out: list = [None] * len(cfgs)
     decay_start = cfg.decay_start()
     rates = cfg.rates_at(state.iteration)
     while state.iteration < cfg.iterations:
-        if state.iteration == decay_start:
-            rates = cfg.rates_at(state.iteration)
-        try:
-            state, row = lbi_iteration(state, bundle, cfg, rates)
-        except NumericError as e:
-            if e.iteration is None:
-                e.iteration = state.iteration
-            e.partial_trace = trace
-            raise
+        it = state.iteration
+        if it == decay_start:
+            rates = cfg.rates_at(it)
+        state, trace, failed = _iterate(state, bundle, cfg, cells, rates)
+        rows = np.array(trace).T.reshape(-1, 5)  # trace values, a row per cell
+        if failed:
+            for pos, err in failed.items():
+                out[alive[pos]] = err
+            keep = np.array([pos not in failed for pos in range(len(alive))])
+            alive = [k for k, kept in zip(alive, keep) if kept]
+            if not alive:
+                break
+            state, cells, rows = _cell(state, keep), cells.take(keep), rows[keep]
+        if on_row is not None:
+            for k, values in zip(alive, rows.tolist()):
+                on_row(k, TraceRow(it, *values))
+    for pos, k in enumerate(alive):
+        out[k] = _cell(state, pos) if cells.stacked else state
+    return out
+
+
+def run(bundle: DatasetBundle, cfg: LbiConfig,
+        initial_state: LbiState | None = None, trace_hook=None) -> tuple[LbiState, list[TraceRow]]:
+    """Run cfg.iterations iterations (resuming from initial_state if given).
+
+    Returns the final state and the trace rows of the iterations run here.
+    ``trace_hook``, when given, is called with each TraceRow as it is
+    produced, which lets callers stream the trace to disk.  On numeric
+    failure the raised error carries the iteration index and the partial
+    trace.  A resumed state must match the config's architecture and
+    modes, have one score per pretraining example in each score set, and
+    (clamp mode) keep its scores within [0, 1]; a mismatch raises
+    ConfigError instead of silently training the state's setup.  This is
+    ``run_stack`` with one cell.
+    """
+    trace: list[TraceRow] = []
+
+    def keep(_k, row):
         trace.append(row)
         if trace_hook is not None:
             trace_hook(row)
-    return state, trace
+
+    (out,) = run_stack(bundle, [cfg],
+                       None if initial_state is None else [initial_state],
+                       keep)
+    if isinstance(out, NumericError):
+        out.partial_trace = trace
+        raise out
+    return out, trace
 
 
 def to_state_dict(state: LbiState) -> dict:

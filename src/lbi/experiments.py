@@ -181,28 +181,34 @@ def _resolve_bundle(data) -> DatasetBundle:
     return generate(data) if isinstance(data, SynthSpec) else data
 
 
-def run_cell(arrays: DatasetBundle, cfg: LbiConfig, ablation_id: str,
-             seed: int) -> RunResult:
-    """One training run; numeric failures are recorded, not raised."""
-    cell_cfg = ablation_config(ablation_id, engine.config_with(cfg, seed=seed))
-    result = RunResult(ablation=ablation_id, seed=seed, config=cell_cfg)
-    try:
-        state, _ = engine.run(arrays, cell_cfg)
-    except NumericError as e:
-        result.error = f"numeric failure at iteration {e.iteration}: {e}"
-        return result
-    result.test_accuracy = accuracy(state.finetune_model,
-                                    arrays.test.X, arrays.test.y)
-    result.val_accuracy = accuracy(state.finetune_model,
-                                   arrays.val.X, arrays.val.y)
-    a = state.ignore_pretrain.effective()
-    result.final_ignore_pretrain = a
-    result.recovery_auc_pretrain = corrupted_recovery_auc(a, arrays.corrupted)
-    if state.ignore_finetune is not None:
-        b = state.ignore_finetune.effective()
-        result.final_ignore_finetune = b
-        result.recovery_auc_finetune = corrupted_recovery_auc(b, arrays.corrupted)
-    return result
+def run_cell(arrays: DatasetBundle, base_cfg: LbiConfig,
+             cells: list[tuple[str, int]]) -> list[RunResult]:
+    """Train the given (ablation id, seed) cells as one stack
+    (``engine.run_stack``); one RunResult per cell, in order.  Numeric
+    failures are recorded per cell, not raised."""
+    cfgs = [ablation_config(ablation_id, engine.config_with(base_cfg, seed=seed))
+            for ablation_id, seed in cells]
+    results = []
+    for (ablation_id, seed), cfg, out in zip(
+            cells, cfgs, engine.run_stack(arrays, cfgs)):
+        result = RunResult(ablation=ablation_id, seed=seed, config=cfg)
+        results.append(result)
+        if isinstance(out, NumericError):
+            result.error = f"numeric failure at iteration {out.iteration}: {out}"
+            continue
+        result.test_accuracy = accuracy(out.finetune_model,
+                                        arrays.test.X, arrays.test.y)
+        result.val_accuracy = accuracy(out.finetune_model,
+                                       arrays.val.X, arrays.val.y)
+        a = out.ignore_pretrain.effective()
+        result.final_ignore_pretrain = a
+        result.recovery_auc_pretrain = corrupted_recovery_auc(a, arrays.corrupted)
+        if out.ignore_finetune is not None:
+            b = out.ignore_finetune.effective()
+            result.final_ignore_finetune = b
+            result.recovery_auc_finetune = corrupted_recovery_auc(
+                b, arrays.corrupted)
+    return results
 
 
 def _mean_std(values: list[float]) -> tuple[float | None, float | None]:
@@ -214,7 +220,8 @@ def _mean_std(values: list[float]) -> tuple[float | None, float | None]:
 
 
 def run_matrix(data, ids, seeds, base_cfg: LbiConfig) -> MatrixResult:
-    """Run every (ablation, seed) cell on one shared bundle.
+    """Run every (ablation, seed) cell on one shared bundle, all in one
+    stack (one ``run_cell`` call).
 
     The bundle is generated once; seeds vary only the parameter
     initialization, so comparisons across ablations are paired.  Returns one
@@ -228,8 +235,9 @@ def run_matrix(data, ids, seeds, base_cfg: LbiConfig) -> MatrixResult:
     for ablation_id in ids:
         ablation_switches(ablation_id)
     arrays = _resolve_bundle(data)
-    results = [run_cell(arrays, base_cfg, ablation_id, seed)
-               for ablation_id in ids for seed in seeds]
+    results = run_cell(arrays, base_cfg,
+                       [(ablation_id, seed) for ablation_id in ids
+                        for seed in seeds])
 
     aggregates = []
     for ablation_id in ids:
@@ -322,8 +330,9 @@ def sweep(param: str, grid, data, seeds, base_cfg: LbiConfig) -> SweepResult:
     grid, holding everything else at the base config.
 
     ``param`` is "lambda" or "gamma".  The grid needs at least three distinct
-    values so interior-versus-endpoint is meaningful.  Grid order does not
-    affect per-point results; each cell depends only on (value, seed).
+    values so interior-versus-endpoint is meaningful.  Every (value, seed)
+    cell runs in one stack; grid order does not affect per-point results,
+    since each cell depends only on (value, seed).
     """
     if param not in SWEEP_PARAMS:
         raise ConfigError(f"sweep param must be one of {SWEEP_PARAMS}, got {param!r}")
@@ -340,21 +349,23 @@ def sweep(param: str, grid, data, seeds, base_cfg: LbiConfig) -> SweepResult:
         raise ConfigError("need at least one seed")
     arrays = _resolve_bundle(data)
     field = "lam" if param == "lambda" else "gamma"
-
-    def run_seed(value: float, seed: int) -> SeedOutcome:
-        cfg = engine.config_with(base_cfg, seed=seed, **{field: value})
-        try:
-            state, _ = engine.run(arrays, cfg)
-        except NumericError as e:
-            return SeedOutcome(seed, error=f"seed {seed}: numeric failure at "
-                                           f"iteration {e.iteration}: {e}")
-        return SeedOutcome(
-            seed,
-            accuracy(state.finetune_model, arrays.val.X, arrays.val.y),
-            accuracy(state.finetune_model, arrays.test.X, arrays.test.y),
-        )
-
-    return SweepResult(param, [
-        SweepPoint(value, [run_seed(value, seed) for seed in seeds])
-        for value in grid
-    ])
+    cfgs = [engine.config_with(base_cfg, seed=seed, **{field: value})
+            for value in grid for seed in seeds]
+    outs = iter(engine.run_stack(arrays, cfgs))
+    points = []
+    for value in grid:
+        outcomes = []
+        for seed in seeds:
+            out = next(outs)
+            if isinstance(out, NumericError):
+                outcomes.append(SeedOutcome(
+                    seed, error=f"seed {seed}: numeric failure at "
+                                f"iteration {out.iteration}: {out}"))
+            else:
+                outcomes.append(SeedOutcome(
+                    seed,
+                    accuracy(out.finetune_model, arrays.val.X, arrays.val.y),
+                    accuracy(out.finetune_model, arrays.test.X, arrays.test.y),
+                ))
+        points.append(SweepPoint(value, outcomes))
+    return SweepResult(param, points)

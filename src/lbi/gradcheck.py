@@ -8,11 +8,13 @@ so they can be checked against central differences on that exact map: nudge
 one raw score, rerun the two updates that ``engine.lbi_iteration`` runs, and
 difference the validation loss at the looked-ahead model.
 
-Three forwards are shared by every probe of an instance and made once: the
-pretraining model on the pretraining split, and the finetuned model on the
-train split and (when gamma mixes it in) on the pretraining split.  They are
-taken at the incoming models, which no score moves; a score only weights its
-example's residual inside an update.  So sharing them changes no probe's
+The work no score reaches is done once per instance and shared by its
+probes: the forwards of the pretraining model on the pretraining split and
+of the finetuned model on the pretraining split (when gamma mixes it in),
+the finetuned model's unweighted train gradient, and, for the probes of a
+finetuning score, the unperturbed pretraining step.  All of it is taken at
+the incoming models, which no score moves; a score only weights its
+example's residual inside an update.  So sharing it changes no probe's
 value by a bit, and each probe makes one forward, on the val split.  The
 numeric side still differentiates nothing and never calls the closed-form
 code (the ``_hypergrad_*`` functions, ``encoder_dots``, ``head_dots`` or
@@ -134,8 +136,8 @@ class _Lookahead:
     """Validation loss after one pretraining step and one finetuning step,
     as a function of one instance's raw ignoring scores.
 
-    Holds the forwards no score reaches (see the module docstring); a probe
-    reads them, never writes them, and makes only the val forward itself.
+    Holds the work no score reaches (see the module docstring); a probe
+    reads it, never writes it, and makes only the val forward itself.
     """
 
     def __init__(self, state: LbiState, bundle: DatasetBundle, cfg: LbiConfig):
@@ -145,8 +147,8 @@ class _Lookahead:
         self.rates = cfg.rates_at(state.iteration)
         self.pre_fwd = engine._forward_or_none(state.pretrain_model, pre.X,
                                                pre.y)
-        self.train_fwd = model._softmax_residual(
-            state.finetune_model, bundle.train.X, bundle.train.y)
+        self.train_grad = model.weighted_grad(model._softmax_residual(
+            state.finetune_model, bundle.train.X, bundle.train.y))
         self.source_fwd = None
         if engine._mixes_source(cfg):
             engine._check_scores(state.ignore_finetune, pre.n, "finetuning")
@@ -155,25 +157,34 @@ class _Lookahead:
         self.a = state.ignore_pretrain.effective()
         self.b = (None if state.ignore_finetune is None
                   else state.ignore_finetune.effective())
+        # The engine's updates are looked up at call time, so a patched
+        # engine is what gets differenced.  No finetuning score reaches the
+        # pretraining step, so their probes share the unperturbed one.
+        self.pretrained = self._pretrain(self.a)
+
+    def _pretrain(self, a) -> model.ModelParams:
+        state = self.state
+        out = engine._pretrain_update(state.pretrain_model, self.pre_fwd, a,
+                                      self.rates, self.cfg.weight_decay)
+        if self.pre_fwd is not None:
+            engine._check_update(out, "pretraining", state.iteration)
+        return out
 
     def val_loss(self, which: str, index: int, delta: float) -> float:
         """The loss with raw score ``index`` of ``which`` moved by ``delta``."""
-        state, cfg, rates = self.state, self.cfg, self.rates
+        state, cfg = self.state, self.cfg
         probe = (state.ignore_pretrain if which == "pretrain"
                  else state.ignore_finetune).copy()
         probe.raw[index] += delta
-        a, b = self.a, self.b
         if which == "pretrain":
-            a = probe.effective()
+            pretrained_next, b = self._pretrain(probe.effective()), self.b
         else:
-            b = probe.effective()
-        # Looked up at call time, so a patched engine is what gets differenced.
-        pretrained_next = engine._pretrain_update(
-            state.pretrain_model, self.pre_fwd, a, rates, cfg.weight_decay,
-            state.iteration)
+            pretrained_next, b = self.pretrained, probe.effective()
         finetuned_next = engine._finetune_update(
-            state.finetune_model, pretrained_next, self.train_fwd,
-            self.source_fwd, b, cfg, rates, state.iteration)
+            state.finetune_model, pretrained_next, self.train_grad,
+            self.source_fwd, b, cfg.lam, cfg.gamma, self.rates,
+            cfg.weight_decay)
+        engine._check_update(finetuned_next, "finetuned", state.iteration)
         val = self.bundle.val
         return model.weighted_loss(
             model._softmax_residual(finetuned_next, val.X, val.y))

@@ -38,10 +38,30 @@ are contracted straight from the record without forming g_i
 
 ``per_example_grad_arrays`` materializes the n x P rows explicitly; it is
 the reference the contractions are tested against.
+
+Stacks.  The kernels also run K models at once: blocks of shape (K, P)
+instead of (P,), features shared (n, dim) or per model (K, n, dim), and
+every result gains the same leading K axis.  Each model of a stack gets the
+bits it would get alone, because every reduction adds in the same order:
+
+* products go through ``np.matmul`` (per-slice BLAS calls identical to the
+  2-D ones) and row dots through ``einsum`` over matching slices; other
+  einsum contractions and matrix-vector products reorder sums and are not
+  used on stacks;
+* row maxima and, below 8 classes, row sums reduce a (classes, ..., n)
+  copy elementwise, which adds each row's entries left to right as the
+  per-row reduce does for short rows (at 8 or more classes the per-row
+  reduce switches to a blocked order, so those sums stay per row);
+* sums over examples reduce an example-major copy elementwise, the order
+  the 2-D column sum uses.
+
+``tests/test_stacked.py`` pins these identities on the installed numpy and
+BLAS, so an upgrade that breaks one fails loudly.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -132,27 +152,62 @@ def init_params(arch: Arch, rng: np.random.Generator) -> ModelParams:
 
 def _linear_views(params: ModelParams):
     a = params.arch
-    E = params.encoder.reshape(a.classes, a.dim)
+    lead = params.encoder.shape[:-1]
+    E = params.encoder.reshape(lead + (a.classes, a.dim))
     b = params.head
     return E, b
 
 
 def _mlp_views(params: ModelParams):
     a = params.arch
-    W1 = params.encoder[: a.hidden * a.dim].reshape(a.hidden, a.dim)
-    b1 = params.encoder[a.hidden * a.dim :]
-    U = params.head[: a.classes * a.hidden].reshape(a.classes, a.hidden)
-    b2 = params.head[a.classes * a.hidden :]
+    lead = params.encoder.shape[:-1]
+    W1 = params.encoder[..., : a.hidden * a.dim].reshape(lead + (a.hidden, a.dim))
+    b1 = params.encoder[..., a.hidden * a.dim :]
+    U = params.head[..., : a.classes * a.hidden].reshape(lead + (a.classes, a.hidden))
+    b2 = params.head[..., a.classes * a.hidden :]
     return W1, b1, U, b2
 
 
 def _check_features(params: ModelParams, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != params.arch.dim:
+    if X.ndim not in (2, 3) or X.shape[-1] != params.arch.dim:
         raise ValueError(
             f"feature matrix has shape {X.shape}, expected (n, {params.arch.dim})"
         )
     return X
+
+
+def _t(A: np.ndarray) -> np.ndarray:
+    """The transpose of each matrix of a stack (of a lone matrix: A.T), as a
+    view.  A contiguous copy would make some products faster, but BLAS then
+    multiplies untransposed operands, which sums in another order at some
+    shapes."""
+    return A.swapaxes(-1, -2)
+
+
+def _classes_first(A: np.ndarray) -> np.ndarray:
+    """A contiguous copy of A with its last (class) axis moved first."""
+    return (A.T if A.ndim == 2 else A.transpose(2, 0, 1)).copy()
+
+
+def _sum_examples(A: np.ndarray) -> np.ndarray:
+    """Column sums over the example axis of (n, c) or (K, n, c)."""
+    if A.ndim == 2:
+        return np.add.reduce(A, axis=0)
+    # Over an example-major copy the reduction runs elementwise, example by
+    # example, as the 2-D one does.  The copy puts the longer of the cell
+    # and column axes innermost, where numpy copies fastest (a stack of one
+    # needs no copy).
+    if A.shape[0] > A.shape[2]:
+        return np.add.reduce(A.transpose(1, 2, 0).copy(), axis=0).T
+    return np.add.reduce(np.ascontiguousarray(A.swapaxes(0, 1)), axis=0)
+
+
+def _sum_classes(A: np.ndarray) -> np.ndarray:
+    """Row sums over the last (class) axis, keeping it as length 1."""
+    if A.shape[-1] >= 8:
+        return np.add.reduce(A, axis=-1, keepdims=True)
+    return np.add.reduce(_classes_first(A), axis=0)[..., None]
 
 
 # The n x hidden arrays are large enough that each fresh one costs page
@@ -160,9 +215,9 @@ def _check_features(params: ModelParams, X: np.ndarray) -> np.ndarray:
 # same as the plain expression written beside them.
 
 def _affine(X: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """X @ W.T + b."""
-    out = X @ W.T
-    out += b
+    """X @ W.T + b, per model of a stack."""
+    out = np.matmul(X, _t(W))
+    out += b[..., None, :]
     return out
 
 
@@ -184,7 +239,7 @@ def logits(params: ModelParams, X: np.ndarray) -> np.ndarray:
 
 def predict(params: ModelParams, X: np.ndarray) -> np.ndarray:
     """Predicted labels (argmax of logits, ties to the lowest index)."""
-    return np.argmax(logits(params, X), axis=1)
+    return np.argmax(logits(params, X), axis=-1)
 
 
 # Read-only constants per batch size, so the per-call kernels do not build
@@ -197,6 +252,15 @@ def _row_index(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
+def _label_base(lead: tuple, classes: int) -> np.ndarray:
+    """Flat position of each row's class-0 entry in a (*lead, classes)
+    array."""
+    base = (np.arange(math.prod(lead)) * classes).reshape(lead)
+    base.flags.writeable = False
+    return base
+
+
+@lru_cache(maxsize=32)
 def _unit_weights(n: int) -> np.ndarray:
     ones = np.ones(n)
     ones.flags.writeable = False
@@ -204,14 +268,14 @@ def _unit_weights(n: int) -> np.ndarray:
 
 
 class Forward:
-    """One model's forward pass over one labelled batch.
+    """One model's (or a stack's) forward pass over one labelled batch.
 
     ``T`` holds the hidden activations (None for the linear model); ``m`` is
-    each row's max logit, ``ez`` = exp(z - m) and ``s`` its row sums.  The
-    residual ``G``, the ``losses`` and ``dA`` are derived on first use, so a
-    caller that needs only losses or only a gradient pays for nothing else;
-    ``G`` takes over the ``ez`` buffer.  Consumers read the arrays and never
-    write them.
+    each row's max logit, ``ez`` = exp(z - m) and ``s`` its row sums; ``n``
+    counts the examples of one model's batch.  The residual ``G``, the
+    ``losses`` and ``dA`` are derived on first use, so a caller that needs
+    only losses or only a gradient pays for nothing else; ``G`` takes over
+    the ``ez`` buffer.  Consumers read the arrays and never write them.
     """
 
     __slots__ = ("params", "X", "y", "n", "z", "T", "m", "ez", "s",
@@ -220,21 +284,33 @@ class Forward:
     def __init__(self, params: ModelParams, X: np.ndarray, y: np.ndarray,
                  z: np.ndarray, T: np.ndarray | None, m: np.ndarray,
                  ez: np.ndarray, s: np.ndarray):
-        self.params, self.X, self.y, self.n = params, X, y, X.shape[0]
+        self.params, self.X, self.y, self.n = params, X, y, X.shape[-2]
         self.z, self.T, self.m, self.ez, self.s = z, T, m, ez, s
         self._label_index = self._G = self._losses = self._dA = None
 
     @property
     def label_index(self) -> np.ndarray:
-        """Flat position of each example's label entry in an (n, classes)
-        array; a label outside 0..classes-1 raises ValueError."""
+        """Flat position of each example's label entry in the logits (one
+        per row of every model); a label outside 0..classes-1 raises
+        ValueError."""
         if self._label_index is None:
-            try:
-                self._label_index = np.ravel_multi_index(
-                    (_row_index(self.n), self.y), self.z.shape)
-            except ValueError:
-                raise ValueError(
-                    f"labels must lie in 0..{self.z.shape[1] - 1}") from None
+            lead, classes = self.z.shape[:-1], self.z.shape[-1]
+            y = self.y
+            if len(lead) == 1:
+                try:
+                    index = np.ravel_multi_index((_row_index(self.n), y),
+                                                 self.z.shape)
+                except ValueError:
+                    raise ValueError(
+                        f"labels must lie in 0..{classes - 1}") from None
+            else:
+                # A stack: adding each row's flat offset is cheaper than
+                # raveling labels broadcast over its cells.
+                if y.size and (np.minimum.reduce(y, axis=None) < 0
+                               or np.maximum.reduce(y, axis=None) >= classes):
+                    raise ValueError(f"labels must lie in 0..{classes - 1}")
+                index = (_label_base(lead, classes) + y).reshape(-1)
+            self._label_index = index
         return self._label_index
 
     @property
@@ -251,8 +327,8 @@ class Forward:
     def losses(self) -> np.ndarray:
         """Per-example cross-entropy, through logsumexp for stability."""
         if self._losses is None:
-            lse = (self.m + np.log(self.s))[:, 0]
-            self._losses = lse - self.z.take(self.label_index)
+            lse = (self.m + np.log(self.s))[..., 0]
+            self._losses = lse - self.z.take(self.label_index).reshape(lse.shape)
         return self._losses
 
     @property
@@ -260,7 +336,7 @@ class Forward:
         """Residual at the hidden pre-activations: (G U) * (1 - T^2)."""
         if self._dA is None:
             _, _, U, _ = _mlp_views(self.params)
-            dA = self.G @ U
+            dA = np.matmul(self.G, U)
             slope = self.T * self.T
             np.subtract(1.0, slope, out=slope)
             dA *= slope
@@ -272,17 +348,17 @@ def _softmax_residual(params: ModelParams, X: np.ndarray, y: np.ndarray) -> Forw
     """The forward pass behind every loss and gradient of a labelled batch."""
     X = _check_features(params, X)
     y = np.asarray(y)
-    if y.shape != (X.shape[0],):
-        raise ValueError(f"labels have shape {y.shape}, expected ({X.shape[0]},)")
+    if y.shape != X.shape[:-1]:
+        raise ValueError(f"labels have shape {y.shape}, expected {X.shape[:-1]}")
     z, T = _scores(params, X)
-    # Row maxima from a (classes, n) copy, whose reduction runs elementwise
-    # down the rows; reducing the short axis of z costs a loop call per
-    # example.  A maximum does not depend on the order it is taken in.
-    m = np.maximum.reduce(z.T.copy(), axis=0)[:, None]
+    # Row maxima from a (classes, ..., n) copy, whose reduction runs
+    # elementwise down the rows; reducing the short axis of z costs a loop
+    # call per example.  A maximum does not depend on the order it is taken
+    # in.
+    m = np.maximum.reduce(_classes_first(z), axis=0)[..., None]
     ez = z - m
     np.exp(ez, out=ez)
-    return Forward(params, X, y, z, T, m, ez,
-                   np.add.reduce(ez, axis=1, keepdims=True))
+    return Forward(params, X, y, z, T, m, ez, _sum_classes(ez))
 
 
 def _check_weights(weights, n: int) -> np.ndarray:
@@ -298,33 +374,50 @@ def _check_weights(weights, n: int) -> np.ndarray:
 # skip the multiply because 1.0 * x == x.  Sums call np.add.reduce, the
 # ufunc behind ndarray.sum, without the Python layer in between.
 
-def weighted_loss(fwd: Forward, weights: np.ndarray | None = None) -> float:
-    """Weighted sum (not mean) of the batch's per-example cross-entropies."""
+def weighted_losses(fwd: Forward,
+                    weights: np.ndarray | None = None) -> np.ndarray:
+    """Weighted sum (not mean) of the batch's per-example cross-entropies,
+    one per model (a 0-d array for a lone model)."""
     if weights is None:
         # A dot with ones, not losses.sum(): the two sum in different orders.
         weights = _unit_weights(fwd.n)
-    return float(weights @ fwd.losses)
+    return _vecdot(weights, fwd.losses)
+
+
+def _vecdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for two vectors; for stacks of them, one such dot per row, each
+    summed in the order of the vectors' own dot."""
+    if a.ndim == 1 and b.ndim == 1:
+        return a @ b
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def weighted_loss(fwd: Forward, weights: np.ndarray | None = None) -> float:
+    """Weighted sum (not mean) of one model's per-example cross-entropies."""
+    return float(weighted_losses(fwd, weights))
 
 
 def weighted_grad(fwd: Forward, weights: np.ndarray | None = None) -> GradBlock:
     """Gradient of the weighted loss sum with respect to both blocks."""
     X, G = fwd.X, fwd.G
-    WG = G if weights is None else weights[:, None] * G
+    lead = G.shape[:-2]
+    WG = G if weights is None else weights[..., None] * G
     if fwd.params.arch.hidden == 0:
-        return GradBlock((WG.T @ X).ravel(), np.add.reduce(WG, axis=0))
-    dU = WG.T @ fwd.T
-    db2 = np.add.reduce(WG, axis=0)
-    WdA = fwd.dA if weights is None else weights[:, None] * fwd.dA
-    dW1 = WdA.T @ X
-    db1 = np.add.reduce(WdA, axis=0)
+        return GradBlock(np.matmul(_t(WG), X).reshape(lead + (-1,)),
+                         _sum_examples(WG))
+    dU = np.matmul(_t(WG), fwd.T)
+    db2 = _sum_examples(WG)
+    WdA = fwd.dA if weights is None else weights[..., None] * fwd.dA
+    dW1 = np.matmul(_t(WdA), X)
+    db1 = _sum_examples(WdA)
     return GradBlock(
-        np.concatenate([dW1.ravel(), db1]),
-        np.concatenate([dU.ravel(), db2]),
+        np.concatenate([dW1.reshape(lead + (-1,)), db1], axis=-1),
+        np.concatenate([dU.reshape(lead + (-1,)), db2], axis=-1),
     )
 
 
 def _rowdot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    return np.einsum("ij,ij->i", A, B)
+    return np.einsum("...ij,...ij->...i", A, B)
 
 
 def encoder_projection(arch: Arch, X: np.ndarray, v: GradBlock) -> np.ndarray:
@@ -334,7 +427,7 @@ def encoder_projection(arch: Arch, X: np.ndarray, v: GradBlock) -> np.ndarray:
     V = ModelParams._of(arch, v.d_encoder, v.d_head)
     if arch.hidden == 0:
         E_v, _ = _linear_views(V)
-        return X @ E_v.T
+        return np.matmul(X, _t(E_v))
     W_v, b1_v, _, _ = _mlp_views(V)
     return _affine(X, W_v, b1_v)
 
@@ -359,7 +452,7 @@ def head_dots(fwd: Forward, v: GradBlock) -> np.ndarray:
     V = ModelParams._of(fwd.params.arch, v.d_encoder, v.d_head)
     if V.arch.hidden == 0:
         _, b_v = _linear_views(V)
-        return fwd.G @ b_v
+        return np.matmul(fwd.G, b_v[..., None])[..., 0]
     _, _, U_v, b2_v = _mlp_views(V)
     return _rowdot(fwd.G, _affine(fwd.T, U_v, b2_v))
 

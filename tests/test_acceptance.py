@@ -139,8 +139,8 @@ class TestCriterion3:
         for lam in (3e-3, 7e-3):
             cfg = LbiConfig(lam=lam, gamma=1.0, iterations=300)
             aucs = []
-            for seed in SEEDS:
-                result = experiments.run_cell(bundle, cfg, "FULL", seed)
+            for result in experiments.run_cell(
+                    bundle, cfg, [("FULL", seed) for seed in SEEDS]):
                 assert result.ok, result.error
                 aucs.append(result.recovery_auc_pretrain)
             hits = sum(a >= 0.90 for a in aucs)

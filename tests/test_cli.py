@@ -461,3 +461,33 @@ class TestSeedsGridIds:
                          "--seeds", "0", "--set", "sweep.grid=0,0.01,0.1"])
         assert code == 0
         assert read_json(out / "summary.json")["grid"] == [0.0, 0.01, 0.1]
+
+
+class TestBadDataInputs:
+    """Data from config or from a CSV file: a bad value is a configuration
+    or parse error (exit 2) naming the field or the line, never a
+    traceback."""
+
+    @pytest.mark.parametrize("argv, field", [
+        (["gen-data", "--set", "data.n_pretrain=abc"], "data.n_pretrain"),
+        (["run", "--set", "data.n_train=2.5"], "data.n_train"),
+    ])
+    def test_bad_spec_field_exits_2(self, argv, field, tmp_path, capsys):
+        code = cli.main([argv[0], "--out", str(tmp_path / "x"), *argv[1:]])
+        assert code == 2
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+    def test_non_finite_csv_feature_exits_2(self, text, tmp_path, capsys):
+        gen = tmp_path / "data"
+        assert cli.main(["gen-data", "--out", str(gen), *TINY_DATA]) == 0
+        lines = read(gen / "data.csv").splitlines()
+        fields = lines[4].split(",")
+        fields[3] = text
+        lines[4] = ",".join(fields)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        code = cli.main(["run", "--out", str(tmp_path / "run"),
+                         "--set", f"data.path={bad}", "--set", "iterations=1"])
+        assert code == 2
+        assert "line 5: non-finite feature value" in capsys.readouterr().err

@@ -170,9 +170,9 @@ class TestRunMatrix:
         bit-identical scores (the frozen pretraining weights of A3 receive an
         exactly zero hypergradient once lam is zero)."""
         bundle = datasets.generate(BUNDLE_SPEC)
-        a3 = experiments.run_cell(bundle, FAST, "A3", 0)
+        (a3,) = experiments.run_cell(bundle, FAST, [("A3", 0)])
         forced = engine.config_with(FAST, lam=0.0)
-        full = experiments.run_cell(bundle, forced, "FULL", 0)
+        (full,) = experiments.run_cell(bundle, forced, [("FULL", 0)])
         assert a3.test_accuracy == full.test_accuracy
         np.testing.assert_array_equal(a3.final_ignore_finetune,
                                       full.final_ignore_finetune)
@@ -182,9 +182,9 @@ class TestRunMatrix:
     def test_gamma_zero_cells_match_full_with_gamma_zero(self):
         """Same reduction on the other switch: A7 is FULL at gamma = 0."""
         bundle = datasets.generate(BUNDLE_SPEC)
-        a7 = experiments.run_cell(bundle, FAST, "A7", 0)
+        (a7,) = experiments.run_cell(bundle, FAST, [("A7", 0)])
         forced = engine.config_with(FAST, gamma=0.0)
-        full = experiments.run_cell(bundle, forced, "FULL", 0)
+        (full,) = experiments.run_cell(bundle, forced, [("FULL", 0)])
         assert a7.test_accuracy == full.test_accuracy
         np.testing.assert_array_equal(a7.final_ignore_pretrain,
                                       full.final_ignore_pretrain)
@@ -275,7 +275,7 @@ class TestSweep:
         bundle = datasets.generate(BUNDLE_SPEC)
         result = experiments.sweep("lambda", [0.0, 0.05, 0.2], bundle, [0],
                                    FAST)
-        a3 = experiments.run_cell(bundle, FAST, "A3", 0)
+        (a3,) = experiments.run_cell(bundle, FAST, [("A3", 0)])
         assert result.points[0].val_accuracies[0] == a3.val_accuracy
         assert result.points[0].test_accuracies[0] == a3.test_accuracy
 

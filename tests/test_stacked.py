@@ -1,0 +1,346 @@
+"""Stacked cells: K configurations stepped as one batched iteration.
+
+Three layers of evidence that a stack changes no cell's bits:
+
+* a canary on the installed numpy and BLAS: every stacked primitive the
+  kernels use gives each slice the bits of the 2-D expression the one-model
+  code used before stacking (an upgrade that breaks one fails here first);
+* a property test: random stacks over mode, ignore mode, hidden width,
+  batch size, step decay and weight decay, mixing lam = 0, gamma = 0,
+  frozen and failing cells, equal their solo ``engine.run`` byte for byte,
+  states and traces, failures included;
+* crafted stacks in which each finite check fails its own cell at the
+  iteration and with the message of the cell's solo run.
+"""
+
+import warnings
+from dataclasses import astuple
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lbi import datasets, engine, experiments, model
+from lbi.datasets import SynthSpec
+from lbi.engine import LbiConfig
+from lbi.errors import ConfigError, NumericError
+from lbi.model import Arch, GradBlock, ModelParams
+
+
+def same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+# (K, n, dim, classes, hidden): the paper's scale as stacked by the ablation
+# matrix (K = 45) and alone, a small minibatch, a wide shape, and an odd
+# small one (where a contiguous transpose once changed BLAS's sum order).
+SHAPES = [(1, 200, 5, 2, 8), (45, 200, 5, 2, 8), (45, 40, 5, 2, 8),
+          (3, 500, 32, 10, 64), (3, 40, 2, 2, 2), (5, 7, 3, 3, 2)]
+
+
+def blocks(rng, K, rows, cols):
+    return rng.standard_normal((K, rows, cols))
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=str)
+@pytest.mark.parametrize("shared_x", [True, False], ids=["full", "batch"])
+class TestBlasCanary:
+    """Each stacked kernel primitive, slice by slice, against the 2-D form."""
+
+    def test_products(self, shape, shared_x):
+        K, n, dim, classes, hidden = shape
+        rng = np.random.default_rng(n + dim + classes)
+        X = (rng.standard_normal((n, dim)) if shared_x
+             else rng.standard_normal((K, n, dim)))
+        Xk = [X if shared_x else X[k] for k in range(K)]
+        for width in (classes, hidden):
+            W, b = blocks(rng, K, width, dim), rng.standard_normal((K, width))
+            out = model._affine(X, W, b)
+            G = blocks(rng, K, n, width)
+            grad_t = np.matmul(model._t(G), X)
+            for k in range(K):
+                want = Xk[k] @ W[k].T
+                want += b[k]
+                assert same_bits(out[k], want)
+                assert same_bits(grad_t[k], G[k].T @ Xk[k])
+        G, U = blocks(rng, K, n, classes), blocks(rng, K, classes, hidden)
+        T = blocks(rng, K, n, hidden)
+        dA, dU = np.matmul(G, U), np.matmul(model._t(G), T)
+        for k in range(K):
+            assert same_bits(dA[k], G[k] @ U[k])
+            assert same_bits(dU[k], G[k].T @ T[k])
+
+    def test_dots(self, shape, shared_x):
+        K, n, dim, classes, hidden = shape
+        rng = np.random.default_rng(n * dim + classes)
+        for width in (classes, hidden):
+            A, B = blocks(rng, K, n, width), blocks(rng, K, n, width)
+            rows = model._rowdot(A, B)
+            for k in range(K):
+                assert same_bits(rows[k], np.einsum("ij,ij->i", A[k], B[k]))
+        arch = Arch(dim, 0, classes)
+        v = GradBlock(rng.standard_normal((K, arch.encoder_size)),
+                      rng.standard_normal((K, arch.head_size)))
+        # Stand-ins for a stacked Forward: the fields these kernels read.
+        fwd = SimpleNamespace(
+            params=ModelParams._of(arch, v.d_encoder, v.d_head), n=n,
+            G=blocks(rng, K, n, classes), losses=rng.standard_normal((K, n)))
+        heads = model.head_dots(fwd, v)
+        for k in range(K):
+            assert same_bits(heads[k], fwd.G[k] @ v.d_head[k])
+        w, losses = rng.uniform(0, 1, (K, n)), fwd.losses
+        weighted, unit = model.weighted_losses(fwd, w), model.weighted_losses(fwd)
+        for k in range(K):
+            assert weighted[k] == float(w[k] @ losses[k])
+            assert unit[k] == float(np.ones(n) @ losses[k])
+
+    def test_sums(self, shape, shared_x):
+        K, n, dim, classes, hidden = shape
+        rng = np.random.default_rng(n + 7 * classes)
+        for width in (classes, hidden):
+            A = blocks(rng, K, n, width)
+            cols, rows = model._sum_examples(A), model._sum_classes(A)
+            top = np.maximum.reduce(model._classes_first(A), axis=0)
+            for k in range(K):
+                assert same_bits(cols[k], np.add.reduce(A[k], axis=0))
+                assert same_bits(rows[k],
+                                 np.add.reduce(A[k], axis=1, keepdims=True))
+                assert same_bits(top[k], np.maximum.reduce(A[k].T.copy(),
+                                                           axis=0))
+
+
+@pytest.mark.parametrize("classes", range(2, 12))
+def test_class_sums_every_class_count(classes):
+    """Below 8 classes the row sums come from the elementwise reduce of a
+    transposed copy; from 8 on from the per-row reduce.  Either way each
+    row matches the per-row reduce of its 2-D slice."""
+    rng = np.random.default_rng(classes)
+    for K in (1, 45):
+        A = rng.standard_normal((K, 200, classes))
+        rows = model._sum_classes(A)
+        for k in range(K):
+            assert same_bits(rows[k], np.add.reduce(A[k], axis=1,
+                                                    keepdims=True))
+        assert same_bits(model._sum_classes(A[0]),
+                         np.add.reduce(A[0], axis=1, keepdims=True))
+
+
+def cell_outcome(out, rows):
+    """Comparable bits of one cell: its blocks or its error, and its trace."""
+    trace = np.array([astuple(r) for r in rows]).tobytes()
+    if isinstance(out, NumericError):
+        return ("error", str(out), out.iteration, trace)
+    return ("ok", [b.tobytes() for b in engine._blocks(out)], out.iteration,
+            trace)
+
+
+def solo_outcome(bundle, cfg, state=None):
+    try:
+        out, rows = engine.run(bundle, cfg, initial_state=state)
+    except NumericError as e:
+        out, rows = e, e.partial_trace
+    return cell_outcome(out, rows)
+
+
+def stacked_outcomes(bundle, cfgs, states=None):
+    rows = {k: [] for k in range(len(cfgs))}
+    outs = engine.run_stack(bundle, cfgs, states,
+                            lambda k, row: rows[k].append(row))
+    return [cell_outcome(out, rows[k]) for k, out in enumerate(outs)]
+
+
+@st.composite
+def stacks(draw):
+    mode = draw(st.sampled_from(engine.MODES))
+    base = LbiConfig(
+        mode=mode, ignore_mode=draw(st.sampled_from(engine.IGNORE_MODES)),
+        hidden=draw(st.sampled_from([0, 3])),
+        batch_size=draw(st.sampled_from([None, 4])),
+        step_decay=draw(st.booleans()),
+        weight_decay=draw(st.sampled_from([0.0, 0.05])),
+        iterations=draw(st.integers(1, 6)),
+        lr_pretrain_encoder=0.05, lr_finetune_encoder=0.05,
+        lr_ignore_pretrain=3.0, lr_ignore_finetune=1.0,
+    )
+    # lam = 1e150 makes a cell fail a few iterations in.
+    lams = st.sampled_from([0.0, 0.3, 1.0, 1e150])
+    gammas = st.sampled_from([0.0, 1.0] if mode == "basic" else [0.0, 0.7])
+    cells = draw(st.lists(
+        st.tuples(st.integers(0, 3), lams, gammas, st.booleans(),
+                  st.booleans()), min_size=1, max_size=6))
+    cfgs = [engine.config_with(base, seed=seed, lam=lam, gamma=gamma,
+                               freeze_ignore_pretrain=fa,
+                               freeze_ignore_finetune=fb)
+            for seed, lam, gamma, fa, fb in cells]
+    bundle = datasets.generate(SynthSpec(
+        dim=3, classes=draw(st.sampled_from([2, 3])), n_pretrain=9,
+        n_train=6, n_val=5, n_test=4, shift=0.5, corrupt_frac=0.3,
+        seed=draw(st.integers(0, 50))))
+    return bundle, cfgs
+
+
+class TestStackEqualsSolo:
+    @settings(max_examples=60, deadline=None)
+    @given(stacks())
+    def test_every_cell_is_its_solo_run(self, stack):
+        bundle, cfgs = stack
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            got = stacked_outcomes(bundle, cfgs)
+            want = [solo_outcome(bundle, cfg) for cfg in cfgs]
+        assert got == want
+
+    def test_decay_boundary_and_resumed_cells(self):
+        """Cells resumed mid-run, across the step-decay boundary."""
+        bundle = datasets.generate(SynthSpec(
+            dim=3, classes=2, n_pretrain=8, n_train=5, n_val=4, n_test=4,
+            shift=0.5, corrupt_frac=0.3, seed=8))
+        base = LbiConfig(iterations=10, step_decay=True, batch_size=3,
+                         lr_ignore_pretrain=3.0)
+        cfgs = [engine.config_with(base, seed=s, lam=lam, gamma=g)
+                for s, lam, g in ((0, 0.3, 0.7), (1, 0.0, 0.7), (2, 0.3, 0.0))]
+        half = [engine.run(bundle, engine.config_with(c, iterations=6))[0]
+                for c in cfgs]
+        assert cfgs[0].decay_start() == 8
+        got = stacked_outcomes(bundle, cfgs, [s.copy() for s in half])
+        assert got == [solo_outcome(bundle, c, s.copy())
+                       for c, s in zip(cfgs, half)]
+
+
+def failing_stack():
+    """One cell per finite check that fails its own cell, in the solo order
+    of the checks, plus healthy, lam = 0, gamma = 0 and frozen cells."""
+    bundle = datasets.generate(SynthSpec(
+        dim=3, classes=3, n_pretrain=9, n_train=6, n_val=5, n_test=4,
+        shift=0.5, corrupt_frac=0.3, seed=4))
+    # Weight decay 1 and head rates of 3 let a head of 1e308 overflow in its
+    # own update while the forward stays finite.
+    base = LbiConfig(lam=0.3, gamma=0.7, iterations=3, weight_decay=1.0,
+                     lr_pretrain_head=3.0, lr_finetune_head=3.0,
+                     lr_ignore_pretrain=2.0, lr_ignore_finetune=1.0)
+
+    def huge(params, block):
+        def craft(state):
+            getattr(getattr(state, params), block)[:] = 1e308
+        return craft
+
+    def zero_b(state):
+        # The b-weighted source term vanishes, so only its hypergradient
+        # (gamma times finite products) overflows.
+        state.ignore_finetune.raw[:] = 0.0
+
+    plan = [
+        (None, {}, None),
+        (huge("pretrain_model", "encoder"), {},
+         "non-finite pretraining encoder update"),
+        (huge("pretrain_model", "head"), {},
+         "non-finite pretraining head update"),
+        (huge("finetune_model", "encoder"), {},
+         "non-finite finetuned encoder update"),
+        (huge("finetune_model", "head"), {},
+         "non-finite finetuned head update"),
+        (None, {"lam": 1e150, "seed": 1},
+         "non-finite finetuned encoder update"),
+        (None, {"lam": 0.0, "seed": 2}, None),
+        (None, {"gamma": 0.0, "freeze_ignore_pretrain": True, "seed": 3},
+         None),
+        (zero_b, {"lam": 0.0, "gamma": 1e308, "seed": 5},
+         "non-finite ignoring-score gradient"),
+        # The same gradient on frozen scores is never applied, so not checked.
+        (zero_b, {"lam": 0.0, "gamma": 1e308, "seed": 5,
+                  "freeze_ignore_finetune": True}, None),
+    ]
+    cfgs, states, errors = [], [], []
+    for craft, change, error in plan:
+        cfg = engine.config_with(base, **change)
+        state = engine.init_state(bundle, cfg)
+        if craft is not None:
+            craft(state)
+        cfgs.append(cfg)
+        states.append(state)
+        errors.append(error)
+    return bundle, cfgs, states, errors
+
+
+class TestCellFailures:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_each_check_fails_only_its_cell(self):
+        bundle, cfgs, states, errors = failing_stack()
+        got = stacked_outcomes(bundle, cfgs, [s.copy() for s in states])
+        want = [solo_outcome(bundle, c, s.copy())
+                for c, s in zip(cfgs, states)]
+        assert got == want
+        assert [g[1] if g[0] == "error" else None for g in got] == errors
+        assert got[5][2] == 2  # fails mid-run, after two clean iterations
+        assert all(g[2] == 3 for g, e in zip(got, errors) if e is None)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_failing_rows_match_solo_runs(self):
+        """results.csv rows come from run_cell: a failing cell's error is
+        its solo run's, the others score as they would alone."""
+        bundle = datasets.generate(SynthSpec(
+            dim=3, classes=2, n_pretrain=12, n_train=8, n_val=6, n_test=6,
+            shift=0.5, corrupt_frac=0.3, seed=2))
+        base = LbiConfig(lam=1e150, gamma=0.7, iterations=4)
+        cells = [(aid, seed) for aid in ("A1", "A3", "A5", "FULL")
+                 for seed in (0, 1)]
+        results = experiments.run_cell(bundle, base, cells)
+        assert [(r.ablation, r.seed) for r in results] == cells
+        for r in results:
+            outcome = solo_outcome(bundle, r.config)
+            if r.ablation in ("A5", "FULL"):
+                assert r.error == (f"numeric failure at iteration "
+                                   f"{outcome[2]}: {outcome[1]}")
+            else:
+                assert r.ok and outcome[0] == "ok"
+
+
+class TestOneEngine:
+    def test_matrix_and_sweep_never_run_cells_alone(self, monkeypatch):
+        bundle = datasets.generate(SynthSpec(
+            dim=3, classes=2, n_pretrain=8, n_train=5, n_val=4, n_test=4,
+            shift=0.5, corrupt_frac=0.3, seed=1))
+        cfg = LbiConfig(iterations=3)
+        want = experiments.run_matrix(bundle, ["A1", "FULL"], [0, 1], cfg)
+        sweep = experiments.sweep("lambda", [0.0, 0.1, 1.0], bundle, [0], cfg)
+        calls = []
+        stack = engine.run_stack
+
+        def counted(*args, **kwargs):
+            calls.append(len(args[1]))
+            return stack(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "run_stack", counted)
+        monkeypatch.setattr(engine, "run", None)
+        got = experiments.run_matrix(bundle, ["A1", "FULL"], [0, 1], cfg)
+        again = experiments.sweep("lambda", [0.0, 0.1, 1.0], bundle, [0], cfg)
+        assert calls == [4, 3]
+        assert [r.test_accuracy for r in got.results] == [
+            r.test_accuracy for r in want.results]
+        assert [p.val_accuracies for p in again.points] == [
+            p.val_accuracies for p in sweep.points]
+
+    @pytest.mark.parametrize("change", [
+        {"iterations": 4}, {"hidden": 2}, {"batch_size": 2},
+        {"lr_pretrain_head": 0.5}, {"mode": "basic", "gamma": 0.0},
+    ])
+    def test_cells_must_share_the_rest_of_the_config(self, change):
+        bundle = datasets.generate(SynthSpec(
+            dim=3, classes=2, n_pretrain=8, n_train=5, n_val=4, n_test=4,
+            seed=1))
+        cfg = LbiConfig(iterations=3)
+        with pytest.raises(ConfigError, match="differ only in"):
+            engine.run_stack(bundle, [cfg, engine.config_with(cfg, **change)])
+
+    def test_cells_must_start_together(self):
+        bundle = datasets.generate(SynthSpec(
+            dim=3, classes=2, n_pretrain=8, n_train=5, n_val=4, n_test=4,
+            seed=1))
+        cfg = LbiConfig(iterations=3)
+        ahead, _ = engine.run(bundle, engine.config_with(cfg, iterations=1))
+        with pytest.raises(ConfigError, match="same iteration"):
+            engine.run_stack(bundle, [cfg, cfg],
+                             [engine.init_state(bundle, cfg), ahead])
