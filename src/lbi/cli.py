@@ -318,15 +318,15 @@ def cmd_verify(args, config: dict) -> int:
     seeds = (parse_seeds(section["seeds"], "verify.seeds") if "seeds" in section
              else parse_seeds(0 if args.seed is None else args.seed, "--seed"))
     instance_keys = {}
-    for key in ("hidden", "ignore_mode", "mode"):
-        if key in lbi_section:
-            instance_keys[key] = lbi_section[key]
-    for key in ("dim", "classes", "n_pretrain", "n_train", "n_val",
-                "lam", "gamma"):
-        if key in section:
-            instance_keys[key] = section[key]
-    if "lambda" in section:
-        instance_keys["lam"] = section["lambda"]
+    for where, source, keys in (
+            ("lbi", lbi_section, ("hidden", "ignore_mode", "mode")),
+            ("verify", section, ("dim", "classes", "n_pretrain", "n_train",
+                                 "n_val", "lam", "gamma", "lambda"))):
+        for key in keys:
+            if key in source:
+                name = "lam" if key == "lambda" else key
+                instance_keys[name] = engine._coerce_config_value(
+                    name, source[key], f"{where}.{key}")
 
     all_passed = True
     reports = []

@@ -162,13 +162,18 @@ _FLOAT_CONFIG_FIELDS = frozenset({
     "lr_finetune_encoder", "lr_finetune_head", "lr_ignore_pretrain",
     "lr_ignore_finetune", "weight_decay",
 })
-_INT_CONFIG_FIELDS = frozenset({"iterations", "hidden", "seed"})
+_INT_CONFIG_FIELDS = frozenset({"iterations", "hidden", "seed", "batch_size"})
 _BOOL_CONFIG_FIELDS = frozenset({
     "step_decay", "freeze_ignore_pretrain", "freeze_ignore_finetune",
 })
 
 
-def _coerce_config_value(name: str, value):
+def _coerce_config_value(name: str, value, key: str | None = None):
+    """``value`` as config field ``name`` takes it, or ConfigError naming
+    ``key`` (default: ``name``).  Integer fields take integral values only,
+    no bools; a None batch_size means the full batch."""
+    if name == "batch_size" and value is None:
+        return None
     try:
         if name in _FLOAT_CONFIG_FIELDS:
             return float(value)
@@ -179,15 +184,13 @@ def _coerce_config_value(name: str, value):
             if out != float(value):
                 raise ValueError("not an integer")
             return out
-        if name == "batch_size":
-            return None if value is None else int(value)
         if name in _BOOL_CONFIG_FIELDS:
             if not isinstance(value, bool):
                 raise ValueError("expected true or false")
             return value
         return value
-    except (TypeError, ValueError):
-        raise ConfigError(f"bad value for {name}: {value!r}") from None
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"bad value for {key or name}: {value!r}") from None
 
 
 @dataclass
@@ -292,7 +295,7 @@ class LbiConfig:
             name = "lam" if key == "lambda" else key
             if name not in names:
                 raise ConfigError(f"unknown config key {key!r}")
-            kwargs[name] = _coerce_config_value(name, value)
+            kwargs[name] = _coerce_config_value(name, value, key)
         cfg = cls(**kwargs)
         cfg.validate()
         return cfg
@@ -425,25 +428,6 @@ def _check_scores(scores: IgnoreSet, n: int, what: str):
         )
 
 
-def pretrain_step(state: LbiState, bundle: DatasetBundle, cfg: LbiConfig,
-                  rates: Rates | None = None) -> ModelParams:
-    """One weighted gradient step of the pretraining model.
-
-    Returns the stepped model; does not touch the state.  With all weights
-    zero the parameters come back unchanged.
-    """
-    _check_scores(state.ignore_pretrain, bundle.pretrain.n, "pretraining")
-    rates = rates or cfg.rates_at(state.iteration)
-    fwd = _forward_or_none(state.pretrain_model, bundle.pretrain.X,
-                           bundle.pretrain.y)
-    out = _pretrain_update(state.pretrain_model, fwd,
-                           state.ignore_pretrain.effective(), rates,
-                           cfg.weight_decay)
-    if fwd is not None:
-        _check_update(out, "pretraining", state.iteration)
-    return out
-
-
 def _mixes_source(cfg: LbiConfig) -> bool:
     """Whether the finetuning objective includes the b-weighted pretraining
     loss (and so whether the finetuning ignore scores have a hypergradient)."""
@@ -495,46 +479,16 @@ def _finetune_update(params: ModelParams, pretrained_next: ModelParams,
     )
 
 
-def finetune_step(state: LbiState, pretrained_next: ModelParams,
-                  bundle: DatasetBundle, cfg: LbiConfig,
-                  rates: Rates | None = None) -> ModelParams:
-    """One gradient step of the finetuned model against the stepped
-    pretraining encoder.
-
-    Basic mode: training loss plus proximity.  Extended mode additionally
-    mixes in the b-weighted pretraining loss scaled by gamma.  With lam = 0
-    and (in extended mode) gamma = 0 this is exactly a plain training step;
-    the zero branches are skipped outright so the reduction is bit-exact.
-    """
-    rates = rates or cfg.rates_at(state.iteration)
-    params = state.finetune_model
-    source_fwd, b = None, None
-    if _mixes_source(cfg):
-        _check_scores(state.ignore_finetune, bundle.pretrain.n, "finetuning")
-        source_fwd = _forward_or_none(params, bundle.pretrain.X,
-                                      bundle.pretrain.y)
-        b = state.ignore_finetune.effective()
-    train_grad = model.weighted_grad(
-        model._softmax_residual(params, bundle.train.X, bundle.train.y))
-    out = _finetune_update(params, pretrained_next, train_grad, source_fwd, b,
-                           cfg.lam, cfg.gamma, rates, cfg.weight_decay)
-    _check_update(out, "finetuned", state.iteration)
-    return out
-
-
-def _val_grad(finetuned_next: ModelParams, bundle: DatasetBundle) -> GradBlock:
-    return model.weighted_grad(
-        model._softmax_residual(finetuned_next, bundle.val.X, bundle.val.y))
-
-
-def _hypergrad_pretrain(fwd: model.Forward, val_grad: GradBlock, chain,
-                        lam, rates: Rates,
-                        projection: np.ndarray | None = None) -> np.ndarray:
-    """-2 xi_V xi_W lam <g_i(V)|enc, g_val(W')|enc> times the score chain
-    factor (None: 1), for the examples of ``fwd`` (the pretraining model's
-    forward).  ``projection`` is ``model.encoder_projection`` of that batch
-    and ``val_grad``, when the caller has it.  ``lam`` is a float, or a
-    (K, 1) column for a stack."""
+def _hypergrad_pretrain(fwd: model.Forward, val_grad: GradBlock, chain, lam,
+                        rates: Rates, projection: np.ndarray) -> np.ndarray:
+    """dL_val/d(raw a_i) for the examples of ``fwd``, the pretraining model's
+    forward on its batch: a_i scales g_i(V) in the pretraining step, so
+    dV'/da_i = -xi_V g_i(V)|enc, and the finetuning step sees V' only through
+    the proximity gradient, so dW'/dV' = 2 xi_W lam I.  Against the
+    validation gradient at W' that is -2 xi_V xi_W lam <g_i(V)|enc,
+    g_val|enc>, times the score chain factor (None: 1).  ``projection`` is
+    ``model.encoder_projection`` of the batch and ``val_grad``; ``lam`` is a
+    float, or a (K, 1) column for a stack."""
     scale = -2.0 * rates.pretrain_encoder * rates.finetune_encoder * lam
     hg = scale * model.encoder_dots(fwd, val_grad, projection)
     return hg if chain is None else hg * chain
@@ -542,75 +496,19 @@ def _hypergrad_pretrain(fwd: model.Forward, val_grad: GradBlock, chain,
 
 def _hypergrad_finetune(fwd: model.Forward, val_grad: GradBlock, chain,
                         gamma, rates: Rates,
-                        projection: np.ndarray | None = None) -> np.ndarray:
-    """-gamma (xi_W <g_i(W)|enc, g_val|enc> + xi_H <g_i(W)|head, g_val|head>)
-    times the score chain factor (None: 1), for the examples of ``fwd`` (the
-    finetuned model's forward on the pretraining batch).  ``gamma`` is a
-    float, or a (K, 1) column for a stack."""
+                        projection: np.ndarray) -> np.ndarray:
+    """dL_val/d(raw b_i) for the examples of ``fwd``, the finetuned model's
+    forward on the pretraining batch: b_i scales g_i(W) in the finetuning
+    step, so dW'/db_i = -gamma xi_W g_i(W)|enc and dH'/db_i = -gamma xi_H
+    g_i(W)|head, which gives -gamma (xi_W <g_i(W)|enc, g_val|enc> + xi_H
+    <g_i(W)|head, g_val|head>), times the score chain factor (None: 1).
+    ``projection`` is as for ``_hypergrad_pretrain``; ``gamma`` is a float,
+    or a (K, 1) column for a stack."""
     comp = rates.finetune_encoder * model.encoder_dots(fwd, val_grad,
                                                        projection)
     comp += rates.finetune_head * model.head_dots(fwd, val_grad)
     hg = -gamma * comp
     return hg if chain is None else hg * chain
-
-
-def hypergrad_ignore_pretrain(state: LbiState, finetuned_next: ModelParams,
-                              bundle: DatasetBundle, cfg: LbiConfig,
-                              rates: Rates | None = None,
-                              val_grad: GradBlock | None = None) -> np.ndarray:
-    """Exact gradient of the validation loss with respect to the raw
-    pretraining ignoring scores.
-
-    Derivation: a_i scales example i's gradient inside the pretraining step,
-    so dV'/da_i = -xi_V g_i(V)|enc.  The finetuning step sees V' only through
-    the proximity gradient 2 lam (W - V'), so dW'/dV' = 2 xi_W lam I.  Chain
-    against the validation gradient at W' and the component is
-    -2 xi_V xi_W lam <g_i(V)|enc, g_val(W')|enc>; the sigmoid derivative (or
-    1 in clamp mode) converts from effective weight to raw score.  The
-    pretrained head influences nothing downstream, so it never appears.  With
-    lam = 0 all components are exactly zero.
-    """
-    rates = rates or cfg.rates_at(state.iteration)
-    if cfg.lam == 0.0 or bundle.pretrain.n == 0:
-        return np.zeros(bundle.pretrain.n)
-    _check_scores(state.ignore_pretrain, bundle.pretrain.n, "pretraining")
-    fwd = model._softmax_residual(
-        state.pretrain_model, bundle.pretrain.X, bundle.pretrain.y
-    )
-    gv = val_grad or _val_grad(finetuned_next, bundle)
-    scores = state.ignore_pretrain
-    return _hypergrad_pretrain(
-        fwd, gv, _chain_factor(scores.mode, scores.effective()), cfg.lam,
-        rates)
-
-
-def hypergrad_ignore_finetune(state: LbiState, finetuned_next: ModelParams,
-                              bundle: DatasetBundle, cfg: LbiConfig,
-                              rates: Rates | None = None,
-                              val_grad: GradBlock | None = None) -> np.ndarray:
-    """Exact gradient of the validation loss with respect to the raw
-    finetuning ignoring scores (extended mode only).
-
-    b_i scales example i's gradient, taken at the current finetuned model,
-    inside the finetuning step, so both blocks move: dW'/db_i =
-    -gamma xi_W g_i(W)|enc and dH'/db_i = -gamma xi_H g_i(W)|head.  Chaining
-    against the validation gradient at (W', H') gives the two inner products
-    below.  With gamma = 0 all components are exactly zero.
-    """
-    if cfg.mode != "extended":
-        raise ValueError("finetuning ignore weights exist only in extended mode")
-    rates = rates or cfg.rates_at(state.iteration)
-    if cfg.gamma == 0.0 or bundle.pretrain.n == 0:
-        return np.zeros(bundle.pretrain.n)
-    _check_scores(state.ignore_finetune, bundle.pretrain.n, "finetuning")
-    fwd = model._softmax_residual(
-        state.finetune_model, bundle.pretrain.X, bundle.pretrain.y
-    )
-    gv = val_grad or _val_grad(finetuned_next, bundle)
-    scores = state.ignore_finetune
-    return _hypergrad_finetune(
-        fwd, gv, _chain_factor(scores.mode, scores.effective()), cfg.gamma,
-        rates)
 
 
 def apply_ignore_update(ignore: IgnoreSet, g: np.ndarray, rate: float,
@@ -829,9 +727,11 @@ def _iterate(state: LbiState, bundle: DatasetBundle, cfg: LbiConfig,
 
     ``cfg`` supplies the fields the cells share and ``cells`` the rest.
     Returns the next state, the five trace values of ``TraceRow`` after its
-    iteration (one length-K vector each for a stack), and {cell position:
-    NumericError} for the cells that failed a finite check; their entries in
-    the next state are not meaningful.
+    iteration (one length-K vector each for a stack), {cell position:
+    NumericError} for the cells that failed a finite check (their entries in
+    the next state are not meaningful), and the raw-score hypergradients
+    (hg_a, hg_b) of the batch's scores, each None when it is identically
+    zero in every cell.  A frozen score set still gets its hypergradient.
 
     Each cell's values are the bits of a one-cell iteration: the kernels
     keep every model's sums in the same order (see ``model``), and a cell
@@ -921,7 +821,7 @@ def _iterate(state: LbiState, bundle: DatasetBundle, cfg: LbiConfig,
         _grad_norms(hg_a, has_a, at, n_pre),
         _grad_norms(hg_b, has_b, at, n_pre),
     )
-    return nxt, trace, failed
+    return nxt, trace, failed, (hg_a, hg_b)
 
 
 def lbi_iteration(state: LbiState, bundle: DatasetBundle, cfg: LbiConfig,
@@ -948,7 +848,8 @@ def lbi_iteration(state: LbiState, bundle: DatasetBundle, cfg: LbiConfig,
     ``cfg.rates_at(state.iteration)``.
     """
     rates = rates or cfg.rates_at(state.iteration)
-    nxt, trace, failed = _iterate(state, bundle, cfg, _Cells.of([cfg]), rates)
+    nxt, trace, failed, _ = _iterate(state, bundle, cfg, _Cells.of([cfg]),
+                                     rates)
     if failed:
         raise failed[0]
     return nxt, TraceRow(state.iteration, *map(float, trace))
@@ -1024,7 +925,7 @@ def run_stack(bundle: DatasetBundle, cfgs: list[LbiConfig],
         it = state.iteration
         if it == decay_start:
             rates = cfg.rates_at(it)
-        state, trace, failed = _iterate(state, bundle, cfg, cells, rates)
+        state, trace, failed, _ = _iterate(state, bundle, cfg, cells, rates)
         rows = np.array(trace).T.reshape(-1, 5)  # trace values, a row per cell
         if failed:
             for pos, err in failed.items():

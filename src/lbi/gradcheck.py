@@ -8,6 +8,12 @@ so they can be checked against central differences on that exact map: nudge
 one raw score, rerun the two updates that ``engine.lbi_iteration`` runs, and
 difference the validation loss at the looked-ahead model.
 
+The analytic side comes from the engine itself: one call of
+``engine._iterate``, the iteration that ``engine.run`` and
+``engine.lbi_iteration`` execute, on the full batch.  Its hypergradients are
+the ones the scores step along, so a check passes only when the code that
+trains is right.
+
 The work no score reaches is done once per instance and shared by its
 probes: the forwards of the pretraining model on the pretraining split and
 of the finetuned model on the pretraining split (when gamma mixes it in),
@@ -32,7 +38,7 @@ near-zero components do not explode the ratio.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -72,10 +78,16 @@ class FdReport:
 
     @property
     def max_rel_err(self) -> float:
-        return max((e.rel_err for e in self.entries), default=0.0)
+        """The largest relative error, NaN if any entry's is (a non-finite
+        value on either side makes it NaN)."""
+        return float(np.max([e.rel_err for e in self.entries], initial=0.0))
+
+    def _fails(self, e: FdEntry) -> bool:
+        # Not "rel_err >= threshold", which a NaN error would pass.
+        return not e.rel_err < self.threshold
 
     def flagged(self) -> list[FdEntry]:
-        return [e for e in self.entries if e.rel_err >= self.threshold]
+        return [e for e in self.entries if self._fails(e)]
 
     def passed(self) -> bool:
         return not self.flagged()
@@ -86,7 +98,7 @@ class FdReport:
             f"{'rel_err':>12} flag",
         ]
         for e in self.entries:
-            mark = "FAIL" if e.rel_err >= self.threshold else "ok"
+            mark = "FAIL" if self._fails(e) else "ok"
             lines.append(
                 f"{e.which:<9} {e.index:>4} {e.analytic:>24.16e} "
                 f"{e.numeric:>24.16e} {e.rel_err:>12.3e} {mark}"
@@ -215,6 +227,23 @@ def fd_val_loss_wrt_ignore(state: LbiState, bundle: DatasetBundle,
     return (vals[0] - vals[1]) / (2.0 * step)
 
 
+def _analytic_hypergrads(state: LbiState, bundle: DatasetBundle,
+                         cfg: LbiConfig) -> tuple[np.ndarray, np.ndarray | None]:
+    """The raw-score hypergradients of one full-batch iteration, from the
+    iteration ``engine.run`` executes: (pretraining, finetuning; None in
+    basic mode).  One the engine skips as identically zero comes back as
+    zeros.  Raises the NumericError of a failed finite check."""
+    cfg = replace(cfg, batch_size=None)
+    _, _, failed, hgs = engine._iterate(state, bundle, cfg,
+                                        engine._Cells.of([cfg]),
+                                        cfg.rates_at(state.iteration))
+    if failed:
+        raise failed[0]
+    hg_a, hg_b = (np.zeros(bundle.pretrain.n) if hg is None else hg
+                  for hg in hgs)
+    return hg_a, (hg_b if cfg.mode == "extended" else None)
+
+
 def verify_hypergrads(state: LbiState, bundle: DatasetBundle, cfg: LbiConfig,
                       step: float = 1e-4, threshold: float = 1e-4) -> FdReport:
     """Compare both closed-form hypergradients against central differences,
@@ -222,21 +251,12 @@ def verify_hypergrads(state: LbiState, bundle: DatasetBundle, cfg: LbiConfig,
     be finite and > 0 (else ValueError)."""
     step = check_positive("step", step)
     threshold = check_positive("threshold", threshold)
-    rates = cfg.rates_at(state.iteration)
-    pretrained_next = engine.pretrain_step(state, bundle, cfg, rates)
-    finetuned_next = engine.finetune_step(state, pretrained_next, bundle, cfg,
-                                          rates)
-
-    report = FdReport(step=step, threshold=threshold)
-    sections = [("pretrain",
-                 engine.hypergrad_ignore_pretrain(
-                     state, finetuned_next, bundle, cfg, rates))]
-    if cfg.mode == "extended":
-        sections.append(("finetune",
-                         engine.hypergrad_ignore_finetune(
-                             state, finetuned_next, bundle, cfg, rates)))
     lookahead = _Lookahead(state, bundle, cfg)
-    for which, analytic in sections:
+    hg_a, hg_b = _analytic_hypergrads(state, bundle, cfg)
+    report = FdReport(step=step, threshold=threshold)
+    for which, analytic in (("pretrain", hg_a), ("finetune", hg_b)):
+        if analytic is None:
+            continue
         for i in range(bundle.pretrain.n):
             numeric = fd_val_loss_wrt_ignore(state, bundle, cfg, which, i, step,
                                              lookahead=lookahead)

@@ -36,8 +36,8 @@ are contracted straight from the record without forming g_i
     MLP      encoder  rowsum(dA * (X W_v^T + b1_v))
              head     rowsum(G * (T U_v^T + b2_v))
 
-``per_example_grad_arrays`` materializes the n x P rows explicitly; it is
-the reference the contractions are tested against.
+The tests check the contractions against the n x P per-example gradient
+rows, materialized by a reference in ``tests/reference.py``.
 
 Stacks.  The kernels also run K models at once: blocks of shape (K, P)
 instead of (P,), features shared (n, dim) or per model (K, n, dim), and
@@ -361,18 +361,11 @@ def _softmax_residual(params: ModelParams, X: np.ndarray, y: np.ndarray) -> Forw
     return Forward(params, X, y, z, T, m, ez, _sum_classes(ez))
 
 
-def _check_weights(weights, n: int) -> np.ndarray:
-    """Per-example weights as a float64 vector of length n, or ValueError."""
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != (n,):
-        raise ValueError(f"weights have shape {weights.shape}, expected ({n},)")
-    return weights
-
-
-# The kernels below trust their arguments: weights come checked from the
-# public functions (_check_weights) and None stands for unit weights, which
-# skip the multiply because 1.0 * x == x.  Sums call np.add.reduce, the
-# ufunc behind ndarray.sum, without the Python layer in between.
+# The kernels below trust their arguments: weights are float64 with one
+# entry per example of the forward (the engine's own score vectors), and
+# None stands for unit weights, which skip the multiply because 1.0 * x ==
+# x.  Sums call np.add.reduce, the ufunc behind ndarray.sum, without the
+# Python layer in between.
 
 def weighted_losses(fwd: Forward,
                     weights: np.ndarray | None = None) -> np.ndarray:
@@ -436,7 +429,7 @@ def encoder_dots(fwd: Forward, v: GradBlock,
                  projection: np.ndarray | None = None) -> np.ndarray:
     """<g_i|encoder, v.d_encoder> for every example i of the batch.
 
-    Equals per_example_grad_arrays(...)[0] @ v.d_encoder, contracted from
+    Equals the per-example gradient rows times v.d_encoder, contracted from
     the residuals in O(n (classes + hidden) dim) without forming g_i.
     ``projection``, when given, is ``encoder_projection`` of this batch and v.
     """
@@ -455,55 +448,6 @@ def head_dots(fwd: Forward, v: GradBlock) -> np.ndarray:
         return np.matmul(fwd.G, b_v[..., None])[..., 0]
     _, _, U_v, b2_v = _mlp_views(V)
     return _rowdot(fwd.G, _affine(fwd.T, U_v, b2_v))
-
-
-def batch_losses(params: ModelParams, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Per-example cross-entropy, computed through logsumexp for stability."""
-    return _softmax_residual(params, X, y).losses
-
-
-def weighted_loss_arrays(
-    params: ModelParams, X: np.ndarray, y: np.ndarray, weights: np.ndarray
-) -> float:
-    """Weighted sum (not mean) of per-example cross-entropies."""
-    fwd = _softmax_residual(params, X, y)
-    return weighted_loss(fwd, _check_weights(weights, fwd.n))
-
-
-def grad_arrays(
-    params: ModelParams, X: np.ndarray, y: np.ndarray, weights: np.ndarray
-) -> GradBlock:
-    """Gradient of the weighted loss sum with respect to both blocks."""
-    fwd = _softmax_residual(params, X, y)
-    return weighted_grad(fwd, _check_weights(weights, fwd.n))
-
-
-def per_example_grad_arrays(
-    params: ModelParams, X: np.ndarray, y: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked unweighted per-example gradients.
-
-    Returns (n x encoder_size, n x head_size).  Row i is the gradient of
-    example i's loss alone; any weighted total gradient is a weighted sum of
-    these rows.  The engine never builds this matrix (it contracts through
-    ``encoder_dots`` and ``head_dots``); it is the tests' reference.
-    """
-    fwd = _softmax_residual(params, X, y)
-    X, G, n = fwd.X, fwd.G, fwd.n
-    a = params.arch
-    if a.hidden == 0:
-        Genc = (G[:, :, None] * X[:, None, :]).reshape(n, a.encoder_size)
-        return Genc, G.copy()
-    dA, T = fwd.dA, fwd.T
-    Genc = np.concatenate(
-        [(dA[:, :, None] * X[:, None, :]).reshape(n, a.hidden * a.dim), dA],
-        axis=1,
-    )
-    Ghead = np.concatenate(
-        [(G[:, :, None] * T[:, None, :]).reshape(n, a.classes * a.hidden), G],
-        axis=1,
-    )
-    return Genc, Ghead
 
 
 def proximity_grad(w_encoder: np.ndarray, v_encoder: np.ndarray, lam: float) -> np.ndarray:

@@ -9,6 +9,7 @@ the suite, since the peak location is dataset-dependent.
 import time
 
 import numpy as np
+import reference
 
 from lbi import datasets, engine, experiments, gradcheck, model
 from lbi.datasets import SynthSpec
@@ -89,7 +90,8 @@ class TestCriterion2:
         params = engine.init_state(bundle, cfg).finetune_model
         ones = np.ones(bundle.train.n)
         for _ in range(50):
-            g = model.grad_arrays(params, bundle.train.X, bundle.train.y, ones)
+            g = model.weighted_grad(model._softmax_residual(
+                params, bundle.train.X, bundle.train.y), ones)
             params = model.ModelParams(
                 params.arch,
                 params.encoder - 0.02 * g.d_encoder,
@@ -215,8 +217,9 @@ class TestCriterion5:
 
 class TestCriterion6:
     def test_kernel_gradient_correctness(self):
-        """Kernel gradients against central differences on 50 random draws;
-        weighted gradients must also decompose into per-example rows."""
+        """The engine's gradient kernel (``model.weighted_grad`` on a
+        forward) against central differences on 50 random draws; weighted
+        gradients must also decompose into per-example rows."""
         start = time.perf_counter()
         rng = np.random.default_rng(2024)
         worst_grad = 0.0
@@ -235,7 +238,7 @@ class TestCriterion6:
             y = rng.integers(0, arch.classes, size=n)
             w = rng.uniform(0.1, 1.0, n)
 
-            g = model.grad_arrays(params, X, y, w)
+            g = model.weighted_grad(model._softmax_residual(params, X, y), w)
             d_enc = rng.normal(size=arch.encoder_size)
             d_head = rng.normal(size=arch.head_size)
             analytic = float(g.d_encoder @ d_enc + g.d_head @ d_head)
@@ -244,8 +247,9 @@ class TestCriterion6:
                                    params.head + eps * d_head)
             dn = model.ModelParams(arch, params.encoder - eps * d_enc,
                                    params.head - eps * d_head)
-            numeric = (model.weighted_loss_arrays(up, X, y, w)
-                       - model.weighted_loss_arrays(dn, X, y, w)) / (2 * eps)
+            numeric = (model.weighted_loss(model._softmax_residual(up, X, y), w)
+                       - model.weighted_loss(model._softmax_residual(dn, X, y),
+                                             w)) / (2 * eps)
             rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric),
                                                 1e-12)
             worst_grad = max(worst_grad, rel)
@@ -262,7 +266,7 @@ class TestCriterion6:
                                                 1e-12)
             worst_grad = max(worst_grad, rel)
 
-            genc, ghead = model.per_example_grad_arrays(params, X, y)
+            genc, ghead = reference.per_example_grad_arrays(params, X, y)
             worst_decomp = max(
                 worst_decomp,
                 float(np.max(np.abs(w @ genc - g.d_encoder))),

