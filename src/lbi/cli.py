@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Subcommands: run, verify, ablate, sweep, gen-data, eval.  Configuration
-comes from an optional YAML file with three sections (``data``, ``lbi``,
-``run``) plus ``--set dotted.key=value`` overrides; a bare key like
-``--set lambda=7e-3`` means ``lbi.lambda``.  Override values are parsed as
-YAML, so numbers, booleans, and lists all work.
+comes from an optional YAML file with the sections of ``config.SECTIONS``
+plus ``--set dotted.key=value`` overrides; a bare key like ``--set
+lambda=7e-3`` means ``lbi.lambda``.  Override values are parsed as YAML, and
+``config.read_config`` types and checks all of it before a command starts.
 
 Every command that produces files writes them into one output directory
 (``--out``, else ``run.out`` from the config, else a deterministic directory
@@ -34,6 +34,7 @@ import numpy as np
 import yaml
 
 from . import __version__, datasets, engine, experiments, gradcheck
+from .config import SECTIONS, SWEEP_PARAMS, read_config, read_flag
 from .engine import LbiConfig
 from .errors import ConfigError, LbiError, NumericError, ParseError
 
@@ -44,8 +45,6 @@ EXIT_VERIFY_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_CELLS_FAILED = 4
-
-_SECTIONS = ("data", "lbi", "run", "verify", "ablate", "sweep", "eval")
 
 
 def _fmt(x) -> str:
@@ -84,17 +83,14 @@ def load_config_file(path: str | None) -> dict:
     try:
         with open(path) as fh:
             raw = yaml.safe_load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
+    except OSError as e:
+        raise ConfigError(f"cannot read config file {path}: {e.strerror}") from None
     except yaml.YAMLError as e:
         raise ParseError(f"{path}: {e}") from None
     if raw is None:
         return {}
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
-    unknown = set(raw) - set(_SECTIONS)
-    if unknown:
-        raise ConfigError(f"{path}: unknown sections {sorted(unknown)}")
     return raw
 
 
@@ -102,11 +98,9 @@ def apply_overrides(config: dict, sets: list[str]) -> dict:
     """Apply --set KEY=VALUE pairs; bare keys alias into the lbi section."""
     config = copy.deepcopy(config)
     for item in sets:
-        if "=" not in item:
-            raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
-        key, _, raw_value = item.partition("=")
+        key, eq, raw_value = item.partition("=")
         key = key.strip()
-        if not key:
+        if not (eq and key):
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         try:
             value = yaml.safe_load(raw_value)
@@ -115,11 +109,11 @@ def apply_overrides(config: dict, sets: list[str]) -> dict:
         parts = key.split(".")
         if len(parts) == 1:
             parts = ["lbi", parts[0]]
-        if parts[0] not in _SECTIONS:
-            raise ConfigError(f"--set {item!r}: unknown section {parts[0]!r}")
         node = config
         for p in parts[:-1]:
-            node = node.setdefault(p, {})
+            if node.get(p) is None:
+                node[p] = {}
+            node = node[p]
             if not isinstance(node, dict):
                 raise ConfigError(f"--set {item!r}: {p!r} is not a mapping")
         node[parts[-1]] = value
@@ -127,59 +121,39 @@ def apply_overrides(config: dict, sets: list[str]) -> dict:
 
 
 def build_lbi_config(config: dict, seed_flag: int | None) -> LbiConfig:
-    section = dict(config.get("lbi") or {})
+    section = config["lbi"]
     if seed_flag is not None:
-        section["seed"] = seed_flag
-    if "batch_size" in section and section["batch_size"] in ("none", "None"):
-        section["batch_size"] = None
-    return LbiConfig.from_dict(section)
+        section = {**section,
+                   "seed": read_flag("lbi", "seed", seed_flag, "--seed")}
+    return engine.config_with(LbiConfig(), **section)
 
 
-def _as_list(value) -> list:
-    """A config or flag value as a list: a string split on commas, a scalar
-    as its own one-item list."""
-    if isinstance(value, str):
-        return value.split(",")
-    return value if isinstance(value, list) else [value]
+def _setting(config: dict, section: str, key: str, flag=None, flag_value=None):
+    """``section.key`` from its command-line flag when one is given, else
+    from the config, else the field's default."""
+    if flag_value is not None:
+        return read_flag(section, key, flag_value, flag)
+    return config[section].get(key, SECTIONS[section][key].default)
 
 
-def parse_seeds(value, what: str) -> list[int]:
-    """Seeds from a flag or a config key: an int, a list of ints, or a
-    comma-separated string of them, each an integer >= 0 (else ConfigError)."""
-    seeds = [int(s) if isinstance(s, str) and s.strip().isdigit() else s
-             for s in _as_list(value)]
-    if not seeds or any(isinstance(s, bool) or not isinstance(s, int) or s < 0
-                        for s in seeds):
-        raise ConfigError(
-            f"{what} must be one or more integers >= 0, got {value!r}")
-    return seeds
+_CSV_KEYS = ("kind", "path", "dim", "classes")
 
 
 def resolve_data(config: dict):
     """Returns (kind, spec_or_path, bundle)."""
-    section = dict(config.get("data") or {})
-    # A bare path means a CSV file; kind only needs spelling out to force
-    # synthetic generation despite a stray path key.
-    kind = section.pop("kind", "csv" if "path" in section else "synth")
+    section = config["data"]
+    kind = section.get("kind", "csv" if "path" in section else "synth")
+    keys = _CSV_KEYS if kind == "csv" else set(SECTIONS["data"]) - {"path"}
+    stray = [k for k in section if k not in keys]
+    if stray:
+        raise ConfigError(f"data.{stray[0]} does not apply to data.kind={kind}")
     if kind == "csv":
-        path = section.pop("path", None)
-        if not path:
+        if "path" not in section:
             raise ConfigError("data.kind=csv requires data.path")
-        schema = datasets.CsvSchema(
-            dim=section.pop("dim", None), classes=section.pop("classes", None)
-        )
-        if section:
-            raise ConfigError(f"unknown data keys for csv: {sorted(section)}")
-        return "csv", path, datasets.load_csv(path, schema)
-    if kind != "synth":
-        raise ConfigError(f"unknown data.kind {kind!r}")
-    defaults = {
-        "dim": 5, "classes": 2,
-        "n_pretrain": 200, "n_train": 60, "n_val": 40, "n_test": 400,
-    }
-    for k, v in defaults.items():
-        section.setdefault(k, v)
-    spec = datasets.SynthSpec.from_dict(section)
+        schema = datasets.CsvSchema(section.get("dim"), section.get("classes"))
+        return "csv", section["path"], datasets.load_csv(section["path"], schema)
+    spec = datasets.SynthSpec(**{k: section.get(k, SECTIONS["data"][k].default)
+                                 for k in keys if k != "kind"})
     return "synth", spec, datasets.generate(spec)
 
 
@@ -224,7 +198,7 @@ def write_manifest(out_dir: str, command: str, cfg: LbiConfig | None,
 
 
 def resolve_out_dir(args, config: dict, command: str, cfg_for_hash) -> str:
-    out = args.out or (config.get("run") or {}).get("out")
+    out = args.out or config["run"].get("out")
     if out is None:
         root = os.environ.get(OUT_ROOT_ENV, "lbi-runs")
         tag = _content_hash(command, cfg_for_hash)[:12]
@@ -254,7 +228,7 @@ def cmd_run(args, config: dict) -> int:
                               [cfg.to_dict(), _data_manifest_entry(kind, spec_or_path)])
 
     initial = None
-    resume = (config.get("run") or {}).get("resume")
+    resume = config["run"].get("resume")
     if resume:
         initial = engine.load_state(resume)
 
@@ -306,27 +280,17 @@ def cmd_run(args, config: dict) -> int:
 
 
 def cmd_verify(args, config: dict) -> int:
-    section = dict(config.get("verify") or {})
-    lbi_section = dict(config.get("lbi") or {})
-    try:
-        step = gradcheck.check_positive("verify.step",
-                                        section.get("step", 1e-4))
-        threshold = gradcheck.check_positive("verify.threshold",
-                                             section.get("threshold", 1e-4))
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
-    seeds = (parse_seeds(section["seeds"], "verify.seeds") if "seeds" in section
-             else parse_seeds(0 if args.seed is None else args.seed, "--seed"))
-    instance_keys = {}
-    for where, source, keys in (
-            ("lbi", lbi_section, ("hidden", "ignore_mode", "mode")),
-            ("verify", section, ("dim", "classes", "n_pretrain", "n_train",
-                                 "n_val", "lam", "gamma", "lambda"))):
-        for key in keys:
-            if key in source:
-                name = "lam" if key == "lambda" else key
-                instance_keys[name] = engine._coerce_config_value(
-                    name, source[key], f"{where}.{key}")
+    section = config["verify"]
+    step = _setting(config, "verify", "step")
+    threshold = _setting(config, "verify", "threshold")
+    seeds = section.get("seeds") or _setting(config, "verify", "seeds",
+                                             "--seed", args.seed)
+    # The instance keys given in the verify section, and the architecture
+    # from the lbi section; the rest of the instance is drawn per seed.
+    instance_keys = {k: v for k, v in section.items()
+                     if k not in ("step", "threshold", "seeds")}
+    instance_keys.update((k, config["lbi"][k]) for k in
+                         ("hidden", "ignore_mode", "mode") if k in config["lbi"])
 
     all_passed = True
     reports = []
@@ -360,11 +324,8 @@ def _matrix_rows(result: experiments.MatrixResult) -> list[list]:
 
 
 def cmd_ablate(args, config: dict) -> int:
-    section = dict(config.get("ablate") or {})
-    ids = _as_list(args.ids
-                   or section.get("ids", list(experiments.ABLATION_IDS)))
-    seeds = (parse_seeds(args.seeds, "--seeds") if args.seeds else
-             parse_seeds(section.get("seeds", [0, 1, 2, 3, 4]), "ablate.seeds"))
+    ids = _setting(config, "ablate", "ids", "--ids", args.ids)
+    seeds = _setting(config, "ablate", "seeds", "--seeds", args.seeds)
     cfg = build_lbi_config(config, args.seed)
     kind, spec_or_path, bundle = resolve_data(config)
     out_dir = resolve_out_dir(
@@ -380,12 +341,12 @@ def cmd_ablate(args, config: dict) -> int:
     )
     _write_json(os.path.join(out_dir, "summary.json"), {
         "aggregates": [asdict(a) for a in result.aggregates],
-        "ids": list(ids), "seeds": seeds,
+        "ids": ids, "seeds": seeds,
         "any_failed": result.any_failed,
     })
     write_manifest(out_dir, "ablate", cfg,
                    _data_manifest_entry(kind, spec_or_path),
-                   extra={"ablate": {"ids": list(ids), "seeds": seeds}})
+                   extra={"ablate": {"ids": ids, "seeds": seeds}})
 
     print(f"{'id':<6} {'n':>2} {'test_acc':>10} {'std':>8} {'auc':>8}")
     for a in result.aggregates:
@@ -398,19 +359,13 @@ def cmd_ablate(args, config: dict) -> int:
 
 
 def cmd_sweep(args, config: dict) -> int:
-    section = dict(config.get("sweep") or {})
-    param = args.param or section.get("param")
-    if not param:
+    param = _setting(config, "sweep", "param", "--param", args.param)
+    if param is None:
         raise ConfigError("sweep requires --param or sweep.param")
-    grid = args.grid or section.get("grid")
-    if not grid:
+    grid = _setting(config, "sweep", "grid", "--grid", args.grid)
+    if grid is None:
         raise ConfigError("sweep requires --grid or sweep.grid")
-    try:
-        grid = [float(v) for v in _as_list(grid)]
-    except (TypeError, ValueError):
-        raise ConfigError(f"sweep grid values must be numbers, got {grid!r}") from None
-    seeds = (parse_seeds(args.seeds, "--seeds") if args.seeds else
-             parse_seeds(section.get("seeds", [0, 1, 2, 3, 4]), "sweep.seeds"))
+    seeds = _setting(config, "sweep", "seeds", "--seeds", args.seeds)
     cfg = build_lbi_config(config, args.seed)
     kind, spec_or_path, bundle = resolve_data(config)
     out_dir = resolve_out_dir(
@@ -478,9 +433,8 @@ def cmd_gen_data(args, config: dict) -> int:
 
 
 def cmd_eval(args, config: dict) -> int:
-    section = dict(config.get("eval") or {})
-    state_path = args.state or section.get("state")
-    if not state_path:
+    state_path = _setting(config, "eval", "state", "--state", args.state)
+    if state_path is None:
         raise ConfigError("eval requires --state or eval.state")
     state = engine.load_state(state_path)
     kind, spec_or_path, bundle = resolve_data(config)
@@ -537,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", help="comma-separated seeds")
     p = sub.add_parser("sweep", help="sweep lambda or gamma")
     add_common(p)
-    p.add_argument("--param", choices=experiments.SWEEP_PARAMS)
+    p.add_argument("--param", choices=SWEEP_PARAMS)
     p.add_argument("--grid", help="comma-separated values")
     p.add_argument("--seeds", help="comma-separated seeds")
     p = sub.add_parser("gen-data", help="write a synthetic bundle as CSV")
@@ -561,8 +515,8 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = load_config_file(args.config)
-        config = apply_overrides(config, args.sets)
+        config = read_config(
+            apply_overrides(load_config_file(args.config), args.sets))
         return _COMMANDS[args.command](args, config)
     except (ConfigError, ParseError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -26,14 +26,14 @@ import json
 import math
 import os
 from array import array
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
+from . import config
 from .errors import ConfigError, ParseError
 
 SPLITS = ("pretrain", "train", "val", "test")
-CORRUPT_KINDS = ("label_flip", "feature_shift")
 
 # How far feature_shift displaces an example, in units of noise_sigma.
 FEATURE_SHIFT_SIGMAS = 4.0
@@ -133,27 +133,7 @@ def _shift_axis(dim: int) -> np.ndarray:
     return np.ones(dim) / math.sqrt(dim)
 
 
-_SPEC_INT_FIELDS = ("dim", "classes", "n_pretrain", "n_train", "n_val",
-                    "n_test", "seed")
-_SPEC_FLOAT_FIELDS = ("shift", "noise_sigma", "corrupt_frac")
-
-
-def _spec_value(name: str, value):
-    """A config value for SynthSpec field ``name`` as the field's type:
-    integers also from integral floats or integer text, numbers also from
-    numeric text (YAML leaves 7e-3 as text).  Else ConfigError."""
-    kind = "an integer" if name in _SPEC_INT_FIELDS else "a number"
-    try:
-        if isinstance(value, bool):
-            raise ValueError("boolean")
-        if name in _SPEC_FLOAT_FIELDS:
-            return float(value)
-        out = int(value) if not isinstance(value, str) else int(value.strip())
-        if out != float(value):
-            raise ValueError("not an integer")
-        return out
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"data.{name} must be {kind}, got {value!r}") from None
+_DEFAULTS = config.defaults("data")
 
 
 @dataclass
@@ -166,12 +146,12 @@ class SynthSpec:
     n_train: int
     n_val: int
     n_test: int
-    shift: float = 0.0
-    noise_sigma: float = 1.0
-    corrupt_frac: float = 0.0
-    corrupt_kind: str = "label_flip"
-    seed: int = 0
-    source_means: tuple | None = field(default=None)
+    shift: float = _DEFAULTS["shift"]
+    noise_sigma: float = _DEFAULTS["noise_sigma"]
+    corrupt_frac: float = _DEFAULTS["corrupt_frac"]
+    corrupt_kind: str = _DEFAULTS["corrupt_kind"]
+    seed: int = _DEFAULTS["seed"]
+    source_means: tuple | None = _DEFAULTS["source_means"]
 
     def __post_init__(self):
         # Canonical nested-tuple form so specs compare by value.
@@ -182,42 +162,15 @@ class SynthSpec:
             )
 
     def validate(self):
-        for name in _SPEC_INT_FIELDS:
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-                raise ConfigError(f"data.{name} must be an integer, got {v!r}")
-        for name in _SPEC_FLOAT_FIELDS:
-            v = getattr(self, name)
-            if (isinstance(v, bool) or not isinstance(v, (int, float, np.number))
-                    or not math.isfinite(v)):
-                raise ConfigError(
-                    f"data.{name} must be a finite number, got {v!r}")
-        if self.seed < 0:
-            raise ConfigError(f"data.seed must be >= 0, got {self.seed}")
-        if self.dim < 1:
-            raise ConfigError(f"dim must be >= 1, got {self.dim}")
-        if self.classes < 2:
-            raise ConfigError(f"classes must be >= 2, got {self.classes}")
-        for name in ("n_pretrain", "n_train", "n_val", "n_test"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.noise_sigma <= 0:
-            raise ConfigError(f"noise_sigma must be > 0, got {self.noise_sigma}")
-        if self.shift < 0:
-            raise ConfigError(f"shift must be >= 0, got {self.shift}")
-        if not 0.0 <= self.corrupt_frac <= 1.0:
+        """ConfigError unless every field has its type and passes its check
+        in the ``data`` table of ``config``, and the means fit the sizes."""
+        config.read_section("data", vars(self), loose=False)
+        if (self.source_means is not None
+                and np.shape(self.source_means) != (self.classes, self.dim)):
             raise ConfigError(
-                f"corrupt_frac must be in [0, 1], got {self.corrupt_frac}"
+                f"data.source_means has shape {np.shape(self.source_means)}, "
+                f"expected ({self.classes}, {self.dim})"
             )
-        if self.corrupt_kind not in CORRUPT_KINDS:
-            raise ConfigError(f"unknown corrupt_kind {self.corrupt_kind!r}")
-        if self.source_means is not None:
-            m = np.asarray(self.source_means, dtype=np.float64)
-            if m.shape != (self.classes, self.dim):
-                raise ConfigError(
-                    f"source_means has shape {m.shape}, expected "
-                    f"({self.classes}, {self.dim})"
-                )
 
     def resolved_source_means(self) -> np.ndarray:
         if self.source_means is not None:
@@ -228,43 +181,19 @@ class SynthSpec:
         return self.resolved_source_means() + self.shift * _shift_axis(self.dim)
 
     def to_dict(self) -> dict:
-        d = {
-            "dim": self.dim,
-            "classes": self.classes,
-            "n_pretrain": self.n_pretrain,
-            "n_train": self.n_train,
-            "n_val": self.n_val,
-            "n_test": self.n_test,
-            "shift": self.shift,
-            "noise_sigma": self.noise_sigma,
-            "corrupt_frac": self.corrupt_frac,
-            "corrupt_kind": self.corrupt_kind,
-            "seed": self.seed,
-        }
-        if self.source_means is not None:
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        if self.source_means is None:
+            del d["source_means"]
+        else:
             d["source_means"] = np.asarray(self.source_means).tolist()
         return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "SynthSpec":
-        known = {
-            "dim", "classes", "n_pretrain", "n_train", "n_val", "n_test",
-            "shift", "noise_sigma", "corrupt_frac", "corrupt_kind", "seed",
-            "source_means",
-        }
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown data keys: {sorted(unknown)}")
-        kwargs = {name: value if name in ("corrupt_kind", "source_means")
-                  else _spec_value(name, value) for name, value in d.items()}
-        if kwargs.get("source_means") is not None:
-            try:
-                kwargs["source_means"] = np.asarray(kwargs["source_means"],
-                                                    dtype=np.float64)
-            except (TypeError, ValueError):
-                raise ConfigError("data.source_means must be a classes x dim "
-                                  "table of numbers") from None
-        spec = cls(**kwargs)
+        """Build from a plain mapping, read by the ``data`` table of
+        ``config``; keys that only CSV data takes are unknown here."""
+        names = {f.name for f in fields(cls)}
+        spec = cls(**config.read_section("data", d, keys=names))
         spec.validate()
         return spec
 
@@ -428,6 +357,8 @@ def _read_sidecar(side: str) -> dict:
     try:
         with open(side) as fh:
             manifest = json.load(fh)
+    except OSError as e:
+        raise ParseError(f"{side}: cannot read: {e.strerror}") from None
     except json.JSONDecodeError as e:
         raise ParseError(f"{side}: not valid JSON: {e}") from None
     if not isinstance(manifest, dict):
@@ -451,7 +382,11 @@ def load_csv(path: str, schema: CsvSchema | None = None) -> DatasetBundle:
     # times the memory) and labels, made arrays after the loop.
     rows = {name: (array("d"), []) for name in SPLITS}
     dim = schema.dim
-    with open(path, newline="") as fh:
+    try:
+        fh = open(path, newline="")
+    except OSError as e:
+        raise ParseError(f"{path}: cannot read: {e.strerror}") from None
+    with fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -555,8 +490,3 @@ def _first_non_finite_line(path: str) -> int | None:
             if row and not all(math.isfinite(float(v)) for v in row[2:]):
                 return lineno
     return None
-
-
-def with_seed(spec: SynthSpec, seed: int) -> SynthSpec:
-    """Same recipe, different randomness."""
-    return replace(spec, seed=seed)

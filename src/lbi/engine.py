@@ -66,13 +66,11 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 from scipy.special import expit
 
-from . import model
+from . import config, model
+from .config import IGNORE_MODES, MODES  # noqa: F401
 from .datasets import DatasetBundle, Split
 from .errors import ConfigError, NumericError
 from .model import Arch, GradBlock, ModelParams
-
-MODES = ("basic", "extended")
-IGNORE_MODES = ("clamp", "sigmoid")
 
 # Raw score that stands for "fully kept" at initialization.  Clamp mode uses
 # exactly 1; sigmoid mode cannot reach 1, so it starts at logit 4
@@ -157,40 +155,7 @@ class Rates:
     ignore_finetune: float
 
 
-_FLOAT_CONFIG_FIELDS = frozenset({
-    "lam", "gamma", "lr_pretrain_encoder", "lr_pretrain_head",
-    "lr_finetune_encoder", "lr_finetune_head", "lr_ignore_pretrain",
-    "lr_ignore_finetune", "weight_decay",
-})
-_INT_CONFIG_FIELDS = frozenset({"iterations", "hidden", "seed", "batch_size"})
-_BOOL_CONFIG_FIELDS = frozenset({
-    "step_decay", "freeze_ignore_pretrain", "freeze_ignore_finetune",
-})
-
-
-def _coerce_config_value(name: str, value, key: str | None = None):
-    """``value`` as config field ``name`` takes it, or ConfigError naming
-    ``key`` (default: ``name``).  Integer fields take integral values only,
-    no bools; a None batch_size means the full batch."""
-    if name == "batch_size" and value is None:
-        return None
-    try:
-        if name in _FLOAT_CONFIG_FIELDS:
-            return float(value)
-        if name in _INT_CONFIG_FIELDS:
-            if isinstance(value, bool):
-                raise ValueError("boolean")
-            out = int(str(value)) if isinstance(value, str) else int(value)
-            if out != float(value):
-                raise ValueError("not an integer")
-            return out
-        if name in _BOOL_CONFIG_FIELDS:
-            if not isinstance(value, bool):
-                raise ValueError("expected true or false")
-            return value
-        return value
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"bad value for {key or name}: {value!r}") from None
+_DEFAULTS = config.defaults("lbi")
 
 
 @dataclass
@@ -202,54 +167,29 @@ class LbiConfig:
     (extended mode only).  Learning-rate names follow the role of each block.
     """
 
-    lam: float = 3e-3
-    gamma: float = 1.0
-    lr_pretrain_encoder: float = 1e-3
-    lr_pretrain_head: float = 1e-2
-    lr_finetune_encoder: float = 1e-3
-    lr_finetune_head: float = 1e-2
-    lr_ignore_pretrain: float = 0.05
-    lr_ignore_finetune: float = 0.05
-    iterations: int = 300
-    mode: str = "extended"
-    ignore_mode: str = "clamp"
-    hidden: int = 0
-    seed: int = 0
-    weight_decay: float = 0.0
-    step_decay: bool = False
-    batch_size: int | None = None
-    freeze_ignore_pretrain: bool = False
-    freeze_ignore_finetune: bool = False
+    lam: float = _DEFAULTS["lam"]
+    gamma: float = _DEFAULTS["gamma"]
+    lr_pretrain_encoder: float = _DEFAULTS["lr_pretrain_encoder"]
+    lr_pretrain_head: float = _DEFAULTS["lr_pretrain_head"]
+    lr_finetune_encoder: float = _DEFAULTS["lr_finetune_encoder"]
+    lr_finetune_head: float = _DEFAULTS["lr_finetune_head"]
+    lr_ignore_pretrain: float = _DEFAULTS["lr_ignore_pretrain"]
+    lr_ignore_finetune: float = _DEFAULTS["lr_ignore_finetune"]
+    iterations: int = _DEFAULTS["iterations"]
+    mode: str = _DEFAULTS["mode"]
+    ignore_mode: str = _DEFAULTS["ignore_mode"]
+    hidden: int = _DEFAULTS["hidden"]
+    seed: int = _DEFAULTS["seed"]
+    weight_decay: float = _DEFAULTS["weight_decay"]
+    step_decay: bool = _DEFAULTS["step_decay"]
+    batch_size: int | None = _DEFAULTS["batch_size"]
+    freeze_ignore_pretrain: bool = _DEFAULTS["freeze_ignore_pretrain"]
+    freeze_ignore_finetune: bool = _DEFAULTS["freeze_ignore_finetune"]
 
     def validate(self):
-        if self.mode not in MODES:
-            raise ConfigError(f"unknown mode {self.mode!r}")
-        if self.ignore_mode not in IGNORE_MODES:
-            raise ConfigError(f"unknown ignore_mode {self.ignore_mode!r}")
-        rate_names = (
-            "lr_pretrain_encoder", "lr_pretrain_head", "lr_finetune_encoder",
-            "lr_finetune_head", "lr_ignore_pretrain", "lr_ignore_finetune",
-        )
-        # Zero rates are allowed (they freeze the corresponding block), only
-        # negative or non-finite values are rejected.
-        for name in rate_names:
-            v = getattr(self, name)
-            if not np.isfinite(v) or v < 0:
-                raise ConfigError(f"{name} must be finite and >= 0, got {v!r}")
-        for name in ("lam", "gamma", "weight_decay"):
-            v = getattr(self, name)
-            if not np.isfinite(v) or v < 0:
-                raise ConfigError(f"{name} must be finite and >= 0, got {v!r}")
-        if self.iterations < 0:
-            raise ConfigError(f"iterations must be >= 0, got {self.iterations}")
-        if self.hidden < 0:
-            raise ConfigError(f"hidden must be >= 0, got {self.hidden}")
-        if (isinstance(self.seed, bool)
-                or not isinstance(self.seed, (int, np.integer))
-                or self.seed < 0):
-            raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        """ConfigError unless every field has its type and passes its check
+        in the ``lbi`` table of ``config``."""
+        config.read_section("lbi", vars(self), loose=False)
         if self.mode == "basic" and self.gamma != 0.0 and self.gamma != 1.0:
             # gamma is silently unused in basic mode; flag likely mistakes.
             raise ConfigError("gamma has no effect in basic mode; set mode=extended")
@@ -283,22 +223,9 @@ class LbiConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "LbiConfig":
-        """Build from a plain mapping, e.g. a parsed config file.
-
-        Accepts "lambda" for lam and coerces numeric strings (YAML leaves
-        scientific notation like 7e-3 as text); wrong types become config
-        errors rather than surprises downstream.
-        """
-        names = {f_.name for f_ in fields(cls)}
-        kwargs = {}
-        for key, value in d.items():
-            name = "lam" if key == "lambda" else key
-            if name not in names:
-                raise ConfigError(f"unknown config key {key!r}")
-            kwargs[name] = _coerce_config_value(name, value, key)
-        cfg = cls(**kwargs)
-        cfg.validate()
-        return cfg
+        """Build from a plain mapping, e.g. a parsed config file, read by
+        the ``lbi`` table of ``config`` ("lambda" for lam, numeric text)."""
+        return config_with(cls(), **config.read_section("lbi", d))
 
 
 @dataclass
@@ -1026,6 +953,8 @@ def load_state(path: str) -> LbiState:
             return from_state_dict(json.load(fh))
     except FileNotFoundError:
         raise ConfigError(f"state file not found: {path}") from None
+    except OSError as e:
+        raise ConfigError(f"cannot read state file {path}: {e.strerror}") from None
     except json.JSONDecodeError as e:
         raise ConfigError(f"state file {path} is not valid JSON: {e}") from None
 

@@ -27,20 +27,16 @@ above.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import rankdata
 
-from . import engine, model
+from . import config, engine, model
+from .config import ABLATION_IDS
 from .datasets import DatasetBundle, SynthSpec, generate
 from .engine import LbiConfig
 from .errors import ConfigError, NumericError
-
-ABLATION_IDS = ("A1", "A2", "A3", "A4", "A5", "A6", "A7", "A8", "FULL")
-
-SWEEP_PARAMS = ("lambda", "gamma")
 
 
 @dataclass(frozen=True)
@@ -84,15 +80,13 @@ def ablation_config(ablation_id: str, base: LbiConfig) -> LbiConfig:
     sw = ablation_switches(ablation_id)
     if base.mode != "extended":
         raise ConfigError("ablations are defined for extended mode")
-    cfg = replace(
+    return engine.config_with(
         base,
         lam=base.lam if sw.proximity else 0.0,
         gamma=base.gamma if sw.source_term else 0.0,
         freeze_ignore_pretrain=not sw.learn_pretrain_weights,
         freeze_ignore_finetune=not sw.learn_finetune_weights,
     )
-    cfg.validate()
-    return cfg
 
 
 def accuracy(params: model.ModelParams, X: np.ndarray, y: np.ndarray) -> float:
@@ -334,19 +328,11 @@ def sweep(param: str, grid, data, seeds, base_cfg: LbiConfig) -> SweepResult:
     cell runs in one stack; grid order does not affect per-point results,
     since each cell depends only on (value, seed).
     """
-    if param not in SWEEP_PARAMS:
-        raise ConfigError(f"sweep param must be one of {SWEEP_PARAMS}, got {param!r}")
-    try:
-        grid = [float(v) for v in grid]
-    except (TypeError, ValueError):
-        raise ConfigError(f"sweep grid values must be numbers, got {grid!r}") from None
+    param = config.read_flag("sweep", "param", param, "sweep param")
+    grid = config.read_flag("sweep", "grid", grid, "sweep grid")
     if len(set(grid)) < 3:
         raise ConfigError(f"sweep grid needs at least 3 distinct values, got {grid}")
-    if any(v < 0 or not math.isfinite(v) for v in grid):
-        raise ConfigError(f"sweep grid values must be finite and >= 0, got {grid}")
-    seeds = list(seeds)
-    if not seeds:
-        raise ConfigError("need at least one seed")
+    seeds = config.read_flag("sweep", "seeds", seeds, "seeds")
     arrays = _resolve_bundle(data)
     field = "lam" if param == "lambda" else "gamma"
     cfgs = [engine.config_with(base_cfg, seed=seed, **{field: value})

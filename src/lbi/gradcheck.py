@@ -37,12 +37,11 @@ near-zero components do not explode the ratio.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import datasets, engine, model
+from . import config, datasets, engine, model
 from .datasets import DatasetBundle
 from .engine import LbiConfig, LbiState
 
@@ -130,20 +129,6 @@ class FdReport:
         }
 
 
-def check_positive(name: str, value) -> float:
-    """``value`` as a float, or ValueError unless it is a finite number > 0
-    (a finite-difference step or an error threshold)."""
-    try:
-        if isinstance(value, bool):
-            raise TypeError
-        out = float(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{name} must be a number, got {value!r}") from None
-    if not (math.isfinite(out) and out > 0.0):
-        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
-    return out
-
-
 class _Lookahead:
     """Validation loss after one pretraining step and one finetuning step,
     as a function of one instance's raw ignoring scores.
@@ -214,7 +199,7 @@ def fd_val_loss_wrt_ignore(state: LbiState, bundle: DatasetBundle,
     """
     if which not in ("pretrain", "finetune"):
         raise ValueError(f"which must be 'pretrain' or 'finetune', got {which!r}")
-    step = check_positive("step", step)
+    step = config.read_flag("verify", "step", step, "step")
     n = bundle.pretrain.n
     if not 0 <= index < n:
         raise IndexError(f"ignore index {index} outside 0..{n - 1}")
@@ -249,8 +234,8 @@ def verify_hypergrads(state: LbiState, bundle: DatasetBundle, cfg: LbiConfig,
     """Compare both closed-form hypergradients against central differences,
     one component per pretraining example.  ``step`` and ``threshold`` must
     be finite and > 0 (else ValueError)."""
-    step = check_positive("step", step)
-    threshold = check_positive("threshold", threshold)
+    step = config.read_flag("verify", "step", step, "step")
+    threshold = config.read_flag("verify", "threshold", threshold, "threshold")
     lookahead = _Lookahead(state, bundle, cfg)
     hg_a, hg_b = _analytic_hypergrads(state, bundle, cfg)
     report = FdReport(step=step, threshold=threshold)
@@ -316,7 +301,6 @@ def make_check_instance(seed: int, hidden: int = 0, ignore_mode: str = "clamp",
         iterations=1, mode=mode, ignore_mode=ignore_mode, hidden=hidden,
         seed=seed,
     )
-    cfg.validate()
 
     state = engine.init_state(arrays, cfg)
     arch = state.pretrain_model.arch

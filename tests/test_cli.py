@@ -103,6 +103,17 @@ class TestRun:
                          "--set", "nosuch.key=1"])
         assert code == 2
 
+    @pytest.mark.parametrize("text, section", [("lbi: 5\n", "lbi"),
+                                               ("data: [1, 2]\n", "data")])
+    def test_non_mapping_section_exits_2(self, text, section, tmp_path,
+                                         capsys):
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(text)
+        code = cli.main(["run", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "never")])
+        assert code == 2
+        assert f"section {section!r} must be a mapping" in capsys.readouterr().err
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_numeric_failure_exits_3_with_partial_trace(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -240,6 +251,8 @@ class TestVerify:
     @pytest.mark.parametrize("setting", [
         "verify.lam=abc", "verify.gamma=abc", "verify.lambda=[1]",
         "lbi.hidden=abc", "lbi.hidden=2.5",
+        "verify.dim=abc", "verify.classes=abc", "verify.n_pretrain=abc",
+        "verify.n_train=abc", "verify.n_val=abc",
     ])
     def test_bad_instance_key_exits_2(self, setting, capsys):
         code = cli.main(["verify", "--seed", "0", "--set", setting])
@@ -523,3 +536,26 @@ class TestBadDataInputs:
                          "--set", f"data.path={bad}", "--set", "iterations=1"])
         assert code == 2
         assert "line 5: non-finite feature value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("setting", ["data.path=5", "run.resume=5"])
+    def test_path_key_takes_strings_only(self, setting, tmp_path, capsys):
+        """A number is not read as a file descriptor (0 would read stdin)."""
+        code = cli.main(run_args(tmp_path / "x", ["--set", setting]))
+        assert code == 2
+        key = setting.partition("=")[0]
+        assert f"{key} must be a path string" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["missing.csv", "a-directory"])
+    def test_unreadable_data_path_exits_2(self, name, tmp_path, capsys):
+        (tmp_path / "a-directory").mkdir()
+        path = tmp_path / name
+        code = cli.main(["run", "--out", str(tmp_path / "run"),
+                         "--set", f"data.path={path}"])
+        assert code == 2
+        assert f"{path}: cannot read" in capsys.readouterr().err
+
+    def test_unreadable_state_exits_2(self, tmp_path, capsys):
+        code = cli.main(run_args(tmp_path / "run",
+                                 ["--set", f"run.resume={tmp_path}"]))
+        assert code == 2
+        assert f"cannot read state file {tmp_path}" in capsys.readouterr().err

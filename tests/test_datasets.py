@@ -393,11 +393,6 @@ class TestSpecDict:
         with pytest.raises(ConfigError):
             SynthSpec.from_dict(d)
 
-    def test_with_seed(self):
-        spec = small_spec(seed=1)
-        assert datasets.with_seed(spec, 42).seed == 42
-        assert spec.seed == 1
-
 
 @st.composite
 def bundles(draw):

@@ -308,7 +308,10 @@ class TestBadInputs:
 
     def test_numeric_strings_accepted(self):
         """YAML leaves 1e-4 as text; it still counts as a number."""
-        assert gradcheck.check_positive("step", "1e-4") == 1e-4
+        inst = gradcheck.make_check_instance(42)
+        report = gradcheck.verify_hypergrads(inst.state, inst.arrays, inst.cfg,
+                                             step="1e-4", threshold="1e-4")
+        assert report.step == 1e-4 and report.threshold == 1e-4
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_update_raises_numeric_error(self):
