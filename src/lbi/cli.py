@@ -203,7 +203,17 @@ def resolve_out_dir(args, config: dict, command: str, cfg_for_hash) -> str:
         root = os.environ.get(OUT_ROOT_ENV, "lbi-runs")
         tag = _content_hash(command, cfg_for_hash)[:12]
         out = os.path.join(root, f"{command}-{tag}")
-    os.makedirs(out, exist_ok=True)
+    return _make_out_dir(out)
+
+
+def _make_out_dir(out: str) -> str:
+    """Create the output directory ``out`` if it is not there; ConfigError
+    naming it when it cannot be (a regular file of that name, say)."""
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(
+            f"cannot make output directory {out}: {e.strerror}") from None
     return out
 
 
@@ -303,7 +313,7 @@ def cmd_verify(args, config: dict) -> int:
         print(report.as_table())
         all_passed = all_passed and report.passed()
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
+        _make_out_dir(args.out)
         _write_json(os.path.join(args.out, "verify.json"), {
             "reports": [
                 {"seed": s, **r.to_dict()} for s, r in reports
@@ -454,7 +464,7 @@ def cmd_eval(args, config: dict) -> int:
           f"val accuracy {report['val_accuracy']:.4f}"
           + (f", recovery auc {auc:.4f}" if auc is not None else ""))
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
+        _make_out_dir(args.out)
         _write_json(os.path.join(args.out, "eval.json"), report)
         write_manifest(args.out, "eval", None,
                        _data_manifest_entry(kind, spec_or_path),

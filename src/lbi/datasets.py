@@ -359,11 +359,23 @@ def _read_sidecar(side: str) -> dict:
             manifest = json.load(fh)
     except OSError as e:
         raise ParseError(f"{side}: cannot read: {e.strerror}") from None
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise ParseError(f"{side}: not valid JSON: {e}") from None
     if not isinstance(manifest, dict):
         raise ParseError(f"{side}: expected a JSON object")
     return manifest
+
+
+def _undecodable_line(path: str) -> int:
+    """The line of ``path`` holding its first byte that is not UTF-8 (the
+    text reader decodes in blocks, so its position does not tell)."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        return data.count(b"\n", 0, e.start) + 1
+    return 1
 
 
 def load_csv(path: str, schema: CsvSchema | None = None) -> DatasetBundle:
@@ -375,7 +387,8 @@ def load_csv(path: str, schema: CsvSchema | None = None) -> DatasetBundle:
     feature count, split sizes or class count disagrees with the CSV raises
     ParseError, because its corruption indices would then point at the
     wrong examples.  Malformed rows, including feature text that parses to
-    nan or inf, raise ParseError naming the line.
+    nan or inf, raise ParseError naming the line, as do bytes that are not
+    UTF-8 text and NUL bytes.
     """
     schema = schema or CsvSchema()
     # Per split: features packed as doubles (Python floats would take four
@@ -383,45 +396,51 @@ def load_csv(path: str, schema: CsvSchema | None = None) -> DatasetBundle:
     rows = {name: (array("d"), []) for name in SPLITS}
     dim = schema.dim
     try:
-        fh = open(path, newline="")
+        fh = open(path, newline="", encoding="utf-8")
     except OSError as e:
         raise ParseError(f"{path}: cannot read: {e.strerror}") from None
     with fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        file_dim = len(header) - 2
-        expected = ["split", "label"] + [f"f_{j}" for j in range(file_dim)]
-        if len(header) < 3 or header != expected:
-            raise ParseError(f"{path} line 1: bad header {header!r}")
-        if dim is not None and file_dim != dim:
-            raise ParseError(
-                f"{path} line 1: header has {file_dim} features, schema expects {dim}"
-            )
-        dim = file_dim
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != dim + 2:
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise ParseError(f"{path}: empty file") from None
+            file_dim = len(header) - 2
+            expected = ["split", "label"] + [f"f_{j}" for j in range(file_dim)]
+            if len(header) < 3 or header != expected:
+                raise ParseError(f"{path} line 1: bad header {header!r}")
+            if dim is not None and file_dim != dim:
                 raise ParseError(
-                    f"{path} line {lineno}: expected {dim + 2} fields, got {len(row)}"
+                    f"{path} line 1: header has {file_dim} features, schema expects {dim}"
                 )
-            split = rows.get(row[0])
-            if split is None:
-                raise ParseError(f"{path} line {lineno}: unknown split {row[0]!r}")
-            try:
-                label = int(row[1])
-            except ValueError:
-                raise ParseError(
-                    f"{path} line {lineno}: bad label {row[1]!r}"
-                ) from None
-            try:
-                split[0].extend(map(float, row[2:]))
-            except ValueError:
-                raise ParseError(f"{path} line {lineno}: bad feature value") from None
-            split[1].append(label)
+            dim = file_dim
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != dim + 2:
+                    raise ParseError(
+                        f"{path} line {lineno}: expected {dim + 2} fields, got {len(row)}"
+                    )
+                split = rows.get(row[0])
+                if split is None:
+                    raise ParseError(f"{path} line {lineno}: unknown split {row[0]!r}")
+                try:
+                    label = int(row[1])
+                except ValueError:
+                    raise ParseError(
+                        f"{path} line {lineno}: bad label {row[1]!r}"
+                    ) from None
+                try:
+                    split[0].extend(map(float, row[2:]))
+                except ValueError:
+                    raise ParseError(f"{path} line {lineno}: bad feature value") from None
+                split[1].append(label)
+        except UnicodeDecodeError:
+            raise ParseError(f"{path} line {_undecodable_line(path)}: not "
+                             "UTF-8 text") from None
+        except csv.Error as e:
+            raise ParseError(f"{path} line {reader.line_num}: {e}") from None
 
     labels = [label for _, ys in rows.values() for label in ys]
     if not labels:

@@ -922,6 +922,11 @@ def to_state_dict(state: LbiState) -> dict:
 
 
 def from_state_dict(d: dict) -> LbiState:
+    """The state that a ``to_state_dict`` snapshot holds.  ConfigError when
+    ``d`` is not one: not a JSON object, another format or version, a
+    missing key, or values that do not make a state."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"state must be a JSON object, got {type(d).__name__}")
     if d.get("format") != STATE_FORMAT:
         raise ConfigError(f"not a state file (format={d.get('format')!r})")
     if d.get("version") != STATE_VERSION:
@@ -929,16 +934,23 @@ def from_state_dict(d: dict) -> LbiState:
             f"unsupported state version {d.get('version')!r}, "
             f"expected {STATE_VERSION}"
         )
-    arch = Arch(**d["arch"])
-    mode = d["ignore_mode"]
-    fin_raw = d["ignore_finetune_raw"]
-    return LbiState(
-        ModelParams(arch, np.array(d["pretrain_encoder"]), np.array(d["pretrain_head"])),
-        ModelParams(arch, np.array(d["finetune_encoder"]), np.array(d["finetune_head"])),
-        IgnoreSet(np.array(d["ignore_pretrain_raw"]), mode),
-        IgnoreSet(np.array(fin_raw), mode) if fin_raw is not None else None,
-        int(d["iteration"]),
-    )
+    try:
+        arch = Arch(**d["arch"])
+        mode = d["ignore_mode"]
+        fin_raw = d["ignore_finetune_raw"]
+        return LbiState(
+            ModelParams(arch, np.array(d["pretrain_encoder"]),
+                        np.array(d["pretrain_head"])),
+            ModelParams(arch, np.array(d["finetune_encoder"]),
+                        np.array(d["finetune_head"])),
+            IgnoreSet(np.array(d["ignore_pretrain_raw"]), mode),
+            IgnoreSet(np.array(fin_raw), mode) if fin_raw is not None else None,
+            int(d["iteration"]),
+        )
+    except KeyError as e:
+        raise ConfigError(f"state has no {e.args[0]} key") from None
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"bad state: {e}") from None
 
 
 def save_state(state: LbiState, path: str):
@@ -955,7 +967,7 @@ def load_state(path: str) -> LbiState:
         raise ConfigError(f"state file not found: {path}") from None
     except OSError as e:
         raise ConfigError(f"cannot read state file {path}: {e.strerror}") from None
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise ConfigError(f"state file {path} is not valid JSON: {e}") from None
 
 

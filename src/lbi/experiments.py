@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from . import config, engine, model
 from .config import ABLATION_IDS
@@ -115,11 +114,25 @@ def corrupted_recovery_auc(effective_weights: np.ndarray,
     n_neg = int((~flags).sum())
     if n_pos == 0 or n_neg == 0:
         return None
-    ranks = rankdata(w)
+    ranks = _average_ranks(w)
     # Pairs (clean, corrupted) with clean weight above corrupted weight,
     # counting ties as half, via the rank-sum identity.
     u = ranks[~flags].sum() - n_neg * (n_neg + 1) / 2.0
     return float(u / (n_pos * n_neg))
+
+
+def _average_ranks(w: np.ndarray) -> np.ndarray:
+    """1-based ranks of w in ascending order, tied values sharing the mean
+    of their ranks, as ``scipy.stats.rankdata(w)`` gives them, without
+    importing ``scipy.stats``: a large import that nothing else needs."""
+    order = np.argsort(w, kind="stable")
+    ordered = w[order]
+    new = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+    starts = np.flatnonzero(new)  # first sorted position of each tie group
+    ends = np.append(starts[1:], len(w))
+    ranks = np.empty(len(w))
+    ranks[order] = (0.5 * (starts + ends + 1))[np.cumsum(new) - 1]
+    return ranks
 
 
 @dataclass

@@ -21,11 +21,25 @@ the finetuned model's unweighted train gradient, and, for the probes of a
 finetuning score, the unperturbed pretraining step.  All of it is taken at
 the incoming models, which no score moves; a score only weights its
 example's residual inside an update.  So sharing it changes no probe's
-value by a bit, and each probe makes one forward, on the val split.  The
-numeric side still differentiates nothing and never calls the closed-form
-code (the ``_hypergrad_*`` functions, ``encoder_dots``, ``head_dots`` or
-``encoder_projection``): the two routes share only the forward model and
-the step arithmetic, so an error in either surfaces as disagreement.
+value by a bit.
+
+The probes of one score set run as one stack: row 2i holds the raw scores
+with score i moved by +step, row 2i + 1 by -step.  The engine's own update
+functions step all rows at once along a leading row axis, and one val
+forward scores them.  Each row's loss is bit for bit its probe's alone,
+because the kernels sum every model of a stack in the order of its
+one-model form (see ``model``; ``tests/test_stacked.py`` pins it on the
+installed numpy and BLAS).  A stack's temporaries hold at most
+``_CHUNK_FLOATS`` floats, so a large instance runs in chunks of probes, in
+O(n) memory.  Every probe keeps its finite checks: a stack with a
+non-finite update raises the NumericError of its first failing probe in
+(index, sign) order, the error that probe raises alone.
+
+The numeric side still differentiates nothing and never calls the
+closed-form code (the ``_hypergrad_*`` functions, ``encoder_dots``,
+``head_dots`` or ``encoder_projection``): the two routes share only the
+forward model and the step arithmetic, so an error in either surfaces as
+disagreement.
 
 Two details matter for a trustworthy comparison.  First, clamp mode is
 non-differentiable exactly at raw scores 0 and 1, so check instances draw
@@ -129,12 +143,28 @@ class FdReport:
         }
 
 
+# The most floats a stacked probe evaluation may hold per (rows, examples,
+# width) temporary.  A score set with more probes than fit runs in chunks,
+# so memory stays O(n) however many pretraining examples an instance has.
+_CHUNK_FLOATS = 2**20
+
+
+def _repeat(params: model.ModelParams, K: int) -> model.ModelParams:
+    """A stack of K copies of one model, as read-only views."""
+    return model.ModelParams._of(
+        params.arch,
+        np.broadcast_to(params.encoder, (K,) + params.encoder.shape),
+        np.broadcast_to(params.head, (K,) + params.head.shape))
+
+
 class _Lookahead:
     """Validation loss after one pretraining step and one finetuning step,
     as a function of one instance's raw ignoring scores.
 
     Holds the work no score reaches (see the module docstring); a probe
-    reads it, never writes it, and makes only the val forward itself.
+    reads it, never writes it.  Probes run as stacks: each row of a stack
+    is one probe's score vector, and the updates and the val forward run
+    once for all rows.
     """
 
     def __init__(self, state: LbiState, bundle: DatasetBundle, cfg: LbiConfig):
@@ -151,40 +181,74 @@ class _Lookahead:
             engine._check_scores(state.ignore_finetune, pre.n, "finetuning")
             self.source_fwd = engine._forward_or_none(state.finetune_model,
                                                       pre.X, pre.y)
-        self.a = state.ignore_pretrain.effective()
         self.b = (None if state.ignore_finetune is None
                   else state.ignore_finetune.effective())
         # The engine's updates are looked up at call time, so a patched
         # engine is what gets differenced.  No finetuning score reaches the
         # pretraining step, so their probes share the unperturbed one.
-        self.pretrained = self._pretrain(self.a)
-
-    def _pretrain(self, a) -> model.ModelParams:
-        state = self.state
-        out = engine._pretrain_update(state.pretrain_model, self.pre_fwd, a,
-                                      self.rates, self.cfg.weight_decay)
+        self.pretrained = engine._pretrain_update(
+            state.pretrain_model, self.pre_fwd,
+            state.ignore_pretrain.effective(), self.rates, cfg.weight_decay)
         if self.pre_fwd is not None:
-            engine._check_update(out, "pretraining", state.iteration)
-        return out
+            engine._check_update(self.pretrained, "pretraining",
+                                 state.iteration)
+        arch = state.pretrain_model.arch
+        per_probe = 2 * (max(pre.n, bundle.val.n)
+                         * max(arch.classes, arch.hidden)
+                         + arch.encoder_size + arch.head_size)
+        self.chunk = max(1, _CHUNK_FLOATS // per_probe)
 
-    def val_loss(self, which: str, index: int, delta: float) -> float:
-        """The loss with raw score ``index`` of ``which`` moved by ``delta``."""
+    def val_losses(self, which: str, raw: np.ndarray) -> np.ndarray:
+        """The loss at each row of ``raw``, a (K, n) stack of raw scores of
+        the set ``which`` (the other set unmoved), each bit for bit the loss
+        of that row alone.  A row whose update is not finite raises the
+        NumericError that row alone raises; the first such row decides."""
         state, cfg = self.state, self.cfg
-        probe = (state.ignore_pretrain if which == "pretrain"
-                 else state.ignore_finetune).copy()
-        probe.raw[index] += delta
+        K, it = raw.shape[0], state.iteration
+        w = engine.IgnoreSet._of(raw, state.ignore_pretrain.mode).effective()
+        checks = []
         if which == "pretrain":
-            pretrained_next, b = self._pretrain(probe.effective()), self.b
+            pretrained_next, b = engine._pretrain_update(
+                state.pretrain_model, self.pre_fwd, w, self.rates,
+                cfg.weight_decay), self.b
+            if self.pre_fwd is not None:
+                checks += [("pretraining encoder update",
+                            pretrained_next.encoder, None),
+                           ("pretraining head update",
+                            pretrained_next.head, None)]
         else:
-            pretrained_next, b = self.pretrained, probe.effective()
+            pretrained_next, b = _repeat(self.pretrained, K), w
         finetuned_next = engine._finetune_update(
-            state.finetune_model, pretrained_next, self.train_grad,
-            self.source_fwd, b, cfg.lam, cfg.gamma, self.rates,
-            cfg.weight_decay)
-        engine._check_update(finetuned_next, "finetuned", state.iteration)
+            _repeat(state.finetune_model, K), pretrained_next,
+            self.train_grad, self.source_fwd, b, cfg.lam, cfg.gamma,
+            self.rates, cfg.weight_decay)
+        checks += [("finetuned encoder update", finetuned_next.encoder, None),
+                   ("finetuned head update", finetuned_next.head, None)]
+        failed = engine._first_failures(checks, it)
+        if failed:
+            raise failed[min(failed)]
         val = self.bundle.val
-        return model.weighted_loss(
+        return model.weighted_losses(
             model._softmax_residual(finetuned_next, val.X, val.y))
+
+    def central_differences(self, which: str, indices,
+                            step: float) -> np.ndarray:
+        """The central difference of the loss in each raw score ``indices``
+        of ``which``, from stacks of the probes (i + step, i - step) in
+        index order, at most ``chunk`` indices per stack."""
+        scores = (self.state.ignore_pretrain if which == "pretrain"
+                  else self.state.ignore_finetune)
+        indices = np.asarray(indices, dtype=np.intp)
+        out = np.empty(len(indices))
+        for start in range(0, len(indices), self.chunk):
+            idx = indices[start:start + self.chunk]
+            raw = np.tile(scores.raw, (2 * len(idx), 1))
+            raw[np.arange(raw.shape[0]), np.repeat(idx, 2)] += np.tile(
+                [step, -step], len(idx))
+            losses = self.val_losses(which, raw)
+            out[start:start + len(idx)] = ((losses[0::2] - losses[1::2])
+                                           / (2.0 * step))
+        return out
 
 
 def fd_val_loss_wrt_ignore(state: LbiState, bundle: DatasetBundle,
@@ -195,7 +259,9 @@ def fd_val_loss_wrt_ignore(state: LbiState, bundle: DatasetBundle,
 
     Pure: never mutates the given state, and never calls the closed-form
     hypergradient functions.  ``lookahead`` is the instance's shared
-    forwards, built here when not given.
+    forwards, built here when not given.  The value is the one
+    ``verify_hypergrads`` reports for this score: both run the same stacked
+    probes, here a stack of two.
     """
     if which not in ("pretrain", "finetune"):
         raise ValueError(f"which must be 'pretrain' or 'finetune', got {which!r}")
@@ -207,9 +273,7 @@ def fd_val_loss_wrt_ignore(state: LbiState, bundle: DatasetBundle,
         raise ValueError("state has no finetuning ignore scores")
     if lookahead is None:
         lookahead = _Lookahead(state, bundle, cfg)
-    vals = [lookahead.val_loss(which, index, sign * step)
-            for sign in (1.0, -1.0)]
-    return (vals[0] - vals[1]) / (2.0 * step)
+    return float(lookahead.central_differences(which, [index], step)[0])
 
 
 def _analytic_hypergrads(state: LbiState, bundle: DatasetBundle,
@@ -242,12 +306,10 @@ def verify_hypergrads(state: LbiState, bundle: DatasetBundle, cfg: LbiConfig,
     for which, analytic in (("pretrain", hg_a), ("finetune", hg_b)):
         if analytic is None:
             continue
-        for i in range(bundle.pretrain.n):
-            numeric = fd_val_loss_wrt_ignore(state, bundle, cfg, which, i, step,
-                                             lookahead=lookahead)
-            report.entries.append(
-                FdEntry(which, i, float(analytic[i]), float(numeric))
-            )
+        numeric = lookahead.central_differences(
+            which, range(bundle.pretrain.n), step)
+        report.entries += [FdEntry(which, i, float(a), float(v))
+                           for i, (a, v) in enumerate(zip(analytic, numeric))]
     return report
 
 

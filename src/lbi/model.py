@@ -391,10 +391,12 @@ def weighted_loss(fwd: Forward, weights: np.ndarray | None = None) -> float:
 
 
 def weighted_grad(fwd: Forward, weights: np.ndarray | None = None) -> GradBlock:
-    """Gradient of the weighted loss sum with respect to both blocks."""
+    """Gradient of the weighted loss sum with respect to both blocks.  A
+    (K, n) stack of weights on one model's forward gives one gradient per
+    row of weights."""
     X, G = fwd.X, fwd.G
-    lead = G.shape[:-2]
     WG = G if weights is None else weights[..., None] * G
+    lead = WG.shape[:-2]
     if fwd.params.arch.hidden == 0:
         return GradBlock(np.matmul(_t(WG), X).reshape(lead + (-1,)),
                          _sum_examples(WG))

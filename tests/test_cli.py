@@ -8,6 +8,7 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
 from lbi import cli, datasets, engine, gradcheck
@@ -262,13 +263,14 @@ class TestVerify:
     @pytest.mark.parametrize("at", [0, 2])
     def test_nan_difference_exits_1(self, at, tmp_path, monkeypatch):
         """A NaN numeric value fails the check wherever it sits."""
-        true_fd = gradcheck.fd_val_loss_wrt_ignore
+        true_fd = gradcheck._Lookahead.central_differences
 
-        def nan_at(state, bundle, cfg, which, index, *args, **kwargs):
-            value = true_fd(state, bundle, cfg, which, index, *args, **kwargs)
-            return math.nan if index == at else value
+        def nan_at(lookahead, which, indices, *args, **kwargs):
+            values = true_fd(lookahead, which, indices, *args, **kwargs)
+            return np.where(np.asarray(indices) == at, math.nan, values)
 
-        monkeypatch.setattr(gradcheck, "fd_val_loss_wrt_ignore", nan_at)
+        monkeypatch.setattr(gradcheck._Lookahead, "central_differences",
+                            nan_at)
         out = tmp_path / "v"
         code = cli.main(["verify", "--seed", "0", "--out", str(out)])
         assert code == cli.EXIT_VERIFY_FAILED
@@ -553,6 +555,50 @@ class TestBadDataInputs:
                          "--set", f"data.path={path}"])
         assert code == 2
         assert f"{path}: cannot read" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content, where", [
+        (b"\xff\xfe\x00abc\n", "line 1: not UTF-8 text"),
+        (b"split,label,f_0\npretrain,0,1\ntrain,0,\xff\n",
+         "line 3: not UTF-8 text"),
+        (b"split,label,f_0\npretrain,0,1\npretrain,0," + b"1" * 200_000
+         + b"\n", "line 3: field larger than field limit"),
+    ], ids=["utf16-bom", "bad-byte-line-3", "csv-error"])
+    def test_unparseable_csv_bytes_exit_2(self, content, where, tmp_path,
+                                          capsys):
+        """Bytes the text or csv reader refuses name their line."""
+        path = tmp_path / "bin.csv"
+        path.write_bytes(content)
+        code = cli.main(["run", "--out", str(tmp_path / "run"),
+                         "--set", f"data.path={path}"])
+        assert code == 2
+        assert f"{path} {where}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        ("[]", "state must be a JSON object, got list"),
+        ('{"format": "lbi-state", "version": 1}', "state has no arch key"),
+        ('{"format": "lbi-state", "version": 1, "arch": [], "iteration": 0, '
+         '"ignore_mode": "clamp", "pretrain_encoder": [], '
+         '"pretrain_head": [], "finetune_encoder": [], "finetune_head": [], '
+         '"ignore_pretrain_raw": [], "ignore_finetune_raw": null}',
+         "bad state: "),
+    ], ids=["list", "no-keys", "bad-arch"])
+    def test_malformed_state_exits_2(self, text, message, tmp_path, capsys):
+        path = tmp_path / "s.json"
+        path.write_text(text)
+        code = cli.main(["eval", *TINY_DATA, "--state", str(path)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        run_args("{out}"), ["verify", "--seed", "0", "--out", "{out}"],
+    ], ids=["run", "verify"])
+    def test_out_naming_a_file_exits_2(self, argv, tmp_path, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        code = cli.main([a.format(out=afile) for a in argv])
+        assert code == 2
+        assert f"cannot make output directory {afile}" in (
+            capsys.readouterr().err)
 
     def test_unreadable_state_exits_2(self, tmp_path, capsys):
         code = cli.main(run_args(tmp_path / "run",

@@ -7,6 +7,9 @@ configuration with the matching regularizer forced to zero.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import rankdata
 
 from lbi import datasets, engine, experiments
 from lbi.datasets import SynthSpec
@@ -94,6 +97,16 @@ class TestRecoveryAuc:
         w = np.full(6, 0.5)
         flags = np.array([True, False, True, False, False, True])
         assert experiments.corrupted_recovery_auc(w, flags) == 0.5
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, np.nextafter(0.5, 1)])
+                    | st.floats(0.0, 1.0), min_size=1, max_size=30))
+    def test_ranks_equal_scipy_rankdata(self, values):
+        """Ranks bit for bit those of scipy's average-rank rankdata, ties
+        included, so the AUC sums the same numbers in the same order."""
+        w = np.array(values)
+        got = experiments._average_ranks(w)
+        assert got.tobytes() == rankdata(w).tobytes()
 
     def test_matches_pairwise_oracle(self):
         rng = np.random.default_rng(21)

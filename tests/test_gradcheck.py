@@ -9,6 +9,7 @@ to notice on every component.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lbi import engine, gradcheck, model
+from lbi.datasets import DatasetBundle, Split
 from lbi.engine import IgnoreSet
 from lbi.errors import ConfigError, NumericError
 
@@ -168,6 +170,42 @@ class TestSharedForwards:
         inst = gradcheck.make_check_instance(23, hidden=2)
         inst.cfg = engine.config_with(inst.cfg, weight_decay=0.05)
         self.assert_matches_reference(inst, step=3e-2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**16), mode=st.sampled_from(engine.MODES),
+           ignore_mode=st.sampled_from(engine.IGNORE_MODES),
+           hidden=st.sampled_from([0, 3]),
+           weight_decay=st.sampled_from([0.0, 0.05]),
+           n_pretrain=st.integers(1, 12),
+           chunk_floats=st.one_of(st.just(gradcheck._CHUNK_FLOATS),
+                                  st.integers(1, 2000)))
+    def test_stacked_probes_bitwise(self, seed, mode, ignore_mode, hidden,
+                                    weight_decay, n_pretrain, chunk_floats):
+        """Every numeric value equals the whole-iteration oracle's, bit for
+        bit, whether a score set's probes run as one stack or in chunks
+        (a small chunk budget gives stacks of one to a few probe pairs)."""
+        inst = gradcheck.make_check_instance(
+            seed, hidden=hidden, ignore_mode=ignore_mode, mode=mode,
+            n_pretrain=n_pretrain, gamma=0.0 if mode == "basic" else None)
+        inst.cfg = engine.config_with(inst.cfg, weight_decay=weight_decay)
+        with mock.patch.object(gradcheck, "_CHUNK_FLOATS", chunk_floats):
+            self.assert_matches_reference(inst)
+
+    def test_chunked_stacks_bitwise(self):
+        """With the smallest chunk budget each probe pair is its own stack,
+        so each score set spans one chunk per pretraining example."""
+        inst = gradcheck.make_check_instance(25, hidden=3, n_pretrain=7)
+        stacks = []
+        true_losses = gradcheck._Lookahead.val_losses
+
+        def counted(lookahead, which, raw):
+            stacks.append((which, raw.shape[0]))
+            return true_losses(lookahead, which, raw)
+
+        with mock.patch.object(gradcheck, "_CHUNK_FLOATS", 1), \
+                mock.patch.object(gradcheck._Lookahead, "val_losses", counted):
+            self.assert_matches_reference(inst)
+        assert stacks == [("pretrain", 2)] * 7 + [("finetune", 2)] * 7
 
     def test_given_lookahead_matches_own(self):
         inst = gradcheck.make_check_instance(24)
@@ -322,6 +360,71 @@ class TestBadInputs:
             with pytest.raises(NumericError,
                                match="non-finite pretraining encoder update"):
                 check(inst.state, inst.arrays, inst.cfg)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_only_a_middle_probe_overflows(self):
+        """A crafted instance whose pretraining update overflows for the
+        probe (2, +) alone.  Feature 0 moves no hidden unit, so example 2's
+        feature-0 value scales its encoder gradient entry without changing
+        any forward, and it is set so that the entry overflows just above
+        the unperturbed weight.  The stacked probes raise that probe's
+        error, as the probe alone and the whole iteration at its scores do,
+        and every other probe stays finite."""
+        inst = gradcheck.make_check_instance(47, hidden=3, mode="basic",
+                                             gamma=0.0, n_pretrain=5)
+        state, arrays, cfg = inst.state, inst.arrays, inst.cfg
+        step, i = 1e-4, 2
+        state.iteration = 3
+        W1, _, U, _ = model._mlp_views(state.pretrain_model)
+        W1[:, 0] = 0.0
+        U *= 100.0
+        X_pre, X_val, y_pre = (arrays.pretrain.X.copy(), arrays.val.X.copy(),
+                               arrays.pretrain.y.copy())
+        X_pre[:, 0] = X_val[:, 0] = 0.0
+        y_pre[i] = np.argmin(model.logits(state.pretrain_model, X_pre)[i])
+        dA = model._softmax_residual(state.pretrain_model, X_pre, y_pre).dA[i]
+        a_i = state.ignore_pretrain.effective()[i]
+        X_pre[i, 0] = np.finfo(float).max / (np.abs(dA).max()
+                                             * (a_i + step / 2))
+        bundle = DatasetBundle(Split(X_pre, y_pre), arrays.train,
+                               Split(X_val, arrays.val.y), arrays.test,
+                               arrays.dim, arrays.classes, arrays.corrupted)
+
+        def probe(j):
+            return gradcheck.fd_val_loss_wrt_ignore(state, bundle, cfg,
+                                                    "pretrain", j, step)
+
+        message = "non-finite pretraining encoder update"
+        for call in (gradcheck.verify_hypergrads, lambda *a: probe(i)):
+            with pytest.raises(NumericError, match=message) as err:
+                call(state, bundle, cfg)
+            assert err.value.iteration == 3
+        assert all(np.isfinite(probe(j)) for j in range(5) if j != i)
+        plus, minus = state.copy(), state.copy()
+        plus.ignore_pretrain.raw[i] += step
+        minus.ignore_pretrain.raw[i] -= step
+        with pytest.raises(NumericError, match=message):
+            engine.lbi_iteration(plus, bundle, cfg)
+        engine.lbi_iteration(minus, bundle, cfg)
+
+    def test_first_failing_probe_decides(self, monkeypatch):
+        """Probes (1, -) and (2, -) both fail, each on another block: the
+        error is the one of (1, -), the earlier probe in (index, sign)
+        order, not the one of the block checked first."""
+        inst = gradcheck.make_check_instance(48)
+        true_update = engine._finetune_update
+
+        def poisoned(*args, **kwargs):
+            out = true_update(*args, **kwargs)
+            if out.encoder.ndim == 2 and out.encoder.shape[0] > 5:
+                out.encoder[5, 0] = math.inf
+                out.head[3, 0] = math.nan
+            return out
+
+        monkeypatch.setattr(engine, "_finetune_update", poisoned)
+        with pytest.raises(NumericError,
+                           match="non-finite finetuned head update"):
+            gradcheck.verify_hypergrads(inst.state, inst.arrays, inst.cfg)
 
     @pytest.mark.parametrize("which", ["ignore_pretrain", "ignore_finetune"])
     def test_score_count_mismatch_rejected(self, which):

@@ -35,10 +35,12 @@ def same_bits(got, want):
 
 
 # (K, n, dim, classes, hidden): the paper's scale as stacked by the ablation
-# matrix (K = 45) and alone, a small minibatch, a wide shape, and an odd
-# small one (where a contiguous transpose once changed BLAS's sum order).
+# matrix (K = 45) and alone, a small minibatch, a wide shape, an odd small
+# one (where a contiguous transpose once changed BLAS's sum order), and the
+# finite-difference oracle's probe stack of 40 pretraining examples (K = 80).
 SHAPES = [(1, 200, 5, 2, 8), (45, 200, 5, 2, 8), (45, 40, 5, 2, 8),
-          (3, 500, 32, 10, 64), (3, 40, 2, 2, 2), (5, 7, 3, 3, 2)]
+          (3, 500, 32, 10, 64), (3, 40, 2, 2, 2), (5, 7, 3, 3, 2),
+          (80, 40, 5, 3, 4)]
 
 
 def blocks(rng, K, rows, cols):
