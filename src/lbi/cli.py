@@ -9,7 +9,8 @@ lambda=7e-3`` means ``lbi.lambda``.  Override values are parsed as YAML, and
 Every command that produces files writes them into one output directory
 (``--out``, else ``run.out`` from the config, else a deterministic directory
 under $LBI_OUT_ROOT or ./lbi-runs) together with a manifest recording the
-full resolved configuration, a content hash of the inputs, and a timestamp.
+full resolved configuration, a content hash of the inputs, a timestamp, and
+the environment and wall time of the command (``run_env``, outside the hash).
 Data files are written atomically (temp file, then rename) and all numeric
 CSV output uses 17 significant digits, so reruns of the same deterministic
 command produce byte-identical data files.
@@ -26,7 +27,9 @@ import copy
 import hashlib
 import json
 import os
+import platform
 import sys
+import time
 from dataclasses import asdict
 from datetime import datetime, timezone
 
@@ -177,7 +180,10 @@ def _data_manifest_entry(kind: str, spec_or_path) -> dict:
 
 
 def write_manifest(out_dir: str, command: str, cfg: LbiConfig | None,
-                   data_entry: dict | None, extra: dict | None = None):
+                   data_entry: dict | None, extra: dict | None = None, *,
+                   started: float):
+    """manifest.json for a command that started at ``time.perf_counter()``
+    value ``started``."""
     manifest = {
         "tool": {"name": "lbi", "version": __version__},
         "command": command,
@@ -194,6 +200,12 @@ def write_manifest(out_dir: str, command: str, cfg: LbiConfig | None,
         manifest.update(extra)
         hash_parts.append(extra)
     manifest["input_sha256"] = _content_hash(*hash_parts)
+    manifest["run_env"] = {
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "duration_s": round(time.perf_counter() - started, 3),
+    }
     _write_json(os.path.join(out_dir, "manifest.json"), manifest)
 
 
@@ -255,7 +267,8 @@ def cmd_run(args, config: dict) -> int:
         except NumericError as e:
             failure = e
     os.replace(tmp_path, trace_path)
-    write_manifest(out_dir, "run", cfg, _data_manifest_entry(kind, spec_or_path))
+    write_manifest(out_dir, "run", cfg, _data_manifest_entry(kind, spec_or_path),
+                   started=args.started)
     if failure is not None:
         print(f"numeric failure at iteration {failure.iteration}: {failure}",
               file=sys.stderr)
@@ -301,6 +314,8 @@ def cmd_verify(args, config: dict) -> int:
                      if k not in ("step", "threshold", "seeds")}
     instance_keys.update((k, config["lbi"][k]) for k in
                          ("hidden", "ignore_mode", "mode") if k in config["lbi"])
+    if args.out:
+        _make_out_dir(args.out)
 
     all_passed = True
     reports = []
@@ -313,7 +328,6 @@ def cmd_verify(args, config: dict) -> int:
         print(report.as_table())
         all_passed = all_passed and report.passed()
     if args.out:
-        _make_out_dir(args.out)
         _write_json(os.path.join(args.out, "verify.json"), {
             "reports": [
                 {"seed": s, **r.to_dict()} for s, r in reports
@@ -323,7 +337,8 @@ def cmd_verify(args, config: dict) -> int:
         write_manifest(args.out, "verify", None, None,
                        extra={"verify": {"step": step, "threshold": threshold,
                                          "seeds": seeds,
-                                         **instance_keys}})
+                                         **instance_keys}},
+                       started=args.started)
     return EXIT_OK if all_passed else EXIT_VERIFY_FAILED
 
 
@@ -356,7 +371,8 @@ def cmd_ablate(args, config: dict) -> int:
     })
     write_manifest(out_dir, "ablate", cfg,
                    _data_manifest_entry(kind, spec_or_path),
-                   extra={"ablate": {"ids": ids, "seeds": seeds}})
+                   extra={"ablate": {"ids": ids, "seeds": seeds}},
+                   started=args.started)
 
     print(f"{'id':<6} {'n':>2} {'test_acc':>10} {'std':>8} {'auc':>8}")
     for a in result.aggregates:
@@ -414,7 +430,8 @@ def cmd_sweep(args, config: dict) -> int:
     write_manifest(out_dir, "sweep", cfg,
                    _data_manifest_entry(kind, spec_or_path),
                    extra={"sweep": {"param": param, "grid": grid,
-                                    "seeds": seeds}})
+                                    "seeds": seeds}},
+                   started=args.started)
     for p in result.points:
         mean = ("-" if p.val_accuracy_mean is None
                 else f"{p.val_accuracy_mean:.4f}")
@@ -436,7 +453,8 @@ def cmd_gen_data(args, config: dict) -> int:
     path = os.path.join(out_dir, "data.csv")
     datasets.save_csv(bundle, path, spec=spec_or_path)
     write_manifest(out_dir, "gen-data", None,
-                   _data_manifest_entry(kind, spec_or_path))
+                   _data_manifest_entry(kind, spec_or_path),
+                   started=args.started)
     sizes = {name: split.n for name, split in bundle.splits().items()}
     print(f"wrote {path} ({sizes})")
     return EXIT_OK
@@ -446,6 +464,8 @@ def cmd_eval(args, config: dict) -> int:
     state_path = _setting(config, "eval", "state", "--state", args.state)
     if state_path is None:
         raise ConfigError("eval requires --state or eval.state")
+    if args.out:
+        _make_out_dir(args.out)
     state = engine.load_state(state_path)
     kind, spec_or_path, bundle = resolve_data(config)
     report = {
@@ -464,11 +484,11 @@ def cmd_eval(args, config: dict) -> int:
           f"val accuracy {report['val_accuracy']:.4f}"
           + (f", recovery auc {auc:.4f}" if auc is not None else ""))
     if args.out:
-        _make_out_dir(args.out)
         _write_json(os.path.join(args.out, "eval.json"), report)
         write_manifest(args.out, "eval", None,
                        _data_manifest_entry(kind, spec_or_path),
-                       extra={"eval": {"state": str(state_path)}})
+                       extra={"eval": {"state": str(state_path)}},
+                       started=args.started)
     return EXIT_OK
 
 
@@ -523,7 +543,9 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    started = time.perf_counter()
     args = build_parser().parse_args(argv)
+    args.started = started
     try:
         config = read_config(
             apply_overrides(load_config_file(args.config), args.sets))

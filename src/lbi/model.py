@@ -55,6 +55,41 @@ bits it would get alone, because every reduction adds in the same order:
 * sums over examples reduce an example-major copy elementwise, the order
   the 2-D column sum uses.
 
+Layout rule.  A stack of two or more linear models on shared 2-D features,
+with fewer than 8 classes and fewer than 8 input dims, runs class-first:
+its forward holds z, exp(z - m) and G as one contiguous (classes, n, K)
+buffer, and its projections have the same layout.  Numpy's elementwise ops
+then run over rows of n K entries instead of calling their inner loop once
+per 2-long row, and every product on X is one GEMM per class,
+X @ E[:, j, :].T, instead of K small ones.  Each form keeps the bits:
+
+* the max, exp, class sum, divide, label scatter (a one-hot subtraction,
+  as x - 0.0 is x) and losses are elementwise, and the class sum and the
+  sums over examples (``np.add.reduce`` over axis 0 and 1) still add left
+  to right, class by class and example by example;
+* the per-class GEMM gives each logit dot the bits of the per-model one
+  when the dot has fewer than 8 terms; at 8 or more input dims some shapes
+  sum in another order (every dim of 8-40 measured), so those stacks stay
+  example-major;
+* at 2 classes the encoder row dot is G[0] P[0] + G[1] P[1], plus 0.0 as
+  einsum's sum starts from it.
+
+Three forms keep the example-major operands, through one contiguous
+copy (``_examples_first``), because they measured not bit-identical:
+
+* einsum row dots at 3 or more classes (100/100 mismatches at 3-8 classes
+  against the elementwise sum);
+* ``head_dots``' BLAS ``matmul(G, b_v)`` against any elementwise form
+  (100/100);
+* the weighted gradient's products over examples, dE = WG^T X: the
+  per-class GEMM matches the per-model one only while both use OpenBLAS's
+  small-matrix kernel, which ends at 10^6 multiply-adds (a dim-5 stack of
+  45 differs from 4,445 examples on).
+
+One model (K = 1), per-model features (``batch_size``), MLP hidden layers
+and 8 or more classes keep the example-major paths above; a one-model
+stack through the class-first GEMMs would take BLAS's matrix-vector path.
+
 ``tests/test_stacked.py`` pins these identities on the installed numpy and
 BLAS, so an upgrade that breaks one fails loudly.
 """
@@ -210,6 +245,33 @@ def _sum_classes(A: np.ndarray) -> np.ndarray:
     return np.add.reduce(_classes_first(A), axis=0)[..., None]
 
 
+def _examples_first(A: np.ndarray) -> np.ndarray:
+    """The (K, n, classes) example-major copy of a class-first stack."""
+    out = np.empty(A.shape[::-1])
+    # One 2-D transpose per class plane; a 3-D transposing copy is several
+    # times slower.
+    for j in range(A.shape[0]):
+        out[..., j] = A[j].T
+    return out
+
+
+def _runs_classes_first(arch: Arch, encoder: np.ndarray,
+                        X: np.ndarray) -> bool:
+    """Whether a forward of these linear encoder blocks on X, and its
+    projections, hold their arrays class-first (the "Stacks" rule above)."""
+    return (arch.hidden == 0 and X.ndim == 2 and encoder.ndim == 2
+            and encoder.shape[0] > 1 and arch.classes < 8 and arch.dim < 8)
+
+
+def _class_products(X: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """X @ W[k].T for every model k of a (K, classes, dim) stack on shared
+    features, class-first as (classes, n, K): one GEMM per class."""
+    out = np.empty((W.shape[1], X.shape[0], W.shape[0]))
+    for j in range(W.shape[1]):
+        np.matmul(X, W[:, j, :].T, out=out[j])
+    return out
+
+
 # The n x hidden arrays are large enough that each fresh one costs page
 # faults, so the kernels below update in place where the values come out the
 # same as the plain expression written beside them.
@@ -260,6 +322,12 @@ def _label_base(lead: tuple, classes: int) -> np.ndarray:
     return base
 
 
+def _check_labels(y: np.ndarray, classes: int):
+    if y.size and (np.minimum.reduce(y, axis=None) < 0
+                   or np.maximum.reduce(y, axis=None) >= classes):
+        raise ValueError(f"labels must lie in 0..{classes - 1}")
+
+
 @lru_cache(maxsize=32)
 def _unit_weights(n: int) -> np.ndarray:
     ones = np.ones(n)
@@ -276,17 +344,23 @@ class Forward:
     ``losses`` and ``dA`` are derived on first use, so a caller that needs
     only losses or only a gradient pays for nothing else; ``G`` takes over
     the ``ez`` buffer.  Consumers read the arrays and never write them.
+
+    With ``classes_first`` (the "Stacks" rule of this module), ``z``,
+    ``ez`` and ``G`` are (classes, n, K) and ``m`` and ``s`` are (n, K);
+    otherwise the class axis is last.  ``losses`` is (K, n) either way.
     """
 
-    __slots__ = ("params", "X", "y", "n", "z", "T", "m", "ez", "s",
-                 "_label_index", "_G", "_losses", "_dA")
+    __slots__ = ("params", "X", "y", "n", "classes_first", "z", "T", "m",
+                 "ez", "s", "_label_index", "_onehot", "_G", "_losses", "_dA")
 
     def __init__(self, params: ModelParams, X: np.ndarray, y: np.ndarray,
                  z: np.ndarray, T: np.ndarray | None, m: np.ndarray,
-                 ez: np.ndarray, s: np.ndarray):
+                 ez: np.ndarray, s: np.ndarray, classes_first: bool = False):
         self.params, self.X, self.y, self.n = params, X, y, X.shape[-2]
+        self.classes_first = classes_first
         self.z, self.T, self.m, self.ez, self.s = z, T, m, ez, s
-        self._label_index = self._G = self._losses = self._dA = None
+        self._label_index = self._onehot = None
+        self._G = self._losses = self._dA = None
 
     @property
     def label_index(self) -> np.ndarray:
@@ -306,12 +380,20 @@ class Forward:
             else:
                 # A stack: adding each row's flat offset is cheaper than
                 # raveling labels broadcast over its cells.
-                if y.size and (np.minimum.reduce(y, axis=None) < 0
-                               or np.maximum.reduce(y, axis=None) >= classes):
-                    raise ValueError(f"labels must lie in 0..{classes - 1}")
+                _check_labels(y, classes)
                 index = (_label_base(lead, classes) + y).reshape(-1)
             self._label_index = index
         return self._label_index
+
+    @property
+    def onehot(self) -> np.ndarray:
+        """A class-first forward's labels one-hot, as (classes, n, 1) bools;
+        a label outside 0..classes-1 raises ValueError."""
+        if self._onehot is None:
+            classes = self.z.shape[0]
+            _check_labels(self.y, classes)
+            self._onehot = (self.y == _row_index(classes)[:, None])[..., None]
+        return self._onehot
 
     @property
     def G(self) -> np.ndarray:
@@ -319,7 +401,11 @@ class Forward:
         if self._G is None:
             G = np.divide(self.ez, self.s, out=self.ez)
             self.ez = None
-            G.reshape(-1)[self.label_index] -= 1.0
+            if self.classes_first:
+                # x - 0.0 is x, so this subtracts 1 at the labels only.
+                G -= self.onehot.astype(np.float64)
+            else:
+                G.reshape(-1)[self.label_index] -= 1.0
             self._G = G
         return self._G
 
@@ -327,8 +413,17 @@ class Forward:
     def losses(self) -> np.ndarray:
         """Per-example cross-entropy, through logsumexp for stability."""
         if self._losses is None:
-            lse = (self.m + np.log(self.s))[..., 0]
-            self._losses = lse - self.z.take(self.label_index).reshape(lse.shape)
+            if self.classes_first:
+                label_z = self.z[0].copy()
+                for j in range(1, self.z.shape[0]):
+                    np.copyto(label_z, self.z[j], where=self.onehot[j])
+                lse = self.m + np.log(self.s)
+                lse -= label_z
+                self._losses = np.ascontiguousarray(lse.T)
+            else:
+                lse = (self.m + np.log(self.s))[..., 0]
+                self._losses = lse - self.z.take(self.label_index).reshape(
+                    lse.shape)
         return self._losses
 
     @property
@@ -350,6 +445,15 @@ def _softmax_residual(params: ModelParams, X: np.ndarray, y: np.ndarray) -> Forw
     y = np.asarray(y)
     if y.shape != X.shape[:-1]:
         raise ValueError(f"labels have shape {y.shape}, expected {X.shape[:-1]}")
+    if _runs_classes_first(params.arch, params.encoder, X):
+        E, b = _linear_views(params)
+        z = _class_products(X, E)
+        z += b.T[:, None, :]
+        m = np.maximum.reduce(z, axis=0)
+        ez = z - m
+        np.exp(ez, out=ez)
+        return Forward(params, X, y, z, None, m, ez,
+                       np.add.reduce(ez, axis=0), True)
     z, T = _scores(params, X)
     # Row maxima from a (classes, ..., n) copy, whose reduction runs
     # elementwise down the rows; reducing the short axis of z costs a loop
@@ -395,6 +499,13 @@ def weighted_grad(fwd: Forward, weights: np.ndarray | None = None) -> GradBlock:
     (K, n) stack of weights on one model's forward gives one gradient per
     row of weights."""
     X, G = fwd.X, fwd.G
+    if fwd.classes_first:
+        WG = G if weights is None else G * weights.T
+        # Sums over examples run across the (n, K) planes, example by
+        # example; the products over examples stay one GEMM per model.
+        dE = np.matmul(_t(_examples_first(WG)), X)
+        return GradBlock(dE.reshape(dE.shape[0], -1),
+                         np.add.reduce(WG, axis=1).T)
     WG = G if weights is None else weights[..., None] * G
     lead = WG.shape[:-2]
     if fwd.params.arch.hidden == 0:
@@ -415,6 +526,16 @@ def _rowdot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.einsum("...ij,...ij->...i", A, B)
 
 
+def _class_rowdot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """``_rowdot`` of two class-first stacks, as (K, n)."""
+    if A.shape[0] != 2:
+        return _rowdot(_examples_first(A), _examples_first(B))
+    dots = A[0] * B[0]
+    dots += A[1] * B[1]
+    # einsum's sum starts from +0.0, which turns a -0.0 total into +0.0.
+    return np.add(dots.T, 0.0, order="C")
+
+
 def encoder_projection(arch: Arch, X: np.ndarray, v: GradBlock) -> np.ndarray:
     """X E_v^T (linear) or X W_v^T + b1_v (MLP): the batch projected on v's
     encoder block.  It depends on the batch and v only, so forwards of
@@ -422,6 +543,8 @@ def encoder_projection(arch: Arch, X: np.ndarray, v: GradBlock) -> np.ndarray:
     V = ModelParams._of(arch, v.d_encoder, v.d_head)
     if arch.hidden == 0:
         E_v, _ = _linear_views(V)
+        if _runs_classes_first(arch, v.d_encoder, X):
+            return _class_products(X, E_v)
         return np.matmul(X, _t(E_v))
     W_v, b1_v, _, _ = _mlp_views(V)
     return _affine(X, W_v, b1_v)
@@ -437,6 +560,8 @@ def encoder_dots(fwd: Forward, v: GradBlock,
     """
     if projection is None:
         projection = encoder_projection(fwd.params.arch, fwd.X, v)
+    if fwd.classes_first:
+        return _class_rowdot(fwd.G, projection)
     if fwd.params.arch.hidden == 0:
         return _rowdot(fwd.G, projection)
     return _rowdot(fwd.dA, projection)
@@ -447,7 +572,8 @@ def head_dots(fwd: Forward, v: GradBlock) -> np.ndarray:
     V = ModelParams._of(fwd.params.arch, v.d_encoder, v.d_head)
     if V.arch.hidden == 0:
         _, b_v = _linear_views(V)
-        return np.matmul(fwd.G, b_v[..., None])[..., 0]
+        G = _examples_first(fwd.G) if fwd.classes_first else fwd.G
+        return np.matmul(G, b_v[..., None])[..., 0]
     _, _, U_v, b2_v = _mlp_views(V)
     return _rowdot(fwd.G, _affine(fwd.T, U_v, b2_v))
 

@@ -68,6 +68,8 @@ class TestRun:
         assert manifest["data"]["spec"]["n_pretrain"] == 10
         assert manifest["tool"]["name"] == "lbi"
         assert "input_sha256" in manifest
+        assert sorted(manifest["run_env"]) == [
+            "cpu_count", "duration_s", "numpy", "python"]
 
     def test_config_file_plus_override(self, tmp_path):
         cfg_path = tmp_path / "cfg.yaml"
@@ -591,8 +593,16 @@ class TestBadDataInputs:
 
     @pytest.mark.parametrize("argv", [
         run_args("{out}"), ["verify", "--seed", "0", "--out", "{out}"],
-    ], ids=["run", "verify"])
-    def test_out_naming_a_file_exits_2(self, argv, tmp_path, capsys):
+        ["eval", *TINY_DATA, "--state", "s.json", "--out", "{out}"],
+    ], ids=["run", "verify", "eval"])
+    def test_out_naming_a_file_exits_2(self, argv, tmp_path, capsys,
+                                       monkeypatch):
+        """Before any work: no check runs and no state is read."""
+        def never(*args, **kwargs):
+            raise AssertionError("ran before the output directory was made")
+
+        monkeypatch.setattr(gradcheck, "verify_hypergrads", never)
+        monkeypatch.setattr(engine, "load_state", never)
         afile = tmp_path / "afile"
         afile.write_text("")
         code = cli.main([a.format(out=afile) for a in argv])

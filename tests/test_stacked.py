@@ -3,8 +3,10 @@
 Three layers of evidence that a stack changes no cell's bits:
 
 * a canary on the installed numpy and BLAS: every stacked primitive the
-  kernels use gives each slice the bits of the 2-D expression the one-model
-  code used before stacking (an upgrade that breaks one fails here first);
+  kernels use, the class-first forms of ``model``'s layout rule included,
+  gives each slice the bits of the 2-D expression of the one-model code
+  (an upgrade that breaks one fails here first), and the forms the rule
+  excludes are shown to differ;
 * a property test: random stacks over mode, ignore mode, hidden width,
   batch size, step decay and weight decay, mixing lam = 0, gamma = 0,
   frozen and failing cells, equal their solo ``engine.run`` byte for byte,
@@ -19,7 +21,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lbi import datasets, engine, experiments, model
@@ -89,6 +91,7 @@ class TestBlasCanary:
         # Stand-ins for a stacked Forward: the fields these kernels read.
         fwd = SimpleNamespace(
             params=ModelParams._of(arch, v.d_encoder, v.d_head), n=n,
+            classes_first=False,
             G=blocks(rng, K, n, classes), losses=rng.standard_normal((K, n)))
         heads = model.head_dots(fwd, v)
         for k in range(K):
@@ -114,11 +117,172 @@ class TestBlasCanary:
                                                            axis=0))
 
 
+def linear_stack(rng, K, dim, classes):
+    arch = Arch(dim, 0, classes)
+    return ModelParams._of(arch, rng.standard_normal((K, arch.encoder_size)),
+                           rng.standard_normal((K, arch.head_size)))
+
+
+def cell(params, k):
+    return ModelParams._of(params.arch, params.encoder[k], params.head[k])
+
+
+def classes_first_rule(K, dim, classes):
+    return K > 1 and classes < 8 and dim < 8
+
+
+@pytest.mark.parametrize("shape", SHAPES + [(45, 200, 8, 2, 0)], ids=str)
+def test_layout_rule(shape):
+    """Stacks of linear models on shared features go class-first unless
+    they are one model, have 8 or more classes, or a logit dot of 8 or more
+    terms; per-model features and hidden layers never do."""
+    K, n, dim, classes, hidden = shape
+    rng = np.random.default_rng(0)
+    params, X = linear_stack(rng, K, dim, classes), rng.standard_normal((n, dim))
+    assert model._runs_classes_first(params.arch, params.encoder, X) == (
+        classes_first_rule(K, dim, classes))
+    assert not model._runs_classes_first(params.arch, params.encoder,
+                                         np.broadcast_to(X, (K, n, dim)))
+    mlp = Arch(dim, max(hidden, 1), classes)
+    assert not model._runs_classes_first(
+        mlp, rng.standard_normal((K, mlp.encoder_size)), X)
+
+
+@pytest.mark.parametrize("n, dim", [(1, 8), (200, 32)])
+def test_long_logit_dots_keep_per_model_gemms(n, dim):
+    """With 8 or more input dims the per-class GEMM sums some logit dots in
+    another order than the per-model one (here one example at 8 dims, any
+    batch at 32), so the rule excludes them."""
+    rng = np.random.default_rng(dim)
+    X, E = rng.standard_normal((n, dim)), rng.standard_normal((45, 2, dim))
+    z = model._class_products(X, E)
+    assert not all(same_bits(z[:, :, k].T.copy(), X @ E[k].T)
+                   for k in range(45))
+
+
+def test_products_over_examples_keep_per_model_gemms():
+    """Past 10^6 multiply-adds the per-class GEMM of the weighted gradient,
+    X.T @ WG[j], sums in another order than the per-model one (a dim-5
+    stack of 45 at 4,445 examples), so it stays one GEMM per model."""
+    rng = np.random.default_rng(5)
+    X, WG = rng.standard_normal((4445, 5)), rng.standard_normal((2, 4445, 45))
+    per_model = np.matmul(model._t(model._examples_first(WG)), X)
+    per_class = [X.T @ WG[j] for j in range(2)]
+    assert not all(same_bits(per_class[j][:, k], per_model[k, j])
+                   for j in range(2) for k in range(45))
+
+
+@pytest.mark.parametrize(
+    "shape", [s for s in SHAPES if classes_first_rule(s[0], s[2], s[3])],
+    ids=str)
+class TestClassFirstCanary:
+    """The class-first forms of a stack on shared features, slice by slice,
+    against the 2-D expressions of a one-model forward, at every shape of
+    ``SHAPES`` that the layout rule runs class-first."""
+
+    def setup(self, shape, seed):
+        K, n, dim, classes, hidden = shape
+        rng = np.random.default_rng(seed + n * dim + classes)
+        params = linear_stack(rng, K, dim, classes)
+        return (rng, params, rng.standard_normal((n, dim)),
+                rng.integers(0, classes, n))
+
+    def test_products(self, shape):
+        K, n, dim, classes, hidden = shape
+        rng, params, X, _ = self.setup(shape, 1)
+        E, b = model._linear_views(params)
+        z = model._class_products(X, E)
+        z += b.T[:, None, :]
+        v = GradBlock(rng.standard_normal((K, params.arch.encoder_size)),
+                      rng.standard_normal((K, classes)))
+        proj = model.encoder_projection(params.arch, X, v)
+        E_v = v.d_encoder.reshape(K, classes, dim)
+        for k in range(K):
+            want = X @ E[k].T
+            want += b[k]
+            assert same_bits(z[:, :, k].T.copy(), want)
+            assert same_bits(proj[:, :, k].T.copy(), X @ E_v[k].T)
+
+    def test_reductions(self, shape):
+        K, n, dim, classes, hidden = shape
+        rng = self.setup(shape, 2)[0]
+        A = rng.standard_normal((classes, n, K))
+        top, rows = np.maximum.reduce(A, axis=0), np.add.reduce(A, axis=0)
+        cols = np.add.reduce(A, axis=1)
+        rows_first = model._examples_first(A)
+        for k in range(K):
+            Ak = A[:, :, k].T.copy()
+            assert same_bits(rows_first[k], Ak)
+            assert same_bits(top[:, k], np.maximum.reduce(Ak.T.copy(), axis=0))
+            assert same_bits(rows[:, k, None], model._sum_classes(Ak))
+            assert same_bits(cols[:, k], np.add.reduce(Ak, axis=0))
+
+    def test_forward(self, shape):
+        """Logits, residual (the label scatter), losses and both gradient
+        blocks of each cell, weighted and not."""
+        K, n, dim, classes, hidden = shape
+        rng, params, X, y = self.setup(shape, 3)
+        fwd = model._softmax_residual(params, X, y)
+        assert fwd.classes_first
+        w = rng.uniform(0, 1, (K, n))
+        losses = fwd.losses
+        unit, weighted = model.weighted_grad(fwd), model.weighted_grad(fwd, w)
+        for k in range(K):
+            solo = model._softmax_residual(cell(params, k), X, y)
+            assert same_bits(fwd.z[:, :, k].T.copy(), solo.z)
+            assert same_bits(fwd.G[:, :, k].T.copy(), solo.G)
+            assert same_bits(losses[k], solo.losses)
+            for got, want in ((unit, model.weighted_grad(solo)),
+                              (weighted, model.weighted_grad(solo, w[k]))):
+                assert same_bits(got.d_encoder[k], want.d_encoder)
+                assert same_bits(got.d_head[k], want.d_head)
+
+    def test_row_dots(self, shape):
+        """Encoder and head dots of each cell.  At 2 classes the encoder
+        dot is the elementwise G[0] P[0] + G[1] P[1]."""
+        K, n, dim, classes, hidden = shape
+        rng, params, X, y = self.setup(shape, 4)
+        fwd = model._softmax_residual(params, X, y)
+        v = GradBlock(rng.standard_normal((K, params.arch.encoder_size)),
+                      rng.standard_normal((K, classes)))
+        enc, head = model.encoder_dots(fwd, v), model.head_dots(fwd, v)
+        A, B = rng.standard_normal((2, 2, n, K))
+        # Exact zeros give -0.0 totals, which einsum's sum turns into +0.0.
+        A[:, : n // 2] = 0.0
+        B[:, : n // 3] = -1.0
+        pair = model._class_rowdot(A, B)
+        for k in range(K):
+            solo = model._softmax_residual(cell(params, k), X, y)
+            vk = GradBlock(v.d_encoder[k], v.d_head[k])
+            assert same_bits(enc[k], model.encoder_dots(solo, vk))
+            assert same_bits(head[k], model.head_dots(solo, vk))
+            assert same_bits(pair[k], np.einsum(
+                "ij,ij->i", A[:, :, k].T.copy(), B[:, :, k].T.copy()))
+
+
+@pytest.mark.parametrize("classes", range(3, 9))
+def test_row_dots_beyond_two_classes_use_einsum(classes):
+    """From 3 classes the elementwise row dot sums in another order than
+    einsum, so the class-first kernels take einsum's on example-major
+    copies."""
+    rng = np.random.default_rng(classes)
+    A, B = rng.standard_normal((2, classes, 40, 45))
+    got = model._class_rowdot(A, B)
+    elementwise = A[0] * B[0]
+    for j in range(1, classes):
+        elementwise = elementwise + A[j] * B[j]
+    want = [np.einsum("ij,ij->i", A[:, :, k].T.copy(), B[:, :, k].T.copy())
+            for k in range(45)]
+    assert all(same_bits(got[k], want[k]) for k in range(45))
+    assert not same_bits(elementwise.T.copy(), np.array(want))
+
+
 @pytest.mark.parametrize("classes", range(2, 12))
 def test_class_sums_every_class_count(classes):
     """Below 8 classes the row sums come from the elementwise reduce of a
-    transposed copy; from 8 on from the per-row reduce.  Either way each
-    row matches the per-row reduce of its 2-D slice."""
+    transposed copy, or of the class-first forward's buffer; from 8 on from
+    the per-row reduce.  Either way each row matches the per-row reduce of
+    its 2-D slice."""
     rng = np.random.default_rng(classes)
     for K in (1, 45):
         A = rng.standard_normal((K, 200, classes))
@@ -128,6 +292,16 @@ def test_class_sums_every_class_count(classes):
                                                     keepdims=True))
         assert same_bits(model._sum_classes(A[0]),
                          np.add.reduce(A[0], axis=1, keepdims=True))
+    params = linear_stack(rng, 45, 5, classes)
+    X, y = rng.standard_normal((200, 5)), rng.integers(0, classes, 200)
+    fwd = model._softmax_residual(params, X, y)
+    assert fwd.classes_first == (classes < 8)
+    for k in range(45):
+        ez = fwd.ez[:, :, k].T if fwd.classes_first else fwd.ez[k]
+        sums = fwd.s[:, k] if fwd.classes_first else fwd.s[k, :, 0]
+        assert same_bits(sums, np.add.reduce(ez, axis=1))
+        solo = model._softmax_residual(cell(params, k), X, y)
+        assert same_bits(sums, solo.s[:, 0])
 
 
 def cell_outcome(out, rows):
@@ -178,15 +352,36 @@ def stacks(draw):
                                freeze_ignore_finetune=fb)
             for seed, lam, gamma, fa, fb in cells]
     bundle = datasets.generate(SynthSpec(
-        dim=3, classes=draw(st.sampled_from([2, 3])), n_pretrain=9,
+        dim=3, classes=draw(st.sampled_from([2, 3, 8])), n_pretrain=9,
         n_train=6, n_val=5, n_test=4, shift=0.5, corrupt_frac=0.3,
         seed=draw(st.integers(0, 50))))
     return bundle, cfgs
 
 
+def full_batch_stack(classes, mode):
+    """Linear full-batch cells that mix every per-cell switch: with 3
+    classes the class-first row dots take einsum, with 8 the stack stays
+    example-major."""
+    base = LbiConfig(mode=mode, iterations=5, step_decay=True,
+                     lr_ignore_pretrain=3.0, lr_ignore_finetune=1.0)
+    gamma = 0.7 if mode == "extended" else 0.0
+    cfgs = [engine.config_with(base, seed=seed, lam=lam, gamma=g,
+                               freeze_ignore_pretrain=frozen)
+            for seed, lam, g, frozen in ((0, 0.3, gamma, False),
+                                         (1, 0.0, gamma, True),
+                                         (2, 1.0, 0.0, False),
+                                         (3, 1e150, gamma, False))]
+    return datasets.generate(SynthSpec(
+        dim=3, classes=classes, n_pretrain=9, n_train=6, n_val=5, n_test=4,
+        shift=0.5, corrupt_frac=0.3, seed=classes)), cfgs
+
+
 class TestStackEqualsSolo:
     @settings(max_examples=60, deadline=None)
     @given(stacks())
+    @example(full_batch_stack(3, "extended"))
+    @example(full_batch_stack(8, "extended"))
+    @example(full_batch_stack(3, "basic"))
     def test_every_cell_is_its_solo_run(self, stack):
         bundle, cfgs = stack
         with warnings.catch_warnings():
