@@ -1,19 +1,25 @@
 """Command-line front end.
 
 Subcommands: run, verify, ablate, sweep, gen-data, eval.  Configuration
-comes from an optional YAML file with the sections of ``config.SECTIONS``
-plus ``--set dotted.key=value`` overrides; a bare key like ``--set
-lambda=7e-3`` means ``lbi.lambda``.  Override values are parsed as YAML, and
+comes from an optional YAML file with the sections of ``config.SECTIONS``,
+then ``--set dotted.key=value`` overrides (values parsed as YAML; a bare key
+like ``--set lambda=7e-3`` means ``lbi.lambda``), then the command's flags.
+Each flag sets one config key (``COMMANDS``), so a flag beats ``--set``.
 ``config.read_config`` types and checks all of it before a command starts.
 
-Every command that produces files writes them into one output directory
-(``--out``, else ``run.out`` from the config, else a deterministic directory
-under $LBI_OUT_ROOT or ./lbi-runs) together with a manifest recording the
-full resolved configuration, a content hash of the inputs, a timestamp, and
-the environment and wall time of the command (``run_env``, outside the hash).
-Data files are written atomically (temp file, then rename) and all numeric
-CSV output uses 17 significant digits, so reruns of the same deterministic
-command produce byte-identical data files.
+``main`` owns every command's envelope.  Before any work it resolves the
+lbi config, loads the data and makes the output directory: ``--out``, else
+``run.out`` from the config, else ``$LBI_OUT_ROOT/<command>-<hash>`` (default
+root ./lbi-runs), where the hash is the first 12 hex digits of
+``input_sha256``.  ``verify`` and ``eval`` write files only with ``--out``.
+When the command returns, ``main`` writes ``manifest.json`` there: the
+resolved configuration, the data entry (a synthetic spec, or a CSV's path
+with the sha256 of the CSV and of its sidecar), the command's own settings,
+their content hash ``input_sha256``, a timestamp, and the environment and
+wall time of the command (``run_env``, outside the hash).  Data files are
+written atomically (temp file, then rename) and all numeric CSV output uses
+17 significant digits, so reruns of the same deterministic command produce
+byte-identical data files.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration or parse
 error, 3 numeric failure during optimization, 4 one or more matrix or sweep
@@ -30,14 +36,15 @@ import os
 import platform
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
+from typing import Callable, NamedTuple
 
 import numpy as np
 import yaml
 
 from . import __version__, datasets, engine, experiments, gradcheck
-from .config import SECTIONS, SWEEP_PARAMS, read_config, read_flag
+from .config import SECTIONS, read_config
 from .engine import LbiConfig
 from .errors import ConfigError, LbiError, NumericError, ParseError
 
@@ -57,25 +64,17 @@ def _fmt(x) -> str:
     return "" if x is None else str(x)
 
 
-def _atomic_write_text(path: str, text: str):
-    tmp = os.path.join(
-        os.path.dirname(path) or ".",
-        f".{os.path.basename(path)}.tmp.{os.getpid()}",
-    )
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
 def _write_json(path: str, obj):
-    _atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    with datasets.atomic_open(path) as fh:
+        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _write_csv(path: str, header: list[str], rows: list[list]):
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    with datasets.atomic_open(path) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 # Configuration plumbing ----------------------------------------------------
@@ -97,53 +96,47 @@ def load_config_file(path: str | None) -> dict:
     return raw
 
 
-def apply_overrides(config: dict, sets: list[str]) -> dict:
-    """Apply --set KEY=VALUE pairs; bare keys alias into the lbi section."""
+def _parse_set(item: str) -> tuple[str, str, object]:
+    """(label, dotted key, value) of one --set KEY=VALUE."""
+    key, eq, raw_value = item.partition("=")
+    key = key.strip()
+    if not (eq and key):
+        raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
+    try:
+        value = yaml.safe_load(raw_value)
+    except yaml.YAMLError:
+        raise ConfigError(f"--set {item!r}: unparseable value") from None
+    return f"--set {item!r}", key if "." in key else f"lbi.{key}", value
+
+
+def apply_overrides(config: dict, sets: list[str], flags=()) -> dict:
+    """Apply --set KEY=VALUE pairs (bare keys alias into the lbi section),
+    then ``flags``, (label, dotted key, value) triples, so a flag wins."""
     config = copy.deepcopy(config)
-    for item in sets:
-        key, eq, raw_value = item.partition("=")
-        key = key.strip()
-        if not (eq and key):
-            raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
-        try:
-            value = yaml.safe_load(raw_value)
-        except yaml.YAMLError:
-            raise ConfigError(f"--set {item!r}: unparseable value") from None
-        parts = key.split(".")
-        if len(parts) == 1:
-            parts = ["lbi", parts[0]]
+    for label, key, value in [*map(_parse_set, sets), *flags]:
+        *path, last = key.split(".")
         node = config
-        for p in parts[:-1]:
+        for p in path:
             if node.get(p) is None:
                 node[p] = {}
             node = node[p]
             if not isinstance(node, dict):
-                raise ConfigError(f"--set {item!r}: {p!r} is not a mapping")
-        node[parts[-1]] = value
+                raise ConfigError(f"{label}: {p!r} is not a mapping")
+        node[last] = value
     return config
-
-
-def build_lbi_config(config: dict, seed_flag: int | None) -> LbiConfig:
-    section = config["lbi"]
-    if seed_flag is not None:
-        section = {**section,
-                   "seed": read_flag("lbi", "seed", seed_flag, "--seed")}
-    return engine.config_with(LbiConfig(), **section)
-
-
-def _setting(config: dict, section: str, key: str, flag=None, flag_value=None):
-    """``section.key`` from its command-line flag when one is given, else
-    from the config, else the field's default."""
-    if flag_value is not None:
-        return read_flag(section, key, flag_value, flag)
-    return config[section].get(key, SECTIONS[section][key].default)
 
 
 _CSV_KEYS = ("kind", "path", "dim", "classes")
 
 
-def resolve_data(config: dict):
-    """Returns (kind, spec_or_path, bundle)."""
+def _sha256(path: str) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def load_data(config: dict):
+    """(spec or path, bundle, manifest entry) of the data section.  A CSV's
+    entry hashes the file and its sidecar (None when there is none)."""
     section = config["data"]
     kind = section.get("kind", "csv" if "path" in section else "synth")
     keys = _CSV_KEYS if kind == "csv" else set(SECTIONS["data"]) - {"path"}
@@ -153,80 +146,112 @@ def resolve_data(config: dict):
     if kind == "csv":
         if "path" not in section:
             raise ConfigError("data.kind=csv requires data.path")
+        path = section["path"]
         schema = datasets.CsvSchema(section.get("dim"), section.get("classes"))
-        return "csv", section["path"], datasets.load_csv(section["path"], schema)
+        bundle = datasets.load_csv(path, schema)
+        side = datasets.sidecar_path(path)
+        return path, bundle, {
+            "kind": "csv", "path": path, "sha256": _sha256(path),
+            "sidecar_sha256": _sha256(side) if os.path.exists(side) else None}
     spec = datasets.SynthSpec(**{k: section.get(k, SECTIONS["data"][k].default)
                                  for k in keys if k != "kind"})
-    return "synth", spec, datasets.generate(spec)
+    return spec, datasets.generate(spec), {"kind": "synth",
+                                           "spec": spec.to_dict()}
 
 
 def _content_hash(*parts) -> str:
     h = hashlib.sha256()
     for part in parts:
-        if isinstance(part, bytes):
-            h.update(part)
-        else:
-            h.update(json.dumps(part, sort_keys=True, default=str).encode())
+        h.update(json.dumps(part, sort_keys=True, default=str).encode())
         h.update(b"\x00")
     return h.hexdigest()
 
 
-def _data_manifest_entry(kind: str, spec_or_path) -> dict:
-    if kind == "synth":
-        return {"kind": "synth", "spec": spec_or_path.to_dict()}
-    with open(spec_or_path, "rb") as fh:
-        digest = hashlib.sha256(fh.read()).hexdigest()
-    return {"kind": "csv", "path": str(spec_or_path), "sha256": digest}
+# The verify instances' architecture comes from the lbi section.
+_ARCH_KEYS = ("hidden", "ignore_mode", "mode")
 
 
-def write_manifest(out_dir: str, command: str, cfg: LbiConfig | None,
-                   data_entry: dict | None, extra: dict | None = None, *,
-                   started: float):
-    """manifest.json for a command that started at ``time.perf_counter()``
-    value ``started``."""
-    manifest = {
-        "tool": {"name": "lbi", "version": __version__},
-        "command": command,
+@dataclass
+class Job:
+    """A command as ``main`` resolves it before any work: the checked
+    config, the lbi config, the data, the command's settings (its config
+    section with defaults), the manifest so far, and the output directory
+    (None when the command writes no files)."""
+
+    command: str
+    config: dict
+    cfg: LbiConfig | None = None
+    source: object = None  # the data's SynthSpec or CSV path
+    bundle: datasets.DatasetBundle | None = None
+    settings: dict = field(default_factory=dict)
+    manifest: dict = field(default_factory=dict)
+    out: str | None = None
+
+
+def resolve(args) -> Job:
+    """The Job of parsed ``args``, its output directory made."""
+    cmd = COMMANDS[args.command]
+    flags = [(f"--{flag}", key, getattr(args, flag))
+             for flag, key in cmd.flags.items()
+             if getattr(args, flag) is not None]
+    job = Job(args.command, read_config(apply_overrides(
+        load_config_file(args.config), args.sets, flags)))
+    config, command = job.config, job.command
+    for flag, key in cmd.flags.items():
+        section, name = key.split(".")
+        if SECTIONS[section][name].default is None and name not in config[section]:
+            raise ConfigError(f"{command} requires --{flag} or {key}")
+
+    job.manifest = {"tool": {"name": "lbi", "version": __version__},
+                    "command": command}
+    parts = [command]
+    if cmd.trains:
+        job.cfg = engine.config_with(LbiConfig(), **config["lbi"])
+        job.manifest["config"] = job.cfg.to_dict()
+        parts.append(job.manifest["config"])
+    if cmd.data:
+        job.source, job.bundle, entry = load_data(config)
+        if command == "gen-data" and entry["kind"] != "synth":
+            raise ConfigError("gen-data requires synthetic data configuration")
+        job.manifest["data"] = entry
+        parts.append(entry)
+    if cmd.settings:
+        job.settings = {k: f.default for k, f in SECTIONS[command].items()
+                        if f.default is not None} | config[command]
+        if command == "verify":
+            job.settings.update((k, config["lbi"][k]) for k in _ARCH_KEYS
+                                if k in config["lbi"])
+        job.manifest[command] = job.settings
+        parts.append({command: job.settings})
+    job.manifest["input_sha256"] = _content_hash(*parts)
+
+    job.out = args.out or None
+    if job.out is None and not cmd.out_only:
+        job.out = config["run"].get("out") or os.path.join(
+            os.environ.get(OUT_ROOT_ENV, "lbi-runs"),
+            f"{command}-{job.manifest['input_sha256'][:12]}")
+    if job.out is not None:
+        try:
+            os.makedirs(job.out, exist_ok=True)
+        except OSError as e:
+            raise ConfigError(f"cannot make output directory {job.out}: "
+                              f"{e.strerror}") from None
+    return job
+
+
+def write_manifest(job: Job, started: float):
+    """The job's manifest.json, for a command that started at
+    ``time.perf_counter()`` value ``started``."""
+    _write_json(os.path.join(job.out, "manifest.json"), {
+        **job.manifest,
         "created_utc": datetime.now(timezone.utc).isoformat(),
-    }
-    hash_parts = [command]
-    if cfg is not None:
-        manifest["config"] = cfg.to_dict()
-        hash_parts.append(cfg.to_dict())
-    if data_entry is not None:
-        manifest["data"] = data_entry
-        hash_parts.append(data_entry)
-    if extra:
-        manifest.update(extra)
-        hash_parts.append(extra)
-    manifest["input_sha256"] = _content_hash(*hash_parts)
-    manifest["run_env"] = {
-        "cpu_count": os.cpu_count(),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "duration_s": round(time.perf_counter() - started, 3),
-    }
-    _write_json(os.path.join(out_dir, "manifest.json"), manifest)
-
-
-def resolve_out_dir(args, config: dict, command: str, cfg_for_hash) -> str:
-    out = args.out or config["run"].get("out")
-    if out is None:
-        root = os.environ.get(OUT_ROOT_ENV, "lbi-runs")
-        tag = _content_hash(command, cfg_for_hash)[:12]
-        out = os.path.join(root, f"{command}-{tag}")
-    return _make_out_dir(out)
-
-
-def _make_out_dir(out: str) -> str:
-    """Create the output directory ``out`` if it is not there; ConfigError
-    naming it when it cannot be (a regular file of that name, say)."""
-    try:
-        os.makedirs(out, exist_ok=True)
-    except OSError as e:
-        raise ConfigError(
-            f"cannot make output directory {out}: {e.strerror}") from None
-    return out
+        "run_env": {
+            "cpu_count": os.cpu_count(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "duration_s": round(time.perf_counter() - started, 3),
+        },
+    })
 
 
 # Commands -------------------------------------------------------------------
@@ -243,32 +268,24 @@ def _trace_line(row: engine.TraceRow) -> str:
     ])
 
 
-def cmd_run(args, config: dict) -> int:
-    cfg = build_lbi_config(config, args.seed)
-    kind, spec_or_path, bundle = resolve_data(config)
-    out_dir = resolve_out_dir(args, config, "run",
-                              [cfg.to_dict(), _data_manifest_entry(kind, spec_or_path)])
+def cmd_run(job: Job) -> int:
+    bundle = job.bundle
+    resume = job.config["run"].get("resume")
+    initial = engine.load_state(resume) if resume else None
 
-    initial = None
-    resume = config["run"].get("resume")
-    if resume:
-        initial = engine.load_state(resume)
-
-    trace_path = os.path.join(out_dir, "trace.csv")
-    tmp_path = trace_path + f".tmp.{os.getpid()}"
+    trace_path = os.path.join(job.out, "trace.csv")
     failure: NumericError | None = None
-    with open(tmp_path, "w") as fh:
+    # Any other exception leaves no trace file; a numeric failure keeps the
+    # rows before it.
+    with datasets.atomic_open(trace_path) as fh:
         fh.write(TRACE_HEADER + "\n")
         try:
             state, _ = engine.run(
-                bundle, cfg, initial_state=initial,
+                bundle, job.cfg, initial_state=initial,
                 trace_hook=lambda row: fh.write(_trace_line(row) + "\n"),
             )
         except NumericError as e:
             failure = e
-    os.replace(tmp_path, trace_path)
-    write_manifest(out_dir, "run", cfg, _data_manifest_entry(kind, spec_or_path),
-                   started=args.started)
     if failure is not None:
         print(f"numeric failure at iteration {failure.iteration}: {failure}",
               file=sys.stderr)
@@ -276,7 +293,7 @@ def cmd_run(args, config: dict) -> int:
               f"{trace_path}", file=sys.stderr)
         return EXIT_NUMERIC
 
-    engine.save_state(state, os.path.join(out_dir, "state.json"))
+    engine.save_state(state, os.path.join(job.out, "state.json"))
     test_acc = experiments.accuracy(state.finetune_model,
                                     bundle.test.X, bundle.test.y)
     val_acc = experiments.accuracy(state.finetune_model,
@@ -295,31 +312,21 @@ def cmd_run(args, config: dict) -> int:
         state.ignore_pretrain.effective(), bundle.corrupted)
     if auc is not None:
         summary["recovery_auc_pretrain"] = auc
-    _write_json(os.path.join(out_dir, "summary.json"), summary)
+    _write_json(os.path.join(job.out, "summary.json"), summary)
     print(f"run complete: {state.iteration} iterations, "
           f"test accuracy {test_acc:.4f}, val accuracy {val_acc:.4f}")
-    print(f"outputs in {out_dir}")
+    print(f"outputs in {job.out}")
     return EXIT_OK
 
 
-def cmd_verify(args, config: dict) -> int:
-    section = config["verify"]
-    step = _setting(config, "verify", "step")
-    threshold = _setting(config, "verify", "threshold")
-    seeds = section.get("seeds") or _setting(config, "verify", "seeds",
-                                             "--seed", args.seed)
-    # The instance keys given in the verify section, and the architecture
-    # from the lbi section; the rest of the instance is drawn per seed.
-    instance_keys = {k: v for k, v in section.items()
+def cmd_verify(job: Job) -> int:
+    step, threshold = job.settings["step"], job.settings["threshold"]
+    # The instance keys given; the rest of the instance is drawn per seed.
+    instance_keys = {k: v for k, v in job.settings.items()
                      if k not in ("step", "threshold", "seeds")}
-    instance_keys.update((k, config["lbi"][k]) for k in
-                         ("hidden", "ignore_mode", "mode") if k in config["lbi"])
-    if args.out:
-        _make_out_dir(args.out)
-
     all_passed = True
     reports = []
-    for seed in seeds:
+    for seed in job.settings["seeds"]:
         inst = gradcheck.make_check_instance(seed, **instance_keys)
         report = gradcheck.verify_hypergrads(
             inst.state, inst.arrays, inst.cfg, step=step, threshold=threshold)
@@ -327,18 +334,13 @@ def cmd_verify(args, config: dict) -> int:
         print(f"seed {seed}:")
         print(report.as_table())
         all_passed = all_passed and report.passed()
-    if args.out:
-        _write_json(os.path.join(args.out, "verify.json"), {
+    if job.out:
+        _write_json(os.path.join(job.out, "verify.json"), {
             "reports": [
                 {"seed": s, **r.to_dict()} for s, r in reports
             ],
             "passed": all_passed,
         })
-        write_manifest(args.out, "verify", None, None,
-                       extra={"verify": {"step": step, "threshold": threshold,
-                                         "seeds": seeds,
-                                         **instance_keys}},
-                       started=args.started)
     return EXIT_OK if all_passed else EXIT_VERIFY_FAILED
 
 
@@ -348,31 +350,20 @@ def _matrix_rows(result: experiments.MatrixResult) -> list[list]:
             for r in result.results]
 
 
-def cmd_ablate(args, config: dict) -> int:
-    ids = _setting(config, "ablate", "ids", "--ids", args.ids)
-    seeds = _setting(config, "ablate", "seeds", "--seeds", args.seeds)
-    cfg = build_lbi_config(config, args.seed)
-    kind, spec_or_path, bundle = resolve_data(config)
-    out_dir = resolve_out_dir(
-        args, config, "ablate",
-        [cfg.to_dict(), ids, seeds, _data_manifest_entry(kind, spec_or_path)])
-
-    result = experiments.run_matrix(bundle, ids, seeds, cfg)
+def cmd_ablate(job: Job) -> int:
+    ids, seeds = job.settings["ids"], job.settings["seeds"]
+    result = experiments.run_matrix(job.bundle, ids, seeds, job.cfg)
     _write_csv(
-        os.path.join(out_dir, "results.csv"),
+        os.path.join(job.out, "results.csv"),
         ["ablation", "seed", "test_accuracy", "val_accuracy",
          "recovery_auc_pretrain", "recovery_auc_finetune", "error"],
         _matrix_rows(result),
     )
-    _write_json(os.path.join(out_dir, "summary.json"), {
+    _write_json(os.path.join(job.out, "summary.json"), {
         "aggregates": [asdict(a) for a in result.aggregates],
         "ids": ids, "seeds": seeds,
         "any_failed": result.any_failed,
     })
-    write_manifest(out_dir, "ablate", cfg,
-                   _data_manifest_entry(kind, spec_or_path),
-                   extra={"ablate": {"ids": ids, "seeds": seeds}},
-                   started=args.started)
 
     print(f"{'id':<6} {'n':>2} {'test_acc':>10} {'std':>8} {'auc':>8}")
     for a in result.aggregates:
@@ -380,31 +371,19 @@ def cmd_ablate(args, config: dict) -> int:
         std = "-" if a.test_accuracy_std is None else f"{a.test_accuracy_std:.4f}"
         auc = "-" if a.recovery_auc_mean is None else f"{a.recovery_auc_mean:.4f}"
         print(f"{a.ablation:<6} {a.n_ok:>2} {test:>10} {std:>8} {auc:>8}")
-    print(f"outputs in {out_dir}")
+    print(f"outputs in {job.out}")
     return EXIT_CELLS_FAILED if result.any_failed else EXIT_OK
 
 
-def cmd_sweep(args, config: dict) -> int:
-    param = _setting(config, "sweep", "param", "--param", args.param)
-    if param is None:
-        raise ConfigError("sweep requires --param or sweep.param")
-    grid = _setting(config, "sweep", "grid", "--grid", args.grid)
-    if grid is None:
-        raise ConfigError("sweep requires --grid or sweep.grid")
-    seeds = _setting(config, "sweep", "seeds", "--seeds", args.seeds)
-    cfg = build_lbi_config(config, args.seed)
-    kind, spec_or_path, bundle = resolve_data(config)
-    out_dir = resolve_out_dir(
-        args, config, "sweep",
-        [cfg.to_dict(), param, grid, seeds,
-         _data_manifest_entry(kind, spec_or_path)])
-
-    result = experiments.sweep(param, grid, bundle, seeds, cfg)
+def cmd_sweep(job: Job) -> int:
+    param, grid = job.settings["param"], job.settings["grid"]
+    result = experiments.sweep(param, grid, job.bundle,
+                               job.settings["seeds"], job.cfg)
     # One row per seed; a failed seed carries its error message instead.
     rows = [[param, point.value, o.seed, o.val_accuracy, o.test_accuracy,
              o.error] for point in result.points for o in point.outcomes]
     _write_csv(
-        os.path.join(out_dir, "sweep.csv"),
+        os.path.join(job.out, "sweep.csv"),
         ["param", "value", "seed", "val_accuracy", "test_accuracy", "error"],
         rows,
     )
@@ -426,12 +405,7 @@ def cmd_sweep(args, config: dict) -> int:
         summary["argmax_interior"] = result.argmax_interior
     except NumericError:
         pass
-    _write_json(os.path.join(out_dir, "summary.json"), summary)
-    write_manifest(out_dir, "sweep", cfg,
-                   _data_manifest_entry(kind, spec_or_path),
-                   extra={"sweep": {"param": param, "grid": grid,
-                                    "seeds": seeds}},
-                   started=args.started)
+    _write_json(os.path.join(job.out, "summary.json"), summary)
     for p in result.points:
         mean = ("-" if p.val_accuracy_mean is None
                 else f"{p.val_accuracy_mean:.4f}")
@@ -440,36 +414,24 @@ def cmd_sweep(args, config: dict) -> int:
     if "argmax_value" in summary:
         where = "interior" if summary["argmax_interior"] else "endpoint"
         print(f"best {param} = {summary['argmax_value']:g} ({where})")
-    print(f"outputs in {out_dir}")
+    print(f"outputs in {job.out}")
     return EXIT_CELLS_FAILED if result.any_failed else EXIT_OK
 
 
-def cmd_gen_data(args, config: dict) -> int:
-    kind, spec_or_path, bundle = resolve_data(config)
-    if kind != "synth":
-        raise ConfigError("gen-data requires synthetic data configuration")
-    out_dir = resolve_out_dir(args, config, "gen-data",
-                              [_data_manifest_entry(kind, spec_or_path)])
-    path = os.path.join(out_dir, "data.csv")
-    datasets.save_csv(bundle, path, spec=spec_or_path)
-    write_manifest(out_dir, "gen-data", None,
-                   _data_manifest_entry(kind, spec_or_path),
-                   started=args.started)
-    sizes = {name: split.n for name, split in bundle.splits().items()}
+def cmd_gen_data(job: Job) -> int:
+    path = os.path.join(job.out, "data.csv")
+    datasets.save_csv(job.bundle, path, spec=job.source)
+    sizes = {name: split.n for name, split in job.bundle.splits().items()}
     print(f"wrote {path} ({sizes})")
     return EXIT_OK
 
 
-def cmd_eval(args, config: dict) -> int:
-    state_path = _setting(config, "eval", "state", "--state", args.state)
-    if state_path is None:
-        raise ConfigError("eval requires --state or eval.state")
-    if args.out:
-        _make_out_dir(args.out)
+def cmd_eval(job: Job) -> int:
+    state_path = job.settings["state"]
     state = engine.load_state(state_path)
-    kind, spec_or_path, bundle = resolve_data(config)
+    bundle = job.bundle
     report = {
-        "state": str(state_path),
+        "state": state_path,
         "iteration": state.iteration,
         "test_accuracy": experiments.accuracy(
             state.finetune_model, bundle.test.X, bundle.test.y),
@@ -483,16 +445,43 @@ def cmd_eval(args, config: dict) -> int:
     print(f"test accuracy {report['test_accuracy']:.4f}, "
           f"val accuracy {report['val_accuracy']:.4f}"
           + (f", recovery auc {auc:.4f}" if auc is not None else ""))
-    if args.out:
-        _write_json(os.path.join(args.out, "eval.json"), report)
-        write_manifest(args.out, "eval", None,
-                       _data_manifest_entry(kind, spec_or_path),
-                       extra={"eval": {"state": str(state_path)}},
-                       started=args.started)
+    if job.out:
+        _write_json(os.path.join(job.out, "eval.json"), report)
     return EXIT_OK
 
 
 # Entry point ----------------------------------------------------------------
+
+class Command(NamedTuple):
+    work: Callable[[Job], int]
+    help: str
+    flags: dict           # flag name: the config key it sets
+    trains: bool = False  # the manifest records the lbi config
+    data: bool = False    # loads the data section
+    settings: bool = False  # the manifest records its own config section
+    out_only: bool = False  # writes files only with --out
+
+
+COMMANDS = {
+    "run": Command(cmd_run, "one full training run", {"seed": "lbi.seed"},
+                   trains=True, data=True),
+    "verify": Command(cmd_verify, "check hypergradients against finite "
+                      "differences", {"seed": "verify.seeds"},
+                      settings=True, out_only=True),
+    "ablate": Command(cmd_ablate, "run the ablation matrix",
+                      {"ids": "ablate.ids", "seeds": "ablate.seeds"},
+                      trains=True, data=True, settings=True),
+    "sweep": Command(cmd_sweep, "sweep lambda or gamma",
+                     {"param": "sweep.param", "grid": "sweep.grid",
+                      "seeds": "sweep.seeds"},
+                     trains=True, data=True, settings=True),
+    "gen-data": Command(cmd_gen_data, "write a synthetic bundle as CSV", {},
+                        data=True),
+    "eval": Command(cmd_eval, "score a saved state on a dataset",
+                    {"state": "eval.state"}, data=True, settings=True,
+                    out_only=True),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -501,55 +490,28 @@ def build_parser() -> argparse.ArgumentParser:
                     "examples to ignore.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
+    for name, command in COMMANDS.items():
+        # No abbreviations: --seed must not stand for --seeds.
+        p = sub.add_parser(name, help=command.help, allow_abbrev=False)
         p.add_argument("--config", help="YAML configuration file")
         p.add_argument("--set", dest="sets", action="append", default=[],
                        metavar="KEY=VALUE",
                        help="override a config value (bare keys mean lbi.KEY)")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--seed", type=int, help="override lbi.seed")
-
-    p = sub.add_parser("run", help="one full training run")
-    add_common(p)
-    p = sub.add_parser("verify", help="check hypergradients against "
-                                      "finite differences")
-    add_common(p)
-    p = sub.add_parser("ablate", help="run the ablation matrix")
-    add_common(p)
-    p.add_argument("--ids", help="comma-separated ablation ids")
-    p.add_argument("--seeds", help="comma-separated seeds")
-    p = sub.add_parser("sweep", help="sweep lambda or gamma")
-    add_common(p)
-    p.add_argument("--param", choices=SWEEP_PARAMS)
-    p.add_argument("--grid", help="comma-separated values")
-    p.add_argument("--seeds", help="comma-separated seeds")
-    p = sub.add_parser("gen-data", help="write a synthetic bundle as CSV")
-    add_common(p)
-    p = sub.add_parser("eval", help="score a saved state on a dataset")
-    add_common(p)
-    p.add_argument("--state", help="state JSON to evaluate")
+        for flag, key in command.flags.items():
+            p.add_argument(f"--{flag}", help=f"set {key}")
     return parser
-
-
-_COMMANDS = {
-    "run": cmd_run,
-    "verify": cmd_verify,
-    "ablate": cmd_ablate,
-    "sweep": cmd_sweep,
-    "gen-data": cmd_gen_data,
-    "eval": cmd_eval,
-}
 
 
 def main(argv=None) -> int:
     started = time.perf_counter()
     args = build_parser().parse_args(argv)
-    args.started = started
     try:
-        config = read_config(
-            apply_overrides(load_config_file(args.config), args.sets))
-        return _COMMANDS[args.command](args, config)
+        job = resolve(args)
+        code = COMMANDS[job.command].work(job)
+        if job.out is not None:
+            write_manifest(job, started)
+        return code
     except (ConfigError, ParseError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG

@@ -21,6 +21,7 @@ perturb the others.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
@@ -303,6 +304,23 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+@contextlib.contextmanager
+def atomic_open(path, newline=None):
+    """A text file for writing that replaces ``path`` only once the block
+    ends without an exception: it is written as ``<path>.tmp.<pid>`` and
+    renamed.  On an exception the temp file is removed and ``path`` keeps
+    its old content."""
+    tmp = f"{os.fspath(path)}.tmp.{os.getpid()}"
+    try:
+        with open(tmp, "w", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
 def sidecar_path(path) -> str:
     return os.fspath(path) + ".manifest.json"
 
@@ -316,17 +334,14 @@ def save_csv(bundle: DatasetBundle, path: str, spec: SynthSpec | None = None):
     (the CSV itself carries no corruption column), plus the generating spec
     when one is supplied.
     """
-    path = os.fspath(path)
     header = ["split", "label"] + [f"f_{j}" for j in range(bundle.dim)]
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for name, split in bundle.splits().items():
             # Row by row, so no list holds every value as a Python float.
             for label, row in zip(split.y.tolist(), split.X):
                 writer.writerow([name, label, *map(_fmt, row.tolist())])
-    os.replace(tmp, path)
 
     manifest = {
         "format_version": 1,
@@ -337,12 +352,9 @@ def save_csv(bundle: DatasetBundle, path: str, spec: SynthSpec | None = None):
     }
     if spec is not None:
         manifest["spec"] = spec.to_dict()
-    side = sidecar_path(path)
-    tmp = f"{side}.tmp.{os.getpid()}"
-    with open(tmp, "w") as fh:
+    with atomic_open(sidecar_path(path)) as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    os.replace(tmp, side)
 
 
 @dataclass

@@ -68,7 +68,7 @@ from scipy.special import expit
 
 from . import config, model
 from .config import IGNORE_MODES, MODES  # noqa: F401
-from .datasets import DatasetBundle, Split
+from .datasets import DatasetBundle, Split, atomic_open
 from .errors import ConfigError, NumericError
 from .model import Arch, GradBlock, ModelParams
 
@@ -954,7 +954,7 @@ def from_state_dict(d: dict) -> LbiState:
 
 
 def save_state(state: LbiState, path: str):
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         json.dump(to_state_dict(state), fh)
         fh.write("\n")
 

@@ -11,7 +11,7 @@ import os
 import numpy as np
 import pytest
 
-from lbi import cli, datasets, engine, gradcheck
+from lbi import cli, datasets, engine, experiments, gradcheck
 
 
 def read(path):
@@ -181,6 +181,8 @@ class TestRun:
         ]))
         assert code == 2
         assert setting.split("=")[0] in capsys.readouterr().err
+        # No trace, temp file or manifest is left behind.
+        assert list((tmp_path / "second").iterdir()) == []
 
     def test_resume_with_short_finetune_scores_exits_2(self, tmp_path, capsys):
         out1 = tmp_path / "first"
@@ -219,6 +221,19 @@ class TestVerify:
         assert cli.main(["verify", "--config", str(cfg)]) == 0
         out = capsys.readouterr().out
         assert "seed 0" in out and "seed 1" in out
+
+    def test_seed_flag_beats_config_seeds(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("verify:\n  seeds: [0, 1]\n")
+        out = tmp_path / "v"
+        assert cli.main(["verify", "--config", str(cfg), "--seed", "5",
+                         "--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        assert "seed 5:" in printed
+        assert "seed 0:" not in printed and "seed 1:" not in printed
+        assert [r["seed"] for r in read_json(out / "verify.json")["reports"]
+                ] == [5]
+        assert read_json(out / "manifest.json")["verify"]["seeds"] == [5]
 
     def test_lambda_zero_instance_passes(self, capsys):
         cfg_args = ["--set", "verify.lambda=0.0"]
@@ -375,6 +390,45 @@ class TestGenDataAndEval:
         manifest = read_json(out / "manifest.json")
         assert manifest["data"]["spec"]["seed"] == 9
 
+    def test_csv_sidecar_is_hashed(self, tmp_path, monkeypatch):
+        """Editing the sidecar's corruption flags changes the input hash
+        and so the default output directory."""
+        gen_out = tmp_path / "data"
+        assert cli.main(["gen-data", "--out", str(gen_out), *TINY_DATA]) == 0
+        data = gen_out / "data.csv"
+        monkeypatch.setenv(cli.OUT_ROOT_ENV, str(tmp_path / "root"))
+        argv = ["run", "--set", f"data.path={data}", "--set", "iterations=1"]
+
+        def rerun():
+            assert cli.main(argv) == 0
+            runs = {p.name for p in (tmp_path / "root").iterdir()}
+            (new,) = runs - seen
+            seen.add(new)
+            return new, read_json(tmp_path / "root" / new / "manifest.json")
+
+        seen = set()
+        first, manifest = rerun()
+        assert first.startswith("run-")
+        assert first == "run-" + manifest["input_sha256"][:12]
+        assert manifest["data"]["sidecar_sha256"] is not None
+        side = read_json(datasets.sidecar_path(data))
+        side["corrupted_pretrain_indices"] = [0]
+        with open(datasets.sidecar_path(data), "w") as fh:
+            json.dump(side, fh)
+        second, edited = rerun()
+        assert edited["input_sha256"] != manifest["input_sha256"]
+        assert edited["data"]["sha256"] == manifest["data"]["sha256"]
+
+    def test_csv_without_sidecar_hashes_none(self, tmp_path):
+        gen_out = tmp_path / "data"
+        assert cli.main(["gen-data", "--out", str(gen_out), *TINY_DATA]) == 0
+        os.remove(datasets.sidecar_path(gen_out / "data.csv"))
+        out = tmp_path / "run"
+        assert cli.main(["run", "--out", str(out), "--set",
+                         f"data.path={gen_out / 'data.csv'}",
+                         "--set", "iterations=1"]) == 0
+        assert read_json(out / "manifest.json")["data"]["sidecar_sha256"] is None
+
     def test_run_on_generated_csv(self, tmp_path):
         gen_out = tmp_path / "data"
         assert cli.main(["gen-data", "--out", str(gen_out), *TINY_DATA]) == 0
@@ -462,6 +516,28 @@ class TestSeedsGridIds:
                          "--set", "ablate.seeds=3"])
         assert code == 0
         assert read_json(out / "summary.json")["seeds"] == [3]
+
+    def test_flag_beats_set(self, tmp_path):
+        out = tmp_path / "out"
+        code = cli.main(["ablate", "--out", str(out), *TINY_DATA,
+                         "--set", "iterations=2", "--ids", "A1",
+                         "--set", "ablate.ids=FULL", "--set", "ablate.seeds=3",
+                         "--seeds", "1"])
+        assert code == 0
+        summary = read_json(out / "summary.json")
+        assert (summary["ids"], summary["seeds"]) == (["A1"], [1])
+        assert read_json(out / "manifest.json")["ablate"] == {
+            "ids": ["A1"], "seeds": [1]}
+
+    @pytest.mark.parametrize("command", ["ablate", "sweep", "gen-data",
+                                         "eval"])
+    def test_seed_flag_only_where_read(self, command, tmp_path):
+        """--seed sets lbi.seed for run and verify.seeds for verify; the
+        other commands have no such flag."""
+        with pytest.raises(SystemExit) as e:
+            cli.main([command, "--out", str(tmp_path / "x"), "--seed", "1"])
+        assert e.value.code == 2
+        assert not (tmp_path / "x").exists()
 
     def test_ablate_ids_string_split_on_commas(self, tmp_path):
         out = tmp_path / "out"
@@ -594,15 +670,23 @@ class TestBadDataInputs:
     @pytest.mark.parametrize("argv", [
         run_args("{out}"), ["verify", "--seed", "0", "--out", "{out}"],
         ["eval", *TINY_DATA, "--state", "s.json", "--out", "{out}"],
-    ], ids=["run", "verify", "eval"])
+        ["ablate", *TINY_DATA, "--ids", "A1", "--seeds", "0", "--out", "{out}"],
+        ["sweep", *TINY_DATA, "--param", "lambda", "--grid", "0,1,2",
+         "--seeds", "0", "--out", "{out}"],
+        ["gen-data", *TINY_DATA, "--out", "{out}"],
+    ], ids=["run", "verify", "eval", "ablate", "sweep", "gen-data"])
     def test_out_naming_a_file_exits_2(self, argv, tmp_path, capsys,
                                        monkeypatch):
-        """Before any work: no check runs and no state is read."""
+        """Before any work: no training, check, matrix or sweep runs, no
+        state is read and no data is written."""
         def never(*args, **kwargs):
             raise AssertionError("ran before the output directory was made")
 
-        monkeypatch.setattr(gradcheck, "verify_hypergrads", never)
-        monkeypatch.setattr(engine, "load_state", never)
+        for module, name in [(engine, "run"), (gradcheck, "verify_hypergrads"),
+                             (engine, "load_state"),
+                             (experiments, "run_matrix"),
+                             (experiments, "sweep"), (datasets, "save_csv")]:
+            monkeypatch.setattr(module, name, never)
         afile = tmp_path / "afile"
         afile.write_text("")
         code = cli.main([a.format(out=afile) for a in argv])

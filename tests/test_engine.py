@@ -895,6 +895,24 @@ class TestStatePersistence:
         engine.save_state(state, path)
         assert engine.load_state(path).ignore_finetune is None
 
+    def test_failed_save_keeps_old_state(self, tmp_path, monkeypatch):
+        """A write that fails partway leaves the old file byte for byte."""
+        bundle = tiny_bundle()
+        state, _ = engine.run(bundle, LbiConfig(iterations=2))
+        path = tmp_path / "state.json"
+        engine.save_state(state, path)
+        old = path.read_bytes()
+
+        def torn_dump(obj, fh):
+            fh.write('{"format": "lbi-st')
+            raise OSError("disk full")
+
+        monkeypatch.setattr(engine.json, "dump", torn_dump)
+        with pytest.raises(OSError, match="disk full"):
+            engine.save_state(state, path)
+        assert path.read_bytes() == old
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["state.json"]
+
     def test_wrong_version_rejected(self):
         bundle = tiny_bundle()
         state, _ = engine.run(bundle, LbiConfig(iterations=1))
