@@ -268,6 +268,23 @@ def _trace_line(row: engine.TraceRow) -> str:
     ])
 
 
+def _reported(scores: dict) -> dict:
+    """What ``run`` and ``eval`` report of ``experiments.score``'s scores:
+    test and val accuracy, and the pretraining weights' recovery AUC when
+    it is defined."""
+    out = {k: scores[k] for k in ("test_accuracy", "val_accuracy")}
+    if scores["recovery_auc_pretrain"] is not None:
+        out["recovery_auc_pretrain"] = scores["recovery_auc_pretrain"]
+    return out
+
+
+def _mean(weights: np.ndarray | None) -> float | None:
+    """The mean weight; None for no set or an empty one."""
+    if weights is None or not weights.size:
+        return None
+    return float(np.mean(weights))
+
+
 def cmd_run(job: Job) -> int:
     bundle = job.bundle
     resume = job.config["run"].get("resume")
@@ -294,27 +311,17 @@ def cmd_run(job: Job) -> int:
         return EXIT_NUMERIC
 
     engine.save_state(state, os.path.join(job.out, "state.json"))
-    test_acc = experiments.accuracy(state.finetune_model,
-                                    bundle.test.X, bundle.test.y)
-    val_acc = experiments.accuracy(state.finetune_model,
-                                   bundle.val.X, bundle.val.y)
+    scores = experiments.score(state, bundle)
     summary = {
         "iterations": state.iteration,
-        "test_accuracy": test_acc,
-        "val_accuracy": val_acc,
-        "final_ignore_pretrain_mean": float(np.mean(
-            state.ignore_pretrain.effective())) if bundle.pretrain.n else None,
-        "final_ignore_finetune_mean": float(np.mean(
-            state.ignore_finetune.effective()))
-        if state.ignore_finetune is not None and bundle.pretrain.n else None,
+        **_reported(scores),
+        "final_ignore_pretrain_mean": _mean(scores["final_ignore_pretrain"]),
+        "final_ignore_finetune_mean": _mean(scores["final_ignore_finetune"]),
     }
-    auc = experiments.corrupted_recovery_auc(
-        state.ignore_pretrain.effective(), bundle.corrupted)
-    if auc is not None:
-        summary["recovery_auc_pretrain"] = auc
     _write_json(os.path.join(job.out, "summary.json"), summary)
     print(f"run complete: {state.iteration} iterations, "
-          f"test accuracy {test_acc:.4f}, val accuracy {val_acc:.4f}")
+          f"test accuracy {summary['test_accuracy']:.4f}, "
+          f"val accuracy {summary['val_accuracy']:.4f}")
     print(f"outputs in {job.out}")
     return EXIT_OK
 
@@ -379,38 +386,36 @@ def cmd_sweep(job: Job) -> int:
     param, grid = job.settings["param"], job.settings["grid"]
     result = experiments.sweep(param, grid, job.bundle,
                                job.settings["seeds"], job.cfg)
+
+    def error(r: experiments.RunResult) -> str | None:
+        return None if r.ok else f"seed {r.seed}: {r.error}"
+
     # One row per seed; a failed seed carries its error message instead.
-    rows = [[param, point.value, o.seed, o.val_accuracy, o.test_accuracy,
-             o.error] for point in result.points for o in point.outcomes]
     _write_csv(
         os.path.join(job.out, "sweep.csv"),
         ["param", "value", "seed", "val_accuracy", "test_accuracy", "error"],
-        rows,
+        [[param, r.ablation, r.seed, r.val_accuracy, r.test_accuracy,
+          error(r)] for r in result.results],
     )
-    summary = {
-        "param": param,
-        "grid": grid,
-        "points": [
-            {"value": p.value,
-             "val_accuracy_mean": p.val_accuracy_mean,
-             "val_accuracy_std": p.val_accuracy_std,
-             "test_accuracy_mean": p.test_accuracy_mean,
-             "errors": p.errors}
-            for p in result.points
-        ],
-        "any_failed": result.any_failed,
-    }
+    points = [{"value": row.ablation,
+               "val_accuracy_mean": row.val_accuracy_mean,
+               "val_accuracy_std": row.val_accuracy_std,
+               "test_accuracy_mean": row.test_accuracy_mean,
+               "errors": [error(r) for r in cells if not r.ok]}
+              for row, cells in result.blocks()]
+    summary = {"param": param, "grid": grid, "points": points,
+               "any_failed": result.any_failed}
     try:
         summary["argmax_value"] = result.argmax_value
         summary["argmax_interior"] = result.argmax_interior
     except NumericError:
         pass
     _write_json(os.path.join(job.out, "summary.json"), summary)
-    for p in result.points:
-        mean = ("-" if p.val_accuracy_mean is None
-                else f"{p.val_accuracy_mean:.4f}")
-        print(f"{param}={p.value:g}: val accuracy {mean}"
-              + (f" ({len(p.errors)} failed)" if p.errors else ""))
+    for p in points:
+        mean = p["val_accuracy_mean"]
+        print(f"{param}={p['value']:g}: val accuracy "
+              + ("-" if mean is None else f"{mean:.4f}")
+              + (f" ({len(p['errors'])} failed)" if p["errors"] else ""))
     if "argmax_value" in summary:
         where = "interior" if summary["argmax_interior"] else "endpoint"
         print(f"best {param} = {summary['argmax_value']:g} ({where})")
@@ -429,19 +434,9 @@ def cmd_gen_data(job: Job) -> int:
 def cmd_eval(job: Job) -> int:
     state_path = job.settings["state"]
     state = engine.load_state(state_path)
-    bundle = job.bundle
-    report = {
-        "state": state_path,
-        "iteration": state.iteration,
-        "test_accuracy": experiments.accuracy(
-            state.finetune_model, bundle.test.X, bundle.test.y),
-        "val_accuracy": experiments.accuracy(
-            state.finetune_model, bundle.val.X, bundle.val.y),
-    }
-    auc = experiments.corrupted_recovery_auc(
-        state.ignore_pretrain.effective(), bundle.corrupted)
-    if auc is not None:
-        report["recovery_auc_pretrain"] = auc
+    report = {"state": state_path, "iteration": state.iteration,
+              **_reported(experiments.score(state, job.bundle))}
+    auc = report.get("recovery_auc_pretrain")
     print(f"test accuracy {report['test_accuracy']:.4f}, "
           f"val accuracy {report['val_accuracy']:.4f}"
           + (f", recovery auc {auc:.4f}" if auc is not None else ""))

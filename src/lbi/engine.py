@@ -64,7 +64,6 @@ import json
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
-from scipy.special import expit
 
 from . import config, model
 from .config import IGNORE_MODES, MODES  # noqa: F401
@@ -126,7 +125,9 @@ class IgnoreSet:
         raw = self.raw if idx is None else self.raw.reshape(-1)[idx]
         if self.mode == "clamp":
             return raw.clip(0.0, 1.0)
-        return expit(raw)
+        # The logistic; exp overflows to inf (weight 0) for raw below -709.
+        with np.errstate(over="ignore"):
+            return 1.0 / (1.0 + np.exp(-raw))
 
     def copy(self) -> "IgnoreSet":
         return IgnoreSet._of(self.raw.copy(), self.mode)
@@ -308,14 +309,6 @@ def _nonfinite(block: np.ndarray) -> np.ndarray:
     return ~np.logical_and.reduce(np.isfinite(block), axis=-1)
 
 
-def _check_update(params: ModelParams, what: str, iteration: int | None):
-    """NumericError unless one model's stepped blocks are finite, encoder
-    first; ``what`` names the model ("pretraining" or "finetuned")."""
-    for part, block in (("encoder", params.encoder), ("head", params.head)):
-        if not np.logical_and.reduce(np.isfinite(block), axis=None):
-            raise NumericError(f"non-finite {what} {part} update", iteration)
-
-
 def _sgd_update(params: ModelParams, g: GradBlock, lr_encoder: float,
                 lr_head: float, weight_decay: float) -> ModelParams:
     d_enc = g.d_encoder
@@ -471,6 +464,9 @@ def apply_ignore_update(ignore: IgnoreSet, g: np.ndarray, rate: float,
 
 def _draw_batches(seed: int, batch_size: int, iteration: int,
                   sizes: tuple[int, int, int]):
+    """One cell's minibatch indices for (pretrain, train, val), None for an
+    empty split.  Derived from (seed, iteration) alone so iterations stay
+    independent of each other and of parameter init."""
     rng = np.random.default_rng(
         np.random.SeedSequence(seed, spawn_key=(_SEED_DOMAIN_BATCH, iteration))
     )
@@ -481,20 +477,9 @@ def _draw_batches(seed: int, batch_size: int, iteration: int,
     return tuple(out)
 
 
-def _batch_indices(cfg: LbiConfig, iteration: int, sizes: tuple[int, int, int]):
-    """Per-iteration minibatch indices for (pretrain, train, val), or Nones.
-
-    Derived from (seed, iteration) alone so iterations stay independent of
-    each other and of parameter init.
-    """
-    if cfg.batch_size is None:
-        return None, None, None
-    return _draw_batches(cfg.seed, cfg.batch_size, iteration, sizes)
-
-
 def _cell_batch_indices(cells: "_Cells", batch_size: int | None,
                         iteration: int, sizes: tuple[int, int, int]):
-    """Each cell's ``_batch_indices`` (from its own seed), stacked into one
+    """Each cell's ``_draw_batches`` (from its own seed), stacked into one
     (K, batch) array per split for a stack, or Nones."""
     if batch_size is None:
         return None, None, None
@@ -782,16 +767,28 @@ def lbi_iteration(state: LbiState, bundle: DatasetBundle, cfg: LbiConfig,
     return nxt, TraceRow(state.iteration, *map(float, trace))
 
 
-def _check_state(state: LbiState, bundle: DatasetBundle, cfg: LbiConfig):
-    """ConfigError unless a (resumed) state fits the data and the config."""
+def check_fit(state: LbiState, bundle: DatasetBundle):
+    """ConfigError unless a state fits the data: its dims and classes, and
+    one ignore score per pretraining row in each set."""
     arch = state.pretrain_model.arch
     if arch.dim != bundle.dim or arch.classes != bundle.classes:
         raise ConfigError(
             f"state architecture ({arch.dim} dims, {arch.classes} classes) does "
             f"not match data ({bundle.dim} dims, {bundle.classes} classes)"
         )
+    for scores, what in ((state.ignore_pretrain, "pretraining"),
+                         (state.ignore_finetune, "finetuning")):
+        if scores is not None:
+            _check_scores(scores, bundle.pretrain.n, what)
+
+
+def _check_state(state: LbiState, bundle: DatasetBundle, cfg: LbiConfig):
+    """ConfigError unless a (resumed) state fits the data (``check_fit``)
+    and the config."""
+    check_fit(state, bundle)
     state_mode = "basic" if state.ignore_finetune is None else "extended"
-    for name, have, want in (("hidden", arch.hidden, cfg.hidden),
+    for name, have, want in (("hidden", state.pretrain_model.arch.hidden,
+                              cfg.hidden),
                              ("ignore_mode", state.ignore_pretrain.mode,
                               cfg.ignore_mode),
                              ("mode", state_mode, cfg.mode)):
@@ -801,11 +798,8 @@ def _check_state(state: LbiState, bundle: DatasetBundle, cfg: LbiConfig):
             )
     for scores, what in ((state.ignore_pretrain, "pretraining"),
                          (state.ignore_finetune, "finetuning")):
-        if scores is None:
-            continue
-        _check_scores(scores, bundle.pretrain.n, what)
-        raw = scores.raw
-        if scores.mode == "clamp" and not ((raw >= 0.0) & (raw <= 1.0)).all():
+        if (scores is not None and scores.mode == "clamp"
+                and not ((scores.raw >= 0.0) & (scores.raw <= 1.0)).all()):
             raise ConfigError(
                 f"state has clamp-mode {what} ignore scores outside [0, 1]"
             )

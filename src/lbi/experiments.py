@@ -34,7 +34,7 @@ import numpy as np
 from . import config, engine, model
 from .config import ABLATION_IDS
 from .datasets import DatasetBundle, SynthSpec, generate
-from .engine import LbiConfig
+from .engine import LbiConfig, LbiState
 from .errors import ConfigError, NumericError
 
 
@@ -135,11 +135,35 @@ def _average_ranks(w: np.ndarray) -> np.ndarray:
     return ranks
 
 
+def score(state: LbiState, bundle: DatasetBundle) -> dict:
+    """A trained state's scores on a bundle, keyed as ``RunResult``'s
+    fields: test and val accuracy of the finetuned model, each set's final
+    effective ignoring weights (the finetuning set's None in basic mode) and
+    recovery AUC.  ConfigError unless the state fits the bundle
+    (``engine.check_fit``)."""
+    engine.check_fit(state, bundle)
+    p = state.finetune_model
+    a = state.ignore_pretrain.effective()
+    b = (None if state.ignore_finetune is None
+         else state.ignore_finetune.effective())
+    return {
+        "test_accuracy": accuracy(p, bundle.test.X, bundle.test.y),
+        "val_accuracy": accuracy(p, bundle.val.X, bundle.val.y),
+        "final_ignore_pretrain": a,
+        "final_ignore_finetune": b,
+        "recovery_auc_pretrain": corrupted_recovery_auc(a, bundle.corrupted),
+        "recovery_auc_finetune": (None if b is None else
+                                  corrupted_recovery_auc(b, bundle.corrupted)),
+    }
+
+
 @dataclass
 class RunResult:
-    """Outcome of one (ablation, seed) cell."""
+    """Outcome of one cell: its scores (``score``), or the error that
+    stopped it.  ``ablation`` is the cell's label: an ablation id in a
+    matrix, a grid value in a sweep."""
 
-    ablation: str
+    ablation: str | float
     seed: int
     config: LbiConfig
     test_accuracy: float | None = None
@@ -157,7 +181,10 @@ class RunResult:
 
 @dataclass
 class AggregateRow:
-    ablation: str
+    """One entry's block of cells (one per seed): how many finished, and
+    the mean and std of their scores.  ``ablation`` is the entry's label."""
+
+    ablation: str | float
     n_ok: int
     test_accuracy_mean: float | None
     test_accuracy_std: float | None
@@ -169,8 +196,13 @@ class AggregateRow:
 
 @dataclass
 class MatrixResult:
+    """Every cell, entry-major (each entry's seeds one block, in seed
+    order), and one aggregate row per entry.  A sweep's entries are its
+    grid values, and ``param`` names the swept regularizer."""
+
     results: list[RunResult]
     aggregates: list[AggregateRow]
+    param: str | None = None
 
     @property
     def any_failed(self) -> bool:
@@ -182,39 +214,51 @@ class MatrixResult:
                 return row
         raise KeyError(ablation_id)
 
+    def blocks(self) -> list[tuple[AggregateRow, list[RunResult]]]:
+        """Each aggregate row with its entry's cells."""
+        n = len(self.results) // len(self.aggregates)
+        return [(row, self.results[i * n:(i + 1) * n])
+                for i, row in enumerate(self.aggregates)]
+
+    @property
+    def argmax_value(self):
+        """Label with the best mean validation accuracy (first on ties): a
+        sweep's best grid value."""
+        best = None
+        for row in self.aggregates:
+            m = row.val_accuracy_mean
+            if m is not None and (best is None or m > best.val_accuracy_mean):
+                best = row
+        if best is None:
+            raise NumericError("every sweep point failed")
+        return best.ablation
+
+    @property
+    def argmax_interior(self) -> bool:
+        """True when the best value sits strictly inside the sorted grid."""
+        values = sorted(row.ablation for row in self.aggregates)
+        return values[0] < self.argmax_value < values[-1]
+
 
 def _resolve_bundle(data) -> DatasetBundle:
     """A bundle as given, or generated from a SynthSpec."""
     return generate(data) if isinstance(data, SynthSpec) else data
 
 
-def run_cell(arrays: DatasetBundle, base_cfg: LbiConfig,
-             cells: list[tuple[str, int]]) -> list[RunResult]:
-    """Train the given (ablation id, seed) cells as one stack
-    (``engine.run_stack``); one RunResult per cell, in order.  Numeric
-    failures are recorded per cell, not raised."""
-    cfgs = [ablation_config(ablation_id, engine.config_with(base_cfg, seed=seed))
-            for ablation_id, seed in cells]
+def run_cell(bundle: DatasetBundle,
+             cells: list[tuple[object, LbiConfig]]) -> list[RunResult]:
+    """Train the given (label, config) cells as one stack
+    (``engine.run_stack``); one RunResult per cell, in order, scored by
+    ``score``.  Numeric failures are recorded per cell, not raised."""
     results = []
-    for (ablation_id, seed), cfg, out in zip(
-            cells, cfgs, engine.run_stack(arrays, cfgs)):
-        result = RunResult(ablation=ablation_id, seed=seed, config=cfg)
-        results.append(result)
+    for (label, cfg), out in zip(
+            cells, engine.run_stack(bundle, [cfg for _, cfg in cells])):
         if isinstance(out, NumericError):
-            result.error = f"numeric failure at iteration {out.iteration}: {out}"
-            continue
-        result.test_accuracy = accuracy(out.finetune_model,
-                                        arrays.test.X, arrays.test.y)
-        result.val_accuracy = accuracy(out.finetune_model,
-                                       arrays.val.X, arrays.val.y)
-        a = out.ignore_pretrain.effective()
-        result.final_ignore_pretrain = a
-        result.recovery_auc_pretrain = corrupted_recovery_auc(a, arrays.corrupted)
-        if out.ignore_finetune is not None:
-            b = out.ignore_finetune.effective()
-            result.final_ignore_finetune = b
-            result.recovery_auc_finetune = corrupted_recovery_auc(
-                b, arrays.corrupted)
+            results.append(RunResult(
+                label, cfg.seed, cfg,
+                error=f"numeric failure at iteration {out.iteration}: {out}"))
+        else:
+            results.append(RunResult(label, cfg.seed, cfg, **score(out, bundle)))
     return results
 
 
@@ -224,6 +268,25 @@ def _mean_std(values: list[float]) -> tuple[float | None, float | None]:
     mean = float(np.mean(values))
     std = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
     return mean, std
+
+
+def _run_blocks(data, entries: list, seeds: list, cfg_of,
+                param: str | None = None) -> MatrixResult:
+    """Every (entry, seed) cell with config ``cfg_of(entry, seed)``, run as
+    one ``run_cell`` stack, and one aggregate row per entry over its own
+    block of seeds (the cells that finished)."""
+    cells = [(entry, cfg_of(entry, seed)) for entry in entries
+             for seed in seeds]
+    results = run_cell(_resolve_bundle(data), cells)
+    aggregates = []
+    for i, entry in enumerate(entries):
+        ok = [r for r in results[i * len(seeds):(i + 1) * len(seeds)] if r.ok]
+        aucs = [r.recovery_auc_pretrain for r in ok
+                if r.recovery_auc_pretrain is not None]
+        aggregates.append(AggregateRow(
+            entry, len(ok), *_mean_std([r.test_accuracy for r in ok]),
+            *_mean_std([r.val_accuracy for r in ok]), *_mean_std(aucs)))
+    return MatrixResult(results, aggregates, param)
 
 
 def run_matrix(data, ids, seeds, base_cfg: LbiConfig) -> MatrixResult:
@@ -239,102 +302,14 @@ def run_matrix(data, ids, seeds, base_cfg: LbiConfig) -> MatrixResult:
     seeds = list(seeds)
     if not ids or not seeds:
         raise ConfigError("need at least one ablation id and one seed")
-    for ablation_id in ids:
-        ablation_switches(ablation_id)
-    arrays = _resolve_bundle(data)
-    results = run_cell(arrays, base_cfg,
-                       [(ablation_id, seed) for ablation_id in ids
-                        for seed in seeds])
-
-    aggregates = []
-    for ablation_id in ids:
-        ok = [r for r in results if r.ablation == ablation_id and r.ok]
-        test_m, test_s = _mean_std([r.test_accuracy for r in ok])
-        val_m, val_s = _mean_std([r.val_accuracy for r in ok])
-        aucs = [r.recovery_auc_pretrain for r in ok
-                if r.recovery_auc_pretrain is not None]
-        auc_m, auc_s = _mean_std(aucs)
-        aggregates.append(AggregateRow(
-            ablation_id, len(ok), test_m, test_s, val_m, val_s, auc_m, auc_s,
-        ))
-    return MatrixResult(results, aggregates)
+    return _run_blocks(data, ids, seeds, lambda ablation_id, seed: (
+        ablation_config(ablation_id, engine.config_with(base_cfg, seed=seed))))
 
 
-@dataclass
-class SeedOutcome:
-    """One seed's run at one sweep point: its accuracies, or the error that
-    stopped it (a message naming the seed)."""
-
-    seed: int
-    val_accuracy: float | None = None
-    test_accuracy: float | None = None
-    error: str | None = None
-
-
-@dataclass
-class SweepPoint:
-    value: float
-    outcomes: list[SeedOutcome]  # one per seed, in seed order
-
-    @property
-    def val_accuracies(self) -> list[float]:
-        return [o.val_accuracy for o in self.outcomes if o.error is None]
-
-    @property
-    def test_accuracies(self) -> list[float]:
-        return [o.test_accuracy for o in self.outcomes if o.error is None]
-
-    @property
-    def errors(self) -> list[str]:
-        return [o.error for o in self.outcomes if o.error is not None]
-
-    @property
-    def val_accuracy_mean(self) -> float | None:
-        return _mean_std(self.val_accuracies)[0]
-
-    @property
-    def val_accuracy_std(self) -> float | None:
-        return _mean_std(self.val_accuracies)[1]
-
-    @property
-    def test_accuracy_mean(self) -> float | None:
-        return _mean_std(self.test_accuracies)[0]
-
-
-@dataclass
-class SweepResult:
-    param: str
-    points: list[SweepPoint]
-
-    @property
-    def any_failed(self) -> bool:
-        return any(p.errors for p in self.points)
-
-    @property
-    def argmax_value(self) -> float:
-        """Grid value with the best mean validation accuracy (first on ties)."""
-        best = None
-        for p in self.points:
-            m = p.val_accuracy_mean
-            if m is None:
-                continue
-            if best is None or m > best.val_accuracy_mean:
-                best = p
-        if best is None:
-            raise NumericError("every sweep point failed")
-        return best.value
-
-    @property
-    def argmax_interior(self) -> bool:
-        """True when the best value sits strictly inside the sorted grid."""
-        values = sorted(p.value for p in self.points)
-        best = self.argmax_value
-        return values[0] < best < values[-1]
-
-
-def sweep(param: str, grid, data, seeds, base_cfg: LbiConfig) -> SweepResult:
+def sweep(param: str, grid, data, seeds, base_cfg: LbiConfig) -> MatrixResult:
     """Mean validation accuracy of the full method across one regularizer
-    grid, holding everything else at the base config.
+    grid, holding everything else at the base config: one aggregate row per
+    grid entry, labelled by its value.
 
     ``param`` is "lambda" or "gamma".  The grid needs at least three distinct
     values so interior-versus-endpoint is meaningful.  Every (value, seed)
@@ -346,25 +321,6 @@ def sweep(param: str, grid, data, seeds, base_cfg: LbiConfig) -> SweepResult:
     if len(set(grid)) < 3:
         raise ConfigError(f"sweep grid needs at least 3 distinct values, got {grid}")
     seeds = config.read_flag("sweep", "seeds", seeds, "seeds")
-    arrays = _resolve_bundle(data)
     field = "lam" if param == "lambda" else "gamma"
-    cfgs = [engine.config_with(base_cfg, seed=seed, **{field: value})
-            for value in grid for seed in seeds]
-    outs = iter(engine.run_stack(arrays, cfgs))
-    points = []
-    for value in grid:
-        outcomes = []
-        for seed in seeds:
-            out = next(outs)
-            if isinstance(out, NumericError):
-                outcomes.append(SeedOutcome(
-                    seed, error=f"seed {seed}: numeric failure at "
-                                f"iteration {out.iteration}: {out}"))
-            else:
-                outcomes.append(SeedOutcome(
-                    seed,
-                    accuracy(out.finetune_model, arrays.val.X, arrays.val.y),
-                    accuracy(out.finetune_model, arrays.test.X, arrays.test.y),
-                ))
-        points.append(SweepPoint(value, outcomes))
-    return SweepResult(param, points)
+    return _run_blocks(data, grid, seeds, lambda value, seed: (
+        engine.config_with(base_cfg, seed=seed, **{field: value})), param)

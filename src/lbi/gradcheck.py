@@ -190,8 +190,12 @@ class _Lookahead:
             state.pretrain_model, self.pre_fwd,
             state.ignore_pretrain.effective(), self.rates, cfg.weight_decay)
         if self.pre_fwd is not None:
-            engine._check_update(self.pretrained, "pretraining",
-                                 state.iteration)
+            failed = engine._first_failures(
+                [("pretraining encoder update", self.pretrained.encoder, None),
+                 ("pretraining head update", self.pretrained.head, None)],
+                state.iteration)
+            if failed:
+                raise failed[0]
         arch = state.pretrain_model.arch
         per_probe = 2 * (max(pre.n, bundle.val.n)
                          * max(arch.classes, arch.hidden)

@@ -489,11 +489,6 @@ def _vecdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
-def weighted_loss(fwd: Forward, weights: np.ndarray | None = None) -> float:
-    """Weighted sum (not mean) of one model's per-example cross-entropies."""
-    return float(weighted_losses(fwd, weights))
-
-
 def weighted_grad(fwd: Forward, weights: np.ndarray | None = None) -> GradBlock:
     """Gradient of the weighted loss sum with respect to both blocks.  A
     (K, n) stack of weights on one model's forward gives one gradient per

@@ -17,7 +17,8 @@ from lbi.engine import IgnoreSet, LbiState
 
 def loss(params, X, y, weights=None) -> float:
     """Weighted loss sum of a batch (unit weights for None)."""
-    return model.weighted_loss(model._softmax_residual(params, X, y), weights)
+    return float(model.weighted_losses(model._softmax_residual(params, X, y),
+                                       weights))
 
 
 def grad(params, X, y, weights=None) -> model.GradBlock:
@@ -56,9 +57,9 @@ def batch_view(state: LbiState, bundle: DatasetBundle, cfg: engine.LbiConfig):
     iteration's batch of each split (all of a split without batch_size),
     the sub-state the batch's scores, and idx_pre is the pretraining batch
     (None for the whole split)."""
-    idx = engine._batch_indices(
-        cfg, state.iteration,
-        (bundle.pretrain.n, bundle.train.n, bundle.val.n))
+    idx = (None, None, None) if cfg.batch_size is None else (
+        engine._draw_batches(cfg.seed, cfg.batch_size, state.iteration,
+                             (bundle.pretrain.n, bundle.train.n, bundle.val.n)))
     take = [slice(None) if i is None else i for i in idx]
     sub = DatasetBundle(
         *(Split(split.X[k], split.y[k]) for split, k in

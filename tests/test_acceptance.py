@@ -141,8 +141,8 @@ class TestCriterion3:
         for lam in (3e-3, 7e-3):
             cfg = LbiConfig(lam=lam, gamma=1.0, iterations=300)
             aucs = []
-            for result in experiments.run_cell(
-                    bundle, cfg, [("FULL", seed) for seed in SEEDS]):
+            for result in experiments.run_matrix(bundle, ["FULL"], SEEDS,
+                                                 cfg).results:
                 assert result.ok, result.error
                 aucs.append(result.recovery_auc_pretrain)
             hits = sum(a >= 0.90 for a in aucs)
@@ -193,13 +193,13 @@ class TestCriterion5:
         lam_sweep = experiments.sweep("lambda", lam_grid, SWEEP_BUNDLE,
                                       SEEDS, base)
         assert not lam_sweep.any_failed
-        assert len(lam_sweep.points) == len(lam_grid)
+        assert len(lam_sweep.aggregates) == len(lam_grid)
 
         gamma_grid = [1e-3, 1e-2, 1e-1, 1.0, 10.0]
         gamma_sweep = experiments.sweep("gamma", gamma_grid, SWEEP_BUNDLE,
                                         SEEDS, base)
         assert not gamma_sweep.any_failed
-        assert len(gamma_sweep.points) == len(gamma_grid)
+        assert len(gamma_sweep.aggregates) == len(gamma_grid)
 
         ok = lam_sweep.argmax_interior and gamma_sweep.argmax_interior
         report(5, ok,
@@ -209,10 +209,10 @@ class TestCriterion5:
                f"({'interior' if gamma_sweep.argmax_interior else 'endpoint'})",
                soft=True)
         # Soft: record both curves so an investigation starts from numbers.
-        print("  lambda curve:", [round(p.val_accuracy_mean, 4)
-                                  for p in lam_sweep.points])
-        print("  gamma curve:", [round(p.val_accuracy_mean, 4)
-                                 for p in gamma_sweep.points])
+        print("  lambda curve:", [round(row.val_accuracy_mean, 4)
+                                  for row in lam_sweep.aggregates])
+        print("  gamma curve:", [round(row.val_accuracy_mean, 4)
+                                 for row in gamma_sweep.aggregates])
 
 
 class TestCriterion6:
@@ -247,9 +247,10 @@ class TestCriterion6:
                                    params.head + eps * d_head)
             dn = model.ModelParams(arch, params.encoder - eps * d_enc,
                                    params.head - eps * d_head)
-            numeric = (model.weighted_loss(model._softmax_residual(up, X, y), w)
-                       - model.weighted_loss(model._softmax_residual(dn, X, y),
-                                             w)) / (2 * eps)
+            numeric = float(
+                model.weighted_losses(model._softmax_residual(up, X, y), w)
+                - model.weighted_losses(model._softmax_residual(dn, X, y), w)
+            ) / (2 * eps)
             rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric),
                                                 1e-12)
             worst_grad = max(worst_grad, rel)

@@ -4,9 +4,11 @@ Commands are invoked in-process through cli.main so exit codes and file
 side effects can be asserted directly.
 """
 
+import csv
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -378,6 +380,67 @@ class TestSweep:
         assert read(out1 / "sweep.csv") == read(out2 / "sweep.csv")
 
 
+# Finetuning rates that overflow in every cell with a proximity term.
+OVERFLOWING = ["--set", "iterations=4", "--set", "lr_finetune_encoder=1e100",
+               "--set", "lr_finetune_head=1e100"]
+CELL_ERROR = re.compile(r"numeric failure at iteration \d+: non-finite .+")
+
+
+class TestFailingCells:
+    """A failed cell keeps its row, with the error instead of scores; the
+    command writes every file and exits 4."""
+
+    def test_ablate(self, tmp_path):
+        out = tmp_path / "out"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = cli.main(["ablate", "--out", str(out), *TINY_DATA,
+                             *OVERFLOWING, "--ids", "A1,FULL",
+                             "--seeds", "0,1"])
+        assert code == 4
+        with open(out / "results.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["ablation"], r["seed"]) for r in rows] == [
+            ("A1", "0"), ("A1", "1"), ("FULL", "0"), ("FULL", "1")]
+        for r in rows[:2]:
+            assert r["error"] == "" and r["test_accuracy"] != ""
+        for r in rows[2:]:
+            assert CELL_ERROR.fullmatch(r["error"])  # no seed prefix
+            assert r["test_accuracy"] == r["recovery_auc_pretrain"] == ""
+        summary = read_json(out / "summary.json")
+        assert summary["any_failed"] is True
+        assert [(a["ablation"], a["n_ok"]) for a in summary["aggregates"]] == [
+            ("A1", 2), ("FULL", 0)]
+        assert summary["aggregates"][1]["test_accuracy_mean"] is None
+        assert (out / "manifest.json").exists()
+
+    def test_sweep(self, tmp_path):
+        out = tmp_path / "out"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = cli.main(["sweep", "--out", str(out), *TINY_DATA,
+                             *OVERFLOWING, "--param", "lambda",
+                             "--grid", "0,0.01,1", "--seeds", "2,0"])
+        assert code == 4
+        with open(out / "sweep.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["value"], r["seed"]) for r in rows] == [
+            (v, s) for v in ("0", "0.01", "1") for s in ("2", "0")]
+        for r in rows[:2]:
+            assert r["error"] == "" and r["val_accuracy"] != ""
+        for r in rows[2:]:
+            prefix = f"seed {r['seed']}: "
+            assert r["error"].startswith(prefix)
+            assert CELL_ERROR.fullmatch(r["error"][len(prefix):])
+            assert r["val_accuracy"] == r["test_accuracy"] == ""
+        summary = read_json(out / "summary.json")
+        assert summary["any_failed"] is True
+        assert [p["errors"] for p in summary["points"]] == [
+            [], [r["error"] for r in rows[2:4]], [r["error"] for r in rows[4:]]]
+        assert [p["val_accuracy_mean"] is None
+                for p in summary["points"]] == [False, True, True]
+        assert summary["argmax_value"] == 0.0
+        assert summary["argmax_interior"] is False
+
+
 class TestGenDataAndEval:
     def test_gen_data_round_trips(self, tmp_path):
         out = tmp_path / "out"
@@ -454,6 +517,26 @@ class TestGenDataAndEval:
         assert report["test_accuracy"] == summary["test_accuracy"]
         assert report["val_accuracy"] == summary["val_accuracy"]
         assert report["iteration"] == 5
+
+    @pytest.mark.parametrize("setting, message", [
+        ("data.dim=3", "state architecture (5 dims, 2 classes) does not "
+                       "match data (3 dims, 2 classes)"),
+        ("data.classes=3", "state architecture (5 dims, 2 classes) does not "
+                           "match data (5 dims, 3 classes)"),
+        ("data.n_pretrain=50", "state has 200 pretraining ignore scores, "
+                               "data has 50 pretraining examples"),
+    ], ids=["dim", "classes", "n_pretrain"])
+    def test_eval_on_data_that_does_not_fit_exits_2(self, setting, message,
+                                                    tmp_path, capsys):
+        run_out = tmp_path / "run"
+        assert cli.main(["run", "--out", str(run_out),
+                         "--set", "iterations=2"]) == 0
+        eval_out = tmp_path / "eval"
+        code = cli.main(["eval", "--out", str(eval_out), "--set", setting,
+                         "--state", str(run_out / "state.json")])
+        assert code == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (eval_out / "eval.json").exists()
 
     def test_eval_without_state_exits_2(self, tmp_path):
         assert cli.main(["eval", *TINY_DATA]) == 2

@@ -6,12 +6,17 @@ one ``lbi_iteration`` steps to, and the zero-regularizer reduction is
 checked bitwise against an independently written plain finetuning loop.
 """
 
+import os
+import subprocess
+import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 import reference
 
+import lbi
 from lbi import datasets, engine, gradcheck, model
 from lbi.datasets import DatasetBundle, Split, SynthSpec
 from lbi.engine import IgnoreSet, LbiConfig
@@ -61,6 +66,14 @@ class TestIgnoreSet:
         np.testing.assert_allclose(s.effective(), 1 / (1 + np.exp(-raw)),
                                    rtol=1e-12)
 
+    def test_sigmoid_saturates_without_warning(self):
+        """exp overflows for raw scores below -709; the weight is then 0,
+        and no RuntimeWarning escapes."""
+        s = IgnoreSet(np.array([-1e6, -800.0, 800.0, 1e6]), "sigmoid")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            np.testing.assert_array_equal(s.effective(), [0.0, 0.0, 1.0, 1.0])
+
     def test_grad_chain(self):
         """d(effective)/d(raw): clamp mode's factor of 1 is None (skipped),
         sigmoid mode's is e (1 - e)."""
@@ -81,6 +94,18 @@ class TestIgnoreSet:
         c = s.copy()
         c.raw[0] = 0.0
         assert s.raw[0] == 1.0
+
+
+def test_import_loads_no_scipy():
+    """The package needs numpy and pyyaml only; scipy is a test
+    dependency."""
+    code = ("import sys, lbi; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lbi.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
 
 
 class TestConfig:
@@ -855,8 +880,8 @@ class TestMinibatch:
         state.ignore_pretrain.raw[:] = 0.5
         state.ignore_finetune.raw[:] = 0.5
         for it in range(6):
-            idx_pre, _, _ = engine._batch_indices(
-                cfg, state.iteration,
+            idx_pre, _, _ = engine._draw_batches(
+                cfg.seed, cfg.batch_size, state.iteration,
                 (bundle.pretrain.n, bundle.train.n, bundle.val.n),
             )
             before = state.ignore_pretrain.raw.copy()

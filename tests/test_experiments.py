@@ -5,6 +5,8 @@ written here; ablation reductions are checked bit-exactly against the full
 configuration with the matching regularizer forced to zero.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,7 @@ from scipy.stats import rankdata
 from lbi import datasets, engine, experiments
 from lbi.datasets import SynthSpec
 from lbi.engine import LbiConfig
-from lbi.errors import ConfigError
+from lbi.errors import ConfigError, NumericError
 
 BUNDLE_SPEC = SynthSpec(dim=3, classes=2, n_pretrain=12, n_train=8, n_val=6,
                         n_test=10, shift=0.6, noise_sigma=1.0,
@@ -41,10 +43,19 @@ def pairwise_auc_oracle(weights, flags):
     return score / (len(clean) * len(bad))
 
 
-def sweep_point(value, val_accuracy):
-    """A one-seed sweep point with equal val and test accuracy."""
-    return experiments.SweepPoint(value, [experiments.SeedOutcome(
-        0, val_accuracy, val_accuracy)])
+def cell(bundle, cfg, ablation_id, seed=0):
+    """The one RunResult of an (ablation id, seed) cell run alone."""
+    cfg = experiments.ablation_config(ablation_id,
+                                      engine.config_with(cfg, seed=seed))
+    (result,) = experiments.run_cell(bundle, [(ablation_id, cfg)])
+    return result
+
+
+def sweep_result(param, curve):
+    """A one-seed sweep result from (value, val accuracy) pairs."""
+    return experiments.MatrixResult([], [
+        experiments.AggregateRow(value, 1, acc, 0.0, acc, 0.0, None, None)
+        for value, acc in curve], param)
 
 
 class TestAblationConfig:
@@ -183,9 +194,8 @@ class TestRunMatrix:
         bit-identical scores (the frozen pretraining weights of A3 receive an
         exactly zero hypergradient once lam is zero)."""
         bundle = datasets.generate(BUNDLE_SPEC)
-        (a3,) = experiments.run_cell(bundle, FAST, [("A3", 0)])
-        forced = engine.config_with(FAST, lam=0.0)
-        (full,) = experiments.run_cell(bundle, forced, [("FULL", 0)])
+        a3 = cell(bundle, FAST, "A3")
+        full = cell(bundle, engine.config_with(FAST, lam=0.0), "FULL")
         assert a3.test_accuracy == full.test_accuracy
         np.testing.assert_array_equal(a3.final_ignore_finetune,
                                       full.final_ignore_finetune)
@@ -195,9 +205,8 @@ class TestRunMatrix:
     def test_gamma_zero_cells_match_full_with_gamma_zero(self):
         """Same reduction on the other switch: A7 is FULL at gamma = 0."""
         bundle = datasets.generate(BUNDLE_SPEC)
-        (a7,) = experiments.run_cell(bundle, FAST, [("A7", 0)])
-        forced = engine.config_with(FAST, gamma=0.0)
-        (full,) = experiments.run_cell(bundle, forced, [("FULL", 0)])
+        a7 = cell(bundle, FAST, "A7")
+        full = cell(bundle, engine.config_with(FAST, gamma=0.0), "FULL")
         assert a7.test_accuracy == full.test_accuracy
         np.testing.assert_array_equal(a7.final_ignore_pretrain,
                                       full.final_ignore_pretrain)
@@ -217,11 +226,57 @@ class TestRunMatrix:
         assert result.aggregate("FULL").n_ok == 0
         assert result.aggregate("FULL").test_accuracy_mean is None
 
+    def test_repeated_id_aggregates_its_own_block(self):
+        """Each copy of a repeated id gets the row of its own seeds, which
+        is the id's row when it runs once."""
+        once = experiments.run_matrix(BUNDLE_SPEC, ["A1"], [0, 1], FAST)
+        twice = experiments.run_matrix(BUNDLE_SPEC, ["A1", "FULL", "A1"],
+                                       [0, 1], FAST)
+        assert len(twice.aggregates) == 3
+        assert twice.aggregates[0] == once.aggregates[0]
+        assert twice.aggregates[2] == once.aggregates[0]
+        assert [len(cells) for _, cells in twice.blocks()] == [2, 2, 2]
+
     def test_empty_ids_rejected(self):
         with pytest.raises(ConfigError):
             experiments.run_matrix(BUNDLE_SPEC, [], [0], FAST)
         with pytest.raises(ConfigError):
             experiments.run_matrix(BUNDLE_SPEC, ["A1"], [], FAST)
+
+
+class TestScore:
+    def test_scores_a_run(self):
+        bundle = datasets.generate(BUNDLE_SPEC)
+        state, _ = engine.run(bundle, FAST)
+        scores = experiments.score(state, bundle)
+        assert scores["test_accuracy"] == experiments.accuracy(
+            state.finetune_model, bundle.test.X, bundle.test.y)
+        assert scores["val_accuracy"] == experiments.accuracy(
+            state.finetune_model, bundle.val.X, bundle.val.y)
+        for which in ("pretrain", "finetune"):
+            w = getattr(state, f"ignore_{which}").effective()
+            np.testing.assert_array_equal(scores[f"final_ignore_{which}"], w)
+            assert (scores[f"recovery_auc_{which}"]
+                    == experiments.corrupted_recovery_auc(w, bundle.corrupted))
+
+    def test_basic_mode_has_no_finetune_scores(self):
+        bundle = datasets.generate(BUNDLE_SPEC)
+        state, _ = engine.run(bundle, LbiConfig(mode="basic", gamma=0.0,
+                                                iterations=2))
+        scores = experiments.score(state, bundle)
+        assert scores["final_ignore_finetune"] is None
+        assert scores["recovery_auc_finetune"] is None
+
+    @pytest.mark.parametrize("change, message", [
+        ({"dim": 4}, "does not match data"),
+        ({"classes": 3}, "does not match data"),
+        ({"n_pretrain": 9}, "data has 9 pretraining examples"),
+    ])
+    def test_data_that_does_not_fit_rejected(self, change, message):
+        state, _ = engine.run(datasets.generate(BUNDLE_SPEC), FAST)
+        other = datasets.generate(replace(BUNDLE_SPEC, **change))
+        with pytest.raises(ConfigError, match=message):
+            experiments.score(state, other)
 
 
 class TestSweep:
@@ -239,8 +294,9 @@ class TestSweep:
                 experiments.sweep("lambda", grid, BUNDLE_SPEC, [0], FAST)
 
     def test_outcomes_per_seed_in_seed_order(self):
-        """Each point records every seed in the order given: accuracies for
-        a finished run, an error naming the seed for a failed one."""
+        """Each point's block records every seed in the order given:
+        accuracies for a finished run, the numeric failure for a failed
+        one; the point's aggregate counts the finished runs."""
         huge = engine.config_with(FAST, lr_pretrain_encoder=1e100,
                                   lr_pretrain_head=1e100,
                                   lr_finetune_encoder=1e100,
@@ -249,37 +305,44 @@ class TestSweep:
             result = experiments.sweep("lambda", [0.0, 0.01, 1.0], BUNDLE_SPEC,
                                        [2, 0], huge)
         assert result.any_failed
-        for point in result.points:
-            assert [o.seed for o in point.outcomes] == [2, 0]
-            for o in point.outcomes:
-                if o.error is None:
-                    assert 0.0 <= o.val_accuracy <= 1.0
-                    assert 0.0 <= o.test_accuracy <= 1.0
+        blocks = result.blocks()
+        for row, cells in blocks:
+            assert [r.seed for r in cells] == [2, 0]
+            assert all(r.ablation == row.ablation for r in cells)
+            for r in cells:
+                if r.ok:
+                    assert 0.0 <= r.val_accuracy <= 1.0
+                    assert 0.0 <= r.test_accuracy <= 1.0
                 else:
-                    assert o.error.startswith(f"seed {o.seed}: numeric failure")
-                    assert o.val_accuracy is None and o.test_accuracy is None
-            assert point.errors == [o.error for o in point.outcomes if o.error]
-            assert point.val_accuracies == [o.val_accuracy for o in point.outcomes
-                                            if o.error is None]
-        assert not result.points[0].errors
-        assert len(result.points[2].errors) == 2
+                    assert r.error.startswith("numeric failure at iteration")
+                    assert r.val_accuracy is None and r.test_accuracy is None
+            ok = [r.val_accuracy for r in cells if r.ok]
+            assert row.n_ok == len(ok)
+            assert row.val_accuracy_mean == (np.mean(ok) if ok else None)
+        assert all(r.ok for r in blocks[0][1])
+        assert not any(r.ok for r in blocks[2][1])
 
     def test_point_per_grid_value_in_order(self):
         grid = [0.0, 0.05, 0.2]
         result = experiments.sweep("lambda", grid, BUNDLE_SPEC, [0, 1], FAST)
-        assert [p.value for p in result.points] == grid
-        for p in result.points:
-            assert len(p.val_accuracies) == 2
-            assert not p.errors
+        assert result.param == "lambda"
+        assert [row.ablation for row in result.aggregates] == grid
+        assert [r.ablation for r in result.results] == [0.0, 0.0, 0.05, 0.05,
+                                                        0.2, 0.2]
+        assert [r.config.lam for r in result.results] == [
+            r.ablation for r in result.results]
+        for row in result.aggregates:
+            assert row.n_ok == 2
+        assert not result.any_failed
         assert result.argmax_value in grid
 
     def test_permutation_invariance(self):
         grid = [0.0, 0.05, 0.2]
         fwd = experiments.sweep("lambda", grid, BUNDLE_SPEC, [0], FAST)
         rev = experiments.sweep("lambda", grid[::-1], BUNDLE_SPEC, [0], FAST)
-        by_value = {p.value: p.val_accuracies for p in rev.points}
-        for p in fwd.points:
-            assert by_value[p.value] == p.val_accuracies
+        by_value = {r.ablation: r.val_accuracy for r in rev.results}
+        for r in fwd.results:
+            assert by_value[r.ablation] == r.val_accuracy
 
     def test_lambda_zero_point_equals_a3_cell(self):
         """The lam = 0 grid point runs the same computation as ablation A3
@@ -288,28 +351,30 @@ class TestSweep:
         bundle = datasets.generate(BUNDLE_SPEC)
         result = experiments.sweep("lambda", [0.0, 0.05, 0.2], bundle, [0],
                                    FAST)
-        (a3,) = experiments.run_cell(bundle, FAST, [("A3", 0)])
-        assert result.points[0].val_accuracies[0] == a3.val_accuracy
-        assert result.points[0].test_accuracies[0] == a3.test_accuracy
+        a3 = cell(bundle, FAST, "A3")
+        assert result.results[0].val_accuracy == a3.val_accuracy
+        assert result.results[0].test_accuracy == a3.test_accuracy
 
     def test_gamma_sweep_runs(self):
         result = experiments.sweep("gamma", [0.0, 0.5, 1.0], BUNDLE_SPEC, [0],
                                    FAST)
-        assert len(result.points) == 3
+        assert [row.ablation for row in result.aggregates] == [0.0, 0.5, 1.0]
+        assert [r.config.gamma for r in result.results] == [0.0, 0.5, 1.0]
         assert not result.any_failed
 
     def test_argmax_interior_flag(self):
-        result = experiments.SweepResult("lambda", [
-            sweep_point(0.1, 0.5), sweep_point(0.2, 0.9), sweep_point(0.3, 0.7),
-        ])
+        result = sweep_result("lambda", [(0.1, 0.5), (0.2, 0.9), (0.3, 0.7)])
         assert result.argmax_value == 0.2
         assert result.argmax_interior
-        result.points[0].outcomes[0].val_accuracy = 0.95
+        result.aggregates[0].val_accuracy_mean = 0.95
         assert result.argmax_value == 0.1
         assert not result.argmax_interior
 
     def test_argmax_first_on_ties(self):
-        result = experiments.SweepResult("gamma", [
-            sweep_point(0.1, 0.8), sweep_point(0.2, 0.8), sweep_point(0.3, 0.5),
-        ])
+        result = sweep_result("gamma", [(0.1, 0.8), (0.2, 0.8), (0.3, 0.5)])
         assert result.argmax_value == 0.1
+
+    def test_argmax_undefined_when_every_point_failed(self):
+        result = sweep_result("lambda", [(0.1, None), (0.2, None), (0.3, None)])
+        with pytest.raises(NumericError, match="every sweep point failed"):
+            result.argmax_value

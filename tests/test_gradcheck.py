@@ -41,8 +41,8 @@ def reference_fd(state, arrays, cfg, which, index, step):
                   else probe.ignore_finetune)
         target.raw[index] += sign * step
         nxt, _ = engine.lbi_iteration(probe, arrays, cfg)
-        vals.append(model.weighted_loss(model._softmax_residual(
-            nxt.finetune_model, arrays.val.X, arrays.val.y)))
+        vals.append(float(model.weighted_losses(model._softmax_residual(
+            nxt.finetune_model, arrays.val.X, arrays.val.y))))
     return (vals[0] - vals[1]) / (2.0 * step)
 
 

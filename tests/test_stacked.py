@@ -484,7 +484,10 @@ class TestCellFailures:
         base = LbiConfig(lam=1e150, gamma=0.7, iterations=4)
         cells = [(aid, seed) for aid in ("A1", "A3", "A5", "FULL")
                  for seed in (0, 1)]
-        results = experiments.run_cell(bundle, base, cells)
+        results = experiments.run_cell(bundle, [
+            (aid, experiments.ablation_config(
+                aid, engine.config_with(base, seed=seed)))
+            for aid, seed in cells])
         assert [(r.ablation, r.seed) for r in results] == cells
         for r in results:
             outcome = solo_outcome(bundle, r.config)
@@ -517,8 +520,8 @@ class TestOneEngine:
         assert calls == [4, 3]
         assert [r.test_accuracy for r in got.results] == [
             r.test_accuracy for r in want.results]
-        assert [p.val_accuracies for p in again.points] == [
-            p.val_accuracies for p in sweep.points]
+        assert [r.val_accuracy for r in again.results] == [
+            r.val_accuracy for r in sweep.results]
 
     @pytest.mark.parametrize("change", [
         {"iterations": 4}, {"hidden": 2}, {"batch_size": 2},
