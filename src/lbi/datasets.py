@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import itertools
 import json
 import math
 import os
@@ -365,6 +366,12 @@ class CsvSchema:
     classes: int | None = None
 
 
+# Sidecar keys that hold JSON integers: one, or an object or list of them.
+_SIDECAR_INTS = {"dim": (int, "an integer"), "classes": (int, "an integer"),
+                 "split_sizes": (dict, "an object of integers"),
+                 "corrupted_pretrain_indices": (list, "a list of integers")}
+
+
 def _read_sidecar(side: str) -> dict:
     try:
         with open(side) as fh:
@@ -375,6 +382,13 @@ def _read_sidecar(side: str) -> dict:
         raise ParseError(f"{side}: not valid JSON: {e}") from None
     if not isinstance(manifest, dict):
         raise ParseError(f"{side}: expected a JSON object")
+    for key, (kind, what) in _SIDECAR_INTS.items():
+        value = manifest.get(key, kind())
+        items = ([value] if kind is int else [None] if type(value) is not kind
+                 else value.values() if kind is dict else value)
+        # bool is an int subclass, and numpy reads [true] as a mask.
+        if not all(type(i) is int for i in items):
+            raise ParseError(f"{side}: {key} must be {what}")
     return manifest
 
 
@@ -390,23 +404,66 @@ def _undecodable_line(path: str) -> int:
     return 1
 
 
-def load_csv(path: str, schema: CsvSchema | None = None) -> DatasetBundle:
-    """Read a bundle written by save_csv.
+def _read_header(reader, path: str, dim: int | None) -> int:
+    """The feature count of save_csv's header, which ``reader`` yields first."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ParseError(f"{path}: empty file") from None
+    file_dim = len(header) - 2
+    expected = ["split", "label"] + [f"f_{j}" for j in range(file_dim)]
+    if len(header) < 3 or header != expected:
+        raise ParseError(f"{path} line 1: bad header {header!r}")
+    if dim is not None and file_dim != dim:
+        raise ParseError(
+            f"{path} line 1: header has {file_dim} features, schema expects {dim}"
+        )
+    return file_dim
 
-    The sidecar manifest, when present next to the CSV, restores the
-    corruption flags and the class count; without it all flags are False
-    and the class count is one past the largest label.  A sidecar whose
-    feature count, split sizes or class count disagrees with the CSV raises
-    ParseError, because its corruption indices would then point at the
-    wrong examples.  Malformed rows, including feature text that parses to
-    nan or inf, raise ParseError naming the line, as do bytes that are not
-    UTF-8 text and NUL bytes.
-    """
-    schema = schema or CsvSchema()
+
+def _read_table(path: str, dim: int | None):
+    """``(dim, [(X, y) per split])`` from numpy's C parser, or None where it
+    might read the file otherwise than ``_read_rows``, which then loads or
+    rejects it: on what numpy refuses, no data (numpy warns), an unknown
+    split, a NUL (numpy's strings drop trailing NULs), and a line over the
+    csv field limit or with an odd count of quotes (a quoted field may then
+    span lines and pass the limit).  Each number numpy reads, float() reads
+    alike, so load_csv names a nan or inf line as it does for that reader."""
+    limit = csv.field_size_limit()
+
+    def checked(lines):
+        for line in lines:
+            if len(line) > limit or line.count('"') % 2 or "\0" in line:
+                raise ValueError("left to the row reader")
+            yield line
+
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            dim = _read_header(csv.reader(fh), path, dim)
+            first = next(fh, "")
+            if not first.strip():
+                return None
+            table = np.loadtxt(
+                checked(itertools.chain([first], fh)), delimiter=",",
+                dtype=[("split", "U9"), ("label", np.int64),
+                       ("X", np.float64, (dim,))],
+                comments=None, quotechar='"', ndmin=1)
+    except (OSError, ValueError, csv.Error):
+        return None
+    names = table["split"]
+    if not np.isin(names, SPLITS).all():
+        return None
+    masks = (names == name for name in SPLITS)
+    return dim, [(table["X"][m], table["label"][m]) for m in masks]
+
+
+def _read_rows(path: str, dim: int | None):
+    """``(dim, [(X, y) per split])`` by the csv module, row by row: this
+    defines the dialect and each line-numbered ParseError.  Labels stay
+    Python ints (object arrays), as load_csv checks them before int64."""
     # Per split: features packed as doubles (Python floats would take four
     # times the memory) and labels, made arrays after the loop.
     rows = {name: (array("d"), []) for name in SPLITS}
-    dim = schema.dim
     try:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as e:
@@ -414,19 +471,7 @@ def load_csv(path: str, schema: CsvSchema | None = None) -> DatasetBundle:
     with fh:
         reader = csv.reader(fh)
         try:
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise ParseError(f"{path}: empty file") from None
-            file_dim = len(header) - 2
-            expected = ["split", "label"] + [f"f_{j}" for j in range(file_dim)]
-            if len(header) < 3 or header != expected:
-                raise ParseError(f"{path} line 1: bad header {header!r}")
-            if dim is not None and file_dim != dim:
-                raise ParseError(
-                    f"{path} line 1: header has {file_dim} features, schema expects {dim}"
-                )
-            dim = file_dim
+            dim = _read_header(reader, path, dim)
             for lineno, row in enumerate(reader, start=2):
                 if not row:
                     continue
@@ -453,11 +498,29 @@ def load_csv(path: str, schema: CsvSchema | None = None) -> DatasetBundle:
                              "UTF-8 text") from None
         except csv.Error as e:
             raise ParseError(f"{path} line {reader.line_num}: {e}") from None
+    return dim, [(np.frombuffer(xs, dtype=np.float64).reshape(len(ys), dim),
+                  np.array(ys, dtype=object)) for xs, ys in rows.values()]
 
-    labels = [label for _, ys in rows.values() for label in ys]
-    if not labels:
+
+def load_csv(path: str, schema: CsvSchema | None = None) -> DatasetBundle:
+    """Read a bundle written by save_csv.
+
+    The sidecar manifest, when present next to the CSV, restores the
+    corruption flags and the class count; without it all flags are False
+    and the class count is one past the largest label.  A sidecar whose
+    feature count, split sizes or class count disagrees with the CSV, or
+    that holds other than integers there, raises ParseError, because its
+    corruption indices would then point at the wrong examples.  Malformed
+    rows, including feature text that parses to nan or inf, raise
+    ParseError naming the line, as do bytes that are not UTF-8 text and NUL
+    bytes.  numpy parses the rows; where it might differ, the csv module.
+    """
+    schema = schema or CsvSchema()
+    dim, parts = _read_table(path, schema.dim) or _read_rows(path, schema.dim)
+    labels = np.concatenate([y for _, y in parts])
+    if not labels.size:
         raise ParseError(f"{path}: no data rows")
-    sizes = {name: len(ys) for name, (_, ys) in rows.items()}
+    sizes = {name: len(y) for name, (_, y) in zip(SPLITS, parts)}
     classes = schema.classes
 
     side = sidecar_path(path)
@@ -479,12 +542,12 @@ def load_csv(path: str, schema: CsvSchema | None = None) -> DatasetBundle:
                 f"expects {classes}"
             )
         classes = manifest["classes"]
+    lo, hi = labels.min(), labels.max()
     if classes is None:
-        classes = max(labels) + 1
-    if max(labels) >= classes or min(labels) < 0:
+        classes = int(hi) + 1
+    if hi >= classes or lo < 0:
         raise ParseError(
-            f"{path}: label outside 0..{classes - 1} "
-            f"(found {min(labels)}..{max(labels)})"
+            f"{path}: label outside 0..{classes - 1} (found {lo}..{hi})"
         )
     corrupted = np.zeros(sizes["pretrain"], dtype=bool)
     for i in manifest.get("corrupted_pretrain_indices", []):
@@ -494,11 +557,7 @@ def load_csv(path: str, schema: CsvSchema | None = None) -> DatasetBundle:
             )
         corrupted[i] = True
 
-    splits = [
-        Split(np.frombuffer(xs, dtype=np.float64).reshape(len(ys), dim),
-              np.array(ys, dtype=np.int64))
-        for xs, ys in rows.values()
-    ]
+    splits = [Split(X, np.asarray(y, dtype=np.int64)) for X, y in parts]
     bundle = DatasetBundle(*splits, dim, classes, corrupted)
     try:
         bundle.validate()

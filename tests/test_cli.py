@@ -700,6 +700,21 @@ class TestBadDataInputs:
         assert code == 2
         assert "line 5: non-finite feature value" in capsys.readouterr().err
 
+    def test_sidecar_field_of_wrong_type_exits_2(self, tmp_path, capsys):
+        """A bool index would otherwise flag every pretraining row."""
+        gen = tmp_path / "data"
+        assert cli.main(["gen-data", "--out", str(gen), *TINY_DATA]) == 0
+        side = datasets.sidecar_path(gen / "data.csv")
+        manifest = read_json(side)
+        manifest["corrupted_pretrain_indices"] = [True]
+        with open(side, "w") as fh:
+            json.dump(manifest, fh)
+        code = cli.main(["run", "--out", str(tmp_path / "run"), "--set",
+                         f"data.path={gen / 'data.csv'}", "--set", "iterations=1"])
+        assert code == 2
+        assert (f"{side}: corrupted_pretrain_indices must be a list of "
+                "integers") in capsys.readouterr().err
+
     @pytest.mark.parametrize("setting", ["data.path=5", "run.resume=5"])
     def test_path_key_takes_strings_only(self, setting, tmp_path, capsys):
         """A number is not read as a file descriptor (0 would read stdin)."""

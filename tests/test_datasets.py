@@ -9,10 +9,11 @@ import json
 import os
 import tempfile
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -380,6 +381,29 @@ class TestCsvSidecar:
         with pytest.raises(ParseError, match="classes"):
             datasets.load_csv(path, schema=CsvSchema(classes=4))
 
+    @pytest.mark.parametrize("key, value, what", [
+        ("corrupted_pretrain_indices", [True], "a list of integers"),
+        ("corrupted_pretrain_indices", ["1"], "a list of integers"),
+        ("corrupted_pretrain_indices", [1.5], "a list of integers"),
+        ("corrupted_pretrain_indices", 5, "a list of integers"),
+        ("classes", 2.0, "an integer"),
+        ("classes", "2", "an integer"),
+        ("classes", True, "an integer"),
+        ("dim", "2", "an integer"),
+        ("split_sizes", [1], "an object of integers"),
+        ("split_sizes", {"pretrain": 40.0}, "an object of integers"),
+    ])
+    def test_field_of_wrong_type_rejected(self, key, value, what, tmp_path):
+        """Read as they were, a bool index flags every pretraining row, a
+        float class count loads, and the rest fail with a traceback or a
+        message that names no fault."""
+        path = self.save(tmp_path, datasets.generate(small_spec(dim=2)))
+        self.edit_sidecar(path, **{key: value})
+        side = datasets.sidecar_path(path)
+        with pytest.raises(ParseError) as info:
+            datasets.load_csv(path)
+        assert str(info.value) == f"{side}: {key} must be {what}"
+
 
 class TestSpecDict:
     def test_round_trip(self):
@@ -425,11 +449,15 @@ class TestOneRepresentation:
     @settings(max_examples=60, deadline=None)
     @given(bundles())
     def test_csv_round_trip_is_byte_exact(self, bundle):
+        """And through numpy's parser alone: the row reader never runs on
+        what save_csv writes."""
         bundle.validate()
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "data.csv")
             datasets.save_csv(bundle, path)
-            loaded = datasets.load_csv(path)
+            with mock.patch.object(datasets, "_read_rows", side_effect=(
+                    AssertionError("the row reader ran"))):
+                loaded = datasets.load_csv(path)
         assert loaded == bundle
         for name, split in bundle.splits().items():
             got = loaded.splits()[name]
@@ -472,3 +500,83 @@ class TestOneRepresentation:
         flags[n + j] = True
         with pytest.raises(ValueError, match=rf"outside pretrain: flag {n + j} "):
             replace(bundle, corrupted=flags).validate()
+
+
+# Field texts and line ends where numpy's parser and the csv module could
+# part: numpy refuses or misreads most of them, so load_csv must leave them
+# to the row reader.
+OVER_LIMIT = "0." + "0" * 140_000 + "1"  # finite, longer than the csv limit
+FIELD_TEXTS = st.sampled_from([
+    "1_0", "\u0661", "9223372036854775808", "-9223372036854775809", "3.0",
+    "0x1", "1.", "iNf", "nan", "-inf", "1" * 200_000, OVER_LIMIT, ' 1 ',
+    '"1"', '"1.5', '1"5', '"1"0', '"\r\n1"', '"\n' + "\n" * 140_000 + '1"',
+    "pretrainXYZ", "pretrain", "train", "holdout", "", "pretrain\0",
+    " test", "-0", "+1", "\xa01", "1e400"])
+LINE_ENDS = st.sampled_from([
+    "\n", "\r", "\r\n\r\n", "\r\n\n\r", ",\r\n", " \r\n", "\r\n \r\n",
+    "\u2028", "\x85", '"\r\n', "\r\n\0\r\n", ""])
+CSV_EDITS = st.one_of(
+    st.tuples(st.just("field"), st.integers(0, 99), st.integers(0, 9),
+              FIELD_TEXTS),
+    st.tuples(st.just("end"), st.integers(0, 99), LINE_ENDS),
+    st.tuples(st.just("ends"), LINE_ENDS),
+    st.tuples(st.just("rows"), st.integers(0, 2)))
+SMALL = datasets.generate(small_spec(dim=1, n_pretrain=2, n_train=1, n_val=1,
+                                     n_test=1))
+
+
+def edited(text, edit):
+    """save_csv's ``text`` with one edit: ``("field", i, j, s)`` makes
+    field j of data row i ``s``, ``("end", i, s)`` ends data row i with
+    ``s``, ``("ends", s)`` ends every line with ``s`` and ``("rows", k)``
+    keeps the first k data rows.  Row and field indices wrap around."""
+    header, *rows = text.split("\r\n")[:-1]
+    kind, *args = edit
+    if kind == "field":
+        i, j, s = args
+        fields = rows[i % len(rows)].split(",")
+        fields[j % len(fields)] = s
+        rows[i % len(rows)] = ",".join(fields)
+    if kind == "rows":
+        rows = rows[:args[0]]
+    ends = ["\r\n"] * (len(rows) + 1)
+    if kind == "end":
+        ends[1 + args[0] % len(rows)] = args[1]
+    if kind == "ends":
+        ends = [args[0]] * len(ends)
+    return "".join(line + end for line, end in zip([header, *rows], ends))
+
+
+def outcome(path):
+    """load_csv's bundle, or the type and text of its error."""
+    try:
+        return datasets.load_csv(path)
+    except (ValueError, OverflowError) as e:
+        return type(e), str(e)
+
+
+class TestReadersAgree:
+    """load_csv reads each file through numpy's parser or, where that pass
+    steps aside, the csv row reader; either way it returns what the row
+    reader alone would: the same bundle, or the same error."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(bundles(), CSV_EDITS, st.booleans())
+    @example(SMALL, ("field", 0, 2, OVER_LIMIT), False)
+    @example(SMALL, ("field", 0, 0, "pretrainXYZ"), True)  # U8 keeps pretrain
+    @example(SMALL, ("field", 0, 0, "pretrain\0"), True)
+    @example(SMALL, ("field", 0, 2, '"\n' + "\n" * 140_000 + '1"'), False)
+    def test_same_bundle_or_error(self, bundle, edit, sidecar):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "data.csv")
+            datasets.save_csv(bundle, path)
+            if not sidecar:
+                os.remove(datasets.sidecar_path(path))
+            with open(path, newline="", encoding="utf-8") as fh:
+                text = edited(fh.read(), edit)
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                fh.write(text)
+            either = outcome(path)
+            with mock.patch.object(datasets, "_read_table",
+                                   return_value=None):
+                assert either == outcome(path)
