@@ -23,10 +23,10 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import itertools
 import json
 import math
 import os
+import warnings
 from array import array
 from dataclasses import dataclass, fields
 
@@ -423,32 +423,33 @@ def _read_header(reader, path: str, dim: int | None) -> int:
 
 def _read_table(path: str, dim: int | None):
     """``(dim, [(X, y) per split])`` from numpy's C parser, or None where it
-    might read the file otherwise than ``_read_rows``, which then loads or
-    rejects it: on what numpy refuses, no data (numpy warns), an unknown
-    split, a NUL (numpy's strings drop trailing NULs), and a line over the
-    csv field limit or with an odd count of quotes (a quoted field may then
-    span lines and pass the limit).  Each number numpy reads, float() reads
-    alike, so load_csv names a nan or inf line as it does for that reader."""
+    might read the file otherwise than ``_read_rows``, which then decides:
+    on what numpy refuses or warns of (no data, or a number it casts), an
+    unknown split, a NUL (numpy drops trailing NULs), a line with an odd
+    count of quotes, and a field over the csv field limit (any long line
+    once a quote is seen, as a quoted field may span lines).  Each number
+    numpy reads, float() reads alike, so nan and inf lines are named alike."""
     limit = csv.field_size_limit()
 
     def checked(lines):
+        quoted = 0
         for line in lines:
-            if len(line) > limit or line.count('"') % 2 or "\0" in line:
+            quoted += (quotes := line.count('"'))
+            if quotes % 2 or "\0" in line or len(line) > limit and (
+                    quoted or max(map(len, line.rstrip("\r\n").split(","))) > limit):
                 raise ValueError("left to the row reader")
             yield line
 
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8") as fh, \
+                warnings.catch_warnings():
+            warnings.simplefilter("error")
             dim = _read_header(csv.reader(fh), path, dim)
-            first = next(fh, "")
-            if not first.strip():
-                return None
-            table = np.loadtxt(
-                checked(itertools.chain([first], fh)), delimiter=",",
-                dtype=[("split", "U9"), ("label", np.int64),
-                       ("X", np.float64, (dim,))],
-                comments=None, quotechar='"', ndmin=1)
-    except (OSError, ValueError, csv.Error):
+            table = np.loadtxt(checked(fh), delimiter=",", comments=None,
+                               quotechar='"', ndmin=1,
+                               dtype=[("split", "U9"), ("label", np.int64),
+                                      ("X", np.float64, (dim,))])
+    except (OSError, ValueError, csv.Error, Warning):
         return None
     names = table["split"]
     if not np.isin(names, SPLITS).all():
@@ -543,8 +544,8 @@ def load_csv(path: str, schema: CsvSchema | None = None) -> DatasetBundle:
             )
         classes = manifest["classes"]
     lo, hi = labels.min(), labels.max()
-    if classes is None:
-        classes = int(hi) + 1
+    if classes is None:  # the row reader's labels may pass int64
+        classes = min(int(hi), np.iinfo(np.int64).max) + 1
     if hi >= classes or lo < 0:
         raise ParseError(
             f"{path}: label outside 0..{classes - 1} (found {lo}..{hi})"

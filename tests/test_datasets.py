@@ -5,6 +5,7 @@ error computed from the known class-conditional Gaussians, independent of
 any model code.
 """
 
+import csv
 import json
 import os
 import tempfile
@@ -555,10 +556,49 @@ def outcome(path):
         return type(e), str(e)
 
 
+# The warnings numpy's parser may give (a float cast to an integer label,
+# no data) are ignored here as outside a test, so the fast pass must not
+# rest on the test suite's filters turning them into errors.
+@pytest.mark.filterwarnings("ignore::DeprecationWarning")
+@pytest.mark.filterwarnings("ignore::UserWarning")
 class TestReadersAgree:
     """load_csv reads each file through numpy's parser or, where that pass
     steps aside, the csv row reader; either way it returns what the row
     reader alone would: the same bundle, or the same error."""
+
+    @pytest.mark.parametrize("label, message", [
+        ("1.5", " line 3: bad label '1.5'"), ("3.0", " line 3: bad label '3.0'"),
+        ("1.", " line 3: bad label '1.'"), ("1e0", " line 3: bad label '1e0'"),
+        ("9223372036854775808", ": label outside 0..9223372036854775807 "
+         "(found 0..9223372036854775808)"),
+        (None, ": no data rows")])
+    def test_labels_numpy_might_cast_are_rejected(self, label, message,
+                                                  tmp_path):
+        """numpy versions that only warn would read 1.5 as the label 1."""
+        path = tmp_path / "data.csv"
+        rows = [f"{name},{label if name == 'train' else 0},1.0\n"
+                for name in datasets.SPLITS] if label else []
+        path.write_text("split,label,f_0\n" + "".join(rows))
+        with pytest.raises(ParseError) as info:
+            datasets.load_csv(str(path))
+        assert str(info.value) == f"{path}{message}"
+
+    def test_long_rows_of_short_fields_take_numpy(self, tmp_path):
+        """The csv limit bounds fields, not lines: a wide bundle still loads
+        through numpy, and a field past the limit is the row reader's."""
+        bundle = datasets.generate(small_spec(dim=16))
+        path = str(tmp_path / "data.csv")
+        datasets.save_csv(bundle, path)
+        old = csv.field_size_limit(30)  # save_csv's fields are at most 24
+        try:
+            with mock.patch.object(datasets, "_read_rows", side_effect=(
+                    AssertionError("the row reader ran"))):
+                assert datasets.load_csv(path) == bundle
+            csv.field_size_limit(10)
+            with pytest.raises(ParseError, match="line 2: field larger than"):
+                datasets.load_csv(path)
+        finally:
+            csv.field_size_limit(old)
 
     @settings(max_examples=150, deadline=None)
     @given(bundles(), CSV_EDITS, st.booleans())
