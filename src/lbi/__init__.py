@@ -21,7 +21,6 @@ from .engine import (  # noqa: F401
     LbiState,
     TraceRow,
     init_state,
-    lbi_iteration,
     run,
     run_stack,
 )

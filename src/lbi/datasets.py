@@ -27,8 +27,8 @@ import json
 import math
 import os
 import warnings
-from array import array
 from dataclasses import dataclass, fields
+from typing import NoReturn
 
 import numpy as np
 
@@ -261,8 +261,7 @@ def split_ratio(X: np.ndarray, y: np.ndarray, is_source: np.ndarray,
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ConfigError(f"ratios must sum to 1, got sum={sum(ratios)!r}")
     X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    is_source = np.asarray(is_source, dtype=bool)
+    y, is_source = np.asarray(y), np.asarray(is_source)
     if X.ndim != 2 or y.shape != (X.shape[0],) or is_source.shape != y.shape:
         raise ConfigError(
             f"pool needs X (n, dim) with n labels and n source flags, got "
@@ -270,6 +269,15 @@ def split_ratio(X: np.ndarray, y: np.ndarray, is_source: np.ndarray,
         )
     if X.shape[0] == 0:
         raise ConfigError("empty example pool")
+    with np.errstate(invalid="ignore"):  # casts read 1.5 as 1, 0.5 as True
+        labels, flags = y.astype(np.int64), is_source.astype(bool)
+    for name, values, bad, what in (
+            ("label", y, (labels != y) | (labels < 0), "a nonnegative integer"),
+            ("is_source", is_source, flags != is_source, "true or false")):
+        if bad.any():
+            i = int(bad.argmax())
+            raise ConfigError(f"pool row {i}: {name} {values[i]} is not {what}")
+    y, is_source = labels, flags
     classes = int(y.max()) + 1
     if classes < 2:
         raise ConfigError("pool must contain at least two classes")
@@ -404,103 +412,112 @@ def _undecodable_line(path: str) -> int:
     return 1
 
 
-def _read_header(reader, path: str, dim: int | None) -> int:
-    """The feature count of save_csv's header, which ``reader`` yields first."""
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError(f"{path}: empty file") from None
+def _loadtxt(lines, dtype, **kwargs) -> np.ndarray:
+    """np.loadtxt in save_csv's dialect: comma-separated, '"' quotes, no
+    comments.  Any warning is an error (numpy versions that only warn would
+    cast the label 1.5 to 1), except that no data gives no rows."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None,
+                          quotechar='"', ndmin=1, **kwargs)
+
+
+def _read_header(fh, path: str, dim: int | None) -> int:
+    """The feature count of save_csv's header, the first line of ``fh``."""
+    line = fh.readline()
+    if not line:
+        raise ParseError(f"{path}: empty file")
+    header = _loadtxt([line], object).tolist()
     file_dim = len(header) - 2
     expected = ["split", "label"] + [f"f_{j}" for j in range(file_dim)]
     if len(header) < 3 or header != expected:
         raise ParseError(f"{path} line 1: bad header {header!r}")
     if dim is not None and file_dim != dim:
-        raise ParseError(
-            f"{path} line 1: header has {file_dim} features, schema expects {dim}"
-        )
+        raise ParseError(f"{path} line 1: header has {file_dim} features, "
+                         f"schema expects {dim}")
     return file_dim
 
 
+def _no_nul(lines):
+    """The lines, failing at a NUL (numpy drops NULs that end a string)."""
+    for line in lines:
+        if "\0" in line:
+            raise ValueError("NUL byte")
+        yield line
+
+
 def _read_table(path: str, dim: int | None):
-    """``(dim, [(X, y) per split])`` from numpy's C parser, or None where it
-    might read the file otherwise than ``_read_rows``, which then decides:
-    on what numpy refuses or warns of (no data, or a number it casts), an
-    unknown split, a NUL (numpy drops trailing NULs), a line with an odd
-    count of quotes, and a field over the csv field limit (any long line
-    once a quote is seen, as a quoted field may span lines).  Each number
-    numpy reads, float() reads alike, so nan and inf lines are named alike."""
-    limit = csv.field_size_limit()
-
-    def checked(lines):
-        quoted = 0
-        for line in lines:
-            quoted += (quotes := line.count('"'))
-            if quotes % 2 or "\0" in line or len(line) > limit and (
-                    quoted or max(map(len, line.rstrip("\r\n").split(","))) > limit):
-                raise ValueError("left to the row reader")
-            yield line
-
+    """``(dim, [(X, y) per split])`` by one pass of numpy's C parser, the
+    one reader of a bundle.  A file it refuses, or with an unknown split, a
+    non-finite feature or a NUL byte, raises ``_diagnose``'s ParseError."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh, \
-                warnings.catch_warnings():
-            warnings.simplefilter("error")
-            dim = _read_header(csv.reader(fh), path, dim)
-            table = np.loadtxt(checked(fh), delimiter=",", comments=None,
-                               quotechar='"', ndmin=1,
-                               dtype=[("split", "U9"), ("label", np.int64),
-                                      ("X", np.float64, (dim,))])
-    except (OSError, ValueError, csv.Error, Warning):
-        return None
+        with open(path, newline="", encoding="utf-8") as fh:
+            dim = _read_header(fh, path, dim)
+            table = _loadtxt(_no_nul(fh), [("split", "U9"), ("label", np.int64),
+                                           ("X", np.float64, (dim,))])
+    except OSError as e:
+        raise ParseError(f"{path}: cannot read: {e.strerror}") from None
+    except ParseError:
+        raise
+    except (ValueError, Warning) as e:  # UnicodeDecodeError too
+        _diagnose(path, dim, e)
     names = table["split"]
-    if not np.isin(names, SPLITS).all():
-        return None
+    if not (np.isin(names, SPLITS).all() and np.isfinite(table["X"]).all()):
+        _diagnose(path, dim, "unknown split or non-finite feature")
     masks = (names == name for name in SPLITS)
     return dim, [(table["X"][m], table["label"][m]) for m in masks]
 
 
-def _read_rows(path: str, dim: int | None):
-    """``(dim, [(X, y) per split])`` by the csv module, row by row: this
-    defines the dialect and each line-numbered ParseError.  Labels stay
-    Python ints (object arrays), as load_csv checks them before int64."""
-    # Per split: features packed as doubles (Python floats would take four
-    # times the memory) and labels, made arrays after the loop.
-    rows = {name: (array("d"), []) for name in SPLITS}
-    try:
-        fh = open(path, newline="", encoding="utf-8")
-    except OSError as e:
-        raise ParseError(f"{path}: cannot read: {e.strerror}") from None
-    with fh:
-        reader = csv.reader(fh)
+def _fault(record: list[str], fields: np.ndarray, dim: int) -> str | None:
+    """Why the lines ``record``, which numpy splits into ``fields``, are no
+    save_csv row by numpy's reading, or None when they are one."""
+    if len(fields) != dim + 2:
+        return f"expected {dim + 2} fields, got {len(fields)}"
+    if fields[0] not in SPLITS:
+        return f"unknown split {fields[0]!r}"
+    for dtype, cols, fault in ((np.int64, 1, f"bad label {fields[1]!r}"),
+                               (np.float64, range(2, dim + 2),
+                                "bad feature value")):
         try:
-            dim = _read_header(reader, path, dim)
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != dim + 2:
-                    raise ParseError(
-                        f"{path} line {lineno}: expected {dim + 2} fields, got {len(row)}"
-                    )
-                split = rows.get(row[0])
-                if split is None:
-                    raise ParseError(f"{path} line {lineno}: unknown split {row[0]!r}")
-                try:
-                    label = int(row[1])
-                except ValueError:
-                    raise ParseError(
-                        f"{path} line {lineno}: bad label {row[1]!r}"
-                    ) from None
-                try:
-                    split[0].extend(map(float, row[2:]))
-                except ValueError:
-                    raise ParseError(f"{path} line {lineno}: bad feature value") from None
-                split[1].append(label)
-        except UnicodeDecodeError:
-            raise ParseError(f"{path} line {_undecodable_line(path)}: not "
-                             "UTF-8 text") from None
-        except csv.Error as e:
-            raise ParseError(f"{path} line {reader.line_num}: {e}") from None
-    return dim, [(np.frombuffer(xs, dtype=np.float64).reshape(len(ys), dim),
-                  np.array(ys, dtype=object)) for xs, ys in rows.values()]
+            values = _loadtxt(record, dtype, usecols=cols)
+        except (ValueError, Warning):
+            return fault
+    if not np.isfinite(values).all():
+        return "non-finite feature value"
+    return None
+
+
+def _diagnose(path: str, dim: int, refusal) -> NoReturn:
+    """Name what ``_read_table`` refused: raise the ParseError of the first
+    row at fault (``_fault``) by the line it starts on (numpy splits the
+    rows one at a time, as a quoted field may span lines) or, when no row
+    is, of ``refusal``, numpy's objection to the whole file."""
+    record = []  # (line number, line) of each line of the row numpy reads
+
+    def numbered(fh):
+        for item in enumerate(fh, start=2):
+            record.append(item)
+            yield item[1]
+
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            fh.readline()  # the header, which _read_table has read
+            lines = numbered(fh)
+            while True:
+                record.clear()
+                fields = _loadtxt(lines, object, max_rows=1)
+                if not fields.size:
+                    break
+                fault = _fault([line for _, line in record], fields, dim)
+                if fault is not None:
+                    # numpy skips the blank lines before a row.
+                    start = next(n for n, line in record if line.strip("\r\n"))
+                    raise ParseError(f"{path} line {start}: {fault}")
+    except UnicodeDecodeError:
+        raise ParseError(f"{path} line {_undecodable_line(path)}: not "
+                         "UTF-8 text") from None
+    raise ParseError(f"{path}: {refusal}")
 
 
 def load_csv(path: str, schema: CsvSchema | None = None) -> DatasetBundle:
@@ -511,13 +528,13 @@ def load_csv(path: str, schema: CsvSchema | None = None) -> DatasetBundle:
     and the class count is one past the largest label.  A sidecar whose
     feature count, split sizes or class count disagrees with the CSV, or
     that holds other than integers there, raises ParseError, because its
-    corruption indices would then point at the wrong examples.  Malformed
-    rows, including feature text that parses to nan or inf, raise
-    ParseError naming the line, as do bytes that are not UTF-8 text and NUL
-    bytes.  numpy parses the rows; where it might differ, the csv module.
+    corruption indices would then point at the wrong examples.  numpy's
+    parser reads the rows and defines the dialect.  A row it refuses, and
+    feature text that parses to nan or inf, raises ParseError naming the
+    line, as do bytes that are not UTF-8 text and NUL bytes.
     """
     schema = schema or CsvSchema()
-    dim, parts = _read_table(path, schema.dim) or _read_rows(path, schema.dim)
+    dim, parts = _read_table(path, schema.dim)
     labels = np.concatenate([y for _, y in parts])
     if not labels.size:
         raise ParseError(f"{path}: no data rows")
@@ -527,57 +544,28 @@ def load_csv(path: str, schema: CsvSchema | None = None) -> DatasetBundle:
     side = sidecar_path(path)
     manifest = _read_sidecar(side) if os.path.exists(side) else {}
     if "dim" in manifest and manifest["dim"] != dim:
-        raise ParseError(
-            f"{side}: sidecar has {manifest['dim']} features, the CSV has {dim}"
-        )
+        raise ParseError(f"{side}: sidecar has {manifest['dim']} features, "
+                         f"the CSV has {dim}")
     for name, size in manifest.get("split_sizes", {}).items():
         if name not in sizes or size != sizes[name]:
-            raise ParseError(
-                f"{side}: sidecar has {size} {name} rows, the CSV has "
-                f"{sizes.get(name, 0)}"
-            )
+            raise ParseError(f"{side}: sidecar has {size} {name} rows, the "
+                             f"CSV has {sizes.get(name, 0)}")
     if "classes" in manifest:
         if classes is not None and manifest["classes"] != classes:
-            raise ParseError(
-                f"{side}: sidecar has {manifest['classes']} classes, schema "
-                f"expects {classes}"
-            )
+            raise ParseError(f"{side}: sidecar has {manifest['classes']} "
+                             f"classes, schema expects {classes}")
         classes = manifest["classes"]
     lo, hi = labels.min(), labels.max()
-    if classes is None:  # the row reader's labels may pass int64
-        classes = min(int(hi), np.iinfo(np.int64).max) + 1
+    classes = int(hi) + 1 if classes is None else classes
     if hi >= classes or lo < 0:
-        raise ParseError(
-            f"{path}: label outside 0..{classes - 1} (found {lo}..{hi})"
-        )
+        raise ParseError(f"{path}: label outside 0..{classes - 1} "
+                         f"(found {lo}..{hi})")
     corrupted = np.zeros(sizes["pretrain"], dtype=bool)
     for i in manifest.get("corrupted_pretrain_indices", []):
         if not 0 <= i < sizes["pretrain"]:
-            raise ParseError(
-                f"{side}: corrupted index {i} outside pretrain split"
-            )
+            raise ParseError(f"{side}: corrupted index {i} outside pretrain "
+                             "split")
         corrupted[i] = True
 
-    splits = [Split(X, np.asarray(y, dtype=np.int64)) for X, y in parts]
-    bundle = DatasetBundle(*splits, dim, classes, corrupted)
-    try:
-        bundle.validate()
-    except ValueError:
-        # float() reads "nan" and "inf"; name the first such line.
-        lineno = _first_non_finite_line(path)
-        if lineno is None:
-            raise
-        raise ParseError(f"{path} line {lineno}: non-finite feature value") from None
-    return bundle
-
-
-def _first_non_finite_line(path: str) -> int | None:
-    """Line number of the first data row of a parsed CSV with a non-finite
-    feature, or None."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for lineno, row in enumerate(reader, start=2):
-            if row and not all(math.isfinite(float(v)) for v in row[2:]):
-                return lineno
-    return None
+    return DatasetBundle(*(Split(X, y) for X, y in parts), dim, classes,
+                         corrupted)

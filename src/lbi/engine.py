@@ -52,10 +52,9 @@ flags length-K masks and the minibatches per-cell index arrays.  The zero
 skips of a single run become masks: a cell with lam = 0 or gamma = 0 takes
 the step without that term, and frozen scores, or scores with an all-zero
 hypergradient, keep their bits.  Each cell's trajectory is bit for bit its
-one-cell run; ``run`` and ``lbi_iteration`` are the one-cell case of the
-same code, in which the state keeps no cell axis.  A cell that fails a
-finite check leaves the stack with its own run's error while the others go
-on.
+one-cell run; ``run`` is the one-cell case of the same code, in which the
+state keeps no cell axis.  A cell that fails a finite check leaves the
+stack with its own run's error while the others go on.
 """
 
 from __future__ import annotations
@@ -637,13 +636,19 @@ def _iterate(state: LbiState, bundle: DatasetBundle, cfg: LbiConfig,
              cells: _Cells, rates: Rates):
     """Advance every cell of a state, one cell or a stack, by one iteration.
 
-    ``cfg`` supplies the fields the cells share and ``cells`` the rest.
-    Returns the next state, the five trace values of ``TraceRow`` after its
-    iteration (one length-K vector each for a stack), {cell position:
-    NumericError} for the cells that failed a finite check (their entries in
-    the next state are not meaningful), and the raw-score hypergradients
-    (hg_a, hg_b) of the batch's scores, each None when it is identically
-    zero in every cell.  A frozen score set still gets its hypergradient.
+    The order: pretraining step, finetuning step against the stepped
+    encoder, both hypergradients through the two steps, score updates.  Each
+    (model, split) pair gets one forward pass, shared by its gradient step,
+    hypergradient and trace loss, and both hypergradients share the
+    projection of the pretraining batch on the validation gradient.
+    ``cfg`` supplies the fields the cells share and ``cells`` the rest; the
+    state is trusted to fit both (``run_stack`` checks it).  Returns the
+    next state, the five trace values of ``TraceRow`` after its iteration
+    (one length-K vector each for a stack), {cell position: NumericError}
+    for the cells that failed a finite check (their entries in the next
+    state are not meaningful), and the raw-score hypergradients (hg_a, hg_b)
+    of the batch's scores, each None when it is identically zero in every
+    cell.  A frozen score set still gets its hypergradient.
 
     Each cell's values are the bits of a one-cell iteration: the kernels
     keep every model's sums in the same order (see ``model``), and a cell
@@ -734,37 +739,6 @@ def _iterate(state: LbiState, bundle: DatasetBundle, cfg: LbiConfig,
         _grad_norms(hg_b, has_b, at, n_pre),
     )
     return nxt, trace, failed, (hg_a, hg_b)
-
-
-def lbi_iteration(state: LbiState, bundle: DatasetBundle, cfg: LbiConfig,
-                  rates: Rates | None = None) -> tuple[LbiState, TraceRow]:
-    """Advance one full iteration; returns the updated state and its trace row.
-
-    Order inside the iteration: pretraining step, finetuning step against
-    the stepped pretraining encoder, both hypergradients at the incoming
-    models, then the ignoring-score updates.  Hypergradients are always
-    computed (they feed the trace) but frozen score sets skip their update,
-    keeping raw scores bit-identical.
-
-    Each (model, split) pair gets one forward pass, shared by its gradient
-    step, its hypergradient and its trace loss: the pretraining model on the
-    pretraining batch, the finetuned model on the pretraining batch (only
-    when gamma mixes that loss in), the finetuned model on the train batch,
-    and the looked-ahead model on the val batch.  The two hypergradients
-    share the projection of the pretraining batch on the validation
-    gradient.  Minibatch score bookkeeping touches only the batch's entries.
-
-    This is the stacks' iteration ``_iterate`` on one cell.  The state is
-    trusted to fit the data and the config (``run`` checks that, including
-    clamp-mode scores within [0, 1]).  ``rates`` defaults to
-    ``cfg.rates_at(state.iteration)``.
-    """
-    rates = rates or cfg.rates_at(state.iteration)
-    nxt, trace, failed, _ = _iterate(state, bundle, cfg, _Cells.of([cfg]),
-                                     rates)
-    if failed:
-        raise failed[0]
-    return nxt, TraceRow(state.iteration, *map(float, trace))
 
 
 def check_fit(state: LbiState, bundle: DatasetBundle):

@@ -5,14 +5,13 @@ The engine's hypergradients are closed-form derivatives of the composed map
     raw scores -> (pretraining step) -> (finetuning step) -> validation loss
 
 so they can be checked against central differences on that exact map: nudge
-one raw score, rerun the two updates that ``engine.lbi_iteration`` runs, and
-difference the validation loss at the looked-ahead model.
+one raw score, rerun the two updates that an iteration of the engine runs,
+and difference the validation loss at the looked-ahead model.
 
 The analytic side comes from the engine itself: one call of
-``engine._iterate``, the iteration that ``engine.run`` and
-``engine.lbi_iteration`` execute, on the full batch.  Its hypergradients are
-the ones the scores step along, so a check passes only when the code that
-trains is right.
+``engine._iterate``, the iteration that ``engine.run`` executes, on the
+full batch.  Its hypergradients are the ones the scores step along, so a
+check passes only when the code that trains is right.
 
 The work no score reaches is done once per instance and shared by its
 probes: the forwards of the pretraining model on the pretraining split and
@@ -238,10 +237,14 @@ class _Lookahead:
     def central_differences(self, which: str, indices,
                             step: float) -> np.ndarray:
         """The central difference of the loss in each raw score ``indices``
-        of ``which``, from stacks of the probes (i + step, i - step) in
-        index order, at most ``chunk`` indices per stack."""
-        scores = (self.state.ignore_pretrain if which == "pretrain"
-                  else self.state.ignore_finetune)
+        of ``which`` ("pretrain" or "finetune", ValueError if the state has
+        no such scores), from stacks of the probes (i + step, i - step) in
+        index order, at most ``chunk`` indices per stack.  Pure: the state
+        is never written."""
+        scores = {"pretrain": self.state.ignore_pretrain,
+                  "finetune": self.state.ignore_finetune}.get(which)
+        if scores is None:
+            raise ValueError(f"the state has no {which!r} ignore scores")
         indices = np.asarray(indices, dtype=np.intp)
         out = np.empty(len(indices))
         for start in range(0, len(indices), self.chunk):
@@ -253,31 +256,6 @@ class _Lookahead:
             out[start:start + len(idx)] = ((losses[0::2] - losses[1::2])
                                            / (2.0 * step))
         return out
-
-
-def fd_val_loss_wrt_ignore(state: LbiState, bundle: DatasetBundle,
-                           cfg: LbiConfig, which: str, index: int,
-                           step: float = 1e-4, *,
-                           lookahead: _Lookahead | None = None) -> float:
-    """Central difference of the lookahead validation loss in one raw score.
-
-    Pure: never mutates the given state, and never calls the closed-form
-    hypergradient functions.  ``lookahead`` is the instance's shared
-    forwards, built here when not given.  The value is the one
-    ``verify_hypergrads`` reports for this score: both run the same stacked
-    probes, here a stack of two.
-    """
-    if which not in ("pretrain", "finetune"):
-        raise ValueError(f"which must be 'pretrain' or 'finetune', got {which!r}")
-    step = config.read_flag("verify", "step", step, "step")
-    n = bundle.pretrain.n
-    if not 0 <= index < n:
-        raise IndexError(f"ignore index {index} outside 0..{n - 1}")
-    if which == "finetune" and state.ignore_finetune is None:
-        raise ValueError("state has no finetuning ignore scores")
-    if lookahead is None:
-        lookahead = _Lookahead(state, bundle, cfg)
-    return float(lookahead.central_differences(which, [index], step)[0])
 
 
 def _analytic_hypergrads(state: LbiState, bundle: DatasetBundle,

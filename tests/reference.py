@@ -5,13 +5,19 @@ and contracts the hypergradients without forming per-example gradients.
 The routes here spell the same quantities out the long way: a loss or a
 gradient straight from parameters and a batch, the n x P matrix of
 per-example gradient rows (the decomposition reference for the
-contractions), and the batch view of one minibatch iteration.
+contractions), and the batch view of one minibatch iteration.  A CSV
+bundle is read the long way too: by the csv module, int() and float().
 """
+
+import csv
+import json
+import os
+import sys
 
 import numpy as np
 
 from lbi import engine, model
-from lbi.datasets import DatasetBundle, Split
+from lbi.datasets import SPLITS, DatasetBundle, Split, sidecar_path
 from lbi.engine import IgnoreSet, LbiState
 
 
@@ -51,6 +57,17 @@ def per_example_grad_arrays(params, X, y) -> tuple[np.ndarray, np.ndarray]:
     return Genc, Ghead
 
 
+def iterate(state: LbiState, bundle: DatasetBundle, cfg: engine.LbiConfig):
+    """One iteration of one cell, as ``engine.run`` steps it: the next state
+    and its trace row, or the NumericError of a failed finite check."""
+    nxt, trace, failed, _ = engine._iterate(state, bundle, cfg,
+                                            engine._Cells.of([cfg]),
+                                            cfg.rates_at(state.iteration))
+    if failed:
+        raise failed[0]
+    return nxt, engine.TraceRow(state.iteration, *map(float, trace))
+
+
 def batch_view(state: LbiState, bundle: DatasetBundle, cfg: engine.LbiConfig):
     """The bundle and state that a minibatch iteration of ``state`` sees:
     (sub_state, sub_bundle, idx_pre), where the sub-bundle holds the
@@ -70,3 +87,31 @@ def batch_view(state: LbiState, bundle: DatasetBundle, cfg: engine.LbiConfig):
     sub_state = LbiState(state.pretrain_model, state.finetune_model, *scores,
                          state.iteration)
     return sub_state, sub, idx[0]
+
+
+def read_csv(path: str) -> DatasetBundle:
+    """A save_csv file read by the csv module, int() and float(), with the
+    class count and corruption flags of its sidecar (else one past the
+    largest label, and none)."""
+    old = csv.field_size_limit(sys.maxsize)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            header, *rows = [row for row in csv.reader(fh) if row]
+    finally:
+        csv.field_size_limit(old)
+    dim = len(header) - 2
+    parts = {name: ([], []) for name in SPLITS}
+    for name, label, *features in rows:
+        parts[name][0].append([float(v) for v in features])
+        parts[name][1].append(int(label))
+    splits = [Split(np.array(X, dtype=np.float64).reshape(-1, dim),
+                    np.array(y, dtype=np.int64)) for X, y in parts.values()]
+    manifest = {}
+    if os.path.exists(sidecar_path(path)):
+        with open(sidecar_path(path)) as fh:
+            manifest = json.load(fh)
+    corrupted = np.zeros(splits[0].n, dtype=bool)
+    corrupted[manifest.get("corrupted_pretrain_indices", [])] = True
+    classes = manifest.get("classes",
+                           max(int(s.y.max(initial=0)) for s in splits) + 1)
+    return DatasetBundle(*splits, dim, classes, corrupted)

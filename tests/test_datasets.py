@@ -8,12 +8,14 @@ any model code.
 import csv
 import json
 import os
+import re
 import tempfile
 from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
+import reference
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -225,6 +227,33 @@ class TestSplitRatio:
             datasets.split_ratio(*pool, (1.0, 0.0, 0.0), seed=0)
         with pytest.raises(ConfigError):
             datasets.split_ratio(*pool, (0.5, 0.5, 0.2), seed=0)
+
+    @pytest.mark.parametrize("column, value, message", [
+        ("y", 1.5, "pool row 4: label 1.5 is not a nonnegative integer"),
+        ("y", -1, "pool row 4: label -1 is not a nonnegative integer"),
+        ("y", np.nan, "pool row 4: label nan is not a nonnegative integer"),
+        ("is_source", 0.5, "pool row 4: is_source 0.5 is not true or false"),
+        ("is_source", 2, "pool row 4: is_source 2 is not true or false")])
+    def test_misread_pool_values_name_the_pool_row(self, column, value,
+                                                   message):
+        """A cast would read 1.5 as 1 and 0.5 as True, and a negative label
+        would fail naming a row of the shuffled test split."""
+        X, y, is_source = self.make_pool(10, n_source=4)
+        pool = {"y": y, "is_source": is_source}
+        pool[column] = pool[column].astype(np.result_type(pool[column], value))
+        pool[column][4] = value
+        with pytest.raises(ConfigError) as info:
+            datasets.split_ratio(X, pool["y"], pool["is_source"],
+                                 (0.6, 0.2, 0.2), seed=0)
+        assert str(info.value) == message
+
+    def test_exact_float_labels_and_flags_are_read(self):
+        X, y, is_source = self.make_pool(10, n_source=4)
+        want = datasets.split_ratio(X, y, is_source, (0.6, 0.2, 0.2), seed=0)
+        got = datasets.split_ratio(X, y.astype(np.float64),
+                                   is_source.astype(np.float64),
+                                   (0.6, 0.2, 0.2), seed=0)
+        assert got == want
 
     def test_empty_pretrain_allowed(self):
         pool = self.make_pool(10)
@@ -450,14 +479,14 @@ class TestOneRepresentation:
     @settings(max_examples=60, deadline=None)
     @given(bundles())
     def test_csv_round_trip_is_byte_exact(self, bundle):
-        """And through numpy's parser alone: the row reader never runs on
+        """And through numpy's one pass alone: the diagnosis never runs on
         what save_csv writes."""
         bundle.validate()
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "data.csv")
             datasets.save_csv(bundle, path)
-            with mock.patch.object(datasets, "_read_rows", side_effect=(
-                    AssertionError("the row reader ran"))):
+            with mock.patch.object(datasets, "_diagnose", side_effect=(
+                    AssertionError("the diagnosis ran"))):
                 loaded = datasets.load_csv(path)
         assert loaded == bundle
         for name, split in bundle.splits().items():
@@ -504,8 +533,8 @@ class TestOneRepresentation:
 
 
 # Field texts and line ends where numpy's parser and the csv module could
-# part: numpy refuses or misreads most of them, so load_csv must leave them
-# to the row reader.
+# part, or that are no save_csv row: load_csv reads what numpy reads as one,
+# and names the line of anything else.
 OVER_LIMIT = "0." + "0" * 140_000 + "1"  # finite, longer than the csv limit
 FIELD_TEXTS = st.sampled_from([
     "1_0", "\u0661", "9223372036854775808", "-9223372036854775809", "3.0",
@@ -548,29 +577,20 @@ def edited(text, edit):
     return "".join(line + end for line, end in zip([header, *rows], ends))
 
 
-def outcome(path):
-    """load_csv's bundle, or the type and text of its error."""
-    try:
-        return datasets.load_csv(path)
-    except (ValueError, OverflowError) as e:
-        return type(e), str(e)
-
-
 # The warnings numpy's parser may give (a float cast to an integer label,
-# no data) are ignored here as outside a test, so the fast pass must not
-# rest on the test suite's filters turning them into errors.
+# no data) are ignored here as outside a test, so the reader must not rest
+# on the test suite's filters turning them into errors.
 @pytest.mark.filterwarnings("ignore::DeprecationWarning")
 @pytest.mark.filterwarnings("ignore::UserWarning")
 class TestReadersAgree:
-    """load_csv reads each file through numpy's parser or, where that pass
-    steps aside, the csv row reader; either way it returns what the row
-    reader alone would: the same bundle, or the same error."""
+    """numpy's parser is the one reader, and it agrees with the csv module
+    and int()/float(): load_csv returns the bundle that they read, or raises
+    a ParseError that names the line, or the file, at fault."""
 
     @pytest.mark.parametrize("label, message", [
         ("1.5", " line 3: bad label '1.5'"), ("3.0", " line 3: bad label '3.0'"),
         ("1.", " line 3: bad label '1.'"), ("1e0", " line 3: bad label '1e0'"),
-        ("9223372036854775808", ": label outside 0..9223372036854775807 "
-         "(found 0..9223372036854775808)"),
+        ("9223372036854775808", " line 3: bad label '9223372036854775808'"),
         (None, ": no data rows")])
     def test_labels_numpy_might_cast_are_rejected(self, label, message,
                                                   tmp_path):
@@ -583,20 +603,36 @@ class TestReadersAgree:
             datasets.load_csv(str(path))
         assert str(info.value) == f"{path}{message}"
 
+    @pytest.mark.parametrize("column, text, message", [
+        (1, "1_0", "bad label '1_0'"), (1, "\u0661", "bad label '\u0661'"),
+        (2, "1_0", "bad feature value"), (2, "\u0661", "bad feature value")])
+    def test_spellings_only_python_reads_are_rejected(self, column, text,
+                                                      message, tmp_path):
+        """int() and float() read 1_0 as 10 and the Arabic-Indic digit one
+        as 1; numpy reads neither."""
+        path = str(tmp_path / "data.csv")
+        datasets.save_csv(SMALL, path)
+        with open(path, newline="", encoding="utf-8") as fh:
+            csv_text = edited(fh.read(), ("field", 1, column, text))
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write(csv_text)
+        pretrain = reference.read_csv(path).pretrain
+        assert (pretrain.y[1], pretrain.X[1, 0])[column - 1] == float(text)
+        with pytest.raises(ParseError) as info:
+            datasets.load_csv(path)
+        assert str(info.value) == f"{path} line 3: {message}"
+
     def test_long_rows_of_short_fields_take_numpy(self, tmp_path):
-        """The csv limit bounds fields, not lines: a wide bundle still loads
-        through numpy, and a field past the limit is the row reader's."""
+        """The csv limit bounds fields, not lines, and numpy reads past it:
+        a wide bundle loads without the diagnosis."""
         bundle = datasets.generate(small_spec(dim=16))
         path = str(tmp_path / "data.csv")
         datasets.save_csv(bundle, path)
         old = csv.field_size_limit(30)  # save_csv's fields are at most 24
         try:
-            with mock.patch.object(datasets, "_read_rows", side_effect=(
-                    AssertionError("the row reader ran"))):
+            with mock.patch.object(datasets, "_diagnose", side_effect=(
+                    AssertionError("the diagnosis ran"))):
                 assert datasets.load_csv(path) == bundle
-            csv.field_size_limit(10)
-            with pytest.raises(ParseError, match="line 2: field larger than"):
-                datasets.load_csv(path)
         finally:
             csv.field_size_limit(old)
 
@@ -607,6 +643,7 @@ class TestReadersAgree:
     @example(SMALL, ("field", 0, 0, "pretrain\0"), True)
     @example(SMALL, ("field", 0, 2, '"\n' + "\n" * 140_000 + '1"'), False)
     def test_same_bundle_or_error(self, bundle, edit, sidecar):
+        """And never another ValueError, an OverflowError or a csv.Error."""
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "data.csv")
             datasets.save_csv(bundle, path)
@@ -616,7 +653,10 @@ class TestReadersAgree:
                 text = edited(fh.read(), edit)
             with open(path, "w", newline="", encoding="utf-8") as fh:
                 fh.write(text)
-            either = outcome(path)
-            with mock.patch.object(datasets, "_read_table",
-                                   return_value=None):
-                assert either == outcome(path)
+            try:
+                loaded = datasets.load_csv(path)
+            except ParseError as e:
+                at = rf"{re.escape(path)}(\.manifest\.json| line \d+)?: "
+                assert re.match(at, str(e)), str(e)[:200]
+            else:
+                assert loaded == reference.read_csv(path)

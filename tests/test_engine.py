@@ -2,8 +2,9 @@
 
 Step formulas are checked against manual recomputations built from the
 kernel's gradient functions (``tests/reference.py``), read off the models
-one ``lbi_iteration`` steps to, and the zero-regularizer reduction is
-checked bitwise against an independently written plain finetuning loop.
+one iteration (``reference.iterate``) steps to, and the zero-regularizer
+reduction is checked bitwise against an independently written plain
+finetuning loop.
 """
 
 import os
@@ -235,7 +236,7 @@ class TestInitState:
 
 def step_models(state, bundle, cfg):
     """The (pretraining, finetuned) models one iteration steps to."""
-    nxt, _ = engine.lbi_iteration(state, bundle, cfg)
+    nxt, _ = reference.iterate(state, bundle, cfg)
     return nxt.pretrain_model, nxt.finetune_model
 
 
@@ -284,7 +285,7 @@ class TestPretrainStep:
         blocks = [state.ignore_pretrain.raw, state.ignore_finetune.raw,
                   state.pretrain_model.encoder, state.finetune_model.head]
         before = [b.tobytes() for b in blocks]
-        engine.lbi_iteration(state, bundle, cfg)
+        reference.iterate(state, bundle, cfg)
         assert [b.tobytes() for b in blocks] == before
 
     def test_weight_decay_enters_decoupled(self):
@@ -521,7 +522,7 @@ class TestIteration:
         state.ignore_pretrain.raw[:] = np.linspace(0.3, 0.7, 6)
         state.ignore_finetune.raw[:] = np.linspace(0.6, 0.4, 6)
 
-        nxt, row = engine.lbi_iteration(state, bundle, cfg)
+        nxt, row = reference.iterate(state, bundle, cfg)
 
         V, W = state.pretrain_model, state.finetune_model
         pre, train, val = bundle.pretrain, bundle.train, bundle.val
@@ -594,7 +595,7 @@ class TestIteration:
         apply = engine.apply_ignore_update
         monkeypatch.setattr(engine, "apply_ignore_update",
                             lambda s, g, r: seen.append(g) or apply(s, g, r))
-        engine.lbi_iteration(state, bundle, cfg)
+        reference.iterate(state, bundle, cfg)
         monkeypatch.undo()
 
         report = gradcheck.verify_hypergrads(state, bundle, cfg)
@@ -612,7 +613,7 @@ class TestIteration:
     @pytest.mark.parametrize("ignore_mode", ["clamp", "sigmoid"])
     def test_matches_public_steps_on_the_batch(self, ignore_mode, hidden,
                                               batch_size, frozen):
-        """Each iteration, bit for bit, against ``lbi_iteration`` at full
+        """Each iteration, bit for bit, against ``reference.iterate`` at full
         batch on the iteration's batch view, with the scores stepped densely
         along the zero-padded hypergradients ``lbi verify`` reads there;
         across the step-decay boundary (iteration 4 of 5), and ``run``
@@ -658,7 +659,7 @@ class TestIteration:
                 float(np.linalg.norm(padded[1])),
             )
 
-            state, row = engine.lbi_iteration(state, bundle, cfg)
+            state, row = reference.iterate(state, bundle, cfg)
             rows.append(row)
             for got, want in ((state.pretrain_model, pre_next),
                               (state.finetune_model, fin_next)):
@@ -685,7 +686,7 @@ class TestIteration:
         raw_b = state.ignore_finetune.raw.tobytes()
         rows = []
         for _ in range(5):
-            state, row = engine.lbi_iteration(state, bundle, cfg)
+            state, row = reference.iterate(state, bundle, cfg)
             rows.append(row)
         assert state.ignore_pretrain.raw.tobytes() == raw_a
         assert state.ignore_finetune.raw.tobytes() == raw_b
@@ -699,7 +700,7 @@ class TestIteration:
                             lr_ignore_finetune=50.0, ignore_mode=ignore_mode)
             state = engine.init_state(bundle, cfg)
             for _ in range(20):
-                state, _ = engine.lbi_iteration(state, bundle, cfg)
+                state, _ = reference.iterate(state, bundle, cfg)
                 for scores in (state.ignore_pretrain, state.ignore_finetune):
                     eff = scores.effective()
                     assert (eff >= 0.0).all() and (eff <= 1.0).all()
@@ -711,7 +712,7 @@ class TestIteration:
         state = engine.init_state(bundle, cfg)
         start = state.ignore_pretrain.raw.copy()
         for _ in range(10):
-            state, _ = engine.lbi_iteration(state, bundle, cfg)
+            state, _ = reference.iterate(state, bundle, cfg)
         assert not np.array_equal(state.ignore_pretrain.raw, start)
 
 
@@ -885,7 +886,7 @@ class TestMinibatch:
                 (bundle.pretrain.n, bundle.train.n, bundle.val.n),
             )
             before = state.ignore_pretrain.raw.copy()
-            state, _ = engine.lbi_iteration(state, bundle, cfg)
+            state, _ = reference.iterate(state, bundle, cfg)
             outside = np.setdiff1d(np.arange(10), idx_pre)
             np.testing.assert_array_equal(
                 state.ignore_pretrain.raw[outside], before[outside]

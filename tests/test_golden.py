@@ -21,6 +21,7 @@ import json
 import os
 import platform
 import sys
+import tempfile
 
 import numpy as np
 
@@ -115,7 +116,6 @@ def test_mismatch_names_file_and_first_differing_line():
 
 
 def record():
-    import tempfile
     os.makedirs(GOLDEN_DIR, exist_ok=True)
     path = os.path.join(GOLDEN_DIR, env_key() + ".json")
     with tempfile.TemporaryDirectory() as tmp:

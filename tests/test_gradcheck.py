@@ -40,7 +40,7 @@ def reference_fd(state, arrays, cfg, which, index, step):
         target = (probe.ignore_pretrain if which == "pretrain"
                   else probe.ignore_finetune)
         target.raw[index] += sign * step
-        nxt, _ = engine.lbi_iteration(probe, arrays, cfg)
+        nxt, _ = reference.iterate(probe, arrays, cfg)
         vals.append(float(model.weighted_losses(model._softmax_residual(
             nxt.finetune_model, arrays.val.X, arrays.val.y))))
     return (vals[0] - vals[1]) / (2.0 * step)
@@ -75,10 +75,9 @@ class TestFdAgreement:
         """With no proximity coupling the validation loss cannot depend on
         the pretraining scores at all."""
         inst = gradcheck.make_check_instance(4, lam=0.0)
+        lookahead = gradcheck._Lookahead(inst.state, inst.arrays, inst.cfg)
         for i in range(inst.arrays.pretrain.n):
-            num = gradcheck.fd_val_loss_wrt_ignore(
-                inst.state, inst.arrays, inst.cfg, "pretrain", i
-            )
+            num = lookahead.central_differences("pretrain", [i], 1e-4)[0]
             assert abs(num) < 1e-9
 
     def test_single_example_instance(self):
@@ -96,10 +95,9 @@ class TestFdAgreement:
                                                      inst.cfg)
         i = int(np.argmax(np.abs(analytic)))
         errs = []
+        lookahead = gradcheck._Lookahead(inst.state, inst.arrays, inst.cfg)
         for step in (4e-2, 1e-2):
-            num = gradcheck.fd_val_loss_wrt_ignore(
-                inst.state, inst.arrays, inst.cfg, "finetune", i, step=step
-            )
+            num = lookahead.central_differences("finetune", [i], step)[0]
             errs.append(abs(num - analytic[i]))
         assert errs[0] > 0 and errs[1] > 0
         ratio = errs[0] / errs[1]
@@ -117,18 +115,16 @@ class TestFdAgreement:
 
     def test_bad_index_rejected(self):
         inst = gradcheck.make_check_instance(8)
+        lookahead = gradcheck._Lookahead(inst.state, inst.arrays, inst.cfg)
         with pytest.raises(IndexError):
-            gradcheck.fd_val_loss_wrt_ignore(
-                inst.state, inst.arrays, inst.cfg, "pretrain",
-                inst.arrays.pretrain.n,
-            )
+            lookahead.central_differences("pretrain", [inst.arrays.pretrain.n],
+                                          1e-4)
 
     def test_bad_which_rejected(self):
         inst = gradcheck.make_check_instance(9)
+        lookahead = gradcheck._Lookahead(inst.state, inst.arrays, inst.cfg)
         with pytest.raises(ValueError):
-            gradcheck.fd_val_loss_wrt_ignore(
-                inst.state, inst.arrays, inst.cfg, "scores", 0
-            )
+            lookahead.central_differences("scores", [0], 1e-4)
 
 
 class TestSharedForwards:
@@ -212,11 +208,9 @@ class TestSharedForwards:
         shared = gradcheck._Lookahead(inst.state, inst.arrays, inst.cfg)
         for which in ("pretrain", "finetune"):
             for i in range(inst.arrays.pretrain.n):
-                got = gradcheck.fd_val_loss_wrt_ignore(
-                    inst.state, inst.arrays, inst.cfg, which, i,
-                    lookahead=shared)
-                assert got == gradcheck.fd_val_loss_wrt_ignore(
-                    inst.state, inst.arrays, inst.cfg, which, i)
+                got = shared.central_differences(which, [i], 1e-4)[0]
+                own = gradcheck._Lookahead(inst.state, inst.arrays, inst.cfg)
+                assert got == own.central_differences(which, [i], 1e-4)[0]
 
 
 class TestExecutedPath:
@@ -240,7 +234,7 @@ class TestExecutedPath:
     def test_minibatch_iteration(self, hidden):
         """The oracle on one iteration's batch view passes, and the analytic
         values it checked, stepped into the full score vectors, are the
-        scores ``lbi_iteration`` produces, bit for bit."""
+        scores one iteration (``reference.iterate``) produces, bit for bit."""
         inst = gradcheck.make_check_instance(32, hidden=hidden,
                                              ignore_mode="sigmoid",
                                              n_pretrain=10)
@@ -251,7 +245,7 @@ class TestExecutedPath:
         report = gradcheck.verify_hypergrads(sub_state, sub, cfg)
         assert report.passed(), report.as_table()
 
-        nxt, _ = engine.lbi_iteration(state, arrays, cfg)
+        nxt, _ = reference.iterate(state, arrays, cfg)
         rates = cfg.rates_at(state.iteration)
         for which, scores, got, rate in (
                 ("pretrain", state.ignore_pretrain, nxt.ignore_pretrain,
@@ -285,7 +279,7 @@ class TestExecutedPath:
         """On the batch view of one iteration (either side of the step-decay
         boundary at 8), the oracle passes, and the analytic values it
         checked, stepped into the full score vectors, are the scores
-        ``lbi_iteration`` produces, bit for bit.
+        one iteration (``reference.iterate``) produces, bit for bit.
 
         Past the boundary the model rates are set to ten times the drawn
         ones, so the decayed rates in effect are the instance's generic
@@ -311,7 +305,7 @@ class TestExecutedPath:
         report = gradcheck.verify_hypergrads(sub_state, sub, cfg)
         assert report.passed(), report.as_table()
 
-        nxt, _ = engine.lbi_iteration(state, inst.arrays, cfg)
+        nxt, _ = reference.iterate(state, inst.arrays, cfg)
         step = cfg.rates_at(iteration)
         sets = [("pretrain", state.ignore_pretrain, nxt.ignore_pretrain,
                  step.ignore_pretrain)]
@@ -340,9 +334,8 @@ class TestBadInputs:
     def test_fd_rejects_step(self, step):
         inst = gradcheck.make_check_instance(42)
         with pytest.raises(ValueError):
-            gradcheck.fd_val_loss_wrt_ignore(inst.state, inst.arrays,
-                                             inst.cfg, "pretrain", 0,
-                                             step=step)
+            gradcheck.verify_hypergrads(inst.state, inst.arrays, inst.cfg,
+                                        step=step)
 
     def test_numeric_strings_accepted(self):
         """YAML leaves 1e-4 as text; it still counts as a number."""
@@ -391,8 +384,8 @@ class TestBadInputs:
                                arrays.dim, arrays.classes, arrays.corrupted)
 
         def probe(j):
-            return gradcheck.fd_val_loss_wrt_ignore(state, bundle, cfg,
-                                                    "pretrain", j, step)
+            lookahead = gradcheck._Lookahead(state, bundle, cfg)
+            return lookahead.central_differences("pretrain", [j], step)[0]
 
         message = "non-finite pretraining encoder update"
         for call in (gradcheck.verify_hypergrads, lambda *a: probe(i)):
@@ -404,8 +397,8 @@ class TestBadInputs:
         plus.ignore_pretrain.raw[i] += step
         minus.ignore_pretrain.raw[i] -= step
         with pytest.raises(NumericError, match=message):
-            engine.lbi_iteration(plus, bundle, cfg)
-        engine.lbi_iteration(minus, bundle, cfg)
+            reference.iterate(plus, bundle, cfg)
+        reference.iterate(minus, bundle, cfg)
 
     def test_first_failing_probe_decides(self, monkeypatch):
         """Probes (1, -) and (2, -) both fail, each on another block: the
@@ -436,9 +429,9 @@ class TestBadInputs:
 
     def test_finetune_scores_required(self):
         inst = gradcheck.make_check_instance(43, mode="basic", gamma=0.0)
-        with pytest.raises(ValueError):
-            gradcheck.fd_val_loss_wrt_ignore(inst.state, inst.arrays,
-                                             inst.cfg, "finetune", 0)
+        lookahead = gradcheck._Lookahead(inst.state, inst.arrays, inst.cfg)
+        with pytest.raises(ValueError, match="no 'finetune' ignore scores"):
+            lookahead.central_differences("finetune", [0], 1e-4)
 
 
 class TestMutationDetection:
