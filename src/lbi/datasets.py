@@ -309,10 +309,6 @@ def split_ratio(X: np.ndarray, y: np.ndarray, is_source: np.ndarray,
     return bundle
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 @contextlib.contextmanager
 def atomic_open(path, newline=None):
     """A text file for writing that replaces ``path`` only once the block
@@ -350,7 +346,8 @@ def save_csv(bundle: DatasetBundle, path: str, spec: SynthSpec | None = None):
         for name, split in bundle.splits().items():
             # Row by row, so no list holds every value as a Python float.
             for label, row in zip(split.y.tolist(), split.X):
-                writer.writerow([name, label, *map(_fmt, row.tolist())])
+                writer.writerow([name, label,
+                                 *(format(v, ".17g") for v in row.tolist())])
 
     manifest = {
         "format_version": 1,
@@ -415,10 +412,11 @@ def _undecodable_line(path: str) -> int:
 def _loadtxt(lines, dtype, **kwargs) -> np.ndarray:
     """np.loadtxt in save_csv's dialect: comma-separated, '"' quotes, no
     comments.  Any warning is an error (numpy versions that only warn would
-    cast the label 1.5 to 1), except that no data gives no rows."""
+    cast the label 1.5 to 1), except notes that input or a line is empty
+    (no rows; a blank line does not count towards ``max_rows``)."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        warnings.filterwarnings("ignore", ".*contained no data")
         return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None,
                           quotechar='"', ndmin=1, **kwargs)
 
@@ -463,8 +461,9 @@ def _read_table(path: str, dim: int | None):
     except (ValueError, Warning) as e:  # UnicodeDecodeError too
         _diagnose(path, dim, e)
     names = table["split"]
-    if not (np.isin(names, SPLITS).all() and np.isfinite(table["X"]).all()):
-        _diagnose(path, dim, "unknown split or non-finite feature")
+    bad = ~(np.isin(names, SPLITS) & np.isfinite(table["X"]).all(axis=1))
+    if bad.any():
+        _diagnose(path, dim, "unknown split or non-finite feature", bad.argmax())
     masks = (names == name for name in SPLITS)
     return dim, [(table["X"][m], table["label"][m]) for m in masks]
 
@@ -488,11 +487,12 @@ def _fault(record: list[str], fields: np.ndarray, dim: int) -> str | None:
     return None
 
 
-def _diagnose(path: str, dim: int, refusal) -> NoReturn:
+def _diagnose(path: str, dim: int, refusal, start: int = 0) -> NoReturn:
     """Name what ``_read_table`` refused: raise the ParseError of the first
     row at fault (``_fault``) by the line it starts on (numpy splits the
     rows one at a time, as a quoted field may span lines) or, when no row
-    is, of ``refusal``, numpy's objection to the whole file."""
+    is, of ``refusal``, numpy's objection to the whole file.  The first
+    ``start`` rows, which numpy read and the checks passed, are skipped."""
     record = []  # (line number, line) of each line of the row numpy reads
 
     def numbered(fh):
@@ -504,6 +504,7 @@ def _diagnose(path: str, dim: int, refusal) -> NoReturn:
         with open(path, newline="", encoding="utf-8") as fh:
             fh.readline()  # the header, which _read_table has read
             lines = numbered(fh)
+            _loadtxt(lines, object, max_rows=start, usecols=0)
             while True:
                 record.clear()
                 fields = _loadtxt(lines, object, max_rows=1)
@@ -512,8 +513,8 @@ def _diagnose(path: str, dim: int, refusal) -> NoReturn:
                 fault = _fault([line for _, line in record], fields, dim)
                 if fault is not None:
                     # numpy skips the blank lines before a row.
-                    start = next(n for n, line in record if line.strip("\r\n"))
-                    raise ParseError(f"{path} line {start}: {fault}")
+                    first = next(n for n, line in record if line.strip("\r\n"))
+                    raise ParseError(f"{path} line {first}: {fault}")
     except UnicodeDecodeError:
         raise ParseError(f"{path} line {_undecodable_line(path)}: not "
                          "UTF-8 text") from None

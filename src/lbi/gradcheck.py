@@ -28,14 +28,7 @@ functions step all rows at once along a leading row axis, and one val
 forward scores them.  Each row's loss is bit for bit its probe's alone,
 because the kernels sum every model of a stack in the order of its
 one-model form (see ``model``; ``tests/test_stacked.py`` pins it on the
-installed numpy and BLAS).  The val forward takes each probe pair's
-loss difference from the difference of its two models
-(``_loss_difference``), not as the difference of two losses: a loss near 1
-carries about 1e-16 of rounding, which a central difference at step 1e-4
-turns into about 1e-12 of error on every component, so a component near
-1e-8 read a relative error above 1e-4 on correct code.  What rounding is
-left is that of the float64 updates themselves.  A stack's temporaries hold
-at most
+installed numpy and BLAS).  A stack's temporaries hold at most
 ``_CHUNK_FLOATS`` floats, so a large instance runs in chunks of probes, in
 O(n) memory.  Every probe keeps its finite checks: a stack with a
 non-finite update raises the NumericError of its first failing probe in
@@ -163,42 +156,6 @@ def _repeat(params: model.ModelParams, K: int) -> model.ModelParams:
         np.broadcast_to(params.head, (K,) + params.head.shape))
 
 
-def _loss_difference(plus: model.ModelParams, minus: model.ModelParams,
-                     X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The summed cross-entropy on (X, y) of each model of ``plus`` less
-    that of the same row of ``minus`` (a 0-d array for lone models).
-
-    Taken from the difference of the blocks, so its rounding is relative to
-    the difference, not to the losses: with d = plus - minus (exact while
-    the two are within a factor 2), the logits move by dz = X dE^T + db
-    (linear) or dz = dT U_+^T + T_- dU^T + db_2 with
-    dT = tanh(da) (1 - T_-^2) / (1 + T_- tanh(da)), da = X dW_1^T + db_1
-    (MLP), and each example's loss by log1p(sum_k p_k expm1(dz_k)) - dz_y,
-    p = softmax(z_-).  ``y`` is a label array."""
-    arch = plus.arch
-    d = model.ModelParams._of(arch, plus.encoder - minus.encoder,
-                              plus.head - minus.head)
-    if arch.hidden == 0:
-        (E, b), (dE, db) = model._linear_views(minus), model._linear_views(d)
-        z, dz = model._affine(X, E, b), model._affine(X, dE, db)
-    else:
-        W1, b1, U, b2 = model._mlp_views(minus)
-        dW1, db1, dU, db2 = model._mlp_views(d)
-        T = np.tanh(model._affine(X, W1, b1))
-        t = np.tanh(model._affine(X, dW1, db1))
-        dT = t * (1.0 - T * T) / (1.0 + T * t)
-        U_plus = model._mlp_views(plus)[2]
-        z, dz = model._affine(T, U, b2), model._affine(dT, U_plus, db2)
-        dz += np.matmul(T, model._t(dU))
-    # The class reductions are the forward's own (``model``'s "Stacks").
-    ez = z - np.maximum.reduce(model._classes_first(z), axis=0)[..., None]
-    np.exp(ez, out=ez)
-    moved = model._sum_classes(ez * np.expm1(dz)) / model._sum_classes(ez)
-    per_example = (np.log1p(moved[..., 0])
-                   - dz[..., model._row_index(len(y)), y])
-    return np.add.reduce(per_example, axis=-1)
-
-
 class _Lookahead:
     """Validation loss after one pretraining step and one finetuning step,
     as a function of one instance's raw ignoring scores.
@@ -244,12 +201,11 @@ class _Lookahead:
                          + arch.encoder_size + arch.head_size)
         self.chunk = max(1, _CHUNK_FLOATS // per_probe)
 
-    def loss_differences(self, which: str, raw: np.ndarray) -> np.ndarray:
-        """The loss at row 2i of ``raw``, a (2m, n) stack of raw scores of
-        the set ``which`` (the other set unmoved), less the loss at row
-        2i + 1 (``_loss_difference``), each bit for bit that of the pair
-        alone.  A row whose update is not finite raises the NumericError
-        that row alone raises; the first such row decides."""
+    def val_losses(self, which: str, raw: np.ndarray) -> np.ndarray:
+        """The loss at each row of ``raw``, a (K, n) stack of raw scores of
+        the set ``which`` (the other set unmoved), each bit for bit the loss
+        of that row alone.  A row whose update is not finite raises the
+        NumericError that row alone raises; the first such row decides."""
         state, cfg = self.state, self.cfg
         K, it = raw.shape[0], state.iteration
         w = engine.IgnoreSet._of(raw, state.ignore_pretrain.mode).effective()
@@ -274,10 +230,9 @@ class _Lookahead:
         failed = engine._first_failures(checks, it)
         if failed:
             raise failed[min(failed)]
-        nxt, val = finetuned_next, self.bundle.val
-        plus, minus = (model.ModelParams._of(nxt.arch, nxt.encoder[r::2],
-                                             nxt.head[r::2]) for r in (0, 1))
-        return _loss_difference(plus, minus, val.X, val.y)
+        val = self.bundle.val
+        return model.weighted_losses(
+            model._softmax_residual(finetuned_next, val.X, val.y))
 
     def central_differences(self, which: str, indices,
                             step: float) -> np.ndarray:
@@ -297,7 +252,8 @@ class _Lookahead:
             raw = np.tile(scores.raw, (2 * len(idx), 1))
             raw[np.arange(raw.shape[0]), np.repeat(idx, 2)] += np.tile(
                 [step, -step], len(idx))
-            out[start:start + len(idx)] = (self.loss_differences(which, raw)
+            losses = self.val_losses(which, raw)
+            out[start:start + len(idx)] = ((losses[0::2] - losses[1::2])
                                            / (2.0 * step))
         return out
 

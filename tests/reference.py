@@ -5,13 +5,11 @@ and contracts the hypergradients without forming per-example gradients.
 The routes here spell the same quantities out the long way: a loss or a
 gradient straight from parameters and a batch, the n x P matrix of
 per-example gradient rows (the decomposition reference for the
-contractions), a loss in 50-digit decimal arithmetic, and the batch view
-of one minibatch iteration.  A CSV
+contractions), and the batch view of one minibatch iteration.  A CSV
 bundle is read the long way too: by the csv module, int() and float().
 """
 
 import csv
-import decimal
 import json
 import os
 import sys
@@ -27,33 +25,6 @@ def loss(params, X, y, weights=None) -> float:
     """Weighted loss sum of a batch (unit weights for None)."""
     return float(model.weighted_losses(model._softmax_residual(params, X, y),
                                        weights))
-
-
-def decimal_loss(params, X, y) -> decimal.Decimal:
-    """Unit-weight loss sum of a batch for one model, in 50-digit decimal
-    arithmetic on the exact values of the float64 inputs."""
-    a = params.arch
-    D = decimal.Decimal
-
-    def affine(rows, W, b):
-        return [[sum((D(float(w)) * r for w, r in zip(W_k, row)), D(float(c)))
-                 for W_k, c in zip(W, b)] for row in rows]
-
-    with decimal.localcontext() as ctx:
-        ctx.prec = 50
-        rows = [[D(float(v)) for v in x] for x in X]
-        if a.hidden == 0:
-            E = params.encoder.reshape(a.classes, a.dim)
-            z = affine(rows, E, params.head)
-        else:
-            W1 = params.encoder[:a.hidden * a.dim].reshape(a.hidden, a.dim)
-            U = params.head[:a.classes * a.hidden].reshape(a.classes, a.hidden)
-            pre = affine(rows, W1, params.encoder[a.hidden * a.dim:])
-            T = [[((2 * v).exp() - 1) / ((2 * v).exp() + 1) for v in row]
-                 for row in pre]
-            z = affine(T, U, params.head[a.classes * a.hidden:])
-        return sum(sum(v.exp() for v in row).ln() - row[int(label)]
-                   for row, label in zip(z, y))
 
 
 def grad(params, X, y, weights=None) -> model.GradBlock:

@@ -622,6 +622,26 @@ class TestReadersAgree:
             datasets.load_csv(path)
         assert str(info.value) == f"{path} line 3: {message}"
 
+    @pytest.mark.parametrize("row, message, checked", [
+        ("train,0,x", "bad feature value", 3),
+        ("train,0,inf", "non-finite feature value", 1),
+        ("holdout,0,1", "unknown split 'holdout'", 1)])
+    def test_line_past_blank_and_spanning_lines(self, row, message, checked,
+                                                tmp_path):
+        """The fault's line counts a row that spans two lines and a blank
+        line before it.  Where numpy read every row, only the row at fault
+        is checked."""
+        path = tmp_path / "data.csv"
+        path.write_bytes(b'split,label,f_0\r\npretrain,0,"\r\n1"\r\n\r\n'
+                         b'pretrain,1,2\r\n' + row.encode() +
+                         b'\r\nval,0,1\r\ntest,1,1\r\n')
+        with mock.patch.object(datasets, "_fault",
+                               wraps=datasets._fault) as fault:
+            with pytest.raises(ParseError) as info:
+                datasets.load_csv(str(path))
+        assert str(info.value) == f"{path} line 6: {message}"
+        assert fault.call_count == checked
+
     def test_long_rows_of_short_fields_take_numpy(self, tmp_path):
         """The csv limit bounds fields, not lines, and numpy reads past it:
         a wide bundle loads without the diagnosis."""
