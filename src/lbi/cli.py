@@ -16,7 +16,8 @@ When the command returns, ``main`` writes ``manifest.json`` there: the
 resolved configuration, the data entry (a synthetic spec, or a CSV's path
 with the sha256 of the CSV and of its sidecar), the command's own settings,
 their content hash ``input_sha256``, a timestamp, and the environment and
-wall time of the command (``run_env``, outside the hash).  Data files are
+wall time of the command (``run_env``, outside the hash: CPU count,
+Python, numpy, BLAS and its thread variables).  Data files are
 written atomically (temp file, then rename) and all numeric CSV output uses
 17 significant digits, so reruns of the same deterministic command produce
 byte-identical data files.
@@ -239,6 +240,18 @@ def resolve(args) -> Job:
     return job
 
 
+# The variables that set how many threads BLAS runs on.  The engine's
+# overlap of an iteration's two stages pays only with BLAS on one thread.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS")
+
+
+def blas_name() -> str:
+    """The BLAS numpy was built against, as "<name>-<version>"."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return f"{blas['name']}-{blas['version']}"
+
+
 def write_manifest(job: Job, started: float):
     """The job's manifest.json, for a command that started at
     ``time.perf_counter()`` value ``started``."""
@@ -249,6 +262,9 @@ def write_manifest(job: Job, started: float):
             "cpu_count": os.cpu_count(),
             "python": platform.python_version(),
             "numpy": np.__version__,
+            "blas": blas_name(),
+            "blas_threads": {var: os.environ.get(var)
+                             for var in BLAS_THREAD_VARS},
             "duration_s": round(time.perf_counter() - started, 3),
         },
     })

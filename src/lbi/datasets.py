@@ -399,13 +399,16 @@ def _read_sidecar(side: str) -> dict:
 
 def _undecodable_line(path: str) -> int:
     """The line of ``path`` holding its first byte that is not UTF-8 (the
-    text reader decodes in blocks, so its position does not tell)."""
+    text reader decodes in blocks, so its position does not tell).  Lines
+    end as the text reader splits them: at "\r\n", "\r" or "\n"."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
         data.decode("utf-8")
     except UnicodeDecodeError as e:
-        return data.count(b"\n", 0, e.start) + 1
+        before = data[:e.start]
+        return (before.count(b"\n") + before.count(b"\r")
+                - before.count(b"\r\n") + 1)
     return 1
 
 
@@ -468,14 +471,27 @@ def _read_table(path: str, dim: int | None):
     return dim, [(table["X"][m], table["label"][m]) for m in masks]
 
 
+# The most characters of a field that a ParseError quotes.
+QUOTE_CHARS = 40
+
+
+def _quoted(field: str) -> str:
+    """The field's repr, or for a long one that of its first QUOTE_CHARS
+    characters and its length."""
+    if len(field) <= QUOTE_CHARS:
+        return repr(field)
+    return f"{field[:QUOTE_CHARS]!r}... ({len(field)} characters)"
+
+
 def _fault(record: list[str], fields: np.ndarray, dim: int) -> str | None:
     """Why the lines ``record``, which numpy splits into ``fields``, are no
     save_csv row by numpy's reading, or None when they are one."""
     if len(fields) != dim + 2:
         return f"expected {dim + 2} fields, got {len(fields)}"
     if fields[0] not in SPLITS:
-        return f"unknown split {fields[0]!r}"
-    for dtype, cols, fault in ((np.int64, 1, f"bad label {fields[1]!r}"),
+        return f"unknown split {_quoted(fields[0])}"
+    label = f"bad label {_quoted(fields[1])}"
+    for dtype, cols, fault in ((np.int64, 1, label),
                                (np.float64, range(2, dim + 2),
                                 "bad feature value")):
         try:

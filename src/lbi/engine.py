@@ -55,11 +55,20 @@ hypergradient, keep their bits.  Each cell's trajectory is bit for bit its
 one-cell run; ``run`` is the one-cell case of the same code, in which the
 state keeps no cell axis.  A cell that fails a finite check leaves the
 stack with its own run's error while the others go on.
+
+Overlap.  Stage 1 and the finetuned model's gradients read disjoint inputs
+and meet only at the proximity term.  So a large iteration (``_overlaps``)
+runs stage 1 on a worker thread meanwhile, and keeps the pretraining
+batch's n x hidden arrays in buffers held for the run; ``run_stack`` owns
+both (``_Workspace``).  Every numpy call keeps its operands, so every value
+keeps its bits.
 """
 
 from __future__ import annotations
 
+import contextvars
 import json
+import os
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -333,10 +342,11 @@ def _pretrain_update(params: ModelParams, fwd: model.Forward | None, weights,
                        weight_decay)
 
 
-def _forward_or_none(params: ModelParams, X: np.ndarray, y: np.ndarray):
+def _forward_or_none(params: ModelParams, X: np.ndarray, y: np.ndarray,
+                     buffers: tuple | None = None):
     if X.shape[-2] == 0:
         return None
-    return model._softmax_residual(params, X, y)
+    return model._softmax_residual(params, X, y, buffers)
 
 
 def _check_scores(scores: IgnoreSet, n: int, what: str):
@@ -370,12 +380,12 @@ def _select(keep, new: np.ndarray, old) -> np.ndarray:
 
 
 def _finetune_update(params: ModelParams, pretrained_next: ModelParams,
-                     train_grad: GradBlock, source_fwd: model.Forward | None,
-                     source_w, lam, gamma, rates: Rates,
+                     train_grad: GradBlock, source_grad: GradBlock | None,
+                     lam, gamma, rates: Rates,
                      weight_decay: float) -> ModelParams:
     """Step from ``train_grad``, the finetuned model's gradient on the train
-    batch, and, when the objective mixes it in, its forward on the
-    pretraining batch (else None).
+    batch, and, when the objective mixes it in, ``source_grad``, its
+    b-weighted gradient on the pretraining batch (else None).
 
     ``lam`` and ``gamma`` are floats for one model and (K, 1) columns for a
     stack.  A cell whose lam (gamma) is zero takes the step without that
@@ -383,11 +393,10 @@ def _finetune_update(params: ModelParams, pretrained_next: ModelParams,
     """
     d_enc = train_grad.d_encoder
     d_head = train_grad.d_head
-    if source_fwd is not None:
-        gs = model.weighted_grad(source_fwd, source_w)
+    if source_grad is not None:
         mixes = gamma != 0.0
-        d_enc = _select(mixes, d_enc + gamma * gs.d_encoder, d_enc)
-        d_head = _select(mixes, d_head + gamma * gs.d_head, d_head)
+        d_enc = _select(mixes, d_enc + gamma * source_grad.d_encoder, d_enc)
+        d_head = _select(mixes, d_head + gamma * source_grad.d_head, d_head)
     near = lam != 0.0
     if _any(near):
         d_enc = _select(near, d_enc + model.proximity_grad(
@@ -632,8 +641,64 @@ def _first_failures(checks, iteration: int) -> dict[int, NumericError]:
     return failed
 
 
+# An MLP iteration overlaps its stages 1 and 2 when its pretraining batch
+# holds at least this many hidden activations over all cells (rows x hidden
+# x cells) and the process may run on two CPUs.  On smaller arrays numpy
+# holds the GIL for too much of each call for the threads to overlap: at
+# hidden 64 (dim 32, 10 classes, 500 train and val rows) 250 full-batch
+# rows measured a tie and 500 rows and more a gain.
+OVERLAP_MIN_ACTIVATIONS = 2**15
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on Linux
+        return os.cpu_count() or 1
+
+
+def _overlaps(cfg: LbiConfig, cells: _Cells, n_pre: int, cpus: int) -> bool:
+    """Whether an iteration of these cells is large enough to overlap."""
+    rows = n_pre if cfg.batch_size is None else min(cfg.batch_size, n_pre)
+    return (cfg.hidden > 0 and cpus >= 2 and rows * cfg.hidden
+            * len(cells.seeds) >= OVERLAP_MIN_ACTIVATIONS)
+
+
+class _Workspace:
+    """What a run holds for its large iterations: one worker thread, made on
+    first use, and n x hidden buffers by name, made again when the shape
+    changes (a stack loses cells).  The pretraining forward has T and dA,
+    and spends T on its slope and weighted residual; the source forward has
+    T, dA and a scratch for those two, which then takes the projection."""
+
+    def __init__(self):
+        self._pool = None
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def buffer(self, name: str, shape: tuple) -> np.ndarray:
+        buf = self._buffers.get(name)
+        if buf is None or buf.shape != shape:
+            buf = self._buffers[name] = np.empty(shape)
+        return buf
+
+    def submit(self, fn):
+        """Run ``fn`` on the worker thread, in the caller's context (numpy's
+        error state included); returns its Future."""
+        if self._pool is None:
+            # Imported on first use: it would add about 6 ms to import lbi.
+            from concurrent.futures import ThreadPoolExecutor
+            self._pool = ThreadPoolExecutor(1)
+        return self._pool.submit(contextvars.copy_context().run, fn)
+
+    def close(self):
+        """Stop the worker thread, if any, and wait for it to end."""
+        if self._pool is not None:
+            self._pool.shutdown()
+            self._pool = None
+
+
 def _iterate(state: LbiState, bundle: DatasetBundle, cfg: LbiConfig,
-             cells: _Cells, rates: Rates):
+             cells: _Cells, rates: Rates, workspace: _Workspace | None = None):
     """Advance every cell of a state, one cell or a stack, by one iteration.
 
     The order: pretraining step, finetuning step against the stepped
@@ -654,6 +719,10 @@ def _iterate(state: LbiState, bundle: DatasetBundle, cfg: LbiConfig,
     keep every model's sums in the same order (see ``model``), and a cell
     whose lam or gamma is zero, or whose scores are frozen, gets its plain
     values through ``_select``, never an added zero.
+
+    With a ``workspace`` (a large iteration), stage 1 runs on its worker
+    thread and the pretraining batch's n x hidden arrays fill its buffers;
+    no returned array is a buffer.
     """
     it = state.iteration
     K = len(cells.seeds)
@@ -668,22 +737,62 @@ def _iterate(state: LbiState, bundle: DatasetBundle, cfg: LbiConfig,
         at = idx_pre + n_pre * np.arange(K)[:, None]
     X_pre, y_pre = _rows(bundle.pretrain, idx_pre)
 
-    # Stage 1: pretraining step on the (sub)batch.
-    pre_fwd = _forward_or_none(state.pretrain_model, X_pre, y_pre)
-    a = state.ignore_pretrain.effective(at)
-    pretrained_next = _pretrain_update(state.pretrain_model, pre_fwd, a,
-                                       rates, cfg.weight_decay)
+    def buffers(*names):
+        """The workspace's n x hidden buffers of these names (None without
+        a workspace)."""
+        if workspace is None:
+            return None
+        shape = ((K,) if cells.stacked else ()) + (
+            X_pre.shape[-2], state.pretrain_model.arch.hidden)
+        return tuple(workspace.buffer(name, shape) for name in names)
+
+    # The pretraining forward's T is spent on its slope and weighted
+    # residual once its head gradient is formed.
+    pre_buffers = buffers("pre_T", "pre_dA", "pre_T")
+
+    def stage_1():
+        """The pretraining step on the (sub)batch."""
+        fwd = _forward_or_none(state.pretrain_model, X_pre, y_pre,
+                               pre_buffers)
+        a = state.ignore_pretrain.effective(at)
+        return fwd, a, _pretrain_update(state.pretrain_model, fwd, a, rates,
+                                        cfg.weight_decay)
+
+    def finetune_grads():
+        """The finetuned model's forward and gradient on the train batch
+        and, when the objective mixes it in, its forward on the pretraining
+        batch, the weights b and its b-weighted gradient there (else
+        Nones)."""
+        train_fwd = model._softmax_residual(state.finetune_model,
+                                            *_rows(bundle.train, idx_tr))
+        fwd = b = grad = None
+        if _any(cells.mixes):
+            fwd = _forward_or_none(state.finetune_model, X_pre, y_pre,
+                                   buffers("src_T", "src_dA", "scratch"))
+            b = state.ignore_finetune.effective(at)
+            if fwd is not None:
+                grad = model.weighted_grad(fwd, b)
+        return train_fwd, model.weighted_grad(train_fwd), fwd, b, grad
+
+    # Stages 1 and 2 read disjoint inputs up to the proximity term, so with
+    # a workspace stage 1 runs on its worker thread meanwhile.  Leaving the
+    # block waits for it, and its error, the one a serial stage 1 raises
+    # first, wins.
+    if workspace is None:
+        pre_fwd, a, pretrained_next = stage_1()
+        grads = finetune_grads()
+    else:
+        pending = workspace.submit(stage_1)
+        try:
+            grads = finetune_grads()
+        finally:
+            pre_fwd, a, pretrained_next = pending.result()
+    train_fwd, train_grad, source_fwd, b, source_grad = grads
 
     # Stage 2: finetuning step.
-    train_fwd = model._softmax_residual(state.finetune_model,
-                                        *_rows(bundle.train, idx_tr))
-    source_fwd, b = None, None
-    if _any(cells.mixes):
-        source_fwd = _forward_or_none(state.finetune_model, X_pre, y_pre)
-        b = state.ignore_finetune.effective(at)
     finetuned_next = _finetune_update(
-        state.finetune_model, pretrained_next, model.weighted_grad(train_fwd),
-        source_fwd, b, cells.lam, cells.gamma, rates, cfg.weight_decay,
+        state.finetune_model, pretrained_next, train_grad, source_grad,
+        cells.lam, cells.gamma, rates, cfg.weight_decay,
     )
 
     # Stage 3: hypergradients over the batch's scores, for the cells whose
@@ -695,7 +804,10 @@ def _iterate(state: LbiState, bundle: DatasetBundle, cfg: LbiConfig,
     hg_a = hg_b = None
     if any_a or any_b:
         gv = model.weighted_grad(val_fwd)
-        proj = model.encoder_projection(pretrained_next.arch, X_pre, gv)
+        # The source forward's scratch is free again by now.
+        proj = model.encoder_projection(
+            pretrained_next.arch, X_pre, gv,
+            None if workspace is None else buffers("scratch")[0])
         if any_a:
             hg_a = _hypergrad_pretrain(pre_fwd, gv, _chain_factor(mode, a),
                                        cells.lam, rates, proj)
@@ -816,23 +928,33 @@ def run_stack(bundle: DatasetBundle, cfgs: list[LbiConfig],
     out: list = [None] * len(cfgs)
     decay_start = cfg.decay_start()
     rates = cfg.rates_at(state.iteration)
-    while state.iteration < cfg.iterations:
-        it = state.iteration
-        if it == decay_start:
-            rates = cfg.rates_at(it)
-        state, trace, failed, _ = _iterate(state, bundle, cfg, cells, rates)
-        rows = np.array(trace).T.reshape(-1, 5)  # trace values, a row per cell
-        if failed:
-            for pos, err in failed.items():
-                out[alive[pos]] = err
-            keep = np.array([pos not in failed for pos in range(len(alive))])
-            alive = [k for k, kept in zip(alive, keep) if kept]
-            if not alive:
-                break
-            state, cells, rows = _cell(state, keep), cells.take(keep), rows[keep]
-        if on_row is not None:
-            for k, values in zip(alive, rows.tolist()):
-                on_row(k, TraceRow(it, *values))
+    cpus = _usable_cpus()
+    workspace = _Workspace()
+    try:
+        while state.iteration < cfg.iterations:
+            it = state.iteration
+            if it == decay_start:
+                rates = cfg.rates_at(it)
+            large = _overlaps(cfg, cells, bundle.pretrain.n, cpus)
+            state, trace, failed, _ = _iterate(state, bundle, cfg, cells, rates,
+                                               workspace if large else None)
+            # The trace values, a row per cell.
+            rows = np.array(trace).T.reshape(-1, 5)
+            if failed:
+                for pos, err in failed.items():
+                    out[alive[pos]] = err
+                keep = np.array([pos not in failed
+                                 for pos in range(len(alive))])
+                alive = [k for k, kept in zip(alive, keep) if kept]
+                if not alive:
+                    break
+                state, cells = _cell(state, keep), cells.take(keep)
+                rows = rows[keep]
+            if on_row is not None:
+                for k, values in zip(alive, rows.tolist()):
+                    on_row(k, TraceRow(it, *values))
+    finally:
+        workspace.close()
     for pos, k in enumerate(alive):
         out[k] = _cell(state, pos) if cells.stacked else state
     return out

@@ -16,10 +16,11 @@ check passes only when the code that trains is right.
 The work no score reaches is done once per instance and shared by its
 probes: the forwards of the pretraining model on the pretraining split and
 of the finetuned model on the pretraining split (when gamma mixes it in),
-the finetuned model's unweighted train gradient, and, for the probes of a
-finetuning score, the unperturbed pretraining step.  All of it is taken at
-the incoming models, which no score moves; a score only weights its
-example's residual inside an update.  So sharing it changes no probe's
+the finetuned model's unweighted train gradient, for the probes of a
+pretraining score its b-weighted gradient on the pretraining split, and,
+for the probes of a finetuning score, the unperturbed pretraining step.
+All of it is taken at the incoming models, which no score moves; a score
+only weights its example's residual inside an update.  So sharing it changes no probe's
 value by a bit.
 
 The probes of one score set run as one stack: row 2i holds the raw scores
@@ -180,8 +181,12 @@ class _Lookahead:
             engine._check_scores(state.ignore_finetune, pre.n, "finetuning")
             self.source_fwd = engine._forward_or_none(state.finetune_model,
                                                       pre.X, pre.y)
-        self.b = (None if state.ignore_finetune is None
-                  else state.ignore_finetune.effective())
+        # The finetuned model's b-weighted source gradient, which the probes
+        # of a pretraining score share.
+        self.source_grad = None
+        if self.source_fwd is not None:
+            self.source_grad = model.weighted_grad(
+                self.source_fwd, state.ignore_finetune.effective())
         # The engine's updates are looked up at call time, so a patched
         # engine is what gets differenced.  No finetuning score reaches the
         # pretraining step, so their probes share the unperturbed one.
@@ -211,19 +216,22 @@ class _Lookahead:
         w = engine.IgnoreSet._of(raw, state.ignore_pretrain.mode).effective()
         checks = []
         if which == "pretrain":
-            pretrained_next, b = engine._pretrain_update(
+            pretrained_next = engine._pretrain_update(
                 state.pretrain_model, self.pre_fwd, w, self.rates,
-                cfg.weight_decay), self.b
+                cfg.weight_decay)
+            source_grad = self.source_grad
             if self.pre_fwd is not None:
                 checks += [("pretraining encoder update",
                             pretrained_next.encoder, None),
                            ("pretraining head update",
                             pretrained_next.head, None)]
         else:
-            pretrained_next, b = _repeat(self.pretrained, K), w
+            pretrained_next = _repeat(self.pretrained, K)
+            source_grad = (None if self.source_fwd is None
+                           else model.weighted_grad(self.source_fwd, w))
         finetuned_next = engine._finetune_update(
             _repeat(state.finetune_model, K), pretrained_next,
-            self.train_grad, self.source_fwd, b, cfg.lam, cfg.gamma,
+            self.train_grad, source_grad, cfg.lam, cfg.gamma,
             self.rates, cfg.weight_decay)
         checks += [("finetuned encoder update", finetuned_next.encoder, None),
                    ("finetuned head update", finetuned_next.head, None)]

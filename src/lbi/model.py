@@ -276,20 +276,23 @@ def _class_products(X: np.ndarray, W: np.ndarray) -> np.ndarray:
 # faults, so the kernels below update in place where the values come out the
 # same as the plain expression written beside them.
 
-def _affine(X: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """X @ W.T + b, per model of a stack."""
-    out = np.matmul(X, _t(W))
+def _affine(X: np.ndarray, W: np.ndarray, b: np.ndarray,
+            out: np.ndarray | None = None) -> np.ndarray:
+    """X @ W.T + b, per model of a stack, into ``out`` when given."""
+    out = np.matmul(X, _t(W), out=out)
     out += b[..., None, :]
     return out
 
 
-def _scores(params: ModelParams, X: np.ndarray):
-    """(logits, hidden activations or None) for checked features X."""
+def _scores(params: ModelParams, X: np.ndarray,
+            hidden_out: np.ndarray | None = None):
+    """(logits, hidden activations or None) for checked features X; the
+    activations go into ``hidden_out`` when given."""
     if params.arch.hidden == 0:
         E, b = _linear_views(params)
         return _affine(X, E, b), None
     W1, b1, U, b2 = _mlp_views(params)
-    T = _affine(X, W1, b1)
+    T = _affine(X, W1, b1, hidden_out)
     np.tanh(T, out=T)
     return _affine(T, U, b2), T
 
@@ -343,7 +346,14 @@ class Forward:
     counts the examples of one model's batch.  The residual ``G``, the
     ``losses`` and ``dA`` are derived on first use, so a caller that needs
     only losses or only a gradient pays for nothing else; ``G`` takes over
-    the ``ez`` buffer.  Consumers read the arrays and never write them.
+    the ``ez`` buffer.  Consumers read the arrays and never write them, with
+    one exception: ``buffers`` (dA, scratch), when given, are n x hidden
+    arrays that ``dA`` and the weighted residual of ``weighted_grad`` fill,
+    the slope 1 - T^2 and the weighted residual going into ``scratch``.  A
+    scratch that is T's own buffer spends T: once dA is formed T is None, so
+    such a forward serves one weighted gradient, its losses and its encoder
+    dots, not ``head_dots`` (the engine's pretraining forward, whose T
+    nothing reads after the head gradient).
 
     With ``classes_first`` (the "Stacks" rule of this module), ``z``,
     ``ez`` and ``G`` are (classes, n, K) and ``m`` and ``s`` are (n, K);
@@ -351,14 +361,17 @@ class Forward:
     """
 
     __slots__ = ("params", "X", "y", "n", "classes_first", "z", "T", "m",
-                 "ez", "s", "_label_index", "_onehot", "_G", "_losses", "_dA")
+                 "ez", "s", "buffers", "_label_index", "_onehot", "_G",
+                 "_losses", "_dA")
 
     def __init__(self, params: ModelParams, X: np.ndarray, y: np.ndarray,
                  z: np.ndarray, T: np.ndarray | None, m: np.ndarray,
-                 ez: np.ndarray, s: np.ndarray, classes_first: bool = False):
+                 ez: np.ndarray, s: np.ndarray, classes_first: bool = False,
+                 buffers: tuple | None = None):
         self.params, self.X, self.y, self.n = params, X, y, X.shape[-2]
         self.classes_first = classes_first
         self.z, self.T, self.m, self.ez, self.s = z, T, m, ez, s
+        self.buffers = buffers
         self._label_index = self._onehot = None
         self._G = self._losses = self._dA = None
 
@@ -431,16 +444,22 @@ class Forward:
         """Residual at the hidden pre-activations: (G U) * (1 - T^2)."""
         if self._dA is None:
             _, _, U, _ = _mlp_views(self.params)
-            dA = np.matmul(self.G, U)
-            slope = self.T * self.T
+            dA_out, scratch = self.buffers or (None, None)
+            dA = np.matmul(self.G, U, out=dA_out)
+            slope = np.multiply(self.T, self.T, out=scratch)
+            if scratch is self.T:
+                self.T = None
             np.subtract(1.0, slope, out=slope)
             dA *= slope
             self._dA = dA
         return self._dA
 
 
-def _softmax_residual(params: ModelParams, X: np.ndarray, y: np.ndarray) -> Forward:
-    """The forward pass behind every loss and gradient of a labelled batch."""
+def _softmax_residual(params: ModelParams, X: np.ndarray, y: np.ndarray,
+                      buffers: tuple | None = None) -> Forward:
+    """The forward pass behind every loss and gradient of a labelled batch.
+    ``buffers``, for an MLP, are three n x hidden arrays (T, dA, scratch)
+    that its hidden arrays fill (see ``Forward``); scratch may be T."""
     X = _check_features(params, X)
     y = np.asarray(y)
     if y.shape != X.shape[:-1]:
@@ -454,7 +473,7 @@ def _softmax_residual(params: ModelParams, X: np.ndarray, y: np.ndarray) -> Forw
         np.exp(ez, out=ez)
         return Forward(params, X, y, z, None, m, ez,
                        np.add.reduce(ez, axis=0), True)
-    z, T = _scores(params, X)
+    z, T = _scores(params, X, buffers and buffers[0])
     # Row maxima from a (classes, ..., n) copy, whose reduction runs
     # elementwise down the rows; reducing the short axis of z costs a loop
     # call per example.  A maximum does not depend on the order it is taken
@@ -462,7 +481,8 @@ def _softmax_residual(params: ModelParams, X: np.ndarray, y: np.ndarray) -> Forw
     m = np.maximum.reduce(_classes_first(z), axis=0)[..., None]
     ez = z - m
     np.exp(ez, out=ez)
-    return Forward(params, X, y, z, T, m, ez, _sum_classes(ez))
+    return Forward(params, X, y, z, T, m, ez, _sum_classes(ez), False,
+                   buffers and buffers[1:])
 
 
 # The kernels below trust their arguments: weights are float64 with one
@@ -508,7 +528,10 @@ def weighted_grad(fwd: Forward, weights: np.ndarray | None = None) -> GradBlock:
                          _sum_examples(WG))
     dU = np.matmul(_t(WG), fwd.T)
     db2 = _sum_examples(WG)
-    WdA = fwd.dA if weights is None else weights[..., None] * fwd.dA
+    WdA = fwd.dA
+    if weights is not None:
+        WdA = np.multiply(weights[..., None], WdA,
+                          out=fwd.buffers and fwd.buffers[1])
     dW1 = np.matmul(_t(WdA), X)
     db1 = _sum_examples(WdA)
     return GradBlock(
@@ -531,10 +554,12 @@ def _class_rowdot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.add(dots.T, 0.0, order="C")
 
 
-def encoder_projection(arch: Arch, X: np.ndarray, v: GradBlock) -> np.ndarray:
+def encoder_projection(arch: Arch, X: np.ndarray, v: GradBlock,
+                       out: np.ndarray | None = None) -> np.ndarray:
     """X E_v^T (linear) or X W_v^T + b1_v (MLP): the batch projected on v's
     encoder block.  It depends on the batch and v only, so forwards of
-    different models on one batch can share it (``encoder_dots``)."""
+    different models on one batch can share it (``encoder_dots``).  An
+    MLP's projection goes into ``out`` when given."""
     V = ModelParams._of(arch, v.d_encoder, v.d_head)
     if arch.hidden == 0:
         E_v, _ = _linear_views(V)
@@ -542,7 +567,7 @@ def encoder_projection(arch: Arch, X: np.ndarray, v: GradBlock) -> np.ndarray:
             return _class_products(X, E_v)
         return np.matmul(X, _t(E_v))
     W_v, b1_v, _, _ = _mlp_views(V)
-    return _affine(X, W_v, b1_v)
+    return _affine(X, W_v, b1_v, out)
 
 
 def encoder_dots(fwd: Forward, v: GradBlock,

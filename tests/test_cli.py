@@ -71,7 +71,10 @@ class TestRun:
         assert manifest["tool"]["name"] == "lbi"
         assert "input_sha256" in manifest
         assert sorted(manifest["run_env"]) == [
-            "cpu_count", "duration_s", "numpy", "python"]
+            "blas", "blas_threads", "cpu_count", "duration_s", "numpy",
+            "python"]
+        assert sorted(manifest["run_env"]["blas_threads"]) == sorted(
+            cli.BLAS_THREAD_VARS)
 
     def test_config_file_plus_override(self, tmp_path):
         cfg_path = tmp_path / "cfg.yaml"

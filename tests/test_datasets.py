@@ -642,6 +642,36 @@ class TestReadersAgree:
         assert str(info.value) == f"{path} line 6: {message}"
         assert fault.call_count == checked
 
+    @pytest.mark.parametrize("end", [b"\r", b"\r\n", b"\n"])
+    @pytest.mark.parametrize("feature, message", [
+        (b"\xff", "not UTF-8 text"), (b"x", "bad feature value")])
+    def test_line_ends_count_as_the_reader_splits(self, end, feature,
+                                                  message, tmp_path):
+        """A bare "\r" ends a line as "\n" and "\r\n" do, for a byte that
+        is not UTF-8 as for a bad value."""
+        path = tmp_path / "data.csv"
+        path.write_bytes(end.join([b"split,label,f_0", b"pretrain,0,1",
+                                   b"train,0," + feature, b"val,0,1",
+                                   b"test,0,1", b""]))
+        with pytest.raises(ParseError) as info:
+            datasets.load_csv(str(path))
+        assert str(info.value) == f"{path} line 3: {message}"
+
+    @pytest.mark.parametrize("column, fault", [(0, "unknown split"),
+                                               (1, "bad label")])
+    def test_long_fields_are_quoted_in_part(self, column, fault, tmp_path):
+        """A field of 200,000 characters is quoted by its first 40 and its
+        length, not whole."""
+        path = tmp_path / "data.csv"
+        fields = ["train", "0", "1"]
+        fields[column] = "9" * 200_000
+        path.write_text("split,label,f_0\npretrain,0,1\n"
+                        + ",".join(fields) + "\n")
+        with pytest.raises(ParseError) as info:
+            datasets.load_csv(str(path))
+        assert str(info.value) == (f"{path} line 3: {fault} "
+                                   f"'{'9' * 40}'... (200000 characters)")
+
     def test_long_rows_of_short_fields_take_numpy(self, tmp_path):
         """The csv limit bounds fields, not lines, and numpy reads past it:
         a wide bundle loads without the diagnosis."""

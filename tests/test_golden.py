@@ -49,9 +49,8 @@ COMMANDS = [
 
 def env_key() -> str:
     """numpy version, BLAS name and version, and machine, as a file name."""
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return "_".join(["numpy-" + np.__version__,
-                     f"{blas['name']}-{blas['version']}", platform.machine()])
+    return "_".join(["numpy-" + np.__version__, cli.blas_name(),
+                     platform.machine()])
 
 
 def _line_hash(line: bytes) -> str:

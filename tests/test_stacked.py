@@ -15,6 +15,8 @@ Three layers of evidence that a stack changes no cell's bits:
   iteration and with the message of the cell's solo run.
 """
 
+import math
+import threading
 import warnings
 from dataclasses import astuple
 from types import SimpleNamespace
@@ -24,7 +26,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lbi import datasets, engine, experiments, model
+from lbi import datasets, engine, experiments, gradcheck, model
 from lbi.datasets import SynthSpec
 from lbi.engine import LbiConfig
 from lbi.errors import ConfigError, NumericError
@@ -407,16 +409,17 @@ class TestStackEqualsSolo:
                        for c, s in zip(cfgs, half)]
 
 
-def failing_stack():
+def failing_stack(hidden=0):
     """One cell per finite check that fails its own cell, in the solo order
-    of the checks, plus healthy, lam = 0, gamma = 0 and frozen cells."""
+    of the checks, plus healthy, lam = 0, gamma = 0 and frozen cells (the
+    expected errors are the linear model's)."""
     bundle = datasets.generate(SynthSpec(
         dim=3, classes=3, n_pretrain=9, n_train=6, n_val=5, n_test=4,
         shift=0.5, corrupt_frac=0.3, seed=4))
     # Weight decay 1 and head rates of 3 let a head of 1e308 overflow in its
     # own update while the forward stays finite.
     base = LbiConfig(lam=0.3, gamma=0.7, iterations=3, weight_decay=1.0,
-                     lr_pretrain_head=3.0, lr_finetune_head=3.0,
+                     hidden=hidden, lr_pretrain_head=3.0, lr_finetune_head=3.0,
                      lr_ignore_pretrain=2.0, lr_ignore_finetune=1.0)
 
     def huge(params, block):
@@ -544,3 +547,139 @@ class TestOneEngine:
         with pytest.raises(ConfigError, match="same iteration"):
             engine.run_stack(bundle, [cfg, cfg],
                              [engine.init_state(bundle, cfg), ahead])
+
+
+@pytest.fixture
+def overlap(monkeypatch):
+    """Every MLP iteration counts as large, on a two-CPU process; returns
+    the number of stage-1 submissions so far, as a one-element list."""
+    submits = [0]
+    submit = engine._Workspace.submit
+
+    def counted(self, fn):
+        submits[0] += 1
+        return submit(self, fn)
+
+    monkeypatch.setattr(engine, "OVERLAP_MIN_ACTIVATIONS", 0)
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(engine._Workspace, "submit", counted)
+    return submits
+
+
+def serial(fn, *args):
+    """``fn(*args)`` with every iteration on the serial path."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "OVERLAP_MIN_ACTIVATIONS", math.inf)
+        return fn(*args)
+
+
+def overlap_stack(mode, ignore_mode, hidden, batch_size):
+    """A solo cell's config and a stack mixing lam = 0, gamma = 0 and
+    frozen cells."""
+    base = LbiConfig(mode=mode, ignore_mode=ignore_mode, hidden=hidden,
+                     batch_size=batch_size, iterations=4,
+                     lr_ignore_pretrain=3.0, lr_ignore_finetune=1.0)
+    gamma = 0.7 if mode == "extended" else 1.0
+    cfgs = [engine.config_with(base, seed=seed, lam=lam, gamma=g,
+                               freeze_ignore_pretrain=fa,
+                               freeze_ignore_finetune=fb)
+            for seed, lam, g, fa, fb in ((0, 0.3, gamma, False, False),
+                                         (1, 0.0, gamma, True, False),
+                                         (2, 0.3, 0.0, False, True))]
+    bundle = datasets.generate(SynthSpec(
+        dim=3, classes=3, n_pretrain=9, n_train=6, n_val=5, n_test=4,
+        shift=0.5, corrupt_frac=0.3, seed=6))
+    return bundle, cfgs
+
+
+class TestOverlap:
+    """A large iteration runs stage 1 on a worker thread and keeps the
+    pretraining batch's hidden arrays in the run's buffers; every value
+    keeps the bits of the serial path."""
+
+    @pytest.mark.parametrize("batch_size", [None, 4])
+    @pytest.mark.parametrize("hidden", [0, 3])
+    @pytest.mark.parametrize("ignore_mode", engine.IGNORE_MODES)
+    @pytest.mark.parametrize("mode", engine.MODES)
+    def test_runs_keep_their_bits(self, overlap, mode, ignore_mode, hidden,
+                                  batch_size):
+        bundle, cfgs = overlap_stack(mode, ignore_mode, hidden, batch_size)
+        want = serial(lambda: ([solo_outcome(bundle, cfgs[0])],
+                               stacked_outcomes(bundle, cfgs)))
+        threads = threading.active_count()
+        got = [solo_outcome(bundle, cfgs[0])], stacked_outcomes(bundle, cfgs)
+        assert got == want
+        assert threading.active_count() == threads
+        # Linear models have no hidden arrays and never overlap.
+        assert overlap[0] == (8 if hidden else 0)
+
+    def test_failing_cells_keep_their_errors(self, overlap):
+        """Cells fail at their own iterations, the stack shrinks (and its
+        buffers with it), and numpy's error state reaches the worker."""
+        bundle, cfgs, states, _ = failing_stack(hidden=3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = serial(stacked_outcomes, bundle, cfgs,
+                          [s.copy() for s in states])
+            got = stacked_outcomes(bundle, cfgs, [s.copy() for s in states])
+        assert got == want
+        assert overlap[0] == 3
+        assert sum(g[0] == "error" for g in got) >= 3
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_iterate_returns_no_buffer(self, overlap, stacked):
+        """``_iterate`` with a workspace gives the serial state, trace and
+        hypergradients, bit for bit, none of them in a buffer."""
+        bundle, cfgs = overlap_stack("extended", "sigmoid", 3, None)
+        cfgs = cfgs if stacked else cfgs[:1]
+        state = engine._stack([engine.init_state(bundle, c) for c in cfgs]) \
+            if stacked else engine.init_state(bundle, cfgs[0])
+        cells = engine._Cells.of(cfgs)
+        rates = cfgs[0].rates_at(0)
+        want = engine._iterate(state, bundle, cfgs[0], cells, rates)
+        workspace = engine._Workspace()
+        try:
+            got = engine._iterate(state, bundle, cfgs[0], cells, rates,
+                                  workspace)
+        finally:
+            workspace.close()
+        arrays = [*engine._blocks(got[0]), *got[1], *got[3]]
+        assert all(same_bits(g, w) for g, w in zip(
+            arrays, [*engine._blocks(want[0]), *want[1], *want[3]]))
+        assert got[2] == want[2] == {}
+        assert len(workspace._buffers) == 5
+        assert not any(np.shares_memory(a, buf) for a in arrays
+                       for buf in workspace._buffers.values())
+
+    def test_worker_error_reaches_the_caller(self, overlap):
+        """A label out of range fails the pretraining forward on the worker
+        thread; the caller gets the ValueError the serial run raises, and
+        the thread ends."""
+        bundle, cfgs = overlap_stack("basic", "clamp", 3, None)
+        bundle.pretrain.y[2] = bundle.classes
+        with pytest.raises(ValueError) as want:
+            serial(engine.run, bundle, cfgs[0])
+        threads = threading.active_count()
+        with pytest.raises(ValueError) as got:
+            engine.run(bundle, cfgs[0])
+        assert str(got.value) == str(want.value) == "labels must lie in 0..2"
+        assert overlap[0] == 1
+        assert threading.active_count() == threads
+
+    def test_oracle_forwards_keep_their_hidden_arrays(self, overlap):
+        """The oracle shares its forwards among probes; none of them gets
+        buffers, so no T is spent."""
+        inst = gradcheck.make_check_instance(5, hidden=3)
+        lookahead = gradcheck._Lookahead(inst.state, inst.arrays, inst.cfg)
+        report = gradcheck.verify_hypergrads(inst.state, inst.arrays,
+                                             inst.cfg)
+        lookahead.central_differences("pretrain", range(3), 1e-4)
+        lookahead.central_differences("finetune", range(3), 1e-4)
+        assert report.passed()
+        pre = inst.arrays.pretrain
+        for fwd, params in ((lookahead.pre_fwd, inst.state.pretrain_model),
+                            (lookahead.source_fwd,
+                             inst.state.finetune_model)):
+            assert fwd.buffers is None
+            fresh = model._softmax_residual(params, pre.X, pre.y)
+            assert same_bits(fwd.T, fresh.T)
+        assert overlap[0] == 0
