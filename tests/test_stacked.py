@@ -574,8 +574,8 @@ def serial(fn, *args):
 
 
 def overlap_stack(mode, ignore_mode, hidden, batch_size):
-    """A solo cell's config and a stack mixing lam = 0, gamma = 0 and
-    frozen cells."""
+    """A bundle and the configs of a stack mixing lam = 0, gamma = 0 and
+    frozen cells, whose first cell also runs alone."""
     base = LbiConfig(mode=mode, ignore_mode=ignore_mode, hidden=hidden,
                      batch_size=batch_size, iterations=4,
                      lr_ignore_pretrain=3.0, lr_ignore_finetune=1.0)
@@ -604,10 +604,10 @@ class TestOverlap:
     def test_runs_keep_their_bits(self, overlap, mode, ignore_mode, hidden,
                                   batch_size):
         bundle, cfgs = overlap_stack(mode, ignore_mode, hidden, batch_size)
-        want = serial(lambda: ([solo_outcome(bundle, cfgs[0])],
+        want = serial(lambda: (solo_outcome(bundle, cfgs[0]),
                                stacked_outcomes(bundle, cfgs)))
         threads = threading.active_count()
-        got = [solo_outcome(bundle, cfgs[0])], stacked_outcomes(bundle, cfgs)
+        got = solo_outcome(bundle, cfgs[0]), stacked_outcomes(bundle, cfgs)
         assert got == want
         assert threading.active_count() == threads
         # Linear models have no hidden arrays and never overlap.
@@ -631,8 +631,8 @@ class TestOverlap:
         hypergradients, bit for bit, none of them in a buffer."""
         bundle, cfgs = overlap_stack("extended", "sigmoid", 3, None)
         cfgs = cfgs if stacked else cfgs[:1]
-        state = engine._stack([engine.init_state(bundle, c) for c in cfgs]) \
-            if stacked else engine.init_state(bundle, cfgs[0])
+        states = [engine.init_state(bundle, c) for c in cfgs]
+        state = engine._stack(states) if stacked else states[0]
         cells = engine._Cells.of(cfgs)
         rates = cfgs[0].rates_at(0)
         want = engine._iterate(state, bundle, cfgs[0], cells, rates)
