@@ -936,8 +936,8 @@ def run_stack(bundle: DatasetBundle, cfgs: list[LbiConfig],
             if it == decay_start:
                 rates = cfg.rates_at(it)
             large = _overlaps(cfg, cells, bundle.pretrain.n, cpus)
-            state, trace, failed, _ = _iterate(state, bundle, cfg, cells, rates,
-                                               workspace if large else None)
+            state, trace, failed, _ = _iterate(
+                state, bundle, cfg, cells, rates, workspace if large else None)
             # The trace values, a row per cell.
             rows = np.array(trace).T.reshape(-1, 5)
             if failed:

@@ -20,8 +20,8 @@ the finetuned model's unweighted train gradient, for the probes of a
 pretraining score its b-weighted gradient on the pretraining split, and,
 for the probes of a finetuning score, the unperturbed pretraining step.
 All of it is taken at the incoming models, which no score moves; a score
-only weights its example's residual inside an update.  So sharing it changes no probe's
-value by a bit.
+only weights its example's residual inside an update.  So sharing it
+changes no probe's value by a bit.
 
 The probes of one score set run as one stack: row 2i holds the raw scores
 with score i moved by +step, row 2i + 1 by -step.  The engine's own update
