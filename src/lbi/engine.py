@@ -57,8 +57,8 @@ state keeps no cell axis.  A cell that fails a finite check leaves the
 stack with its own run's error while the others go on.
 
 Overlap.  Stage 1 and the finetuned model's gradients read disjoint inputs
-and meet only at the proximity term.  So a large iteration (``_overlaps``)
-runs stage 1 on a worker thread meanwhile, and keeps the pretraining
+and meet only at the proximity term.  So a large one-cell iteration
+(``_overlaps``) runs stage 1 on a worker thread meanwhile, and keeps the pretraining
 batch's n x hidden arrays in buffers held for the run; ``run_stack`` owns
 both (``_Workspace``).  Every numpy call keeps its operands, so every value
 keeps its bits.
@@ -66,7 +66,6 @@ keeps its bits.
 
 from __future__ import annotations
 
-import contextvars
 import json
 import os
 from dataclasses import dataclass, fields, replace
@@ -641,13 +640,16 @@ def _first_failures(checks, iteration: int) -> dict[int, NumericError]:
     return failed
 
 
-# An MLP iteration overlaps its stages 1 and 2 when its pretraining batch
-# holds at least this many hidden activations over all cells (rows x hidden
-# x cells) and the process may run on two CPUs.  On smaller arrays numpy
-# holds the GIL for too much of each call for the threads to overlap: at
-# hidden 64 (dim 32, 10 classes, 500 train and val rows) 250 full-batch
-# rows measured a tie and 500 rows and more a gain.
-OVERLAP_MIN_ACTIVATIONS = 2**15
+# A one-cell MLP iteration overlaps its stages 1 and 2 when its pretraining
+# batch holds at least this many hidden activations (rows x hidden) and the
+# process may run on two CPUs.  On smaller arrays numpy holds the GIL for
+# too much of each call for the threads to overlap: at hidden 64 (dim 32,
+# 10 classes, 500 train and val rows) 250 full-batch rows (16,000
+# activations) measured a tie and 500 rows (32,000) and more a gain.
+# Stacks stay serial until a rule for them is measured: with the overlap,
+# paper-ablate's 45-cell matrix (200 rows) ran 12% slower at hidden 8 and
+# 2.2x faster at hidden 64.
+OVERLAP_MIN_ACTIVATIONS = 24_000
 
 
 def _usable_cpus() -> int:
@@ -660,8 +662,8 @@ def _usable_cpus() -> int:
 def _overlaps(cfg: LbiConfig, cells: _Cells, n_pre: int, cpus: int) -> bool:
     """Whether an iteration of these cells is large enough to overlap."""
     rows = n_pre if cfg.batch_size is None else min(cfg.batch_size, n_pre)
-    return (cfg.hidden > 0 and cpus >= 2 and rows * cfg.hidden
-            * len(cells.seeds) >= OVERLAP_MIN_ACTIVATIONS)
+    return (not cells.stacked and cfg.hidden > 0 and cpus >= 2
+            and rows * cfg.hidden >= OVERLAP_MIN_ACTIVATIONS)
 
 
 class _Workspace:
@@ -682,13 +684,18 @@ class _Workspace:
         return buf
 
     def submit(self, fn):
-        """Run ``fn`` on the worker thread, in the caller's context (numpy's
-        error state included); returns its Future."""
+        """Run ``fn`` on the worker thread under the caller's numpy error
+        state (thread-local before numpy 2.0); returns its Future."""
         if self._pool is None:
             # Imported on first use: it would add about 6 ms to import lbi.
             from concurrent.futures import ThreadPoolExecutor
             self._pool = ThreadPoolExecutor(1)
-        return self._pool.submit(contextvars.copy_context().run, fn)
+        errors = np.geterr()
+
+        def with_errors():
+            with np.errstate(**errors):
+                return fn()
+        return self._pool.submit(with_errors)
 
     def close(self):
         """Stop the worker thread, if any, and wait for it to end."""

@@ -15,7 +15,6 @@ Three layers of evidence that a stack changes no cell's bits:
   iteration and with the message of the cell's solo run.
 """
 
-import math
 import threading
 import warnings
 from dataclasses import astuple
@@ -551,8 +550,8 @@ class TestOneEngine:
 
 @pytest.fixture
 def overlap(monkeypatch):
-    """Every MLP iteration counts as large, on a two-CPU process; returns
-    the number of stage-1 submissions so far, as a one-element list."""
+    """Every MLP iteration counts as large, stacks included; returns the
+    number of stage-1 submissions so far, as a one-element list."""
     submits = [0]
     submit = engine._Workspace.submit
 
@@ -560,8 +559,7 @@ def overlap(monkeypatch):
         submits[0] += 1
         return submit(self, fn)
 
-    monkeypatch.setattr(engine, "OVERLAP_MIN_ACTIVATIONS", 0)
-    monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(engine, "_overlaps", lambda cfg, *_: cfg.hidden > 0)
     monkeypatch.setattr(engine._Workspace, "submit", counted)
     return submits
 
@@ -569,7 +567,7 @@ def overlap(monkeypatch):
 def serial(fn, *args):
     """``fn(*args)`` with every iteration on the serial path."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine, "OVERLAP_MIN_ACTIVATIONS", math.inf)
+        mp.setattr(engine, "_overlaps", lambda *_: False)
         return fn(*args)
 
 
@@ -596,6 +594,22 @@ class TestOverlap:
     """A large iteration runs stage 1 on a worker thread and keeps the
     pretraining batch's hidden arrays in the run's buffers; every value
     keeps the bits of the serial path."""
+
+    def test_rule(self):
+        """One-cell MLP runs overlap from OVERLAP_MIN_ACTIVATIONS
+        pretraining-batch activations on, given two CPUs; stacks, linear
+        models and one-CPU processes stay serial."""
+        def overlaps(n_pre, cpus=2, cells=1, **kw):
+            cfgs = [LbiConfig(seed=seed, **kw) for seed in range(cells)]
+            return engine._overlaps(cfgs[0], engine._Cells.of(cfgs), n_pre,
+                                    cpus)
+        assert overlaps(375, hidden=64)  # 24,000 activations
+        assert not overlaps(374, hidden=64)
+        assert overlaps(5000, hidden=64, batch_size=375)
+        assert not overlaps(20000, hidden=64, batch_size=256)
+        assert not overlaps(5000, hidden=64, cpus=1)
+        assert not overlaps(5000, hidden=64, cells=2)
+        assert not overlaps(5000, hidden=0)
 
     @pytest.mark.parametrize("batch_size", [None, 4])
     @pytest.mark.parametrize("hidden", [0, 3])
