@@ -58,9 +58,9 @@ stack with its own run's error while the others go on.
 
 Overlap.  Stage 1 and the finetuned model's gradients read disjoint inputs
 and meet only at the proximity term.  So a large one-cell iteration
-(``_overlaps``) runs stage 1 on a worker thread meanwhile, and keeps the pretraining
-batch's n x hidden arrays in buffers held for the run; ``run_stack`` owns
-both (``_Workspace``).  Every numpy call keeps its operands, so every value
+(``_overlaps``) runs stage 1 on a worker thread meanwhile, and keeps the
+pretraining batch's n x hidden arrays in buffers held for the run;
+``run_stack`` owns both (``_Workspace``).  Every numpy call keeps its operands, so every value
 keeps its bits.
 """
 
