@@ -37,7 +37,7 @@ import os
 import platform
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from typing import Callable, NamedTuple
 
@@ -272,16 +272,11 @@ def write_manifest(job: Job, started: float):
 
 # Commands -------------------------------------------------------------------
 
-TRACE_HEADER = ("iteration,pretrain_loss,train_loss,val_loss,"
-                "ignore_grad_pretrain_norm,ignore_grad_finetune_norm")
+TRACE_HEADER = ",".join(f.name for f in fields(engine.TraceRow))
 
 
 def _trace_line(row: engine.TraceRow) -> str:
-    return ",".join([
-        str(row.iteration),
-        _fmt(row.pretrain_loss), _fmt(row.train_loss), _fmt(row.val_loss),
-        _fmt(row.ignore_grad_pretrain_norm), _fmt(row.ignore_grad_finetune_norm),
-    ])
+    return ",".join(_fmt(getattr(row, f.name)) for f in fields(row))
 
 
 def _reported(scores: dict) -> dict:

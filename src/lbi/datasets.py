@@ -448,6 +448,11 @@ def _no_nul(lines):
         yield line
 
 
+def _row_dtype(dim: int) -> list:
+    """numpy's record of a data row; "U9" holds every split's name whole."""
+    return [("split", "U9"), ("label", np.int64), ("X", np.float64, (dim,))]
+
+
 def _read_table(path: str, dim: int | None):
     """``(dim, [(X, y) per split])`` by one pass of numpy's C parser, the
     one reader of a bundle.  A file it refuses, or with an unknown split, a
@@ -455,8 +460,7 @@ def _read_table(path: str, dim: int | None):
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             dim = _read_header(fh, path, dim)
-            table = _loadtxt(_no_nul(fh), [("split", "U9"), ("label", np.int64),
-                                           ("X", np.float64, (dim,))])
+            table = _loadtxt(_no_nul(fh), _row_dtype(dim))
     except OSError as e:
         raise ParseError(f"{path}: cannot read: {e.strerror}") from None
     except ParseError:
@@ -508,7 +512,9 @@ def _diagnose(path: str, dim: int, refusal, start: int = 0) -> NoReturn:
     row at fault (``_fault``) by the line it starts on (numpy splits the
     rows one at a time, as a quoted field may span lines) or, when no row
     is, of ``refusal``, numpy's objection to the whole file.  The first
-    ``start`` rows, which numpy read and the checks passed, are skipped."""
+    ``start`` rows, which numpy read and the checks passed, are skipped.
+    Each row is read once as ``_read_table`` reads it, and only a row that
+    does not pass is read again, by ``_fault``, to word its fault."""
     record = []  # (line number, line) of each line of the row numpy reads
 
     def numbered(fh):
@@ -521,12 +527,25 @@ def _diagnose(path: str, dim: int, refusal, start: int = 0) -> NoReturn:
             fh.readline()  # the header, which _read_table has read
             lines = numbered(fh)
             _loadtxt(lines, object, max_rows=start, usecols=0)
+            dtype = _row_dtype(dim)
             while True:
                 record.clear()
-                fields = _loadtxt(lines, object, max_rows=1)
-                if not fields.size:
-                    break
-                fault = _fault([line for _, line in record], fields, dim)
+                try:
+                    row = _loadtxt(lines, dtype, max_rows=1)
+                except UnicodeDecodeError:
+                    raise
+                except (ValueError, Warning):
+                    passes = False
+                else:
+                    if not row.size:
+                        break
+                    passes = (row["split"][0] in SPLITS
+                              and np.isfinite(row["X"]).all())
+                # The record drops the NULs that end a split name.
+                if passes and not any("\0" in line for _, line in record):
+                    continue
+                text = [line for _, line in record]
+                fault = _fault(text, _loadtxt(text, object), dim)
                 if fault is not None:
                     # numpy skips the blank lines before a row.
                     first = next(n for n, line in record if line.strip("\r\n"))
@@ -545,7 +564,8 @@ def load_csv(path: str, schema: CsvSchema | None = None) -> DatasetBundle:
     and the class count is one past the largest label.  A sidecar whose
     feature count, split sizes or class count disagrees with the CSV, or
     that holds other than integers there, raises ParseError, because its
-    corruption indices would then point at the wrong examples.  numpy's
+    corruption indices would then point at the wrong examples; so does an
+    empty train, val or test split (the pretrain split may be empty).  numpy's
     parser reads the rows and defines the dialect.  A row it refuses, and
     feature text that parses to nan or inf, raises ParseError naming the
     line, as do bytes that are not UTF-8 text and NUL bytes.
@@ -556,6 +576,9 @@ def load_csv(path: str, schema: CsvSchema | None = None) -> DatasetBundle:
     if not labels.size:
         raise ParseError(f"{path}: no data rows")
     sizes = {name: len(y) for name, (_, y) in zip(SPLITS, parts)}
+    for name in SPLITS[1:]:
+        if not sizes[name]:
+            raise ParseError(f"{path}: empty {name} split")
     classes = schema.classes
 
     side = sidecar_path(path)

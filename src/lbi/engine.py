@@ -57,17 +57,18 @@ state keeps no cell axis.  A cell that fails a finite check leaves the
 stack with its own run's error while the others go on.
 
 Overlap.  Stage 1 and the finetuned model's gradients read disjoint inputs
-and meet only at the proximity term.  So a large one-cell iteration
-(``_overlaps``) runs stage 1 on a worker thread meanwhile, and keeps the
-pretraining batch's n x hidden arrays in buffers held for the run;
-``run_stack`` owns both (``_Workspace``).  Every numpy call keeps its operands, so every value
-keeps its bits.
+and meet only at the proximity term.  So a large one-cell run runs stage 1
+on a worker thread meanwhile, and keeps the pretraining batch's n x hidden
+arrays in fixed buffers.  ``run_stack`` decides this once per run and then
+makes both (``_Workspace``); a stack never does.  Every numpy call keeps
+its operands, so every value keeps its bits.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from contextlib import closing, nullcontext
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -284,14 +285,13 @@ def ensure_arrays(bundle) -> DatasetBundle:
 
 
 def init_state(bundle: DatasetBundle, cfg: LbiConfig) -> LbiState:
-    """Fresh state: both models drawn from the config seed, all weights on.
+    """Fresh state: both models drawn from the config seed, all weights on;
+    ConfigError for data it does not fit (``check_fit``).
 
     Draw order from one seeded generator: pretraining encoder, pretraining
     head, finetuned encoder, finetuned head.
     """
     cfg.validate()
-    if bundle.train.n == 0 or bundle.val.n == 0:
-        raise ConfigError("train and val splits must be nonempty")
     arch = Arch(bundle.dim, cfg.hidden, bundle.classes)
     rng = np.random.default_rng(
         np.random.SeedSequence(cfg.seed, spawn_key=(_SEED_DOMAIN_INIT,))
@@ -301,12 +301,14 @@ def init_state(bundle: DatasetBundle, cfg: LbiConfig) -> LbiState:
     ignore_finetune = None
     if cfg.mode == "extended":
         ignore_finetune = IgnoreSet.all_on(bundle.pretrain.n, cfg.ignore_mode)
-    return LbiState(
+    state = LbiState(
         pretrain_model,
         finetune_model,
         IgnoreSet.all_on(bundle.pretrain.n, cfg.ignore_mode),
         ignore_finetune,
     )
+    check_fit(state, bundle)
+    return state
 
 
 def _nonfinite(block: np.ndarray) -> np.ndarray:
@@ -346,14 +348,6 @@ def _forward_or_none(params: ModelParams, X: np.ndarray, y: np.ndarray,
     if X.shape[-2] == 0:
         return None
     return model._softmax_residual(params, X, y, buffers)
-
-
-def _check_scores(scores: IgnoreSet, n: int, what: str):
-    if scores.raw.shape != (n,):
-        raise ConfigError(
-            f"state has {scores.raw.shape[0]} {what} ignore scores, data has "
-            f"{n} pretraining examples"
-        )
 
 
 def _mixes_source(cfg: LbiConfig) -> bool:
@@ -623,6 +617,18 @@ def _cell(stacked: LbiState, k) -> LbiState:
     return _with_blocks(stacked, [b[k] for b in _blocks(stacked)])
 
 
+def _update_checks(pretrained: ModelParams | None,
+                   finetuned: ModelParams | None) -> list:
+    """``_first_failures``' checks of the given model updates, in order."""
+    checks = []
+    for what, params in (("pretraining", pretrained),
+                         ("finetuned", finetuned)):
+        if params is not None:
+            checks += [(f"{what} encoder update", params.encoder, None),
+                       (f"{what} head update", params.head, None)]
+    return checks
+
+
 def _first_failures(checks, iteration: int) -> dict[int, NumericError]:
     """{cell: the NumericError of its first failed check}, given (what,
     block, mask of the cells it is checked in or None for all) in the order
@@ -640,8 +646,8 @@ def _first_failures(checks, iteration: int) -> dict[int, NumericError]:
     return failed
 
 
-# A one-cell MLP iteration overlaps its stages 1 and 2 when its pretraining
-# batch holds at least this many hidden activations (rows x hidden) and the
+# A one-cell MLP run overlaps its stages 1 and 2 when its pretraining batch
+# holds at least this many hidden activations (rows x hidden) and the
 # process may run on two CPUs.  On smaller arrays numpy holds the GIL for
 # too much of each call for the threads to overlap: at hidden 64 (dim 32,
 # 10 classes, 500 train and val rows) 250 full-batch rows (16,000
@@ -659,37 +665,25 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _overlaps(cfg: LbiConfig, cells: _Cells, n_pre: int, cpus: int) -> bool:
-    """Whether an iteration of these cells is large enough to overlap."""
-    rows = n_pre if cfg.batch_size is None else min(cfg.batch_size, n_pre)
-    return (not cells.stacked and cfg.hidden > 0 and cpus >= 2
-            and rows * cfg.hidden >= OVERLAP_MIN_ACTIVATIONS)
-
-
 class _Workspace:
-    """What a run holds for its large iterations: one worker thread, made on
-    first use, and n x hidden buffers by name, made again when the shape
-    changes (a stack loses cells).  The pretraining forward has T and dA,
-    and spends T on its slope and weighted residual; the source forward has
-    T, dA and a scratch for those two, which then takes the projection."""
+    """What an overlapping run holds: one worker thread and five rows x
+    hidden buffers, by role.  The pretraining forward fills ``pre`` (T, dA,
+    and T again: it spends T on its slope and weighted residual); the source
+    forward fills ``src`` (T, dA, scratch), whose scratch then takes the
+    projection."""
 
-    def __init__(self):
-        self._pool = None
-        self._buffers: dict[str, np.ndarray] = {}
-
-    def buffer(self, name: str, shape: tuple) -> np.ndarray:
-        buf = self._buffers.get(name)
-        if buf is None or buf.shape != shape:
-            buf = self._buffers[name] = np.empty(shape)
-        return buf
+    def __init__(self, rows: int, hidden: int):
+        # Imported here: it would add about 6 ms to import lbi.
+        from concurrent.futures import ThreadPoolExecutor
+        self._pool = ThreadPoolExecutor(1)
+        pre_T, pre_dA, src_T, src_dA, self.scratch = (
+            np.empty((rows, hidden)) for _ in range(5))
+        self.pre = (pre_T, pre_dA, pre_T)
+        self.src = (src_T, src_dA, self.scratch)
 
     def submit(self, fn):
         """Run ``fn`` on the worker thread under the caller's numpy error
         state (thread-local before numpy 2.0); returns its Future."""
-        if self._pool is None:
-            # Imported on first use: it would add about 6 ms to import lbi.
-            from concurrent.futures import ThreadPoolExecutor
-            self._pool = ThreadPoolExecutor(1)
         errors = np.geterr()
 
         def with_errors():
@@ -698,10 +692,8 @@ class _Workspace:
         return self._pool.submit(with_errors)
 
     def close(self):
-        """Stop the worker thread, if any, and wait for it to end."""
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
+        """Stop the worker thread and wait for it to end."""
+        self._pool.shutdown()
 
 
 def _iterate(state: LbiState, bundle: DatasetBundle, cfg: LbiConfig,
@@ -727,7 +719,7 @@ def _iterate(state: LbiState, bundle: DatasetBundle, cfg: LbiConfig,
     whose lam or gamma is zero, or whose scores are frozen, gets its plain
     values through ``_select``, never an added zero.
 
-    With a ``workspace`` (a large iteration), stage 1 runs on its worker
+    With a ``workspace`` (an overlapping run's), stage 1 runs on its worker
     thread and the pretraining batch's n x hidden arrays fill its buffers;
     no returned array is a buffer.
     """
@@ -744,23 +736,10 @@ def _iterate(state: LbiState, bundle: DatasetBundle, cfg: LbiConfig,
         at = idx_pre + n_pre * np.arange(K)[:, None]
     X_pre, y_pre = _rows(bundle.pretrain, idx_pre)
 
-    def buffers(*names):
-        """The workspace's n x hidden buffers of these names (None without
-        a workspace)."""
-        if workspace is None:
-            return None
-        shape = ((K,) if cells.stacked else ()) + (
-            X_pre.shape[-2], state.pretrain_model.arch.hidden)
-        return tuple(workspace.buffer(name, shape) for name in names)
-
-    # The pretraining forward's T is spent on its slope and weighted
-    # residual once its head gradient is formed.
-    pre_buffers = buffers("pre_T", "pre_dA", "pre_T")
-
     def stage_1():
         """The pretraining step on the (sub)batch."""
         fwd = _forward_or_none(state.pretrain_model, X_pre, y_pre,
-                               pre_buffers)
+                               workspace and workspace.pre)
         a = state.ignore_pretrain.effective(at)
         return fwd, a, _pretrain_update(state.pretrain_model, fwd, a, rates,
                                         cfg.weight_decay)
@@ -775,7 +754,7 @@ def _iterate(state: LbiState, bundle: DatasetBundle, cfg: LbiConfig,
         fwd = b = grad = None
         if _any(cells.mixes):
             fwd = _forward_or_none(state.finetune_model, X_pre, y_pre,
-                                   buffers("src_T", "src_dA", "scratch"))
+                                   workspace and workspace.src)
             b = state.ignore_finetune.effective(at)
             if fwd is not None:
                 grad = model.weighted_grad(fwd, b)
@@ -804,17 +783,17 @@ def _iterate(state: LbiState, bundle: DatasetBundle, cfg: LbiConfig,
 
     # Stage 3: hypergradients over the batch's scores, for the cells whose
     # hypergradient is not identically zero (has_a, has_b).
-    val_fwd = _forward_or_none(finetuned_next, *_rows(bundle.val, idx_val))
-    learns = pre_fwd is not None and val_fwd is not None
+    val_fwd = model._softmax_residual(finetuned_next,
+                                      *_rows(bundle.val, idx_val))
+    learns = pre_fwd is not None
     has_a, has_b = cells.prox & learns, cells.mixes & learns
     any_a, any_b = _any(has_a), _any(has_b)
     hg_a = hg_b = None
     if any_a or any_b:
         gv = model.weighted_grad(val_fwd)
         # The source forward's scratch is free again by now.
-        proj = model.encoder_projection(
-            pretrained_next.arch, X_pre, gv,
-            None if workspace is None else buffers("scratch")[0])
+        proj = model.encoder_projection(pretrained_next.arch, X_pre, gv,
+                                        workspace and workspace.scratch)
         if any_a:
             hg_a = _hypergrad_pretrain(pre_fwd, gv, _chain_factor(mode, a),
                                        cells.lam, rates, proj)
@@ -826,12 +805,8 @@ def _iterate(state: LbiState, bundle: DatasetBundle, cfg: LbiConfig,
     # a score gradient counts only where it is applied.
     step_a = has_a & cells.learn_a
     step_b = has_b & cells.learn_b
-    checks = []
-    if pre_fwd is not None:
-        checks += [("pretraining encoder update", pretrained_next.encoder, None),
-                   ("pretraining head update", pretrained_next.head, None)]
-    checks += [("finetuned encoder update", finetuned_next.encoder, None),
-               ("finetuned head update", finetuned_next.head, None)]
+    checks = _update_checks(pretrained_next if pre_fwd is not None else None,
+                            finetuned_next)
     for hg, step in ((hg_a, step_a), (hg_b, step_b)):
         if hg is not None:
             checks.append(("ignoring-score gradient", hg, step))
@@ -849,11 +824,11 @@ def _iterate(state: LbiState, bundle: DatasetBundle, cfg: LbiConfig,
                     step_b),
         it + 1,
     )
-    zeros = np.zeros(K) if cells.stacked else 0.0
     trace = (
-        model.weighted_losses(pre_fwd, a) if pre_fwd is not None else zeros,
+        (model.weighted_losses(pre_fwd, a) if pre_fwd is not None
+         else np.zeros(K) if cells.stacked else 0.0),
         model.weighted_losses(train_fwd),
-        model.weighted_losses(val_fwd) if val_fwd is not None else zeros,
+        model.weighted_losses(val_fwd),
         _grad_norms(hg_a, has_a, at, n_pre),
         _grad_norms(hg_b, has_b, at, n_pre),
     )
@@ -861,18 +836,24 @@ def _iterate(state: LbiState, bundle: DatasetBundle, cfg: LbiConfig,
 
 
 def check_fit(state: LbiState, bundle: DatasetBundle):
-    """ConfigError unless a state fits the data: its dims and classes, and
-    one ignore score per pretraining row in each set."""
+    """ConfigError unless a state fits the data: nonempty train and val
+    splits, its dims and classes, and one ignore score per pretraining row
+    in each set."""
+    if bundle.train.n == 0 or bundle.val.n == 0:
+        raise ConfigError("train and val splits must be nonempty")
     arch = state.pretrain_model.arch
     if arch.dim != bundle.dim or arch.classes != bundle.classes:
         raise ConfigError(
             f"state architecture ({arch.dim} dims, {arch.classes} classes) does "
             f"not match data ({bundle.dim} dims, {bundle.classes} classes)"
         )
+    n = bundle.pretrain.n
     for scores, what in ((state.ignore_pretrain, "pretraining"),
                          (state.ignore_finetune, "finetuning")):
-        if scores is not None:
-            _check_scores(scores, bundle.pretrain.n, what)
+        if scores is not None and scores.raw.shape != (n,):
+            raise ConfigError(
+                f"state has {scores.raw.shape[0]} {what} ignore scores, data "
+                f"has {n} pretraining examples")
 
 
 def _check_state(state: LbiState, bundle: DatasetBundle, cfg: LbiConfig):
@@ -935,18 +916,21 @@ def run_stack(bundle: DatasetBundle, cfgs: list[LbiConfig],
     out: list = [None] * len(cfgs)
     decay_start = cfg.decay_start()
     rates = cfg.rates_at(state.iteration)
-    cpus = _usable_cpus()
-    workspace = _Workspace()
-    try:
+    n_pre = bundle.pretrain.n
+    batch = n_pre if cfg.batch_size is None else min(cfg.batch_size, n_pre)
+    overlaps = (not cells.stacked and cfg.hidden > 0
+                and batch * cfg.hidden >= OVERLAP_MIN_ACTIVATIONS
+                and _usable_cpus() >= 2)
+    with (closing(_Workspace(batch, cfg.hidden)) if overlaps
+          else nullcontext()) as workspace:
         while state.iteration < cfg.iterations:
             it = state.iteration
             if it == decay_start:
                 rates = cfg.rates_at(it)
-            large = _overlaps(cfg, cells, bundle.pretrain.n, cpus)
-            state, trace, failed, _ = _iterate(
-                state, bundle, cfg, cells, rates, workspace if large else None)
+            state, trace, failed, _ = _iterate(state, bundle, cfg, cells,
+                                               rates, workspace)
             # The trace values, a row per cell.
-            rows = np.array(trace).T.reshape(-1, 5)
+            rows = np.array(trace).T.reshape(-1, len(fields(TraceRow)) - 1)
             if failed:
                 for pos, err in failed.items():
                     out[alive[pos]] = err
@@ -960,8 +944,6 @@ def run_stack(bundle: DatasetBundle, cfgs: list[LbiConfig],
             if on_row is not None:
                 for k, values in zip(alive, rows.tolist()):
                     on_row(k, TraceRow(it, *values))
-    finally:
-        workspace.close()
     for pos, k in enumerate(alive):
         out[k] = _cell(state, pos) if cells.stacked else state
     return out

@@ -169,7 +169,7 @@ class _Lookahead:
 
     def __init__(self, state: LbiState, bundle: DatasetBundle, cfg: LbiConfig):
         pre = bundle.pretrain
-        engine._check_scores(state.ignore_pretrain, pre.n, "pretraining")
+        engine.check_fit(state, bundle)
         self.state, self.bundle, self.cfg = state, bundle, cfg
         self.rates = cfg.rates_at(state.iteration)
         self.pre_fwd = engine._forward_or_none(state.pretrain_model, pre.X,
@@ -178,7 +178,6 @@ class _Lookahead:
             state.finetune_model, bundle.train.X, bundle.train.y))
         self.source_fwd = None
         if engine._mixes_source(cfg):
-            engine._check_scores(state.ignore_finetune, pre.n, "finetuning")
             self.source_fwd = engine._forward_or_none(state.finetune_model,
                                                       pre.X, pre.y)
         # The finetuned model's b-weighted source gradient, which the probes
@@ -195,9 +194,7 @@ class _Lookahead:
             state.ignore_pretrain.effective(), self.rates, cfg.weight_decay)
         if self.pre_fwd is not None:
             failed = engine._first_failures(
-                [("pretraining encoder update", self.pretrained.encoder, None),
-                 ("pretraining head update", self.pretrained.head, None)],
-                state.iteration)
+                engine._update_checks(self.pretrained, None), state.iteration)
             if failed:
                 raise failed[0]
         arch = state.pretrain_model.arch
@@ -214,17 +211,11 @@ class _Lookahead:
         state, cfg = self.state, self.cfg
         K, it = raw.shape[0], state.iteration
         w = engine.IgnoreSet._of(raw, state.ignore_pretrain.mode).effective()
-        checks = []
         if which == "pretrain":
             pretrained_next = engine._pretrain_update(
                 state.pretrain_model, self.pre_fwd, w, self.rates,
                 cfg.weight_decay)
             source_grad = self.source_grad
-            if self.pre_fwd is not None:
-                checks += [("pretraining encoder update",
-                            pretrained_next.encoder, None),
-                           ("pretraining head update",
-                            pretrained_next.head, None)]
         else:
             pretrained_next = _repeat(self.pretrained, K)
             source_grad = (None if self.source_fwd is None
@@ -233,9 +224,9 @@ class _Lookahead:
             _repeat(state.finetune_model, K), pretrained_next,
             self.train_grad, source_grad, cfg.lam, cfg.gamma,
             self.rates, cfg.weight_decay)
-        checks += [("finetuned encoder update", finetuned_next.encoder, None),
-                   ("finetuned head update", finetuned_next.head, None)]
-        failed = engine._first_failures(checks, it)
+        stepped = which == "pretrain" and self.pre_fwd is not None
+        failed = engine._first_failures(engine._update_checks(
+            pretrained_next if stepped else None, finetuned_next), it)
         if failed:
             raise failed[min(failed)]
         val = self.bundle.val

@@ -1,4 +1,18 @@
 import sys
+import threading
+
+import pytest
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left_running():
+    """Fail a test that leaves a thread it started still running."""
+    before = set(threading.enumerate())
+    yield
+    left = [t.name for t in threading.enumerate()
+            if t not in before and t.is_alive()]
+    if left:
+        pytest.fail(f"threads left running: {left}")
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

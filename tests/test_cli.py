@@ -703,6 +703,32 @@ class TestBadDataInputs:
         assert code == 2
         assert "line 5: non-finite feature value" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("split, command, resume", [
+        ("test", "run", False), ("test", "ablate", False),
+        ("test", "eval", True), ("val", "run", True), ("train", "run", True),
+        ("train", "run", False)])
+    def test_csv_without_a_split_exits_2(self, split, command, resume,
+                                         tmp_path, capsys):
+        """A CSV with no train, val or test rows is refused before any
+        training, also where a state is resumed or evaluated."""
+        gen = tmp_path / "data"
+        assert cli.main(["gen-data", "--out", str(gen), *TINY_DATA]) == 0
+        lines = read(gen / "data.csv").splitlines(keepends=True)
+        path = tmp_path / "cut.csv"
+        path.write_text("".join(line for line in lines
+                                if not line.startswith(split + ",")))
+        argv = [command, "--out", str(tmp_path / "out"),
+                "--set", f"data.path={path}", "--set", "iterations=8"]
+        if resume:
+            first = tmp_path / "first"
+            assert cli.main(run_args(first)) == 0
+            state = str(first / "state.json")
+            argv += (["--state", state] if command == "eval"
+                     else ["--set", f"run.resume={state}"])
+        assert cli.main(argv) == 2
+        assert f"{path}: empty {split} split" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "trace.csv").exists()
+
     def test_sidecar_field_of_wrong_type_exits_2(self, tmp_path, capsys):
         """A bool index would otherwise flag every pretraining row."""
         gen = tmp_path / "data"

@@ -625,22 +625,43 @@ class TestReadersAgree:
     @pytest.mark.parametrize("row, message, checked", [
         ("train,0,x", "bad feature value", 3),
         ("train,0,inf", "non-finite feature value", 1),
-        ("holdout,0,1", "unknown split 'holdout'", 1)])
+        ("holdout,0,1", "unknown split 'holdout'", 1),
+        ("pretrain\0,0,1", "unknown split 'pretrain\\x00'", 3)])
     def test_line_past_blank_and_spanning_lines(self, row, message, checked,
                                                 tmp_path):
         """The fault's line counts a row that spans two lines and a blank
         line before it.  Where numpy read every row, only the row at fault
-        is checked."""
+        is checked, and only that row is worded (``_fault``)."""
         path = tmp_path / "data.csv"
         path.write_bytes(b'split,label,f_0\r\npretrain,0,"\r\n1"\r\n\r\n'
                          b'pretrain,1,2\r\n' + row.encode() +
                          b'\r\nval,0,1\r\ntest,1,1\r\n')
         with mock.patch.object(datasets, "_fault",
-                               wraps=datasets._fault) as fault:
+                               wraps=datasets._fault) as fault, \
+                mock.patch.object(datasets, "_loadtxt",
+                                  wraps=datasets._loadtxt) as loadtxt:
             with pytest.raises(ParseError) as info:
                 datasets.load_csv(str(path))
         assert str(info.value) == f"{path} line 6: {message}"
-        assert fault.call_count == checked
+        assert fault.call_count == 1
+        # The diagnosis reads the rows it checks one at a time.
+        assert sum(call.kwargs.get("max_rows") == 1
+                   for call in loadtxt.call_args_list) == checked
+
+    def test_a_refused_file_costs_one_read_per_row(self, tmp_path):
+        """When numpy refuses the file, naming a fault in its last row
+        reads each row before it once."""
+        def calls(rows):
+            path = tmp_path / f"{rows}.csv"
+            path.write_text("split,label,f_0\n" + "train,0,1\n" * rows
+                            + "test,0,x\n")
+            with mock.patch.object(datasets, "_loadtxt",
+                                   wraps=datasets._loadtxt) as loadtxt:
+                with pytest.raises(ParseError, match=(
+                        f"line {rows + 2}: bad feature value$")):
+                    datasets.load_csv(str(path))
+            return loadtxt.call_count
+        assert calls(40) - calls(20) == 20
 
     @pytest.mark.parametrize("end", [b"\r", b"\r\n", b"\n"])
     @pytest.mark.parametrize("feature, message", [

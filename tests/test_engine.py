@@ -233,6 +233,16 @@ class TestInitState:
         with pytest.raises(ConfigError):
             engine.init_state(broken, LbiConfig())
 
+    @pytest.mark.parametrize("split", ["train", "val"])
+    def test_empty_split_rejected_on_resume(self, split):
+        bundle = tiny_bundle()
+        cfg = LbiConfig(iterations=2)
+        state = engine.init_state(bundle, cfg)
+        broken = replace(bundle, **{split: Split(
+            np.zeros((0, bundle.dim)), np.zeros(0, dtype=np.int64))})
+        with pytest.raises(ConfigError, match="must be nonempty"):
+            engine.run(broken, cfg, initial_state=state)
+
 
 def step_models(state, bundle, cfg):
     """The (pretraining, finetuned) models one iteration steps to."""

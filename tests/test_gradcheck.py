@@ -9,6 +9,7 @@ to notice on every component.
 """
 
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -426,6 +427,17 @@ class TestBadInputs:
         setattr(inst.state, which, IgnoreSet(scores.raw[1:], scores.mode))
         with pytest.raises(ConfigError, match="ignore scores"):
             gradcheck.verify_hypergrads(inst.state, inst.arrays, inst.cfg)
+
+    def test_empty_val_split_rejected(self):
+        """Else every hypergradient and difference is 0, and the check
+        passes on nothing."""
+        inst = gradcheck.make_check_instance(45)
+        empty = Split(np.zeros((0, inst.arrays.dim)),
+                      np.zeros(0, dtype=np.int64))
+        with pytest.raises(ConfigError, match="must be nonempty"):
+            gradcheck.verify_hypergrads(inst.state,
+                                        replace(inst.arrays, val=empty),
+                                        inst.cfg)
 
     def test_finetune_scores_required(self):
         inst = gradcheck.make_check_instance(43, mode="basic", gamma=0.0)

@@ -15,7 +15,6 @@ Three layers of evidence that a stack changes no cell's bits:
   iteration and with the message of the cell's solo run.
 """
 
-import threading
 import warnings
 from dataclasses import astuple
 from types import SimpleNamespace
@@ -550,30 +549,36 @@ class TestOneEngine:
 
 @pytest.fixture
 def overlap(monkeypatch):
-    """Every MLP iteration counts as large, stacks included; returns the
-    number of stage-1 submissions so far, as a one-element list."""
-    submits = [0]
-    submit = engine._Workspace.submit
+    """Every one-cell MLP run overlaps (from 0 activations, on two CPUs).
+    Returns what the runs made so far: the workspaces, as (rows, hidden),
+    and the number of stage-1 submissions."""
+    made = SimpleNamespace(workspaces=[], submits=0)
 
-    def counted(self, fn):
-        submits[0] += 1
-        return submit(self, fn)
+    class Counted(engine._Workspace):
+        def __init__(self, rows, hidden):
+            made.workspaces.append((rows, hidden))
+            super().__init__(rows, hidden)
 
-    monkeypatch.setattr(engine, "_overlaps", lambda cfg, *_: cfg.hidden > 0)
-    monkeypatch.setattr(engine._Workspace, "submit", counted)
-    return submits
+        def submit(self, fn):
+            made.submits += 1
+            return super().submit(fn)
+
+    monkeypatch.setattr(engine, "OVERLAP_MIN_ACTIVATIONS", 0)
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(engine, "_Workspace", Counted)
+    return made
 
 
 def serial(fn, *args):
-    """``fn(*args)`` with every iteration on the serial path."""
+    """``fn(*args)`` on the serial path: the process may use one CPU."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine, "_overlaps", lambda *_: False)
+        mp.setattr(engine, "_usable_cpus", lambda: 1)
         return fn(*args)
 
 
-def overlap_stack(mode, ignore_mode, hidden, batch_size):
-    """A bundle and the configs of a stack mixing lam = 0, gamma = 0 and
-    frozen cells, whose first cell also runs alone."""
+def overlap_cells(mode, ignore_mode, hidden, batch_size):
+    """A bundle and the configs of a plain cell, a lam = 0 cell and a
+    gamma = 0 cell with frozen finetuning scores."""
     base = LbiConfig(mode=mode, ignore_mode=ignore_mode, hidden=hidden,
                      batch_size=batch_size, iterations=4,
                      lr_ignore_pretrain=3.0, lr_ignore_finetune=1.0)
@@ -591,25 +596,33 @@ def overlap_stack(mode, ignore_mode, hidden, batch_size):
 
 
 class TestOverlap:
-    """A large iteration runs stage 1 on a worker thread and keeps the
-    pretraining batch's hidden arrays in the run's buffers; every value
-    keeps the bits of the serial path."""
+    """An overlapping run runs stage 1 on a worker thread and keeps the
+    pretraining batch's hidden arrays in fixed buffers; every value keeps
+    the bits of the serial path.  (The suite's conftest fails a test that
+    leaves the worker thread running.)"""
 
-    def test_rule(self):
-        """One-cell MLP runs overlap from OVERLAP_MIN_ACTIVATIONS
-        pretraining-batch activations on, given two CPUs; stacks, linear
-        models and one-CPU processes stay serial."""
-        def overlaps(n_pre, cpus=2, cells=1, **kw):
-            cfgs = [LbiConfig(seed=seed, **kw) for seed in range(cells)]
-            return engine._overlaps(cfgs[0], engine._Cells.of(cfgs), n_pre,
-                                    cpus)
-        assert overlaps(375, hidden=64)  # 24,000 activations
-        assert not overlaps(374, hidden=64)
-        assert overlaps(5000, hidden=64, batch_size=375)
-        assert not overlaps(20000, hidden=64, batch_size=256)
-        assert not overlaps(5000, hidden=64, cpus=1)
-        assert not overlaps(5000, hidden=64, cells=2)
-        assert not overlaps(5000, hidden=0)
+    def test_rule(self, overlap, monkeypatch):
+        """A run overlaps when it is one MLP cell whose pretraining batch
+        holds OVERLAP_MIN_ACTIVATIONS hidden activations or more and the
+        process may use two CPUs, and then makes one workspace of the
+        batch's shape."""
+        bundle, _ = overlap_cells("basic", "clamp", 0, None)  # 9 rows
+
+        def made(least=27, cpus=2, cells=1, **kw):
+            monkeypatch.setattr(engine, "OVERLAP_MIN_ACTIVATIONS", least)
+            monkeypatch.setattr(engine, "_usable_cpus", lambda: cpus)
+            overlap.workspaces.clear()
+            engine.run_stack(bundle, [LbiConfig(seed=seed, iterations=1, **kw)
+                                      for seed in range(cells)])
+            return overlap.workspaces
+        assert made(hidden=3) == [(9, 3)]
+        assert made(hidden=3, least=28) == []
+        assert made(hidden=4, batch_size=7) == [(7, 4)]
+        assert made(hidden=3, batch_size=8) == []
+        assert made(hidden=3, batch_size=20) == [(9, 3)]
+        assert made(hidden=3, cpus=1) == []
+        assert made(hidden=3, cells=2) == []
+        assert made(hidden=0, least=0) == []
 
     @pytest.mark.parametrize("batch_size", [None, 4])
     @pytest.mark.parametrize("hidden", [0, 3])
@@ -617,42 +630,55 @@ class TestOverlap:
     @pytest.mark.parametrize("mode", engine.MODES)
     def test_runs_keep_their_bits(self, overlap, mode, ignore_mode, hidden,
                                   batch_size):
-        bundle, cfgs = overlap_stack(mode, ignore_mode, hidden, batch_size)
-        want = serial(lambda: (solo_outcome(bundle, cfgs[0]),
-                               stacked_outcomes(bundle, cfgs)))
-        threads = threading.active_count()
-        got = solo_outcome(bundle, cfgs[0]), stacked_outcomes(bundle, cfgs)
-        assert got == want
-        assert threading.active_count() == threads
+        bundle, cfgs = overlap_cells(mode, ignore_mode, hidden, batch_size)
+        want = serial(lambda: [solo_outcome(bundle, c) for c in cfgs])
+        assert [solo_outcome(bundle, c) for c in cfgs] == want
         # Linear models have no hidden arrays and never overlap.
-        assert overlap[0] == (8 if hidden else 0)
+        assert len(overlap.workspaces) == (3 if hidden else 0)
+        assert overlap.submits == (12 if hidden else 0)
+
+    def test_an_overlapping_run_makes_one_workspace(self, overlap):
+        bundle, cfgs = overlap_cells("extended", "sigmoid", 3, 4)
+        engine.run(bundle, cfgs[0])
+        assert overlap.workspaces == [(4, 3)]
+        assert overlap.submits == cfgs[0].iterations
+
+    def test_stacks_never_make_a_workspace(self, overlap):
+        """Not even where each of their cells alone would overlap."""
+        bundle, cfgs = overlap_cells("extended", "clamp", 3, None)
+        experiments.run_matrix(bundle, experiments.ABLATION_IDS[:2], [0, 1],
+                               cfgs[0])
+        experiments.sweep("lambda", [0.0, 0.3, 1.0], bundle, [0], cfgs[0])
+        assert overlap.workspaces == []
+        assert overlap.submits == 0
 
     def test_failing_cells_keep_their_errors(self, overlap):
-        """Cells fail at their own iterations, the stack shrinks (and its
-        buffers with it), and numpy's error state reaches the worker."""
+        """Each cell of a failing stack, run alone, fails at the iteration
+        and with the message of its serial run, and numpy's error state
+        reaches the worker."""
         bundle, cfgs, states, _ = failing_stack(hidden=3)
+
+        def outcomes():
+            return [solo_outcome(bundle, cfg, state.copy())
+                    for cfg, state in zip(cfgs, states)]
         with np.errstate(over="ignore", invalid="ignore"):
-            want = serial(stacked_outcomes, bundle, cfgs,
-                          [s.copy() for s in states])
-            got = stacked_outcomes(bundle, cfgs, [s.copy() for s in states])
+            want = serial(outcomes)
+            got = outcomes()
         assert got == want
-        assert overlap[0] == 3
+        assert len(overlap.workspaces) == len(cfgs)
         assert sum(g[0] == "error" for g in got) >= 3
 
-    @pytest.mark.parametrize("stacked", [False, True])
-    def test_iterate_returns_no_buffer(self, overlap, stacked):
+    def test_iterate_returns_no_buffer(self):
         """``_iterate`` with a workspace gives the serial state, trace and
         hypergradients, bit for bit, none of them in a buffer."""
-        bundle, cfgs = overlap_stack("extended", "sigmoid", 3, None)
-        cfgs = cfgs if stacked else cfgs[:1]
-        states = [engine.init_state(bundle, c) for c in cfgs]
-        state = engine._stack(states) if stacked else states[0]
-        cells = engine._Cells.of(cfgs)
-        rates = cfgs[0].rates_at(0)
-        want = engine._iterate(state, bundle, cfgs[0], cells, rates)
-        workspace = engine._Workspace()
+        bundle, (cfg, *_) = overlap_cells("extended", "sigmoid", 3, None)
+        state = engine.init_state(bundle, cfg)
+        cells = engine._Cells.of([cfg])
+        rates = cfg.rates_at(0)
+        want = engine._iterate(state, bundle, cfg, cells, rates)
+        workspace = engine._Workspace(bundle.pretrain.n, cfg.hidden)
         try:
-            got = engine._iterate(state, bundle, cfgs[0], cells, rates,
+            got = engine._iterate(state, bundle, cfg, cells, rates,
                                   workspace)
         finally:
             workspace.close()
@@ -660,24 +686,22 @@ class TestOverlap:
         assert all(same_bits(g, w) for g, w in zip(
             arrays, [*engine._blocks(want[0]), *want[1], *want[3]]))
         assert got[2] == want[2] == {}
-        assert len(workspace._buffers) == 5
+        buffers = {id(buf): buf for buf in (*workspace.pre, *workspace.src)}
+        assert len(buffers) == 5
         assert not any(np.shares_memory(a, buf) for a in arrays
-                       for buf in workspace._buffers.values())
+                       for buf in buffers.values())
 
     def test_worker_error_reaches_the_caller(self, overlap):
         """A label out of range fails the pretraining forward on the worker
-        thread; the caller gets the ValueError the serial run raises, and
-        the thread ends."""
-        bundle, cfgs = overlap_stack("basic", "clamp", 3, None)
+        thread; the caller gets the ValueError the serial run raises."""
+        bundle, cfgs = overlap_cells("basic", "clamp", 3, None)
         bundle.pretrain.y[2] = bundle.classes
         with pytest.raises(ValueError) as want:
             serial(engine.run, bundle, cfgs[0])
-        threads = threading.active_count()
         with pytest.raises(ValueError) as got:
             engine.run(bundle, cfgs[0])
         assert str(got.value) == str(want.value) == "labels must lie in 0..2"
-        assert overlap[0] == 1
-        assert threading.active_count() == threads
+        assert overlap.submits == 1
 
     def test_oracle_forwards_keep_their_hidden_arrays(self, overlap):
         """The oracle shares its forwards among probes; none of them gets
@@ -696,4 +720,4 @@ class TestOverlap:
             assert fwd.buffers is None
             fresh = model._softmax_residual(params, pre.X, pre.y)
             assert same_bits(fwd.T, fresh.T)
-        assert overlap[0] == 0
+        assert overlap.workspaces == []
