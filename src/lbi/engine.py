@@ -70,6 +70,7 @@ import json
 import os
 from contextlib import closing, nullcontext
 from dataclasses import dataclass, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -350,12 +351,6 @@ def _forward_or_none(params: ModelParams, X: np.ndarray, y: np.ndarray,
     return model._softmax_residual(params, X, y, buffers)
 
 
-def _mixes_source(cfg: LbiConfig) -> bool:
-    """Whether the finetuning objective includes the b-weighted pretraining
-    loss (and so whether the finetuning ignore scores have a hypergradient)."""
-    return cfg.mode == "extended" and cfg.gamma != 0.0
-
-
 def _all(flags) -> bool:
     """Whether every flag holds: a bool for one model, an array of them for
     a stack.  The ufunc reduce is np.all without its Python layer."""
@@ -565,7 +560,8 @@ class _Cells:
         if len(cfgs) == 1:
             (c,) = cfgs
             return cls((c.seed,), c.lam, c.gamma, c.lam != 0.0,
-                       _mixes_source(c), not c.freeze_ignore_pretrain,
+                       c.mode == "extended" and c.gamma != 0.0,
+                       not c.freeze_ignore_pretrain,
                        not c.freeze_ignore_finetune)
         lam = np.array([[c.lam] for c in cfgs], dtype=np.float64)
         gamma = np.array([[c.gamma] for c in cfgs], dtype=np.float64)
@@ -696,44 +692,37 @@ class _Workspace:
         self._pool.shutdown()
 
 
-def _iterate(state: LbiState, bundle: DatasetBundle, cfg: LbiConfig,
-             cells: _Cells, rates: Rates, workspace: _Workspace | None = None):
-    """Advance every cell of a state, one cell or a stack, by one iteration.
+class _Front(NamedTuple):
+    """What an iteration makes before its finetuning step (``_front``): the
+    batch, stage 1 and the finetuned model's gradients."""
 
-    The order: pretraining step, finetuning step against the stepped
-    encoder, both hypergradients through the two steps, score updates.  Each
-    (model, split) pair gets one forward pass, shared by its gradient step,
-    hypergradient and trace loss, and both hypergradients share the
-    projection of the pretraining batch on the validation gradient.
-    ``cfg`` supplies the fields the cells share and ``cells`` the rest; the
-    state is trusted to fit both (``run_stack`` checks it).  Returns the
-    next state, the five trace values of ``TraceRow`` after its iteration
-    (one length-K vector each for a stack), {cell position: NumericError}
-    for the cells that failed a finite check (their entries in the next
-    state are not meaningful), and the raw-score hypergradients (hg_a, hg_b)
-    of the batch's scores, each None when it is identically zero in every
-    cell.  A frozen score set still gets its hypergradient.
+    at: np.ndarray | None  # the pretraining batch's flat score positions
+    idx_val: np.ndarray | None  # the val batch, None for the whole split
+    pre_fwd: model.Forward | None  # None for an empty pretraining batch
+    a: np.ndarray
+    pretrained_next: ModelParams
+    train_fwd: model.Forward
+    train_grad: GradBlock
+    source_fwd: model.Forward | None  # None unless some cell mixes it in
+    b: np.ndarray | None
+    source_grad: GradBlock | None
 
-    Each cell's values are the bits of a one-cell iteration: the kernels
-    keep every model's sums in the same order (see ``model``), and a cell
-    whose lam or gamma is zero, or whose scores are frozen, gets its plain
-    values through ``_select``, never an added zero.
 
-    With a ``workspace`` (an overlapping run's), stage 1 runs on its worker
-    thread and the pretraining batch's n x hidden arrays fill its buffers;
-    no returned array is a buffer.
-    """
-    it = state.iteration
-    K = len(cells.seeds)
+def _front(state: LbiState, bundle: DatasetBundle, cfg: LbiConfig,
+           cells: _Cells, rates: Rates,
+           workspace: _Workspace | None = None) -> _Front:
+    """``_iterate`` up to its finetuning step: the batch, the pretraining
+    step (stage 1) and the finetuned model's gradients, none of which a
+    finetuning score reaches.  With a ``workspace``, stage 1 runs on its
+    worker thread and the pretraining batch's forwards fill its buffers."""
     n_pre = bundle.pretrain.n
-    mode = state.ignore_pretrain.mode
     idx_pre, idx_tr, idx_val = _cell_batch_indices(
-        cells, cfg.batch_size, it, (n_pre, bundle.train.n, bundle.val.n)
-    )
+        cells, cfg.batch_size, state.iteration,
+        (n_pre, bundle.train.n, bundle.val.n))
     # Positions of the pretraining batch in the flat (K * n) score array.
     at = idx_pre
     if idx_pre is not None and cells.stacked:
-        at = idx_pre + n_pre * np.arange(K)[:, None]
+        at = idx_pre + n_pre * np.arange(len(cells.seeds))[:, None]
     X_pre, y_pre = _rows(bundle.pretrain, idx_pre)
 
     def stage_1():
@@ -765,74 +754,117 @@ def _iterate(state: LbiState, bundle: DatasetBundle, cfg: LbiConfig,
     # block waits for it, and its error, the one a serial stage 1 raises
     # first, wins.
     if workspace is None:
-        pre_fwd, a, pretrained_next = stage_1()
+        stage = stage_1()
         grads = finetune_grads()
     else:
         pending = workspace.submit(stage_1)
         try:
             grads = finetune_grads()
         finally:
-            pre_fwd, a, pretrained_next = pending.result()
-    train_fwd, train_grad, source_fwd, b, source_grad = grads
+            stage = pending.result()
+    return _Front(at, idx_val, *stage, *grads)
+
+
+def _finish(state: LbiState, bundle: DatasetBundle, cfg: LbiConfig,
+            cells: _Cells, rates: Rates, front: _Front,
+            workspace: _Workspace | None = None):
+    """``_iterate`` from its finetuning step on, given its ``front``;
+    returns what ``_iterate`` returns."""
+    K = len(cells.seeds)
+    mode = state.ignore_pretrain.mode
+    f = front
 
     # Stage 2: finetuning step.
     finetuned_next = _finetune_update(
-        state.finetune_model, pretrained_next, train_grad, source_grad,
+        state.finetune_model, f.pretrained_next, f.train_grad, f.source_grad,
         cells.lam, cells.gamma, rates, cfg.weight_decay,
     )
 
     # Stage 3: hypergradients over the batch's scores, for the cells whose
     # hypergradient is not identically zero (has_a, has_b).
     val_fwd = model._softmax_residual(finetuned_next,
-                                      *_rows(bundle.val, idx_val))
-    learns = pre_fwd is not None
+                                      *_rows(bundle.val, f.idx_val))
+    learns = f.pre_fwd is not None
     has_a, has_b = cells.prox & learns, cells.mixes & learns
     any_a, any_b = _any(has_a), _any(has_b)
     hg_a = hg_b = None
     if any_a or any_b:
         gv = model.weighted_grad(val_fwd)
         # The source forward's scratch is free again by now.
-        proj = model.encoder_projection(pretrained_next.arch, X_pre, gv,
-                                        workspace and workspace.scratch)
+        proj = model.encoder_projection(f.pretrained_next.arch, f.pre_fwd.X,
+                                        gv, workspace and workspace.scratch)
         if any_a:
-            hg_a = _hypergrad_pretrain(pre_fwd, gv, _chain_factor(mode, a),
+            hg_a = _hypergrad_pretrain(f.pre_fwd, gv, _chain_factor(mode, f.a),
                                        cells.lam, rates, proj)
         if any_b:
-            hg_b = _hypergrad_finetune(source_fwd, gv, _chain_factor(mode, b),
-                                       cells.gamma, rates, proj)
+            hg_b = _hypergrad_finetune(f.source_fwd, gv,
+                                       _chain_factor(mode, f.b), cells.gamma,
+                                       rates, proj)
 
     # Finite checks, per cell, in the order a one-cell iteration makes them;
     # a score gradient counts only where it is applied.
     step_a = has_a & cells.learn_a
     step_b = has_b & cells.learn_b
-    checks = _update_checks(pretrained_next if pre_fwd is not None else None,
+    checks = _update_checks(f.pretrained_next if learns else None,
                             finetuned_next)
     for hg, step in ((hg_a, step_a), (hg_b, step_b)):
         if hg is not None:
             checks.append(("ignoring-score gradient", hg, step))
-    failed = _first_failures(checks, it)
+    failed = _first_failures(checks, state.iteration)
     if failed:
         ok = np.array([k not in failed for k in range(K)])
         step_a &= ok if cells.stacked else False
         step_b &= ok if cells.stacked else False
 
     nxt = LbiState(
-        pretrained_next, finetuned_next,
-        _step_cells(state.ignore_pretrain, hg_a, rates.ignore_pretrain, at,
+        f.pretrained_next, finetuned_next,
+        _step_cells(state.ignore_pretrain, hg_a, rates.ignore_pretrain, f.at,
                     step_a),
-        _step_cells(state.ignore_finetune, hg_b, rates.ignore_finetune, at,
+        _step_cells(state.ignore_finetune, hg_b, rates.ignore_finetune, f.at,
                     step_b),
-        it + 1,
+        state.iteration + 1,
     )
+    n_pre = bundle.pretrain.n
     trace = (
-        (model.weighted_losses(pre_fwd, a) if pre_fwd is not None
+        (model.weighted_losses(f.pre_fwd, f.a) if learns
          else np.zeros(K) if cells.stacked else 0.0),
-        model.weighted_losses(train_fwd),
+        model.weighted_losses(f.train_fwd),
         model.weighted_losses(val_fwd),
-        _grad_norms(hg_a, has_a, at, n_pre),
-        _grad_norms(hg_b, has_b, at, n_pre),
+        _grad_norms(hg_a, has_a, f.at, n_pre),
+        _grad_norms(hg_b, has_b, f.at, n_pre),
     )
     return nxt, trace, failed, (hg_a, hg_b)
+
+
+def _iterate(state: LbiState, bundle: DatasetBundle, cfg: LbiConfig,
+             cells: _Cells, rates: Rates, workspace: _Workspace | None = None):
+    """Advance every cell of a state, one cell or a stack, by one iteration.
+
+    The order: pretraining step, finetuning step against the stepped
+    encoder, both hypergradients through the two steps, score updates.  Each
+    (model, split) pair gets one forward pass, shared by its gradient step,
+    hypergradient and trace loss, and both hypergradients share the
+    projection of the pretraining batch on the validation gradient.
+    ``cfg`` supplies the fields the cells share and ``cells`` the rest; the
+    state is trusted to fit both (``run_stack`` checks it).  Returns the
+    next state, the five trace values of ``TraceRow`` after its iteration
+    (one length-K vector each for a stack), {cell position: NumericError}
+    for the cells that failed a finite check (their entries in the next
+    state are not meaningful), and the raw-score hypergradients (hg_a, hg_b)
+    of the batch's scores, each None when it is identically zero in every
+    cell.  A frozen score set still gets its hypergradient.
+
+    Each cell's values are the bits of a one-cell iteration: the kernels
+    keep every model's sums in the same order (see ``model``), and a cell
+    whose lam or gamma is zero, or whose scores are frozen, gets its plain
+    values through ``_select``, never an added zero.
+
+    With a ``workspace`` (an overlapping run's), stage 1 runs on its worker
+    thread and the pretraining batch's n x hidden arrays fill its buffers;
+    no returned array is a buffer, so ``_front``'s values stay inside.
+    """
+    front = _front(state, bundle, cfg, cells, rates, workspace)
+    return _finish(state, bundle, cfg, cells, rates, front, workspace)
 
 
 def check_fit(state: LbiState, bundle: DatasetBundle):

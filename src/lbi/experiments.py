@@ -135,13 +135,19 @@ def _average_ranks(w: np.ndarray) -> np.ndarray:
     return ranks
 
 
+def _check_test_split(bundle: DatasetBundle):
+    if bundle.test.n == 0:
+        raise ConfigError("the test split is empty: there is nothing to score")
+
+
 def score(state: LbiState, bundle: DatasetBundle) -> dict:
     """A trained state's scores on a bundle, keyed as ``RunResult``'s
     fields: test and val accuracy of the finetuned model, each set's final
     effective ignoring weights (the finetuning set's None in basic mode) and
     recovery AUC.  ConfigError unless the state fits the bundle
-    (``engine.check_fit``)."""
+    (``engine.check_fit``) and its test split is nonempty."""
     engine.check_fit(state, bundle)
+    _check_test_split(bundle)
     p = state.finetune_model
     a = state.ignore_pretrain.effective()
     b = (None if state.ignore_finetune is None
@@ -249,7 +255,9 @@ def run_cell(bundle: DatasetBundle,
              cells: list[tuple[object, LbiConfig]]) -> list[RunResult]:
     """Train the given (label, config) cells as one stack
     (``engine.run_stack``); one RunResult per cell, in order, scored by
-    ``score``.  Numeric failures are recorded per cell, not raised."""
+    ``score``.  Numeric failures are recorded per cell, not raised; an
+    empty test split is a ConfigError before any training."""
+    _check_test_split(bundle)
     results = []
     for (label, cfg), out in zip(
             cells, engine.run_stack(bundle, [cfg for _, cfg in cells])):

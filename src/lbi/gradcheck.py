@@ -8,20 +8,20 @@ so they can be checked against central differences on that exact map: nudge
 one raw score, rerun the two updates that an iteration of the engine runs,
 and difference the validation loss at the looked-ahead model.
 
-The analytic side comes from the engine itself: one call of
-``engine._iterate``, the iteration that ``engine.run`` executes, on the
-full batch.  Its hypergradients are the ones the scores step along, so a
-check passes only when the code that trains is right.
-
-The work no score reaches is done once per instance and shared by its
-probes: the forwards of the pretraining model on the pretraining split and
-of the finetuned model on the pretraining split (when gamma mixes it in),
-the finetuned model's unweighted train gradient, for the probes of a
-pretraining score its b-weighted gradient on the pretraining split, and,
-for the probes of a finetuning score, the unperturbed pretraining step.
-All of it is taken at the incoming models, which no score moves; a score
-only weights its example's residual inside an update.  So sharing it
-changes no probe's value by a bit.
+Each instance runs the iteration ``engine.run`` executes once, on the full
+batch, in its two halves: ``engine._front``, everything before the
+finetuning step, and ``engine._finish``, the rest.  That one pass is the
+analytic side: its hypergradients are the ones the scores step along, so a
+check passes only when the code that trains is right.  Its front is also
+the work no score reaches, which the probes share: the forwards of the
+pretraining model and (when gamma mixes it in) the finetuned model on the
+pretraining split, the finetuned model's unweighted train gradient, for
+the probes of a pretraining score its b-weighted gradient on the
+pretraining split, and, for the probes of a finetuning score, the
+unperturbed pretraining step.  All of it is taken at the incoming models,
+which no score moves; a score only weights its example's residual inside
+an update.  So sharing it changes no probe's value by a bit.  The pass's
+own finite checks raise in its order, before any probe runs.
 
 The probes of one score set run as one stack: row 2i holds the raw scores
 with score i moved by +step, row 2i + 1 by -step.  The engine's own update
@@ -38,7 +38,7 @@ non-finite update raises the NumericError of its first failing probe in
 The numeric side still differentiates nothing and never calls the
 closed-form code (the ``_hypergrad_*`` functions, ``encoder_dots``,
 ``head_dots`` or ``encoder_projection``): the two routes share only the
-forward model and the step arithmetic, so an error in either surfaces as
+front and the step arithmetic, so an error in either surfaces as
 disagreement.
 
 Two details matter for a trustworthy comparison.  First, clamp mode is
@@ -124,23 +124,10 @@ class FdReport:
         return "\n".join(lines)
 
     def to_dict(self) -> dict:
-        return {
-            "step": self.step,
-            "threshold": self.threshold,
-            "max_rel_err": self.max_rel_err,
-            "passed": self.passed(),
-            "entries": [
-                {
-                    "which": e.which,
-                    "index": e.index,
-                    "analytic": e.analytic,
-                    "numeric": e.numeric,
-                    "abs_err": e.abs_err,
-                    "rel_err": e.rel_err,
-                }
-                for e in self.entries
-            ],
-        }
+        return {"step": self.step, "threshold": self.threshold,
+                "max_rel_err": self.max_rel_err, "passed": self.passed(),
+                "entries": [{**vars(e), "abs_err": e.abs_err,
+                             "rel_err": e.rel_err} for e in self.entries]}
 
 
 # The most floats a stacked probe evaluation may hold per (rows, examples,
@@ -159,45 +146,36 @@ def _repeat(params: model.ModelParams, K: int) -> model.ModelParams:
 
 class _Lookahead:
     """Validation loss after one pretraining step and one finetuning step,
-    as a function of one instance's raw ignoring scores.
+    as a function of one instance's raw ignoring scores, and the analytic
+    hypergradients it is checked against.
 
-    Holds the work no score reaches (see the module docstring); a probe
-    reads it, never writes it.  Probes run as stacks: each row of a stack
-    is one probe's score vector, and the updates and the val forward run
-    once for all rows.
+    Both come from one full-batch pass of the engine's iteration
+    (``engine._front`` and ``engine._finish``): ``hypergrads`` holds its
+    raw-score hypergradients (pretraining, finetuning; None in basic mode),
+    a set the engine skips as identically zero as zeros, and ``front`` the
+    work no score reaches (see the module docstring).  A failed finite check
+    of that pass raises its NumericError here, before any probe.  A probe
+    reads the front, never writes it.  Probes run as stacks: each row of a
+    stack is one probe's score vector, and the updates and the val forward
+    run once for all rows.
     """
 
     def __init__(self, state: LbiState, bundle: DatasetBundle, cfg: LbiConfig):
-        pre = bundle.pretrain
         engine.check_fit(state, bundle)
+        cfg = replace(cfg, batch_size=None)
         self.state, self.bundle, self.cfg = state, bundle, cfg
         self.rates = cfg.rates_at(state.iteration)
-        self.pre_fwd = engine._forward_or_none(state.pretrain_model, pre.X,
-                                               pre.y)
-        self.train_grad = model.weighted_grad(model._softmax_residual(
-            state.finetune_model, bundle.train.X, bundle.train.y))
-        self.source_fwd = None
-        if engine._mixes_source(cfg):
-            self.source_fwd = engine._forward_or_none(state.finetune_model,
-                                                      pre.X, pre.y)
-        # The finetuned model's b-weighted source gradient, which the probes
-        # of a pretraining score share.
-        self.source_grad = None
-        if self.source_fwd is not None:
-            self.source_grad = model.weighted_grad(
-                self.source_fwd, state.ignore_finetune.effective())
-        # The engine's updates are looked up at call time, so a patched
-        # engine is what gets differenced.  No finetuning score reaches the
-        # pretraining step, so their probes share the unperturbed one.
-        self.pretrained = engine._pretrain_update(
-            state.pretrain_model, self.pre_fwd,
-            state.ignore_pretrain.effective(), self.rates, cfg.weight_decay)
-        if self.pre_fwd is not None:
-            failed = engine._first_failures(
-                engine._update_checks(self.pretrained, None), state.iteration)
-            if failed:
-                raise failed[0]
+        cells = engine._Cells.of([cfg])
+        self.front = engine._front(state, bundle, cfg, cells, self.rates)
+        _, _, failed, hgs = engine._finish(state, bundle, cfg, cells,
+                                           self.rates, self.front)
+        if failed:
+            raise failed[0]
+        hg_a, hg_b = (np.zeros(bundle.pretrain.n) if hg is None else hg
+                      for hg in hgs)
+        self.hypergrads = (hg_a, hg_b if cfg.mode == "extended" else None)
         arch = state.pretrain_model.arch
+        pre = bundle.pretrain
         per_probe = 2 * (max(pre.n, bundle.val.n)
                          * max(arch.classes, arch.hidden)
                          + arch.encoder_size + arch.head_size)
@@ -208,23 +186,23 @@ class _Lookahead:
         the set ``which`` (the other set unmoved), each bit for bit the loss
         of that row alone.  A row whose update is not finite raises the
         NumericError that row alone raises; the first such row decides."""
-        state, cfg = self.state, self.cfg
+        state, cfg, front = self.state, self.cfg, self.front
         K, it = raw.shape[0], state.iteration
         w = engine.IgnoreSet._of(raw, state.ignore_pretrain.mode).effective()
         if which == "pretrain":
             pretrained_next = engine._pretrain_update(
-                state.pretrain_model, self.pre_fwd, w, self.rates,
+                state.pretrain_model, front.pre_fwd, w, self.rates,
                 cfg.weight_decay)
-            source_grad = self.source_grad
+            source_grad = front.source_grad
         else:
-            pretrained_next = _repeat(self.pretrained, K)
-            source_grad = (None if self.source_fwd is None
-                           else model.weighted_grad(self.source_fwd, w))
+            pretrained_next = _repeat(front.pretrained_next, K)
+            source_grad = (None if front.source_fwd is None
+                           else model.weighted_grad(front.source_fwd, w))
         finetuned_next = engine._finetune_update(
             _repeat(state.finetune_model, K), pretrained_next,
-            self.train_grad, source_grad, cfg.lam, cfg.gamma,
+            front.train_grad, source_grad, cfg.lam, cfg.gamma,
             self.rates, cfg.weight_decay)
-        stepped = which == "pretrain" and self.pre_fwd is not None
+        stepped = which == "pretrain" and front.pre_fwd is not None
         failed = engine._first_failures(engine._update_checks(
             pretrained_next if stepped else None, finetuned_next), it)
         if failed:
@@ -257,23 +235,6 @@ class _Lookahead:
         return out
 
 
-def _analytic_hypergrads(state: LbiState, bundle: DatasetBundle,
-                         cfg: LbiConfig) -> tuple[np.ndarray, np.ndarray | None]:
-    """The raw-score hypergradients of one full-batch iteration, from the
-    iteration ``engine.run`` executes: (pretraining, finetuning; None in
-    basic mode).  One the engine skips as identically zero comes back as
-    zeros.  Raises the NumericError of a failed finite check."""
-    cfg = replace(cfg, batch_size=None)
-    _, _, failed, hgs = engine._iterate(state, bundle, cfg,
-                                        engine._Cells.of([cfg]),
-                                        cfg.rates_at(state.iteration))
-    if failed:
-        raise failed[0]
-    hg_a, hg_b = (np.zeros(bundle.pretrain.n) if hg is None else hg
-                  for hg in hgs)
-    return hg_a, (hg_b if cfg.mode == "extended" else None)
-
-
 def verify_hypergrads(state: LbiState, bundle: DatasetBundle, cfg: LbiConfig,
                       step: float = 1e-4, threshold: float = 1e-4) -> FdReport:
     """Compare both closed-form hypergradients against central differences,
@@ -282,9 +243,8 @@ def verify_hypergrads(state: LbiState, bundle: DatasetBundle, cfg: LbiConfig,
     step = config.read_flag("verify", "step", step, "step")
     threshold = config.read_flag("verify", "threshold", threshold, "threshold")
     lookahead = _Lookahead(state, bundle, cfg)
-    hg_a, hg_b = _analytic_hypergrads(state, bundle, cfg)
     report = FdReport(step=step, threshold=threshold)
-    for which, analytic in (("pretrain", hg_a), ("finetune", hg_b)):
+    for which, analytic in zip(("pretrain", "finetune"), lookahead.hypergrads):
         if analytic is None:
             continue
         numeric = lookahead.central_differences(
@@ -316,8 +276,11 @@ def make_check_instance(seed: int, hidden: int = 0, ignore_mode: str = "clamp",
     10/8/6 examples).  Parameters are drawn wider than normal init and raw
     ignoring scores are drawn strictly inside the differentiable region, so
     the comparison happens away from special points.  Rates, lam, and gamma
-    are drawn positive unless pinned by the caller.
+    are drawn positive unless pinned by the caller; basic mode, which has no
+    gamma term, takes gamma = 0 without a draw.
     """
+    if gamma is None and mode == "basic":
+        gamma = 0.0
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(99,)))
     dim = dim if dim is not None else int(rng.integers(2, 9))
     classes = classes if classes is not None else int(rng.integers(2, 4))
@@ -347,23 +310,14 @@ def make_check_instance(seed: int, hidden: int = 0, ignore_mode: str = "clamp",
 
     state = engine.init_state(arrays, cfg)
     arch = state.pretrain_model.arch
-    state.pretrain_model = model.ModelParams(
-        arch,
-        rng.uniform(-0.6, 0.6, arch.encoder_size),
-        rng.uniform(-0.6, 0.6, arch.head_size),
-    )
-    state.finetune_model = model.ModelParams(
-        arch,
-        rng.uniform(-0.6, 0.6, arch.encoder_size),
-        rng.uniform(-0.6, 0.6, arch.head_size),
-    )
-    if ignore_mode == "clamp":
-        # Strictly interior so clipping is inactive around the probe points.
-        state.ignore_pretrain.raw = rng.uniform(0.2, 0.8, n_pretrain)
-        if state.ignore_finetune is not None:
-            state.ignore_finetune.raw = rng.uniform(0.2, 0.8, n_pretrain)
-    else:
-        state.ignore_pretrain.raw = rng.uniform(-1.2, 1.2, n_pretrain)
-        if state.ignore_finetune is not None:
-            state.ignore_finetune.raw = rng.uniform(-1.2, 1.2, n_pretrain)
+    state.pretrain_model, state.finetune_model = (
+        model.ModelParams(arch, rng.uniform(-0.6, 0.6, arch.encoder_size),
+                          rng.uniform(-0.6, 0.6, arch.head_size))
+        for _ in range(2))
+    # Clamp-mode scores strictly interior, so clipping is inactive around
+    # the probe points.
+    lo, hi = (0.2, 0.8) if ignore_mode == "clamp" else (-1.2, 1.2)
+    for scores in (state.ignore_pretrain, state.ignore_finetune):
+        if scores is not None:
+            scores.raw = rng.uniform(lo, hi, n_pretrain)
     return CheckInstance(state, arrays, cfg)

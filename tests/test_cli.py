@@ -248,6 +248,18 @@ class TestVerify:
         assert cli.main(["verify", "--seed", "1",
                          "--set", "ignore_mode=sigmoid"]) == 0
 
+    def test_basic_instance_passes(self, tmp_path, capsys):
+        """Basic mode has no gamma term, so its instances take gamma 0;
+        a gamma the user sets is still checked against the mode."""
+        out = tmp_path / "v"
+        assert cli.main(["verify", "--seed", "0", "--set", "mode=basic",
+                         "--out", str(out)]) == 0
+        (report,) = read_json(out / "verify.json")["reports"]
+        assert {e["which"] for e in report["entries"]} == {"pretrain"}
+        assert cli.main(["verify", "--seed", "0", "--set", "mode=basic",
+                         "--set", "verify.gamma=0.5"]) == 2
+        assert "gamma has no effect in basic mode" in capsys.readouterr().err
+
     def test_impossible_threshold_exits_1(self, tmp_path):
         code = cli.main(["verify", "--seed", "0",
                          "--set", "verify.threshold=1e-18"])

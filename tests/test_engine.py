@@ -99,9 +99,10 @@ class TestIgnoreSet:
 
 def test_import_loads_no_scipy():
     """The package needs numpy and pyyaml only; scipy is a test
-    dependency."""
-    code = ("import sys, lbi; print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] == 'scipy'))")
+    dependency.  ``concurrent.futures`` (about 9.5 ms to import) loads
+    only when a run overlaps its stages (``engine._Workspace``)."""
+    code = ("import sys, lbi, lbi.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('scipy', 'concurrent')))")
     src = os.path.dirname(os.path.dirname(os.path.abspath(lbi.__file__)))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
@@ -427,14 +428,14 @@ class TestHypergrads:
         bundle = tiny_bundle()
         cfg = LbiConfig(lam=0.0, gamma=1.0)
         state = engine.init_state(bundle, cfg)
-        g, _ = gradcheck._analytic_hypergrads(state, bundle, cfg)
+        g, _ = gradcheck._Lookahead(state, bundle, cfg).hypergrads
         np.testing.assert_array_equal(g, np.zeros(6))
 
     def test_gamma_zero_gives_zero_finetune_hypergrad(self):
         bundle = tiny_bundle()
         cfg = LbiConfig(lam=0.1, gamma=0.0)
         state = engine.init_state(bundle, cfg)
-        _, g = gradcheck._analytic_hypergrads(state, bundle, cfg)
+        _, g = gradcheck._Lookahead(state, bundle, cfg).hypergrads
         np.testing.assert_array_equal(g, np.zeros(6))
 
     def test_zero_validation_gradient_kills_both(self):
@@ -447,7 +448,7 @@ class TestHypergrads:
         genc, ghead = reference.per_example_grad_arrays(
             state.pretrain_model, bundle.pretrain.X, bundle.pretrain.y)
         assert genc.all() and ghead.all()
-        ga, gb = gradcheck._analytic_hypergrads(state, bundle, cfg)
+        ga, gb = gradcheck._Lookahead(state, bundle, cfg).hypergrads
         np.testing.assert_allclose(ga, 0.0, atol=1e-15)
         np.testing.assert_allclose(gb, 0.0, atol=1e-15)
 
@@ -460,7 +461,7 @@ class TestHypergrads:
                                np.zeros(3, dtype=bool))
         cfg = LbiConfig(lam=0.2, gamma=0.9)
         state = engine.init_state(bundle, cfg)
-        ga, gb = gradcheck._analytic_hypergrads(state, bundle, cfg)
+        ga, gb = gradcheck._Lookahead(state, bundle, cfg).hypergrads
         assert ga[0] == ga[1] == ga[2] != 0.0
         assert gb[0] == gb[1] == gb[2] != 0.0
 
@@ -550,7 +551,7 @@ class TestIteration:
             W.arch, W.encoder - cfg.lr_finetune_encoder * d_enc,
             W.head - cfg.lr_finetune_head * d_head)
 
-        hg_a, hg_b = gradcheck._analytic_hypergrads(state, bundle, cfg)
+        hg_a, hg_b = gradcheck._Lookahead(state, bundle, cfg).hypergrads
         g_val = reference.grad(fin_next, val.X, val.y)
         genc_v, _ = reference.per_example_grad_arrays(V, pre.X, pre.y)
         genc_w, ghead_w = reference.per_example_grad_arrays(W, pre.X, pre.y)
@@ -646,7 +647,7 @@ class TestIteration:
             take = slice(None) if idx_pre is None else idx_pre
             pre_next, fin_next = step_models(sub_state, sub, full_batch)
             padded = []
-            for hg in gradcheck._analytic_hypergrads(sub_state, sub, cfg):
+            for hg in gradcheck._Lookahead(sub_state, sub, cfg).hypergrads:
                 full = np.zeros(n)
                 full[take] = hg
                 padded.append(full)

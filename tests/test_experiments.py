@@ -278,6 +278,32 @@ class TestScore:
         with pytest.raises(ConfigError, match=message):
             experiments.score(state, other)
 
+    def test_empty_test_split_rejected_before_training(self, monkeypatch):
+        """A matrix, a sweep and a lone score each name the empty test
+        split, and no cell is trained first."""
+        bundle = datasets.generate(BUNDLE_SPEC)
+        state, _ = engine.run(bundle, FAST)
+        empty = replace(bundle, test=datasets.Split(
+            np.zeros((0, bundle.dim)), np.zeros(0, dtype=np.int64)))
+        stacks = []
+        true_run_stack = engine.run_stack
+
+        def counted(*args, **kwargs):
+            stacks.append(args)
+            return true_run_stack(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "run_stack", counted)
+        message = "the test split is empty"
+        for call in (
+                lambda: experiments.run_matrix(empty, ["A1", "FULL"], [0, 1],
+                                               FAST),
+                lambda: experiments.sweep("lambda", [0.0, 0.1, 0.2], empty,
+                                          [0], FAST),
+                lambda: experiments.score(state, empty)):
+            with pytest.raises(ConfigError, match=message):
+                call()
+        assert stacks == []
+
 
 class TestSweep:
     def test_grid_validation(self):

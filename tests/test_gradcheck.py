@@ -72,6 +72,23 @@ class TestFdAgreement:
         assert report.passed(), report.as_table()
         assert {e.which for e in report.entries} == {"pretrain"}
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_basic_instance_draws_no_gamma(self, seed):
+        """Basic mode takes gamma = 0 without a draw, so its instance is
+        bit for bit the one built with gamma=0.0."""
+        got = gradcheck.make_check_instance(seed, mode="basic")
+        want = gradcheck.make_check_instance(seed, mode="basic", gamma=0.0)
+        assert got.cfg == want.cfg and got.cfg.gamma == 0.0
+        splits = ("pretrain", "train", "val", "test")
+        got_arrays, want_arrays = (
+            [*engine._blocks(inst.state), inst.arrays.corrupted,
+             *(getattr(getattr(inst.arrays, name), part)
+               for name in splits for part in "Xy")]
+            for inst in (got, want))
+        assert len(got_arrays) == len(want_arrays) == 14
+        assert all(g.tobytes() == w.tobytes()
+                   for g, w in zip(got_arrays, want_arrays))
+
     def test_lam_zero_numeric_difference_is_zero(self):
         """With no proximity coupling the validation loss cannot depend on
         the pretraining scores at all."""
@@ -92,11 +109,10 @@ class TestFdAgreement:
         the truncation error by roughly sixteen.  Large steps keep the
         truncation term above float noise so the ratio is measurable."""
         inst = gradcheck.make_check_instance(6)
-        _, analytic = gradcheck._analytic_hypergrads(inst.state, inst.arrays,
-                                                     inst.cfg)
+        lookahead = gradcheck._Lookahead(inst.state, inst.arrays, inst.cfg)
+        _, analytic = lookahead.hypergrads
         i = int(np.argmax(np.abs(analytic)))
         errs = []
-        lookahead = gradcheck._Lookahead(inst.state, inst.arrays, inst.cfg)
         for step in (4e-2, 1e-2):
             num = lookahead.central_differences("finetune", [i], step)[0]
             errs.append(abs(num - analytic[i]))
@@ -212,6 +228,33 @@ class TestSharedForwards:
                 got = shared.central_differences(which, [i], 1e-4)[0]
                 own = gradcheck._Lookahead(inst.state, inst.arrays, inst.cfg)
                 assert got == own.central_differences(which, [i], 1e-4)[0]
+
+
+class TestOneIteration:
+    """The analytic side and the probes' shared work are one pass of the
+    engine's iteration."""
+
+    @pytest.mark.parametrize("hidden", [0, 3])
+    @pytest.mark.parametrize("mode, forwards", [("extended", 6),
+                                                ("basic", 4)])
+    def test_one_forward_per_model_and_split(self, hidden, mode, forwards):
+        """An instance makes the forwards of one engine iteration, one per
+        (model, split) pair (4 extended, 3 basic), and one val forward
+        per probe stack (2 extended, 1 basic); the oracle makes none of
+        its own beside them."""
+        inst = gradcheck.make_check_instance(26, hidden=hidden, mode=mode)
+        calls = []
+        true_forward = model._softmax_residual
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return true_forward(*args, **kwargs)
+
+        with mock.patch.object(model, "_softmax_residual", counted):
+            report = gradcheck.verify_hypergrads(inst.state, inst.arrays,
+                                                 inst.cfg)
+        assert report.passed(), report.as_table()
+        assert len(calls) == forwards
 
 
 class TestExecutedPath:
@@ -349,8 +392,7 @@ class TestBadInputs:
     def test_non_finite_update_raises_numeric_error(self):
         inst = gradcheck.make_check_instance(44)
         inst.state.pretrain_model.encoder[:] = 1e308
-        for check in (gradcheck.verify_hypergrads,
-                      gradcheck._analytic_hypergrads):
+        for check in (gradcheck.verify_hypergrads, gradcheck._Lookahead):
             with pytest.raises(NumericError,
                                match="non-finite pretraining encoder update"):
                 check(inst.state, inst.arrays, inst.cfg)

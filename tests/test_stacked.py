@@ -714,8 +714,9 @@ class TestOverlap:
         lookahead.central_differences("finetune", range(3), 1e-4)
         assert report.passed()
         pre = inst.arrays.pretrain
-        for fwd, params in ((lookahead.pre_fwd, inst.state.pretrain_model),
-                            (lookahead.source_fwd,
+        for fwd, params in ((lookahead.front.pre_fwd,
+                             inst.state.pretrain_model),
+                            (lookahead.front.source_fwd,
                              inst.state.finetune_model)):
             assert fwd.buffers is None
             fresh = model._softmax_residual(params, pre.X, pre.y)
