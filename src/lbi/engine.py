@@ -333,22 +333,14 @@ def _sgd_update(params: ModelParams, g: GradBlock, lr_encoder: float,
     )
 
 
-def _pretrain_update(params: ModelParams, fwd: model.Forward | None, weights,
+def _pretrain_update(params: ModelParams, fwd: model.Forward, weights,
                      rates: Rates, weight_decay: float) -> ModelParams:
-    """Step from ``fwd``, the pretraining model's forward on its batch (None
-    for an empty batch, which leaves the parameters unchanged)."""
-    if fwd is None:
-        return params.copy()
+    """Step from ``fwd``, the pretraining model's forward on its batch.  An
+    empty batch has a zero gradient, so its step is the weight decay alone,
+    as for a batch whose weights are all 0."""
     return _sgd_update(params, model.weighted_grad(fwd, weights),
                        rates.pretrain_encoder, rates.pretrain_head,
                        weight_decay)
-
-
-def _forward_or_none(params: ModelParams, X: np.ndarray, y: np.ndarray,
-                     buffers: tuple | None = None):
-    if X.shape[-2] == 0:
-        return None
-    return model._softmax_residual(params, X, y, buffers)
 
 
 def _all(flags) -> bool:
@@ -460,17 +452,14 @@ def apply_ignore_update(ignore: IgnoreSet, g: np.ndarray, rate: float,
 
 def _draw_batches(seed: int, batch_size: int, iteration: int,
                   sizes: tuple[int, int, int]):
-    """One cell's minibatch indices for (pretrain, train, val), None for an
-    empty split.  Derived from (seed, iteration) alone so iterations stay
-    independent of each other and of parameter init."""
+    """One cell's minibatch indices for (pretrain, train, val).  Derived
+    from (seed, iteration) alone so iterations stay independent of each
+    other and of parameter init."""
     rng = np.random.default_rng(
         np.random.SeedSequence(seed, spawn_key=(_SEED_DOMAIN_BATCH, iteration))
     )
-    out = []
-    for n in sizes:
-        k = min(batch_size, n)
-        out.append(np.sort(rng.choice(n, size=k, replace=False)) if n else None)
-    return tuple(out)
+    return tuple(np.sort(rng.choice(n, size=min(batch_size, n), replace=False))
+                 for n in sizes)
 
 
 def _cell_batch_indices(cells: "_Cells", batch_size: int | None,
@@ -483,13 +472,11 @@ def _cell_batch_indices(cells: "_Cells", batch_size: int | None,
                 for seed in cells.seeds]
     if not cells.stacked:
         return per_cell[0]
-    return tuple(None if split[0] is None else np.array(split)
-                 for split in zip(*per_cell))
+    return tuple(np.array(split) for split in zip(*per_cell))
 
 
 def _rows(split: Split, idx: np.ndarray | None):
-    """(X, y) of the batch ``idx`` of a split; None is the whole split (also
-    in minibatch mode, where it stands for an empty split)."""
+    """(X, y) of the batch ``idx`` of a split; None is the whole split."""
     if idx is None:
         return split.X, split.y
     return split.X[idx], split.y[idx]
@@ -519,8 +506,6 @@ def _step_cells(scores: IgnoreSet | None, hg: np.ndarray | None, rate: float,
     if not _all(cells):
         # A zero step leaves every score the engine keeps exactly as it is.
         hg = np.where(cells[:, None], hg, 0.0)
-    if at is None:
-        return apply_ignore_update(scores, hg, rate)
     return apply_ignore_update(scores, hg, rate, at)
 
 
@@ -533,7 +518,7 @@ _PER_CELL_FIELDS = ("seed", "lam", "gamma", "freeze_ignore_pretrain",
 class _Cells:
     """The per-cell switches of the cells of a state: lam and gamma, whether
     each cell has the proximity term, whether its finetuning objective mixes
-    in the source term (extended mode, gamma not zero) and whether it learns
+    in the source term (extended mode, gamma not zero) and whether it trains
     (does not freeze) each score set.
 
     For a stack of K cells, in stack order: lam and gamma as (K, 1) columns
@@ -694,11 +679,12 @@ class _Workspace:
 
 class _Front(NamedTuple):
     """What an iteration makes before its finetuning step (``_front``): the
-    batch, stage 1 and the finetuned model's gradients."""
+    batch, stage 1 and the finetuned model's gradients.  An empty
+    pretraining batch is a batch of zero rows, with forwards of zero rows."""
 
     at: np.ndarray | None  # the pretraining batch's flat score positions
     idx_val: np.ndarray | None  # the val batch, None for the whole split
-    pre_fwd: model.Forward | None  # None for an empty pretraining batch
+    pre_fwd: model.Forward
     a: np.ndarray
     pretrained_next: ModelParams
     train_fwd: model.Forward
@@ -727,8 +713,8 @@ def _front(state: LbiState, bundle: DatasetBundle, cfg: LbiConfig,
 
     def stage_1():
         """The pretraining step on the (sub)batch."""
-        fwd = _forward_or_none(state.pretrain_model, X_pre, y_pre,
-                               workspace and workspace.pre)
+        fwd = model._softmax_residual(state.pretrain_model, X_pre, y_pre,
+                                      workspace and workspace.pre)
         a = state.ignore_pretrain.effective(at)
         return fwd, a, _pretrain_update(state.pretrain_model, fwd, a, rates,
                                         cfg.weight_decay)
@@ -742,11 +728,10 @@ def _front(state: LbiState, bundle: DatasetBundle, cfg: LbiConfig,
                                             *_rows(bundle.train, idx_tr))
         fwd = b = grad = None
         if _any(cells.mixes):
-            fwd = _forward_or_none(state.finetune_model, X_pre, y_pre,
-                                   workspace and workspace.src)
+            fwd = model._softmax_residual(state.finetune_model, X_pre, y_pre,
+                                          workspace and workspace.src)
             b = state.ignore_finetune.effective(at)
-            if fwd is not None:
-                grad = model.weighted_grad(fwd, b)
+            grad = model.weighted_grad(fwd, b)
         return train_fwd, model.weighted_grad(train_fwd), fwd, b, grad
 
     # Stages 1 and 2 read disjoint inputs up to the proximity term, so with
@@ -781,12 +766,10 @@ def _finish(state: LbiState, bundle: DatasetBundle, cfg: LbiConfig,
     )
 
     # Stage 3: hypergradients over the batch's scores, for the cells whose
-    # hypergradient is not identically zero (has_a, has_b).
+    # hypergradient is not identically zero (prox, mixes).
     val_fwd = model._softmax_residual(finetuned_next,
                                       *_rows(bundle.val, f.idx_val))
-    learns = f.pre_fwd is not None
-    has_a, has_b = cells.prox & learns, cells.mixes & learns
-    any_a, any_b = _any(has_a), _any(has_b)
+    any_a, any_b = _any(cells.prox), _any(cells.mixes)
     hg_a = hg_b = None
     if any_a or any_b:
         gv = model.weighted_grad(val_fwd)
@@ -803,10 +786,9 @@ def _finish(state: LbiState, bundle: DatasetBundle, cfg: LbiConfig,
 
     # Finite checks, per cell, in the order a one-cell iteration makes them;
     # a score gradient counts only where it is applied.
-    step_a = has_a & cells.learn_a
-    step_b = has_b & cells.learn_b
-    checks = _update_checks(f.pretrained_next if learns else None,
-                            finetuned_next)
+    step_a = cells.prox & cells.learn_a
+    step_b = cells.mixes & cells.learn_b
+    checks = _update_checks(f.pretrained_next, finetuned_next)
     for hg, step in ((hg_a, step_a), (hg_b, step_b)):
         if hg is not None:
             checks.append(("ignoring-score gradient", hg, step))
@@ -826,12 +808,11 @@ def _finish(state: LbiState, bundle: DatasetBundle, cfg: LbiConfig,
     )
     n_pre = bundle.pretrain.n
     trace = (
-        (model.weighted_losses(f.pre_fwd, f.a) if learns
-         else np.zeros(K) if cells.stacked else 0.0),
+        model.weighted_losses(f.pre_fwd, f.a),
         model.weighted_losses(f.train_fwd),
         model.weighted_losses(val_fwd),
-        _grad_norms(hg_a, has_a, f.at, n_pre),
-        _grad_norms(hg_b, has_b, f.at, n_pre),
+        _grad_norms(hg_a, cells.prox, f.at, n_pre),
+        _grad_norms(hg_b, cells.mixes, f.at, n_pre),
     )
     return nxt, trace, failed, (hg_a, hg_b)
 
@@ -1032,10 +1013,22 @@ def to_state_dict(state: LbiState) -> dict:
     }
 
 
+def _finite(d: dict, key: str) -> np.ndarray:
+    """``d[key]`` as a float64 vector, ConfigError unless it is a list of
+    finite JSON numbers (no bool, null, text, NaN or Infinity)."""
+    values = d[key]
+    if type(values) is list and all(type(v) in (int, float) for v in values):
+        out = np.array(values, dtype=np.float64)
+        if np.isfinite(out).all():
+            return out
+    raise ConfigError(f"{key} must be a list of finite numbers")
+
+
 def from_state_dict(d: dict) -> LbiState:
     """The state that a ``to_state_dict`` snapshot holds.  ConfigError when
     ``d`` is not one: not a JSON object, another format or version, a
-    missing key, or values that do not make a state."""
+    missing key, a count that is not a JSON integer >= 0, a block that is
+    not all finite numbers, or values that do not make a state."""
     if not isinstance(d, dict):
         raise ConfigError(f"state must be a JSON object, got {type(d).__name__}")
     if d.get("format") != STATE_FORMAT:
@@ -1046,21 +1039,27 @@ def from_state_dict(d: dict) -> LbiState:
             f"expected {STATE_VERSION}"
         )
     try:
+        counts = {**{f"arch.{k}": v for k, v in dict(d["arch"]).items()},
+                  "iteration": d["iteration"]}
+        for key, value in counts.items():
+            # bool is an int subclass, and int() would read 1.5 and "2".
+            if type(value) is not int or value < 0:
+                raise ConfigError(f"{key} must be an integer >= 0")
         arch = Arch(**d["arch"])
         mode = d["ignore_mode"]
-        fin_raw = d["ignore_finetune_raw"]
         return LbiState(
-            ModelParams(arch, np.array(d["pretrain_encoder"]),
-                        np.array(d["pretrain_head"])),
-            ModelParams(arch, np.array(d["finetune_encoder"]),
-                        np.array(d["finetune_head"])),
-            IgnoreSet(np.array(d["ignore_pretrain_raw"]), mode),
-            IgnoreSet(np.array(fin_raw), mode) if fin_raw is not None else None,
-            int(d["iteration"]),
+            ModelParams(arch, _finite(d, "pretrain_encoder"),
+                        _finite(d, "pretrain_head")),
+            ModelParams(arch, _finite(d, "finetune_encoder"),
+                        _finite(d, "finetune_head")),
+            IgnoreSet(_finite(d, "ignore_pretrain_raw"), mode),
+            (None if d["ignore_finetune_raw"] is None
+             else IgnoreSet(_finite(d, "ignore_finetune_raw"), mode)),
+            d["iteration"],
         )
     except KeyError as e:
         raise ConfigError(f"state has no {e.args[0]} key") from None
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise ConfigError(f"bad state: {e}") from None
 
 

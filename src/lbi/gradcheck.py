@@ -202,9 +202,9 @@ class _Lookahead:
             _repeat(state.finetune_model, K), pretrained_next,
             front.train_grad, source_grad, cfg.lam, cfg.gamma,
             self.rates, cfg.weight_decay)
-        stepped = which == "pretrain" and front.pre_fwd is not None
         failed = engine._first_failures(engine._update_checks(
-            pretrained_next if stepped else None, finetuned_next), it)
+            pretrained_next if which == "pretrain" else None, finetuned_next),
+            it)
         if failed:
             raise failed[min(failed)]
         val = self.bundle.val

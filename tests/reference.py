@@ -5,7 +5,8 @@ and contracts the hypergradients without forming per-example gradients.
 The routes here spell the same quantities out the long way: a loss or a
 gradient straight from parameters and a batch, the n x P matrix of
 per-example gradient rows (the decomposition reference for the
-contractions), and the batch view of one minibatch iteration.  A CSV
+contractions), the batch view of one minibatch iteration, and a bundle
+without pretraining rows.  A CSV
 bundle is read the long way too: by the csv module, int() and float().
 """
 
@@ -13,6 +14,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -87,6 +89,14 @@ def batch_view(state: LbiState, bundle: DatasetBundle, cfg: engine.LbiConfig):
     sub_state = LbiState(state.pretrain_model, state.finetune_model, *scores,
                          state.iteration)
     return sub_state, sub, idx[0]
+
+
+def without_pretraining(bundle: DatasetBundle) -> DatasetBundle:
+    """The bundle with an empty pretraining split (and no corruption
+    flags)."""
+    return replace(bundle, pretrain=Split(np.empty((0, bundle.dim)),
+                                          np.empty(0, dtype=np.int64)),
+                   corrupted=np.zeros(0, dtype=bool))
 
 
 def read_csv(path: str) -> DatasetBundle:

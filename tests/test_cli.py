@@ -12,6 +12,7 @@ import re
 
 import numpy as np
 import pytest
+import reference
 
 from lbi import cli, datasets, engine, experiments, gradcheck
 
@@ -741,6 +742,28 @@ class TestBadDataInputs:
         assert f"{path}: empty {split} split" in capsys.readouterr().err
         assert not (tmp_path / "out" / "trace.csv").exists()
 
+    @pytest.mark.parametrize("command", ["run", "ablate"])
+    def test_csv_without_pretraining_rows_runs(self, command, tmp_path):
+        """An empty pretraining split is allowed: its run has no scores and
+        traces a pretraining loss and score norms of 0."""
+        gen = tmp_path / "data"
+        assert cli.main(["gen-data", "--out", str(gen), *TINY_DATA]) == 0
+        lines = read(gen / "data.csv").splitlines(keepends=True)
+        path = tmp_path / "cut.csv"  # and so without a sidecar
+        path.write_text("".join(line for line in lines
+                                if not line.startswith("pretrain,")))
+        out = tmp_path / "out"
+        assert cli.main([command, "--out", str(out), "--set",
+                         f"data.path={path}", "--set", "iterations=4"]) == 0
+        if command == "run":
+            assert engine.load_state(out / "state.json").iteration == 4
+            with open(out / "trace.csv") as fh:
+                rows = list(csv.DictReader(fh))
+            assert len(rows) == 4
+            assert {float(row[key]) for row in rows for key in (
+                "pretrain_loss", "ignore_grad_pretrain_norm",
+                "ignore_grad_finetune_norm")} == {0.0}
+
     def test_sidecar_field_of_wrong_type_exits_2(self, tmp_path, capsys):
         """A bool index would otherwise flag every pretraining row."""
         gen = tmp_path / "data"
@@ -806,6 +829,57 @@ class TestBadDataInputs:
         code = cli.main(["eval", *TINY_DATA, "--state", str(path)])
         assert code == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, index, value", [
+        ("iteration", None, -2), ("iteration", None, 1.5),
+        ("iteration", None, True), ("iteration", None, "2"),
+        ("finetune_encoder", 0, None), ("pretrain_head", 1, "0.5"),
+        ("ignore_pretrain_raw", 0, True), ("finetune_head", 0, math.nan),
+        ("ignore_finetune_raw", 2, -math.inf), ("pretrain_encoder", 3, [1.0]),
+        ("arch", "dim", 5.0), ("arch", "hidden", False),
+        ("arch", "classes", "2"),
+    ])
+    @pytest.mark.parametrize("command", ["run", "eval"])
+    def test_state_field_of_wrong_type_exits_2(self, key, index, value,
+                                               command, tmp_path, capsys):
+        """A count that is not a JSON integer >= 0, or a block entry that
+        is not a finite number, is named, not read as some number."""
+        first = tmp_path / "first"
+        assert cli.main(run_args(first, ["--set", "iterations=3"])) == 0
+        state = read_json(first / "state.json")
+        if index is None:
+            state[key] = value
+        else:
+            state[key][index] = value
+        path = tmp_path / "edited.json"
+        with open(path, "w") as fh:
+            json.dump(state, fh)
+        out = tmp_path / "out"
+        argv = ([command, "--out", str(out), *TINY_DATA] + (
+            ["--state", str(path)] if command == "eval" else
+            ["--set", "iterations=5", "--set", f"run.resume={path}"]))
+        assert cli.main(argv) == 2
+        name = key if index is None or key != "arch" else f"arch.{index}"
+        assert f"error: bad state: {name} must be" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_saved_states_load_to_their_bytes(self, tmp_path):
+        """What ``save_state`` writes passes the checks unchanged: every
+        block, empty score sets and a basic-mode state included."""
+        bundle = datasets.generate(datasets.SynthSpec(
+            dim=3, classes=3, n_pretrain=5, n_train=4, n_val=3, n_test=2))
+        for cfg, data in (
+                (engine.LbiConfig(iterations=2, hidden=2), bundle),
+                (engine.LbiConfig(iterations=2, mode="basic", gamma=0.0),
+                 bundle),
+                (engine.LbiConfig(iterations=2, ignore_mode="sigmoid"),
+                 reference.without_pretraining(bundle))):
+            state, _ = engine.run(data, cfg)
+            engine.save_state(state, tmp_path / "s.json")
+            loaded = engine.load_state(tmp_path / "s.json")
+            assert loaded.iteration == 2
+            assert ([b.tobytes() for b in engine._blocks(loaded)]
+                    == [b.tobytes() for b in engine._blocks(state)])
 
     @pytest.mark.parametrize("argv", [
         run_args("{out}"), ["verify", "--seed", "0", "--out", "{out}"],

@@ -7,6 +7,7 @@ reduction is checked bitwise against an independently written plain
 finetuning loop.
 """
 
+import math
 import os
 import subprocess
 import sys
@@ -605,7 +606,8 @@ class TestIteration:
         seen = []
         apply = engine.apply_ignore_update
         monkeypatch.setattr(engine, "apply_ignore_update",
-                            lambda s, g, r: seen.append(g) or apply(s, g, r))
+                            lambda s, g, r, idx: seen.append(g)
+                            or apply(s, g, r, idx))
         reference.iterate(state, bundle, cfg)
         monkeypatch.undo()
 
@@ -904,6 +906,57 @@ class TestMinibatch:
             )
             moved = np.abs(state.ignore_pretrain.raw - before) > 0
             assert not set(np.flatnonzero(moved)) - set(idx_pre)
+
+
+class TestEmptyPretraining:
+    @pytest.mark.parametrize("hidden", [0, 3])
+    @pytest.mark.parametrize("batch_size", [None, 4])
+    @pytest.mark.parametrize("ignore_mode", engine.IGNORE_MODES)
+    @pytest.mark.parametrize("mode", engine.MODES)
+    def test_run_traces_zero_pretraining_terms(self, hidden, batch_size,
+                                               ignore_mode, mode):
+        """Across the step-decay boundary: the weighted pretraining loss
+        and both hypergradient norms are 0, and the models stay finite."""
+        bundle = reference.without_pretraining(tiny_bundle(n_train=6,
+                                                           n_val=5))
+        cfg = LbiConfig(hidden=hidden, batch_size=batch_size,
+                        ignore_mode=ignore_mode, mode=mode, iterations=12,
+                        step_decay=True, weight_decay=0.1,
+                        gamma=0.7 if mode == "extended" else 0.0)
+        state, trace = engine.run(bundle, cfg)
+        assert len(trace) == 12
+        for row in trace:
+            assert (row.pretrain_loss, row.ignore_grad_pretrain_norm,
+                    row.ignore_grad_finetune_norm) == (0.0, 0.0, 0.0)
+            assert math.isfinite(row.train_loss)
+            assert math.isfinite(row.val_loss)
+        assert state.ignore_pretrain.raw.shape == (0,)
+        for block in engine._blocks(state)[:4]:
+            assert np.isfinite(block).all()
+
+    @pytest.mark.parametrize("hidden", [0, 3])
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.1])
+    def test_empty_batch_steps_as_all_zero_weights(self, hidden,
+                                                   weight_decay):
+        """The pretraining objective of an empty batch is the zero sum of a
+        batch whose weights are all 0, so both take the same step: the
+        weight decay alone."""
+        bundle = tiny_bundle()
+        cfg = LbiConfig(hidden=hidden, weight_decay=weight_decay,
+                        lr_pretrain_encoder=0.05, lr_pretrain_head=0.05)
+        state = engine.init_state(bundle, cfg)
+        state.ignore_pretrain.raw[:] = 0.0
+        empty = engine.LbiState(
+            state.pretrain_model.copy(), state.finetune_model.copy(),
+            IgnoreSet.all_on(0, cfg.ignore_mode),
+            IgnoreSet.all_on(0, cfg.ignore_mode))
+        zero_weights, _ = step_models(state, bundle, cfg)
+        no_rows, _ = step_models(empty, reference.without_pretraining(bundle),
+                                 cfg)
+        assert no_rows.encoder.tobytes() == zero_weights.encoder.tobytes()
+        assert no_rows.head.tobytes() == zero_weights.head.tobytes()
+        moved = no_rows.encoder != state.pretrain_model.encoder
+        assert moved.all() if weight_decay else not moved.any()
 
 
 class TestStatePersistence:

@@ -51,6 +51,14 @@ def analytic_entries(report, which):
     return np.array([e.analytic for e in report.entries if e.which == which])
 
 
+def without_pretraining(inst):
+    """The check instance with an empty pretraining split and no scores."""
+    for scores in (inst.state.ignore_pretrain, inst.state.ignore_finetune):
+        if scores is not None:
+            scores.raw = scores.raw[:0]
+    return replace(inst, arrays=reference.without_pretraining(inst.arrays))
+
+
 class TestFdAgreement:
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("hidden", [0, 4])
@@ -103,6 +111,34 @@ class TestFdAgreement:
         report = gradcheck.verify_hypergrads(inst.state, inst.arrays, inst.cfg)
         assert len([e for e in report.entries if e.which == "pretrain"]) == 1
         assert report.passed()
+
+    @pytest.mark.parametrize("hidden, ignore_mode, mode", KINDS)
+    def test_empty_pretraining_has_no_entries(self, hidden, ignore_mode,
+                                              mode):
+        """Without pretraining rows there is no score to check, and the
+        report passes with no entries."""
+        inst = without_pretraining(gradcheck.make_check_instance(
+            8, hidden=hidden, ignore_mode=ignore_mode, mode=mode))
+        report = gradcheck.verify_hypergrads(inst.state, inst.arrays,
+                                             inst.cfg)
+        assert report.passed() and report.entries == []
+
+    @pytest.mark.parametrize("hidden, ignore_mode, mode", KINDS)
+    def test_empty_probe_rows_keep_the_validation_loss(self, hidden,
+                                                       ignore_mode, mode):
+        """A probe stack of empty score vectors steps as the iteration
+        does: every row's loss is that of the iteration's finetuned model."""
+        inst = without_pretraining(gradcheck.make_check_instance(
+            8, hidden=hidden, ignore_mode=ignore_mode, mode=mode))
+        bundle, cfg = inst.arrays, engine.config_with(inst.cfg,
+                                                      weight_decay=0.1)
+        lookahead = gradcheck._Lookahead(inst.state, bundle, cfg)
+        nxt, _ = reference.iterate(inst.state, bundle, cfg)
+        want = model.weighted_losses(model._softmax_residual(
+            nxt.finetune_model, bundle.val.X, bundle.val.y))
+        for which in ("pretrain", "finetune")[:1 if mode == "basic" else 2]:
+            got = lookahead.val_losses(which, np.empty((2, 0)))
+            assert got.tolist() == [want, want]
 
     def test_richardson_error_shrinks_with_step(self):
         """Central differences are second order: quartering the step cuts
@@ -320,46 +356,66 @@ class TestExecutedPath:
     def test_oracle_passes_on_the_executed_iteration(
             self, seed, mode, ignore_mode, hidden, weight_decay, iteration,
             batch_size):
-        """On the batch view of one iteration (either side of the step-decay
-        boundary at 8), the oracle passes, and the analytic values it
-        checked, stepped into the full score vectors, are the scores
-        one iteration (``reference.iterate``) produces, bit for bit.
+        check_executed_iteration(seed, mode, ignore_mode, hidden,
+                                 weight_decay, iteration, batch_size)
 
-        Past the boundary the model rates are set to ten times the drawn
-        ones, so the decayed rates in effect are the instance's generic
-        draws.  At the drawn rates themselves the decayed pretraining
-        hypergradients shrink a hundredfold, to 1e-8 and below, where the
-        central difference's rounding (about 1e-12 at step 1e-4) exceeds
-        the 1e-4 relative threshold."""
-        inst = gradcheck.make_check_instance(
-            seed, hidden=hidden, ignore_mode=ignore_mode, mode=mode,
-            n_pretrain=6, gamma=0.0 if mode == "basic" else None)
-        scale = 1.0 / engine.STEP_DECAY_FACTOR if iteration == 8 else 1.0
-        rates = {name: scale * getattr(inst.cfg, name) for name in (
-            "lr_pretrain_encoder", "lr_pretrain_head", "lr_finetune_encoder",
-            "lr_finetune_head")}
-        cfg = engine.config_with(inst.cfg, weight_decay=weight_decay,
-                                 step_decay=True, iterations=10,
-                                 batch_size=batch_size, **rates)
-        assert cfg.decay_start() == 8
-        state = inst.state
-        state.iteration = iteration
-        sub_state, sub, idx_pre = reference.batch_view(state, inst.arrays,
-                                                       cfg)
-        report = gradcheck.verify_hypergrads(sub_state, sub, cfg)
-        assert report.passed(), report.as_table()
+    # Draws whose smallest pretraining components (5.9e-9 to 7.3e-9) sit
+    # at the oracle's rounding floor: correct code reads rel err 1.04e-4,
+    # 1.18e-4 and 4.25e-4 against the 1e-4 threshold.
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="FD oracle rounding floor, ROADMAP item 2")
+    @pytest.mark.parametrize(
+        "seed, mode, ignore_mode, hidden, weight_decay, iteration, "
+        "batch_size", [(18582, "extended", "sigmoid", 3, 0.05, 8, 2),
+                       (14102, "basic", "clamp", 3, 0.05, 7, None),
+                       (4327, "basic", "clamp", 3, 0.0, 7, 2)])
+    def test_oracle_floor_draws(self, seed, mode, ignore_mode, hidden,
+                                weight_decay, iteration, batch_size):
+        check_executed_iteration(seed, mode, ignore_mode, hidden,
+                                 weight_decay, iteration, batch_size)
 
-        nxt, _ = reference.iterate(state, inst.arrays, cfg)
-        step = cfg.rates_at(iteration)
-        sets = [("pretrain", state.ignore_pretrain, nxt.ignore_pretrain,
-                 step.ignore_pretrain)]
-        if mode == "extended":
-            sets.append(("finetune", state.ignore_finetune,
-                         nxt.ignore_finetune, step.ignore_finetune))
-        for which, scores, got, rate in sets:
-            want = engine.apply_ignore_update(
-                scores, analytic_entries(report, which), rate, idx_pre)
-            assert want.raw.tobytes() == got.raw.tobytes()
+
+def check_executed_iteration(seed, mode, ignore_mode, hidden, weight_decay,
+                             iteration, batch_size):
+    """On the batch view of one iteration (either side of the step-decay
+    boundary at 8), the oracle passes, and the analytic values it checked,
+    stepped into the full score vectors, are the scores one iteration
+    (``reference.iterate``) produces, bit for bit.
+
+    Past the boundary the model rates are set to ten times the drawn ones,
+    so the decayed rates in effect are the instance's generic draws.  At
+    the drawn rates themselves the decayed pretraining hypergradients
+    shrink a hundredfold, to 1e-8 and below, where the central difference's
+    rounding (about 1e-12 at step 1e-4) exceeds the 1e-4 relative
+    threshold."""
+    inst = gradcheck.make_check_instance(
+        seed, hidden=hidden, ignore_mode=ignore_mode, mode=mode,
+        n_pretrain=6, gamma=0.0 if mode == "basic" else None)
+    scale = 1.0 / engine.STEP_DECAY_FACTOR if iteration == 8 else 1.0
+    rates = {name: scale * getattr(inst.cfg, name) for name in (
+        "lr_pretrain_encoder", "lr_pretrain_head", "lr_finetune_encoder",
+        "lr_finetune_head")}
+    cfg = engine.config_with(inst.cfg, weight_decay=weight_decay,
+                             step_decay=True, iterations=10,
+                             batch_size=batch_size, **rates)
+    assert cfg.decay_start() == 8
+    state = inst.state
+    state.iteration = iteration
+    sub_state, sub, idx_pre = reference.batch_view(state, inst.arrays, cfg)
+    report = gradcheck.verify_hypergrads(sub_state, sub, cfg)
+    assert report.passed(), report.as_table()
+
+    nxt, _ = reference.iterate(state, inst.arrays, cfg)
+    step = cfg.rates_at(iteration)
+    sets = [("pretrain", state.ignore_pretrain, nxt.ignore_pretrain,
+             step.ignore_pretrain)]
+    if mode == "extended":
+        sets.append(("finetune", state.ignore_finetune,
+                     nxt.ignore_finetune, step.ignore_finetune))
+    for which, scores, got, rate in sets:
+        want = engine.apply_ignore_update(
+            scores, analytic_entries(report, which), rate, idx_pre)
+        assert want.raw.tobytes() == got.raw.tobytes()
 
 
 class TestBadInputs:

@@ -21,6 +21,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import reference
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -405,6 +406,38 @@ class TestStackEqualsSolo:
         got = stacked_outcomes(bundle, cfgs, [s.copy() for s in half])
         assert got == [solo_outcome(bundle, c, s.copy())
                        for c, s in zip(cfgs, half)]
+
+    @pytest.mark.parametrize("hidden", [0, 3])
+    @pytest.mark.parametrize("batch_size", [None, 4])
+    def test_empty_pretraining_matrix(self, hidden, batch_size, monkeypatch):
+        """A matrix on a bundle without pretraining rows: the cells of its
+        one stack (A1, A5, FULL x 2 seeds) are their solo runs, bit for
+        bit, and so are their trace rows in a stack of the same cells."""
+        bundle = reference.without_pretraining(datasets.generate(SynthSpec(
+            dim=3, classes=2, n_pretrain=4, n_train=6, n_val=5, n_test=4,
+            shift=0.5, corrupt_frac=0.3, seed=5)))
+        base = LbiConfig(iterations=10, step_decay=True, weight_decay=0.05,
+                         hidden=hidden, batch_size=batch_size)
+        ids, seeds = ["A1", "A5", "FULL"], [0, 1]
+        cfgs = [experiments.ablation_config(
+            i, engine.config_with(base, seed=s)) for i in ids for s in seeds]
+        outs = []
+        stack = engine.run_stack
+
+        def kept(*args):
+            outs.extend(stack(*args))
+            return outs
+
+        monkeypatch.setattr(engine, "run_stack", kept)
+        matrix = experiments.run_matrix(bundle, ids, seeds, base)
+        monkeypatch.undo()
+        solo = [engine.run(bundle, cfg)[0] for cfg in cfgs]
+        assert [[b.tobytes() for b in engine._blocks(s)] for s in outs] == [
+            [b.tobytes() for b in engine._blocks(s)] for s in solo]
+        assert [r.test_accuracy for r in matrix.results] == [
+            experiments.score(s, bundle)["test_accuracy"] for s in solo]
+        assert stacked_outcomes(bundle, cfgs) == [
+            solo_outcome(bundle, cfg) for cfg in cfgs]
 
 
 def failing_stack(hidden=0):
