@@ -17,7 +17,9 @@ resolved configuration, the data entry (a synthetic spec, or a CSV's path
 with the sha256 of the CSV and of its sidecar), the command's own settings,
 their content hash ``input_sha256``, a timestamp, and the environment and
 wall time of the command (``run_env``, outside the hash: CPU count,
-Python, numpy, BLAS and its thread variables).  Data files are
+Python, numpy, BLAS and its thread variables), and for ``ablate`` and
+``sweep`` how many processes trained the stack (``stack_processes``, 1 or
+2: ``experiments.stack_processes``).  Data files are
 written atomically (temp file, then rename) and all numeric CSV output uses
 17 significant digits, so reruns of the same deterministic command produce
 byte-identical data files.
@@ -371,6 +373,8 @@ def _matrix_rows(result: experiments.MatrixResult) -> list[list]:
 def cmd_ablate(job: Job) -> int:
     ids, seeds = job.settings["ids"], job.settings["seeds"]
     result = experiments.run_matrix(job.bundle, ids, seeds, job.cfg)
+    job.manifest["stack_processes"] = experiments.stack_processes(
+        job.bundle, job.cfg, len(result.results))
     _write_csv(
         os.path.join(job.out, "results.csv"),
         ["ablation", "seed", "test_accuracy", "val_accuracy",
@@ -397,6 +401,8 @@ def cmd_sweep(job: Job) -> int:
     param, grid = job.settings["param"], job.settings["grid"]
     result = experiments.sweep(param, grid, job.bundle,
                                job.settings["seeds"], job.cfg)
+    job.manifest["stack_processes"] = experiments.stack_processes(
+        job.bundle, job.cfg, len(result.results))
 
     def error(r: experiments.RunResult) -> str | None:
         return None if r.ok else f"seed {r.seed}: {r.error}"

@@ -871,8 +871,12 @@ def check_fit(state: LbiState, bundle: DatasetBundle):
 
 def _check_state(state: LbiState, bundle: DatasetBundle, cfg: LbiConfig):
     """ConfigError unless a (resumed) state fits the data (``check_fit``)
-    and the config."""
+    and the config, and has not run past its iterations."""
     check_fit(state, bundle)
+    if state.iteration > cfg.iterations:
+        raise ConfigError(
+            f"state is at iteration {state.iteration}, past the config's "
+            f"iterations={cfg.iterations}")
     state_mode = "basic" if state.ignore_finetune is None else "extended"
     for name, have, want in (("hidden", state.pretrain_model.arch.hidden,
                               cfg.hidden),
@@ -892,22 +896,9 @@ def _check_state(state: LbiState, bundle: DatasetBundle, cfg: LbiConfig):
             )
 
 
-def run_stack(bundle: DatasetBundle, cfgs: list[LbiConfig],
-              initial_states: list[LbiState] | None = None,
-              on_row=None) -> list[LbiState | NumericError]:
-    """Run several cells on one bundle as one stack: each iteration steps
-    every cell at once, along a leading cell axis of the state.
-
-    The cells' configs may differ only in seed, lam, gamma and the two
-    freeze flags (else ConfigError); fresh cells start from their own
-    ``init_state``, resumed ones (``initial_states``, checked as ``run``
-    checks them) at one shared iteration.  Each cell's final state and trace
-    rows are bit for bit those of its own ``run``.  A cell that fails a
-    finite check leaves the stack with the NumericError, message and
-    iteration included, that its own run raises; the others go on.
-    ``on_row(k, row)``, when given, receives cell k's trace rows as they are
-    made.  Returns each cell's final state or NumericError, in order.
-    """
+def check_stack(cfgs: list[LbiConfig]) -> LbiConfig:
+    """ConfigError unless the configs make one stack: at least one, each
+    valid, differing only in ``_PER_CELL_FIELDS``.  Returns the first."""
     if not cfgs:
         raise ConfigError("need at least one cell")
     for c in cfgs:
@@ -917,6 +908,26 @@ def run_stack(bundle: DatasetBundle, cfgs: list[LbiConfig],
     if any(replace(c, **same) != cfg for c in cfgs):
         raise ConfigError(
             "stacked cells may differ only in " + ", ".join(_PER_CELL_FIELDS))
+    return cfg
+
+
+def run_stack(bundle: DatasetBundle, cfgs: list[LbiConfig],
+              initial_states: list[LbiState] | None = None,
+              on_row=None) -> list[LbiState | NumericError]:
+    """Run several cells on one bundle as one stack: each iteration steps
+    every cell at once, along a leading cell axis of the state.
+
+    The cells' configs may differ only in seed, lam, gamma and the two
+    freeze flags (else ConfigError, ``check_stack``); fresh cells start from their own
+    ``init_state``, resumed ones (``initial_states``, checked as ``run``
+    checks them) at one shared iteration.  Each cell's final state and trace
+    rows are bit for bit those of its own ``run``.  A cell that fails a
+    finite check leaves the stack with the NumericError, message and
+    iteration included, that its own run raises; the others go on.
+    ``on_row(k, row)``, when given, receives cell k's trace rows as they are
+    made.  Returns each cell's final state or NumericError, in order.
+    """
+    cfg = check_stack(cfgs)
     if initial_states is None:
         initial_states = [init_state(bundle, c) for c in cfgs]
     for s in initial_states:
@@ -971,8 +982,9 @@ def run(bundle: DatasetBundle, cfg: LbiConfig,
     produced, which lets callers stream the trace to disk.  On numeric
     failure the raised error carries the iteration index and the partial
     trace.  A resumed state must match the config's architecture and
-    modes, have one score per pretraining example in each score set, and
-    (clamp mode) keep its scores within [0, 1]; a mismatch raises
+    modes, have one score per pretraining example in each score set,
+    (clamp mode) keep its scores within [0, 1] and be at no later iteration
+    than cfg.iterations; a mismatch raises
     ConfigError instead of silently training the state's setup.  This is
     ``run_stack`` with one cell.
     """

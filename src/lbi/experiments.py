@@ -23,10 +23,17 @@ off the pretraining model cannot influence the validation loss, so there is
 no signal to learn them from; A2 and A3 are in the same position.  All
 ablations run in extended mode so the nine cells differ only in the switches
 above.
+
+Every matrix and sweep trains its cells through ``run_cell``: as one
+``engine.run_stack`` stack or, when it is large, as two halves of it in two
+processes (``stack_processes``).  Each cell is bit for bit its solo run.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -251,13 +258,121 @@ def _resolve_bundle(data) -> DatasetBundle:
     return generate(data) if isinstance(data, SynthSpec) else data
 
 
+# Two processes for a stack of 4 or more cells from this many cells x
+# iterations x pretraining batch rows on (a fork shares no GIL).  Median
+# times on 2 vCPU, BLAS on 1 thread, 200 rows (README "Performance" has
+# every point measured):
+#     cells x iterations       product    one -> two processes
+#     sweep    4 x 300         240,000    197.9 -> 220.3 ms
+#     matrix  45 x  20         180,000     54.7 ->  48.5 ms
+#     sweep    8 x 300         480,000    219.9 -> 213.6 ms
+#     matrix  45 x  60         540,000    118.2 ->  92.1 ms
+#     sweep   15 x 200         600,000    173.2 -> 164.5 ms
+#     matrix  45 x 300       2,700,000    443.5 -> 331.6 ms
+SPLIT_MIN_CELL_ROW_ITERATIONS = 500_000
+
+
+def stack_processes(bundle: DatasetBundle, cfg: LbiConfig, n_cells: int) -> int:
+    """How many processes ``run_cell`` trains ``n_cells`` stacked cells of
+    ``cfg``'s shared fields on: 2 by the rule above, on Linux with no other
+    Python thread alive (a fork copies only the calling thread), else 1."""
+    n_pre = bundle.pretrain.n
+    rows = n_pre if cfg.batch_size is None else min(cfg.batch_size, n_pre)
+    splits = (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+              and engine._usable_cpus() >= 2
+              and threading.active_count() == 1 and n_cells >= 4
+              and n_cells * cfg.iterations * rows
+              >= SPLIT_MIN_CELL_ROW_ITERATIONS)
+    return 2 if splits else 1
+
+
 def run_cell(bundle: DatasetBundle,
              cells: list[tuple[object, LbiConfig]]) -> list[RunResult]:
     """Train the given (label, config) cells as one stack
     (``engine.run_stack``); one RunResult per cell, in order, scored by
     ``score``.  Numeric failures are recorded per cell, not raised; an
-    empty test split is a ConfigError before any training."""
+    empty test split, or cells that make no stack, is a ConfigError before
+    any training.  When ``stack_processes`` says 2, a forked child (reaped
+    on every path) runs the second half meanwhile.  Its exception is raised
+    once the first half is done, unless that half raised; a child that dies
+    or garbles its results is a RuntimeError naming its exit status."""
     _check_test_split(bundle)
+    cfg = engine.check_stack([c for _, c in cells])
+    if stack_processes(bundle, cfg, len(cells)) == 1:
+        return _run_cells(bundle, cells)
+    half = len(cells) // 2
+    cpus = _other_cpus()
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid == 0:
+        _child(bundle, cells[half:], read, write, cpus)
+    os.close(write)
+    with open(read, "rb") as pipe:
+        try:
+            first = _run_cells(bundle, cells[:half])
+            data = pipe.read()
+        except BaseException:
+            import signal  # not imported with lbi
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    try:
+        error, second = pickle.loads(data)
+    except Exception:
+        error, second = None, None
+    if status != 0 or (error is None and second is None):
+        raise RuntimeError(
+            f"the process training the stack's second half ended with "
+            f"status {status} and {len(data)} bytes of results")
+    if error is not None:
+        raise error
+    return first + second
+
+
+def _other_cpus() -> set:
+    """The CPUs this process may run on but the one this thread runs on
+    now; empty when that is not known."""
+    try:
+        with open("/proc/thread-self/stat") as f:
+            here = int(f.read().rsplit(")", 1)[1].split()[36])
+    except (OSError, ValueError, IndexError):
+        return set()
+    return os.sched_getaffinity(0) - {here}
+
+
+def _child(bundle: DatasetBundle, cells: list, read: int, write: int,
+           cpus: set):
+    """A forked child's life: train and score ``cells`` on ``cpus``, pickle
+    the RunResults, or the exception that stopped them, to the pipe
+    ``write`` and leave by ``os._exit`` (no atexit handler, no flush of the
+    parent's stdio buffers), with status 0 once all is sent, else 1."""
+    status = 1
+    try:
+        os.close(read)
+        # A child starts on its parent's CPU, and the kernel may keep both
+        # there for tens of milliseconds.
+        if cpus:
+            os.sched_setaffinity(0, cpus)
+        try:
+            out = None, _run_cells(bundle, cells)
+        except Exception as e:
+            out = e, None
+        with open(write, "wb") as pipe:
+            pipe.write(pickle.dumps(out, pickle.HIGHEST_PROTOCOL))
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _run_cells(bundle: DatasetBundle,
+               cells: list[tuple[object, LbiConfig]]) -> list[RunResult]:
+    """``run_cell`` in this process: the cells as one stack, scored."""
     results = []
     for (label, cfg), out in zip(
             cells, engine.run_stack(bundle, [cfg for _, cfg in cells])):
@@ -281,8 +396,9 @@ def _mean_std(values: list[float]) -> tuple[float | None, float | None]:
 def _run_blocks(data, entries: list, seeds: list, cfg_of,
                 param: str | None = None) -> MatrixResult:
     """Every (entry, seed) cell with config ``cfg_of(entry, seed)``, run as
-    one ``run_cell`` stack, and one aggregate row per entry over its own
-    block of seeds (the cells that finished)."""
+    one ``run_cell`` call (one stack, or two halves of it in two processes)
+    and one aggregate row per entry over its own block of seeds (the cells
+    that finished)."""
     cells = [(entry, cfg_of(entry, seed)) for entry in entries
              for seed in seeds]
     results = run_cell(_resolve_bundle(data), cells)

@@ -1,3 +1,4 @@
+import os
 import sys
 import threading
 
@@ -13,6 +14,17 @@ def no_thread_left_running():
             if t not in before and t.is_alive()]
     if left:
         pytest.fail(f"threads left running: {left}")
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a child process, running or unreaped."""
+    yield
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail("a child process was left behind")
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -175,6 +175,29 @@ class TestRun:
         lines = read(out2 / "trace.csv").strip().splitlines()
         assert len(lines) == 4  # header + iterations 5..7
 
+    def test_resume_past_iterations_exits_2(self, tmp_path, capsys):
+        """A state already past the config's iterations is named, not
+        reported as a finished run of the state's own count."""
+        out1 = tmp_path / "first"
+        assert cli.main(run_args(out1, ["--set", "iterations=8"])) == 0
+        code = cli.main(run_args(tmp_path / "second", [
+            "--set", f"run.resume={out1 / 'state.json'}"]))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "iteration 8" in err and "iterations=5" in err
+        assert list((tmp_path / "second").iterdir()) == []
+
+    def test_resume_at_iterations_runs_nothing(self, tmp_path):
+        out1 = tmp_path / "first"
+        assert cli.main(run_args(out1)) == 0
+        out2 = tmp_path / "second"
+        code = cli.main(run_args(out2, [
+            "--set", f"run.resume={out1 / 'state.json'}"]))
+        assert code == 0
+        assert read(out2 / "trace.csv") == cli.TRACE_HEADER + "\n"
+        assert read(out2 / "state.json") == read(out1 / "state.json")
+        assert read_json(out2 / "summary.json")["iterations"] == 5
+
     @pytest.mark.parametrize("setting", [
         "ignore_mode=sigmoid", "mode=basic", "hidden=8",
     ])
@@ -346,6 +369,27 @@ class TestAblate:
         code = cli.main(["ablate", "--out", str(tmp_path / "x"), *TINY_DATA,
                          "--ids", "A9", "--seeds", "0"])
         assert code == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["ablate", "--ids", "A1,A5,FULL", "--seeds", "0,1"],
+    ["sweep", "--param", "lambda", "--grid", "0,0.01,0.1", "--seeds", "0,1"],
+])
+def test_manifest_records_stack_processes(tmp_path, monkeypatch, args):
+    """A matrix or sweep records how many processes trained its stack, by
+    ``experiments.stack_processes``; two write the bytes that one does."""
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
+    out = {}
+    for least in (10 ** 9, 0):
+        monkeypatch.setattr(experiments, "SPLIT_MIN_CELL_ROW_ITERATIONS", least)
+        out[least] = tmp_path / str(least)
+        assert cli.main([*args, "--out", str(out[least]), *TINY_DATA,
+                         "--set", "iterations=3"]) == 0
+    assert read_json(out[10 ** 9] / "manifest.json")["stack_processes"] == 1
+    assert read_json(out[0] / "manifest.json")["stack_processes"] == 2
+    for file in ("summary.json", "results.csv" if args[0] == "ablate"
+                 else "sweep.csv"):
+        assert read(out[0] / file) == read(out[10 ** 9] / file)
 
 
 class TestSweep:

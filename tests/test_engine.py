@@ -831,6 +831,26 @@ class TestRunLoop:
             engine.run(bundle, LbiConfig(iterations=2, **resumed),
                        initial_state=state)
 
+    def test_state_past_iterations_rejected(self):
+        """A stack of resumed states is refused when any of them is past
+        the config's iterations; a state at exactly iterations runs none."""
+        bundle = tiny_bundle()
+        cfg = LbiConfig(iterations=3)
+        at, _ = engine.run(bundle, cfg)
+        past, _ = engine.run(bundle, engine.config_with(cfg, iterations=4))
+        cfgs = [cfg, engine.config_with(cfg, seed=1)]
+        with pytest.raises(ConfigError,
+                           match="iteration 4, past the config's iterations=3"):
+            engine.run_stack(bundle, cfgs, initial_states=[past, past])
+        rows = []
+        out = engine.run_stack(bundle, cfgs, initial_states=[at, at],
+                               on_row=lambda k, row: rows.append(row))
+        assert rows == []
+        for state in out:
+            assert state.iteration == 3
+            assert (engine.to_state_dict(state)
+                    == engine.to_state_dict(at))
+
     def test_score_count_mismatch_rejected(self):
         bundle = tiny_bundle(n_pre=6)
         state, _ = engine.run(bundle, LbiConfig(iterations=1))

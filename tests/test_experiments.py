@@ -5,6 +5,11 @@ written here; ablation reductions are checked bit-exactly against the full
 configuration with the matching regularizer forced to zero.
 """
 
+import os
+import pickle
+import threading
+import time
+from dataclasses import fields as dataclass_fields
 from dataclasses import replace
 
 import numpy as np
@@ -404,3 +409,184 @@ class TestSweep:
         result = sweep_result("lambda", [(0.1, None), (0.2, None), (0.3, None)])
         with pytest.raises(NumericError, match="every sweep point failed"):
             result.argmax_value
+
+
+@pytest.fixture
+def split(monkeypatch):
+    """Every stack of 4 or more cells splits (from 0 cell x row x
+    iterations, on two CPUs).  Returns the pids of the forked children."""
+    forks = []
+    true_fork = os.fork
+
+    def counted():
+        pid = true_fork()
+        forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(experiments, "SPLIT_MIN_CELL_ROW_ITERATIONS", 0)
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def assert_same_results(got, want):
+    """RunResults equal field by field, score arrays to their bytes."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        for f in dataclass_fields(experiments.RunResult):
+            x, y = getattr(a, f.name), getattr(b, f.name)
+            if isinstance(y, np.ndarray):
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+            else:
+                assert x == y, f.name
+
+
+TEST_PID = os.getpid()
+
+
+def in_child():
+    return os.getpid() != TEST_PID
+
+
+class TestSplit:
+    """A large stack trains as two halves in two processes: the parent's
+    first half and a forked child's second half, each bit for bit its
+    share of one stack."""
+
+    @pytest.mark.parametrize("hidden", [0, 3])
+    @pytest.mark.parametrize("batch_size", [None, 4])
+    def test_results_equal_one_stack(self, split, hidden, batch_size):
+        cfg = engine.config_with(FAST, hidden=hidden, batch_size=batch_size)
+        runs = {
+            "matrix": lambda: experiments.run_matrix(
+                BUNDLE_SPEC, ["A1", "A5", "A7", "FULL"], [0, 1], cfg),
+            "sweep": lambda: experiments.sweep(
+                "lambda", [0.0, 0.05, 0.2], BUNDLE_SPEC, [0, 1], cfg),
+        }
+        for name, run in runs.items():
+            forked = run()
+            assert len(split) == 1, name
+            split.clear()
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(engine, "_usable_cpus", lambda: 1)
+                serial = run()
+            assert split == []
+            assert_same_results(forked.results, serial.results)
+            assert forked.aggregates == serial.aggregates
+
+    def test_failed_cells_of_the_child_keep_their_errors(self, split):
+        huge = engine.config_with(FAST, lr_pretrain_encoder=1e100,
+                                  lr_pretrain_head=1e100,
+                                  lr_finetune_encoder=1e100,
+                                  lr_finetune_head=1e100)
+        with np.errstate(over="ignore", invalid="ignore"):
+            forked = experiments.sweep("lambda", [0.0, 0.01, 1.0],
+                                       BUNDLE_SPEC, [2, 0], huge)
+            assert len(split) == 1
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(engine, "_usable_cpus", lambda: 1)
+                serial = experiments.sweep("lambda", [0.0, 0.01, 1.0],
+                                           BUNDLE_SPEC, [2, 0], huge)
+        assert any(not r.ok for r in forked.results[3:])
+        assert_same_results(forked.results, serial.results)
+
+    def test_child_exception_raised_after_the_first_half(self, split,
+                                                         monkeypatch):
+        true_score = experiments.score
+        scored = []
+
+        def score(state, bundle):
+            if in_child():
+                raise ValueError("cannot score in the child")
+            scored.append(state)
+            return true_score(state, bundle)
+
+        monkeypatch.setattr(experiments, "score", score)
+        with pytest.raises(ValueError, match="cannot score in the child"):
+            experiments.run_matrix(BUNDLE_SPEC, ["A1", "FULL"], [0, 1, 2],
+                                   FAST)
+        assert len(scored) == 3
+
+    def test_first_half_exception_wins(self, split, monkeypatch):
+        def score(state, bundle):
+            raise ConfigError("child" if in_child() else "parent")
+
+        monkeypatch.setattr(experiments, "score", score)
+        with pytest.raises(ConfigError, match="^parent$"):
+            experiments.run_matrix(BUNDLE_SPEC, ["A1", "FULL"], [0, 1], FAST)
+
+    def test_dead_or_garbled_child_is_named(self, split, monkeypatch):
+        true_run_cells = experiments._run_cells
+
+        def dying(bundle, cells):
+            if in_child():
+                os._exit(3)
+            return true_run_cells(bundle, cells)
+
+        monkeypatch.setattr(experiments, "_run_cells", dying)
+        with pytest.raises(RuntimeError, match="ended with status 3"):
+            experiments.run_matrix(BUNDLE_SPEC, ["A1", "FULL"], [0, 1], FAST)
+        monkeypatch.setattr(experiments, "_run_cells", true_run_cells)
+        true_dumps = pickle.dumps
+        monkeypatch.setattr(pickle, "dumps",
+                            lambda *a, **k: true_dumps(*a, **k)[:-9])
+        with pytest.raises(RuntimeError, match="ended with status 0"):
+            experiments.run_matrix(BUNDLE_SPEC, ["A1", "FULL"], [0, 1], FAST)
+
+    def test_interrupted_parent_kills_the_child(self, split, monkeypatch):
+        true_run_cells = experiments._run_cells
+
+        def stalled(bundle, cells):
+            if in_child():
+                time.sleep(60)
+                return true_run_cells(bundle, cells)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(experiments, "_run_cells", stalled)
+        started = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            experiments.run_matrix(BUNDLE_SPEC, ["A1", "FULL"], [0, 1], FAST)
+        assert time.perf_counter() - started < 30
+        assert len(split) == 1
+
+    def test_cells_that_make_no_stack_are_refused_before_a_fork(
+            self, split, monkeypatch):
+        def no_fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        cells = [(k, engine.config_with(FAST, seed=k)) for k in range(3)]
+        cells.append((3, engine.config_with(FAST, seed=3, iterations=5)))
+        with pytest.raises(ConfigError, match="may differ only in"):
+            experiments.run_cell(datasets.generate(BUNDLE_SPEC), cells)
+
+    def test_rule(self, monkeypatch):
+        """Two processes for 4 or more cells whose cells x iterations x
+        pretraining batch rows reach the constant, with two usable CPUs
+        and no other thread alive; else one."""
+        bundle = datasets.generate(BUNDLE_SPEC)  # 12 pretraining rows
+        monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(experiments, "SPLIT_MIN_CELL_ROW_ITERATIONS",
+                            4 * 12 * 12)
+
+        def processes(n_cells=4, **change):
+            return experiments.stack_processes(
+                bundle, engine.config_with(FAST, **change), n_cells)
+
+        assert processes() == 2
+        assert processes(3, iterations=1000) == 1
+        assert processes(iterations=11) == 1
+        assert processes(batch_size=11) == 1
+        assert processes(batch_size=13) == 2  # a batch of the whole split
+        monkeypatch.setattr(engine, "_usable_cpus", lambda: 1)
+        assert processes() == 1
+        monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
+        stop = threading.Event()
+        other = threading.Thread(target=stop.wait)
+        other.start()
+        try:
+            assert processes() == 1
+        finally:
+            stop.set()
+            other.join()
+        assert processes() == 2

@@ -25,7 +25,7 @@ import tempfile
 
 import numpy as np
 
-from lbi import cli
+from lbi import cli, engine
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 RECORD = "PYTHONPATH=src python tests/test_golden.py"
@@ -93,6 +93,9 @@ def mismatches(got: dict, want: dict) -> list[str]:
 
 
 def test_outputs_are_byte_identical(tmp_path, monkeypatch):
+    """The recorded bytes, with the ``ablate`` matrix (45 cells x 60
+    iterations x 200 rows) trained as two halves in two processes, as it
+    is on two usable CPUs."""
     path = os.path.join(GOLDEN_DIR, env_key() + ".json")
     assert os.path.exists(path), (
         f"no golden hashes for this environment ({env_key()}); record them "
@@ -100,8 +103,11 @@ def test_outputs_are_byte_identical(tmp_path, monkeypatch):
     with open(path) as fh:
         want = json.load(fh)
     monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
     problems = mismatches(fingerprint(str(tmp_path)), want)
     assert not problems, "\n".join(problems)
+    with open(os.path.join("ablate", "manifest.json")) as fh:
+        assert json.load(fh)["stack_processes"] == 2
 
 
 def test_mismatch_names_file_and_first_differing_line():
