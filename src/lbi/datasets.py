@@ -74,14 +74,17 @@ class DatasetBundle:
             if (X.dtype != np.float64 or X.ndim != 2 or y.dtype != np.int64
                     or y.shape != X.shape[:1]):
                 raise ValueError(f"{name} needs float64 X (n, dim) and int64 "
-                                 f"y (n,), got {X.shape} and {y.shape}")
+                                 f"y (n,), got {X.dtype} {X.shape} and "
+                                 f"{y.dtype} {y.shape}")
             if X.shape[1] != self.dim:
                 raise ValueError(
                     f"{name}[0] has {X.shape[1]} features, expected {self.dim}"
                 )
-            bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
-            if bad.size:
-                raise ValueError(f"{name}[{bad[0]}] has non-finite features")
+            finite = np.isfinite(X)
+            if not finite.all():
+                # The first bad entry, row-major, lies in the first bad row.
+                i = np.flatnonzero(~finite)[0] // self.dim
+                raise ValueError(f"{name}[{i}] has non-finite features")
             bad = np.flatnonzero((y < 0) | (y >= self.classes))
             if bad.size:
                 i = bad[0]

@@ -138,9 +138,6 @@ class IgnoreSet:
         with np.errstate(over="ignore"):
             return 1.0 / (1.0 + np.exp(-raw))
 
-    def copy(self) -> "IgnoreSet":
-        return IgnoreSet._of(self.raw.copy(), self.mode)
-
 
 def _chain_factor(mode: str, effective: np.ndarray) -> np.ndarray | None:
     """d(effective)/d(raw) from the effective weights, or None for clamp
@@ -266,15 +263,6 @@ class LbiState:
     ignore_pretrain: IgnoreSet
     ignore_finetune: IgnoreSet | None
     iteration: int = 0
-
-    def copy(self) -> "LbiState":
-        return LbiState(
-            self.pretrain_model.copy(),
-            self.finetune_model.copy(),
-            self.ignore_pretrain.copy(),
-            self.ignore_finetune.copy() if self.ignore_finetune is not None else None,
-            self.iteration,
-        )
 
 
 def ensure_arrays(bundle) -> DatasetBundle:
@@ -827,13 +815,14 @@ def _iterate(state: LbiState, bundle: DatasetBundle, cfg: LbiConfig,
     hypergradient and trace loss, and both hypergradients share the
     projection of the pretraining batch on the validation gradient.
     ``cfg`` supplies the fields the cells share and ``cells`` the rest; the
-    state is trusted to fit both (``run_stack`` checks it).  Returns the
-    next state, the five trace values of ``TraceRow`` after its iteration
-    (one length-K vector each for a stack), {cell position: NumericError}
-    for the cells that failed a finite check (their entries in the next
-    state are not meaningful), and the raw-score hypergradients (hg_a, hg_b)
-    of the batch's scores, each None when it is identically zero in every
-    cell.  A frozen score set still gets its hypergradient.
+    bundle is trusted to be valid and the state to fit both (``run_stack``
+    checks them).  Returns the next state, the five trace values of
+    ``TraceRow`` after its iteration (one length-K vector each for a
+    stack), {cell position: NumericError} for the cells that failed a
+    finite check (their entries in the next state are not meaningful), and
+    the raw-score hypergradients (hg_a, hg_b) of the batch's scores, each
+    None when it is identically zero in every cell.  A frozen score set
+    still gets its hypergradient.
 
     Each cell's values are the bits of a one-cell iteration: the kernels
     keep every model's sums in the same order (see ``model``), and a cell
@@ -917,8 +906,10 @@ def run_stack(bundle: DatasetBundle, cfgs: list[LbiConfig],
     """Run several cells on one bundle as one stack: each iteration steps
     every cell at once, along a leading cell axis of the state.
 
-    The cells' configs may differ only in seed, lam, gamma and the two
-    freeze flags (else ConfigError, ``check_stack``); fresh cells start from their own
+    The bundle is checked here, once (``DatasetBundle.validate``'s
+    ValueError), and its rows reach the kernels unchecked.  The cells'
+    configs may differ only in seed, lam, gamma and the two freeze flags
+    (else ConfigError, ``check_stack``); fresh cells start from their own
     ``init_state``, resumed ones (``initial_states``, checked as ``run``
     checks them) at one shared iteration.  Each cell's final state and trace
     rows are bit for bit those of its own ``run``.  A cell that fails a
@@ -927,6 +918,7 @@ def run_stack(bundle: DatasetBundle, cfgs: list[LbiConfig],
     ``on_row(k, row)``, when given, receives cell k's trace rows as they are
     made.  Returns each cell's final state or NumericError, in order.
     """
+    bundle.validate()
     cfg = check_stack(cfgs)
     if initial_states is None:
         initial_states = [init_state(bundle, c) for c in cfgs]

@@ -290,12 +290,14 @@ def run_cell(bundle: DatasetBundle,
              cells: list[tuple[object, LbiConfig]]) -> list[RunResult]:
     """Train the given (label, config) cells as one stack
     (``engine.run_stack``); one RunResult per cell, in order, scored by
-    ``score``.  Numeric failures are recorded per cell, not raised; an
-    empty test split, or cells that make no stack, is a ConfigError before
-    any training.  When ``stack_processes`` says 2, a forked child (reaped
+    ``score``.  Numeric failures are recorded per cell, not raised.  Before
+    any training, a bundle that fails ``DatasetBundle.validate`` raises its
+    ValueError, and an empty test split, or cells that make no stack, a
+    ConfigError.  When ``stack_processes`` says 2, a forked child (reaped
     on every path) runs the second half meanwhile.  Its exception is raised
     once the first half is done, unless that half raised; a child that dies
     or garbles its results is a RuntimeError naming its exit status."""
+    bundle.validate()
     _check_test_split(bundle)
     cfg = engine.check_stack([c for _, c in cells])
     if stack_processes(bundle, cfg, len(cells)) == 1:

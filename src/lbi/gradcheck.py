@@ -161,6 +161,7 @@ class _Lookahead:
     """
 
     def __init__(self, state: LbiState, bundle: DatasetBundle, cfg: LbiConfig):
+        bundle.validate()
         engine.check_fit(state, bundle)
         cfg = replace(cfg, batch_size=None)
         self.state, self.bundle, self.cfg = state, bundle, cfg

@@ -18,11 +18,16 @@ exact analytic expressions (softmax minus one-hot, backpropagated through
 tanh where applicable), not autodiff, so the finite-difference checks in the
 test suite exercise real formulas.
 
-Batch operations accept plain arrays: features X with one row per example
-and integer labels y.  Weighted sums are plain sums, not means, so gradients
-are additive across examples: example i's gradient is built from row i of
-the softmax residual G = softmax(z) - onehot(y) (and, for the MLP, of the
-hidden residual dA = (G U) * (1 - T^2), T the hidden activations).
+Batch operations take arrays: float64 features X with one row per example
+and int64 labels y in 0..classes-1.  The kernels trust them: a bundle is
+checked once, by ``DatasetBundle.validate``, where it enters the engine
+(``engine.run_stack``, ``experiments.run_cell``, the FD oracle), and its
+rows reach every forward unchecked.  Only the public ``logits`` and
+``predict`` check their features.  Weighted sums are plain sums, not means,
+so gradients are additive across examples: example i's gradient is built
+from row i of the softmax residual G = softmax(z) - onehot(y) (and, for the
+MLP, of the hidden residual dA = (G U) * (1 - T^2), T the hidden
+activations).
 
 Every loss and gradient comes from one ``Forward`` record (z, G, T, dA) made
 by ``_softmax_residual``, so a caller that needs the loss, the weighted
@@ -161,9 +166,6 @@ class ModelParams:
         params = object.__new__(cls)
         params.arch, params.encoder, params.head = arch, encoder, head
         return params
-
-    def copy(self) -> "ModelParams":
-        return ModelParams._of(self.arch, self.encoder.copy(), self.head.copy())
 
 
 @dataclass
@@ -307,8 +309,8 @@ def predict(params: ModelParams, X: np.ndarray) -> np.ndarray:
     return np.argmax(logits(params, X), axis=-1)
 
 
-# Read-only constants per batch size, so the per-call kernels do not build
-# them again; a run uses a handful of distinct sizes.
+# Read-only constants per batch size or class count, so the per-call kernels
+# do not build them again; a run uses a handful of distinct sizes.
 @lru_cache(maxsize=32)
 def _row_index(n: int) -> np.ndarray:
     rows = np.arange(n)
@@ -323,12 +325,6 @@ def _label_base(lead: tuple, classes: int) -> np.ndarray:
     base = (np.arange(math.prod(lead)) * classes).reshape(lead)
     base.flags.writeable = False
     return base
-
-
-def _check_labels(y: np.ndarray, classes: int):
-    if y.size and (np.minimum.reduce(y, axis=None) < 0
-                   or np.maximum.reduce(y, axis=None) >= classes):
-        raise ValueError(f"labels must lie in 0..{classes - 1}")
 
 
 @lru_cache(maxsize=32)
@@ -378,33 +374,19 @@ class Forward:
     @property
     def label_index(self) -> np.ndarray:
         """Flat position of each example's label entry in the logits (one
-        per row of every model); a label outside 0..classes-1 raises
-        ValueError."""
+        per row of every model)."""
         if self._label_index is None:
             lead, classes = self.z.shape[:-1], self.z.shape[-1]
-            y = self.y
-            if len(lead) == 1:
-                try:
-                    index = np.ravel_multi_index((_row_index(self.n), y),
-                                                 self.z.shape)
-                except ValueError:
-                    raise ValueError(
-                        f"labels must lie in 0..{classes - 1}") from None
-            else:
-                # A stack: adding each row's flat offset is cheaper than
-                # raveling labels broadcast over its cells.
-                _check_labels(y, classes)
-                index = (_label_base(lead, classes) + y).reshape(-1)
-            self._label_index = index
+            self._label_index = (_label_base(lead, classes)
+                                 + self.y).reshape(-1)
         return self._label_index
 
     @property
     def onehot(self) -> np.ndarray:
-        """A class-first forward's labels one-hot, as (classes, n, 1) bools;
-        a label outside 0..classes-1 raises ValueError."""
+        """A class-first forward's labels one-hot, as (classes, n, 1)
+        bools."""
         if self._onehot is None:
             classes = self.z.shape[0]
-            _check_labels(self.y, classes)
             self._onehot = (self.y == _row_index(classes)[:, None])[..., None]
         return self._onehot
 
@@ -457,13 +439,12 @@ class Forward:
 
 def _softmax_residual(params: ModelParams, X: np.ndarray, y: np.ndarray,
                       buffers: tuple | None = None) -> Forward:
-    """The forward pass behind every loss and gradient of a labelled batch.
+    """The forward pass behind every loss and gradient of a labelled batch:
+    rows of a validated bundle, float64 features X ((n, dim), or (K, n,
+    dim) per model of a stack) and int64 labels y of X's leading shape in
+    0..classes-1, checked nowhere here (see the module docstring).
     ``buffers``, for an MLP, are three n x hidden arrays (T, dA, scratch)
     that its hidden arrays fill (see ``Forward``); scratch may be T."""
-    X = _check_features(params, X)
-    y = np.asarray(y)
-    if y.shape != X.shape[:-1]:
-        raise ValueError(f"labels have shape {y.shape}, expected {X.shape[:-1]}")
     if _runs_classes_first(params.arch, params.encoder, X):
         E, b = _linear_views(params)
         z = _class_products(X, E)
@@ -600,11 +581,5 @@ def head_dots(fwd: Forward, v: GradBlock) -> np.ndarray:
 
 def proximity_grad(w_encoder: np.ndarray, v_encoder: np.ndarray, lam: float) -> np.ndarray:
     """Gradient of lam * ||W - V||^2 with respect to W: 2 lam (W - V)."""
-    w_encoder = np.asarray(w_encoder, dtype=np.float64)
-    v_encoder = np.asarray(v_encoder, dtype=np.float64)
-    if w_encoder.shape != v_encoder.shape:
-        raise ValueError(
-            f"encoder blocks differ in shape: {w_encoder.shape} vs {v_encoder.shape}"
-        )
     return 2.0 * lam * (w_encoder - v_encoder)
 

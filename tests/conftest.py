@@ -1,8 +1,11 @@
 import os
 import sys
 import threading
+from types import SimpleNamespace
 
 import pytest
+
+from lbi import engine, experiments
 
 
 @pytest.fixture(autouse=True)
@@ -25,6 +28,46 @@ def no_child_process_left():
     except ChildProcessError:
         return
     pytest.fail("a child process was left behind")
+
+
+@pytest.fixture
+def overlap(monkeypatch):
+    """Every one-cell MLP run overlaps (from 0 activations, on two CPUs).
+    Returns what the runs made so far: the workspaces, as (rows, hidden),
+    and the number of stage-1 submissions."""
+    made = SimpleNamespace(workspaces=[], submits=0)
+
+    class Counted(engine._Workspace):
+        def __init__(self, rows, hidden):
+            made.workspaces.append((rows, hidden))
+            super().__init__(rows, hidden)
+
+        def submit(self, fn):
+            made.submits += 1
+            return super().submit(fn)
+
+    monkeypatch.setattr(engine, "OVERLAP_MIN_ACTIVATIONS", 0)
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(engine, "_Workspace", Counted)
+    return made
+
+
+@pytest.fixture
+def split(monkeypatch):
+    """Every stack of 4 or more cells splits (from 0 cell x row x
+    iterations, on two CPUs).  Returns the pids of the forked children."""
+    forks = []
+    true_fork = os.fork
+
+    def counted():
+        pid = true_fork()
+        forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(experiments, "SPLIT_MIN_CELL_ROW_ITERATIONS", 0)
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

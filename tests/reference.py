@@ -6,8 +6,9 @@ The routes here spell the same quantities out the long way: a loss or a
 gradient straight from parameters and a batch, the n x P matrix of
 per-example gradient rows (the decomposition reference for the
 contractions), the batch view of one minibatch iteration, and a bundle
-without pretraining rows.  A CSV
-bundle is read the long way too: by the csv module, int() and float().
+without pretraining rows.  A CSV bundle is read the long way too: by the
+csv module, int() and float().  ``copy_state`` gives a test a state it may
+write without touching the original; the package never copies one.
 """
 
 import csv
@@ -57,6 +58,12 @@ def per_example_grad_arrays(params, X, y) -> tuple[np.ndarray, np.ndarray]:
         axis=1,
     )
     return Genc, Ghead
+
+
+def copy_state(state: LbiState) -> LbiState:
+    """A state that holds its own copy of each of ``state``'s arrays."""
+    return engine._with_blocks(state,
+                               [b.copy() for b in engine._blocks(state)])
 
 
 def iterate(state: LbiState, bundle: DatasetBundle, cfg: engine.LbiConfig):

@@ -19,7 +19,7 @@ import pytest
 import reference
 
 import lbi
-from lbi import datasets, engine, gradcheck, model
+from lbi import datasets, engine, experiments, gradcheck, model
 from lbi.datasets import DatasetBundle, Split, SynthSpec
 from lbi.engine import IgnoreSet, LbiConfig
 from lbi.errors import ConfigError, NumericError
@@ -90,12 +90,6 @@ class TestIgnoreSet:
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
             IgnoreSet(np.ones(2), "softmax")
-
-    def test_copy_is_independent(self):
-        s = IgnoreSet(np.ones(2), "clamp")
-        c = s.copy()
-        c.raw[0] = 0.0
-        assert s.raw[0] == 1.0
 
 
 def test_import_loads_no_scipy():
@@ -640,7 +634,7 @@ class TestIteration:
                         freeze_ignore_finetune=frozen)
         full_batch = engine.config_with(cfg, batch_size=None)
         state = engine.init_state(bundle, cfg)
-        start = state.copy()
+        start = reference.copy_state(state)
         n = bundle.pretrain.n
         rows = []
         for it in range(cfg.iterations):
@@ -966,8 +960,9 @@ class TestEmptyPretraining:
                         lr_pretrain_encoder=0.05, lr_pretrain_head=0.05)
         state = engine.init_state(bundle, cfg)
         state.ignore_pretrain.raw[:] = 0.0
+        copied = reference.copy_state(state)
         empty = engine.LbiState(
-            state.pretrain_model.copy(), state.finetune_model.copy(),
+            copied.pretrain_model, copied.finetune_model,
             IgnoreSet.all_on(0, cfg.ignore_mode),
             IgnoreSet.all_on(0, cfg.ignore_mode))
         zero_weights, _ = step_models(state, bundle, cfg)
@@ -1056,3 +1051,103 @@ class TestHiddenLayer:
         state, trace = engine.run(bundle, cfg)
         assert trace[-1].train_loss < trace[0].train_loss
         assert state.finetune_model.arch.hidden == 4
+
+
+def entry_bundle():
+    return datasets.generate(SynthSpec(
+        dim=3, classes=3, n_pretrain=9, n_train=6, n_val=5, n_test=4,
+        shift=0.5, corrupt_frac=0.3, seed=6))
+
+
+def bad_bundle(case: str):
+    """A hand-built bundle with one defect, and the message
+    ``DatasetBundle.validate`` raises for it."""
+    bundle = entry_bundle()
+    pre, train, val = bundle.pretrain, bundle.train, bundle.val
+    if case == "label":
+        pre.y[2] = bundle.classes
+        return bundle, r"pretrain\[2\] label 3 outside 0\.\.2"
+    if case == "int32":
+        return (replace(bundle,
+                        train=Split(train.X, train.y.astype(np.int32))),
+                r"train needs float64 X \(n, dim\) and int64 y \(n,\), got "
+                r"float64 \(6, 3\) and int32 \(6,\)")
+    if case == "float32":
+        return (replace(bundle, val=Split(val.X.astype(np.float32), val.y)),
+                r"val needs float64 X \(n, dim\) and int64 y \(n,\), got "
+                r"float32 \(5, 3\) and int64 \(5,\)")
+    if case == "nan":
+        val.X[3, 1] = np.nan
+        return bundle, r"val\[3\] has non-finite features"
+    assert case == "flags"
+    return (replace(bundle, corrupted=bundle.corrupted[:-1]),
+            r"corrupted has 8 flags, pretrain has 9 rows: pretrain\[8\] has "
+            r"no flag")
+
+
+class TestBundleCheckedOnEntry:
+    """A hand-built bundle is checked where it enters the engine, once, and
+    a bad one raises ``validate``'s ValueError before any iteration: no
+    workspace is made, no process forked, no score probed."""
+
+    CFG = LbiConfig(hidden=3, iterations=2, lam=0.3, gamma=0.7)
+
+    def entries(self, bundle):
+        """Each entry point on ``bundle``, as a call of no arguments."""
+        cfg = self.CFG
+        state = engine.init_state(bundle, cfg)
+        return {
+            "run": lambda: engine.run(bundle, cfg),
+            "run_stack": lambda: engine.run_stack(
+                bundle, [engine.config_with(cfg, seed=s) for s in (0, 1)]),
+            "run_matrix": lambda: experiments.run_matrix(
+                bundle, experiments.ABLATION_IDS[:2], [0, 1], cfg),
+            "verify_hypergrads": lambda: gradcheck.verify_hypergrads(
+                state, bundle, cfg),
+        }
+
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        """The bundles ``validate`` ran on in this process, in order."""
+        checked = []
+        true_validate = datasets.DatasetBundle.validate
+
+        def counted(bundle):
+            checked.append(bundle)
+            return true_validate(bundle)
+        monkeypatch.setattr(datasets.DatasetBundle, "validate", counted)
+        return checked
+
+    def test_a_valid_bundle_passes_every_entry(self, overlap, split, checked):
+        """Checked once per entry, not per cell (a split matrix also in
+        the parent's ``run_stack``); the fixtures see what the bad bundles
+        below must not cause."""
+        counts = {}
+        for name, call in self.entries(entry_bundle()).items():
+            checked.clear()
+            call()
+            counts[name] = len(checked)
+        assert counts == {"run": 1, "run_stack": 1, "run_matrix": 2,
+                          "verify_hypergrads": 1}
+        assert overlap.workspaces == [(9, 3)]
+        assert len(split) == 1
+
+    @pytest.mark.parametrize("entry", ["run", "run_stack", "run_matrix",
+                                       "verify_hypergrads"])
+    @pytest.mark.parametrize("case", ["label", "int32", "float32", "nan",
+                                      "flags"])
+    def test_a_bad_bundle_fails_on_entry(self, overlap, split, checked,
+                                         monkeypatch, case, entry):
+        bundle, message = bad_bundle(case)
+        call = self.entries(bundle)[entry]
+        checked.clear()  # generate's own check
+
+        def iterated(*args, **kwargs):
+            raise AssertionError("an iteration ran")
+        monkeypatch.setattr(engine, "_front", iterated)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
+        assert len(checked) == 1 and checked[0] is bundle
+        assert overlap.workspaces == []
+        assert overlap.submits == 0
+        assert split == []

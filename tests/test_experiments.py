@@ -411,24 +411,6 @@ class TestSweep:
             result.argmax_value
 
 
-@pytest.fixture
-def split(monkeypatch):
-    """Every stack of 4 or more cells splits (from 0 cell x row x
-    iterations, on two CPUs).  Returns the pids of the forked children."""
-    forks = []
-    true_fork = os.fork
-
-    def counted():
-        pid = true_fork()
-        forks.append(pid)
-        return pid
-
-    monkeypatch.setattr(experiments, "SPLIT_MIN_CELL_ROW_ITERATIONS", 0)
-    monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(os, "fork", counted)
-    return forks
-
-
 def assert_same_results(got, want):
     """RunResults equal field by field, score arrays to their bytes."""
     assert len(got) == len(want)

@@ -37,6 +37,10 @@ COMMANDS = [
     ("run-full", ["run", *ITERATIONS]),
     ("run-mini", ["run", *ITERATIONS, "--set", "batch_size=32",
                   "--set", "hidden=8"]),
+    # 400 rows x 64 hidden = 25,600 activations: the stage overlap, on two
+    # usable CPUs.
+    ("run-overlap", ["run", "--set", "iterations=5", "--set", "hidden=64",
+                     "--set", "data.n_pretrain=400"]),
     ("ablate", ["ablate", *ITERATIONS]),
     ("sweep", ["sweep", *ITERATIONS, "--param", "lambda",
                "--grid", "1e-3,3e-3,1e-2"]),
@@ -93,9 +97,10 @@ def mismatches(got: dict, want: dict) -> list[str]:
 
 
 def test_outputs_are_byte_identical(tmp_path, monkeypatch):
-    """The recorded bytes, with the ``ablate`` matrix (45 cells x 60
-    iterations x 200 rows) trained as two halves in two processes, as it
-    is on two usable CPUs."""
+    """The recorded bytes, as they come out on two usable CPUs: the
+    ``ablate`` matrix (45 cells x 60 iterations x 200 rows) trained as two
+    halves in two processes, and ``run-overlap`` with its stage overlap,
+    the one workspace of the command list."""
     path = os.path.join(GOLDEN_DIR, env_key() + ".json")
     assert os.path.exists(path), (
         f"no golden hashes for this environment ({env_key()}); record them "
@@ -104,10 +109,18 @@ def test_outputs_are_byte_identical(tmp_path, monkeypatch):
         want = json.load(fh)
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
+    workspaces = []
+
+    class Counted(engine._Workspace):
+        def __init__(self, rows, hidden):
+            workspaces.append((rows, hidden))
+            super().__init__(rows, hidden)
+    monkeypatch.setattr(engine, "_Workspace", Counted)
     problems = mismatches(fingerprint(str(tmp_path)), want)
     assert not problems, "\n".join(problems)
     with open(os.path.join("ablate", "manifest.json")) as fh:
         assert json.load(fh)["stack_processes"] == 2
+    assert workspaces == [(400, 64)]
 
 
 def test_mismatch_names_file_and_first_differing_line():

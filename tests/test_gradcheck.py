@@ -37,7 +37,7 @@ def reference_fd(state, arrays, cfg, which, index, step):
     model on the validation split."""
     vals = []
     for sign in (1.0, -1.0):
-        probe = state.copy()
+        probe = reference.copy_state(state)
         target = (probe.ignore_pretrain if which == "pretrain"
                   else probe.ignore_finetune)
         target.raw[index] += sign * step
@@ -302,7 +302,7 @@ class TestExecutedPath:
         assert cfg.decay_start() == 8
         reports = []
         for it in (7, 8):
-            state = inst.state.copy()
+            state = reference.copy_state(inst.state)
             state.iteration = it
             report = gradcheck.verify_hypergrads(state, inst.arrays, cfg)
             assert report.passed(), report.as_table()
@@ -492,7 +492,7 @@ class TestBadInputs:
                 call(state, bundle, cfg)
             assert err.value.iteration == 3
         assert all(np.isfinite(probe(j)) for j in range(5) if j != i)
-        plus, minus = state.copy(), state.copy()
+        plus, minus = (reference.copy_state(state) for _ in range(2))
         plus.ignore_pretrain.raw[i] += step
         minus.ignore_pretrain.raw[i] -= step
         with pytest.raises(NumericError, match=message):

@@ -403,8 +403,9 @@ class TestStackEqualsSolo:
         half = [engine.run(bundle, engine.config_with(c, iterations=6))[0]
                 for c in cfgs]
         assert cfgs[0].decay_start() == 8
-        got = stacked_outcomes(bundle, cfgs, [s.copy() for s in half])
-        assert got == [solo_outcome(bundle, c, s.copy())
+        got = stacked_outcomes(bundle, cfgs,
+                               [reference.copy_state(s) for s in half])
+        assert got == [solo_outcome(bundle, c, reference.copy_state(s))
                        for c, s in zip(cfgs, half)]
 
     @pytest.mark.parametrize("hidden", [0, 3])
@@ -500,8 +501,9 @@ class TestCellFailures:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_each_check_fails_only_its_cell(self):
         bundle, cfgs, states, errors = failing_stack()
-        got = stacked_outcomes(bundle, cfgs, [s.copy() for s in states])
-        want = [solo_outcome(bundle, c, s.copy())
+        got = stacked_outcomes(bundle, cfgs,
+                               [reference.copy_state(s) for s in states])
+        want = [solo_outcome(bundle, c, reference.copy_state(s))
                 for c, s in zip(cfgs, states)]
         assert got == want
         assert [g[1] if g[0] == "error" else None for g in got] == errors
@@ -578,28 +580,6 @@ class TestOneEngine:
         with pytest.raises(ConfigError, match="same iteration"):
             engine.run_stack(bundle, [cfg, cfg],
                              [engine.init_state(bundle, cfg), ahead])
-
-
-@pytest.fixture
-def overlap(monkeypatch):
-    """Every one-cell MLP run overlaps (from 0 activations, on two CPUs).
-    Returns what the runs made so far: the workspaces, as (rows, hidden),
-    and the number of stage-1 submissions."""
-    made = SimpleNamespace(workspaces=[], submits=0)
-
-    class Counted(engine._Workspace):
-        def __init__(self, rows, hidden):
-            made.workspaces.append((rows, hidden))
-            super().__init__(rows, hidden)
-
-        def submit(self, fn):
-            made.submits += 1
-            return super().submit(fn)
-
-    monkeypatch.setattr(engine, "OVERLAP_MIN_ACTIVATIONS", 0)
-    monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(engine, "_Workspace", Counted)
-    return made
 
 
 def serial(fn, *args):
@@ -692,7 +672,7 @@ class TestOverlap:
         bundle, cfgs, states, _ = failing_stack(hidden=3)
 
         def outcomes():
-            return [solo_outcome(bundle, cfg, state.copy())
+            return [solo_outcome(bundle, cfg, reference.copy_state(state))
                     for cfg, state in zip(cfgs, states)]
         with np.errstate(over="ignore", invalid="ignore"):
             want = serial(outcomes)
@@ -724,16 +704,19 @@ class TestOverlap:
         assert not any(np.shares_memory(a, buf) for a in arrays
                        for buf in buffers.values())
 
-    def test_worker_error_reaches_the_caller(self, overlap):
-        """A label out of range fails the pretraining forward on the worker
-        thread; the caller gets the ValueError the serial run raises."""
+    def test_worker_error_reaches_the_caller(self, overlap, monkeypatch):
+        """An error of the pretraining step on the worker thread reaches
+        the caller as the error the serial run raises."""
         bundle, cfgs = overlap_cells("basic", "clamp", 3, None)
-        bundle.pretrain.y[2] = bundle.classes
+
+        def fails(params, fwd, *args):
+            raise ValueError(f"stage 1 failed on {fwd.n} rows")
+        monkeypatch.setattr(engine, "_pretrain_update", fails)
         with pytest.raises(ValueError) as want:
             serial(engine.run, bundle, cfgs[0])
         with pytest.raises(ValueError) as got:
             engine.run(bundle, cfgs[0])
-        assert str(got.value) == str(want.value) == "labels must lie in 0..2"
+        assert str(got.value) == str(want.value) == "stage 1 failed on 9 rows"
         assert overlap.submits == 1
 
     def test_oracle_forwards_keep_their_hidden_arrays(self, overlap):
