@@ -6,7 +6,6 @@ method."""
 __version__ = "0.1.0"
 
 from .datasets import (  # noqa: F401
-    CsvSchema,
     DatasetBundle,
     Split,
     SynthSpec,

@@ -150,8 +150,8 @@ def load_data(config: dict):
         if "path" not in section:
             raise ConfigError("data.kind=csv requires data.path")
         path = section["path"]
-        schema = datasets.CsvSchema(section.get("dim"), section.get("classes"))
-        bundle = datasets.load_csv(path, schema)
+        bundle = datasets.load_csv(path, section.get("dim"),
+                                   section.get("classes"))
         side = datasets.sidecar_path(path)
         return path, bundle, {
             "kind": "csv", "path": path, "sha256": _sha256(path),
@@ -209,7 +209,7 @@ def resolve(args) -> Job:
                     "command": command}
     parts = [command]
     if cmd.trains:
-        job.cfg = engine.config_with(LbiConfig(), **config["lbi"])
+        job.cfg = LbiConfig(**config["lbi"])
         job.manifest["config"] = job.cfg.to_dict()
         parts.append(job.manifest["config"])
     if cmd.data:

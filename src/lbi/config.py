@@ -7,6 +7,13 @@ text allowed), ``float`` (finite; numeric text allowed, since YAML leaves
 ``table`` (rows of finite numbers) and ``list`` (a list of ``item`` values,
 one value, or a comma-separated string of them).  An unknown key or a value
 of the wrong kind is a ConfigError naming ``section.key``.
+
+The configs built in code, ``engine.LbiConfig`` (the ``lbi`` table) and
+``datasets.SynthSpec`` (``data``), are frozen dataclasses that check every
+field against their table when they are made (``read_section`` with
+``loose=False``).  So a config that exists is valid, a changed copy from
+``dataclasses.replace`` is checked as it is made, and no code that takes
+one checks it again.
 """
 
 from __future__ import annotations
@@ -174,12 +181,12 @@ def _value(f: Field, v, label: str, loose: bool = True):
         raise ConfigError(f"{label} must be {_describe(f)}, got {v!r}") from None
 
 
-def read_section(section: str, raw, keys=None, loose: bool = True) -> dict:
+def read_section(section: str, raw, loose: bool = True) -> dict:
     """Typed values of the keys a config section gives, by field name (an
     alias becomes its field).  ConfigError for a section that is not a
-    mapping, and for a key outside the table (or outside ``keys``).  With
-    ``loose=False`` (objects built in code) values must have their field's
-    type already: no number text and no integral floats for integers."""
+    mapping, and for a key outside the table.  With ``loose=False`` (objects
+    built in code) values must have their field's type already: no number
+    text and no integral floats for integers."""
     if raw is None:
         return {}
     if not isinstance(raw, dict):
@@ -188,10 +195,9 @@ def read_section(section: str, raw, keys=None, loose: bool = True) -> dict:
     table, out = SECTIONS[section], {}
     for key, v in raw.items():
         name = ALIASES.get(key, key)
-        if name not in table or keys is not None and name not in keys:
-            known = ", ".join(k for k in table if keys is None or k in keys)
-            raise ConfigError(
-                f"unknown config key {section}.{key} (known: {known})")
+        if name not in table:
+            raise ConfigError(f"unknown config key {section}.{key} "
+                              f"(known: {', '.join(table)})")
         out[name] = _value(table[name], v, f"{section}.{key}", loose)
     return out
 

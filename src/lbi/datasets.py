@@ -71,6 +71,9 @@ class DatasetBundle:
         and its first bad row."""
         for name, split in self.splits().items():
             X, y = split.X, split.y
+            if not (isinstance(X, np.ndarray) and isinstance(y, np.ndarray)):
+                raise ValueError(f"{name} needs X and y as numpy arrays, got "
+                                 f"{type(X).__name__} and {type(y).__name__}")
             if (X.dtype != np.float64 or X.ndim != 2 or y.dtype != np.int64
                     or y.shape != X.shape[:1]):
                 raise ValueError(f"{name} needs float64 X (n, dim) and int64 "
@@ -80,27 +83,30 @@ class DatasetBundle:
                 raise ValueError(
                     f"{name}[0] has {X.shape[1]} features, expected {self.dim}"
                 )
+            # The reductions skip ndarray's Python layer; a row search runs
+            # only for a bad value.
             finite = np.isfinite(X)
-            if not finite.all():
+            if not np.logical_and.reduce(finite, axis=None):
                 # The first bad entry, row-major, lies in the first bad row.
                 i = np.flatnonzero(~finite)[0] // self.dim
                 raise ValueError(f"{name}[{i}] has non-finite features")
-            bad = np.flatnonzero((y < 0) | (y >= self.classes))
-            if bad.size:
-                i = bad[0]
+            if y.size and (np.minimum.reduce(y) < 0
+                           or np.maximum.reduce(y) >= self.classes):
+                i = np.flatnonzero((y < 0) | (y >= self.classes))[0]
                 raise ValueError(
                     f"{name}[{i}] label {y[i]} outside 0..{self.classes - 1}"
                 )
         flags, n = self.corrupted, self.pretrain.n
-        if flags.dtype != np.bool_ or flags.ndim != 1:
+        if (not isinstance(flags, np.ndarray) or flags.dtype != np.bool_
+                or flags.ndim != 1):
             raise ValueError("corrupted must be a 1-D bool array")
-        if flags[n:].any():
+        k = flags.shape[0]
+        if k > n and flags[n:].any():
             i = n + int(flags[n:].argmax())
             raise ValueError(
                 f"corrupted example outside pretrain: flag {i} is set, "
                 f"pretrain has {n} rows"
             )
-        k = flags.shape[0]
         if k != n:
             raise ValueError(f"corrupted has {k} flags, pretrain has {n} rows: "
                              + (f"pretrain[{k}] has no flag" if k < n
@@ -141,9 +147,12 @@ def _shift_axis(dim: int) -> np.ndarray:
 _DEFAULTS = config.defaults("data")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SynthSpec:
-    """Recipe for one synthetic bundle."""
+    """Recipe for one synthetic bundle.  A spec is checked when it is made,
+    by the constructor or by ``dataclasses.replace``: ConfigError unless
+    every field has its type and passes its check in the ``data`` table of
+    ``config``, and the means fit the sizes."""
 
     dim: int
     classes: int
@@ -159,16 +168,14 @@ class SynthSpec:
     source_means: tuple | None = _DEFAULTS["source_means"]
 
     def __post_init__(self):
-        # Canonical nested-tuple form so specs compare by value.
+        # Canonical nested-tuple form so specs compare by value, made before
+        # the check, whose table kind takes lists and tuples only; means
+        # that are no numbers stay as given, for the check to name.
         if self.source_means is not None:
-            m = np.asarray(self.source_means, dtype=np.float64)
-            self.source_means = tuple(
-                tuple(float(v) for v in row) for row in np.atleast_2d(m)
-            )
-
-    def validate(self):
-        """ConfigError unless every field has its type and passes its check
-        in the ``data`` table of ``config``, and the means fit the sizes."""
+            with contextlib.suppress(TypeError, ValueError):
+                m = np.asarray(self.source_means, dtype=np.float64)
+                object.__setattr__(self, "source_means", tuple(
+                    tuple(float(v) for v in row) for row in np.atleast_2d(m)))
         config.read_section("data", vars(self), loose=False)
         if (self.source_means is not None
                 and np.shape(self.source_means) != (self.classes, self.dim)):
@@ -193,15 +200,6 @@ class SynthSpec:
             d["source_means"] = np.asarray(self.source_means).tolist()
         return d
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "SynthSpec":
-        """Build from a plain mapping, read by the ``data`` table of
-        ``config``; keys that only CSV data takes are unknown here."""
-        names = {f.name for f in fields(cls)}
-        spec = cls(**config.read_section("data", d, keys=names))
-        spec.validate()
-        return spec
-
 
 def _draw_split(rng: np.random.Generator, means: np.ndarray, n: int,
                 sigma: float) -> Split:
@@ -214,7 +212,6 @@ def _draw_split(rng: np.random.Generator, means: np.ndarray, n: int,
 
 def generate(spec: SynthSpec) -> DatasetBundle:
     """Sample the bundle a SynthSpec describes.  Pure: same inputs, same bundle."""
-    spec.validate()
     root = np.random.SeedSequence(spec.seed)
     seeds = root.spawn(5)
     src = spec.resolved_source_means()
@@ -364,14 +361,6 @@ def save_csv(bundle: DatasetBundle, path: str, spec: SynthSpec | None = None):
     with atomic_open(sidecar_path(path)) as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-@dataclass
-class CsvSchema:
-    """Optional expectations for load_csv; None means infer."""
-
-    dim: int | None = None
-    classes: int | None = None
 
 
 # Sidecar keys that hold JSON integers: one, or an object or list of them.
@@ -559,8 +548,10 @@ def _diagnose(path: str, dim: int, refusal, start: int = 0) -> NoReturn:
     raise ParseError(f"{path}: {refusal}")
 
 
-def load_csv(path: str, schema: CsvSchema | None = None) -> DatasetBundle:
-    """Read a bundle written by save_csv.
+def load_csv(path: str, dim: int | None = None,
+             classes: int | None = None) -> DatasetBundle:
+    """Read a bundle written by save_csv.  ``dim`` and ``classes``, when
+    given, are what the file must hold; None reads them from it.
 
     The sidecar manifest, when present next to the CSV, restores the
     corruption flags and the class count; without it all flags are False
@@ -573,8 +564,7 @@ def load_csv(path: str, schema: CsvSchema | None = None) -> DatasetBundle:
     feature text that parses to nan or inf, raises ParseError naming the
     line, as do bytes that are not UTF-8 text and NUL bytes.
     """
-    schema = schema or CsvSchema()
-    dim, parts = _read_table(path, schema.dim)
+    dim, parts = _read_table(path, dim)
     labels = np.concatenate([y for _, y in parts])
     if not labels.size:
         raise ParseError(f"{path}: no data rows")
@@ -582,7 +572,6 @@ def load_csv(path: str, schema: CsvSchema | None = None) -> DatasetBundle:
     for name in SPLITS[1:]:
         if not sizes[name]:
             raise ParseError(f"{path}: empty {name} split")
-    classes = schema.classes
 
     side = sidecar_path(path)
     manifest = _read_sidecar(side) if os.path.exists(side) else {}

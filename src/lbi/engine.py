@@ -69,7 +69,7 @@ from __future__ import annotations
 import json
 import os
 from contextlib import closing, nullcontext
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -165,13 +165,16 @@ class Rates:
 _DEFAULTS = config.defaults("lbi")
 
 
-@dataclass
+@dataclass(frozen=True)
 class LbiConfig:
     """Everything that controls one run except the data itself.
 
     ``lam`` weights the encoder proximity penalty and ``gamma`` weights the
     ignoring-weighted pretraining loss inside the finetuning objective
     (extended mode only).  Learning-rate names follow the role of each block.
+    A config is checked when it is made, by the constructor or by
+    ``dataclasses.replace``: ConfigError unless every field has its type and
+    passes its check in the ``lbi`` table of ``config``.
     """
 
     lam: float = _DEFAULTS["lam"]
@@ -193,9 +196,7 @@ class LbiConfig:
     freeze_ignore_pretrain: bool = _DEFAULTS["freeze_ignore_pretrain"]
     freeze_ignore_finetune: bool = _DEFAULTS["freeze_ignore_finetune"]
 
-    def validate(self):
-        """ConfigError unless every field has its type and passes its check
-        in the ``lbi`` table of ``config``."""
+    def __post_init__(self):
         config.read_section("lbi", vars(self), loose=False)
         if self.mode == "basic" and self.gamma != 0.0 and self.gamma != 1.0:
             # gamma is silently unused in basic mode; flag likely mistakes.
@@ -227,12 +228,6 @@ class LbiConfig:
         for f_ in fields(self):
             d["lambda" if f_.name == "lam" else f_.name] = getattr(self, f_.name)
         return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LbiConfig":
-        """Build from a plain mapping, e.g. a parsed config file, read by
-        the ``lbi`` table of ``config`` ("lambda" for lam, numeric text)."""
-        return config_with(cls(), **config.read_section("lbi", d))
 
 
 @dataclass
@@ -280,7 +275,6 @@ def init_state(bundle: DatasetBundle, cfg: LbiConfig) -> LbiState:
     Draw order from one seeded generator: pretraining encoder, pretraining
     head, finetuned encoder, finetuned head.
     """
-    cfg.validate()
     arch = Arch(bundle.dim, cfg.hidden, bundle.classes)
     rng = np.random.default_rng(
         np.random.SeedSequence(cfg.seed, spawn_key=(_SEED_DOMAIN_INIT,))
@@ -886,15 +880,14 @@ def _check_state(state: LbiState, bundle: DatasetBundle, cfg: LbiConfig):
 
 
 def check_stack(cfgs: list[LbiConfig]) -> LbiConfig:
-    """ConfigError unless the configs make one stack: at least one, each
-    valid, differing only in ``_PER_CELL_FIELDS``.  Returns the first."""
+    """ConfigError unless the configs make one stack: at least one, all
+    differing only in ``_PER_CELL_FIELDS``.  Returns the first."""
     if not cfgs:
         raise ConfigError("need at least one cell")
-    for c in cfgs:
-        c.validate()
     cfg = cfgs[0]
-    same = {name: getattr(cfg, name) for name in _PER_CELL_FIELDS}
-    if any(replace(c, **same) != cfg for c in cfgs):
+    shared = [f.name for f in fields(cfg) if f.name not in _PER_CELL_FIELDS]
+    if any(getattr(c, name) != getattr(cfg, name) for c in cfgs[1:]
+           for name in shared):
         raise ConfigError(
             "stacked cells may differ only in " + ", ".join(_PER_CELL_FIELDS))
     return cfg
@@ -922,8 +915,9 @@ def run_stack(bundle: DatasetBundle, cfgs: list[LbiConfig],
     cfg = check_stack(cfgs)
     if initial_states is None:
         initial_states = [init_state(bundle, c) for c in cfgs]
-    for s in initial_states:
-        _check_state(s, bundle, cfg)
+    else:
+        for s in initial_states:
+            _check_state(s, bundle, cfg)
     if len({s.iteration for s in initial_states}) > 1:
         raise ConfigError("stacked cells must start at the same iteration")
     cells = _Cells.of(cfgs)
@@ -1083,10 +1077,3 @@ def load_state(path: str) -> LbiState:
         raise ConfigError(f"cannot read state file {path}: {e.strerror}") from None
     except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise ConfigError(f"state file {path} is not valid JSON: {e}") from None
-
-
-def config_with(cfg: LbiConfig, **kwargs) -> LbiConfig:
-    """replace() with validation."""
-    out = replace(cfg, **kwargs)
-    out.validate()
-    return out

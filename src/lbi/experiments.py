@@ -34,7 +34,7 @@ from __future__ import annotations
 import os
 import pickle
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -45,34 +45,19 @@ from .engine import LbiConfig, LbiState
 from .errors import ConfigError, NumericError
 
 
-@dataclass(frozen=True)
-class AblationSwitches:
-    proximity: bool
-    source_term: bool
-    learn_pretrain_weights: bool
-    learn_finetune_weights: bool
-
-
-_ABLATIONS: dict[str, AblationSwitches] = {
-    "A1": AblationSwitches(False, False, False, False),
-    "A2": AblationSwitches(False, True, False, False),
-    "A3": AblationSwitches(False, True, False, True),
-    "A4": AblationSwitches(True, False, False, False),
-    "A5": AblationSwitches(True, True, False, False),
-    "A6": AblationSwitches(True, True, False, True),
-    "A7": AblationSwitches(True, False, True, False),
-    "A8": AblationSwitches(True, True, True, False),
-    "FULL": AblationSwitches(True, True, True, True),
+# Each id's switches, as the module docstring's table gives them: proximity,
+# source term, learned pretraining weights, learned finetuning weights.
+_ABLATIONS: dict[str, tuple[bool, bool, bool, bool]] = {
+    "A1": (False, False, False, False),
+    "A2": (False, True, False, False),
+    "A3": (False, True, False, True),
+    "A4": (True, False, False, False),
+    "A5": (True, True, False, False),
+    "A6": (True, True, False, True),
+    "A7": (True, False, True, False),
+    "A8": (True, True, True, False),
+    "FULL": (True, True, True, True),
 }
-
-
-def ablation_switches(ablation_id: str) -> AblationSwitches:
-    try:
-        return _ABLATIONS[ablation_id]
-    except KeyError:
-        raise ConfigError(
-            f"unknown ablation {ablation_id!r}; known: {', '.join(ABLATION_IDS)}"
-        ) from None
 
 
 def ablation_config(ablation_id: str, base: LbiConfig) -> LbiConfig:
@@ -83,15 +68,19 @@ def ablation_config(ablation_id: str, base: LbiConfig) -> LbiConfig:
     short-circuits, so e.g. the A3 trajectory is bit-identical to FULL run
     with lam = 0.
     """
-    sw = ablation_switches(ablation_id)
+    if ablation_id not in _ABLATIONS:
+        raise ConfigError(
+            f"unknown ablation {ablation_id!r}; known: {', '.join(ABLATION_IDS)}")
+    proximity, source_term, learn_pretrain, learn_finetune = (
+        _ABLATIONS[ablation_id])
     if base.mode != "extended":
         raise ConfigError("ablations are defined for extended mode")
-    return engine.config_with(
+    return replace(
         base,
-        lam=base.lam if sw.proximity else 0.0,
-        gamma=base.gamma if sw.source_term else 0.0,
-        freeze_ignore_pretrain=not sw.learn_pretrain_weights,
-        freeze_ignore_finetune=not sw.learn_finetune_weights,
+        lam=base.lam if proximity else 0.0,
+        gamma=base.gamma if source_term else 0.0,
+        freeze_ignore_pretrain=not learn_pretrain,
+        freeze_ignore_finetune=not learn_finetune,
     )
 
 
@@ -429,7 +418,7 @@ def run_matrix(data, ids, seeds, base_cfg: LbiConfig) -> MatrixResult:
     if not ids or not seeds:
         raise ConfigError("need at least one ablation id and one seed")
     return _run_blocks(data, ids, seeds, lambda ablation_id, seed: (
-        ablation_config(ablation_id, engine.config_with(base_cfg, seed=seed))))
+        ablation_config(ablation_id, replace(base_cfg, seed=seed))))
 
 
 def sweep(param: str, grid, data, seeds, base_cfg: LbiConfig) -> MatrixResult:
@@ -449,4 +438,4 @@ def sweep(param: str, grid, data, seeds, base_cfg: LbiConfig) -> MatrixResult:
     seeds = config.read_flag("sweep", "seeds", seeds, "seeds")
     field = "lam" if param == "lambda" else "gamma"
     return _run_blocks(data, grid, seeds, lambda value, seed: (
-        engine.config_with(base_cfg, seed=seed, **{field: value})), param)
+        replace(base_cfg, seed=seed, **{field: value})), param)

@@ -163,7 +163,8 @@ class _Lookahead:
     def __init__(self, state: LbiState, bundle: DatasetBundle, cfg: LbiConfig):
         bundle.validate()
         engine.check_fit(state, bundle)
-        cfg = replace(cfg, batch_size=None)
+        if cfg.batch_size is not None:
+            cfg = replace(cfg, batch_size=None)
         self.state, self.bundle, self.cfg = state, bundle, cfg
         self.rates = cfg.rates_at(state.iteration)
         cells = engine._Cells.of([cfg])

@@ -7,6 +7,7 @@ the suite, since the peak location is dataset-dependent.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import reference
@@ -114,12 +115,12 @@ class TestCriterion2:
 
         a3 = trajectory(experiments.ablation_config("A3", base))
         full_lam0 = trajectory(experiments.ablation_config(
-            "FULL", engine.config_with(base, lam=0.0)))
+            "FULL", replace(base, lam=0.0)))
         a3_ok = a3 == full_lam0
 
         a7 = trajectory(experiments.ablation_config("A7", base))
         full_gam0 = trajectory(experiments.ablation_config(
-            "FULL", engine.config_with(base, gamma=0.0)))
+            "FULL", replace(base, gamma=0.0)))
         a7_ok = a7 == full_gam0
 
         elapsed = time.perf_counter() - start

@@ -513,6 +513,22 @@ class TestGenDataAndEval:
         manifest = read_json(out / "manifest.json")
         assert manifest["data"]["spec"]["seed"] == 9
 
+    @pytest.mark.parametrize("command", ["gen-data", "run"])
+    def test_source_means_from_a_flag(self, tmp_path, command):
+        """The table a flag gives reaches the spec as an array, which the
+        spec holds as rows of floats before it checks them."""
+        means = [[0.0] * 5, [1.0] * 5]
+        out = tmp_path / "out"
+        extra = ["--set", "iterations=1"] if command == "run" else []
+        code = cli.main([command, "--out", str(out), *TINY_DATA, *extra,
+                         "--set", "data.source_means=[[0,0,0,0,0],[1,1,1,1,1]]"])
+        assert code == 0
+        spec = read_json(out / "manifest.json")["data"]["spec"]
+        assert spec["source_means"] == means
+        if command == "gen-data":
+            side = read_json(datasets.sidecar_path(out / "data.csv"))
+            assert side["spec"] == spec
+
     def test_csv_sidecar_is_hashed(self, tmp_path, monkeypatch):
         """Editing the sidecar's corruption flags changes the input hash
         and so the default output directory."""

@@ -5,6 +5,7 @@ never exit 1 or a traceback.  The README's configuration reference lists
 every key of the tables."""
 
 import contextlib
+import dataclasses
 import io
 import math
 import os
@@ -14,7 +15,7 @@ import yaml
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from lbi import cli, config, engine
+from lbi import cli, config, datasets, engine
 from lbi.errors import ConfigError
 
 KEYS = [(section, key) for section, table in config.SECTIONS.items()
@@ -104,14 +105,55 @@ def test_unknown_key_exits_2_naming_it(section, key, value):
     assert f"unknown config key {section}.{key}" in err
 
 
-def test_objects_built_in_code_take_typed_values_only():
-    """Objects built in code must hold typed values: text and integral
-    floats are read only from config files and flags."""
-    with pytest.raises(ConfigError, match="lbi.iterations"):
-        engine.LbiConfig(iterations=4.0).validate()
-    with pytest.raises(ConfigError, match="lbi.lam"):
-        engine.LbiConfig(lam="1e-3").validate()
-    assert engine.LbiConfig.from_dict({"lam": "1e-3", "iterations": 4.0}) \
+# The configs built in code, each with a valid instance of it: every field
+# is a key of its table.
+BUILT = {"lbi": (engine.LbiConfig, engine.LbiConfig()),
+         "data": (datasets.SynthSpec, datasets.SynthSpec(
+             dim=2, classes=2, n_pretrain=4, n_train=2, n_val=2, n_test=2))}
+BUILT_FIELDS = [(section, f.name) for section, (cls, _) in BUILT.items()
+                for f in dataclasses.fields(cls)]
+
+
+def typed_only_values(f):
+    """Values that a config file or flag may give for field ``f`` but that
+    code must not: number text, and integral floats for an integer."""
+    if f.kind == "int":
+        return st.one_of(st.integers(0, 9).map(str),
+                         st.integers(0, 9).map(float))
+    if f.kind == "float":
+        return st.floats(0, 9).map(repr)
+    return st.nothing()
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_objects_built_in_code_take_typed_values_only(data):
+    """A config built in code checks every field when it is made, by its
+    constructor and by dataclasses.replace, and holds typed values only:
+    text and integral floats are read only from config files and flags."""
+    for section, key in BUILT_FIELDS:
+        f = field(section, key)
+        value = data.draw(st.one_of(bad_values(f), typed_only_values(f)),
+                          label=f"{section}.{key}")
+        cls, valid = BUILT[section]
+        with pytest.raises(ConfigError, match=rf"^{section}\.{key} "):
+            cls(**{**vars(valid), key: value})
+        with pytest.raises(ConfigError, match=rf"^{section}\.{key} "):
+            dataclasses.replace(valid, **{key: value})
+
+
+@pytest.mark.parametrize("section", BUILT)
+def test_a_config_cannot_be_changed_in_place(section):
+    _, valid = BUILT[section]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        valid.seed = 1
+
+
+def test_typed_values_from_text():
+    """A table reads config text and integral floats into the typed values
+    that the objects take."""
+    assert engine.LbiConfig(**config.read_section(
+        "lbi", {"lam": "1e-3", "iterations": 4.0})) \
         == engine.LbiConfig(lam=1e-3, iterations=4)
 
 

@@ -20,8 +20,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from lbi import datasets
-from lbi.datasets import CsvSchema, DatasetBundle, Split, SynthSpec
+from lbi import config, datasets
+from lbi.datasets import DatasetBundle, Split, SynthSpec
 from lbi.errors import ConfigError, ParseError
 
 
@@ -132,15 +132,15 @@ class TestGenerate:
 
     def test_bad_spec_rejected(self):
         with pytest.raises(ConfigError):
-            small_spec(corrupt_frac=1.5).validate()
+            small_spec(corrupt_frac=1.5)
         with pytest.raises(ConfigError):
-            small_spec(classes=1).validate()
+            small_spec(classes=1)
         with pytest.raises(ConfigError):
-            small_spec(corrupt_kind="typo").validate()
+            small_spec(corrupt_kind="typo")
         with pytest.raises(ConfigError):
-            small_spec(noise_sigma=0.0).validate()
+            small_spec(noise_sigma=0.0)
         with pytest.raises(ConfigError):
-            small_spec(n_train=0).validate()
+            small_spec(n_train=0)
 
 
 class TestBayesBound:
@@ -275,7 +275,8 @@ class TestCsvRoundTrip:
         assert loaded == bundle
         with open(datasets.sidecar_path(path)) as fh:
             manifest = json.load(fh)
-        assert SynthSpec.from_dict(manifest["spec"]) == spec
+        assert SynthSpec(**config.read_section("data", manifest["spec"])) \
+            == spec
 
     def test_corruption_flags_survive_round_trip(self, tmp_path):
         bundle = datasets.generate(small_spec())
@@ -311,7 +312,7 @@ class TestCsvRoundTrip:
             "val,0,1.0\n"
             "test,0,1.0\n"
         )
-        bundle = datasets.load_csv(path, schema=CsvSchema(dim=1, classes=3))
+        bundle = datasets.load_csv(path, dim=1, classes=3)
         assert bundle.classes == 3
         assert bundle.validate() is None
 
@@ -347,7 +348,7 @@ class TestCsvRoundTrip:
         path = tmp_path / "bad.csv"
         path.write_text("split,label,f_0\npretrain,5,1.0\n")
         with pytest.raises(ParseError):
-            datasets.load_csv(path, schema=CsvSchema(dim=1, classes=2))
+            datasets.load_csv(path, dim=1, classes=2)
 
     def test_full_precision_floats(self, tmp_path):
         """Feature values survive the text round trip bit for bit."""
@@ -409,7 +410,7 @@ class TestCsvSidecar:
             datasets.load_csv(path)
         self.edit_sidecar(path, classes=3)
         with pytest.raises(ParseError, match="classes"):
-            datasets.load_csv(path, schema=CsvSchema(classes=4))
+            datasets.load_csv(path, classes=4)
 
     @pytest.mark.parametrize("key, value, what", [
         ("corrupted_pretrain_indices", [True], "a list of integers"),
@@ -438,14 +439,15 @@ class TestCsvSidecar:
 class TestSpecDict:
     def test_round_trip(self):
         spec = small_spec(source_means=[[0.0, 0, 0], [1.0, 1, 1]])
-        again = SynthSpec.from_dict(spec.to_dict())
+        again = SynthSpec(**config.read_section("data", spec.to_dict()))
         assert again == spec
 
     def test_unknown_key_rejected(self):
         d = small_spec().to_dict()
         d["bogus"] = 1
-        with pytest.raises(ConfigError):
-            SynthSpec.from_dict(d)
+        with pytest.raises(ConfigError,
+                           match=r"unknown config key data\.bogus \(known: kind,"):
+            SynthSpec(**config.read_section("data", d))
 
 
 @st.composite
@@ -512,7 +514,8 @@ class TestOneRepresentation:
             with_split(bundle, name, X=X).validate()
 
         y = split.y.copy()
-        y[i:] = bundle.classes + data.draw(st.integers(0, 3))
+        y[i:] = data.draw(st.one_of(
+            st.integers(bundle.classes, bundle.classes + 3), st.integers(-4, -1)))
         with pytest.raises(ValueError, match=rf"^{name}\[{i}\] label {y[i]} "):
             with_split(bundle, name, y=y).validate()
 
@@ -530,6 +533,22 @@ class TestOneRepresentation:
         flags[n + j] = True
         with pytest.raises(ValueError, match=rf"outside pretrain: flag {n + j} "):
             replace(bundle, corrupted=flags).validate()
+
+
+    @pytest.mark.parametrize("part", ["X", "y", "corrupted"])
+    def test_validate_names_what_is_no_array(self, part):
+        bundle = datasets.generate(small_spec())
+        if part == "corrupted":
+            with pytest.raises(ValueError,
+                               match="^corrupted must be a 1-D bool array$"):
+                replace(bundle, corrupted=bundle.corrupted.tolist()).validate()
+            return
+        val = bundle.val
+        X, y = (val.X.tolist(), val.y) if part == "X" else (val.X, val.y.tolist())
+        types = "list and ndarray" if part == "X" else "ndarray and list"
+        with pytest.raises(ValueError,
+                           match=f"^val needs X and y as numpy arrays, got {types}$"):
+            replace(bundle, val=Split(X, y)).validate()
 
 
 # Field texts and line ends where numpy's parser and the csv module could

@@ -9,6 +9,7 @@ finetuning loop.
 
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -19,7 +20,7 @@ import pytest
 import reference
 
 import lbi
-from lbi import datasets, engine, experiments, gradcheck, model
+from lbi import config, datasets, engine, experiments, gradcheck, model
 from lbi.datasets import DatasetBundle, Split, SynthSpec
 from lbi.engine import IgnoreSet, LbiConfig
 from lbi.errors import ConfigError, NumericError
@@ -105,62 +106,83 @@ def test_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_readme_quick_start_runs_and_resumes(capsys):
+    """README's "Quick start (Python)" code, each ```python block in turn,
+    runs as written against the package: a run, then its resume with a
+    config of more iterations made by dataclasses.replace."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        section = fh.read().split("\n## Quick start (Python)\n", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    blocks = re.findall(r"^```python\n(.*?)^```$", section, re.S | re.M)
+    assert len(blocks) == 2
+    scope = {}
+    for block in blocks:
+        exec(compile(block, readme, "exec"), scope)
+    assert "recovery AUC" in capsys.readouterr().out
+    cfg, state, more = scope["cfg"], scope["state"], scope["more"]
+    assert cfg.iterations == 300 and scope["longer"].iterations == 400
+    assert state.iteration == 400 and len(more) == 100
+
+
 class TestConfig:
     def test_defaults_validate(self):
-        LbiConfig().validate()
+        LbiConfig()
 
     def test_negative_rate_rejected(self):
         with pytest.raises(ConfigError):
-            LbiConfig(lr_ignore_pretrain=-0.1).validate()
+            LbiConfig(lr_ignore_pretrain=-0.1)
 
     def test_zero_rates_allowed(self):
-        LbiConfig(lr_pretrain_encoder=0.0, lr_ignore_finetune=0.0).validate()
+        LbiConfig(lr_pretrain_encoder=0.0, lr_ignore_finetune=0.0)
 
     def test_negative_lam_rejected(self):
         with pytest.raises(ConfigError):
-            LbiConfig(lam=-1e-3).validate()
+            LbiConfig(lam=-1e-3)
 
     @pytest.mark.parametrize("seed", [-1, 0.5, "3", True, None])
     def test_bad_seed_rejected(self, seed):
         with pytest.raises(ConfigError, match="seed"):
-            LbiConfig(seed=seed).validate()
+            LbiConfig(seed=seed)
         with pytest.raises(ConfigError, match="seed"):
-            engine.config_with(LbiConfig(), seed=seed)
+            replace(LbiConfig(), seed=seed)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ConfigError):
-            LbiConfig(mode="fancy").validate()
+            LbiConfig(mode="fancy")
         with pytest.raises(ConfigError):
-            LbiConfig(ignore_mode="fancy").validate()
+            LbiConfig(ignore_mode="fancy")
 
     def test_basic_mode_with_fractional_gamma_rejected(self):
         with pytest.raises(ConfigError):
-            LbiConfig(mode="basic", gamma=0.5).validate()
-        LbiConfig(mode="basic", gamma=0.0).validate()
+            LbiConfig(mode="basic", gamma=0.5)
+        LbiConfig(mode="basic", gamma=0.0)
 
     def test_dict_round_trip_uses_lambda_key(self):
         cfg = LbiConfig(lam=7e-3, gamma=0.5, hidden=4)
         d = cfg.to_dict()
         assert d["lambda"] == 7e-3
         assert "lam" not in d
-        assert engine.LbiConfig.from_dict(d) == cfg
+        assert LbiConfig(**config.read_section("lbi", d)) == cfg
 
     @pytest.mark.parametrize("value", [2.5, True, "2.5", "abc", [4], 0.0])
     def test_bad_batch_size_rejected(self, value):
         """batch_size takes integers >= 1 only, as iterations and hidden
         do: 2.5 is not read as 2, nor True as 1."""
         with pytest.raises(ConfigError, match="batch_size"):
-            LbiConfig.from_dict({"batch_size": value})
+            LbiConfig(**config.read_section("lbi", {"batch_size": value}))
 
     @pytest.mark.parametrize("value, want", [(None, None), (4, 4), (4.0, 4),
                                              ("4", 4), (np.int64(4), 4)])
     def test_batch_size_accepted(self, value, want):
-        got = LbiConfig.from_dict({"batch_size": value}).batch_size
+        got = LbiConfig(**config.read_section(
+            "lbi", {"batch_size": value})).batch_size
         assert got == want and type(got) is type(want)
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError):
-            engine.LbiConfig.from_dict({"lambdas": 1.0})
+        with pytest.raises(ConfigError,
+                           match=r"unknown config key lbi\.lambdas \(known: lam,"):
+            LbiConfig(**config.read_section("lbi", {"lambdas": 1.0}))
 
     def test_step_decay_boundary(self):
         """Decay kicks in exactly at 80% of the budget and leaves the
@@ -180,11 +202,11 @@ class TestConfig:
         cfg = LbiConfig(iterations=300, step_decay=False)
         assert cfg.rates_at(299) == cfg.rates_at(0)
 
-    def test_config_with_validates(self):
+    def test_replace_checks_the_new_config(self):
         cfg = LbiConfig()
-        assert engine.config_with(cfg, lam=0.5).lam == 0.5
+        assert replace(cfg, lam=0.5).lam == 0.5
         with pytest.raises(ConfigError):
-            engine.config_with(cfg, lam=-0.5)
+            replace(cfg, lam=-0.5)
 
 
 class TestInitState:
@@ -300,7 +322,7 @@ class TestPretrainStep:
         cfg = LbiConfig(weight_decay=wd, lr_pretrain_encoder=0.05,
                         lr_pretrain_head=0.05)
         state = engine.init_state(bundle, cfg)
-        plain_cfg = engine.config_with(cfg, weight_decay=0.0)
+        plain_cfg = replace(cfg, weight_decay=0.0)
         plain, _ = step_models(state, bundle, plain_cfg)
         decayed, _ = step_models(state, bundle, cfg)
         np.testing.assert_allclose(
@@ -632,7 +654,7 @@ class TestIteration:
                         lr_ignore_pretrain=2.0, lr_ignore_finetune=1.0,
                         freeze_ignore_pretrain=frozen,
                         freeze_ignore_finetune=frozen)
-        full_batch = engine.config_with(cfg, batch_size=None)
+        full_batch = replace(cfg, batch_size=None)
         state = engine.init_state(bundle, cfg)
         start = reference.copy_state(state)
         n = bundle.pretrain.n
@@ -744,7 +766,7 @@ class TestRunLoop:
     def test_trace_is_prefix_stable(self):
         bundle = tiny_bundle()
         short = LbiConfig(iterations=8, lam=0.1, gamma=0.9)
-        long = engine.config_with(short, iterations=16)
+        long = replace(short, iterations=16)
         _, t_short = engine.run(bundle, short)
         _, t_long = engine.run(bundle, long)
         assert t_long[:8] == t_short
@@ -795,7 +817,7 @@ class TestRunLoop:
         cfg = LbiConfig(iterations=10, lam=0.1, gamma=0.9)
         full_state, full_trace = engine.run(bundle, cfg)
 
-        half_cfg = engine.config_with(cfg, iterations=5)
+        half_cfg = replace(cfg, iterations=5)
         half_state, _ = engine.run(bundle, half_cfg)
         resumed, resumed_trace = engine.run(bundle, cfg,
                                             initial_state=half_state)
@@ -831,8 +853,8 @@ class TestRunLoop:
         bundle = tiny_bundle()
         cfg = LbiConfig(iterations=3)
         at, _ = engine.run(bundle, cfg)
-        past, _ = engine.run(bundle, engine.config_with(cfg, iterations=4))
-        cfgs = [cfg, engine.config_with(cfg, seed=1)]
+        past, _ = engine.run(bundle, replace(cfg, iterations=4))
+        cfgs = [cfg, replace(cfg, seed=1)]
         with pytest.raises(ConfigError,
                            match="iteration 4, past the config's iterations=3"):
             engine.run_stack(bundle, cfgs, initial_states=[past, past])
@@ -856,7 +878,7 @@ class TestRunLoop:
     def test_finetune_score_count_mismatch_rejected(self, batch_size):
         bundle = tiny_bundle(n_pre=10)
         cfg = LbiConfig(iterations=2, batch_size=batch_size)
-        state, _ = engine.run(bundle, engine.config_with(cfg, iterations=1))
+        state, _ = engine.run(bundle, replace(cfg, iterations=1))
         state.ignore_finetune = IgnoreSet(state.ignore_finetune.raw[:7], "clamp")
         with pytest.raises(ConfigError, match="finetuning"):
             engine.run(bundle, cfg, initial_state=state)
@@ -892,7 +914,7 @@ class TestMinibatch:
             full = LbiConfig(iterations=7, lam=0.2, gamma=0.8, hidden=hidden)
             s1, t1 = engine.run(bundle, full)
             for batch_size in (6, 64):
-                batched = engine.config_with(full, batch_size=batch_size)
+                batched = replace(full, batch_size=batch_size)
                 s2, t2 = engine.run(bundle, batched)
                 assert t1 == t2
                 for a, b in zip(blocks(s1), blocks(s2)):
@@ -1033,7 +1055,7 @@ class TestStatePersistence:
     def test_resume_from_disk_matches_memory(self, tmp_path):
         bundle = tiny_bundle()
         cfg = LbiConfig(iterations=8, lam=0.1, gamma=0.9)
-        half, _ = engine.run(bundle, engine.config_with(cfg, iterations=4))
+        half, _ = engine.run(bundle, replace(cfg, iterations=4))
         path = tmp_path / "state.json"
         engine.save_state(half, path)
         resumed, _ = engine.run(bundle, cfg,
@@ -1079,6 +1101,9 @@ def bad_bundle(case: str):
     if case == "nan":
         val.X[3, 1] = np.nan
         return bundle, r"val\[3\] has non-finite features"
+    if case == "list":
+        return (replace(bundle, train=Split(train.X.tolist(), train.y)),
+                r"train needs X and y as numpy arrays, got list and ndarray")
     assert case == "flags"
     return (replace(bundle, corrupted=bundle.corrupted[:-1]),
             r"corrupted has 8 flags, pretrain has 9 rows: pretrain\[8\] has "
@@ -1093,13 +1118,14 @@ class TestBundleCheckedOnEntry:
     CFG = LbiConfig(hidden=3, iterations=2, lam=0.3, gamma=0.7)
 
     def entries(self, bundle):
-        """Each entry point on ``bundle``, as a call of no arguments."""
+        """Each entry point on ``bundle``, as a call of no arguments.  The
+        state to verify fits ``bundle`` but is drawn on a valid one."""
         cfg = self.CFG
-        state = engine.init_state(bundle, cfg)
+        state = engine.init_state(entry_bundle(), cfg)
         return {
             "run": lambda: engine.run(bundle, cfg),
             "run_stack": lambda: engine.run_stack(
-                bundle, [engine.config_with(cfg, seed=s) for s in (0, 1)]),
+                bundle, [replace(cfg, seed=s) for s in (0, 1)]),
             "run_matrix": lambda: experiments.run_matrix(
                 bundle, experiments.ABLATION_IDS[:2], [0, 1], cfg),
             "verify_hypergrads": lambda: gradcheck.verify_hypergrads(
@@ -1135,7 +1161,7 @@ class TestBundleCheckedOnEntry:
     @pytest.mark.parametrize("entry", ["run", "run_stack", "run_matrix",
                                        "verify_hypergrads"])
     @pytest.mark.parametrize("case", ["label", "int32", "float32", "nan",
-                                      "flags"])
+                                      "flags", "list"])
     def test_a_bad_bundle_fails_on_entry(self, overlap, split, checked,
                                          monkeypatch, case, entry):
         bundle, message = bad_bundle(case)

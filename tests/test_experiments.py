@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import rankdata
 
-from lbi import datasets, engine, experiments
+from lbi import config, datasets, engine, experiments
 from lbi.datasets import SynthSpec
 from lbi.engine import LbiConfig
 from lbi.errors import ConfigError, NumericError
@@ -51,7 +51,7 @@ def pairwise_auc_oracle(weights, flags):
 def cell(bundle, cfg, ablation_id, seed=0):
     """The one RunResult of an (ablation id, seed) cell run alone."""
     cfg = experiments.ablation_config(ablation_id,
-                                      engine.config_with(cfg, seed=seed))
+                                      replace(cfg, seed=seed))
     (result,) = experiments.run_cell(bundle, [(ablation_id, cfg)])
     return result
 
@@ -155,6 +155,25 @@ class TestRecoveryAuc:
 
 
 class TestRunMatrix:
+    def test_each_config_is_checked_once_as_it_is_made(self, monkeypatch):
+        """A 45-cell matrix checks each cell's config as it is made, twice
+        (its seed, then its ablation's switches), and each cell's fit
+        twice (its fresh state and its scores); no entry checks again."""
+        bundle = datasets.generate(BUNDLE_SPEC)
+        base = replace(FAST, iterations=2)
+        counts = {"read_section": 0, "check_fit": 0}
+        for module, name in ((config, "read_section"), (engine, "check_fit")):
+            def counted(*args, _true=getattr(module, name), _name=name,
+                        **kwargs):
+                counts[_name] += 1
+                return _true(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(engine, "_usable_cpus", lambda: 1)  # one process
+        result = experiments.run_matrix(bundle, experiments.ABLATION_IDS,
+                                        range(5), base)
+        assert len(result.results) == 45 and not result.any_failed
+        assert counts == {"read_section": 90, "check_fit": 90}
+
     def test_shape_contract(self):
         result = experiments.run_matrix(BUNDLE_SPEC, ["A1", "FULL"], [0, 1, 2],
                                         FAST)
@@ -200,7 +219,7 @@ class TestRunMatrix:
         exactly zero hypergradient once lam is zero)."""
         bundle = datasets.generate(BUNDLE_SPEC)
         a3 = cell(bundle, FAST, "A3")
-        full = cell(bundle, engine.config_with(FAST, lam=0.0), "FULL")
+        full = cell(bundle, replace(FAST, lam=0.0), "FULL")
         assert a3.test_accuracy == full.test_accuracy
         np.testing.assert_array_equal(a3.final_ignore_finetune,
                                       full.final_ignore_finetune)
@@ -211,13 +230,13 @@ class TestRunMatrix:
         """Same reduction on the other switch: A7 is FULL at gamma = 0."""
         bundle = datasets.generate(BUNDLE_SPEC)
         a7 = cell(bundle, FAST, "A7")
-        full = cell(bundle, engine.config_with(FAST, gamma=0.0), "FULL")
+        full = cell(bundle, replace(FAST, gamma=0.0), "FULL")
         assert a7.test_accuracy == full.test_accuracy
         np.testing.assert_array_equal(a7.final_ignore_pretrain,
                                       full.final_ignore_pretrain)
 
     def test_failures_recorded_not_raised(self):
-        broken = engine.config_with(FAST, lr_pretrain_encoder=1e160,
+        broken = replace(FAST, lr_pretrain_encoder=1e160,
                                     lr_pretrain_head=1e160,
                                     lr_finetune_encoder=1e160,
                                     lr_finetune_head=1e160, lam=1.0, gamma=1.0)
@@ -328,7 +347,7 @@ class TestSweep:
         """Each point's block records every seed in the order given:
         accuracies for a finished run, the numeric failure for a failed
         one; the point's aggregate counts the finished runs."""
-        huge = engine.config_with(FAST, lr_pretrain_encoder=1e100,
+        huge = replace(FAST, lr_pretrain_encoder=1e100,
                                   lr_pretrain_head=1e100,
                                   lr_finetune_encoder=1e100,
                                   lr_finetune_head=1e100)
@@ -438,7 +457,7 @@ class TestSplit:
     @pytest.mark.parametrize("hidden", [0, 3])
     @pytest.mark.parametrize("batch_size", [None, 4])
     def test_results_equal_one_stack(self, split, hidden, batch_size):
-        cfg = engine.config_with(FAST, hidden=hidden, batch_size=batch_size)
+        cfg = replace(FAST, hidden=hidden, batch_size=batch_size)
         runs = {
             "matrix": lambda: experiments.run_matrix(
                 BUNDLE_SPEC, ["A1", "A5", "A7", "FULL"], [0, 1], cfg),
@@ -457,7 +476,7 @@ class TestSplit:
             assert forked.aggregates == serial.aggregates
 
     def test_failed_cells_of_the_child_keep_their_errors(self, split):
-        huge = engine.config_with(FAST, lr_pretrain_encoder=1e100,
+        huge = replace(FAST, lr_pretrain_encoder=1e100,
                                   lr_pretrain_head=1e100,
                                   lr_finetune_encoder=1e100,
                                   lr_finetune_head=1e100)
@@ -537,8 +556,8 @@ class TestSplit:
             raise AssertionError("forked")
 
         monkeypatch.setattr(os, "fork", no_fork)
-        cells = [(k, engine.config_with(FAST, seed=k)) for k in range(3)]
-        cells.append((3, engine.config_with(FAST, seed=3, iterations=5)))
+        cells = [(k, replace(FAST, seed=k)) for k in range(3)]
+        cells.append((3, replace(FAST, seed=3, iterations=5)))
         with pytest.raises(ConfigError, match="may differ only in"):
             experiments.run_cell(datasets.generate(BUNDLE_SPEC), cells)
 
@@ -553,7 +572,7 @@ class TestSplit:
 
         def processes(n_cells=4, **change):
             return experiments.stack_processes(
-                bundle, engine.config_with(FAST, **change), n_cells)
+                bundle, replace(FAST, **change), n_cells)
 
         assert processes() == 2
         assert processes(3, iterations=1000) == 1

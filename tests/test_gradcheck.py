@@ -130,7 +130,7 @@ class TestFdAgreement:
         does: every row's loss is that of the iteration's finetuned model."""
         inst = without_pretraining(gradcheck.make_check_instance(
             8, hidden=hidden, ignore_mode=ignore_mode, mode=mode))
-        bundle, cfg = inst.arrays, engine.config_with(inst.cfg,
+        bundle, cfg = inst.arrays, replace(inst.cfg,
                                                       weight_decay=0.1)
         lookahead = gradcheck._Lookahead(inst.state, bundle, cfg)
         nxt, _ = reference.iterate(inst.state, bundle, cfg)
@@ -217,7 +217,7 @@ class TestSharedForwards:
 
     def test_weight_decay_and_large_step_bitwise(self):
         inst = gradcheck.make_check_instance(23, hidden=2)
-        inst.cfg = engine.config_with(inst.cfg, weight_decay=0.05)
+        inst.cfg = replace(inst.cfg, weight_decay=0.05)
         self.assert_matches_reference(inst, step=3e-2)
 
     @settings(max_examples=60, deadline=None)
@@ -236,7 +236,7 @@ class TestSharedForwards:
         inst = gradcheck.make_check_instance(
             seed, hidden=hidden, ignore_mode=ignore_mode, mode=mode,
             n_pretrain=n_pretrain, gamma=0.0 if mode == "basic" else None)
-        inst.cfg = engine.config_with(inst.cfg, weight_decay=weight_decay)
+        inst.cfg = replace(inst.cfg, weight_decay=weight_decay)
         with mock.patch.object(gradcheck, "_CHUNK_FLOATS", chunk_floats):
             self.assert_matches_reference(inst)
 
@@ -298,7 +298,7 @@ class TestExecutedPath:
         """Iteration 7 runs the full rates and iteration 8 (decay_start)
         the decayed ones; the oracle agrees on both sides."""
         inst = gradcheck.make_check_instance(31)
-        cfg = engine.config_with(inst.cfg, step_decay=True, iterations=10)
+        cfg = replace(inst.cfg, step_decay=True, iterations=10)
         assert cfg.decay_start() == 8
         reports = []
         for it in (7, 8):
@@ -318,7 +318,7 @@ class TestExecutedPath:
         inst = gradcheck.make_check_instance(32, hidden=hidden,
                                              ignore_mode="sigmoid",
                                              n_pretrain=10)
-        cfg = engine.config_with(inst.cfg, batch_size=4)
+        cfg = replace(inst.cfg, batch_size=4)
         state, arrays = inst.state, inst.arrays
         sub_state, sub, idx_pre = reference.batch_view(state, arrays, cfg)
         assert len(idx_pre) == 4
@@ -340,7 +340,7 @@ class TestExecutedPath:
         """The oracle differences the full-batch map, so the analytic side
         is the full-batch iteration whatever the config's batch_size."""
         inst = gradcheck.make_check_instance(33, n_pretrain=10)
-        cfg = engine.config_with(inst.cfg, batch_size=3)
+        cfg = replace(inst.cfg, batch_size=3)
         full = gradcheck.verify_hypergrads(inst.state, inst.arrays, inst.cfg)
         batched = gradcheck.verify_hypergrads(inst.state, inst.arrays, cfg)
         assert batched.passed(), batched.as_table()
@@ -395,7 +395,7 @@ def check_executed_iteration(seed, mode, ignore_mode, hidden, weight_decay,
     rates = {name: scale * getattr(inst.cfg, name) for name in (
         "lr_pretrain_encoder", "lr_pretrain_head", "lr_finetune_encoder",
         "lr_finetune_head")}
-    cfg = engine.config_with(inst.cfg, weight_decay=weight_decay,
+    cfg = replace(inst.cfg, weight_decay=weight_decay,
                              step_decay=True, iterations=10,
                              batch_size=batch_size, **rates)
     assert cfg.decay_start() == 8

@@ -16,7 +16,7 @@ Three layers of evidence that a stack changes no cell's bits:
 """
 
 import warnings
-from dataclasses import astuple
+from dataclasses import astuple, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -348,7 +348,7 @@ def stacks(draw):
     cells = draw(st.lists(
         st.tuples(st.integers(0, 3), lams, gammas, st.booleans(),
                   st.booleans()), min_size=1, max_size=6))
-    cfgs = [engine.config_with(base, seed=seed, lam=lam, gamma=gamma,
+    cfgs = [replace(base, seed=seed, lam=lam, gamma=gamma,
                                freeze_ignore_pretrain=fa,
                                freeze_ignore_finetune=fb)
             for seed, lam, gamma, fa, fb in cells]
@@ -366,7 +366,7 @@ def full_batch_stack(classes, mode):
     base = LbiConfig(mode=mode, iterations=5, step_decay=True,
                      lr_ignore_pretrain=3.0, lr_ignore_finetune=1.0)
     gamma = 0.7 if mode == "extended" else 0.0
-    cfgs = [engine.config_with(base, seed=seed, lam=lam, gamma=g,
+    cfgs = [replace(base, seed=seed, lam=lam, gamma=g,
                                freeze_ignore_pretrain=frozen)
             for seed, lam, g, frozen in ((0, 0.3, gamma, False),
                                          (1, 0.0, gamma, True),
@@ -398,9 +398,9 @@ class TestStackEqualsSolo:
             shift=0.5, corrupt_frac=0.3, seed=8))
         base = LbiConfig(iterations=10, step_decay=True, batch_size=3,
                          lr_ignore_pretrain=3.0)
-        cfgs = [engine.config_with(base, seed=s, lam=lam, gamma=g)
+        cfgs = [replace(base, seed=s, lam=lam, gamma=g)
                 for s, lam, g in ((0, 0.3, 0.7), (1, 0.0, 0.7), (2, 0.3, 0.0))]
-        half = [engine.run(bundle, engine.config_with(c, iterations=6))[0]
+        half = [engine.run(bundle, replace(c, iterations=6))[0]
                 for c in cfgs]
         assert cfgs[0].decay_start() == 8
         got = stacked_outcomes(bundle, cfgs,
@@ -421,7 +421,7 @@ class TestStackEqualsSolo:
                          hidden=hidden, batch_size=batch_size)
         ids, seeds = ["A1", "A5", "FULL"], [0, 1]
         cfgs = [experiments.ablation_config(
-            i, engine.config_with(base, seed=s)) for i in ids for s in seeds]
+            i, replace(base, seed=s)) for i in ids for s in seeds]
         outs = []
         stack = engine.run_stack
 
@@ -487,7 +487,7 @@ def failing_stack(hidden=0):
     ]
     cfgs, states, errors = [], [], []
     for craft, change, error in plan:
-        cfg = engine.config_with(base, **change)
+        cfg = replace(base, **change)
         state = engine.init_state(bundle, cfg)
         if craft is not None:
             craft(state)
@@ -522,7 +522,7 @@ class TestCellFailures:
                  for seed in (0, 1)]
         results = experiments.run_cell(bundle, [
             (aid, experiments.ablation_config(
-                aid, engine.config_with(base, seed=seed)))
+                aid, replace(base, seed=seed)))
             for aid, seed in cells])
         assert [(r.ablation, r.seed) for r in results] == cells
         for r in results:
@@ -569,14 +569,14 @@ class TestOneEngine:
             seed=1))
         cfg = LbiConfig(iterations=3)
         with pytest.raises(ConfigError, match="differ only in"):
-            engine.run_stack(bundle, [cfg, engine.config_with(cfg, **change)])
+            engine.run_stack(bundle, [cfg, replace(cfg, **change)])
 
     def test_cells_must_start_together(self):
         bundle = datasets.generate(SynthSpec(
             dim=3, classes=2, n_pretrain=8, n_train=5, n_val=4, n_test=4,
             seed=1))
         cfg = LbiConfig(iterations=3)
-        ahead, _ = engine.run(bundle, engine.config_with(cfg, iterations=1))
+        ahead, _ = engine.run(bundle, replace(cfg, iterations=1))
         with pytest.raises(ConfigError, match="same iteration"):
             engine.run_stack(bundle, [cfg, cfg],
                              [engine.init_state(bundle, cfg), ahead])
@@ -596,7 +596,7 @@ def overlap_cells(mode, ignore_mode, hidden, batch_size):
                      batch_size=batch_size, iterations=4,
                      lr_ignore_pretrain=3.0, lr_ignore_finetune=1.0)
     gamma = 0.7 if mode == "extended" else 1.0
-    cfgs = [engine.config_with(base, seed=seed, lam=lam, gamma=g,
+    cfgs = [replace(base, seed=seed, lam=lam, gamma=g,
                                freeze_ignore_pretrain=fa,
                                freeze_ignore_finetune=fb)
             for seed, lam, g, fa, fb in ((0, 0.3, gamma, False, False),
