@@ -17,9 +17,9 @@ resolved configuration, the data entry (a synthetic spec, or a CSV's path
 with the sha256 of the CSV and of its sidecar), the command's own settings,
 their content hash ``input_sha256``, a timestamp, and the environment and
 wall time of the command (``run_env``, outside the hash: CPU count,
-Python, numpy, BLAS and its thread variables), and for ``ablate`` and
-``sweep`` how many processes trained the stack (``stack_processes``, 1 or
-2: ``experiments.stack_processes``).  Data files are
+Python, numpy, BLAS, its thread variables and the thread count in effect),
+and for ``run``, ``ablate`` and ``sweep`` the ``engine.plan`` that trains
+the stack (``plan``, also outside the hash).  Data files are
 written atomically (temp file, then rename) and all numeric CSV output uses
 17 significant digits, so reruns of the same deterministic command produce
 byte-identical data files.
@@ -254,6 +254,19 @@ def blas_name() -> str:
     return f"{blas['name']}-{blas['version']}"
 
 
+def blas_threads_in_effect() -> int | None:
+    """The thread count of numpy's bundled OpenBLAS (scipy-openblas), or
+    None for a BLAS that does not export its getter."""
+    import ctypes  # not imported with lbi
+    try:
+        get = ctypes.CDLL(np._core._multiarray_umath.__file__
+                          ).scipy_openblas_get_num_threads64_
+    except (AttributeError, OSError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    return get()
+
+
 def write_manifest(job: Job, started: float):
     """The job's manifest.json, for a command that started at
     ``time.perf_counter()`` value ``started``."""
@@ -267,6 +280,7 @@ def write_manifest(job: Job, started: float):
             "blas": blas_name(),
             "blas_threads": {var: os.environ.get(var)
                              for var in BLAS_THREAD_VARS},
+            "blas_threads_in_effect": blas_threads_in_effect(),
             "duration_s": round(time.perf_counter() - started, 3),
         },
     })
@@ -302,6 +316,7 @@ def cmd_run(job: Job) -> int:
     bundle = job.bundle
     resume = job.config["run"].get("resume")
     initial = engine.load_state(resume) if resume else None
+    job.manifest["plan"] = engine.plan(bundle, job.cfg, 1)._asdict()
 
     trace_path = os.path.join(job.out, "trace.csv")
     failure: NumericError | None = None
@@ -372,9 +387,9 @@ def _matrix_rows(result: experiments.MatrixResult) -> list[list]:
 
 def cmd_ablate(job: Job) -> int:
     ids, seeds = job.settings["ids"], job.settings["seeds"]
+    job.manifest["plan"] = engine.plan(job.bundle, job.cfg,
+                                       len(ids) * len(seeds))._asdict()
     result = experiments.run_matrix(job.bundle, ids, seeds, job.cfg)
-    job.manifest["stack_processes"] = experiments.stack_processes(
-        job.bundle, job.cfg, len(result.results))
     _write_csv(
         os.path.join(job.out, "results.csv"),
         ["ablation", "seed", "test_accuracy", "val_accuracy",
@@ -398,11 +413,10 @@ def cmd_ablate(job: Job) -> int:
 
 
 def cmd_sweep(job: Job) -> int:
-    param, grid = job.settings["param"], job.settings["grid"]
-    result = experiments.sweep(param, grid, job.bundle,
-                               job.settings["seeds"], job.cfg)
-    job.manifest["stack_processes"] = experiments.stack_processes(
-        job.bundle, job.cfg, len(result.results))
+    param, grid, seeds = (job.settings[k] for k in ("param", "grid", "seeds"))
+    job.manifest["plan"] = engine.plan(job.bundle, job.cfg,
+                                       len(grid) * len(seeds))._asdict()
+    result = experiments.sweep(param, grid, job.bundle, seeds, job.cfg)
 
     def error(r: experiments.RunResult) -> str | None:
         return None if r.ok else f"seed {r.seed}: {r.error}"

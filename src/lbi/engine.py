@@ -56,18 +56,20 @@ one-cell run; ``run`` is the one-cell case of the same code, in which the
 state keeps no cell axis.  A cell that fails a finite check leaves the
 stack with its own run's error while the others go on.
 
-Overlap.  Stage 1 and the finetuned model's gradients read disjoint inputs
-and meet only at the proximity term.  So a large one-cell run runs stage 1
-on a worker thread meanwhile, and keeps the pretraining batch's n x hidden
-arrays in fixed buffers.  ``run_stack`` decides this once per run and then
-makes both (``_Workspace``); a stack never does.  Every numpy call keeps
-its operands, so every value keeps its bits.
+Plan.  ``plan`` alone chooses, once per stack, how it uses a second CPU.
+A large stack trains its second half in a forked child
+(``experiments.run_cell``).  A large one-cell MLP run runs stage 1 on a
+worker thread while it forms the finetuned model's gradients, which meet
+stage 1 only at the proximity term, and keeps its n x hidden arrays in
+fixed buffers (``_Workspace``).  Every numpy call keeps its operands, so
+every value keeps its bits.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import threading
 from contextlib import closing, nullcontext
 from dataclasses import dataclass, fields
 from typing import NamedTuple
@@ -609,15 +611,19 @@ def _first_failures(checks, iteration: int) -> dict[int, NumericError]:
     return failed
 
 
-# A one-cell MLP run overlaps its stages 1 and 2 when its pretraining batch
-# holds at least this many hidden activations (rows x hidden) and the
-# process may run on two CPUs.  On smaller arrays numpy holds the GIL for
-# too much of each call for the threads to overlap: at hidden 64 (dim 32,
-# 10 classes, 500 train and val rows) 250 full-batch rows (16,000
-# activations) measured a tie and 500 rows (32,000) and more a gain.
-# Stacks stay serial until a rule for them is measured: with the overlap,
-# paper-ablate's 45-cell matrix (200 rows) ran 12% slower at hidden 8 and
-# 2.2x faster at hidden 64.
+# Where a second CPU starts to pay (``plan``): the fork split of a stack of
+# 4 or more cells, from cells x iterations x pretraining batch rows, and the
+# stage overlap of a one-cell MLP run, from batch rows x hidden.  Stacks do
+# not overlap: on their small arrays numpy holds the GIL for most of each
+# call (forced on, the 45-cell matrix ran 12% slower at hidden 8 and 2.2x
+# faster at hidden 64).  Medians on 2 vCPU, BLAS on 1 thread; README
+# "Performance" has every point:
+#     split    sweep   8 x 300, 200 rows      480,000   219.9 -> 213.6 ms
+#     split    matrix 45 x  60, 200 rows      540,000   118.2 ->  92.1 ms
+#     split    matrix 45 x 300, 200 rows    2,700,000   443.5 -> 331.6 ms
+#     overlap  one run, 250 rows, hidden 64    16,000   a tie
+#     overlap  one run, 500 rows, hidden 64    32,000   a gain
+SPLIT_MIN_CELL_ROW_ITERATIONS = 500_000
 OVERLAP_MIN_ACTIVATIONS = 24_000
 
 
@@ -626,6 +632,27 @@ def _usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # not on Linux
         return os.cpu_count() or 1
+
+
+class Plan(NamedTuple):
+    processes: int  # 2: ``experiments.run_cell`` forks for the second half
+    overlap: bool  # ``run_stack`` runs stage 1 on a worker thread
+
+
+def plan(bundle: DatasetBundle, cfg: LbiConfig, n_cells: int) -> Plan:
+    """How ``n_cells`` stacked cells of ``cfg``'s shared fields use a
+    second CPU, by the table above.  Either needs two usable CPUs, and a
+    fork Linux and no other live Python thread (it copies only its own)."""
+    rows = min(cfg.batch_size or bundle.pretrain.n, bundle.pretrain.n)
+    two = _usable_cpus() >= 2
+    forks = (two and n_cells >= 4 and hasattr(os, "fork")
+             and hasattr(os, "sched_getaffinity")
+             and threading.active_count() == 1
+             and n_cells * cfg.iterations * rows
+             >= SPLIT_MIN_CELL_ROW_ITERATIONS)
+    overlaps = (two and n_cells == 1 and cfg.hidden > 0
+                and rows * cfg.hidden >= OVERLAP_MIN_ACTIVATIONS)
+    return Plan(2 if forks else 1, overlaps)
 
 
 class _Workspace:
@@ -734,7 +761,7 @@ def _front(state: LbiState, bundle: DatasetBundle, cfg: LbiConfig,
 
 def _finish(state: LbiState, bundle: DatasetBundle, cfg: LbiConfig,
             cells: _Cells, rates: Rates, front: _Front,
-            workspace: _Workspace | None = None):
+            workspace: _Workspace | None = None, trace: bool = True):
     """``_iterate`` from its finetuning step on, given its ``front``;
     returns what ``_iterate`` returns."""
     K = len(cells.seeds)
@@ -788,19 +815,22 @@ def _finish(state: LbiState, bundle: DatasetBundle, cfg: LbiConfig,
                     step_b),
         state.iteration + 1,
     )
+    if not trace:
+        return nxt, None, failed, (hg_a, hg_b)
     n_pre = bundle.pretrain.n
-    trace = (
+    values = (
         model.weighted_losses(f.pre_fwd, f.a),
         model.weighted_losses(f.train_fwd),
         model.weighted_losses(val_fwd),
         _grad_norms(hg_a, cells.prox, f.at, n_pre),
         _grad_norms(hg_b, cells.mixes, f.at, n_pre),
     )
-    return nxt, trace, failed, (hg_a, hg_b)
+    return nxt, values, failed, (hg_a, hg_b)
 
 
 def _iterate(state: LbiState, bundle: DatasetBundle, cfg: LbiConfig,
-             cells: _Cells, rates: Rates, workspace: _Workspace | None = None):
+             cells: _Cells, rates: Rates, workspace: _Workspace | None = None,
+             trace: bool = True):
     """Advance every cell of a state, one cell or a stack, by one iteration.
 
     The order: pretraining step, finetuning step against the stepped
@@ -812,8 +842,9 @@ def _iterate(state: LbiState, bundle: DatasetBundle, cfg: LbiConfig,
     bundle is trusted to be valid and the state to fit both (``run_stack``
     checks them).  Returns the next state, the five trace values of
     ``TraceRow`` after its iteration (one length-K vector each for a
-    stack), {cell position: NumericError} for the cells that failed a
-    finite check (their entries in the next state are not meaningful), and
+    stack; None without ``trace``, which skips making them), {cell position:
+    NumericError} for the cells that failed a finite check (their entries
+    in the next state are not meaningful), and
     the raw-score hypergradients (hg_a, hg_b) of the batch's scores, each
     None when it is identically zero in every cell.  A frozen score set
     still gets its hypergradient.
@@ -828,7 +859,7 @@ def _iterate(state: LbiState, bundle: DatasetBundle, cfg: LbiConfig,
     no returned array is a buffer, so ``_front``'s values stay inside.
     """
     front = _front(state, bundle, cfg, cells, rates, workspace)
-    return _finish(state, bundle, cfg, cells, rates, front, workspace)
+    return _finish(state, bundle, cfg, cells, rates, front, workspace, trace)
 
 
 def check_fit(state: LbiState, bundle: DatasetBundle):
@@ -909,7 +940,8 @@ def run_stack(bundle: DatasetBundle, cfgs: list[LbiConfig],
     finite check leaves the stack with the NumericError, message and
     iteration included, that its own run raises; the others go on.
     ``on_row(k, row)``, when given, receives cell k's trace rows as they are
-    made.  Returns each cell's final state or NumericError, in order.
+    made; without it no trace value is made.  Returns each cell's final
+    state or NumericError, in order.
     """
     bundle.validate()
     cfg = check_stack(cfgs)
@@ -926,21 +958,23 @@ def run_stack(bundle: DatasetBundle, cfgs: list[LbiConfig],
     out: list = [None] * len(cfgs)
     decay_start = cfg.decay_start()
     rates = cfg.rates_at(state.iteration)
-    n_pre = bundle.pretrain.n
-    batch = n_pre if cfg.batch_size is None else min(cfg.batch_size, n_pre)
-    overlaps = (not cells.stacked and cfg.hidden > 0
-                and batch * cfg.hidden >= OVERLAP_MIN_ACTIVATIONS
-                and _usable_cpus() >= 2)
-    with (closing(_Workspace(batch, cfg.hidden)) if overlaps
-          else nullcontext()) as workspace:
+    batch = min(cfg.batch_size or bundle.pretrain.n, bundle.pretrain.n)
+    with (closing(_Workspace(batch, cfg.hidden))
+          if plan(bundle, cfg, len(cfgs)).overlap else nullcontext()
+          ) as workspace:
         while state.iteration < cfg.iterations:
             it = state.iteration
             if it == decay_start:
                 rates = cfg.rates_at(it)
             state, trace, failed, _ = _iterate(state, bundle, cfg, cells,
-                                               rates, workspace)
-            # The trace values, a row per cell.
-            rows = np.array(trace).T.reshape(-1, len(fields(TraceRow)) - 1)
+                                               rates, workspace,
+                                               on_row is not None)
+            if on_row is not None:
+                # The trace values, a row per cell, for the cells that pass.
+                rows = np.array(trace).T.reshape(-1, len(fields(TraceRow)) - 1)
+                for pos, values in enumerate(rows.tolist()):
+                    if pos not in failed:
+                        on_row(alive[pos], TraceRow(it, *values))
             if failed:
                 for pos, err in failed.items():
                     out[alive[pos]] = err
@@ -950,10 +984,6 @@ def run_stack(bundle: DatasetBundle, cfgs: list[LbiConfig],
                 if not alive:
                     break
                 state, cells = _cell(state, keep), cells.take(keep)
-                rows = rows[keep]
-            if on_row is not None:
-                for k, values in zip(alive, rows.tolist()):
-                    on_row(k, TraceRow(it, *values))
     for pos, k in enumerate(alive):
         out[k] = _cell(state, pos) if cells.stacked else state
     return out

@@ -25,15 +25,14 @@ ablations run in extended mode so the nine cells differ only in the switches
 above.
 
 Every matrix and sweep trains its cells through ``run_cell``: as one
-``engine.run_stack`` stack or, when it is large, as two halves of it in two
-processes (``stack_processes``).  Each cell is bit for bit its solo run.
+``engine.run_stack`` stack or, when ``engine.plan`` says so, as two halves
+of it in two processes.  Each cell is bit for bit its solo run.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
-import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -247,34 +246,6 @@ def _resolve_bundle(data) -> DatasetBundle:
     return generate(data) if isinstance(data, SynthSpec) else data
 
 
-# Two processes for a stack of 4 or more cells from this many cells x
-# iterations x pretraining batch rows on (a fork shares no GIL).  Median
-# times on 2 vCPU, BLAS on 1 thread, 200 rows (README "Performance" has
-# every point measured):
-#     cells x iterations       product    one -> two processes
-#     sweep    4 x 300         240,000    197.9 -> 220.3 ms
-#     matrix  45 x  20         180,000     54.7 ->  48.5 ms
-#     sweep    8 x 300         480,000    219.9 -> 213.6 ms
-#     matrix  45 x  60         540,000    118.2 ->  92.1 ms
-#     sweep   15 x 200         600,000    173.2 -> 164.5 ms
-#     matrix  45 x 300       2,700,000    443.5 -> 331.6 ms
-SPLIT_MIN_CELL_ROW_ITERATIONS = 500_000
-
-
-def stack_processes(bundle: DatasetBundle, cfg: LbiConfig, n_cells: int) -> int:
-    """How many processes ``run_cell`` trains ``n_cells`` stacked cells of
-    ``cfg``'s shared fields on: 2 by the rule above, on Linux with no other
-    Python thread alive (a fork copies only the calling thread), else 1."""
-    n_pre = bundle.pretrain.n
-    rows = n_pre if cfg.batch_size is None else min(cfg.batch_size, n_pre)
-    splits = (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-              and engine._usable_cpus() >= 2
-              and threading.active_count() == 1 and n_cells >= 4
-              and n_cells * cfg.iterations * rows
-              >= SPLIT_MIN_CELL_ROW_ITERATIONS)
-    return 2 if splits else 1
-
-
 def run_cell(bundle: DatasetBundle,
              cells: list[tuple[object, LbiConfig]]) -> list[RunResult]:
     """Train the given (label, config) cells as one stack
@@ -282,14 +253,14 @@ def run_cell(bundle: DatasetBundle,
     ``score``.  Numeric failures are recorded per cell, not raised.  Before
     any training, a bundle that fails ``DatasetBundle.validate`` raises its
     ValueError, and an empty test split, or cells that make no stack, a
-    ConfigError.  When ``stack_processes`` says 2, a forked child (reaped
+    ConfigError.  When ``engine.plan`` says 2 processes, a forked child (reaped
     on every path) runs the second half meanwhile.  Its exception is raised
     once the first half is done, unless that half raised; a child that dies
     or garbles its results is a RuntimeError naming its exit status."""
     bundle.validate()
     _check_test_split(bundle)
     cfg = engine.check_stack([c for _, c in cells])
-    if stack_processes(bundle, cfg, len(cells)) == 1:
+    if engine.plan(bundle, cfg, len(cells)).processes == 1:
         return _run_cells(bundle, cells)
     half = len(cells) // 2
     cpus = _other_cpus()

@@ -150,7 +150,8 @@ class _Lookahead:
     hypergradients it is checked against.
 
     Both come from one full-batch pass of the engine's iteration
-    (``engine._front`` and ``engine._finish``): ``hypergrads`` holds its
+    (``engine._front`` and ``engine._finish``, without the trace values
+    that nothing here reads): ``hypergrads`` holds its
     raw-score hypergradients (pretraining, finetuning; None in basic mode),
     a set the engine skips as identically zero as zeros, and ``front`` the
     work no score reaches (see the module docstring).  A failed finite check
@@ -170,7 +171,8 @@ class _Lookahead:
         cells = engine._Cells.of([cfg])
         self.front = engine._front(state, bundle, cfg, cells, self.rates)
         _, _, failed, hgs = engine._finish(state, bundle, cfg, cells,
-                                           self.rates, self.front)
+                                           self.rates, self.front,
+                                           trace=False)
         if failed:
             raise failed[0]
         hg_a, hg_b = (np.zeros(bundle.pretrain.n) if hg is None else hg
@@ -251,8 +253,8 @@ def verify_hypergrads(state: LbiState, bundle: DatasetBundle, cfg: LbiConfig,
             continue
         numeric = lookahead.central_differences(
             which, range(bundle.pretrain.n), step)
-        report.entries += [FdEntry(which, i, float(a), float(v))
-                           for i, (a, v) in enumerate(zip(analytic, numeric))]
+        report.entries += [FdEntry(which, i, a, v) for i, (a, v) in enumerate(
+            zip(analytic.tolist(), numeric.tolist()))]
     return report
 
 

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from lbi import engine, experiments
+from lbi import engine
 
 
 @pytest.fixture(autouse=True)
@@ -64,7 +64,7 @@ def split(monkeypatch):
         forks.append(pid)
         return pid
 
-    monkeypatch.setattr(experiments, "SPLIT_MIN_CELL_ROW_ITERATIONS", 0)
+    monkeypatch.setattr(engine, "SPLIT_MIN_CELL_ROW_ITERATIONS", 0)
     monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(os, "fork", counted)
     return forks

@@ -1,7 +1,8 @@
 """Command-line behavior: exit codes, output files, overrides, determinism.
 
 Commands are invoked in-process through cli.main so exit codes and file
-side effects can be asserted directly.
+side effects can be asserted directly; one case runs a subprocess, for the
+BLAS thread count of its environment.
 """
 
 import csv
@@ -9,6 +10,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -72,10 +75,27 @@ class TestRun:
         assert manifest["tool"]["name"] == "lbi"
         assert "input_sha256" in manifest
         assert sorted(manifest["run_env"]) == [
-            "blas", "blas_threads", "cpu_count", "duration_s", "numpy",
-            "python"]
+            "blas", "blas_threads", "blas_threads_in_effect", "cpu_count",
+            "duration_s", "numpy", "python"]
         assert sorted(manifest["run_env"]["blas_threads"]) == sorted(
             cli.BLAS_THREAD_VARS)
+        in_effect = manifest["run_env"]["blas_threads_in_effect"]
+        assert in_effect == cli.blas_threads_in_effect()
+        assert in_effect is None or in_effect >= 1
+
+    def test_manifest_records_blas_threads_in_effect(self, tmp_path):
+        """Under OPENBLAS_NUM_THREADS=1, numpy's OpenBLAS runs on 1 thread,
+        and the manifest says so (null for a BLAS without the getter)."""
+        out = tmp_path / "out"
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        subprocess.run([sys.executable, "-m", "lbi.cli", *run_args(out)],
+                       check=True, capture_output=True, env={
+                           **os.environ, "PYTHONPATH": src,
+                           "OPENBLAS_NUM_THREADS": "1"})
+        run_env = read_json(out / "manifest.json")["run_env"]
+        assert run_env["blas_threads"]["OPENBLAS_NUM_THREADS"] == "1"
+        assert run_env["blas_threads_in_effect"] == (
+            None if cli.blas_threads_in_effect() is None else 1)
 
     def test_config_file_plus_override(self, tmp_path):
         cfg_path = tmp_path / "cfg.yaml"
@@ -374,21 +394,31 @@ class TestAblate:
 @pytest.mark.parametrize("args", [
     ["ablate", "--ids", "A1,A5,FULL", "--seeds", "0,1"],
     ["sweep", "--param", "lambda", "--grid", "0,0.01,0.1", "--seeds", "0,1"],
+    ["run", "--set", "hidden=3"],
 ])
-def test_manifest_records_stack_processes(tmp_path, monkeypatch, args):
-    """A matrix or sweep records how many processes trained its stack, by
-    ``experiments.stack_processes``; two write the bytes that one does."""
-    monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
+def test_manifest_records_plan(tmp_path, monkeypatch, overlap, split, args):
+    """A command records the ``engine.plan`` its stack followed: the
+    processes that trained it and whether it overlapped, as counted here,
+    with both constants out of reach and at 0 (on two usable CPUs).  Each
+    plan writes the same bytes."""
     out = {}
     for least in (10 ** 9, 0):
-        monkeypatch.setattr(experiments, "SPLIT_MIN_CELL_ROW_ITERATIONS", least)
+        for name in ("SPLIT_MIN_CELL_ROW_ITERATIONS",
+                     "OVERLAP_MIN_ACTIVATIONS"):
+            monkeypatch.setattr(engine, name, least)
+        split.clear()
+        overlap.workspaces.clear()
         out[least] = tmp_path / str(least)
         assert cli.main([*args, "--out", str(out[least]), *TINY_DATA,
                          "--set", "iterations=3"]) == 0
-    assert read_json(out[10 ** 9] / "manifest.json")["stack_processes"] == 1
-    assert read_json(out[0] / "manifest.json")["stack_processes"] == 2
-    for file in ("summary.json", "results.csv" if args[0] == "ablate"
-                 else "sweep.csv"):
+        assert read_json(out[least] / "manifest.json")["plan"] == {
+            "processes": 1 + len(split),
+            "overlap": bool(overlap.workspaces)}
+    assert split if args[0] != "run" else overlap.workspaces
+    files = sorted(os.listdir(out[0]))
+    assert files == sorted(os.listdir(out[10 ** 9]))
+    files.remove("manifest.json")
+    for file in files:
         assert read(out[0] / file) == read(out[10 ** 9] / file)
 
 

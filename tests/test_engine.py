@@ -12,6 +12,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import warnings
 from dataclasses import replace
 
@@ -1108,6 +1109,97 @@ def bad_bundle(case: str):
     return (replace(bundle, corrupted=bundle.corrupted[:-1]),
             r"corrupted has 8 flags, pretrain has 9 rows: pretrain\[8\] has "
             r"no flag")
+
+
+class TestPlan:
+    def test_table(self, monkeypatch):
+        """``engine.plan`` on 400 pretraining rows: (processes, overlap)
+        by cells, config, usable CPUs and a live thread, each constant at
+        its value (500,000 cells x iterations x batch rows; 24,000 batch
+        rows x hidden) and one below it."""
+        assert engine.SPLIT_MIN_CELL_ROW_ITERATIONS == 500_000
+        assert engine.OVERLAP_MIN_ACTIVATIONS == 24_000
+        bundle = datasets.generate(SynthSpec(
+            dim=2, classes=2, n_pretrain=400, n_train=2, n_val=2, n_test=2))
+        at_split = {"iterations": 1000, "batch_size": 125}  # 4 cells: 500,000
+        at_overlap = {"hidden": 60}  # the whole split: 24,000
+        table = [
+            # cells, config, usable CPUs, a live thread, (processes, overlap)
+            (4, at_split, 2, False, (2, False)),
+            (31, {"iterations": 127, "batch_size": 127}, 2, False, (1, False)),
+            (3, {"iterations": 10 ** 6}, 2, False, (1, False)),
+            (4, {"iterations": 313}, 2, False, (2, False)),  # 500,800
+            (4, {"iterations": 313, "batch_size": 1000}, 2, False, (2, False)),
+            (4, {"iterations": 313, "batch_size": 399}, 2, False, (1, False)),
+            (4, at_split, 1, False, (1, False)),
+            (4, at_split, 2, True, (1, False)),
+            (1, at_overlap, 2, False, (1, True)),
+            (1, {"hidden": 64, "batch_size": 375}, 2, False, (1, True)),
+            (1, {"hidden": 233, "batch_size": 103}, 2, False, (1, False)),
+            (1, {"hidden": 0, "iterations": 10 ** 6}, 2, False, (1, False)),
+            (3, at_overlap, 2, False, (1, False)),
+            (4, {**at_split, **at_overlap}, 2, False, (2, False)),
+            (1, at_overlap, 1, False, (1, False)),
+            (1, at_overlap, 2, True, (1, True)),
+        ]
+        for cells, change, cpus, thread, want in table:
+            monkeypatch.setattr(engine, "_usable_cpus", lambda: cpus)
+            stop = threading.Event()
+            other = threading.Thread(target=stop.wait)
+            if thread:
+                other.start()
+            try:
+                got = engine.plan(bundle, LbiConfig(**change), cells)
+            finally:
+                stop.set()
+                if thread:
+                    other.join()
+            assert got == want, (cells, change, cpus, thread)
+        # A fork needs Linux's os.sched_getaffinity; the overlap does not.
+        monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert engine.plan(bundle, LbiConfig(**at_split), 4) == (1, False)
+        assert engine.plan(bundle, LbiConfig(**at_overlap), 1) == (1, True)
+
+
+class TestTraceOnlyWhenRead:
+    """The five trace values are made only where a caller reads them:
+    three ``weighted_losses`` and two ``_grad_norms`` per iteration of a
+    run, none in a matrix or sweep (no ``on_row``) or the oracle's pass.
+    Serial, as a forked child's calls are not counted here."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"weighted_losses": 0, "_grad_norms": 0, "val_losses": 0}
+        for owner, name in ((model, "weighted_losses"),
+                            (engine, "_grad_norms"),
+                            (gradcheck._Lookahead, "val_losses")):
+            def counted(*args, _true=getattr(owner, name), _name=name):
+                counts[_name] += 1
+                return _true(*args)
+            monkeypatch.setattr(owner, name, counted)
+        monkeypatch.setattr(engine, "_usable_cpus", lambda: 1)
+        return counts
+
+    def test_a_run_traces_every_iteration(self, counts):
+        rows = engine.run(tiny_bundle(), LbiConfig(iterations=4))[1]
+        assert len(rows) == 4
+        assert counts == {"weighted_losses": 12, "_grad_norms": 8,
+                          "val_losses": 0}
+
+    def test_matrix_sweep_and_oracle_make_none(self, counts):
+        cfg = LbiConfig(iterations=4, hidden=2)
+        experiments.run_matrix(tiny_bundle(), experiments.ABLATION_IDS,
+                               [0, 1], cfg)
+        experiments.sweep("gamma", [0.0, 0.5, 1.0], tiny_bundle(), [0, 1],
+                          cfg)
+        assert counts["weighted_losses"] == counts["_grad_norms"] == 0
+        inst = gradcheck.make_check_instance(3, hidden=2)
+        gradcheck.verify_hypergrads(inst.state, inst.arrays, inst.cfg)
+        # Only the probes' own validation losses.
+        assert counts["val_losses"] == 2
+        assert counts == {"weighted_losses": 2, "_grad_norms": 0,
+                          "val_losses": 2}
 
 
 class TestBundleCheckedOnEntry:

@@ -567,12 +567,12 @@ class TestSplit:
         and no other thread alive; else one."""
         bundle = datasets.generate(BUNDLE_SPEC)  # 12 pretraining rows
         monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(experiments, "SPLIT_MIN_CELL_ROW_ITERATIONS",
+        monkeypatch.setattr(engine, "SPLIT_MIN_CELL_ROW_ITERATIONS",
                             4 * 12 * 12)
 
         def processes(n_cells=4, **change):
-            return experiments.stack_processes(
-                bundle, replace(FAST, **change), n_cells)
+            return engine.plan(bundle, replace(FAST, **change),
+                               n_cells).processes
 
         assert processes() == 2
         assert processes(3, iterations=1000) == 1

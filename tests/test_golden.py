@@ -100,7 +100,7 @@ def test_outputs_are_byte_identical(tmp_path, monkeypatch):
     """The recorded bytes, as they come out on two usable CPUs: the
     ``ablate`` matrix (45 cells x 60 iterations x 200 rows) trained as two
     halves in two processes, and ``run-overlap`` with its stage overlap,
-    the one workspace of the command list."""
+    the only command whose plan overlaps, as the manifests record."""
     path = os.path.join(GOLDEN_DIR, env_key() + ".json")
     assert os.path.exists(path), (
         f"no golden hashes for this environment ({env_key()}); record them "
@@ -109,18 +109,16 @@ def test_outputs_are_byte_identical(tmp_path, monkeypatch):
         want = json.load(fh)
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
-    workspaces = []
-
-    class Counted(engine._Workspace):
-        def __init__(self, rows, hidden):
-            workspaces.append((rows, hidden))
-            super().__init__(rows, hidden)
-    monkeypatch.setattr(engine, "_Workspace", Counted)
     problems = mismatches(fingerprint(str(tmp_path)), want)
     assert not problems, "\n".join(problems)
-    with open(os.path.join("ablate", "manifest.json")) as fh:
-        assert json.load(fh)["stack_processes"] == 2
-    assert workspaces == [(400, 64)]
+    plans = {}
+    for name in ("run-full", "run-mini", "run-overlap", "ablate", "sweep"):
+        with open(os.path.join(name, "manifest.json")) as fh:
+            plans[name] = json.load(fh)["plan"]
+    one = {"processes": 1, "overlap": False}
+    assert plans == {"run-full": one, "run-mini": one, "ablate": {
+        "processes": 2, "overlap": False}, "sweep": one,
+        "run-overlap": {"processes": 1, "overlap": True}}
 
 
 def test_mismatch_names_file_and_first_differing_line():

@@ -323,9 +323,16 @@ def solo_outcome(bundle, cfg, state=None):
 
 
 def stacked_outcomes(bundle, cfgs, states=None):
+    """Each cell's outcome in one traced stack.  The same stack without
+    ``on_row``, which makes no trace values, must end every cell in the
+    same state or error."""
+    def stack(on_row=None):
+        return engine.run_stack(bundle, cfgs, states and [
+            reference.copy_state(s) for s in states], on_row)
     rows = {k: [] for k in range(len(cfgs))}
-    outs = engine.run_stack(bundle, cfgs, states,
-                            lambda k, row: rows[k].append(row))
+    outs = stack(lambda k, row: rows[k].append(row))
+    assert [cell_outcome(out, []) for out in stack()] == [
+        cell_outcome(out, []) for out in outs]
     return [cell_outcome(out, rows[k]) for k, out in enumerate(outs)]
 
 
@@ -651,10 +658,14 @@ class TestOverlap:
         assert overlap.submits == (12 if hidden else 0)
 
     def test_an_overlapping_run_makes_one_workspace(self, overlap):
+        """Of the batch's shape; a batch larger than the split is all of
+        its 9 rows."""
         bundle, cfgs = overlap_cells("extended", "sigmoid", 3, 4)
         engine.run(bundle, cfgs[0])
         assert overlap.workspaces == [(4, 3)]
         assert overlap.submits == cfgs[0].iterations
+        engine.run(bundle, replace(cfgs[0], batch_size=20))
+        assert overlap.workspaces == [(4, 3), (9, 3)]
 
     def test_stacks_never_make_a_workspace(self, overlap):
         """Not even where each of their cells alone would overlap."""
