@@ -139,7 +139,9 @@ def _sha256(path: str) -> str:
 
 def load_data(config: dict):
     """(spec or path, bundle, manifest entry) of the data section.  A CSV's
-    entry hashes the file and its sidecar (None when there is none)."""
+    entry holds the sha256 of the bytes its table was read from and of its
+    sidecar (None when there is none), and whether the table came from the
+    cache beside the CSV ("hit") or from parsing it ("miss")."""
     section = config["data"]
     kind = section.get("kind", "csv" if "path" in section else "synth")
     keys = _CSV_KEYS if kind == "csv" else set(SECTIONS["data"]) - {"path"}
@@ -150,11 +152,11 @@ def load_data(config: dict):
         if "path" not in section:
             raise ConfigError("data.kind=csv requires data.path")
         path = section["path"]
-        bundle = datasets.load_csv(path, section.get("dim"),
-                                   section.get("classes"))
+        bundle, sha256, cache = datasets._load(path, section.get("dim"),
+                                               section.get("classes"))
         side = datasets.sidecar_path(path)
         return path, bundle, {
-            "kind": "csv", "path": path, "sha256": _sha256(path),
+            "kind": "csv", "path": path, "sha256": sha256, "cache": cache,
             "sidecar_sha256": _sha256(side) if os.path.exists(side) else None}
     spec = datasets.SynthSpec(**{k: section.get(k, SECTIONS["data"][k].default)
                                  for k in keys if k != "kind"})
@@ -217,7 +219,8 @@ def resolve(args) -> Job:
         if command == "gen-data" and entry["kind"] != "synth":
             raise ConfigError("gen-data requires synthetic data configuration")
         job.manifest["data"] = entry
-        parts.append(entry)
+        # Whether the CSV's table came from its cache is no input.
+        parts.append({k: v for k, v in entry.items() if k != "cache"})
     if cmd.settings:
         job.settings = {k: f.default for k, f in SECTIONS[command].items()
                         if f.default is not None} | config[command]

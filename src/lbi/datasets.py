@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -310,14 +311,14 @@ def split_ratio(X: np.ndarray, y: np.ndarray, is_source: np.ndarray,
 
 
 @contextlib.contextmanager
-def atomic_open(path, newline=None):
-    """A text file for writing that replaces ``path`` only once the block
-    ends without an exception: it is written as ``<path>.tmp.<pid>`` and
-    renamed.  On an exception the temp file is removed and ``path`` keeps
-    its old content."""
+def atomic_open(path, newline=None, mode="w"):
+    """A file for writing, text unless ``mode`` is "wb", that replaces
+    ``path`` only once the block ends without an exception: it is written
+    as ``<path>.tmp.<pid>`` and renamed.  On an exception the temp file is
+    removed and ``path`` keeps its old content."""
     tmp = f"{os.fspath(path)}.tmp.{os.getpid()}"
     try:
-        with open(tmp, "w", newline=newline) as fh:
+        with open(tmp, mode, newline=newline) as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -328,6 +329,10 @@ def atomic_open(path, newline=None):
 
 def sidecar_path(path) -> str:
     return os.fspath(path) + ".manifest.json"
+
+
+def cache_path(path) -> str:
+    return os.fspath(path) + ".cache.npz"
 
 
 def save_csv(bundle: DatasetBundle, path: str, spec: SynthSpec | None = None):
@@ -426,10 +431,14 @@ def _read_header(fh, path: str, dim: int | None) -> int:
     expected = ["split", "label"] + [f"f_{j}" for j in range(file_dim)]
     if len(header) < 3 or header != expected:
         raise ParseError(f"{path} line 1: bad header {header!r}")
+    _check_dim(path, file_dim, dim)
+    return file_dim
+
+
+def _check_dim(path: str, file_dim: int, dim: int | None):
     if dim is not None and file_dim != dim:
         raise ParseError(f"{path} line 1: header has {file_dim} features, "
                          f"schema expects {dim}")
-    return file_dim
 
 
 def _no_nul(lines):
@@ -445,12 +454,40 @@ def _row_dtype(dim: int) -> list:
     return [("split", "U9"), ("label", np.int64), ("X", np.float64, (dim,))]
 
 
-def _read_table(path: str, dim: int | None):
+# The block size of the reads that hash a CSV.
+_BLOCK = 1 << 20
+
+
+class _Hashing(io.RawIOBase):
+    """The binary file ``fh``, unbuffered, feeding each block read from it
+    to ``digest``."""
+
+    def __init__(self, fh, digest):
+        super().__init__()
+        self._fh, self._digest = fh, digest
+
+    def readable(self):
+        return True
+
+    def readinto(self, buf):
+        n = self._fh.readinto(buf)
+        self._digest.update(buf[:n])
+        return n
+
+    def close(self):
+        self._fh.close()
+        super().close()
+
+
+def _read_table(path: str, dim: int | None, digest):
     """``(dim, [(X, y) per split])`` by one pass of numpy's C parser, the
-    one reader of a bundle.  A file it refuses, or with an unknown split, a
-    non-finite feature or a NUL byte, raises ``_diagnose``'s ParseError."""
+    one reader of a bundle, which feeds the bytes it reads to ``digest``.
+    A file it refuses, or with an unknown split, a non-finite feature or a
+    NUL byte, raises ``_diagnose``'s ParseError."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        raw = _Hashing(open(path, "rb", buffering=0), digest)
+        with io.TextIOWrapper(io.BufferedReader(raw, _BLOCK), newline="",
+                              encoding="utf-8") as fh:
             dim = _read_header(fh, path, dim)
             table = _loadtxt(_no_nul(fh), _row_dtype(dim))
     except OSError as e:
@@ -563,8 +600,77 @@ def load_csv(path: str, dim: int | None = None,
     parser reads the rows and defines the dialect.  A row it refuses, and
     feature text that parses to nan or inf, raises ParseError naming the
     line, as do bytes that are not UTF-8 text and NUL bytes.
+
+    What the parser read from a regular file is kept in ``cache_path(path)``
+    once the load succeeds, keyed by the sha256 of the file's bytes, the
+    numpy version and ``CACHE_FORMAT``; a later load of the same bytes on
+    the same numpy reads the arrays from there instead of parsing again.  A
+    cache that is missing, stale, unreadable or fails the checks of
+    ``_cached_table`` is parsed past, and a directory that does not take
+    one loads as without it.  The sidecar is read on every load.
     """
-    dim, parts = _read_table(path, dim)
+    return _load(path, dim, classes)[0]
+
+
+# The version of the cache's layout; a cache of another is parsed past.
+CACHE_FORMAT = 1
+
+
+def _cache_key(digest) -> str:
+    return (f"sha256 {digest.hexdigest()}, numpy {np.__version__}, "
+            f"format {CACHE_FORMAT}")
+
+
+def _cached_table(path: str, cache: str, digest):
+    """``_read_table``'s ``(dim, parts)`` from ``cache`` when that was
+    written for the bytes of ``path`` (fed to ``digest`` on the way) by
+    this numpy, and holds a finite float64 X and an int64 y of one length
+    per split, of ``dim`` >= 1 features; else None."""
+    try:
+        with open(path, "rb") as fh:
+            while block := fh.read(_BLOCK):
+                digest.update(block)
+        # np.load leaks the file of a zip it cannot read, so it reads ours.
+        with open(cache, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
+            if npz["key"].item() != _cache_key(digest):
+                return None
+            dim = npz["dim"]
+            parts = [(npz[f"{name}_X"], npz[f"{name}_y"]) for name in SPLITS]
+    except Exception:  # whatever keeps a cache from being read, parse
+        return None
+    dim = int(dim) if dim.dtype == np.int64 and dim.shape == () else 0
+    fits = dim >= 1 and all(
+        X.dtype == np.float64 and y.dtype == np.int64 and y.ndim == 1
+        and X.shape == (y.shape[0], dim) and np.isfinite(X).all()
+        for X, y in parts)
+    return (dim, parts) if fits else None
+
+
+def _write_cache(cache: str, key: str, dim: int, parts):
+    """Keep the table for the next load; where it cannot be written, the
+    next load parses again."""
+    arrays = {f"{name}_{a}": v for name, (X, y) in zip(SPLITS, parts)
+              for a, v in (("X", X), ("y", y))}
+    with contextlib.suppress(OSError), atomic_open(cache, mode="wb") as fh:
+        np.savez(fh, key=np.array(key), dim=np.array(dim, dtype=np.int64),
+                 **arrays)
+
+
+def _load(path: str, dim: int | None, classes: int | None):
+    """``load_csv``'s bundle, the sha256 (hex) of the CSV bytes its table
+    was read from, and "hit" when that came from the cache, else "miss"."""
+    import hashlib  # about 4 ms of start-up, so not imported with lbi
+    cache = cache_path(path)
+    regular = os.path.isfile(path)
+    digest = hashlib.sha256()
+    table = (_cached_table(path, cache, digest)
+             if regular and os.path.exists(cache) else None)
+    if table is None:
+        digest = hashlib.sha256()  # of what the parse reads
+        dim, parts = _read_table(path, dim, digest)
+    else:
+        _check_dim(path, table[0], dim)
+        dim, parts = table
     labels = np.concatenate([y for _, y in parts])
     if not labels.size:
         raise ParseError(f"{path}: no data rows")
@@ -599,5 +705,8 @@ def load_csv(path: str, dim: int | None = None,
                              "split")
         corrupted[i] = True
 
-    return DatasetBundle(*(Split(X, y) for X, y in parts), dim, classes,
-                         corrupted)
+    bundle = DatasetBundle(*(Split(X, y) for X, y in parts), dim, classes,
+                           corrupted)
+    if table is None and regular:
+        _write_cache(cache, _cache_key(digest), dim, parts)
+    return bundle, digest.hexdigest(), "miss" if table is None else "hit"

@@ -449,11 +449,13 @@ def _draw_batches(seed: int, batch_size: int, iteration: int,
 def _cell_batch_indices(cells: "_Cells", batch_size: int | None,
                         iteration: int, sizes: tuple[int, int, int]):
     """Each cell's ``_draw_batches`` (from its own seed), stacked into one
-    (K, batch) array per split for a stack, or Nones."""
+    (K, batch) array per split for a stack, or Nones.  Cells that share a
+    seed share one draw."""
     if batch_size is None:
         return None, None, None
-    per_cell = [_draw_batches(seed, batch_size, iteration, sizes)
-                for seed in cells.seeds]
+    drawn = {seed: _draw_batches(seed, batch_size, iteration, sizes)
+             for seed in set(cells.seeds)}
+    per_cell = [drawn[seed] for seed in cells.seeds]
     if not cells.stacked:
         return per_cell[0]
     return tuple(np.array(split) for split in zip(*per_cell))

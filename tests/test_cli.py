@@ -6,6 +6,7 @@ BLAS thread count of its environment.
 """
 
 import csv
+import hashlib
 import json
 import math
 import os
@@ -587,6 +588,25 @@ class TestGenDataAndEval:
         second, edited = rerun()
         assert edited["input_sha256"] != manifest["input_sha256"]
         assert edited["data"]["sha256"] == manifest["data"]["sha256"]
+
+    def test_csv_entry_hashes_the_bytes_read_on_a_miss_and_a_hit(
+            self, tmp_path):
+        """The data entry records the sha256 of the CSV that load_csv read
+        and whether its table came from the cache, which is no input: both
+        runs hash alike."""
+        gen_out = tmp_path / "data"
+        assert cli.main(["gen-data", "--out", str(gen_out), *TINY_DATA]) == 0
+        data = gen_out / "data.csv"
+        manifests = []
+        for out in ("first", "second"):
+            assert cli.main(["run", "--out", str(tmp_path / out), "--set",
+                             f"data.path={data}", "--set",
+                             "iterations=1"]) == 0
+            manifests.append(read_json(tmp_path / out / "manifest.json"))
+        sha256 = hashlib.sha256(data.read_bytes()).hexdigest()
+        assert [(m["data"]["sha256"], m["data"]["cache"]) for m in manifests] \
+            == [(sha256, "miss"), (sha256, "hit")]
+        assert manifests[0]["input_sha256"] == manifests[1]["input_sha256"]
 
     def test_csv_without_sidecar_hashes_none(self, tmp_path):
         gen_out = tmp_path / "data"

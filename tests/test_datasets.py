@@ -3,13 +3,20 @@
 The achievable-accuracy check uses a Monte Carlo estimate of the Bayes
 error computed from the known class-conditional Gaussians, independent of
 any model code.
+
+Every ``load_csv`` in this module loads twice (``second_load_hits``), so
+each CSV here checks the table cache too.
 """
 
 import csv
+import hashlib
 import json
 import os
 import re
+import subprocess
+import sys
 import tempfile
+import threading
 from dataclasses import replace
 from unittest import mock
 
@@ -23,6 +30,36 @@ from hypothesis.extra import numpy as hnp
 from lbi import config, datasets
 from lbi.datasets import DatasetBundle, Split, SynthSpec
 from lbi.errors import ConfigError, ParseError
+
+
+@pytest.fixture(autouse=True)
+def second_load_hits(monkeypatch):
+    """``load_csv``, then, when it succeeds, a second load that must hit
+    the cache the first left, read from the same bytes (the file's sha256)
+    to an ``==`` bundle, whose arrays are byte-equal.  A load that fails
+    must leave no cache where there was none."""
+    load = datasets.load_csv
+
+    def twice(path, dim=None, classes=None):
+        cache = datasets.cache_path(path)
+        had = os.path.exists(cache)
+        try:
+            first = load(path, dim, classes)
+        except ParseError:
+            assert had or not os.path.exists(cache)
+            raise
+        again, sha256, how = datasets._load(path, dim, classes)
+        assert how == "hit"
+        assert sha256 == file_sha256(path)
+        assert again == first
+        return first
+
+    monkeypatch.setattr(datasets, "load_csv", twice)
+
+
+def file_sha256(path) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def small_spec(**overrides):
@@ -434,6 +471,199 @@ class TestCsvSidecar:
         with pytest.raises(ParseError) as info:
             datasets.load_csv(path)
         assert str(info.value) == f"{side}: {key} must be {what}"
+
+
+def edit_arrays(edit):
+    """A cache edit that writes the cache again with the arrays that
+    ``edit`` returns for its arrays (a dict) in place of those."""
+    def apply(cache):
+        with np.load(cache) as npz:
+            arrays = dict(npz)
+        with open(cache, "wb") as fh:
+            np.savez(fh, **(arrays | edit(arrays)))
+    return apply
+
+
+def with_value(name, value):
+    """An edit setting the last entry of array ``name`` to ``value``."""
+    def edit(arrays):
+        a = arrays[name].copy()
+        a.flat[-1] = value
+        return {name: a}
+    return edit
+
+
+def truncate(cache):
+    with open(cache, "r+b") as fh:
+        fh.truncate(os.path.getsize(cache) // 2)
+
+
+def not_a_zip(cache):
+    with open(cache, "wb") as fh:
+        fh.write(b"split,label,f_0\n")
+
+
+# Each edit leaves a cache that must be parsed past.  np.savez pickles the
+# object array, which np.load refuses without allow_pickle.
+BROKEN_CACHES = {
+    "truncated": truncate,
+    "not a zip": not_a_zip,
+    "other key": edit_arrays(lambda a: {"key": np.array(
+        str(a["key"]).replace("sha256 ", "sha256 0"))}),
+    "float32 X": edit_arrays(lambda a: {"val_X": a["val_X"].astype(
+        np.float32)}),
+    "int32 y": edit_arrays(lambda a: {"train_y": a["train_y"].astype(
+        np.int32)}),
+    "object y": edit_arrays(lambda a: {"train_y": a["train_y"].astype(
+        object)}),
+    "narrow X": edit_arrays(lambda a: {"test_X": a["test_X"][:, 1:]}),
+    "short y": edit_arrays(lambda a: {"pretrain_y": a["pretrain_y"][1:]}),
+    "other dim": edit_arrays(lambda a: {"dim": np.array(2)}),
+    "dim as a list": edit_arrays(lambda a: {"dim": np.array([3])}),
+    "nan": edit_arrays(with_value("val_X", np.nan)),
+    "inf": edit_arrays(with_value("pretrain_X", -np.inf)),
+}
+
+
+class TestCsvCache:
+    """The table ``load_csv`` parsed is kept beside the CSV, keyed by the
+    CSV's bytes; whatever the cache holds, a load returns what parsing the
+    CSV returns, or its ParseError."""
+
+    @staticmethod
+    def save(tmp_path, **overrides):
+        bundle = datasets.generate(small_spec(**overrides))
+        path = str(tmp_path / "data.csv")
+        datasets.save_csv(bundle, path)
+        return bundle, path
+
+    def test_a_changed_byte_misses_and_rewrites_the_cache(self, tmp_path):
+        bundle, path = self.save(tmp_path)
+        assert datasets._load(path, None, None)[2] == "miss"
+        with open(path, newline="") as fh:
+            text = fh.read()
+        i = text.index("\npretrain,") + len("\npretrain,")  # a label
+        with open(path, "w", newline="") as fh:
+            fh.write(text[:i] + "10"[int(text[i])] + text[i + 1:])
+        with open(datasets.cache_path(path), "rb") as fh:
+            stale = fh.read()
+        loaded, sha256, how = datasets._load(path, None, None)
+        assert how == "miss" and sha256 == file_sha256(path)
+        assert loaded == reference.read_csv(path) != bundle
+        with open(datasets.cache_path(path), "rb") as fh:
+            assert fh.read() != stale
+        assert datasets._load(path, None, None)[::2] == (loaded, "hit")
+
+    @pytest.mark.parametrize("kind", BROKEN_CACHES)
+    def test_a_broken_cache_misses_and_is_rewritten(self, kind, tmp_path):
+        bundle, path = self.save(tmp_path)
+        cache = datasets.cache_path(path)
+        datasets._load(path, None, None)
+        BROKEN_CACHES[kind](cache)
+        assert datasets._load(path, None, None)[::2] == (bundle, "miss")
+        assert datasets._load(path, None, None)[::2] == (bundle, "hit")
+
+    @pytest.mark.parametrize("step", ["open", "replace"])
+    def test_a_directory_that_takes_no_cache_loads(self, step, tmp_path,
+                                                   monkeypatch):
+        """A read-only directory refuses the temp file; a full disk can
+        fail the rename."""
+        bundle, path = self.save(tmp_path)
+
+        def refuse(*args, **kwargs):
+            raise PermissionError(13, "Permission denied")
+
+        if step == "open":
+            def write_refused(file, mode="r", *args, **kwargs):
+                if "w" in mode:
+                    refuse()
+                return open(file, mode, *args, **kwargs)
+            monkeypatch.setattr(datasets, "open", write_refused,
+                                raising=False)
+        else:
+            monkeypatch.setattr(datasets.os, "replace", refuse)
+        for _ in range(2):
+            assert datasets._load(path, None, None)[::2] == (bundle, "miss")
+        assert sorted(os.listdir(tmp_path)) == [
+            "data.csv", "data.csv.manifest.json"]
+
+    @pytest.mark.parametrize("text, sidecar, message", [
+        ("split,label,x0\npretrain,0,1\n", None,
+         "line 1: bad header ['split', 'label', 'x0']"),
+        ("split,label,f_0\npretrain,0,1\ntrain,1.5,1\n", None,
+         "line 3: bad label '1.5'"),
+        ("split,label,f_0\npretrain,0,1\ntrain,0,1\ntest,0,1\n", None,
+         ": empty val split"),
+        ("split,label,f_0\ntrain,0,1\nval,0,1\ntest,0,1\n",
+         {"split_sizes": {"pretrain": 1}}, ": sidecar has 1 pretrain rows, "
+         "the CSV has 0"),
+        ("split,label,f_0\ntrain,0,1\nval,1,1\ntest,2,1\n",
+         {"classes": 2}, ": label outside 0..1 (found 0..2)")])
+    def test_a_file_that_fails_fails_alike_and_leaves_no_cache(
+            self, text, sidecar, message, tmp_path):
+        path = str(tmp_path / "data.csv")
+        with open(path, "w") as fh:
+            fh.write(text)
+        if sidecar is not None:
+            with open(datasets.sidecar_path(path), "w") as fh:
+                json.dump(sidecar, fh)
+        errors = []
+        for _ in range(2):
+            with pytest.raises(ParseError) as info:
+                datasets._load(path, None, None)
+            errors.append(str(info.value))
+        where = datasets.sidecar_path(path) if "sidecar" in message else path
+        assert errors == [f"{where}{' ' * (message[0] != ':')}{message}"] * 2
+        assert not os.path.exists(datasets.cache_path(path))
+
+    def test_a_schema_dim_that_differs_fails_alike_on_a_hit(self, tmp_path):
+        _, path = self.save(tmp_path)
+        with pytest.raises(ParseError) as miss:
+            datasets._load(path, 4, None)
+        assert not os.path.exists(datasets.cache_path(path))
+        datasets._load(path, None, None)
+        with mock.patch.object(datasets, "_read_table", side_effect=(
+                AssertionError("the CSV was parsed"))):
+            with pytest.raises(ParseError) as hit:
+                datasets._load(path, 4, None)
+            assert datasets._load(path, 3, None)[2] == "hit"
+        assert str(hit.value) == str(miss.value) == (
+            f"{path} line 1: header has 3 features, schema expects 4")
+
+    def test_a_fifo_is_parsed_and_never_cached(self, tmp_path):
+        bundle, path = self.save(tmp_path)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        fifo = str(tmp_path / "fifo.csv")
+        os.mkfifo(fifo)
+        for _ in range(2):
+            def feed():
+                with open(fifo, "wb") as fh:
+                    fh.write(data)
+            writer = threading.Thread(target=feed)
+            writer.start()
+            try:
+                loaded, sha256, how = datasets._load(fifo, None, None)
+            finally:
+                writer.join()
+            assert how == "miss"
+            assert sha256 == hashlib.sha256(data).hexdigest()
+            # Without its sidecar the flags are all False.
+            assert loaded == replace(bundle,
+                                     corrupted=np.zeros_like(bundle.corrupted))
+            assert not os.path.exists(datasets.cache_path(fifo))
+
+    def test_import_lbi_loads_no_hashlib(self):
+        """hashlib costs about 4 ms of every start-up; only a CSV load
+        imports it."""
+        code = ("import sys, lbi; from lbi import engine, experiments, "
+                "gradcheck; print('hashlib' in sys.modules)")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(
+            datasets.__file__)))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "False"
 
 
 class TestSpecDict:

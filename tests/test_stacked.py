@@ -18,6 +18,7 @@ Three layers of evidence that a stack changes no cell's bits:
 import warnings
 from dataclasses import astuple, replace
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -397,6 +398,25 @@ class TestStackEqualsSolo:
             got = stacked_outcomes(bundle, cfgs)
             want = [solo_outcome(bundle, cfg) for cfg in cfgs]
         assert got == want
+
+    def test_cells_of_one_seed_share_each_draw(self):
+        """Cells that share a seed under ``batch_size`` are their solo
+        runs, and a stack draws each distinct seed's minibatches once an
+        iteration: 2 seeds x 4 iterations, in the traced stack and in the
+        untraced one."""
+        bundle = datasets.generate(SynthSpec(
+            dim=3, classes=3, n_pretrain=9, n_train=6, n_val=5, n_test=4,
+            shift=0.5, corrupt_frac=0.3, seed=11))
+        base = LbiConfig(iterations=4, batch_size=3, lr_ignore_pretrain=3.0,
+                         lr_ignore_finetune=1.0)
+        cfgs = [replace(base, seed=s, lam=lam, gamma=g)
+                for s, lam, g in ((0, 0.3, 0.7), (1, 0.3, 0.7), (0, 0.0, 0.7),
+                                  (1, 0.3, 0.0), (0, 1.0, 0.7))]
+        with mock.patch.object(engine, "_draw_batches",
+                               wraps=engine._draw_batches) as draws:
+            got = stacked_outcomes(bundle, cfgs)
+        assert draws.call_count == 2 * 2 * 4
+        assert got == [solo_outcome(bundle, cfg) for cfg in cfgs]
 
     def test_decay_boundary_and_resumed_cells(self):
         """Cells resumed mid-run, across the step-decay boundary."""
