@@ -8,14 +8,15 @@ Each flag sets one config key (``COMMANDS``), so a flag beats ``--set``.
 ``config.read_config`` types and checks all of it before a command starts.
 
 ``main`` owns every command's envelope.  Before any work it resolves the
-lbi config, loads the data and makes the output directory: ``--out``, else
-``run.out`` from the config, else ``$LBI_OUT_ROOT/<command>-<hash>`` (default
-root ./lbi-runs), where the hash is the first 12 hex digits of
+lbi config, loads the data and a resumed run's state, and makes the output
+directory: ``--out``, else ``run.out``, else ``$LBI_OUT_ROOT/<command>-<hash>``
+(default root ./lbi-runs), the hash being the first 12 hex digits of
 ``input_sha256``.  ``verify`` and ``eval`` write files only with ``--out``.
 When the command returns, ``main`` writes ``manifest.json`` there: the
 resolved configuration, the data entry (a synthetic spec, or a CSV's path
 with the sha256 of the CSV and of its sidecar), the command's own settings,
-their content hash ``input_sha256``, a timestamp, and the environment and
+a resumed run's state file (``resume``: its path and sha256), their
+content hash ``input_sha256``, a timestamp, and the environment and
 wall time of the command (``run_env``, outside the hash: CPU count,
 Python, numpy, BLAS, its thread variables and the thread count in effect),
 and for ``run``, ``ablate`` and ``sweep`` the ``engine.plan`` that trains
@@ -132,11 +133,6 @@ def apply_overrides(config: dict, sets: list[str], flags=()) -> dict:
 _CSV_KEYS = ("kind", "path", "dim", "classes")
 
 
-def _sha256(path: str) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
-
-
 def load_data(config: dict):
     """(spec or path, bundle, manifest entry) of the data section.  A CSV's
     entry holds the sha256 of the bytes its table was read from and of its
@@ -152,12 +148,10 @@ def load_data(config: dict):
         if "path" not in section:
             raise ConfigError("data.kind=csv requires data.path")
         path = section["path"]
-        bundle, sha256, cache = datasets._load(path, section.get("dim"),
-                                               section.get("classes"))
-        side = datasets.sidecar_path(path)
-        return path, bundle, {
-            "kind": "csv", "path": path, "sha256": sha256, "cache": cache,
-            "sidecar_sha256": _sha256(side) if os.path.exists(side) else None}
+        bundle, sha256, cache, side = datasets._load(
+            path, section.get("dim"), section.get("classes"))
+        return path, bundle, {"kind": "csv", "path": path, "sha256": sha256,
+                              "cache": cache, "sidecar_sha256": side}
     spec = datasets.SynthSpec(**{k: section.get(k, SECTIONS["data"][k].default)
                                  for k in keys if k != "kind"})
     return spec, datasets.generate(spec), {"kind": "synth",
@@ -180,8 +174,8 @@ _ARCH_KEYS = ("hidden", "ignore_mode", "mode")
 class Job:
     """A command as ``main`` resolves it before any work: the checked
     config, the lbi config, the data, the command's settings (its config
-    section with defaults), the manifest so far, and the output directory
-    (None when the command writes no files)."""
+    section with defaults), the manifest so far, the output directory
+    (None when the command writes no files) and a resumed run's state."""
 
     command: str
     config: dict
@@ -191,6 +185,7 @@ class Job:
     settings: dict = field(default_factory=dict)
     manifest: dict = field(default_factory=dict)
     out: str | None = None
+    resumed: engine.LbiState | None = None  # run's state from run.resume
 
 
 def resolve(args) -> Job:
@@ -229,6 +224,10 @@ def resolve(args) -> Job:
                                 if k in config["lbi"])
         job.manifest[command] = job.settings
         parts.append({command: job.settings})
+    if command == "run" and (resume := config["run"].get("resume")):
+        job.resumed, sha256 = engine._load_state(resume)
+        job.manifest["resume"] = {"path": resume, "sha256": sha256}
+        parts.append({"resume": job.manifest["resume"]})
     job.manifest["input_sha256"] = _content_hash(*parts)
 
     job.out = args.out or None
@@ -317,8 +316,6 @@ def _mean(weights: np.ndarray | None) -> float | None:
 
 def cmd_run(job: Job) -> int:
     bundle = job.bundle
-    resume = job.config["run"].get("resume")
-    initial = engine.load_state(resume) if resume else None
     job.manifest["plan"] = engine.plan(bundle, job.cfg, 1)._asdict()
 
     trace_path = os.path.join(job.out, "trace.csv")
@@ -329,7 +326,7 @@ def cmd_run(job: Job) -> int:
         fh.write(TRACE_HEADER + "\n")
         try:
             state, _ = engine.run(
-                bundle, job.cfg, initial_state=initial,
+                bundle, job.cfg, initial_state=job.resumed,
                 trace_hook=lambda row: fh.write(_trace_line(row) + "\n"),
             )
         except NumericError as e:

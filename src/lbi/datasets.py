@@ -374,10 +374,16 @@ _SIDECAR_INTS = {"dim": (int, "an integer"), "classes": (int, "an integer"),
                  "corrupted_pretrain_indices": (list, "a list of integers")}
 
 
-def _read_sidecar(side: str) -> dict:
+def _read_sidecar(side: str) -> tuple[dict, str | None]:
+    """The sidecar's checked manifest and the sha256 (hex) of the bytes it
+    was parsed from; ({}, None) when there is none."""
+    import hashlib  # about 4 ms of start-up, so not imported with lbi
     try:
-        with open(side) as fh:
-            manifest = json.load(fh)
+        with open(side, "rb") as fh:
+            data = fh.read()
+        manifest = json.loads(data)
+    except FileNotFoundError:
+        return {}, None
     except OSError as e:
         raise ParseError(f"{side}: cannot read: {e.strerror}") from None
     except (json.JSONDecodeError, UnicodeDecodeError) as e:
@@ -391,7 +397,7 @@ def _read_sidecar(side: str) -> dict:
         # bool is an int subclass, and numpy reads [true] as a mask.
         if not all(type(i) is int for i in items):
             raise ParseError(f"{side}: {key} must be {what}")
-    return manifest
+    return manifest, hashlib.sha256(data).hexdigest()
 
 
 def _undecodable_line(path: str) -> int:
@@ -658,7 +664,8 @@ def _write_cache(cache: str, key: str, dim: int, parts):
 
 def _load(path: str, dim: int | None, classes: int | None):
     """``load_csv``'s bundle, the sha256 (hex) of the CSV bytes its table
-    was read from, and "hit" when that came from the cache, else "miss"."""
+    was read from, "hit" when that came from the cache, else "miss", and
+    the sha256 of the sidecar bytes it read (None without a sidecar)."""
     import hashlib  # about 4 ms of start-up, so not imported with lbi
     cache = cache_path(path)
     regular = os.path.isfile(path)
@@ -680,7 +687,7 @@ def _load(path: str, dim: int | None, classes: int | None):
             raise ParseError(f"{path}: empty {name} split")
 
     side = sidecar_path(path)
-    manifest = _read_sidecar(side) if os.path.exists(side) else {}
+    manifest, side_sha256 = _read_sidecar(side)
     if "dim" in manifest and manifest["dim"] != dim:
         raise ParseError(f"{side}: sidecar has {manifest['dim']} features, "
                          f"the CSV has {dim}")
@@ -709,4 +716,5 @@ def _load(path: str, dim: int | None, classes: int | None):
                            corrupted)
     if table is None and regular:
         _write_cache(cache, _cache_key(digest), dim, parts)
-    return bundle, digest.hexdigest(), "miss" if table is None else "hit"
+    return (bundle, digest.hexdigest(), "miss" if table is None else "hit",
+            side_sha256)

@@ -56,9 +56,9 @@ one-cell run; ``run`` is the one-cell case of the same code, in which the
 state keeps no cell axis.  A cell that fails a finite check leaves the
 stack with its own run's error while the others go on.
 
-Plan.  ``plan`` alone chooses, once per stack, how it uses a second CPU.
-A large stack trains its second half in a forked child
-(``experiments.run_cell``).  A large one-cell MLP run runs stage 1 on a
+Plan.  ``plan`` alone chooses, once per stack, how it uses a second CPU,
+and ``run_stack`` carries out both choices.  A large stack trains its
+second half in a forked child.  A large one-cell MLP run runs stage 1 on a
 worker thread while it forms the finetuned model's gradients, which meet
 stage 1 only at the proximity term, and keeps its n x hidden arrays in
 fixed buffers (``_Workspace``).  Every numpy call keeps its operands, so
@@ -69,8 +69,9 @@ from __future__ import annotations
 
 import json
 import os
+import pickle
 import threading
-from contextlib import closing, nullcontext
+from contextlib import closing, nullcontext, suppress
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -637,7 +638,7 @@ def _usable_cpus() -> int:
 
 
 class Plan(NamedTuple):
-    processes: int  # 2: ``experiments.run_cell`` forks for the second half
+    processes: int  # 2: ``run_stack`` forks for the second half
     overlap: bool  # ``run_stack`` runs stage 1 on a worker thread
 
 
@@ -655,6 +656,59 @@ def plan(bundle: DatasetBundle, cfg: LbiConfig, n_cells: int) -> Plan:
     overlaps = (two and n_cells == 1 and cfg.hidden > 0
                 and rows * cfg.hidden >= OVERLAP_MIN_ACTIVATIONS)
     return Plan(2 if forks else 1, overlaps)
+
+
+def _in_two(first, second):
+    """``(first(), second())``, ``second`` run meanwhile in a forked child
+    that ``run_stack`` describes; the child is reaped on every path."""
+    # A child starts on its parent's CPU, and the kernel may keep both there
+    # for tens of milliseconds: the child moves off the CPU this thread is
+    # on, unless that is the only one this process may use.
+    cpus = os.sched_getaffinity(0)
+    with (suppress(OSError, ValueError, IndexError),
+          open("/proc/thread-self/stat") as f):
+        cpus = cpus - {int(f.read().rsplit(")", 1)[1].split()[36])} or cpus
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read)
+            os.sched_setaffinity(0, cpus)
+            try:
+                out = None, second()
+            except Exception as e:
+                out = e, None
+            with open(write, "wb") as pipe:
+                pipe.write(pickle.dumps(out, pickle.HIGHEST_PROTOCOL))
+            status = 0
+        finally:  # no atexit handler, no flush of the parent's stdio
+            os._exit(status)
+    os.close(write)
+    with open(read, "rb") as pipe:
+        try:
+            done = first()
+            data = pipe.read()
+        except BaseException:
+            import signal  # not imported with lbi
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    try:  # a child that died, or sent what does not unpickle
+        error, result = pickle.loads(data) if status == 0 else None
+    except Exception:
+        raise RuntimeError(
+            f"the process training the stack's second half ended with "
+            f"status {status} and {len(data)} bytes of results") from None
+    if error is not None:
+        raise error
+    return done, result
 
 
 class _Workspace:
@@ -936,34 +990,66 @@ def run_stack(bundle: DatasetBundle, cfgs: list[LbiConfig],
     ValueError), and its rows reach the kernels unchecked.  The cells'
     configs may differ only in seed, lam, gamma and the two freeze flags
     (else ConfigError, ``check_stack``); fresh cells start from their own
-    ``init_state``, resumed ones (``initial_states``, checked as ``run``
-    checks them) at one shared iteration.  Each cell's final state and trace
-    rows are bit for bit those of its own ``run``.  A cell that fails a
-    finite check leaves the stack with the NumericError, message and
-    iteration included, that its own run raises; the others go on.
-    ``on_row(k, row)``, when given, receives cell k's trace rows as they are
-    made; without it no trace value is made.  Returns each cell's final
-    state or NumericError, in order.
+    ``init_state``, resumed ones (``initial_states``, one per config,
+    checked as ``run`` checks them) at one shared iteration.  Each cell's
+    final state and trace rows are bit for bit those of its own ``run``.  A
+    cell that fails a finite check leaves the stack with the NumericError,
+    message and iteration included, that its own run raises; the others go
+    on.  ``on_row(k, row)``, when given, receives cell k's trace rows as
+    they are made; without it no trace value is made.  Returns each cell's
+    final state or NumericError, in order.
+
+    When ``plan`` says 2 processes, after every check above a forked child
+    on another CPU than this one trains the second half meanwhile, pipes
+    back its outcomes and rows (they reach ``on_row`` after the first
+    half's, each cell's in order) and leaves by ``os._exit``.  Its
+    exception is raised after the first half, unless that half raised; a
+    child that dies or garbles its results is a RuntimeError naming its
+    exit status and byte count; an exception here (an interrupt, say)
+    SIGKILLs it.  Neither half plans again.
     """
     bundle.validate()
     cfg = check_stack(cfgs)
     if initial_states is None:
         initial_states = [init_state(bundle, c) for c in cfgs]
+    elif len(initial_states) != len(cfgs):
+        raise ConfigError(f"{len(initial_states)} initial states for "
+                          f"{len(cfgs)} configs")
     else:
         for s in initial_states:
             _check_state(s, bundle, cfg)
     if len({s.iteration for s in initial_states}) > 1:
         raise ConfigError("stacked cells must start at the same iteration")
+    chosen = plan(bundle, cfg, len(cfgs))
+    if chosen.processes == 1:
+        return _train(bundle, cfg, cfgs, initial_states, on_row,
+                      chosen.overlap)
+    half = len(cfgs) // 2
+    rows = []  # the child's on_row calls, (cell, row), in order
+    keep = on_row and (lambda k, row: rows.append((half + k, row)))
+    first, (second, rows) = _in_two(
+        lambda: _train(bundle, cfg, cfgs[:half], initial_states[:half],
+                       on_row),
+        lambda: (_train(bundle, cfg, cfgs[half:], initial_states[half:],
+                        keep), rows))
+    for k, row in rows:
+        on_row(k, row)
+    return first + second
+
+
+def _train(bundle: DatasetBundle, cfg: LbiConfig, cfgs: list[LbiConfig],
+           states: list[LbiState], on_row, overlap: bool = False) -> list:
+    """``run_stack``'s loop over checked cells, in this process, with the
+    stage overlap when ``overlap``."""
     cells = _Cells.of(cfgs)
-    state = _stack(initial_states) if cells.stacked else initial_states[0]
+    state = _stack(states) if cells.stacked else states[0]
     alive = list(range(len(cfgs)))  # stack position -> cell
     out: list = [None] * len(cfgs)
     decay_start = cfg.decay_start()
     rates = cfg.rates_at(state.iteration)
     batch = min(cfg.batch_size or bundle.pretrain.n, bundle.pretrain.n)
-    with (closing(_Workspace(batch, cfg.hidden))
-          if plan(bundle, cfg, len(cfgs)).overlap else nullcontext()
-          ) as workspace:
+    with (closing(_Workspace(batch, cfg.hidden)) if overlap
+          else nullcontext()) as workspace:
         while state.iteration < cfg.iterations:
             it = state.iteration
             if it == decay_start:
@@ -1100,9 +1186,17 @@ def save_state(state: LbiState, path: str):
 
 
 def load_state(path: str) -> LbiState:
+    return _load_state(path)[0]
+
+
+def _load_state(path: str) -> tuple[LbiState, str]:
+    """``load_state``'s state and the sha256 (hex) of the bytes it parsed."""
+    import hashlib  # about 4 ms of start-up, so not imported with lbi
     try:
-        with open(path) as fh:
-            return from_state_dict(json.load(fh))
+        with open(path, "rb") as fh:
+            data = fh.read()
+        return (from_state_dict(json.loads(data)),
+                hashlib.sha256(data).hexdigest())
     except FileNotFoundError:
         raise ConfigError(f"state file not found: {path}") from None
     except OSError as e:

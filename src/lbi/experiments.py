@@ -24,15 +24,13 @@ no signal to learn them from; A2 and A3 are in the same position.  All
 ablations run in extended mode so the nine cells differ only in the switches
 above.
 
-Every matrix and sweep trains its cells through ``run_cell``: as one
-``engine.run_stack`` stack or, when ``engine.plan`` says so, as two halves
-of it in two processes.  Each cell is bit for bit its solo run.
+Every matrix and sweep trains its cells through ``run_cell``: one
+``engine.run_stack`` stack (which ``engine.plan`` may split over two
+processes), each cell scored here.  Each cell is bit for bit its solo run.
 """
 
 from __future__ import annotations
 
-import os
-import pickle
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -209,12 +207,6 @@ class MatrixResult:
     def any_failed(self) -> bool:
         return any(not r.ok for r in self.results)
 
-    def aggregate(self, ablation_id: str) -> AggregateRow:
-        for row in self.aggregates:
-            if row.ablation == ablation_id:
-                return row
-        raise KeyError(ablation_id)
-
     def blocks(self) -> list[tuple[AggregateRow, list[RunResult]]]:
         """Each aggregate row with its entry's cells."""
         n = len(self.results) // len(self.aggregates)
@@ -241,110 +233,19 @@ class MatrixResult:
         return values[0] < self.argmax_value < values[-1]
 
 
-def _resolve_bundle(data) -> DatasetBundle:
-    """A bundle as given, or generated from a SynthSpec."""
-    return generate(data) if isinstance(data, SynthSpec) else data
-
-
 def run_cell(bundle: DatasetBundle,
              cells: list[tuple[object, LbiConfig]]) -> list[RunResult]:
     """Train the given (label, config) cells as one stack
-    (``engine.run_stack``); one RunResult per cell, in order, scored by
-    ``score``.  Numeric failures are recorded per cell, not raised.  Before
-    any training, a bundle that fails ``DatasetBundle.validate`` raises its
-    ValueError, and an empty test split, or cells that make no stack, a
-    ConfigError.  When ``engine.plan`` says 2 processes, a forked child (reaped
-    on every path) runs the second half meanwhile.  Its exception is raised
-    once the first half is done, unless that half raised; a child that dies
-    or garbles its results is a RuntimeError naming its exit status."""
-    bundle.validate()
+    (``engine.run_stack``, which may split it over two processes); one
+    RunResult per cell, in order, scored by ``score``.  Numeric failures
+    are recorded per cell, not raised.  An empty test split is a
+    ConfigError before any training."""
     _check_test_split(bundle)
-    cfg = engine.check_stack([c for _, c in cells])
-    if engine.plan(bundle, cfg, len(cells)).processes == 1:
-        return _run_cells(bundle, cells)
-    half = len(cells) // 2
-    cpus = _other_cpus()
-    read, write = os.pipe()
-    try:
-        pid = os.fork()
-    except BaseException:
-        os.close(read)
-        os.close(write)
-        raise
-    if pid == 0:
-        _child(bundle, cells[half:], read, write, cpus)
-    os.close(write)
-    with open(read, "rb") as pipe:
-        try:
-            first = _run_cells(bundle, cells[:half])
-            data = pipe.read()
-        except BaseException:
-            import signal  # not imported with lbi
-            os.kill(pid, signal.SIGKILL)
-            raise
-        finally:
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    try:
-        error, second = pickle.loads(data)
-    except Exception:
-        error, second = None, None
-    if status != 0 or (error is None and second is None):
-        raise RuntimeError(
-            f"the process training the stack's second half ended with "
-            f"status {status} and {len(data)} bytes of results")
-    if error is not None:
-        raise error
-    return first + second
-
-
-def _other_cpus() -> set:
-    """The CPUs this process may run on but the one this thread runs on
-    now; empty when that is not known."""
-    try:
-        with open("/proc/thread-self/stat") as f:
-            here = int(f.read().rsplit(")", 1)[1].split()[36])
-    except (OSError, ValueError, IndexError):
-        return set()
-    return os.sched_getaffinity(0) - {here}
-
-
-def _child(bundle: DatasetBundle, cells: list, read: int, write: int,
-           cpus: set):
-    """A forked child's life: train and score ``cells`` on ``cpus``, pickle
-    the RunResults, or the exception that stopped them, to the pipe
-    ``write`` and leave by ``os._exit`` (no atexit handler, no flush of the
-    parent's stdio buffers), with status 0 once all is sent, else 1."""
-    status = 1
-    try:
-        os.close(read)
-        # A child starts on its parent's CPU, and the kernel may keep both
-        # there for tens of milliseconds.
-        if cpus:
-            os.sched_setaffinity(0, cpus)
-        try:
-            out = None, _run_cells(bundle, cells)
-        except Exception as e:
-            out = e, None
-        with open(write, "wb") as pipe:
-            pipe.write(pickle.dumps(out, pickle.HIGHEST_PROTOCOL))
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _run_cells(bundle: DatasetBundle,
-               cells: list[tuple[object, LbiConfig]]) -> list[RunResult]:
-    """``run_cell`` in this process: the cells as one stack, scored."""
-    results = []
-    for (label, cfg), out in zip(
-            cells, engine.run_stack(bundle, [cfg for _, cfg in cells])):
-        if isinstance(out, NumericError):
-            results.append(RunResult(
-                label, cfg.seed, cfg,
-                error=f"numeric failure at iteration {out.iteration}: {out}"))
-        else:
-            results.append(RunResult(label, cfg.seed, cfg, **score(out, bundle)))
-    return results
+    outs = engine.run_stack(bundle, [cfg for _, cfg in cells])
+    return [RunResult(label, cfg.seed, cfg, **(
+        {"error": f"numeric failure at iteration {out.iteration}: {out}"}
+        if isinstance(out, NumericError) else score(out, bundle)))
+        for (label, cfg), out in zip(cells, outs)]
 
 
 def _mean_std(values: list[float]) -> tuple[float | None, float | None]:
@@ -358,12 +259,12 @@ def _mean_std(values: list[float]) -> tuple[float | None, float | None]:
 def _run_blocks(data, entries: list, seeds: list, cfg_of,
                 param: str | None = None) -> MatrixResult:
     """Every (entry, seed) cell with config ``cfg_of(entry, seed)``, run as
-    one ``run_cell`` call (one stack, or two halves of it in two processes)
-    and one aggregate row per entry over its own block of seeds (the cells
+    one ``run_cell`` call (one stack) and one aggregate row per entry over its own block of seeds (the cells
     that finished)."""
     cells = [(entry, cfg_of(entry, seed)) for entry in entries
              for seed in seeds]
-    results = run_cell(_resolve_bundle(data), cells)
+    results = run_cell(generate(data) if isinstance(data, SynthSpec)
+                       else data, cells)
     aggregates = []
     for i, entry in enumerate(entries):
         ok = [r for r in results[i * len(seeds):(i + 1) * len(seeds)] if r.ok]

@@ -196,6 +196,29 @@ class TestRun:
         lines = read(out2 / "trace.csv").strip().splitlines()
         assert len(lines) == 4  # header + iterations 5..7
 
+    def test_resumed_run_gets_its_own_directory(self, tmp_path,
+                                                monkeypatch):
+        """A resumed run's state file enters its manifest and its input
+        hash, so it does not overwrite the fresh run of the same config;
+        a fresh run's hash is the one it had before resuming existed."""
+        monkeypatch.setenv(cli.OUT_ROOT_ENV, str(tmp_path / "root"))
+        fresh_argv = ["run", *TINY_DATA, "--set", "iterations=5"]
+        assert cli.main(fresh_argv) == 0
+        (fresh,) = (tmp_path / "root").iterdir()
+        trace = read(fresh / "trace.csv")
+        manifest = read_json(fresh / "manifest.json")
+        assert "resume" not in manifest
+        assert manifest["input_sha256"] == cli._content_hash(
+            "run", manifest["config"], manifest["data"])
+        state = str(fresh / "state.json")
+        assert cli.main([*fresh_argv, "--set", f"run.resume={state}"]) == 0
+        (resumed,) = set((tmp_path / "root").iterdir()) - {fresh}
+        assert read(fresh / "trace.csv") == trace
+        assert read(resumed / "trace.csv") == cli.TRACE_HEADER + "\n"
+        with open(state, "rb") as fh:
+            assert read_json(resumed / "manifest.json")["resume"] == {
+                "path": state, "sha256": hashlib.sha256(fh.read()).hexdigest()}
+
     def test_resume_past_iterations_exits_2(self, tmp_path, capsys):
         """A state already past the config's iterations is named, not
         reported as a finished run of the state's own count."""
@@ -608,6 +631,35 @@ class TestGenDataAndEval:
             == [(sha256, "miss"), (sha256, "hit")]
         assert manifests[0]["input_sha256"] == manifests[1]["input_sha256"]
 
+    def test_csv_sidecar_is_read_once_and_hashed(self, tmp_path,
+                                                 monkeypatch):
+        """The manifest's sidecar digest is of the bytes the load parsed,
+        from the one time it opened the sidecar, on a parse and on a
+        cache hit."""
+        gen_out = tmp_path / "data"
+        assert cli.main(["gen-data", "--out", str(gen_out), *TINY_DATA]) == 0
+        data = str(gen_out / "data.csv")
+        side = datasets.sidecar_path(data)
+        with open(side, "rb") as fh:
+            want = hashlib.sha256(fh.read()).hexdigest()
+        opened = []
+
+        def counted(file, *args, **kwargs):
+            opened.append(file)
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(datasets, "open", counted, raising=False)
+        for cache in ("miss", "hit"):
+            opened.clear()
+            out = tmp_path / cache
+            assert cli.main(["run", "--out", str(out), "--set",
+                             f"data.path={data}", "--set",
+                             "iterations=1"]) == 0
+            entry = read_json(out / "manifest.json")["data"]
+            assert entry["cache"] == cache
+            assert entry["sidecar_sha256"] == want
+            assert opened.count(side) == 1
+
     def test_csv_without_sidecar_hashes_none(self, tmp_path):
         gen_out = tmp_path / "data"
         assert cli.main(["gen-data", "--out", str(gen_out), *TINY_DATA]) == 0
@@ -953,7 +1005,9 @@ class TestBadDataInputs:
     def test_state_field_of_wrong_type_exits_2(self, key, index, value,
                                                command, tmp_path, capsys):
         """A count that is not a JSON integer >= 0, or a block entry that
-        is not a finite number, is named, not read as some number."""
+        is not a finite number, is named, not read as some number.  A
+        resumed state is read before the output directory is made, as its
+        hash names the directory."""
         first = tmp_path / "first"
         assert cli.main(run_args(first, ["--set", "iterations=3"])) == 0
         state = read_json(first / "state.json")
@@ -971,7 +1025,8 @@ class TestBadDataInputs:
         assert cli.main(argv) == 2
         name = key if index is None or key != "arch" else f"arch.{index}"
         assert f"error: bad state: {name} must be" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert (not out.exists() if command == "run"
+                else list(out.iterdir()) == [])
 
     def test_saved_states_load_to_their_bytes(self, tmp_path):
         """What ``save_state`` writes passes the checks unchanged: every

@@ -48,9 +48,12 @@ def second_load_hits(monkeypatch):
         except ParseError:
             assert had or not os.path.exists(cache)
             raise
-        again, sha256, how = datasets._load(path, dim, classes)
+        again, sha256, how, side = datasets._load(path, dim, classes)
         assert how == "hit"
         assert sha256 == file_sha256(path)
+        side_path = datasets.sidecar_path(path)
+        assert side == (file_sha256(side_path)
+                        if os.path.exists(side_path) else None)
         assert again == first
         return first
 
@@ -547,7 +550,7 @@ class TestCsvCache:
             fh.write(text[:i] + "10"[int(text[i])] + text[i + 1:])
         with open(datasets.cache_path(path), "rb") as fh:
             stale = fh.read()
-        loaded, sha256, how = datasets._load(path, None, None)
+        loaded, sha256, how, _ = datasets._load(path, None, None)
         assert how == "miss" and sha256 == file_sha256(path)
         assert loaded == reference.read_csv(path) != bundle
         with open(datasets.cache_path(path), "rb") as fh:
@@ -643,10 +646,10 @@ class TestCsvCache:
             writer = threading.Thread(target=feed)
             writer.start()
             try:
-                loaded, sha256, how = datasets._load(fifo, None, None)
+                loaded, sha256, how, side = datasets._load(fifo, None, None)
             finally:
                 writer.join()
-            assert how == "miss"
+            assert how == "miss" and side is None
             assert sha256 == hashlib.sha256(data).hexdigest()
             # Without its sidecar the flags are all False.
             assert loaded == replace(bundle,

@@ -1237,15 +1237,15 @@ class TestBundleCheckedOnEntry:
         return checked
 
     def test_a_valid_bundle_passes_every_entry(self, overlap, split, checked):
-        """Checked once per entry, not per cell (a split matrix also in
-        the parent's ``run_stack``); the fixtures see what the bad bundles
-        below must not cause."""
+        """Checked once per entry, not per cell, and a split matrix only
+        before it forks; the fixtures see what the bad bundles below must
+        not cause."""
         counts = {}
         for name, call in self.entries(entry_bundle()).items():
             checked.clear()
             call()
             counts[name] = len(checked)
-        assert counts == {"run": 1, "run_stack": 1, "run_matrix": 2,
+        assert counts == {"run": 1, "run_stack": 1, "run_matrix": 1,
                           "verify_hypergrads": 1}
         assert overlap.workspaces == [(9, 3)]
         assert len(split) == 1

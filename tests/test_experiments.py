@@ -1,4 +1,6 @@
-"""Ablation grid semantics, recovery AUC, and sweep behavior.
+"""Ablation grid semantics, recovery AUC, sweep behavior, and the split of a
+large stack over two processes (``engine.run_stack``) that matrices and
+sweeps train through.
 
 The AUC is cross-checked against an O(M^2) pairwise-comparison oracle
 written here; ablation reductions are checked bit-exactly against the full
@@ -190,7 +192,7 @@ class TestRunMatrix:
         assert 0.0 <= row.test_accuracy <= 1.0
         assert 0.0 <= row.val_accuracy <= 1.0
         assert row.recovery_auc_pretrain is not None
-        agg = result.aggregate("A1")
+        agg = {r.ablation: r for r in result.aggregates}["A1"]
         assert agg.n_ok == 1
         assert agg.test_accuracy_std == 0.0
 
@@ -247,8 +249,8 @@ class TestRunMatrix:
         assert not row.ok
         assert "iteration" in row.error
         assert row.test_accuracy is None
-        assert result.aggregate("FULL").n_ok == 0
-        assert result.aggregate("FULL").test_accuracy_mean is None
+        (full,) = result.aggregates
+        assert full.n_ok == 0 and full.test_accuracy_mean is None
 
     def test_repeated_id_aggregates_its_own_block(self):
         """Each copy of a repeated id gets the row of its own seeds, which
@@ -449,15 +451,52 @@ def in_child():
     return os.getpid() != TEST_PID
 
 
+def outcomes(cfgs, states=None):
+    """``engine.run_stack``'s outcome of each cell, as comparable bits (its
+    state's blocks or its error), and the trace rows ``on_row`` got for
+    it, in order."""
+    rows = [[] for _ in cfgs]
+    outs = engine.run_stack(datasets.generate(BUNDLE_SPEC), cfgs, states,
+                            lambda k, row: rows[k].append(row))
+    return [(("error", str(out), out.iteration)
+             if isinstance(out, NumericError) else
+             ("ok", out.iteration, [b.tobytes() for b in engine._blocks(out)]))
+            for out in outs], rows
+
+
+def serial(fn, *args):
+    """``fn(*args)`` on the serial path: the process may use one CPU."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(engine, "_usable_cpus", lambda: 1)
+        return fn(*args)
+
+
+def matrix_cfgs(cfg, ids=("A1", "A5", "A7", "FULL"), seeds=(0, 1)):
+    return [experiments.ablation_config(i, replace(cfg, seed=s))
+            for i in ids for s in seeds]
+
+
 class TestSplit:
-    """A large stack trains as two halves in two processes: the parent's
-    first half and a forked child's second half, each bit for bit its
-    share of one stack."""
+    """A large stack trains as two halves in two processes
+    (``engine.run_stack``): the parent's first half and a forked child's
+    second half, each bit for bit its share of one stack."""
 
     @pytest.mark.parametrize("hidden", [0, 3])
     @pytest.mark.parametrize("batch_size", [None, 4])
     def test_results_equal_one_stack(self, split, hidden, batch_size):
+        """Fresh and resumed cells, each cell's trace rows included, and
+        the matrix and sweep scored from them."""
         cfg = replace(FAST, hidden=hidden, batch_size=batch_size)
+        cfgs = matrix_cfgs(cfg)
+        forked = outcomes(cfgs)
+        assert len(split) == 1
+        assert forked == serial(outcomes, cfgs)
+        states = engine.run_stack(datasets.generate(BUNDLE_SPEC),
+                                  [replace(c, iterations=5) for c in cfgs])
+        split.clear()
+        forked = outcomes(cfgs, states)
+        assert len(split) == 1 and len(forked[1][0]) == FAST.iterations - 5
+        assert forked == serial(outcomes, cfgs, states)
         runs = {
             "matrix": lambda: experiments.run_matrix(
                 BUNDLE_SPEC, ["A1", "A5", "A7", "FULL"], [0, 1], cfg),
@@ -465,85 +504,103 @@ class TestSplit:
                 "lambda", [0.0, 0.05, 0.2], BUNDLE_SPEC, [0, 1], cfg),
         }
         for name, run in runs.items():
+            split.clear()
             forked = run()
             assert len(split) == 1, name
             split.clear()
-            with pytest.MonkeyPatch.context() as m:
-                m.setattr(engine, "_usable_cpus", lambda: 1)
-                serial = run()
+            want = serial(run)
             assert split == []
-            assert_same_results(forked.results, serial.results)
-            assert forked.aggregates == serial.aggregates
+            assert_same_results(forked.results, want.results)
+            assert forked.aggregates == want.aggregates
+
+    def test_a_stack_at_the_constant_forks_once(self, monkeypatch):
+        """4 cells x 125 iterations x 1,000 full-batch rows: 500,000."""
+        bundle = datasets.generate(replace(BUNDLE_SPEC, n_pretrain=1000))
+        cfgs = matrix_cfgs(replace(FAST, iterations=125), seeds=(0,))
+        forks = []
+        true_fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or true_fork())
+        monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
+
+        def run(cells):
+            return [[b.tobytes() for b in engine._blocks(out)]
+                    for out in engine.run_stack(bundle, cells)]
+
+        forked = run(cfgs)
+        assert len(forks) == 1
+        assert forked == serial(run, cfgs)
+        assert run(cfgs[:3]) == serial(run, cfgs[:3]) and len(forks) == 1
 
     def test_failed_cells_of_the_child_keep_their_errors(self, split):
         huge = replace(FAST, lr_pretrain_encoder=1e100,
                                   lr_pretrain_head=1e100,
                                   lr_finetune_encoder=1e100,
                                   lr_finetune_head=1e100)
+        cfgs = [replace(huge, seed=s, lam=lam) for lam in (0.0, 0.01, 1.0)
+                for s in (2, 0)]
         with np.errstate(over="ignore", invalid="ignore"):
-            forked = experiments.sweep("lambda", [0.0, 0.01, 1.0],
-                                       BUNDLE_SPEC, [2, 0], huge)
+            forked = outcomes(cfgs)
             assert len(split) == 1
-            with pytest.MonkeyPatch.context() as m:
-                m.setattr(engine, "_usable_cpus", lambda: 1)
-                serial = experiments.sweep("lambda", [0.0, 0.01, 1.0],
-                                           BUNDLE_SPEC, [2, 0], huge)
-        assert any(not r.ok for r in forked.results[3:])
-        assert_same_results(forked.results, serial.results)
+            want = serial(outcomes, cfgs)
+        assert any(kind == "error" for kind, *_ in forked[0][3:])
+        assert forked == want
 
     def test_child_exception_raised_after_the_first_half(self, split,
                                                          monkeypatch):
-        true_score = experiments.score
-        scored = []
+        true_train = engine._train
+        trained = []
 
-        def score(state, bundle):
+        def train(bundle, cfg, cfgs, *args):
             if in_child():
-                raise ValueError("cannot score in the child")
-            scored.append(state)
-            return true_score(state, bundle)
+                raise ValueError("cannot train in the child")
+            out = true_train(bundle, cfg, cfgs, *args)
+            trained.append(len(cfgs))
+            return out
 
-        monkeypatch.setattr(experiments, "score", score)
-        with pytest.raises(ValueError, match="cannot score in the child"):
+        monkeypatch.setattr(engine, "_train", train)
+        with pytest.raises(ValueError, match="cannot train in the child"):
             experiments.run_matrix(BUNDLE_SPEC, ["A1", "FULL"], [0, 1, 2],
                                    FAST)
-        assert len(scored) == 3
+        assert trained == [3]
 
     def test_first_half_exception_wins(self, split, monkeypatch):
-        def score(state, bundle):
+        def train(*args):
             raise ConfigError("child" if in_child() else "parent")
 
-        monkeypatch.setattr(experiments, "score", score)
+        monkeypatch.setattr(engine, "_train", train)
         with pytest.raises(ConfigError, match="^parent$"):
             experiments.run_matrix(BUNDLE_SPEC, ["A1", "FULL"], [0, 1], FAST)
 
     def test_dead_or_garbled_child_is_named(self, split, monkeypatch):
-        true_run_cells = experiments._run_cells
+        true_train = engine._train
 
-        def dying(bundle, cells):
+        def dying(*args):
             if in_child():
                 os._exit(3)
-            return true_run_cells(bundle, cells)
+            return true_train(*args)
 
-        monkeypatch.setattr(experiments, "_run_cells", dying)
-        with pytest.raises(RuntimeError, match="ended with status 3"):
+        monkeypatch.setattr(engine, "_train", dying)
+        with pytest.raises(RuntimeError,
+                           match="ended with status 3 and 0 bytes"):
             experiments.run_matrix(BUNDLE_SPEC, ["A1", "FULL"], [0, 1], FAST)
-        monkeypatch.setattr(experiments, "_run_cells", true_run_cells)
+        monkeypatch.setattr(engine, "_train", true_train)
         true_dumps = pickle.dumps
         monkeypatch.setattr(pickle, "dumps",
                             lambda *a, **k: true_dumps(*a, **k)[:-9])
-        with pytest.raises(RuntimeError, match="ended with status 0"):
+        with pytest.raises(RuntimeError,
+                           match=r"ended with status 0 and [1-9]\d* bytes"):
             experiments.run_matrix(BUNDLE_SPEC, ["A1", "FULL"], [0, 1], FAST)
 
     def test_interrupted_parent_kills_the_child(self, split, monkeypatch):
-        true_run_cells = experiments._run_cells
+        true_train = engine._train
 
-        def stalled(bundle, cells):
+        def stalled(*args):
             if in_child():
                 time.sleep(60)
-                return true_run_cells(bundle, cells)
+                return true_train(*args)
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(experiments, "_run_cells", stalled)
+        monkeypatch.setattr(engine, "_train", stalled)
         started = time.perf_counter()
         with pytest.raises(KeyboardInterrupt):
             experiments.run_matrix(BUNDLE_SPEC, ["A1", "FULL"], [0, 1], FAST)
@@ -552,14 +609,24 @@ class TestSplit:
 
     def test_cells_that_make_no_stack_are_refused_before_a_fork(
             self, split, monkeypatch):
+        """So is every other ConfigError of ``run_stack``."""
         def no_fork():
             raise AssertionError("forked")
 
         monkeypatch.setattr(os, "fork", no_fork)
-        cells = [(k, replace(FAST, seed=k)) for k in range(3)]
-        cells.append((3, replace(FAST, seed=3, iterations=5)))
-        with pytest.raises(ConfigError, match="may differ only in"):
-            experiments.run_cell(datasets.generate(BUNDLE_SPEC), cells)
+        bundle = datasets.generate(BUNDLE_SPEC)
+        cfgs = [replace(FAST, seed=k) for k in range(4)]
+        past = engine.run(bundle, replace(FAST, iterations=1))[0]
+        for cells, states, match in [
+                (cfgs[:3] + [replace(FAST, seed=3, iterations=5)], None,
+                 "may differ only in"),
+                (cfgs, [past] * 3, "3 initial states for 4 configs"),
+                (cfgs, [past] * 3 + [engine.init_state(bundle, FAST)],
+                 "same iteration"),
+                (cfgs, [engine.init_state(bundle, replace(FAST, hidden=2))]
+                 * 4, "state has hidden=2")]:
+            with pytest.raises(ConfigError, match=match):
+                engine.run_stack(bundle, cells, states)
 
     def test_rule(self, monkeypatch):
         """Two processes for 4 or more cells whose cells x iterations x

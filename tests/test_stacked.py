@@ -608,6 +608,22 @@ class TestOneEngine:
             engine.run_stack(bundle, [cfg, cfg],
                              [engine.init_state(bundle, cfg), ahead])
 
+    def test_one_initial_state_per_config(self):
+        """Neither a state without a config is dropped nor a config without
+        a state left to fail in numpy, before any work."""
+        bundle = datasets.generate(SynthSpec(
+            dim=3, classes=2, n_pretrain=8, n_train=5, n_val=4, n_test=4,
+            seed=1))
+        cfg = LbiConfig(iterations=3)
+        state = engine.init_state(bundle, cfg)
+        with mock.patch.object(engine, "_train", None):
+            for cfgs, states in (([cfg], [state, state]),
+                                 ([cfg, replace(cfg, seed=1)], [state])):
+                with pytest.raises(ConfigError, match=(
+                        f"^{len(states)} initial states for {len(cfgs)} "
+                        "configs$")):
+                    engine.run_stack(bundle, cfgs, states)
+
 
 def serial(fn, *args):
     """``fn(*args)`` on the serial path: the process may use one CPU."""
