@@ -8,22 +8,22 @@ Each flag sets one config key (``COMMANDS``), so a flag beats ``--set``.
 ``config.read_config`` types and checks all of it before a command starts.
 
 ``main`` owns every command's envelope.  Before any work it resolves the
-lbi config, loads the data and a resumed run's state, and makes the output
-directory: ``--out``, else ``run.out``, else ``$LBI_OUT_ROOT/<command>-<hash>``
-(default root ./lbi-runs), the hash being the first 12 hex digits of
-``input_sha256``.  ``verify`` and ``eval`` write files only with ``--out``.
-When the command returns, ``main`` writes ``manifest.json`` there: the
-resolved configuration, the data entry (a synthetic spec, or a CSV's path
-with the sha256 of the CSV and of its sidecar), the command's own settings,
-a resumed run's state file (``resume``: its path and sha256), their
-content hash ``input_sha256``, a timestamp, and the environment and
-wall time of the command (``run_env``, outside the hash: CPU count,
-Python, numpy, BLAS, its thread variables and the thread count in effect),
-and for ``run``, ``ablate`` and ``sweep`` the ``engine.plan`` that trains
-the stack (``plan``, also outside the hash).  Data files are
-written atomically (temp file, then rename) and all numeric CSV output uses
-17 significant digits, so reruns of the same deterministic command produce
-byte-identical data files.
+lbi config, loads the data and the state (``STATE_KEYS``), and makes the
+output directory: ``--out``, else ``run.out``, else
+``$LBI_OUT_ROOT/<command>-<hash>`` (default root ./lbi-runs), the hash
+being the first 12 hex digits of ``input_sha256``.  ``verify`` and ``eval``
+write files only with ``--out``.  When the command returns, ``main`` writes
+``manifest.json`` there: the resolved configuration, the data entry (a
+synthetic spec, or a CSV's path with the sha256 of the CSV and of its
+sidecar), the command's own settings, the state file read (``resume`` or
+``state``: its path and sha256), their content hash ``input_sha256``, a
+timestamp, and the environment and wall time of the command (``run_env``,
+outside the hash: CPU count, Python, numpy, BLAS, its thread variables, the
+thread count in effect and ``cpu_kernels``), and for ``run``, ``ablate``
+and ``sweep`` the ``engine.plan`` that trains the stack (``plan``, also
+outside the hash).  Data files are written atomically (temp file, then
+rename) and all numeric CSV output uses 17 significant digits, so reruns of
+the same deterministic command produce byte-identical data files.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration or parse
 error, 3 numeric failure during optimization, 4 one or more matrix or sweep
@@ -169,13 +169,16 @@ def _content_hash(*parts) -> str:
 # The verify instances' architecture comes from the lbi section.
 _ARCH_KEYS = ("hidden", "ignore_mode", "mode")
 
+# The setting that names the state file a command reads.
+STATE_KEYS = {"run": "run.resume", "eval": "eval.state"}
+
 
 @dataclass
 class Job:
     """A command as ``main`` resolves it before any work: the checked
     config, the lbi config, the data, the command's settings (its config
     section with defaults), the manifest so far, the output directory
-    (None when the command writes no files) and a resumed run's state."""
+    (None when the command writes no files) and the state it reads."""
 
     command: str
     config: dict
@@ -185,7 +188,7 @@ class Job:
     settings: dict = field(default_factory=dict)
     manifest: dict = field(default_factory=dict)
     out: str | None = None
-    resumed: engine.LbiState | None = None  # run's state from run.resume
+    state: engine.LbiState | None = None
 
 
 def resolve(args) -> Job:
@@ -201,6 +204,9 @@ def resolve(args) -> Job:
         section, name = key.split(".")
         if SECTIONS[section][name].default is None and name not in config[section]:
             raise ConfigError(f"{command} requires --{flag} or {key}")
+    # Every command reads the run section for run.out; resume is run's own.
+    if command != "run" and "resume" in config["run"]:
+        raise ConfigError(f"run.resume applies to lbi run only, not {command}")
 
     job.manifest = {"tool": {"name": "lbi", "version": __version__},
                     "command": command}
@@ -224,10 +230,12 @@ def resolve(args) -> Job:
                                 if k in config["lbi"])
         job.manifest[command] = job.settings
         parts.append({command: job.settings})
-    if command == "run" and (resume := config["run"].get("resume")):
-        job.resumed, sha256 = engine._load_state(resume)
-        job.manifest["resume"] = {"path": resume, "sha256": sha256}
-        parts.append({"resume": job.manifest["resume"]})
+    if key := STATE_KEYS.get(command):
+        section, name = key.split(".")
+        if path := config[section].get(name):
+            job.state, sha256 = engine.load_state(path)
+            job.manifest[name] = {"path": path, "sha256": sha256}
+            parts.append({name: job.manifest[name]})
     job.manifest["input_sha256"] = _content_hash(*parts)
 
     job.out = args.out or None
@@ -256,17 +264,40 @@ def blas_name() -> str:
     return f"{blas['name']}-{blas['version']}"
 
 
+def _openblas(name: str, text: bool = False):
+    """``scipy_openblas_<name>64_()`` of numpy's bundled OpenBLAS, an int
+    (or text), or None for a BLAS that does not export it."""
+    import ctypes  # not imported with lbi
+    try:
+        call = getattr(ctypes.CDLL(np._core._multiarray_umath.__file__),
+                       f"scipy_openblas_{name}64_")
+    except (AttributeError, OSError):
+        return None
+    call.argtypes, call.restype = [], ctypes.c_char_p if text else ctypes.c_int
+    return call().decode() if text else call()
+
+
 def blas_threads_in_effect() -> int | None:
     """The thread count of numpy's bundled OpenBLAS (scipy-openblas), or
     None for a BLAS that does not export its getter."""
-    import ctypes  # not imported with lbi
+    return _openblas("get_num_threads")
+
+
+def cpu_kernels() -> dict:
+    """The CPU-specific kernels the output bytes rest on: the core that
+    numpy's bundled OpenBLAS picked (``blas_core``) and numpy's dispatch
+    target for float64 exp, log and tanh (``numpy_simd``).  Each is None
+    where the build does not expose it (numpy 1.26 has no introspect)."""
     try:
-        get = ctypes.CDLL(np._core._multiarray_umath.__file__
-                          ).scipy_openblas_get_num_threads64_
-    except (AttributeError, OSError):
-        return None
-    get.argtypes, get.restype = [], ctypes.c_int
-    return get()
+        from numpy.lib.introspect import opt_func_info
+    except ImportError:
+        simd = None
+    else:
+        info = opt_func_info(func_name="^(exp|log|tanh)$", signature="float64")
+        simd = "+".join(sorted({loop["current"] for func in info.values()
+                                for loop in func.values()})) or None
+    return {"blas_core": _openblas("get_corename", text=True),
+            "numpy_simd": simd}
 
 
 def write_manifest(job: Job, started: float):
@@ -283,6 +314,7 @@ def write_manifest(job: Job, started: float):
             "blas_threads": {var: os.environ.get(var)
                              for var in BLAS_THREAD_VARS},
             "blas_threads_in_effect": blas_threads_in_effect(),
+            **cpu_kernels(),
             "duration_s": round(time.perf_counter() - started, 3),
         },
     })
@@ -326,7 +358,7 @@ def cmd_run(job: Job) -> int:
         fh.write(TRACE_HEADER + "\n")
         try:
             state, _ = engine.run(
-                bundle, job.cfg, initial_state=job.resumed,
+                bundle, job.cfg, initial_state=job.state,
                 trace_hook=lambda row: fh.write(_trace_line(row) + "\n"),
             )
         except NumericError as e:
@@ -463,10 +495,8 @@ def cmd_gen_data(job: Job) -> int:
 
 
 def cmd_eval(job: Job) -> int:
-    state_path = job.settings["state"]
-    state = engine.load_state(state_path)
-    report = {"state": state_path, "iteration": state.iteration,
-              **_reported(experiments.score(state, job.bundle))}
+    report = {"state": job.settings["state"], "iteration": job.state.iteration,
+              **_reported(experiments.score(job.state, job.bundle))}
     auc = report.get("recovery_auc_pretrain")
     print(f"test accuracy {report['test_accuracy']:.4f}, "
           f"val accuracy {report['val_accuracy']:.4f}"

@@ -511,8 +511,12 @@ class _Cells:
     For a stack of K cells, in stack order: lam and gamma as (K, 1) columns
     that broadcast against (K, ·) blocks and the flags as length-K masks.
     One cell's state keeps no cell axis (its blocks are the plain one-model
-    arrays, on numpy's faster 2-D paths), and its switches are a float and
-    bools.
+    arrays), and its switches are a float and bools.  Both forms give the
+    same bits, and each is faster somewhere: against a K=1 stack, one cell
+    ran 16-19% faster per iteration at paper scale and 5% on the
+    ``wide-minibatch`` shape, while on ``wide-full`` the two were within 4%
+    either way (README "Performance" has the table).  So a lone cell keeps
+    this form.
     """
 
     seeds: tuple
@@ -1185,12 +1189,9 @@ def save_state(state: LbiState, path: str):
         fh.write("\n")
 
 
-def load_state(path: str) -> LbiState:
-    return _load_state(path)[0]
-
-
-def _load_state(path: str) -> tuple[LbiState, str]:
-    """``load_state``'s state and the sha256 (hex) of the bytes it parsed."""
+def load_state(path: str) -> tuple[LbiState, str]:
+    """The state a ``save_state`` file holds, and the sha256 (hex) of the
+    bytes it parsed.  ConfigError when the file cannot be read or parsed."""
     import hashlib  # about 4 ms of start-up, so not imported with lbi
     try:
         with open(path, "rb") as fh:

@@ -259,8 +259,8 @@ def _mean_std(values: list[float]) -> tuple[float | None, float | None]:
 def _run_blocks(data, entries: list, seeds: list, cfg_of,
                 param: str | None = None) -> MatrixResult:
     """Every (entry, seed) cell with config ``cfg_of(entry, seed)``, run as
-    one ``run_cell`` call (one stack) and one aggregate row per entry over its own block of seeds (the cells
-    that finished)."""
+    one ``run_cell`` call (one stack), and one aggregate row per entry over
+    the cells of its block of seeds that finished."""
     cells = [(entry, cfg_of(entry, seed)) for entry in entries
              for seed in seeds]
     results = run_cell(generate(data) if isinstance(data, SynthSpec)

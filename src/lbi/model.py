@@ -21,13 +21,12 @@ test suite exercise real formulas.
 Batch operations take arrays: float64 features X with one row per example
 and int64 labels y in 0..classes-1.  The kernels trust them: a bundle is
 checked once, by ``DatasetBundle.validate``, where it enters the engine
-(``engine.run_stack``, ``experiments.run_cell``, the FD oracle), and its
-rows reach every forward unchecked.  Only the public ``logits`` and
-``predict`` check their features.  Weighted sums are plain sums, not means,
-so gradients are additive across examples: example i's gradient is built
-from row i of the softmax residual G = softmax(z) - onehot(y) (and, for the
-MLP, of the hidden residual dA = (G U) * (1 - T^2), T the hidden
-activations).
+(``engine.run_stack`` and the FD oracle), and its rows reach every forward
+unchecked.  Only the public ``logits`` and ``predict`` check their
+features.  Weighted sums are plain sums, not means, so gradients are
+additive across examples: example i's gradient is built from row i of the
+softmax residual G = softmax(z) - onehot(y) (and, for the MLP, of the
+hidden residual dA = (G U) * (1 - T^2), T the hidden activations).
 
 Every loss and gradient comes from one ``Forward`` record (z, G, T, dA) made
 by ``_softmax_residual``, so a caller that needs the loss, the weighted

@@ -1,15 +1,17 @@
 """Command-line behavior: exit codes, output files, overrides, determinism.
 
 Commands are invoked in-process through cli.main so exit codes and file
-side effects can be asserted directly; one case runs a subprocess, for the
-BLAS thread count of its environment.
+side effects can be asserted directly; two cases run a subprocess, for the
+BLAS thread count and the OpenBLAS core of its environment.
 """
 
 import csv
+import ctypes
 import hashlib
 import json
 import math
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -76,8 +78,8 @@ class TestRun:
         assert manifest["tool"]["name"] == "lbi"
         assert "input_sha256" in manifest
         assert sorted(manifest["run_env"]) == [
-            "blas", "blas_threads", "blas_threads_in_effect", "cpu_count",
-            "duration_s", "numpy", "python"]
+            "blas", "blas_core", "blas_threads", "blas_threads_in_effect",
+            "cpu_count", "duration_s", "numpy", "numpy_simd", "python"]
         assert sorted(manifest["run_env"]["blas_threads"]) == sorted(
             cli.BLAS_THREAD_VARS)
         in_effect = manifest["run_env"]["blas_threads_in_effect"]
@@ -97,6 +99,40 @@ class TestRun:
         assert run_env["blas_threads"]["OPENBLAS_NUM_THREADS"] == "1"
         assert run_env["blas_threads_in_effect"] == (
             None if cli.blas_threads_in_effect() is None else 1)
+
+    def test_manifest_names_the_cpu_kernels(self, tmp_path, monkeypatch):
+        """The OpenBLAS core and numpy's dispatch target that the bytes
+        rest on, each null where the build does not expose it."""
+        out = tmp_path / "out"
+        assert cli.main(run_args(out)) == 0
+        run_env = read_json(out / "manifest.json")["run_env"]
+        kernels = cli.cpu_kernels()
+        assert {k: run_env[k] for k in kernels} == kernels
+        assert all(v is None or isinstance(v, str) and v
+                   for v in kernels.values())
+
+        def no_library(path):
+            raise OSError(path)
+
+        monkeypatch.setattr(ctypes, "CDLL", no_library)
+        monkeypatch.setitem(sys.modules, "numpy.lib.introspect", None)
+        assert cli.cpu_kernels() == {"blas_core": None, "numpy_simd": None}
+        assert cli.blas_threads_in_effect() is None
+
+    def test_blas_core_follows_openblas_coretype(self):
+        """The core is the one OpenBLAS runs, not the build's default.
+        Nehalem's SSE4.2 is within numpy's own x86-64 baseline."""
+        if (cli.cpu_kernels()["blas_core"] is None
+                or platform.machine() not in ("x86_64", "AMD64")):
+            pytest.skip("no x86-64 OpenBLAS that reports its core")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        got = subprocess.run(
+            [sys.executable, "-c",
+             "from lbi import cli; print(cli.cpu_kernels()['blas_core'])"],
+            check=True, capture_output=True, text=True, env={
+                **os.environ, "PYTHONPATH": src,
+                "OPENBLAS_CORETYPE": "Nehalem"}).stdout.strip()
+        assert got == "Nehalem"
 
     def test_config_file_plus_override(self, tmp_path):
         cfg_path = tmp_path / "cfg.yaml"
@@ -191,7 +227,7 @@ class TestRun:
             "--set", f"run.resume={out1 / 'state.json'}",
         ]))
         assert code == 0
-        state = engine.load_state(out2 / "state.json")
+        state, _ = engine.load_state(out2 / "state.json")
         assert state.iteration == 8
         lines = read(out2 / "trace.csv").strip().splitlines()
         assert len(lines) == 4  # header + iterations 5..7
@@ -696,6 +732,23 @@ class TestGenDataAndEval:
         assert report["val_accuracy"] == summary["val_accuracy"]
         assert report["iteration"] == 5
 
+    def test_eval_manifest_names_the_state_by_its_bytes(self, tmp_path):
+        """As a resumed run's manifest does: the state's path and the
+        sha256 of the bytes scored, both inside the input hash."""
+        run_out = tmp_path / "run"
+        assert cli.main(run_args(run_out)) == 0
+        state = str(run_out / "state.json")
+        eval_out = tmp_path / "eval"
+        assert cli.main(["eval", "--out", str(eval_out), *TINY_DATA,
+                         "--state", state]) == 0
+        manifest = read_json(eval_out / "manifest.json")
+        with open(state, "rb") as fh:
+            assert manifest["state"] == {
+                "path": state, "sha256": hashlib.sha256(fh.read()).hexdigest()}
+        assert manifest["input_sha256"] == cli._content_hash(
+            "eval", manifest["data"], {"eval": manifest["eval"]},
+            {"state": manifest["state"]})
+
     @pytest.mark.parametrize("setting, message", [
         ("data.dim=3", "state architecture (5 dims, 2 classes) does not "
                        "match data (3 dims, 2 classes)"),
@@ -918,7 +971,7 @@ class TestBadDataInputs:
         assert cli.main([command, "--out", str(out), "--set",
                          f"data.path={path}", "--set", "iterations=4"]) == 0
         if command == "run":
-            assert engine.load_state(out / "state.json").iteration == 4
+            assert engine.load_state(out / "state.json")[0].iteration == 4
             with open(out / "trace.csv") as fh:
                 rows = list(csv.DictReader(fh))
             assert len(rows) == 4
@@ -1005,9 +1058,8 @@ class TestBadDataInputs:
     def test_state_field_of_wrong_type_exits_2(self, key, index, value,
                                                command, tmp_path, capsys):
         """A count that is not a JSON integer >= 0, or a block entry that
-        is not a finite number, is named, not read as some number.  A
-        resumed state is read before the output directory is made, as its
-        hash names the directory."""
+        is not a finite number, is named, not read as some number.  Both
+        commands read their state before the output directory is made."""
         first = tmp_path / "first"
         assert cli.main(run_args(first, ["--set", "iterations=3"])) == 0
         state = read_json(first / "state.json")
@@ -1025,8 +1077,7 @@ class TestBadDataInputs:
         assert cli.main(argv) == 2
         name = key if index is None or key != "arch" else f"arch.{index}"
         assert f"error: bad state: {name} must be" in capsys.readouterr().err
-        assert (not out.exists() if command == "run"
-                else list(out.iterdir()) == [])
+        assert not out.exists()
 
     def test_saved_states_load_to_their_bytes(self, tmp_path):
         """What ``save_state`` writes passes the checks unchanged: every
@@ -1041,14 +1092,14 @@ class TestBadDataInputs:
                  reference.without_pretraining(bundle))):
             state, _ = engine.run(data, cfg)
             engine.save_state(state, tmp_path / "s.json")
-            loaded = engine.load_state(tmp_path / "s.json")
+            loaded, _ = engine.load_state(tmp_path / "s.json")
             assert loaded.iteration == 2
             assert ([b.tobytes() for b in engine._blocks(loaded)]
                     == [b.tobytes() for b in engine._blocks(state)])
 
     @pytest.mark.parametrize("argv", [
         run_args("{out}"), ["verify", "--seed", "0", "--out", "{out}"],
-        ["eval", *TINY_DATA, "--state", "s.json", "--out", "{out}"],
+        ["eval", *TINY_DATA, "--state", "{state}", "--out", "{out}"],
         ["ablate", *TINY_DATA, "--ids", "A1", "--seeds", "0", "--out", "{out}"],
         ["sweep", *TINY_DATA, "--param", "lambda", "--grid", "0,1,2",
          "--seeds", "0", "--out", "{out}"],
@@ -1056,19 +1107,24 @@ class TestBadDataInputs:
     ], ids=["run", "verify", "eval", "ablate", "sweep", "gen-data"])
     def test_out_naming_a_file_exits_2(self, argv, tmp_path, capsys,
                                        monkeypatch):
-        """Before any work: no training, check, matrix or sweep runs, no
-        state is read and no data is written."""
+        """Before any work: no training, check, matrix or sweep runs and
+        no data is written.  eval's state is read before, as every
+        command's state is."""
+        state = tmp_path / "first" / "state.json"
+        if "{state}" in argv:
+            assert cli.main(run_args(state.parent)) == 0
+
         def never(*args, **kwargs):
             raise AssertionError("ran before the output directory was made")
 
         for module, name in [(engine, "run"), (gradcheck, "verify_hypergrads"),
-                             (engine, "load_state"),
+                             (experiments, "score"),
                              (experiments, "run_matrix"),
                              (experiments, "sweep"), (datasets, "save_csv")]:
             monkeypatch.setattr(module, name, never)
         afile = tmp_path / "afile"
         afile.write_text("")
-        code = cli.main([a.format(out=afile) for a in argv])
+        code = cli.main([a.format(out=afile, state=state) for a in argv])
         assert code == 2
         assert f"cannot make output directory {afile}" in (
             capsys.readouterr().err)
@@ -1078,3 +1134,39 @@ class TestBadDataInputs:
                                  ["--set", f"run.resume={tmp_path}"]))
         assert code == 2
         assert f"cannot read state file {tmp_path}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, message", [
+        ("missing.json", "state file not found: "),
+        ("a-directory", "cannot read state file "),
+        ("empty.json", "not a state file (format=None)"),
+    ], ids=["missing", "directory", "empty-object"])
+    @pytest.mark.parametrize("command", ["run", "eval"])
+    def test_state_that_cannot_be_read_makes_no_directory(
+            self, command, name, message, tmp_path, capsys):
+        (tmp_path / "a-directory").mkdir()
+        (tmp_path / "empty.json").write_text("{}")
+        path, out = tmp_path / name, tmp_path / "out"
+        argv = ([command, "--out", str(out), *TINY_DATA] + (
+            ["--state", str(path)] if command == "eval" else
+            ["--set", f"run.resume={path}"]))
+        assert cli.main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["ablate", "--ids", "A1", "--seeds", "0", "--set", "iterations=2"],
+        ["sweep", "--param", "lambda", "--grid", "0,1,2", "--seeds", "0",
+         "--set", "iterations=2"],
+        ["verify", "--seed", "0"], ["gen-data"],
+        ["eval", "--state", "state.json"],
+    ], ids=["ablate", "sweep", "verify", "gen-data", "eval"])
+    def test_resume_outside_run_exits_2(self, argv, tmp_path, capsys):
+        """Every command reads the run section for run.out, but only run
+        resumes: elsewhere run.resume is refused, not ignored."""
+        out = tmp_path / "out"
+        code = cli.main([*argv, *TINY_DATA, "--out", str(out), "--set",
+                         f"run.resume={tmp_path / 'state.json'}"])
+        assert code == 2
+        assert (f"run.resume applies to lbi run only, not {argv[0]}"
+                in capsys.readouterr().err)
+        assert not out.exists()

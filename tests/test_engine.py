@@ -7,6 +7,7 @@ reduction is checked bitwise against an independently written plain
 finetuning loop.
 """
 
+import hashlib
 import math
 import os
 import re
@@ -1004,7 +1005,8 @@ class TestStatePersistence:
         state, _ = engine.run(bundle, cfg)
         path = tmp_path / "state.json"
         engine.save_state(state, path)
-        loaded = engine.load_state(path)
+        loaded, sha256 = engine.load_state(path)
+        assert sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
         assert loaded.iteration == state.iteration
         assert loaded.pretrain_model.arch == state.pretrain_model.arch
         for name in ("pretrain_model", "finetune_model"):
@@ -1021,7 +1023,7 @@ class TestStatePersistence:
         state, _ = engine.run(bundle, cfg)
         path = tmp_path / "state.json"
         engine.save_state(state, path)
-        assert engine.load_state(path).ignore_finetune is None
+        assert engine.load_state(path)[0].ignore_finetune is None
 
     def test_failed_save_keeps_old_state(self, tmp_path, monkeypatch):
         """A write that fails partway leaves the old file byte for byte."""
@@ -1060,7 +1062,7 @@ class TestStatePersistence:
         path = tmp_path / "state.json"
         engine.save_state(half, path)
         resumed, _ = engine.run(bundle, cfg,
-                                initial_state=engine.load_state(path))
+                                initial_state=engine.load_state(path)[0])
         full, _ = engine.run(bundle, cfg)
         assert (resumed.finetune_model.encoder.tobytes()
                 == full.finetune_model.encoder.tobytes())

@@ -3,7 +3,8 @@ by sha256 with the hashes recorded in ``tests/golden/<env key>.json``.
 
 Reruns of a deterministic command give the same bytes, and a refactor must
 keep them.  The env key names what the bytes rest on: the numpy version,
-the BLAS that numpy was built against (name and version) and the machine.
+the BLAS that numpy was built against (name and version), the CPU kernels
+that OpenBLAS and numpy picked (``cli.cpu_kernels``) and the machine.
 ``manifest.json`` is left out, as it holds a timestamp and timings.  The
 record keeps a short hash of each line too, so a mismatch names the first
 line that differs.
@@ -52,9 +53,12 @@ COMMANDS = [
 
 
 def env_key() -> str:
-    """numpy version, BLAS name and version, and machine, as a file name."""
+    """numpy version, BLAS name and version, OpenBLAS core, numpy's dispatch
+    target and machine, as a file name."""
+    kernels = cli.cpu_kernels()
     return "_".join(["numpy-" + np.__version__, cli.blas_name(),
-                     platform.machine()])
+                     f"core-{kernels['blas_core']}",
+                     f"simd-{kernels['numpy_simd']}", platform.machine()])
 
 
 def _line_hash(line: bytes) -> str:
