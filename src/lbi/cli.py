@@ -236,6 +236,11 @@ def resolve(args) -> Job:
             job.state, sha256 = engine.load_state(path)
             job.manifest[name] = {"path": path, "sha256": sha256}
             parts.append({name: job.manifest[name]})
+            # A state that does not fit is refused before any directory.
+            if cmd.trains:
+                engine._check_state(job.state, job.bundle, job.cfg)
+            else:
+                engine.check_fit(job.state, job.bundle)
     job.manifest["input_sha256"] = _content_hash(*parts)
 
     job.out = args.out or None

@@ -240,8 +240,8 @@ class TraceRow:
     Losses are the objective values the step actually used: the weighted
     pretraining loss and the training loss at the incoming models, and the
     validation loss at the looked-ahead finetuned model.  The two norms are
-    Euclidean norms of the raw-score hypergradients (the finetune norm is 0
-    in basic mode).
+    Euclidean norms of the raw-score hypergradients, over the batch's
+    entries in a minibatch run (the finetune norm is 0 in basic mode).
     """
 
     iteration: int
@@ -406,14 +406,17 @@ def _hypergrad_finetune(fwd: model.Forward, val_grad: GradBlock, chain,
 
 def apply_ignore_update(ignore: IgnoreSet, g: np.ndarray, rate: float,
                         idx: np.ndarray | None = None) -> IgnoreSet:
-    """Step raw scores along -g.  Clamp mode projects back into [0, 1].
+    """Step raw scores along -g, in place, and return ``ignore``.  Clamp
+    mode projects back into [0, 1].
 
     With ``idx``, g holds the gradient of the entries at the flat positions
     ``idx`` only (``raw[idx]`` for one score vector; in a stack's (K, n)
-    scores, cell k's example i sits at k * n + i), and every other entry
-    keeps its value.  That is the full step with a zero gradient outside
+    scores, cell k's example i sits at k * n + i), and only those entries
+    are written.  That is the full step with a zero gradient outside
     ``idx`` for scores in the range the engine keeps them in (clamp mode
-    projects out-of-range entries only when stepping them).
+    projects out-of-range entries only when stepping them).  The engine
+    steps only score arrays its run owns: ``_train`` copies a caller's
+    scores once, when the run starts.
     """
     g = np.asarray(g, dtype=np.float64)
     want = ignore.raw.shape if idx is None else np.shape(idx)
@@ -422,17 +425,18 @@ def apply_ignore_update(ignore: IgnoreSet, g: np.ndarray, rate: float,
     if not np.logical_and.reduce(np.isfinite(g), axis=None):
         raise NumericError("non-finite ignoring-score gradient")
     if idx is None:
-        raw = ignore.raw - rate * g
-        if ignore.mode == "clamp":
-            raw.clip(0.0, 1.0, out=raw)
-        return IgnoreSet._of(raw, ignore.mode)
-    raw = ignore.raw.copy()
-    flat = raw.reshape(-1)
-    step = flat[idx] - rate * g
+        step = ignore.raw
+        step -= rate * g
+    else:
+        # A view: one set's vector, or a stack's scores, which the engine
+        # makes contiguous.
+        flat = ignore.raw.reshape(-1)
+        step = flat[idx] - rate * g
     if ignore.mode == "clamp":
         step.clip(0.0, 1.0, out=step)
-    flat[idx] = step
-    return IgnoreSet._of(raw, ignore.mode)
+    if idx is not None:
+        flat[idx] = step
+    return ignore
 
 
 def _draw_batches(seed: int, batch_size: int, iteration: int,
@@ -447,19 +451,43 @@ def _draw_batches(seed: int, batch_size: int, iteration: int,
                  for n in sizes)
 
 
-def _cell_batch_indices(cells: "_Cells", batch_size: int | None,
-                        iteration: int, sizes: tuple[int, int, int]):
-    """Each cell's ``_draw_batches`` (from its own seed), stacked into one
-    (K, batch) array per split for a stack, or Nones.  Cells that share a
-    seed share one draw."""
-    if batch_size is None:
-        return None, None, None
-    drawn = {seed: _draw_batches(seed, batch_size, iteration, sizes)
-             for seed in set(cells.seeds)}
-    per_cell = [drawn[seed] for seed in cells.seeds]
-    if not cells.stacked:
-        return per_cell[0]
-    return tuple(np.array(split) for split in zip(*per_cell))
+# How many iterations' minibatches ``_Batches`` draws at once: draws made
+# back to back cost less than one between the kernels of each iteration.
+# On the ``wide-minibatch`` shape an iteration took 1.36 ms (median) with
+# one draw a block and 1.24 ms with 32; README "Performance" has the sizes
+# measured.
+DRAW_BLOCK = 32
+
+
+class _Batches:
+    """A run's minibatches (``_train`` makes one per run): for an iteration,
+    each cell's ``_draw_batches`` from its own seed, stacked into one
+    (K, batch) array per split for a stack, or Nones without ``batch_size``.
+    Cells that share a seed share one draw.  Each seed is drawn for the
+    next ``DRAW_BLOCK`` iterations at once, never at or past ``stop``, so a
+    run's indices are those of a draw per iteration."""
+
+    def __init__(self, batch_size: int | None, stop: int,
+                 sizes: tuple[int, int, int]):
+        self.batch_size, self.stop, self.sizes = batch_size, stop, sizes
+        self._first = self._end = 0
+        self._drawn: dict = {}
+
+    def __call__(self, cells: "_Cells", iteration: int):
+        if self.batch_size is None:
+            return None, None, None
+        if not self._first <= iteration < self._end:
+            self._first = iteration
+            self._end = min(iteration + DRAW_BLOCK, self.stop)
+            self._drawn = {seed: [_draw_batches(seed, self.batch_size, it,
+                                                self.sizes)
+                                  for it in range(iteration, self._end)]
+                           for seed in set(cells.seeds)}
+        per_cell = [self._drawn[seed][iteration - self._first]
+                    for seed in cells.seeds]
+        if not cells.stacked:
+            return per_cell[0]
+        return tuple(np.array(split) for split in zip(*per_cell))
 
 
 def _rows(split: Split, idx: np.ndarray | None):
@@ -469,31 +497,25 @@ def _rows(split: Split, idx: np.ndarray | None):
     return split.X[idx], split.y[idx]
 
 
-def _grad_norms(hg: np.ndarray | None, has: np.ndarray, at: np.ndarray | None,
-                n: int) -> np.ndarray:
-    """Each cell's Euclidean norm of its raw-score hypergradient over all n
-    scores, given the batch entries ``hg`` at flat positions ``at`` (None:
-    all n); 0 where ``has`` is false (an all-zero hypergradient)."""
+def _grad_norms(hg: np.ndarray | None, has: np.ndarray) -> np.ndarray:
+    """Each cell's Euclidean norm of its raw-score hypergradient ``hg``,
+    over the entries it holds: all n scores at full batch, the batch's
+    in a minibatch run; 0 where ``has`` is false (an all-zero
+    hypergradient)."""
     if hg is None:
         return np.zeros(np.shape(has))
-    if at is not None:
-        # Zero-padded to n as the trace has always measured it: the dot of
-        # the batch entries alone may round differently.
-        full = np.zeros(hg.shape[:-1] + (n,))
-        full.reshape(-1)[at] = hg
-        hg = full
     return _select(has, np.sqrt(model._vecdot(hg, hg)), 0.0)
 
 
 def _step_cells(scores: IgnoreSet | None, hg: np.ndarray | None, rate: float,
-                at: np.ndarray | None, cells: np.ndarray) -> IgnoreSet | None:
-    """The scores stepped along ``hg`` in the selected cells only."""
+                at: np.ndarray | None, cells):
+    """Step the scores along ``hg``, in place, in the selected cells only."""
     if hg is None or not _any(cells):
-        return scores
+        return
     if not _all(cells):
         # A zero step leaves every score the engine keeps exactly as it is.
         hg = np.where(cells[:, None], hg, 0.0)
-    return apply_ignore_update(scores, hg, rate, at)
+    apply_ignore_update(scores, hg, rate, at)
 
 
 # The config fields in which the cells of one stack may differ.
@@ -764,16 +786,15 @@ class _Front(NamedTuple):
 
 
 def _front(state: LbiState, bundle: DatasetBundle, cfg: LbiConfig,
-           cells: _Cells, rates: Rates,
+           cells: _Cells, rates: Rates, batch,
            workspace: _Workspace | None = None) -> _Front:
-    """``_iterate`` up to its finetuning step: the batch, the pretraining
-    step (stage 1) and the finetuned model's gradients, none of which a
-    finetuning score reaches.  With a ``workspace``, stage 1 runs on its
-    worker thread and the pretraining batch's forwards fill its buffers."""
+    """``_iterate`` up to its finetuning step, on ``batch``, the (pretrain,
+    train, val) indices of a ``_Batches``: the pretraining step (stage 1)
+    and the finetuned model's gradients, none of which a finetuning score
+    reaches.  With a ``workspace``, stage 1 runs on its worker thread and
+    the pretraining batch's forwards fill its buffers."""
     n_pre = bundle.pretrain.n
-    idx_pre, idx_tr, idx_val = _cell_batch_indices(
-        cells, cfg.batch_size, state.iteration,
-        (n_pre, bundle.train.n, bundle.val.n))
+    idx_pre, idx_tr, idx_val = batch
     # Positions of the pretraining batch in the flat (K * n) score array.
     at = idx_pre
     if idx_pre is not None and cells.stacked:
@@ -822,8 +843,10 @@ def _front(state: LbiState, bundle: DatasetBundle, cfg: LbiConfig,
 def _finish(state: LbiState, bundle: DatasetBundle, cfg: LbiConfig,
             cells: _Cells, rates: Rates, front: _Front,
             workspace: _Workspace | None = None, trace: bool = True):
-    """``_iterate`` from its finetuning step on, given its ``front``;
-    returns what ``_iterate`` returns."""
+    """``_iterate`` from its finetuning step up to its score step, given
+    its ``front``.  Returns the finetuned model's next parameters, the trace
+    values, failures and hypergradients that ``_iterate`` returns, and the
+    cells that step each score set (``_step_cells``' masks)."""
     K = len(cells.seeds)
     mode = state.ignore_pretrain.mode
     f = front
@@ -867,31 +890,23 @@ def _finish(state: LbiState, bundle: DatasetBundle, cfg: LbiConfig,
         step_a &= ok if cells.stacked else False
         step_b &= ok if cells.stacked else False
 
-    nxt = LbiState(
-        f.pretrained_next, finetuned_next,
-        _step_cells(state.ignore_pretrain, hg_a, rates.ignore_pretrain, f.at,
-                    step_a),
-        _step_cells(state.ignore_finetune, hg_b, rates.ignore_finetune, f.at,
-                    step_b),
-        state.iteration + 1,
-    )
-    if not trace:
-        return nxt, None, failed, (hg_a, hg_b)
-    n_pre = bundle.pretrain.n
-    values = (
-        model.weighted_losses(f.pre_fwd, f.a),
-        model.weighted_losses(f.train_fwd),
-        model.weighted_losses(val_fwd),
-        _grad_norms(hg_a, cells.prox, f.at, n_pre),
-        _grad_norms(hg_b, cells.mixes, f.at, n_pre),
-    )
-    return nxt, values, failed, (hg_a, hg_b)
+    values = None
+    if trace:
+        values = (
+            model.weighted_losses(f.pre_fwd, f.a),
+            model.weighted_losses(f.train_fwd),
+            model.weighted_losses(val_fwd),
+            _grad_norms(hg_a, cells.prox),
+            _grad_norms(hg_b, cells.mixes),
+        )
+    return finetuned_next, values, failed, (hg_a, hg_b), (step_a, step_b)
 
 
 def _iterate(state: LbiState, bundle: DatasetBundle, cfg: LbiConfig,
-             cells: _Cells, rates: Rates, workspace: _Workspace | None = None,
-             trace: bool = True):
-    """Advance every cell of a state, one cell or a stack, by one iteration.
+             cells: _Cells, rates: Rates, batches: _Batches,
+             workspace: _Workspace | None = None, trace: bool = True):
+    """Advance every cell of a state, one cell or a stack, by one iteration
+    on the minibatches ``batches`` gives it.
 
     The order: pretraining step, finetuning step against the stepped
     encoder, both hypergradients through the two steps, score updates.  Each
@@ -900,7 +915,9 @@ def _iterate(state: LbiState, bundle: DatasetBundle, cfg: LbiConfig,
     projection of the pretraining batch on the validation gradient.
     ``cfg`` supplies the fields the cells share and ``cells`` the rest; the
     bundle is trusted to be valid and the state to fit both (``run_stack``
-    checks them).  Returns the next state, the five trace values of
+    checks them).  The score step writes the state's score arrays in
+    place, at the batch's entries only, and the next state holds them.
+    Returns the next state, the five trace values of
     ``TraceRow`` after its iteration (one length-K vector each for a
     stack; None without ``trace``, which skips making them), {cell position:
     NumericError} for the cells that failed a finite check (their entries
@@ -918,8 +935,17 @@ def _iterate(state: LbiState, bundle: DatasetBundle, cfg: LbiConfig,
     thread and the pretraining batch's n x hidden arrays fill its buffers;
     no returned array is a buffer, so ``_front``'s values stay inside.
     """
-    front = _front(state, bundle, cfg, cells, rates, workspace)
-    return _finish(state, bundle, cfg, cells, rates, front, workspace, trace)
+    front = _front(state, bundle, cfg, cells, rates,
+                   batches(cells, state.iteration), workspace)
+    finetuned_next, values, failed, hgs, steps = _finish(
+        state, bundle, cfg, cells, rates, front, workspace, trace)
+    scores = (state.ignore_pretrain, state.ignore_finetune)
+    for s, hg, rate, step in zip(scores, hgs, (rates.ignore_pretrain,
+                                               rates.ignore_finetune), steps):
+        _step_cells(s, hg, rate, front.at, step)
+    nxt = LbiState(front.pretrained_next, finetuned_next, *scores,
+                   state.iteration + 1)
+    return nxt, values, failed, hgs
 
 
 def check_fit(state: LbiState, bundle: DatasetBundle):
@@ -1044,14 +1070,18 @@ def run_stack(bundle: DatasetBundle, cfgs: list[LbiConfig],
 def _train(bundle: DatasetBundle, cfg: LbiConfig, cfgs: list[LbiConfig],
            states: list[LbiState], on_row, overlap: bool = False) -> list:
     """``run_stack``'s loop over checked cells, in this process, with the
-    stage overlap when ``overlap``."""
+    stage overlap when ``overlap``.  The run steps its own copy of the
+    cells' arrays in place and writes no array of ``states``."""
     cells = _Cells.of(cfgs)
-    state = _stack(states) if cells.stacked else states[0]
+    state = (_stack(states) if cells.stacked else _with_blocks(
+        states[0], [b.copy() for b in _blocks(states[0])]))
     alive = list(range(len(cfgs)))  # stack position -> cell
     out: list = [None] * len(cfgs)
     decay_start = cfg.decay_start()
     rates = cfg.rates_at(state.iteration)
     batch = min(cfg.batch_size or bundle.pretrain.n, bundle.pretrain.n)
+    batches = _Batches(cfg.batch_size, cfg.iterations,
+                       (bundle.pretrain.n, bundle.train.n, bundle.val.n))
     with (closing(_Workspace(batch, cfg.hidden)) if overlap
           else nullcontext()) as workspace:
         while state.iteration < cfg.iterations:
@@ -1059,7 +1089,7 @@ def _train(bundle: DatasetBundle, cfg: LbiConfig, cfgs: list[LbiConfig],
             if it == decay_start:
                 rates = cfg.rates_at(it)
             state, trace, failed, _ = _iterate(state, bundle, cfg, cells,
-                                               rates, workspace,
+                                               rates, batches, workspace,
                                                on_row is not None)
             if on_row is not None:
                 # The trace values, a row per cell, for the cells that pass.

@@ -10,9 +10,11 @@ and difference the validation loss at the looked-ahead model.
 
 Each instance runs the iteration ``engine.run`` executes once, on the full
 batch, in its two halves: ``engine._front``, everything before the
-finetuning step, and ``engine._finish``, the rest.  That one pass is the
-analytic side: its hypergradients are the ones the scores step along, so a
-check passes only when the code that trains is right.  Its front is also
+finetuning step, and ``engine._finish``, the rest up to the score step.
+That one pass is the analytic side: its hypergradients are the ones a run
+steps the scores along, so a check passes only when the code that trains
+is right.  The pass itself makes no score step (``engine._iterate`` makes
+it), so it writes nothing of the instance's state.  Its front is also
 the work no score reaches, which the probes share: the forwards of the
 pretraining model and (when gamma mixes it in) the finetuned model on the
 pretraining split, the finetuned model's unweighted train gradient, for
@@ -151,7 +153,8 @@ class _Lookahead:
 
     Both come from one full-batch pass of the engine's iteration
     (``engine._front`` and ``engine._finish``, without the trace values
-    that nothing here reads): ``hypergrads`` holds its
+    that nothing here reads and without the score step, so the state
+    keeps its bytes): ``hypergrads`` holds its
     raw-score hypergradients (pretraining, finetuning; None in basic mode),
     a set the engine skips as identically zero as zeros, and ``front`` the
     work no score reaches (see the module docstring).  A failed finite check
@@ -169,10 +172,11 @@ class _Lookahead:
         self.state, self.bundle, self.cfg = state, bundle, cfg
         self.rates = cfg.rates_at(state.iteration)
         cells = engine._Cells.of([cfg])
-        self.front = engine._front(state, bundle, cfg, cells, self.rates)
-        _, _, failed, hgs = engine._finish(state, bundle, cfg, cells,
-                                           self.rates, self.front,
-                                           trace=False)
+        self.front = engine._front(state, bundle, cfg, cells, self.rates,
+                                   (None, None, None))
+        _, _, failed, hgs, _ = engine._finish(state, bundle, cfg, cells,
+                                              self.rates, self.front,
+                                              trace=False)
         if failed:
             raise failed[0]
         hg_a, hg_b = (np.zeros(bundle.pretrain.n) if hg is None else hg

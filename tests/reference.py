@@ -8,7 +8,8 @@ per-example gradient rows (the decomposition reference for the
 contractions), the batch view of one minibatch iteration, and a bundle
 without pretraining rows.  A CSV bundle is read the long way too: by the
 csv module, int() and float().  ``copy_state`` gives a test a state it may
-write without touching the original; the package never copies one.
+write without touching the original; the package copies only the states
+a run starts from.
 """
 
 import csv
@@ -68,10 +69,15 @@ def copy_state(state: LbiState) -> LbiState:
 
 def iterate(state: LbiState, bundle: DatasetBundle, cfg: engine.LbiConfig):
     """One iteration of one cell, as ``engine.run`` steps it: the next state
-    and its trace row, or the NumericError of a failed finite check."""
-    nxt, trace, failed, _ = engine._iterate(state, bundle, cfg,
+    and its trace row, or the NumericError of a failed finite check.  The
+    iteration steps a copy of ``state``'s scores, as a run does."""
+    it = state.iteration
+    batches = engine._Batches(cfg.batch_size, it + 1,
+                              (bundle.pretrain.n, bundle.train.n,
+                               bundle.val.n))
+    nxt, trace, failed, _ = engine._iterate(copy_state(state), bundle, cfg,
                                             engine._Cells.of([cfg]),
-                                            cfg.rates_at(state.iteration))
+                                            cfg.rates_at(it), batches)
     if failed:
         raise failed[0]
     return nxt, engine.TraceRow(state.iteration, *map(float, trace))

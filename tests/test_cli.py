@@ -265,7 +265,7 @@ class TestRun:
         assert code == 2
         err = capsys.readouterr().err
         assert "iteration 8" in err and "iterations=5" in err
-        assert list((tmp_path / "second").iterdir()) == []
+        assert not (tmp_path / "second").exists()
 
     def test_resume_at_iterations_runs_nothing(self, tmp_path):
         out1 = tmp_path / "first"
@@ -290,8 +290,8 @@ class TestRun:
         ]))
         assert code == 2
         assert setting.split("=")[0] in capsys.readouterr().err
-        # No trace, temp file or manifest is left behind.
-        assert list((tmp_path / "second").iterdir()) == []
+        # No directory, so no trace, temp file or manifest, is left behind.
+        assert not (tmp_path / "second").exists()
 
     def test_resume_with_short_finetune_scores_exits_2(self, tmp_path, capsys):
         out1 = tmp_path / "first"
@@ -768,6 +768,23 @@ class TestGenDataAndEval:
         assert code == 2
         assert f"error: {message}" in capsys.readouterr().err
         assert not (eval_out / "eval.json").exists()
+
+    @pytest.mark.parametrize("argv", [["run", "--set", "hidden=8"],
+                                      ["eval", "--set", "data.dim=3"]],
+                             ids=["run", "eval"])
+    def test_a_state_that_does_not_fit_makes_no_directory(self, argv,
+                                                          tmp_path, capsys):
+        """The fit checks run before the output directory is made."""
+        run_out = tmp_path / "r1"
+        assert cli.main(["run", "--out", str(run_out),
+                         "--set", "iterations=2"]) == 0
+        state = str(run_out / "state.json")
+        given = (["--set", f"run.resume={state}"] if argv[0] == "run"
+                 else ["--state", state])
+        out = tmp_path / "fit"
+        assert cli.main([*argv, *given, "--out", str(out)]) == 2
+        assert "error: " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_eval_without_state_exits_2(self, tmp_path):
         assert cli.main(["eval", *TINY_DATA]) == 2

@@ -519,24 +519,24 @@ class TestApplyIgnoreUpdate:
 
     @pytest.mark.parametrize("mode", ["clamp", "sigmoid"])
     def test_batch_step_equals_dense_step(self, mode):
-        """Stepping only raw[idx] equals the full step with the gradient
-        zero-padded outside idx."""
+        """Stepping only raw[idx] in place equals the full step with the
+        gradient zero-padded outside idx, and each returns the set it
+        stepped."""
         rng = np.random.default_rng(17)
         n = 30
         lo, hi = (0.0, 1.0) if mode == "clamp" else (-3.0, 3.0)
         raw = rng.uniform(lo, hi, n)
         raw[:3] = [0.0, 1.0, 0.5]
-        s = IgnoreSet(raw, mode)
-        before = raw.tobytes()
         for idx in (np.array([0, 1, 4, 9, 29]), np.arange(n),
                     np.array([], dtype=np.int64)):
             g = rng.normal(scale=5.0, size=idx.size)
             padded = np.zeros(n)
             padded[idx] = g
-            dense = engine.apply_ignore_update(s, padded, 0.3)
-            sparse = engine.apply_ignore_update(s, g, 0.3, idx)
-            assert sparse.raw.tobytes() == dense.raw.tobytes()
-            assert s.raw.tobytes() == before
+            dense, sparse = IgnoreSet(raw.copy(), mode), IgnoreSet(raw, mode)
+            assert engine.apply_ignore_update(dense, padded, 0.3) is dense
+            assert engine.apply_ignore_update(sparse, g, 0.3, idx) is sparse
+            assert sparse.raw is raw
+            assert raw.tobytes() == dense.raw.tobytes()
 
 
 class TestIteration:
@@ -646,9 +646,10 @@ class TestIteration:
                                               batch_size, frozen):
         """Each iteration, bit for bit, against ``reference.iterate`` at full
         batch on the iteration's batch view, with the scores stepped densely
-        along the zero-padded hypergradients ``lbi verify`` reads there;
-        across the step-decay boundary (iteration 4 of 5), and ``run``
-        (rates once per phase) agrees."""
+        along the zero-padded hypergradients ``lbi verify`` reads there and
+        the trace norms taken over the batch's entries; across the
+        step-decay boundary (iteration 4 of 5), and ``run`` (rates once per
+        phase) agrees."""
         bundle = tiny_bundle(n_pre=9, n_train=6, n_val=5)
         cfg = LbiConfig(lam=0.3, gamma=0.7, hidden=hidden,
                         ignore_mode=ignore_mode, iterations=5,
@@ -666,12 +667,14 @@ class TestIteration:
             sub_state, sub, idx_pre = reference.batch_view(state, bundle, cfg)
             take = slice(None) if idx_pre is None else idx_pre
             pre_next, fin_next = step_models(sub_state, sub, full_batch)
+            hgs = gradcheck._Lookahead(sub_state, sub, cfg).hypergrads
             padded = []
-            for hg in gradcheck._Lookahead(sub_state, sub, cfg).hypergrads:
+            for hg in hgs:
                 full = np.zeros(n)
                 full[take] = hg
                 padded.append(full)
-            want_a, want_b = state.ignore_pretrain, state.ignore_finetune
+            want = reference.copy_state(state)
+            want_a, want_b = want.ignore_pretrain, want.ignore_finetune
             if not frozen:
                 want_a = engine.apply_ignore_update(want_a, padded[0],
                                                     rates.ignore_pretrain)
@@ -686,8 +689,8 @@ class TestIteration:
                                np.ones(sub.train.n)),
                 reference.loss(fin_next, sub.val.X, sub.val.y,
                                np.ones(sub.val.n)),
-                float(np.linalg.norm(padded[0])),
-                float(np.linalg.norm(padded[1])),
+                float(np.linalg.norm(hgs[0])),
+                float(np.linalg.norm(hgs[1])),
             )
 
             state, row = reference.iterate(state, bundle, cfg)

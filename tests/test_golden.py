@@ -11,10 +11,17 @@ line that differs.
 
 With no record for the running environment the test fails rather than
 skips, so the gate cannot go missing unnoticed.  To record one (on a new
-platform, or after a deliberate numeric change, whose deviation is then
-written up), run from the repository root::
+platform), run from the repository root::
 
     PYTHONPATH=src python tests/test_golden.py
+
+After a deliberate numeric change, whose deviation is then written up,
+re-record only the files it changes by naming them::
+
+    PYTHONPATH=src python tests/test_golden.py run-mini/trace.csv
+
+That writes nothing, and exits 1, unless every other recorded file keeps
+its hash.
 """
 
 import hashlib
@@ -25,6 +32,7 @@ import sys
 import tempfile
 
 import numpy as np
+import pytest
 
 from lbi import cli, engine
 
@@ -135,7 +143,36 @@ def test_mismatch_names_file_and_first_differing_line():
         "a/x.csv: line 2 differs first (4 lines, 3 recorded)"]
 
 
-def record():
+def rerecorded(got: dict, want: dict, names: list[str]) -> dict:
+    """The record ``want`` with the entries ``names`` taken from ``got``;
+    ValueError, naming each problem, for a name that is not a file of
+    ``got`` or when any other file is missing, new or differs."""
+    problems = [f"{f}: not a golden file" for f in names if f not in got]
+    problems += mismatches(
+        {f: h for f, h in got.items() if f not in names},
+        {f: h for f, h in want.items() if f not in names})
+    if problems:
+        raise ValueError("\n".join(problems))
+    return {**want, **{f: got[f] for f in names}}
+
+
+def test_rerecord_takes_only_the_named_files():
+    want = {"a/x.csv": {"sha256": "0", "lines": ["h1"]},
+            "a/y.json": {"sha256": "1", "lines": ["h2"]}}
+    got = {"a/x.csv": {"sha256": "2", "lines": ["h3"]},
+           "a/y.json": {"sha256": "1", "lines": ["h2"]}}
+    assert rerecorded(got, want, ["a/x.csv"]) == got
+    assert rerecorded(want, want, []) == want
+    with pytest.raises(ValueError, match="^a/x.csv: line 1 differs first"):
+        rerecorded(got, want, ["a/y.json"])
+    with pytest.raises(ValueError, match="^a/z.csv: not a golden file$"):
+        rerecorded(got, want, ["a/x.csv", "a/z.csv"])
+
+
+def record(names: list[str]):
+    """Write the record of this environment: every file, or with ``names``
+    only those, refused (exit 1) unless every other file keeps its
+    recorded hash."""
     os.makedirs(GOLDEN_DIR, exist_ok=True)
     path = os.path.join(GOLDEN_DIR, env_key() + ".json")
     with tempfile.TemporaryDirectory() as tmp:
@@ -145,11 +182,18 @@ def record():
             hashes = fingerprint(tmp)
         finally:
             os.chdir(here)
+    if names:
+        with open(path) as fh:
+            recorded = json.load(fh)
+        try:
+            hashes = rerecorded(hashes, recorded, names)
+        except ValueError as e:
+            return f"nothing recorded:\n{e}"
     with open(path, "w") as fh:
         json.dump(hashes, fh, indent=1, sort_keys=True)
         fh.write("\n")
-    print(f"recorded {len(hashes)} files in {path}")
+    print(f"recorded {len(names) or len(hashes)} files in {path}")
 
 
 if __name__ == "__main__":
-    sys.exit(record())
+    sys.exit(record(sys.argv[1:]))

@@ -730,16 +730,19 @@ class TestOverlap:
 
     def test_iterate_returns_no_buffer(self):
         """``_iterate`` with a workspace gives the serial state, trace and
-        hypergradients, bit for bit, none of them in a buffer."""
+        hypergradients, bit for bit, none of them in a buffer.  Each call
+        steps its own copy of the scores."""
         bundle, (cfg, *_) = overlap_cells("extended", "sigmoid", 3, None)
         state = engine.init_state(bundle, cfg)
         cells = engine._Cells.of([cfg])
         rates = cfg.rates_at(0)
-        want = engine._iterate(state, bundle, cfg, cells, rates)
+        batches = engine._Batches(None, cfg.iterations, ())
+        want = engine._iterate(reference.copy_state(state), bundle, cfg,
+                               cells, rates, batches)
         workspace = engine._Workspace(bundle.pretrain.n, cfg.hidden)
         try:
-            got = engine._iterate(state, bundle, cfg, cells, rates,
-                                  workspace)
+            got = engine._iterate(reference.copy_state(state), bundle, cfg,
+                                  cells, rates, batches, workspace)
         finally:
             workspace.close()
         arrays = [*engine._blocks(got[0]), *got[1], *got[3]]
@@ -785,3 +788,90 @@ class TestOverlap:
             fresh = model._softmax_residual(params, pre.X, pre.y)
             assert same_bits(fwd.T, fresh.T)
         assert overlap.workspaces == []
+
+
+def snapshot(states):
+    """The bytes of every array of ``states``."""
+    return [block.tobytes() for s in states for block in engine._blocks(s)]
+
+
+class TestRunsWriteNoCallerArray:
+    """A run steps its own copy of the scores in place: every array of the
+    states handed to ``run`` or ``run_stack`` keeps its bytes, while the
+    run's own scores move.  The oracle's analytic pass steps no score."""
+
+    @staticmethod
+    def resumed(bundle, cfgs):
+        return [engine.run(bundle, replace(c, iterations=2))[0] for c in cfgs]
+
+    @pytest.mark.parametrize("batch_size", [None, 3])
+    def test_one_cell_run(self, batch_size):
+        bundle, (cfg, *_) = overlap_cells("extended", "clamp", 0, batch_size)
+        (state,) = self.resumed(bundle, [cfg])
+        before = snapshot([state])
+        final, _ = engine.run(bundle, cfg, initial_state=state)
+        assert snapshot([state]) == before
+        assert final.ignore_pretrain.raw.tobytes() != before[4]
+
+    def test_overlapped_run(self, overlap):
+        bundle, (cfg, *_) = overlap_cells("extended", "sigmoid", 3, None)
+        (state,) = self.resumed(bundle, [cfg])
+        before = snapshot([state])
+        final, _ = engine.run(bundle, cfg, initial_state=state)
+        assert overlap.workspaces == [(9, 3), (9, 3)]
+        assert snapshot([state]) == before
+        assert final.ignore_pretrain.raw.tobytes() != before[4]
+
+    def test_stack_with_batch_size(self):
+        bundle, cfgs = overlap_cells("extended", "clamp", 3, 4)
+        states = self.resumed(bundle, cfgs)
+        before = snapshot(states)
+        finals = engine.run_stack(bundle, cfgs, states)
+        assert snapshot(states) == before
+        assert finals[0].ignore_pretrain.raw.tobytes() != before[4]
+
+    def test_oracle_steps_no_score(self, monkeypatch):
+        inst = gradcheck.make_check_instance(7, hidden=2)
+        before = snapshot([inst.state])
+        steps = mock.Mock(wraps=engine.apply_ignore_update)
+        monkeypatch.setattr(engine, "apply_ignore_update", steps)
+        report = gradcheck.verify_hypergrads(inst.state, inst.arrays,
+                                             inst.cfg)
+        assert report.passed()
+        assert steps.call_count == 0
+        assert snapshot([inst.state]) == before
+        assert inst.state.iteration == 0
+
+
+class TestBlockDraws:
+    """A run draws its minibatches ``DRAW_BLOCK`` iterations at a time, and
+    each iteration runs on exactly the ``_draw_batches`` of its own
+    iteration, drawn once and never past the run: from the start and
+    resumed mid-block, across a block boundary, to an end that is not one."""
+
+    @pytest.mark.parametrize("start", [0, engine.DRAW_BLOCK // 2])
+    def test_each_iteration_runs_on_its_own_draw(self, start, monkeypatch):
+        bundle = datasets.generate(SynthSpec(
+            dim=3, classes=3, n_pretrain=9, n_train=6, n_val=5, n_test=4,
+            shift=0.5, corrupt_frac=0.3, seed=12))
+        cfg = LbiConfig(iterations=engine.DRAW_BLOCK * 3 // 2 + 5,
+                        batch_size=4, seed=3)
+        state = (engine.run(bundle, replace(cfg, iterations=start))[0]
+                 if start else None)
+        seen = []
+        front = engine._front
+
+        def spy(state, bundle, cfg, cells, rates, batch, *rest):
+            seen.append((state.iteration, batch))
+            return front(state, bundle, cfg, cells, rates, batch, *rest)
+        monkeypatch.setattr(engine, "_front", spy)
+        with mock.patch.object(engine, "_draw_batches",
+                               wraps=engine._draw_batches) as draws:
+            engine.run(bundle, cfg, initial_state=state)
+        iterations = list(range(start, cfg.iterations))
+        assert [call.args[2] for call in draws.call_args_list] == iterations
+        assert [it for it, _ in seen] == iterations
+        sizes = (bundle.pretrain.n, bundle.train.n, bundle.val.n)
+        for it, batch in seen:
+            want = engine._draw_batches(cfg.seed, 4, it, sizes)
+            assert all(same_bits(g, w) for g, w in zip(batch, want))
