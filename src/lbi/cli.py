@@ -69,8 +69,11 @@ def _fmt(x) -> str:
 
 
 def _write_json(path: str, obj):
+    """Write ``obj`` as strict JSON: a NaN or infinite float raises
+    ValueError, as JSON has no token for one."""
     with datasets.atomic_open(path) as fh:
-        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+        fh.write(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+                 + "\n")
 
 
 def _write_csv(path: str, header: list[str], rows: list[list]):

@@ -25,17 +25,22 @@ which no score moves; a score only weights its example's residual inside
 an update.  So sharing it changes no probe's value by a bit.  The pass's
 own finite checks raise in its order, before any probe runs.
 
-The probes of one score set run as one stack: row 2i holds the raw scores
-with score i moved by +step, row 2i + 1 by -step.  The engine's own update
-functions step all rows at once along a leading row axis, and one val
-forward scores them.  Each row's loss is bit for bit its probe's alone,
-because the kernels sum every model of a stack in the order of its
-one-model form (see ``model``; ``tests/test_stacked.py`` pins it on the
-installed numpy and BLAS).  A stack's temporaries hold at most
+All of an instance's probes run as one stack: first the probes of the
+pretraining scores, then those of the finetuning scores, and within a set
+row 2i holds the raw scores with score i moved by +step, row 2i + 1 by
+-step.  A pretraining row takes its own pretraining step and the front's
+b-weighted gradient; a finetuning row takes the front's pretraining step
+and its own b-weighted gradient.  The engine's own update functions then
+make one finetuning step for all rows at once along a leading row axis,
+and one val forward scores them.  Each row's loss is bit for bit its
+probe's alone, because the kernels sum every model of a stack in the order
+of its one-model form (see ``model``; ``tests/test_stacked.py`` pins it on
+the installed numpy and BLAS).  A stack's temporaries hold at most
 ``_CHUNK_FLOATS`` floats, so a large instance runs in chunks of probes, in
-O(n) memory.  Every probe keeps its finite checks: a stack with a
-non-finite update raises the NumericError of its first failing probe in
-(index, sign) order, the error that probe raises alone.
+O(n) memory; a chunk may hold probes of both sets.  Every probe keeps its
+finite checks: a chunk with a non-finite update raises the NumericError of
+its first failing probe in (set, index, sign) order, the error that probe
+raises alone.
 
 The numeric side still differentiates nothing and never calls the
 closed-form code (the ``_hypergrad_*`` functions, ``encoder_dots``,
@@ -53,7 +58,10 @@ near-zero components do not explode the ratio.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
+from itertools import repeat
+from operator import attrgetter
 
 import numpy as np
 
@@ -62,6 +70,14 @@ from .datasets import DatasetBundle
 from .engine import LbiConfig, LbiState
 
 REL_ERR_FLOOR = 1e-12
+
+
+def _rel_errs(analytic, numeric):
+    """|analytic - numeric| / max(|analytic|, |numeric|, REL_ERR_FLOOR),
+    elementwise; NaN where either side is not finite."""
+    with np.errstate(all="ignore"):
+        return np.abs(analytic - numeric) / np.maximum(
+            np.maximum(np.abs(analytic), np.abs(numeric)), REL_ERR_FLOOR)
 
 
 @dataclass
@@ -79,8 +95,7 @@ class FdEntry:
 
     @property
     def rel_err(self) -> float:
-        denom = max(abs(self.analytic), abs(self.numeric), REL_ERR_FLOOR)
-        return self.abs_err / denom
+        return float(_rel_errs(self.analytic, self.numeric))
 
 
 @dataclass
@@ -91,18 +106,23 @@ class FdReport:
     threshold: float
     entries: list[FdEntry] = field(default_factory=list)
 
+    def _errors(self) -> np.ndarray:
+        """Every entry's ``rel_err``, in entry order, in one array pass."""
+        n = len(self.entries)
+        return _rel_errs(*(np.fromiter(map(attrgetter(side), self.entries),
+                                       float, n)
+                           for side in ("analytic", "numeric")))
+
     @property
     def max_rel_err(self) -> float:
         """The largest relative error, NaN if any entry's is (a non-finite
         value on either side makes it NaN)."""
-        return float(np.max([e.rel_err for e in self.entries], initial=0.0))
-
-    def _fails(self, e: FdEntry) -> bool:
-        # Not "rel_err >= threshold", which a NaN error would pass.
-        return not e.rel_err < self.threshold
+        return float(np.max(self._errors(), initial=0.0))
 
     def flagged(self) -> list[FdEntry]:
-        return [e for e in self.entries if self._fails(e)]
+        # Not "rel_err >= threshold", which a NaN error would pass.
+        return [e for e, err in zip(self.entries, self._errors().tolist())
+                if not err < self.threshold]
 
     def passed(self) -> bool:
         return not self.flagged()
@@ -112,11 +132,11 @@ class FdReport:
             f"{'set':<9} {'idx':>4} {'analytic':>24} {'numeric':>24} "
             f"{'rel_err':>12} flag",
         ]
-        for e in self.entries:
-            mark = "FAIL" if self._fails(e) else "ok"
+        for e, err in zip(self.entries, self._errors().tolist()):
+            mark = "ok" if err < self.threshold else "FAIL"
             lines.append(
                 f"{e.which:<9} {e.index:>4} {e.analytic:>24.16e} "
-                f"{e.numeric:>24.16e} {e.rel_err:>12.3e} {mark}"
+                f"{e.numeric:>24.16e} {err:>12.3e} {mark}"
             )
         lines.append(
             f"max rel err {self.max_rel_err:.3e} "
@@ -126,24 +146,43 @@ class FdReport:
         return "\n".join(lines)
 
     def to_dict(self) -> dict:
+        """The report as JSON data.  A float that is not finite (a NaN or
+        infinite value, or the error it makes) becomes None, JSON's null,
+        since JSON has no token for it."""
         return {"step": self.step, "threshold": self.threshold,
-                "max_rel_err": self.max_rel_err, "passed": self.passed(),
-                "entries": [{**vars(e), "abs_err": e.abs_err,
-                             "rel_err": e.rel_err} for e in self.entries]}
+                "max_rel_err": _finite(self.max_rel_err),
+                "passed": self.passed(),
+                "entries": [{"which": e.which, "index": e.index,
+                             **{k: _finite(getattr(e, k)) for k in (
+                                 "analytic", "numeric", "abs_err",
+                                 "rel_err")}} for e in self.entries]}
+
+
+def _finite(x: float) -> float | None:
+    """``x``, or None if it is not finite."""
+    return x if math.isfinite(x) else None
 
 
 # The most floats a stacked probe evaluation may hold per (rows, examples,
-# width) temporary.  A score set with more probes than fit runs in chunks,
-# so memory stays O(n) however many pretraining examples an instance has.
+# width) temporary.  An instance with more probes than fit runs in chunks,
+# so memory stays O(n) however many pretraining examples it has.
 _CHUNK_FLOATS = 2**20
 
+SETS = ("pretrain", "finetune")
 
-def _repeat(params: model.ModelParams, K: int) -> model.ModelParams:
-    """A stack of K copies of one model, as read-only views."""
-    return model.ModelParams._of(
-        params.arch,
-        np.broadcast_to(params.encoder, (K,) + params.encoder.shape),
-        np.broadcast_to(params.head, (K,) + params.head.shape))
+
+def _rows(a: np.ndarray, b: np.ndarray, ka: int, kb: int) -> np.ndarray:
+    """One contiguous (ka + kb, P) stack: the rows ``a`` of the pretraining
+    probes, then the rows ``b`` of the finetuning probes, each a (k, P)
+    stack or one (P,) row that all k rows share.  Elementwise steps call
+    numpy's inner loop once over contiguous rows, but once per row over a
+    stride-0 view of one row."""
+    if not kb and a.ndim == 2:
+        return a
+    out = np.empty((ka + kb, a.shape[-1]))
+    out[:ka] = a
+    out[ka:] = b
+    return out
 
 
 class _Lookahead:
@@ -159,9 +198,11 @@ class _Lookahead:
     a set the engine skips as identically zero as zeros, and ``front`` the
     work no score reaches (see the module docstring).  A failed finite check
     of that pass raises its NumericError here, before any probe.  A probe
-    reads the front, never writes it.  Probes run as stacks: each row of a
-    stack is one probe's score vector, and the updates and the val forward
-    run once for all rows.
+    reads the front, never writes it.  All of an instance's probes run as
+    one stack, cut into chunks that may span both score sets: the rows of
+    the pretraining score probes, then those of the finetuning score
+    probes, each set in (index, sign) order.  The updates, the finite
+    checks and the val forward run once per chunk, for all of its rows.
     """
 
     def __init__(self, state: LbiState, bundle: DatasetBundle, cfg: LbiConfig):
@@ -189,58 +230,93 @@ class _Lookahead:
                          + arch.encoder_size + arch.head_size)
         self.chunk = max(1, _CHUNK_FLOATS // per_probe)
 
-    def val_losses(self, which: str, raw: np.ndarray) -> np.ndarray:
-        """The loss at each row of ``raw``, a (K, n) stack of raw scores of
-        the set ``which`` (the other set unmoved), each bit for bit the loss
-        of that row alone.  A row whose update is not finite raises the
-        NumericError that row alone raises; the first such row decides."""
-        state, cfg, front = self.state, self.cfg, self.front
-        K, it = raw.shape[0], state.iteration
-        w = engine.IgnoreSet._of(raw, state.ignore_pretrain.mode).effective()
-        if which == "pretrain":
-            pretrained_next = engine._pretrain_update(
-                state.pretrain_model, front.pre_fwd, w, self.rates,
+    def val_losses(self, raw_a: np.ndarray, raw_b: np.ndarray) -> np.ndarray:
+        """The loss at each row of ``raw_a``, a (Ka, n) stack of raw
+        pretraining scores (the finetuning scores unmoved), then at each
+        row of ``raw_b``, a (Kb, n) stack of raw finetuning scores (the
+        pretraining scores unmoved), each bit for bit the loss of that row
+        alone.  A row whose update is not finite raises the NumericError
+        that row alone raises; the first such row decides."""
+        state, cfg, front, rates = self.state, self.cfg, self.front, self.rates
+        mode = state.ignore_pretrain.mode
+        ka, kb = len(raw_a), len(raw_b)
+        # Pretraining rows take their own pretraining step and the front's
+        # source gradient; finetuning rows take the front's pretraining
+        # step and their own source gradient.
+        pre = own_pre = front.pretrained_next
+        src = own_src = front.source_grad
+        if ka:
+            own_pre = engine._pretrain_update(
+                state.pretrain_model, front.pre_fwd,
+                engine.IgnoreSet._of(raw_a, mode).effective(), rates,
                 cfg.weight_decay)
-            source_grad = front.source_grad
-        else:
-            pretrained_next = _repeat(front.pretrained_next, K)
-            source_grad = (None if front.source_fwd is None
-                           else model.weighted_grad(front.source_fwd, w))
+        if kb and src is not None:
+            own_src = model.weighted_grad(
+                front.source_fwd, engine.IgnoreSet._of(raw_b, mode).effective())
+        pretrained_next = model.ModelParams._of(
+            pre.arch, _rows(own_pre.encoder, pre.encoder, ka, kb),
+            _rows(own_pre.head, pre.head, ka, kb))
+        source_grad = None if src is None else model.GradBlock(
+            _rows(src.d_encoder, own_src.d_encoder, ka, kb),
+            _rows(src.d_head, own_src.d_head, ka, kb))
+        params = state.finetune_model
         finetuned_next = engine._finetune_update(
-            _repeat(state.finetune_model, K), pretrained_next,
-            front.train_grad, source_grad, cfg.lam, cfg.gamma,
-            self.rates, cfg.weight_decay)
-        failed = engine._first_failures(engine._update_checks(
-            pretrained_next if which == "pretrain" else None, finetuned_next),
-            it)
+            model.ModelParams._of(
+                params.arch, _rows(params.encoder, params.encoder, ka, kb),
+                _rows(params.head, params.head, ka, kb)),
+            pretrained_next, front.train_grad, source_grad, cfg.lam,
+            cfg.gamma, rates, cfg.weight_decay)
+        # The pretraining update is checked on the pretraining rows only:
+        # the finetuning rows' is the front's, which its pass checked.
+        pre_rows = np.arange(ka + kb) < ka
+        checks = [(what, block, pre_rows) for what, block, _ in
+                  engine._update_checks(pretrained_next, None)]
+        failed = engine._first_failures(
+            checks + engine._update_checks(None, finetuned_next),
+            state.iteration)
         if failed:
             raise failed[min(failed)]
         val = self.bundle.val
         return model.weighted_losses(
             model._softmax_residual(finetuned_next, val.X, val.y))
 
-    def central_differences(self, which: str, indices,
-                            step: float) -> np.ndarray:
-        """The central difference of the loss in each raw score ``indices``
-        of ``which`` ("pretrain" or "finetune", ValueError if the state has
-        no such scores), from stacks of the probes (i + step, i - step) in
-        index order, at most ``chunk`` indices per stack.  Pure: the state
-        is never written."""
-        scores = {"pretrain": self.state.ignore_pretrain,
-                  "finetune": self.state.ignore_finetune}.get(which)
-        if scores is None:
-            raise ValueError(f"the state has no {which!r} ignore scores")
-        indices = np.asarray(indices, dtype=np.intp)
-        out = np.empty(len(indices))
-        for start in range(0, len(indices), self.chunk):
-            idx = indices[start:start + self.chunk]
-            raw = np.tile(scores.raw, (2 * len(idx), 1))
-            raw[np.arange(raw.shape[0]), np.repeat(idx, 2)] += np.tile(
-                [step, -step], len(idx))
-            losses = self.val_losses(which, raw)
-            out[start:start + len(idx)] = ((losses[0::2] - losses[1::2])
-                                           / (2.0 * step))
-        return out
+    def central_differences(self, indices: dict,
+                            step: float) -> dict[str, np.ndarray]:
+        """The central differences of the loss in the raw scores that
+        ``indices`` names, {set: indices of its raw scores} with set
+        "pretrain" or "finetune" (ValueError for a set the state has no
+        scores of), as {set: differences in index order}.  They come from
+        one stack of the probes (i + step, i - step), pretraining scores
+        first, at most ``chunk`` probe pairs per chunk.  Pure: the state is
+        never written."""
+        scores = dict(zip(SETS, (self.state.ignore_pretrain,
+                                 self.state.ignore_finetune)))
+        for which in indices:
+            if scores.get(which) is None:
+                raise ValueError(f"the state has no {which!r} ignore scores")
+        idx_a, idx_b = (np.asarray(indices.get(which, ()), dtype=np.intp)
+                        for which in SETS)
+        n_a, idx = len(idx_a), np.concatenate([idx_a, idx_b])
+        out = np.empty(len(idx))
+        # Each chunk's probe rows are written in place over one buffer.
+        buffer = np.empty((2 * min(self.chunk, len(idx)),
+                           self.bundle.pretrain.n))
+        for start in range(0, len(idx), self.chunk):
+            pairs = idx[start:start + self.chunk]
+            k = len(pairs)
+            ka = min(max(n_a - start, 0), k)
+            rows = buffer[:2 * k]
+            if ka:
+                rows[:2 * ka] = scores["pretrain"].raw
+            if ka < k:
+                rows[2 * ka:] = scores["finetune"].raw
+            at = np.arange(k)
+            rows[0::2][at, pairs] += step
+            rows[1::2][at, pairs] -= step
+            losses = self.val_losses(rows[:2 * ka], rows[2 * ka:])
+            out[start:start + k] = (losses[0::2] - losses[1::2]) / (2.0 * step)
+        diffs = dict(zip(SETS, (out[:n_a], out[n_a:])))
+        return {which: diffs[which] for which in indices}
 
 
 def verify_hypergrads(state: LbiState, bundle: DatasetBundle, cfg: LbiConfig,
@@ -252,13 +328,14 @@ def verify_hypergrads(state: LbiState, bundle: DatasetBundle, cfg: LbiConfig,
     threshold = config.read_flag("verify", "threshold", threshold, "threshold")
     lookahead = _Lookahead(state, bundle, cfg)
     report = FdReport(step=step, threshold=threshold)
-    for which, analytic in zip(("pretrain", "finetune"), lookahead.hypergrads):
-        if analytic is None:
-            continue
-        numeric = lookahead.central_differences(
-            which, range(bundle.pretrain.n), step)
-        report.entries += [FdEntry(which, i, a, v) for i, (a, v) in enumerate(
-            zip(analytic.tolist(), numeric.tolist()))]
+    every = range(bundle.pretrain.n)
+    checked = {which: hg for which, hg in zip(SETS, lookahead.hypergrads)
+               if hg is not None}
+    numeric = lookahead.central_differences(dict.fromkeys(checked, every),
+                                            step)
+    for which, analytic in checked.items():
+        report.entries += map(FdEntry, repeat(which), every,
+                              analytic.tolist(), numeric[which].tolist())
     return report
 
 

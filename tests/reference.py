@@ -7,9 +7,11 @@ gradient straight from parameters and a batch, the n x P matrix of
 per-example gradient rows (the decomposition reference for the
 contractions), the batch view of one minibatch iteration, and a bundle
 without pretraining rows.  A CSV bundle is read the long way too: by the
-csv module, int() and float().  ``copy_state`` gives a test a state it may
-write without touching the original; the package copies only the states
-a run starts from.
+csv module, int() and float().  A JSON file is read strictly, refusing the
+NaN and Infinity tokens that Python's json writes by default and JSON does
+not have.  ``copy_state`` gives a test a state it may write without
+touching the original; the package copies only the states a run starts
+from.
 """
 
 import csv
@@ -110,6 +112,16 @@ def without_pretraining(bundle: DatasetBundle) -> DatasetBundle:
     return replace(bundle, pretrain=Split(np.empty((0, bundle.dim)),
                                           np.empty(0, dtype=np.int64)),
                    corrupted=np.zeros(0, dtype=bool))
+
+
+def read_json(path):
+    """A JSON file's data; ValueError if it holds NaN, Infinity or
+    -Infinity."""
+    def refuse(token):
+        raise ValueError(f"{path} holds {token}, which is not JSON")
+
+    with open(path) as fh:
+        return json.load(fh, parse_constant=refuse)
 
 
 def read_csv(path: str) -> DatasetBundle:

@@ -28,9 +28,7 @@ def read(path):
         return fh.read()
 
 
-def read_json(path):
-    with open(path) as fh:
-        return json.load(fh)
+read_json = reference.read_json
 
 
 TINY_DATA = [
@@ -403,16 +401,32 @@ class TestVerify:
         """A NaN numeric value fails the check wherever it sits."""
         true_fd = gradcheck._Lookahead.central_differences
 
-        def nan_at(lookahead, which, indices, *args, **kwargs):
-            values = true_fd(lookahead, which, indices, *args, **kwargs)
-            return np.where(np.asarray(indices) == at, math.nan, values)
+        def nan_at(lookahead, indices, *args, **kwargs):
+            values = true_fd(lookahead, indices, *args, **kwargs)
+            return {which: np.where(np.asarray(indices[which]) == at,
+                                    math.nan, v)
+                    for which, v in values.items()}
 
         monkeypatch.setattr(gradcheck._Lookahead, "central_differences",
                             nan_at)
         out = tmp_path / "v"
         code = cli.main(["verify", "--seed", "0", "--out", str(out)])
         assert code == cli.EXIT_VERIFY_FAILED
-        assert read_json(out / "verify.json")["passed"] is False
+        report = read_json(out / "verify.json")
+        assert report["passed"] is False
+        # JSON has no NaN: the difference and its errors are written null.
+        entry = report["reports"][0]["entries"][at]
+        assert entry["numeric"] is entry["rel_err"] is None
+        assert report["reports"][0]["max_rel_err"] is None
+        read_json(out / "manifest.json")
+
+    def test_json_writer_refuses_nan(self, tmp_path):
+        """A non-finite float that reached a writer would make a file
+        that strict JSON readers refuse: it raises, and no file is left."""
+        path = tmp_path / "x.json"
+        with pytest.raises(ValueError):
+            cli._write_json(str(path), {"x": math.nan})
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestAblate:

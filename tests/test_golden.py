@@ -33,6 +33,7 @@ import tempfile
 
 import numpy as np
 import pytest
+import reference
 
 from lbi import cli, engine
 
@@ -131,6 +132,18 @@ def test_outputs_are_byte_identical(tmp_path, monkeypatch):
     assert plans == {"run-full": one, "run-mini": one, "ablate": {
         "processes": 2, "overlap": False}, "sweep": one,
         "run-overlap": {"processes": 1, "overlap": True}}
+
+
+def test_outputs_are_strict_json(tmp_path, monkeypatch):
+    """Every JSON file the commands write, manifests included, parses as
+    strict JSON, without the NaN and Infinity tokens JSON does not have."""
+    monkeypatch.chdir(tmp_path)
+    for name, args in COMMANDS:
+        assert cli.main([*args, "--out", name]) == 0, name
+    paths = sorted(tmp_path.glob("*/*.json"))
+    assert {p.parent.name for p in paths} == {name for name, _ in COMMANDS}
+    for path in paths:
+        reference.read_json(path)
 
 
 def test_mismatch_names_file_and_first_differing_line():

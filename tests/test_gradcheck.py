@@ -8,6 +8,7 @@ either hypergradient kernel invalidates its own score set; the oracle has
 to notice on every component.
 """
 
+import contextlib
 import math
 from dataclasses import replace
 from unittest import mock
@@ -103,8 +104,8 @@ class TestFdAgreement:
         inst = gradcheck.make_check_instance(4, lam=0.0)
         lookahead = gradcheck._Lookahead(inst.state, inst.arrays, inst.cfg)
         for i in range(inst.arrays.pretrain.n):
-            num = lookahead.central_differences("pretrain", [i], 1e-4)[0]
-            assert abs(num) < 1e-9
+            num = lookahead.central_differences({"pretrain": [i]}, 1e-4)
+            assert abs(num["pretrain"][0]) < 1e-9
 
     def test_single_example_instance(self):
         inst = gradcheck.make_check_instance(5, n_pretrain=1)
@@ -127,7 +128,8 @@ class TestFdAgreement:
     def test_empty_probe_rows_keep_the_validation_loss(self, hidden,
                                                        ignore_mode, mode):
         """A probe stack of empty score vectors steps as the iteration
-        does: every row's loss is that of the iteration's finetuned model."""
+        does, whichever sets its rows probe: every row's loss is that of
+        the iteration's finetuned model."""
         inst = without_pretraining(gradcheck.make_check_instance(
             8, hidden=hidden, ignore_mode=ignore_mode, mode=mode))
         bundle, cfg = inst.arrays, replace(inst.cfg,
@@ -136,9 +138,10 @@ class TestFdAgreement:
         nxt, _ = reference.iterate(inst.state, bundle, cfg)
         want = model.weighted_losses(model._softmax_residual(
             nxt.finetune_model, bundle.val.X, bundle.val.y))
-        for which in ("pretrain", "finetune")[:1 if mode == "basic" else 2]:
-            got = lookahead.val_losses(which, np.empty((2, 0)))
-            assert got.tolist() == [want, want]
+        stacks = [(2, 0)] if mode == "basic" else [(2, 0), (0, 2), (2, 2)]
+        for ka, kb in stacks:
+            got = lookahead.val_losses(np.empty((ka, 0)), np.empty((kb, 0)))
+            assert got.tolist() == [want] * (ka + kb)
 
     def test_richardson_error_shrinks_with_step(self):
         """Central differences are second order: quartering the step cuts
@@ -150,8 +153,8 @@ class TestFdAgreement:
         i = int(np.argmax(np.abs(analytic)))
         errs = []
         for step in (4e-2, 1e-2):
-            num = lookahead.central_differences("finetune", [i], step)[0]
-            errs.append(abs(num - analytic[i]))
+            num = lookahead.central_differences({"finetune": [i]}, step)
+            errs.append(abs(num["finetune"][0] - analytic[i]))
         assert errs[0] > 0 and errs[1] > 0
         ratio = errs[0] / errs[1]
         assert 6.0 < ratio < 40.0
@@ -170,14 +173,14 @@ class TestFdAgreement:
         inst = gradcheck.make_check_instance(8)
         lookahead = gradcheck._Lookahead(inst.state, inst.arrays, inst.cfg)
         with pytest.raises(IndexError):
-            lookahead.central_differences("pretrain", [inst.arrays.pretrain.n],
-                                          1e-4)
+            lookahead.central_differences(
+                {"pretrain": [inst.arrays.pretrain.n]}, 1e-4)
 
     def test_bad_which_rejected(self):
         inst = gradcheck.make_check_instance(9)
         lookahead = gradcheck._Lookahead(inst.state, inst.arrays, inst.cfg)
         with pytest.raises(ValueError):
-            lookahead.central_differences("scores", [0], 1e-4)
+            lookahead.central_differences({"scores": [0]}, 1e-4)
 
 
 class TestSharedForwards:
@@ -240,30 +243,59 @@ class TestSharedForwards:
         with mock.patch.object(gradcheck, "_CHUNK_FLOATS", chunk_floats):
             self.assert_matches_reference(inst)
 
+    @staticmethod
+    @contextlib.contextmanager
+    def recorded_stacks(chunk=None):
+        """Record the (pretraining rows, finetuning rows) of each stack a
+        ``_Lookahead`` evaluates into the list it yields; with ``chunk``,
+        set every instance's probe pairs per chunk."""
+        stacks = []
+        true_init, true_losses = (gradcheck._Lookahead.__init__,
+                                  gradcheck._Lookahead.val_losses)
+
+        def init(lookahead, *args):
+            true_init(lookahead, *args)
+            lookahead.chunk = chunk or lookahead.chunk
+
+        def counted(lookahead, raw_a, raw_b):
+            stacks.append((raw_a.shape[0], raw_b.shape[0]))
+            return true_losses(lookahead, raw_a, raw_b)
+
+        with mock.patch.object(gradcheck._Lookahead, "__init__", init), \
+                mock.patch.object(gradcheck._Lookahead, "val_losses",
+                                  counted):
+            yield stacks
+
     def test_chunked_stacks_bitwise(self):
         """With the smallest chunk budget each probe pair is its own stack,
         so each score set spans one chunk per pretraining example."""
         inst = gradcheck.make_check_instance(25, hidden=3, n_pretrain=7)
-        stacks = []
-        true_losses = gradcheck._Lookahead.val_losses
-
-        def counted(lookahead, which, raw):
-            stacks.append((which, raw.shape[0]))
-            return true_losses(lookahead, which, raw)
-
         with mock.patch.object(gradcheck, "_CHUNK_FLOATS", 1), \
-                mock.patch.object(gradcheck._Lookahead, "val_losses", counted):
+                self.recorded_stacks() as stacks:
             self.assert_matches_reference(inst)
-        assert stacks == [("pretrain", 2)] * 7 + [("finetune", 2)] * 7
+        assert stacks == [(2, 0)] * 7 + [(0, 2)] * 7
+
+    @pytest.mark.parametrize("hidden", [0, 3])
+    def test_chunk_spanning_both_sets_bitwise(self, hidden):
+        """Chunks of two probe pairs over 7 scores a set: the fourth chunk
+        holds the last pretraining pair and the first finetuning pair, and
+        every value still equals the whole-iteration oracle's."""
+        inst = gradcheck.make_check_instance(25, hidden=hidden, n_pretrain=7)
+        with self.recorded_stacks(chunk=2) as stacks:
+            self.assert_matches_reference(inst)
+        assert stacks == [(4, 0)] * 3 + [(2, 2)] + [(0, 4)] * 3
 
     def test_given_lookahead_matches_own(self):
+        """One lookahead probing score after score, of either set, gives
+        what a fresh lookahead gives for each score alone."""
         inst = gradcheck.make_check_instance(24)
         shared = gradcheck._Lookahead(inst.state, inst.arrays, inst.cfg)
-        for which in ("pretrain", "finetune"):
+        for which in gradcheck.SETS:
             for i in range(inst.arrays.pretrain.n):
-                got = shared.central_differences(which, [i], 1e-4)[0]
+                got = shared.central_differences({which: [i]}, 1e-4)
                 own = gradcheck._Lookahead(inst.state, inst.arrays, inst.cfg)
-                assert got == own.central_differences(which, [i], 1e-4)[0]
+                want = own.central_differences({which: [i]}, 1e-4)
+                assert got[which][0] == want[which][0]
 
 
 class TestOneIteration:
@@ -271,13 +303,13 @@ class TestOneIteration:
     engine's iteration."""
 
     @pytest.mark.parametrize("hidden", [0, 3])
-    @pytest.mark.parametrize("mode, forwards", [("extended", 6),
+    @pytest.mark.parametrize("mode, forwards", [("extended", 5),
                                                 ("basic", 4)])
     def test_one_forward_per_model_and_split(self, hidden, mode, forwards):
         """An instance makes the forwards of one engine iteration, one per
-        (model, split) pair (4 extended, 3 basic), and one val forward
-        per probe stack (2 extended, 1 basic); the oracle makes none of
-        its own beside them."""
+        (model, split) pair (4 extended, 3 basic), and one val forward for
+        its one probe stack, which holds the probes of both score sets;
+        the oracle makes none of its own beside them."""
         inst = gradcheck.make_check_instance(26, hidden=hidden, mode=mode)
         calls = []
         true_forward = model._softmax_residual
@@ -484,7 +516,8 @@ class TestBadInputs:
 
         def probe(j):
             lookahead = gradcheck._Lookahead(state, bundle, cfg)
-            return lookahead.central_differences("pretrain", [j], step)[0]
+            return lookahead.central_differences({"pretrain": [j]},
+                                                 step)["pretrain"][0]
 
         message = "non-finite pretraining encoder update"
         for call in (gradcheck.verify_hypergrads, lambda *a: probe(i)):
@@ -518,6 +551,84 @@ class TestBadInputs:
                            match="non-finite finetuned head update"):
             gradcheck.verify_hypergrads(inst.state, inst.arrays, inst.cfg)
 
+    @pytest.mark.parametrize("poison, message", [
+        ({"encoder": "finetune", "head": "pretrain"}, "finetuned head"),
+        ({"encoder": "finetune"}, "finetuned encoder")])
+    def test_pretraining_probes_fail_first(self, monkeypatch, poison,
+                                           message):
+        """A chunk whose finetuning probe (0, +) fails on the block checked
+        first, the encoder, and whose pretraining probe (n - 1, -) fails on
+        the head: the error is the pretraining probe's, the earlier row in
+        (set, index, sign) order.  With only the finetuning probe failing,
+        its own error is raised."""
+        inst = gradcheck.make_check_instance(48)
+        n = inst.arrays.pretrain.n
+        rows = {"pretrain": 2 * n - 1, "finetune": 2 * n}
+        true_update = engine._finetune_update
+
+        def poisoned(*args, **kwargs):
+            out = true_update(*args, **kwargs)
+            if out.encoder.ndim == 2:
+                for block, which in poison.items():
+                    getattr(out, block)[rows[which], 0] = math.nan
+            return out
+
+        monkeypatch.setattr(engine, "_finetune_update", poisoned)
+        with pytest.raises(NumericError,
+                           match=f"non-finite {message} update"):
+            gradcheck.verify_hypergrads(inst.state, inst.arrays, inst.cfg)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_only_a_finetuning_probe_overflows(self):
+        """A crafted instance whose finetuning update overflows for the
+        finetuning score probe (2, +) alone, built as in
+        ``test_only_a_middle_probe_overflows``: feature 0 moves no hidden
+        unit of either model, and example 2's feature-0 value is set so
+        that its b-weighted source gradient entry overflows just above the
+        unperturbed weight.  The finetuned model's head is scaled up, so
+        the pretraining step, whose residual is far smaller, stays finite.
+        The stack of both sets' probes raises that probe's error, as the
+        probe alone and the whole iteration at its scores do, and every
+        other probe of either set stays finite."""
+        inst = gradcheck.make_check_instance(49, hidden=3, gamma=0.5,
+                                             n_pretrain=5)
+        state, arrays, cfg = inst.state, inst.arrays, inst.cfg
+        step, i = 1e-4, 2
+        state.iteration = 3
+        for params in (state.pretrain_model, state.finetune_model):
+            model._mlp_views(params)[0][:, 0] = 0.0
+        model._mlp_views(state.finetune_model)[2][:] *= 100.0
+        X_pre, X_val, y_pre = (arrays.pretrain.X.copy(), arrays.val.X.copy(),
+                               arrays.pretrain.y.copy())
+        X_pre[:, 0] = X_val[:, 0] = 0.0
+        y_pre[i] = np.argmin(model.logits(state.finetune_model, X_pre)[i])
+        dA = model._softmax_residual(state.finetune_model, X_pre, y_pre).dA[i]
+        b_i = state.ignore_finetune.effective()[i]
+        X_pre[i, 0] = np.finfo(float).max / (np.abs(dA).max()
+                                             * (b_i + step / 2))
+        bundle = DatasetBundle(Split(X_pre, y_pre), arrays.train,
+                               Split(X_val, arrays.val.y), arrays.test,
+                               arrays.dim, arrays.classes, arrays.corrupted)
+
+        def probe(which, j):
+            lookahead = gradcheck._Lookahead(state, bundle, cfg)
+            return lookahead.central_differences({which: [j]}, step)[which][0]
+
+        message = "non-finite finetuned encoder update"
+        for call in (gradcheck.verify_hypergrads,
+                     lambda *a: probe("finetune", i)):
+            with pytest.raises(NumericError, match=message) as err:
+                call(state, bundle, cfg)
+            assert err.value.iteration == 3
+        assert all(np.isfinite(probe(which, j)) for which in gradcheck.SETS
+                   for j in range(5) if (which, j) != ("finetune", i))
+        plus, minus = (reference.copy_state(state) for _ in range(2))
+        plus.ignore_finetune.raw[i] += step
+        minus.ignore_finetune.raw[i] -= step
+        with pytest.raises(NumericError, match=message):
+            reference.iterate(plus, bundle, cfg)
+        reference.iterate(minus, bundle, cfg)
+
     @pytest.mark.parametrize("which", ["ignore_pretrain", "ignore_finetune"])
     def test_score_count_mismatch_rejected(self, which):
         inst = gradcheck.make_check_instance(45)
@@ -541,7 +652,7 @@ class TestBadInputs:
         inst = gradcheck.make_check_instance(43, mode="basic", gamma=0.0)
         lookahead = gradcheck._Lookahead(inst.state, inst.arrays, inst.cfg)
         with pytest.raises(ValueError, match="no 'finetune' ignore scores"):
-            lookahead.central_differences("finetune", [0], 1e-4)
+            lookahead.central_differences({"finetune": [0]}, 1e-4)
 
 
 class TestMutationDetection:

@@ -776,8 +776,8 @@ class TestOverlap:
         lookahead = gradcheck._Lookahead(inst.state, inst.arrays, inst.cfg)
         report = gradcheck.verify_hypergrads(inst.state, inst.arrays,
                                              inst.cfg)
-        lookahead.central_differences("pretrain", range(3), 1e-4)
-        lookahead.central_differences("finetune", range(3), 1e-4)
+        lookahead.central_differences({"pretrain": range(3),
+                                       "finetune": range(3)}, 1e-4)
         assert report.passed()
         pre = inst.arrays.pretrain
         for fwd, params in ((lookahead.front.pre_fwd,
