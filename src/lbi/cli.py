@@ -6,24 +6,26 @@ then ``--set dotted.key=value`` overrides (values parsed as YAML; a bare key
 like ``--set lambda=7e-3`` means ``lbi.lambda``), then the command's flags.
 Each flag sets one config key (``COMMANDS``), so a flag beats ``--set``.
 ``config.read_config`` types and checks all of it before a command starts.
+A key that the command does not read (``Command.reads``) is an error when
+given on the command line, and listed as ``unread`` when from the file.
 
-``main`` owns every command's envelope.  Before any work it resolves the
-lbi config, loads the data and the state (``STATE_KEYS``), and makes the
-output directory: ``--out``, else ``run.out``, else
-``$LBI_OUT_ROOT/<command>-<hash>`` (default root ./lbi-runs), the hash
-being the first 12 hex digits of ``input_sha256``.  ``verify`` and ``eval``
-write files only with ``--out``.  When the command returns, ``main`` writes
-``manifest.json`` there: the resolved configuration, the data entry (a
-synthetic spec, or a CSV's path with the sha256 of the CSV and of its
-sidecar), the command's own settings, the state file read (``resume`` or
-``state``: its path and sha256), their content hash ``input_sha256``, a
-timestamp, and the environment and wall time of the command (``run_env``,
-outside the hash: CPU count, Python, numpy, BLAS, its thread variables, the
-thread count in effect and ``cpu_kernels``), and for ``run``, ``ablate``
-and ``sweep`` the ``engine.plan`` that trains the stack (``plan``, also
-outside the hash).  Data files are written atomically (temp file, then
-rename) and all numeric CSV output uses 17 significant digits, so reruns of
-the same deterministic command produce byte-identical data files.
+``main`` owns every command's envelope.  Before any work it resolves the lbi
+config, loads the data and the state (``Command.state``), and makes the output
+directory: ``--out``, else ``run.out``, else ``$LBI_OUT_ROOT/<command>-<hash>``
+(default root ./lbi-runs), the hash being the first 12 hex digits of
+``input_sha256``; a command that does not read ``run.out`` writes files only
+with ``--out``.  When the command returns, ``main`` writes ``manifest.json``
+there: the resolved configuration, the data entry (a synthetic spec, or a CSV's
+path with the sha256 of the CSV and of its sidecar), the command's own
+settings, the state file read (``resume`` or ``state``: its path and sha256),
+their content hash ``input_sha256``, and outside the hash the ``unread`` file
+keys, a timestamp, the environment and wall time of the command (``run_env``:
+CPU count, Python, numpy, BLAS, its thread variables, the thread count in
+effect and ``cpu_kernels``), and for ``run``, ``ablate`` and ``sweep`` the
+``engine.plan`` that trains the stack (``plan``).  Data files are written
+atomically (temp file, then rename) and all numeric CSV output uses 17
+significant digits, so reruns of the same deterministic command produce
+byte-identical data files.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration or parse
 error, 3 numeric failure during optimization, 4 one or more matrix or sweep
@@ -48,7 +50,7 @@ import numpy as np
 import yaml
 
 from . import __version__, datasets, engine, experiments, gradcheck
-from .config import SECTIONS, read_config
+from .config import ALIASES, SECTIONS, read_config
 from .engine import LbiConfig
 from .errors import ConfigError, LbiError, NumericError, ParseError
 
@@ -116,11 +118,10 @@ def _parse_set(item: str) -> tuple[str, str, object]:
     return f"--set {item!r}", key if "." in key else f"lbi.{key}", value
 
 
-def apply_overrides(config: dict, sets: list[str], flags=()) -> dict:
-    """Apply --set KEY=VALUE pairs (bare keys alias into the lbi section),
-    then ``flags``, (label, dotted key, value) triples, so a flag wins."""
+def apply_overrides(config: dict, given) -> dict:
+    """Apply the (label, dotted key, value) triples ``given``, in order."""
     config = copy.deepcopy(config)
-    for label, key, value in [*map(_parse_set, sets), *flags]:
+    for label, key, value in given:
         *path, last = key.split(".")
         node = config
         for p in path:
@@ -169,13 +170,6 @@ def _content_hash(*parts) -> str:
     return h.hexdigest()
 
 
-# The verify instances' architecture comes from the lbi section.
-_ARCH_KEYS = ("hidden", "ignore_mode", "mode")
-
-# The setting that names the state file a command reads.
-STATE_KEYS = {"run": "run.resume", "eval": "eval.state"}
-
-
 @dataclass
 class Job:
     """A command as ``main`` resolves it before any work: the checked
@@ -197,57 +191,62 @@ class Job:
 def resolve(args) -> Job:
     """The Job of parsed ``args``, its output directory made."""
     cmd = COMMANDS[args.command]
-    flags = [(f"--{flag}", key, getattr(args, flag))
-             for flag, key in cmd.flags.items()
-             if getattr(args, flag) is not None]
+    given = [*map(_parse_set, args.sets),
+             *((f"--{flag}", key, getattr(args, flag))
+               for flag, key in cmd.flags.items()
+               if getattr(args, flag) is not None)]
     job = Job(args.command, read_config(apply_overrides(
-        load_config_file(args.config), args.sets, flags)))
+        load_config_file(args.config), given)))
     config, command = job.config, job.command
+    unread = sorted(f"{s}.{k}" for s in config for k in config[s]
+                    if s not in cmd.reads and f"{s}.{k}" not in cmd.reads)
+    # Only a key from the file may go unread: the file may serve others.
+    on_line = {f"{s}.{ALIASES.get(k, k)}" for s, _, k in
+               (key.partition(".") for _, key, _ in given)}
+    if refused := [key for key in unread if key in on_line]:
+        raise ConfigError(f"lbi {command} does not read {', '.join(refused)} "
+                          f"(it reads {', '.join(cmd.reads)})")
     for flag, key in cmd.flags.items():
         section, name = key.split(".")
         if SECTIONS[section][name].default is None and name not in config[section]:
             raise ConfigError(f"{command} requires --{flag} or {key}")
-    # Every command reads the run section for run.out; resume is run's own.
-    if command != "run" and "resume" in config["run"]:
-        raise ConfigError(f"run.resume applies to lbi run only, not {command}")
 
     job.manifest = {"tool": {"name": "lbi", "version": __version__},
-                    "command": command}
+                    "command": command, "unread": unread}
     parts = [command]
-    if cmd.trains:
+    if "lbi" in cmd.reads:
         job.cfg = LbiConfig(**config["lbi"])
         job.manifest["config"] = job.cfg.to_dict()
         parts.append(job.manifest["config"])
-    if cmd.data:
+    if "data" in cmd.reads:
         job.source, job.bundle, entry = load_data(config)
         if command == "gen-data" and entry["kind"] != "synth":
             raise ConfigError("gen-data requires synthetic data configuration")
         job.manifest["data"] = entry
         # Whether the CSV's table came from its cache is no input.
         parts.append({k: v for k, v in entry.items() if k != "cache"})
-    if cmd.settings:
+    if command in cmd.reads:
+        # Its own section with defaults, and the lbi keys it reads singly.
         job.settings = {k: f.default for k, f in SECTIONS[command].items()
-                        if f.default is not None} | config[command]
-        if command == "verify":
-            job.settings.update((k, config["lbi"][k]) for k in _ARCH_KEYS
-                                if k in config["lbi"])
+                        if f.default is not None} | config[command] | {
+            k: v for k, v in config["lbi"].items() if f"lbi.{k}" in cmd.reads}
         job.manifest[command] = job.settings
         parts.append({command: job.settings})
-    if key := STATE_KEYS.get(command):
-        section, name = key.split(".")
+    if cmd.state:
+        section, name = cmd.state.split(".")
         if path := config[section].get(name):
             job.state, sha256 = engine.load_state(path)
             job.manifest[name] = {"path": path, "sha256": sha256}
             parts.append({name: job.manifest[name]})
             # A state that does not fit is refused before any directory.
-            if cmd.trains:
+            if job.cfg is not None:
                 engine._check_state(job.state, job.bundle, job.cfg)
             else:
                 engine.check_fit(job.state, job.bundle)
     job.manifest["input_sha256"] = _content_hash(*parts)
 
     job.out = args.out or None
-    if job.out is None and not cmd.out_only:
+    if job.out is None and "run.out" in cmd.reads:
         job.out = config["run"].get("out") or os.path.join(
             os.environ.get(OUT_ROOT_ENV, "lbi-runs"),
             f"{command}-{job.manifest['input_sha256'][:12]}")
@@ -519,31 +518,31 @@ def cmd_eval(job: Job) -> int:
 class Command(NamedTuple):
     work: Callable[[Job], int]
     help: str
-    flags: dict           # flag name: the config key it sets
-    trains: bool = False  # the manifest records the lbi config
-    data: bool = False    # loads the data section
-    settings: bool = False  # the manifest records its own config section
-    out_only: bool = False  # writes files only with --out
+    reads: tuple  # the config sections and single section.keys it reads
+    flags: dict   # flag name: the config key it sets
+    state: str | None = None  # the key naming the state file it reads
 
 
 COMMANDS = {
-    "run": Command(cmd_run, "one full training run", {"seed": "lbi.seed"},
-                   trains=True, data=True),
+    "run": Command(cmd_run, "one full training run",
+                   ("lbi", "data", "run.out", "run.resume"),
+                   {"seed": "lbi.seed"}, state="run.resume"),
     "verify": Command(cmd_verify, "check hypergradients against finite "
-                      "differences", {"seed": "verify.seeds"},
-                      settings=True, out_only=True),
+                      "differences",
+                      ("verify", "lbi.hidden", "lbi.ignore_mode", "lbi.mode"),
+                      {"seed": "verify.seeds"}),
     "ablate": Command(cmd_ablate, "run the ablation matrix",
-                      {"ids": "ablate.ids", "seeds": "ablate.seeds"},
-                      trains=True, data=True, settings=True),
+                      ("lbi", "data", "ablate", "run.out"),
+                      {"ids": "ablate.ids", "seeds": "ablate.seeds"}),
     "sweep": Command(cmd_sweep, "sweep lambda or gamma",
+                     ("lbi", "data", "sweep", "run.out"),
                      {"param": "sweep.param", "grid": "sweep.grid",
-                      "seeds": "sweep.seeds"},
-                     trains=True, data=True, settings=True),
-    "gen-data": Command(cmd_gen_data, "write a synthetic bundle as CSV", {},
-                        data=True),
+                      "seeds": "sweep.seeds"}),
+    "gen-data": Command(cmd_gen_data, "write a synthetic bundle as CSV",
+                        ("data", "run.out"), {}),
     "eval": Command(cmd_eval, "score a saved state on a dataset",
-                    {"state": "eval.state"}, data=True, settings=True,
-                    out_only=True),
+                    ("data", "eval"), {"state": "eval.state"},
+                    state="eval.state"),
 }
 
 

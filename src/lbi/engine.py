@@ -611,16 +611,12 @@ def _cell(stacked: LbiState, k) -> LbiState:
     return _with_blocks(stacked, [b[k] for b in _blocks(stacked)])
 
 
-def _update_checks(pretrained: ModelParams | None,
-                   finetuned: ModelParams | None) -> list:
-    """``_first_failures``' checks of the given model updates, in order."""
-    checks = []
-    for what, params in (("pretraining", pretrained),
-                         ("finetuned", finetuned)):
-        if params is not None:
-            checks += [(f"{what} encoder update", params.encoder, None),
-                       (f"{what} head update", params.head, None)]
-    return checks
+def _update_checks(pretrained: ModelParams, finetuned: ModelParams) -> list:
+    """``_first_failures``' checks of both model updates, in order."""
+    return [("pretraining encoder update", pretrained.encoder, None),
+            ("pretraining head update", pretrained.head, None),
+            ("finetuned encoder update", finetuned.encoder, None),
+            ("finetuned head update", finetuned.head, None)]
 
 
 def _first_failures(checks, iteration: int) -> dict[int, NumericError]:

@@ -266,13 +266,10 @@ class _Lookahead:
                 _rows(params.head, params.head, ka, kb)),
             pretrained_next, front.train_grad, source_grad, cfg.lam,
             cfg.gamma, rates, cfg.weight_decay)
-        # The pretraining update is checked on the pretraining rows only:
-        # the finetuning rows' is the front's, which its pass checked.
-        pre_rows = np.arange(ka + kb) < ka
-        checks = [(what, block, pre_rows) for what, block, _ in
-                  engine._update_checks(pretrained_next, None)]
+        # A finetuning row's pretraining update is the front's, which
+        # __init__ checked, so it never fails the check over every row.
         failed = engine._first_failures(
-            checks + engine._update_checks(None, finetuned_next),
+            engine._update_checks(pretrained_next, finetuned_next),
             state.iteration)
         if failed:
             raise failed[min(failed)]

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 import reference
 
-from lbi import cli, datasets, engine, experiments, gradcheck
+from lbi import cli, config, datasets, engine, experiments, gradcheck
 
 
 def read(path):
@@ -977,7 +977,9 @@ class TestBadDataInputs:
         path.write_text("".join(line for line in lines
                                 if not line.startswith(split + ",")))
         argv = [command, "--out", str(tmp_path / "out"),
-                "--set", f"data.path={path}", "--set", "iterations=8"]
+                "--set", f"data.path={path}"]
+        if command != "eval":  # eval reads no lbi key
+            argv += ["--set", "iterations=8"]
         if resume:
             first = tmp_path / "first"
             assert cli.main(run_args(first)) == 0
@@ -1192,12 +1194,179 @@ class TestBadDataInputs:
         ["eval", "--state", "state.json"],
     ], ids=["ablate", "sweep", "verify", "gen-data", "eval"])
     def test_resume_outside_run_exits_2(self, argv, tmp_path, capsys):
-        """Every command reads the run section for run.out, but only run
-        resumes: elsewhere run.resume is refused, not ignored."""
+        """Only run resumes: elsewhere run.resume is refused, not ignored."""
         out = tmp_path / "out"
         code = cli.main([*argv, *TINY_DATA, "--out", str(out), "--set",
                          f"run.resume={tmp_path / 'state.json'}"])
         assert code == 2
-        assert (f"run.resume applies to lbi run only, not {argv[0]}"
-                in capsys.readouterr().err)
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: lbi {argv[0]} does not read ")
+        assert "run.resume" in line.partition(" (it reads")[0]
         assert not out.exists()
+
+
+# What each command reads, written out: config sections and single keys.
+READS = {
+    "run": {"lbi", "data", "run.out", "run.resume"},
+    "verify": {"verify", "lbi.hidden", "lbi.ignore_mode", "lbi.mode"},
+    "ablate": {"lbi", "data", "ablate", "run.out"},
+    "sweep": {"lbi", "data", "sweep", "run.out"},
+    "gen-data": {"data", "run.out"},
+    "eval": {"data", "eval"},
+}
+FIELD_KEYS = [f"{s}.{k}" for s, table in config.SECTIONS.items()
+              for k in table]
+ALIAS_KEYS = [f"{s}.{alias}" for alias, name in config.ALIASES.items()
+              for s, table in config.SECTIONS.items() if name in table]
+# A valid --set value of each key without a default ({state}, {csv} and
+# {dir} are filled in); every other key is set to its default.
+VALUES = {
+    "lbi.batch_size": "none", "data.kind": "synth", "data.path": "{csv}",
+    "data.source_means": "[[0, 0, 0, 0, 0], [1, 1, 1, 1, 1]]",
+    "run.out": "{dir}/run-out", "run.resume": "{state}",
+    "verify.dim": "3", "verify.classes": "2", "verify.n_pretrain": "4",
+    "verify.n_train": "4", "verify.n_val": "4", "verify.lam": "0.5",
+    "verify.lambda": "0.5", "verify.gamma": "0.5", "sweep.param": "gamma",
+    "sweep.grid": "0,1,2", "eval.state": "{state}",
+}
+# The flags a command requires.
+REQUIRED = {"sweep": ["--param", "lambda", "--grid", "0,1,2"],
+            "eval": ["--state", "{state}"]}
+
+
+def reads(entries, key):
+    """Whether ``entries``, sections and single keys, cover dotted ``key``."""
+    section, _, name = key.partition(".")
+    return (section in entries
+            or f"{section}.{config.ALIASES.get(name, name)}" in entries)
+
+
+def value_text(key):
+    """A valid --set value of ``key``: its VALUES entry, else its default."""
+    if key in VALUES:
+        return VALUES[key]
+    section, _, name = key.partition(".")
+    default = config.SECTIONS[section][config.ALIASES.get(name, name)].default
+    return json.dumps(list(default) if isinstance(default, tuple) else default)
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """{state}: a state of the default config; {csv}: the default data as
+    CSV, which it fits."""
+    root = tmp_path_factory.mktemp("inputs")
+    assert cli.main(["run", "--out", str(root / "run"),
+                     "--set", "iterations=1"]) == 0
+    assert cli.main(["gen-data", "--out", str(root / "data")]) == 0
+    return {"state": str(root / "run" / "state.json"),
+            "csv": str(root / "data" / "data.csv")}
+
+
+class TestReads:
+    """Each command reads the config that ``Command.reads`` declares.  A key
+    given on the command line that the command does not read is refused
+    (exit 2) before any data, state or directory is touched; one from a
+    config file is listed in the manifest as unread, outside the hash."""
+
+    @pytest.mark.parametrize("key", FIELD_KEYS + ALIAS_KEYS)
+    @pytest.mark.parametrize("command", READS)
+    def test_every_key_on_every_command(self, command, key, inputs, tmp_path,
+                                        monkeypatch, capsys):
+        section, _, name = key.partition(".")
+        read = reads(READS[command], key)
+        fill = {**inputs, "dir": str(tmp_path)}
+        if not read:
+            def never(*args, **kwargs):
+                raise AssertionError("read before the key was refused")
+            monkeypatch.setattr(cli, "load_data", never)
+            monkeypatch.setattr(engine, "load_state", never)
+        # The command's work is not run: only its resolution is checked.
+        monkeypatch.setitem(cli.COMMANDS, command, cli.COMMANDS[
+            command]._replace(work=lambda job: 0))
+        out = tmp_path / "out"
+        argv = [command, "--out", str(out),
+                *(a.format(**fill) for a in REQUIRED.get(command, [])),
+                "--set", f"{key}={value_text(key).format(**fill)}"]
+        code = cli.main(argv)
+        err = capsys.readouterr().err
+        if read and (command, key) == ("gen-data", "data.path"):
+            assert code == 2
+            assert "gen-data requires synthetic data" in err
+        elif read:
+            assert code == 0, err
+            assert read_json(out / "manifest.json")["unread"] == []
+        else:
+            assert code == 2
+            field = f"{section}.{config.ALIASES.get(name, name)}"
+            assert f"error: lbi {command} does not read {field} (" in err
+            assert not out.exists()
+            assert not (tmp_path / "run-out").exists()
+
+    @pytest.mark.parametrize("argv, keys", [
+        (["gen-data", "--set", "lam=0.5"], "lbi.lam"),
+        (["gen-data", "--set", "iterations=5", "--set", "sweep.grid=1"],
+         "lbi.iterations, sweep.grid"),
+        (["eval", "--state", "{missing}", "--set", "lam=9",
+          "--set", "batch_size=4"], "lbi.batch_size, lbi.lam"),
+        (["verify", "--set", "lam=0.5"], "lbi.lam"),
+        (["verify", "--set", "lambda=0.5", "--set", "iterations=7"],
+         "lbi.iterations, lbi.lam"),
+        (["verify", "--set", "ablate.ids=A1"], "ablate.ids"),
+        (["ablate", "--set", "verify.lam=3"], "verify.lam"),
+        (["sweep", "--param", "lambda", "--grid", "0,1,2",
+          "--set", "eval.state=x"], "eval.state"),
+        (["run", "--set", "verify.step=0.1"], "verify.step"),
+        (["eval", "--state", "{missing}", "--set", "run.out={dir}/d"],
+         "run.out"),
+        (["verify", "--set", "run.out={dir}/d"], "run.out"),
+    ])
+    def test_a_key_the_command_never_reads_exits_2(self, argv, keys,
+                                                    tmp_path, monkeypatch,
+                                                    capsys):
+        monkeypatch.setenv(cli.OUT_ROOT_ENV, str(tmp_path / "root"))
+        fill = {"dir": tmp_path, "missing": tmp_path / "missing.json"}
+        assert cli.main([a.format(**fill) for a in argv]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: lbi {argv[0]} does not read {keys} (it reads ")
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("command, argv, unread", [
+        ("gen-data", [], ["lbi.hidden"]),
+        ("verify", ["--seed", "0"], ["data.n_pretrain"]),
+    ])
+    def test_unread_file_keys_are_listed_outside_the_hash(
+            self, command, argv, unread, tmp_path):
+        """One file may serve several commands: a key that this command
+        does not read is listed, and leaves its input hash as it was."""
+        read = "data:\n  n_pretrain: 10\nlbi:\n  hidden: 0\n"
+        other = ("  lambda: 0.5\nrun:\n  resume: missing.json\n"
+                 "eval:\n  state: missing.json\n")
+        manifests = []
+        for name, text in (("without", read), ("with", read + other)):
+            cfg = tmp_path / f"{name}.yaml"
+            cfg.write_text(text)
+            out = tmp_path / name
+            assert cli.main([command, "--config", str(cfg), *argv,
+                             "--out", str(out)]) == 0
+            manifests.append(read_json(out / "manifest.json"))
+        without, with_ = manifests
+        assert without["unread"] == unread
+        assert with_["unread"] == sorted(
+            [*unread, "eval.state", "lbi.lam", "run.resume"])
+        assert with_["input_sha256"] == without["input_sha256"]
+
+
+def test_every_key_is_read_and_every_flag_by_its_command():
+    """A config key that no command reads, a flag or state key outside its
+    command's reads, or a reads entry that names no section or key fails
+    here."""
+    commands = cli.COMMANDS.values()
+    assert {name: set(c.reads) for name, c in cli.COMMANDS.items()} == READS
+    for c in commands:
+        for entry in c.reads:
+            section, _, name = entry.partition(".")
+            assert name in config.SECTIONS[section] or not name, entry
+        for key in [*c.flags.values(), *[c.state] * bool(c.state)]:
+            assert reads(c.reads, key), (c.help, key)
+    for key in FIELD_KEYS:
+        assert any(reads(c.reads, key) for c in commands), key
