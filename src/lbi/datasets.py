@@ -336,7 +336,7 @@ def cache_path(path) -> str:
 
 
 def save_csv(bundle: DatasetBundle, path: str, spec: SynthSpec | None = None):
-    """Write the bundle as CSV plus a sidecar JSON manifest.
+    """Write a valid bundle as CSV plus a sidecar JSON manifest.
 
     CSV columns are ``split,label,f_0..f_{dim-1}`` with floats at 17
     significant digits so a load reproduces values bit-for-bit.  The sidecar
@@ -344,6 +344,7 @@ def save_csv(bundle: DatasetBundle, path: str, spec: SynthSpec | None = None):
     (the CSV itself carries no corruption column), plus the generating spec
     when one is supplied.
     """
+    bundle.validate()
     header = ["split", "label"] + [f"f_{j}" for j in range(bundle.dim)]
     with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)

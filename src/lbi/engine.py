@@ -404,39 +404,30 @@ def _hypergrad_finetune(fwd: model.Forward, val_grad: GradBlock, chain,
     return hg if chain is None else hg * chain
 
 
-def apply_ignore_update(ignore: IgnoreSet, g: np.ndarray, rate: float,
-                        idx: np.ndarray | None = None) -> IgnoreSet:
-    """Step raw scores along -g, in place, and return ``ignore``.  Clamp
-    mode projects back into [0, 1].
-
-    With ``idx``, g holds the gradient of the entries at the flat positions
-    ``idx`` only (``raw[idx]`` for one score vector; in a stack's (K, n)
-    scores, cell k's example i sits at k * n + i), and only those entries
-    are written.  That is the full step with a zero gradient outside
-    ``idx`` for scores in the range the engine keeps them in (clamp mode
-    projects out-of-range entries only when stepping them).  The engine
-    steps only score arrays its run owns: ``_train`` copies a caller's
-    scores once, when the run starts.
-    """
-    g = np.asarray(g, dtype=np.float64)
-    want = ignore.raw.shape if idx is None else np.shape(idx)
-    if g.shape != want:
-        raise ValueError(f"gradient shape {g.shape} != scores {want}")
-    if not np.logical_and.reduce(np.isfinite(g), axis=None):
-        raise NumericError("non-finite ignoring-score gradient")
-    if idx is None:
-        step = ignore.raw
-        step -= rate * g
+def apply_ignore_update(scores: IgnoreSet | None, hg: np.ndarray | None,
+                        rate: float, at: np.ndarray | None, cells):
+    """The score step, in place: raw scores step along -rate ``hg`` in the
+    ``cells`` (``_Cells``' flags) that step, and clamp mode projects them
+    into [0, 1].  ``hg`` is None when identically zero, and is finite
+    wherever a cell steps (``_finish`` checked it); a cell that does not
+    step gets a zero gradient, which keeps every score the engine keeps.
+    With ``at``, hg holds the gradient at the flat positions ``at`` alone
+    (in a stack's (K, n) scores, cell k's example i sits at k * n + i), the
+    only entries written.  A run steps only score arrays it owns."""
+    if hg is None or not _any(cells):
+        return
+    if not _all(cells):
+        hg = np.where(cells[:, None], hg, 0.0)
+    if at is None:
+        step = scores.raw
+        step -= rate * hg
     else:
-        # A view: one set's vector, or a stack's scores, which the engine
-        # makes contiguous.
-        flat = ignore.raw.reshape(-1)
-        step = flat[idx] - rate * g
-    if ignore.mode == "clamp":
+        flat = scores.raw.reshape(-1)  # a view: run scores are contiguous
+        step = flat[at] - rate * hg
+    if scores.mode == "clamp":
         step.clip(0.0, 1.0, out=step)
-    if idx is not None:
-        flat[idx] = step
-    return ignore
+    if at is not None:
+        flat[at] = step
 
 
 def _draw_batches(seed: int, batch_size: int, iteration: int,
@@ -505,17 +496,6 @@ def _grad_norms(hg: np.ndarray | None, has: np.ndarray) -> np.ndarray:
     if hg is None:
         return np.zeros(np.shape(has))
     return _select(has, np.sqrt(model._vecdot(hg, hg)), 0.0)
-
-
-def _step_cells(scores: IgnoreSet | None, hg: np.ndarray | None, rate: float,
-                at: np.ndarray | None, cells):
-    """Step the scores along ``hg``, in place, in the selected cells only."""
-    if hg is None or not _any(cells):
-        return
-    if not _all(cells):
-        # A zero step leaves every score the engine keeps exactly as it is.
-        hg = np.where(cells[:, None], hg, 0.0)
-    apply_ignore_update(scores, hg, rate, at)
 
 
 # The config fields in which the cells of one stack may differ.
@@ -842,7 +822,7 @@ def _finish(state: LbiState, bundle: DatasetBundle, cfg: LbiConfig,
     """``_iterate`` from its finetuning step up to its score step, given
     its ``front``.  Returns the finetuned model's next parameters, the trace
     values, failures and hypergradients that ``_iterate`` returns, and the
-    cells that step each score set (``_step_cells``' masks)."""
+    cells that step each score set (``apply_ignore_update``'s ``cells``)."""
     K = len(cells.seeds)
     mode = state.ignore_pretrain.mode
     f = front
@@ -911,16 +891,15 @@ def _iterate(state: LbiState, bundle: DatasetBundle, cfg: LbiConfig,
     projection of the pretraining batch on the validation gradient.
     ``cfg`` supplies the fields the cells share and ``cells`` the rest; the
     bundle is trusted to be valid and the state to fit both (``run_stack``
-    checks them).  The score step writes the state's score arrays in
-    place, at the batch's entries only, and the next state holds them.
-    Returns the next state, the five trace values of
-    ``TraceRow`` after its iteration (one length-K vector each for a
-    stack; None without ``trace``, which skips making them), {cell position:
-    NumericError} for the cells that failed a finite check (their entries
-    in the next state are not meaningful), and
-    the raw-score hypergradients (hg_a, hg_b) of the batch's scores, each
-    None when it is identically zero in every cell.  A frozen score set
-    still gets its hypergradient.
+    checks them).  The score step (``apply_ignore_update``, per score set)
+    writes the state's scores in place, at the batch's entries only.
+    Returns the next state, the five trace values of ``TraceRow`` after its
+    iteration (one length-K vector each for a stack; None without
+    ``trace``, which skips making them), {cell position: NumericError} for
+    the cells that failed a finite check (their entries in the next state
+    are not meaningful), and the raw-score hypergradients (hg_a, hg_b) of
+    the batch's scores, each None when it is identically zero in every
+    cell.  A frozen score set still gets its hypergradient.
 
     Each cell's values are the bits of a one-cell iteration: the kernels
     keep every model's sums in the same order (see ``model``), and a cell
@@ -938,7 +917,7 @@ def _iterate(state: LbiState, bundle: DatasetBundle, cfg: LbiConfig,
     scores = (state.ignore_pretrain, state.ignore_finetune)
     for s, hg, rate, step in zip(scores, hgs, (rates.ignore_pretrain,
                                                rates.ignore_finetune), steps):
-        _step_cells(s, hg, rate, front.at, step)
+        apply_ignore_update(s, hg, rate, front.at, step)
     nxt = LbiState(front.pretrained_next, finetuned_next, *scores,
                    state.iteration + 1)
     return nxt, values, failed, hgs
@@ -1211,7 +1190,7 @@ def from_state_dict(d: dict) -> LbiState:
 
 def save_state(state: LbiState, path: str):
     with atomic_open(path) as fh:
-        json.dump(to_state_dict(state), fh)
+        json.dump(to_state_dict(state), fh, allow_nan=False)
         fh.write("\n")
 
 

@@ -5,13 +5,13 @@ and contracts the hypergradients without forming per-example gradients.
 The routes here spell the same quantities out the long way: a loss or a
 gradient straight from parameters and a batch, the n x P matrix of
 per-example gradient rows (the decomposition reference for the
-contractions), the batch view of one minibatch iteration, and a bundle
-without pretraining rows.  A CSV bundle is read the long way too: by the
-csv module, int() and float().  A JSON file is read strictly, refusing the
-NaN and Infinity tokens that Python's json writes by default and JSON does
-not have.  ``copy_state`` gives a test a state it may write without
-touching the original; the package copies only the states a run starts
-from.
+contractions), the score step, the batch view of one minibatch iteration,
+and a bundle without pretraining rows.  A CSV bundle is read the long way
+too: by the csv module, int() and float().  A JSON file is read strictly,
+refusing the NaN and Infinity tokens that Python's json writes by default
+and JSON does not have.  ``copy_state`` gives a test a state it may
+write without touching the original; the package copies only the states a
+run starts from.
 """
 
 import csv
@@ -83,6 +83,13 @@ def iterate(state: LbiState, bundle: DatasetBundle, cfg: engine.LbiConfig):
     if failed:
         raise failed[0]
     return nxt, engine.TraceRow(state.iteration, *map(float, trace))
+
+
+def step(scores: IgnoreSet, g: np.ndarray, rate: float) -> np.ndarray:
+    """The raw scores after one step along -rate g (a gradient for every
+    entry), clipped into [0, 1] in clamp mode; ``scores`` is not written."""
+    raw = scores.raw - rate * g
+    return raw.clip(0.0, 1.0) if scores.mode == "clamp" else raw
 
 
 def batch_view(state: LbiState, bundle: DatasetBundle, cfg: engine.LbiConfig):

@@ -318,6 +318,21 @@ class TestCsvRoundTrip:
         assert SynthSpec(**config.read_section("data", manifest["spec"])) \
             == spec
 
+    def test_non_finite_feature_not_saved(self, tmp_path):
+        """A bundle ``load_csv`` would refuse is not written: the save
+        raises the ValueError of ``validate`` and the old files keep their
+        bytes."""
+        bundle = datasets.generate(small_spec())
+        path = tmp_path / "data.csv"
+        datasets.save_csv(bundle, path)
+        old = [file_sha256(p) for p in (path, datasets.sidecar_path(path))]
+        bundle.train.X[0, 1] = np.inf
+        with pytest.raises(ValueError, match=r"train\[0\] has non-finite"):
+            datasets.save_csv(bundle, path)
+        assert [file_sha256(p) for p in
+                (path, datasets.sidecar_path(path))] == old
+        assert len(list(tmp_path.iterdir())) == 2
+
     def test_corruption_flags_survive_round_trip(self, tmp_path):
         bundle = datasets.generate(small_spec())
         path = tmp_path / "data.csv"

@@ -488,55 +488,73 @@ class TestHypergrads:
 class TestApplyIgnoreUpdate:
     def test_zero_gradient_fixed_point(self):
         s = IgnoreSet(np.array([0.3, 0.9]), "clamp")
-        out = engine.apply_ignore_update(s, np.zeros(2), 0.5)
-        np.testing.assert_array_equal(out.raw, s.raw)
+        before = s.raw.tobytes()
+        engine.apply_ignore_update(s, np.zeros(2), 0.5, None, True)
+        assert s.raw.tobytes() == before
 
     def test_clamp_projects_to_boundary(self):
         s = IgnoreSet(np.array([0.05]), "clamp")
-        out = engine.apply_ignore_update(s, np.array([10.0]), 0.1)
-        assert out.raw[0] == 0.0
-        out = engine.apply_ignore_update(s, np.array([-100.0]), 0.1)
-        assert out.raw[0] == 1.0
+        engine.apply_ignore_update(s, np.array([10.0]), 0.1, None, True)
+        assert s.raw[0] == 0.0
+        engine.apply_ignore_update(s, np.array([-100.0]), 0.1, None, True)
+        assert s.raw[0] == 1.0
 
     def test_sigmoid_effective_stays_open_interval(self):
         s = IgnoreSet(np.array([0.0]), "sigmoid")
         for g in (1e6, -1e6):
-            out = engine.apply_ignore_update(s, np.array([g]), 1.0)
-            eff = out.effective()[0]
+            engine.apply_ignore_update(s, np.array([g]), 1.0, None, True)
+            eff = s.effective()[0]
             assert 0.0 <= eff <= 1.0
-
-    def test_non_finite_gradient_raises(self):
-        s = IgnoreSet(np.array([0.5]), "clamp")
-        with pytest.raises(NumericError):
-            engine.apply_ignore_update(s, np.array([np.nan]), 0.1)
-
-    def test_shape_mismatch_raises(self):
-        s = IgnoreSet(np.array([0.5]), "clamp")
-        with pytest.raises(ValueError):
-            engine.apply_ignore_update(s, np.zeros(2), 0.1)
-        with pytest.raises(ValueError):
-            engine.apply_ignore_update(s, np.zeros(2), 0.1, np.array([0]))
 
     @pytest.mark.parametrize("mode", ["clamp", "sigmoid"])
     def test_batch_step_equals_dense_step(self, mode):
-        """Stepping only raw[idx] in place equals the full step with the
-        gradient zero-padded outside idx, and each returns the set it
-        stepped."""
+        """Stepping only raw[at] in place equals the full step with the
+        gradient zero-padded outside at, and both equal the reference
+        step, bit for bit."""
         rng = np.random.default_rng(17)
         n = 30
         lo, hi = (0.0, 1.0) if mode == "clamp" else (-3.0, 3.0)
         raw = rng.uniform(lo, hi, n)
         raw[:3] = [0.0, 1.0, 0.5]
-        for idx in (np.array([0, 1, 4, 9, 29]), np.arange(n),
-                    np.array([], dtype=np.int64)):
-            g = rng.normal(scale=5.0, size=idx.size)
+        for at in (np.array([0, 1, 4, 9, 29]), np.arange(n),
+                   np.array([], dtype=np.int64)):
+            g = rng.normal(scale=5.0, size=at.size)
             padded = np.zeros(n)
-            padded[idx] = g
+            padded[at] = g
             dense, sparse = IgnoreSet(raw.copy(), mode), IgnoreSet(raw, mode)
-            assert engine.apply_ignore_update(dense, padded, 0.3) is dense
-            assert engine.apply_ignore_update(sparse, g, 0.3, idx) is sparse
+            want = reference.step(dense, padded, 0.3)
+            engine.apply_ignore_update(dense, padded, 0.3, None, True)
+            engine.apply_ignore_update(sparse, g, 0.3, at, True)
             assert sparse.raw is raw
-            assert raw.tobytes() == dense.raw.tobytes()
+            assert raw.tobytes() == dense.raw.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("batch", [False, True])
+    @pytest.mark.parametrize("mode", ["clamp", "sigmoid"])
+    def test_cells_that_do_not_step_keep_their_bytes(self, mode, batch):
+        """In a stack, the cells that step take the reference step and the
+        others keep their bytes, a non-finite gradient there included; no
+        cell steps along a None gradient or when none is selected."""
+        rng = np.random.default_rng(18)
+        K, n = 3, 7
+        raw = rng.uniform(0.2, 0.8, (K, n))
+        at = np.array([1, 4, 5]) if batch else None
+        g = rng.normal(size=(K, n))
+        if batch:
+            g[:, np.setdiff1d(np.arange(n), at)] = 0.0
+        g[1, 4] = np.nan
+        hg = g if at is None else g[:, at]
+        flat_at = None if at is None else at + n * np.arange(K)[:, None]
+        cells = np.array([True, False, True])
+        for step, on in ((None, cells), (hg, np.zeros(K, dtype=bool))):
+            s = IgnoreSet._of(raw.copy(), mode)
+            engine.apply_ignore_update(s, step, 0.4, flat_at, on)
+            assert s.raw.tobytes() == raw.tobytes()
+        s = IgnoreSet._of(raw.copy(), mode)
+        engine.apply_ignore_update(s, hg, 0.4, flat_at, cells)
+        for k in range(K):
+            want = (reference.step(IgnoreSet(raw[k], mode), g[k], 0.4)
+                    if cells[k] else raw[k])
+            assert s.raw[k].tobytes() == want.tobytes()
 
 
 class TestIteration:
@@ -581,15 +599,15 @@ class TestIteration:
             hg_b, -0.8 * (cfg.lr_finetune_encoder * (genc_w @ g_val.d_encoder)
                           + cfg.lr_finetune_head * (ghead_w @ g_val.d_head)),
             rtol=1e-12, atol=1e-18)
-        upd_a = engine.apply_ignore_update(state.ignore_pretrain, hg_a, 0.3)
-        upd_b = engine.apply_ignore_update(state.ignore_finetune, hg_b, 0.1)
+        upd_a = reference.step(state.ignore_pretrain, hg_a, 0.3)
+        upd_b = reference.step(state.ignore_finetune, hg_b, 0.1)
 
         assert nxt.pretrain_model.encoder.tobytes() == pre_enc.tobytes()
         assert nxt.pretrain_model.head.tobytes() == pre_head.tobytes()
         assert nxt.finetune_model.encoder.tobytes() == fin_next.encoder.tobytes()
         assert nxt.finetune_model.head.tobytes() == fin_next.head.tobytes()
-        np.testing.assert_array_equal(nxt.ignore_pretrain.raw, upd_a.raw)
-        np.testing.assert_array_equal(nxt.ignore_finetune.raw, upd_b.raw)
+        assert nxt.ignore_pretrain.raw.tobytes() == upd_a.tobytes()
+        assert nxt.ignore_finetune.raw.tobytes() == upd_b.tobytes()
         assert nxt.iteration == 1
 
         assert row.iteration == 0
@@ -624,8 +642,8 @@ class TestIteration:
         seen = []
         apply = engine.apply_ignore_update
         monkeypatch.setattr(engine, "apply_ignore_update",
-                            lambda s, g, r, idx: seen.append(g)
-                            or apply(s, g, r, idx))
+                            lambda s, g, r, at, cells: seen.append(g)
+                            or apply(s, g, r, at, cells))
         reference.iterate(state, bundle, cfg)
         monkeypatch.undo()
 
@@ -673,13 +691,13 @@ class TestIteration:
                 full = np.zeros(n)
                 full[take] = hg
                 padded.append(full)
-            want = reference.copy_state(state)
-            want_a, want_b = want.ignore_pretrain, want.ignore_finetune
+            want_a = state.ignore_pretrain.raw
+            want_b = state.ignore_finetune.raw
             if not frozen:
-                want_a = engine.apply_ignore_update(want_a, padded[0],
-                                                    rates.ignore_pretrain)
-                want_b = engine.apply_ignore_update(want_b, padded[1],
-                                                    rates.ignore_finetune)
+                want_a = reference.step(state.ignore_pretrain, padded[0],
+                                        rates.ignore_pretrain)
+                want_b = reference.step(state.ignore_finetune, padded[1],
+                                        rates.ignore_finetune)
             a = sub_state.ignore_pretrain.effective()
             want_row = engine.TraceRow(
                 it,
@@ -699,8 +717,8 @@ class TestIteration:
                               (state.finetune_model, fin_next)):
                 assert got.encoder.tobytes() == want.encoder.tobytes()
                 assert got.head.tobytes() == want.head.tobytes()
-            assert state.ignore_pretrain.raw.tobytes() == want_a.raw.tobytes()
-            assert state.ignore_finetune.raw.tobytes() == want_b.raw.tobytes()
+            assert state.ignore_pretrain.raw.tobytes() == want_a.tobytes()
+            assert state.ignore_finetune.raw.tobytes() == want_b.tobytes()
             assert row == want_row
             assert row.ignore_grad_pretrain_norm > 0
 
@@ -1028,6 +1046,22 @@ class TestStatePersistence:
         engine.save_state(state, path)
         assert engine.load_state(path)[0].ignore_finetune is None
 
+    @pytest.mark.parametrize("where", ["ignore_pretrain", "finetune_model"])
+    def test_non_finite_state_not_saved(self, tmp_path, where):
+        """A state ``load_state`` would refuse is not written: the save
+        raises and the old file keeps its bytes."""
+        bundle = tiny_bundle()
+        state, _ = engine.run(bundle, LbiConfig(iterations=2))
+        path = tmp_path / "state.json"
+        engine.save_state(state, path)
+        old = path.read_bytes()
+        block = getattr(state, where)
+        (block.raw if where == "ignore_pretrain" else block.head)[0] = np.nan
+        with pytest.raises(ValueError):
+            engine.save_state(state, path)
+        assert path.read_bytes() == old
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["state.json"]
+
     def test_failed_save_keeps_old_state(self, tmp_path, monkeypatch):
         """A write that fails partway leaves the old file byte for byte."""
         bundle = tiny_bundle()
@@ -1036,7 +1070,7 @@ class TestStatePersistence:
         engine.save_state(state, path)
         old = path.read_bytes()
 
-        def torn_dump(obj, fh):
+        def torn_dump(obj, fh, **kwargs):
             fh.write('{"format": "lbi-st')
             raise OSError("disk full")
 

@@ -52,6 +52,14 @@ def analytic_entries(report, which):
     return np.array([e.analytic for e in report.entries if e.which == which])
 
 
+def stepped(scores, hg, rate, idx):
+    """``reference.step`` of ``scores`` along ``hg``, the gradient of the
+    batch ``idx`` (None: of every score) zero-padded to every score."""
+    g = np.zeros(scores.raw.size)
+    g[slice(None) if idx is None else idx] = hg
+    return reference.step(scores, g, rate)
+
+
 def without_pretraining(inst):
     """The check instance with an empty pretraining split and no scores."""
     for scores in (inst.state.ignore_pretrain, inst.state.ignore_finetune):
@@ -364,9 +372,43 @@ class TestExecutedPath:
                  rates.ignore_pretrain),
                 ("finetune", state.ignore_finetune, nxt.ignore_finetune,
                  rates.ignore_finetune)):
-            hg = analytic_entries(report, which)
-            want = engine.apply_ignore_update(scores, hg, rate, idx_pre)
-            assert want.raw.tobytes() == got.raw.tobytes()
+            want = stepped(scores, analytic_entries(report, which), rate,
+                           idx_pre)
+            assert want.tobytes() == got.raw.tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("hidden", [0, 3])
+    @pytest.mark.parametrize("ignore_mode", ["clamp", "sigmoid"])
+    @pytest.mark.parametrize("mode", ["extended", "basic"])
+    def test_oracle_differences_what_run_stack_runs(self, mode, ignore_mode,
+                                                    hidden, seed):
+        """The oracle's central differences are, bit for bit, those of the
+        val losses that ``engine.run_stack`` reports over the instance's
+        one iteration for one state per probe: each score at +step and
+        -step, the pretraining scores first."""
+        inst = gradcheck.make_check_instance(seed, hidden=hidden,
+                                             ignore_mode=ignore_mode,
+                                             mode=mode)
+        step, n = 1e-4, inst.arrays.pretrain.n
+        sets = [which for which in gradcheck.SETS
+                if getattr(inst.state, f"ignore_{which}") is not None]
+        states = []
+        for which in sets:
+            for i in range(n):
+                for sign in (1.0, -1.0):
+                    probe = reference.copy_state(inst.state)
+                    getattr(probe, f"ignore_{which}").raw[i] += sign * step
+                    states.append(probe)
+        losses = {}
+        engine.run_stack(inst.arrays, [inst.cfg] * len(states), states,
+                         lambda k, row: losses.setdefault(k, row.val_loss))
+        got = np.array([(losses[k] - losses[k + 1]) / (2.0 * step)
+                        for k in range(0, len(states), 2)])
+        want = gradcheck._Lookahead(
+            inst.state, inst.arrays, inst.cfg).central_differences(
+                dict.fromkeys(sets, range(n)), step)
+        assert got.tobytes() == np.concatenate(
+            [want[which] for which in sets]).tobytes()
 
     def test_checks_the_full_batch_under_batch_size(self):
         """The oracle differences the full-batch map, so the analytic side
@@ -445,9 +487,8 @@ def check_executed_iteration(seed, mode, ignore_mode, hidden, weight_decay,
         sets.append(("finetune", state.ignore_finetune,
                      nxt.ignore_finetune, step.ignore_finetune))
     for which, scores, got, rate in sets:
-        want = engine.apply_ignore_update(
-            scores, analytic_entries(report, which), rate, idx_pre)
-        assert want.raw.tobytes() == got.raw.tobytes()
+        want = stepped(scores, analytic_entries(report, which), rate, idx_pre)
+        assert want.tobytes() == got.raw.tobytes()
 
 
 class TestBadInputs:
